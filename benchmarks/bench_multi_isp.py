@@ -80,11 +80,7 @@ def test_multi_isp_scale_gate(benchmark):
     def _run_both():
         # Fresh topologies per run: no memoized index subsidies.
         mono_net = build_federated_multi_isp(*GATE_SHAPE).network
-        mono = _traced(
-            lambda: infer_from_measurements(
-                mono_net, data, materialize=False
-            )
-        )
+        mono = _traced(lambda: infer_from_measurements(mono_net, data))
         shard_net = build_federated_multi_isp(*GATE_SHAPE).network
         shard = _traced(
             lambda: infer_sharded(shard_net, data, plan)

@@ -36,6 +36,7 @@ from repro.core.pathsets import PathSet
 from repro.core.performance import NetworkPerformance
 from repro.core.slices import (
     SliceSystem,
+    SliceSystemsView,
     batch_unsolvability,
     batch_unsolvability_arrays,
     build_slice_batch,
@@ -62,7 +63,9 @@ class AlgorithmResult:
         skipped: Sequences with too few pathsets (non-identifiable).
         scores: Unsolvability score per examined sequence (scored
             mode) or residual-based indicator (exact mode).
-        systems: The :class:`SliceSystem` per examined sequence.
+        systems: The :class:`SliceSystem` per examined sequence — a
+            :class:`~repro.core.slices.SliceSystemsView` that builds a
+            system only when it is read.
     """
 
     identified: Tuple[LinkSeq, ...]
@@ -70,7 +73,7 @@ class AlgorithmResult:
     neutral: Tuple[LinkSeq, ...]
     skipped: Tuple[LinkSeq, ...]
     scores: Dict[LinkSeq, float] = field(default_factory=dict)
-    systems: Dict[LinkSeq, SliceSystem] = field(default_factory=dict)
+    systems: Mapping[LinkSeq, SliceSystem] = field(default_factory=dict)
 
     @property
     def identified_links(self) -> frozenset:
@@ -79,14 +82,6 @@ class AlgorithmResult:
         for sigma in self.identified:
             out.update(sigma)
         return frozenset(out)
-
-
-def _candidate_systems(
-    net: Network, min_pathsets: int
-) -> Tuple[Dict[LinkSeq, SliceSystem], List[LinkSeq]]:
-    """Lines 2–12: candidate systems and the skipped sequences."""
-    batch, skipped = build_slice_batch(net, min_pathsets)
-    return batch.systems_dict(), list(skipped)
 
 
 def remove_redundant(
@@ -197,10 +192,9 @@ def identify_from_scores(
     Shared tail of :func:`identify_non_neutral` and the runner's
     array route (:func:`repro.experiments.runner.
     infer_from_measurements`), which computes the scores without a
-    pathset dict round-trip. With ``include_systems=False`` the
-    result's ``systems`` dict is left empty — the verdict needs only
-    the scores, and materializing thousands of System 4 objects
-    dominates memory at ≥5k paths.
+    pathset dict round-trip. The result's ``systems`` is a lazy view
+    over the batch (no System 4 is built unless read); with
+    ``include_systems=False`` it is left empty.
     """
     if decider is None:
         from repro.measurement.clustering import cluster_decider
@@ -224,7 +218,7 @@ def identify_from_scores(
         neutral=neutral,
         skipped=tuple(skipped),
         scores=dict(scores),
-        systems=batch.systems_dict() if include_systems else {},
+        systems=SliceSystemsView(batch) if include_systems else {},
     )
 
 
@@ -290,7 +284,7 @@ def identify_non_neutral_exact(
         neutral=tuple(neutral),
         skipped=skipped,
         scores=scores,
-        systems=batch.systems_dict(),
+        systems=SliceSystemsView(batch),
     )
 
 
@@ -302,11 +296,11 @@ def required_pathsets(
     The measurement layer calls this before an experiment to know
     which single paths and path pairs to monitor.
     """
-    systems, _ = _candidate_systems(net, min_pathsets)
+    batch, _ = build_slice_batch(net, min_pathsets)
     seen = set()
     out: List[PathSet] = []
-    for system in systems.values():
-        for ps in system.family:
+    for family in batch.families():
+        for ps in family:
             if ps not in seen:
                 seen.add(ps)
                 out.append(ps)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import TheoryError
 
@@ -112,6 +111,10 @@ def solve_least_squares(
     if mat.size == 0:
         raise TheoryError("cannot solve an empty system")
     if nonnegative:
+        # scipy is imported here, its one use, so importing the
+        # package (and every CLI run) does not pay for it.
+        from scipy import optimize
+
         x, rnorm = optimize.nnls(mat, vec)
     else:
         x, _, _, _ = np.linalg.lstsq(mat, vec, rcond=None)

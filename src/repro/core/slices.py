@@ -447,18 +447,25 @@ def _make_system(
     has_b = rem_any[lb]
     matrix[pair_rows[has_b], local_col[lb[has_b]]] = 1.0
 
-    family: Tuple[PathSet, ...] = tuple(
-        map(singleton_pathsets.__getitem__, rows.tolist())
-    ) + tuple(map(frozenset, pair_list))
-
     return SliceSystem(
         sigma=sigma,
         paths=path_ids,
         pairs=tuple(pair_list),
-        family=family,
+        family=_pathset_family(rows, pair_list, singleton_pathsets),
         matrix=matrix,
         columns=columns,
     )
+
+
+def _pathset_family(
+    rows: np.ndarray,
+    pair_list: Sequence[Tuple[str, str]],
+    singleton_pathsets: Sequence[PathSet],
+) -> PathSetFamily:
+    """``Φ_σ`` in row order: member singletons, then the pairs."""
+    return tuple(
+        map(singleton_pathsets.__getitem__, rows.tolist())
+    ) + tuple(map(frozenset, pair_list))
 
 
 def build_slice_system(
@@ -532,9 +539,11 @@ class SliceSystemBatch:
     ``offsets`` marking system boundaries.
 
     The per-σ :class:`SliceSystem` objects (matrices, pathset
-    families) are materialized *lazily* on first :attr:`systems`
-    access — the flat arrays alone carry the records→verdict hot
-    path, and at ≥5k paths the eager objects would dominate memory.
+    families) are built *lazily*, one at a time, by :meth:`system`
+    and memoized — the flat arrays alone carry the records→verdict
+    hot path, and at ≥5k paths the eager objects would dominate time
+    and memory. :class:`SliceSystemsView` is the ``{σ: system}``
+    mapping over that memo.
 
     Attributes:
         index: The path/link registry.
@@ -574,41 +583,112 @@ class SliceSystemBatch:
         return int(self.pair_a.size)
 
     @cached_property
-    def systems(self) -> Tuple[SliceSystem, ...]:
-        """The :class:`SliceSystem` per sequence, aligned with
-        :attr:`sigmas` (materialized on first access, then cached)."""
+    def system_of(self) -> Dict[LinkSeq, int]:
+        """``{σ: system position}``."""
+        return {sigma: g for g, sigma in enumerate(self.sigmas)}
+
+    @cached_property
+    def _memo(self) -> Dict[int, SliceSystem]:
+        return {}
+
+    @property
+    def num_materialized(self) -> int:
+        """How many per-σ systems have been built so far."""
+        return len(self._memo)
+
+    def _pair_list(self, g: int) -> List[Tuple[str, str]]:
         path_ids = self.index.path_ids
-        systems: List[SliceSystem] = []
-        for g, sigma in enumerate(self.sigmas):
-            lo, hi = self.offsets[g], self.offsets[g + 1]
-            mlo, mhi = self.member_offsets[g], self.member_offsets[g + 1]
-            ga, gb = self.pair_a[lo:hi], self.pair_b[lo:hi]
-            pair_list = [
-                (path_ids[i], path_ids[j])
-                for i, j in zip(ga.tolist(), gb.tolist())
-            ]
-            systems.append(
-                _make_system(
-                    self.index,
-                    sigma,
-                    self.sigma_masks[g],
-                    self.member_rows[mlo:mhi],
-                    self.la[lo:hi],
-                    self.lb[lo:hi],
-                    pair_list,
-                    self.singletons,
-                )
+        lo, hi = self.offsets[g], self.offsets[g + 1]
+        return [
+            (path_ids[i], path_ids[j])
+            for i, j in zip(
+                self.pair_a[lo:hi].tolist(), self.pair_b[lo:hi].tolist()
             )
-        return tuple(systems)
+        ]
+
+    def _member_rows(self, g: int) -> np.ndarray:
+        return self.member_rows[
+            self.member_offsets[g]:self.member_offsets[g + 1]
+        ]
+
+    def system(self, g: int) -> SliceSystem:
+        """The :class:`SliceSystem` of ``sigmas[g]`` (built on first
+        request, then memoized)."""
+        system = self._memo.get(g)
+        if system is None:
+            lo, hi = self.offsets[g], self.offsets[g + 1]
+            system = _make_system(
+                self.index,
+                self.sigmas[g],
+                self.sigma_masks[g],
+                self._member_rows(g),
+                self.la[lo:hi],
+                self.lb[lo:hi],
+                self._pair_list(g),
+                self.singletons,
+            )
+            self._memo[g] = system
+        return system
+
+    @property
+    def systems(self) -> Tuple[SliceSystem, ...]:
+        """Every :class:`SliceSystem`, aligned with :attr:`sigmas`."""
+        return tuple(map(self.system, range(self.num_systems)))
 
     def systems_dict(self) -> Dict[LinkSeq, SliceSystem]:
         """``{σ: system}`` in σ-sorted insertion order."""
         return dict(zip(self.sigmas, self.systems))
 
     def families(self) -> Iterator[PathSetFamily]:
-        """Each system's pathset family, in system order."""
-        for system in self.systems:
-            yield system.family
+        """Each system's pathset family, in system order — without
+        building the systems' matrices."""
+        for g in range(self.num_systems):
+            system = self._memo.get(g)
+            yield (
+                system.family
+                if system is not None
+                else _pathset_family(
+                    self._member_rows(g), self._pair_list(g), self.singletons
+                )
+            )
+
+
+class SliceSystemsView(Mapping[LinkSeq, SliceSystem]):
+    """Read-only ``{σ: SliceSystem}`` over a :class:`SliceSystemBatch`.
+
+    The shape of :attr:`AlgorithmResult.systems
+    <repro.core.algorithm.AlgorithmResult.systems>`: iteration and
+    membership use the batch's σ order and table, and a system is
+    built (through :meth:`SliceSystemBatch.system`) only when read.
+    Pickles as a plain ``dict``, so a result crossing a process or
+    cache boundary carries every system, as an eager dict would.
+    """
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: SliceSystemBatch) -> None:
+        self._batch = batch
+
+    def __getitem__(self, sigma: LinkSeq) -> SliceSystem:
+        g = self._batch.system_of.get(sigma)
+        if g is None:
+            raise KeyError(sigma)
+        return self._batch.system(g)
+
+    def __contains__(self, sigma: object) -> bool:
+        return sigma in self._batch.system_of
+
+    def __iter__(self) -> Iterator[LinkSeq]:
+        return iter(self._batch.sigmas)
+
+    def __len__(self) -> int:
+        return self._batch.num_systems
+
+    def __reduce__(self):
+        return (dict, (self._batch.systems_dict(),))
+
+    def __repr__(self) -> str:
+        return f"SliceSystemsView({len(self)} systems)"
 
 
 def build_slice_batch(
@@ -997,20 +1077,62 @@ def _patch_groups_remove(
 # ----------------------------------------------------------------------
 
 
+def pair_keys(
+    pair_a: np.ndarray, pair_b: np.ndarray, num_paths: int
+) -> np.ndarray:
+    """Scalar ``a·|P| + b`` keys of row pairs (``a < b``), as int64."""
+    return pair_a.astype(np.int64) * num_paths + pair_b
+
+
+def gather_sorted(
+    sorted_keys: np.ndarray, sorted_values: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """``sorted_values`` at the positions of ``keys`` in ``sorted_keys``.
+
+    A ``searchsorted`` lookup over unique ascending keys; keys that are
+    absent gather NaN. Values are copied, never recomputed, so the
+    result is bitwise the stored values.
+    """
+    if sorted_keys.size == 0:
+        return np.full(keys.shape, np.nan)
+    pos = np.searchsorted(sorted_keys, keys)
+    np.minimum(pos, sorted_keys.size - 1, out=pos)
+    out = sorted_values[pos]
+    out[sorted_keys[pos] != keys] = np.nan
+    return out
+
+
 def _observation_arrays(
     batch: SliceSystemBatch, observations: Mapping[PathSet, float]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Unpack a pathset→value mapping into gatherable arrays.
 
-    One pass over the mapping fills a ``(|P|,)`` singleton vector and
-    a dense symmetric ``(|P|, |P|)`` pair matrix (NaN where
-    unmeasured); every downstream score is then a flat fancy-indexed
-    gather. Entries for paths outside the index are ignored.
+    Returns ``(y_single, y_pair_flat)``: a ``(|P|,)`` singleton vector
+    and the pair values aligned with ``batch.pair_a``/``pair_b`` (NaN
+    where unmeasured), ready for :func:`batch_pair_estimates_arrays`.
+    A :class:`~repro.measurement.normalize.PathsetObservations` over
+    the same registry hands over its arrays directly; any other
+    mapping takes one pass that collects pair values by scalar pair
+    key, then one sorted-key gather. Entries for paths outside the
+    index are ignored.
     """
-    pos = batch.index.path_pos
-    num_paths = batch.index.num_paths
+    from repro.measurement.normalize import PathsetObservations
+
+    index = batch.index
+    if (
+        isinstance(observations, PathsetObservations)
+        and observations.index is index
+    ):
+        return (
+            observations.y_single,
+            observations.pair_values(batch.pair_a, batch.pair_b),
+        )
+    pos = index.path_pos
+    num_paths = index.num_paths
     y_single = np.full(num_paths, np.nan)
-    y_pair = np.full((num_paths, num_paths), np.nan)
+    rows_a: List[int] = []
+    rows_b: List[int] = []
+    pair_values: List[float] = []
     for ps, value in observations.items():
         size = len(ps)
         if size == 1:
@@ -1022,9 +1144,24 @@ def _observation_arrays(
             pid_a, pid_b = ps
             i, j = pos.get(pid_a), pos.get(pid_b)
             if i is not None and j is not None:
-                y_pair[i, j] = value
-                y_pair[j, i] = value
-    return y_single, y_pair
+                rows_a.append(i)
+                rows_b.append(j)
+                pair_values.append(value)
+    # Each temporary is dropped as soon as it is consumed: at 5k paths
+    # there are ~900k pairs, and the lists alone are ~25 MB.
+    rows = np.array([rows_a, rows_b], dtype=np.intp).reshape(2, -1)
+    values = np.array(pair_values, dtype=float)
+    del rows_a, rows_b, pair_values
+    rows.sort(axis=0)  # each column becomes (a, b) with a < b
+    keys = pair_keys(rows[0], rows[1], num_paths)
+    del rows
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    del order
+    y_pair_flat = gather_sorted(
+        keys, values, pair_keys(batch.pair_a, batch.pair_b, num_paths)
+    )
+    return y_single, y_pair_flat
 
 
 def batch_pair_estimates(
@@ -1040,9 +1177,8 @@ def batch_pair_estimates(
     Raises:
         SliceError: If any needed pathset was not measured.
     """
-    y_single, y_pair = _observation_arrays(batch, observations)
     return batch_pair_estimates_arrays(
-        batch, y_single, y_pair[batch.pair_a, batch.pair_b]
+        batch, *_observation_arrays(batch, observations)
     )
 
 

@@ -61,7 +61,7 @@ class ExperimentOutcome:
     """
 
     emulation: SubstrateResult
-    observations: Dict[PathSet, float]
+    observations: Mapping[PathSet, float]
     algorithm: AlgorithmResult
     path_congestion: Dict[str, float]
     inference_network: Network
@@ -92,9 +92,8 @@ def infer_from_measurements(
     settings: EmulationSettings = EmulationSettings(),
     min_pathsets: int = DEFAULT_MIN_PATHSETS,
     rng: Optional[np.random.Generator] = None,
-    materialize: bool = True,
     telemetry: Optional["_telemetry.Tracer"] = None,
-) -> Tuple[Dict[PathSet, float], AlgorithmResult]:
+) -> Tuple[Mapping[PathSet, float], AlgorithmResult]:
     """Records → verdict: the batched inference pipeline.
 
     This is the vectorized counterpart of
@@ -104,17 +103,19 @@ def infer_from_measurements(
     normalization from a joint congestion-status matrix (Algorithm
     2), and batched score-based Algorithm 1.
 
+    Nothing per pathset or per σ is built: the returned observations
+    are a :class:`~repro.measurement.normalize.PathsetObservations`
+    view over the cost arrays (a plain dict on the sampled /
+    zero-traffic fallback), and the result's ``systems`` a
+    :class:`~repro.core.slices.SliceSystemsView` that builds a System
+    4 only when one is read.
+
     Args:
         net: The inference graph (measured paths only).
         measurements: Raw per-path interval records.
         settings: Thresholds, normalization mode, and decider knobs.
         min_pathsets: Algorithm 1's line-10 threshold.
         rng: Normalization generator (``mode="sampled"`` only).
-        materialize: When False, skip the per-pathset observation
-            dict and the result's per-σ :class:`SliceSystem` objects
-            (both returned empty) — the memory-bounded ≥5k-path mode
-            used by ``benchmarks/bench_multi_isp.py``; verdict and
-            scores are unaffected.
         telemetry: Tracer receiving the pipeline spans; ``None`` uses
             the module default (a no-op unless opted in).
 
@@ -136,7 +137,6 @@ def infer_from_measurements(
                 loss_threshold=settings.loss_threshold,
                 mode=settings.normalization_mode,
                 rng=rng,
-                materialize=materialize,
             )
         with tracer.span("infer.score"):
             score_array = batch_unsolvability_arrays(
@@ -152,7 +152,7 @@ def infer_from_measurements(
                 definite=settings.decider_definite,
             )
             algorithm = identify_from_scores(
-                batch, skipped, scores, decider, include_systems=materialize
+                batch, skipped, scores, decider
             )
         infer_span.set(identified=len(algorithm.identified))
     return observations, algorithm

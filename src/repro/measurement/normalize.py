@@ -34,11 +34,25 @@ elementwise row ANDs. The pre-rewrite per-pathset loops are frozen in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+import math
+from collections.abc import ItemsView
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.core.network import PathIndex
 from repro.core.pathsets import PathSet, PathSetFamily
+from repro.core.slices import _observation_arrays, gather_sorted, pair_keys
 from repro.exceptions import MeasurementError
 from repro.measurement.records import MeasurementData
 
@@ -454,6 +468,119 @@ def joint_slice_observations(
     return merged
 
 
+class PathsetObservations(Mapping[PathSet, float]):
+    """Read-only ``{pathset: y}`` view over Algorithm 2's cost arrays.
+
+    What :func:`batch_slice_observations` returns on its fast path: a
+    mapping backed by the arrays the pipeline computes anyway, so a
+    verdict never builds one frozenset per pathset (~905k of them at
+    5356 paths) unless a caller reads them.
+
+    * Singletons are the ``used`` rows, valued by ``y_single`` (NaN on
+      every other row); lookups go through ``index.path_pos``.
+    * Pairs are ``(pair_a[k], pair_b[k])``, valued by
+      ``y_pair_flat[k]``; lookups search a lazily built sorted array
+      of ``a·|P| + b`` keys.
+    * Iteration order is the eager dict's: singletons by row, then
+      pairs in flat batch order.
+    * Values are the stored float64s, returned as Python floats —
+      equal to an eager dict's values bit for bit.
+
+    It pickles (and copies) as a plain ``dict``. Absent or foreign
+    pathsets raise :class:`KeyError`.
+    """
+
+    __slots__ = (
+        "index", "used", "y_single", "pair_a", "pair_b", "y_pair_flat",
+        "_sorted",
+    )
+
+    def __init__(
+        self,
+        index: PathIndex,
+        used: np.ndarray,
+        y_single: np.ndarray,
+        pair_a: np.ndarray,
+        pair_b: np.ndarray,
+        y_pair_flat: np.ndarray,
+    ) -> None:
+        self.index = index
+        self.used = used
+        self.y_single = y_single
+        self.pair_a = pair_a
+        self.pair_b = pair_b
+        self.y_pair_flat = y_pair_flat
+        self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _sorted_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, values)`` of every pair, in ascending key order."""
+        if self._sorted is None:
+            keys = pair_keys(self.pair_a, self.pair_b, self.index.num_paths)
+            order = np.argsort(keys)
+            self._sorted = (keys[order], self.y_pair_flat[order])
+        return self._sorted
+
+    def pair_values(
+        self, pair_a: np.ndarray, pair_b: np.ndarray
+    ) -> np.ndarray:
+        """Pair values gathered at rows ``(pair_a, pair_b)`` (NaN where
+        unmeasured) — the stored array itself for the same pairs."""
+        if pair_a is self.pair_a and pair_b is self.pair_b:
+            return self.y_pair_flat
+        return gather_sorted(
+            *self._sorted_pairs(),
+            pair_keys(pair_a, pair_b, self.index.num_paths),
+        )
+
+    def __getitem__(self, pathset: PathSet) -> float:
+        rows = (
+            [self.index.path_pos.get(pid) for pid in pathset]
+            if isinstance(pathset, frozenset) and 1 <= len(pathset) <= 2
+            else [None]
+        )
+        if None in rows:
+            raise KeyError(pathset)
+        if len(rows) == 1:
+            value = self.y_single[rows[0]]
+        else:
+            key = min(rows) * self.index.num_paths + max(rows)
+            value = gather_sorted(*self._sorted_pairs(), np.array([key]))[0]
+        if math.isnan(value):  # NaN marks an unmeasured pathset
+            raise KeyError(pathset)
+        return float(value)
+
+    def __len__(self) -> int:
+        return int(self.used.size + self.pair_a.size)
+
+    def __iter__(self) -> Iterator[PathSet]:
+        path_ids = self.index.path_ids
+        for r in self.used.tolist():
+            yield frozenset([path_ids[r]])
+        for a, b in zip(self.pair_a.tolist(), self.pair_b.tolist()):
+            yield frozenset((path_ids[a], path_ids[b]))
+
+    def _value_list(self) -> List[float]:
+        return self.y_single[self.used].tolist() + self.y_pair_flat.tolist()
+
+    def items(self) -> ItemsView:
+        return _ObservationItems(self)
+
+    def __reduce__(self):
+        return (dict, (dict(self.items()),))
+
+    def __repr__(self) -> str:
+        return f"PathsetObservations({len(self)} pathsets)"
+
+
+class _ObservationItems(ItemsView):
+    """Items of a :class:`PathsetObservations` in one array pass."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._value_list())
+
+
 def batch_slice_observations(
     data: MeasurementData,
     batch,
@@ -461,25 +588,24 @@ def batch_slice_observations(
     mode: str = "expected",
     rng: Optional[np.random.Generator] = None,
     materialize: bool = True,
-) -> Tuple[Dict[PathSet, float], np.ndarray, np.ndarray]:
+) -> Tuple[Mapping[PathSet, float], np.ndarray, np.ndarray]:
     """Per-slice observations for a whole
     :class:`~repro.core.slices.SliceSystemBatch` at once.
 
-    The zero-dict-roundtrip route of the runner: when expected-mode
-    normalization applies and every path has traffic in every
-    interval, all singleton costs come from one joint status matrix
-    (row popcounts) and all pair costs from bit-packed row ANDs over
-    the batch's flat pair index arrays — no per-family or per-pathset
-    Python work. Otherwise it defers to
-    :func:`joint_slice_observations` (identical values, family by
-    family).
+    The runner's route: when expected-mode normalization applies and
+    every path has traffic in every interval, all singleton costs
+    come from one joint status matrix (row popcounts) and all pair
+    costs from bit-packed row ANDs over the batch's flat pair index
+    arrays — no per-family or per-pathset Python work, and the
+    returned mapping is a :class:`PathsetObservations` view over those
+    arrays. Otherwise it defers to :func:`joint_slice_observations`
+    (identical values, family by family) and gathers the arrays from
+    its dict.
 
     Args:
-        materialize: When False *and* the fast path applies, skip
-            building the ``{pathset: y}`` dict (returned empty) — at
-            ≥5k paths the millions of frozenset keys dominate both
-            time and memory, and the runner's scoring consumes only
-            the arrays. The non-fast fallback always materializes.
+        materialize: When False *and* the fast path applies, the
+            mapping is returned empty; the non-fast fallback always
+            returns its dict.
 
     Returns:
         ``(observations, y_single, y_pair_flat)`` — the pathset→cost
@@ -493,12 +619,6 @@ def batch_slice_observations(
     index = batch.index
     num_paths = index.num_paths
 
-    def _arrays_from_dict(observations):
-        from repro.core.slices import _observation_arrays
-
-        y_single, y_pair = _observation_arrays(batch, observations)
-        return y_single, y_pair[batch.pair_a, batch.pair_b]
-
     if batch.num_systems == 0:
         return {}, np.full(num_paths, np.nan), np.zeros(0, dtype=float)
 
@@ -506,12 +626,12 @@ def batch_slice_observations(
     if not fast:
         observations = joint_slice_observations(
             data,
-            [system.family for system in batch.systems],
+            list(batch.families()),
             loss_threshold=loss_threshold,
             mode=mode,
             rng=rng,
         )
-        return (observations,) + _arrays_from_dict(observations)
+        return (observations,) + _observation_arrays(batch, observations)
 
     sent = data.sent_matrix
     lost = data.lost_matrix
@@ -539,18 +659,13 @@ def batch_slice_observations(
     p_pair = joint_count / total
     y_pair_flat = -np.log(np.clip(p_pair, eps, 1.0))
 
-    observations: Dict[PathSet, float] = {}
-    if materialize:
-        for r, y in zip(used.tolist(), y_used.tolist()):
-            observations[frozenset([path_ids[r]])] = y
-        # Each sharing pair belongs to exactly one σ group, so the
-        # flat pair arrays enumerate every pair pathset once.
-        for a, b, y in zip(
-            batch.pair_a.tolist(),
-            batch.pair_b.tolist(),
-            y_pair_flat.tolist(),
-        ):
-            observations[frozenset((path_ids[a], path_ids[b]))] = y
+    if not materialize:
+        return {}, y_single, y_pair_flat
+    # Each sharing pair belongs to exactly one σ group, so the flat
+    # pair arrays enumerate every pair pathset once.
+    observations = PathsetObservations(
+        index, used, y_single, batch.pair_a, batch.pair_b, y_pair_flat
+    )
     return observations, y_single, y_pair_flat
 
 

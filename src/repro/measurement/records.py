@@ -208,18 +208,23 @@ class MeasurementData:
         *,
         all_sent_positive: Optional[bool] = None,
     ) -> "MeasurementData":
-        """Zero-copy construction from pre-validated stacked matrices.
+        """Zero-copy construction from stacked matrices.
 
         The shared-memory transport path (:mod:`repro.parallel`):
         workers rebuild a :class:`MeasurementData` directly over
-        attached segment views without re-validating or copying per
-        path — the parent already validated the records it exported.
+        attached segment views without building or copying per-path
+        records. The counters get the record constructor's checks
+        (``0 <= lost <= sent``) as whole-matrix array tests.
         ``path_ids`` must be sorted (the stacked-matrix row order) and
         the matrices stay shared: rows are views, not copies.
 
         Args:
             all_sent_positive: Pre-computed :attr:`all_sent_positive`
                 flag; ``None`` defers to a lazy scan.
+
+        Raises:
+            MeasurementError: On unsorted ids, misaligned matrices, a
+                non-positive interval, or invalid counters.
         """
         ids = tuple(path_ids)
         if list(ids) != sorted(ids):
@@ -238,6 +243,11 @@ class MeasurementData:
         if interval_seconds <= 0:
             raise MeasurementError(
                 f"interval_seconds must be positive, got {interval_seconds}"
+            )
+        # The record constructor's counter checks, one array pass each.
+        if (lost < 0).any() or (lost > sent).any():
+            raise MeasurementError(
+                "stacked counters must satisfy 0 <= lost <= sent"
             )
         self = cls.__new__(cls)
         records: Dict[str, PathRecord] = {}

@@ -45,6 +45,7 @@ from repro.core.network import LinkSeq, Network, Path
 from repro.core.slices import (
     batch_pair_estimates_arrays,
     build_slice_batch,
+    pair_keys,
 )
 from repro.exceptions import ConfigurationError
 from repro.measurement.normalize import batch_slice_observations
@@ -143,16 +144,14 @@ def shard_contribution(
         loss_threshold=loss_threshold,
         mode=normalization_mode,
         rng=None,
-        materialize=False,
     )
     estimates = batch_pair_estimates_arrays(batch, y_single, y_pair_flat)
     index = net.path_index
     # Shard→global row map is monotonic (both id-sorted), so a < b
     # survives and keys stay row-major within a group.
     to_global = index.rows(batch.index.path_ids)
-    keys = (
-        to_global[batch.pair_a].astype(np.int64) * index.num_paths
-        + to_global[batch.pair_b]
+    keys = pair_keys(
+        to_global[batch.pair_a], to_global[batch.pair_b], index.num_paths
     )
     return ShardResult(batch.sigmas, batch.offsets, keys, estimates)
 
@@ -225,15 +224,13 @@ def _run_shard_task(task) -> Tuple[int, Optional[ShardResult]]:
         loss_threshold=loss_threshold,
         mode=normalization_mode,
         rng=None,
-        materialize=False,
     )
     estimates = batch_pair_estimates_arrays(batch, y_single, y_pair_flat)
     to_global = np.array(
         [pos[pid] for pid in batch.index.path_ids], dtype=np.intp
     )
-    keys = (
-        to_global[batch.pair_a].astype(np.int64) * state["num_paths"]
-        + to_global[batch.pair_b]
+    keys = pair_keys(
+        to_global[batch.pair_a], to_global[batch.pair_b], state["num_paths"]
     )
     return seq, ShardResult(batch.sigmas, batch.offsets, keys, estimates)
 

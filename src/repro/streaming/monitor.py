@@ -48,7 +48,7 @@ from repro.core.algorithm import (
     remove_redundant,
 )
 from repro.core.network import LinkSeq, Network
-from repro.core.slices import batch_unsolvability_arrays
+from repro.core.slices import SliceSystemsView, batch_unsolvability_arrays
 from repro.exceptions import ConfigurationError, MeasurementError
 from repro.experiments.config import EmulationSettings
 from repro.measurement.clustering import two_means_split
@@ -266,10 +266,10 @@ class NeutralityMonitor:
         self._next_end = int(window_intervals or self.stride)
         self.interval_seconds = settings.interval_seconds
         # Per-window tail amortization: the examined sequences never
-        # change, so the systems dict is shared across verdicts and
-        # the §5 redundancy pruning is memoized per identified set
+        # change, so one lazy systems view is shared across verdicts
+        # and the §5 redundancy pruning is memoized per identified set
         # (it usually only changes at change points).
-        self._systems = self.stats.batch.systems_dict()
+        self._systems = SliceSystemsView(self.stats.batch)
         self._prune_cache: Dict[
             Tuple[LinkSeq, ...], Tuple[LinkSeq, ...]
         ] = {}

@@ -43,7 +43,7 @@ incremental to maintain. The monitor therefore requires
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.measurement.normalize import (
     DEFAULT_LOSS_THRESHOLD,
     PAIR_POPCOUNT_BLOCK as _PAIR_BLOCK,
     _POPCOUNT,
+    PathsetObservations,
     _popcount_rows,
     batch_slice_observations,
 )
@@ -429,11 +430,12 @@ class SlidingWindowStats:
         return counts
 
     def _evaluate_window(self, lo: int, hi: int) -> tuple:
-        """Cached core: ``(observations | None, y_single, y_pair)``.
+        """Cached core: ``(observations, y_single, y_pair_flat)``.
 
-        The fast path defers the pathset→cost dict (``None``) — the
-        monitor only consumes the arrays; :meth:`window_observations`
-        materializes the dict on demand.
+        On the fast path the observations are a
+        :class:`~repro.measurement.normalize.PathsetObservations` view
+        over the cost arrays, so the monitor, which reads only the
+        arrays, never builds a per-pathset object.
         """
         key = (int(lo), int(hi))
         cached = self._cache.get(key)
@@ -466,7 +468,18 @@ class SlidingWindowStats:
             y_single[self._used] = y_used
             p_pair = self._pair_counts(lo, hi) / total
             y_pair_flat = -np.log(np.clip(p_pair, eps, 1.0))
-            out = (None, y_single, y_pair_flat)
+            out = (
+                PathsetObservations(
+                    batch.index,
+                    self._used,
+                    y_single,
+                    batch.pair_a,
+                    batch.pair_b,
+                    y_pair_flat,
+                ),
+                y_single,
+                y_pair_flat,
+            )
 
         if len(self._cache) >= _WINDOW_CACHE_LIMIT:
             self._cache.pop(next(iter(self._cache)))
@@ -482,8 +495,7 @@ class SlidingWindowStats:
         :func:`~repro.measurement.normalize.batch_slice_observations`
         would return for the window's records, gatherable by
         :func:`~repro.core.slices.batch_unsolvability_arrays` —
-        without materializing the pathset dict (the monitor's hot
-        path).
+        the monitor's hot path.
         """
         self._check_window(lo, hi)
         _, y_single, y_pair_flat = self._evaluate_window(lo, hi)
@@ -491,7 +503,7 @@ class SlidingWindowStats:
 
     def window_observations(
         self, lo: int, hi: int
-    ) -> Tuple[Dict[PathSet, float], np.ndarray, np.ndarray]:
+    ) -> Tuple[Mapping[PathSet, float], np.ndarray, np.ndarray]:
         """Algorithm 2 over the window ``[lo, hi)``.
 
         Returns the same ``(observations, y_single, y_pair_flat)``
@@ -503,28 +515,4 @@ class SlidingWindowStats:
         sets) through the batch routine itself.
         """
         self._check_window(lo, hi)
-        observations, y_single, y_pair_flat = self._evaluate_window(
-            lo, hi
-        )
-        if observations is None:
-            batch = self.batch
-            observations = {}
-            path_ids = batch.index.path_ids
-            y_used = y_single[self._used]
-            for r, y in zip(self._used.tolist(), y_used.tolist()):
-                observations[frozenset([path_ids[r]])] = y
-            # Each sharing pair belongs to exactly one σ group, so
-            # the flat pair arrays enumerate every pair pathset once
-            # (and the lazy batch systems stay unmaterialized).
-            for a, b, y in zip(
-                batch.pair_a.tolist(),
-                batch.pair_b.tolist(),
-                y_pair_flat.tolist(),
-            ):
-                observations[frozenset((path_ids[a], path_ids[b]))] = y
-            self._cache[(int(lo), int(hi))] = (
-                observations,
-                y_single,
-                y_pair_flat,
-            )
-        return observations, y_single, y_pair_flat
+        return self._evaluate_window(lo, hi)

@@ -353,3 +353,24 @@ class TestTelemetryCli:
         )
         with open(metrics_path, encoding="utf-8") as handle:
             json.load(handle)  # valid JSON registry export
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only by the one NNLS call that needs it, so
+    a CLI start does not pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "import sys, repro.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -325,3 +325,19 @@ class TestFromMatrices:
             MeasurementData.from_matrices(
                 ("p1", "p2"), sent, sent, interval_seconds=0.0
             )
+
+    @pytest.mark.parametrize(
+        "sent, lost",
+        [
+            ([[3, 2], [4, 4]], [[0, -1], [0, 0]]),  # negative count
+            ([[3, -2], [4, 4]], [[0, -2], [0, 0]]),  # negative sent
+            ([[3, 2], [4, 4]], [[0, 0], [5, 0]]),  # lost > sent
+        ],
+    )
+    def test_counter_validation(self, sent, lost):
+        """The record constructor's counter checks apply to the
+        stacked matrices too."""
+        with pytest.raises(MeasurementError, match="lost <= sent"):
+            MeasurementData.from_matrices(
+                ("p1", "p2"), np.array(sent), np.array(lost)
+            )

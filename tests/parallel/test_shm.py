@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.network import Network, Path
+from repro.exceptions import MeasurementError
 from repro.measurement.records import MeasurementData, PathRecord
 from repro.parallel import shm
 from repro.parallel.shm import (
@@ -183,6 +184,30 @@ class TestShares:
         # close() is idempotent and the names are gone.
         share.close()
         assert share.descriptor.sent.name not in _devshm_leftovers()
+
+    @pytest.mark.parametrize(
+        "lost", [[[0, -1], [0, 0]], [[0, 0], [5, 0]]],
+        ids=["negative", "lost-exceeds-sent"],
+    )
+    def test_attach_rejects_invalid_counters(self, lost):
+        """A worker attaching corrupt counters gets a MeasurementError,
+        not a silently wrong verdict."""
+        sent = shm.REGISTRY.export(np.array([[3, 2], [4, 4]]))
+        bad = shm.REGISTRY.export(np.array(lost))
+        desc = shm.MeasurementDescriptor(
+            sent=sent,
+            lost=bad,
+            path_ids=("p1", "p2"),
+            interval_seconds=0.1,
+            all_sent_positive=True,
+        )
+        try:
+            with pytest.raises(MeasurementError):
+                attach_measurements(desc)
+        finally:
+            shm.detach_all()
+            shm.REGISTRY.release(sent.name)
+            shm.REGISTRY.release(bad.name)
 
     def test_incidence_share_roundtrip(self):
         net = Network(

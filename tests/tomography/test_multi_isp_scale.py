@@ -3,8 +3,8 @@
 The PR-6 scaling contract (DESIGN.md S20): on the 8×13 federated
 multi-ISP topology (5356 paths, 196 links) the sparse/bit-packed
 pipeline must complete records→verdict within a fixed tracemalloc
-peak — monolithic (``materialize=False``) and sharded — and the two
-must agree bitwise. Measured peaks at the time of writing were
+peak — monolithic (the default call, which builds no per-pathset or
+per-σ object) and sharded — and the two must agree bitwise. Measured peaks at the time of writing were
 ~173 MB monolithic and ~59 MB sharded; the budgets below leave
 ≈1.5–2× headroom so the test fails on a genuine regression (e.g. a
 dense P×P intermediate, ~229 MB of float64 alone at this size), not
@@ -16,7 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.sharding import infer_sharded
+from repro.core.slices import _observation_arrays, build_slice_batch
 from repro.experiments.runner import infer_from_measurements
 from repro.measurement.synthetic import synthesize_records
 from repro.topology.generators import random_two_class_performance
@@ -57,11 +59,15 @@ def test_monolithic_within_budget(scale_case):
     # A fresh network: the module fixture's caches must not subsidize
     # the measured run.
     net = build_federated_multi_isp(8, 13).network
-    (_, alg), peak = _traced_peak(
-        lambda: infer_from_measurements(net, data, materialize=False)
+    (obs, alg), peak = _traced_peak(
+        lambda: infer_from_measurements(net, data)
     )
     assert alg.scores  # non-vacuous
-    assert not alg.systems  # the memory-bounded mode
+    assert len(alg.systems) == len(alg.scores)
+    assert len(obs) > len(net.path_ids)
+    # The lazy views built nothing: no System 4 was materialized.
+    batch, _ = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
+    assert batch.num_materialized == 0
     assert peak <= MONOLITHIC_BUDGET, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -73,10 +79,26 @@ def test_sharded_within_budget_and_identical(scale_case):
     )
     assert peak <= SHARDED_BUDGET, f"peak {peak / 1e6:.1f} MB"
     # Bitwise agreement with the monolith on the full-scale topology.
-    _, mono = infer_from_measurements(
-        fed.network, data, materialize=False
-    )
+    _, mono = infer_from_measurements(fed.network, data)
     assert sharded.scores == mono.scores
     assert set(sharded.identified) == set(mono.identified)
     assert set(sharded.neutral) == set(mono.neutral)
     assert set(sharded.skipped) == set(mono.skipped)
+
+
+def test_observation_arrays_gather_without_dense_matrix(scale_case):
+    """A plain ``{pathset: y}`` dict at 5356 paths unpacks through the
+    sorted pair-key gather: its peak stays far below the dense
+    ``(P, P)`` float64 matrix the unpacking once allocated."""
+    fed, data = scale_case
+    net = fed.network
+    lazy, alg = infer_from_measurements(net, data)
+    batch, _ = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
+    eager = dict(lazy.items())
+    dense_bytes = len(net.path_ids) ** 2 * 8
+    (y_single, y_pair_flat), peak = _traced_peak(
+        lambda: _observation_arrays(batch, eager)
+    )
+    assert peak < dense_bytes / 4, f"peak {peak / 1e6:.1f} MB"
+    np.testing.assert_array_equal(y_single, lazy.y_single)
+    np.testing.assert_array_equal(y_pair_flat, lazy.y_pair_flat)

@@ -1,10 +1,15 @@
-"""Legacy setup shim.
+"""Package metadata for ``pip install -e .``.
 
-Kept so that ``pip install -e .`` works in offline environments whose
-pip/setuptools cannot build PEP 517 editable wheels (no ``wheel``
-package available). All metadata lives in ``pyproject.toml``.
+A plain setuptools script rather than ``pyproject.toml``, so editable
+installs work in offline environments whose pip/setuptools cannot
+build PEP 517 editable wheels (no ``wheel`` package available).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

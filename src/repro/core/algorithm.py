@@ -98,9 +98,9 @@ def remove_redundant(
     iterating cannot remove more.
 
     Each sequence is encoded as a bitmask over the union link
-    universe; subset tests, the candidate union, and the
-    has-identified check are then array operations per identified
-    sequence rather than nested set loops.
+    universe, packed into 64-link words; subset tests, the candidate
+    union, and the has-identified check then run word by word for a
+    block of identified sequences at once, with no per-sequence loop.
     """
     identified = tuple(identified)
     examined = tuple(examined)
@@ -111,39 +111,50 @@ def remove_redundant(
         | {lid for sigma in identified for lid in sigma}
     )
     link_pos = {lid: k for k, lid in enumerate(universe)}
+    num_words = (len(universe) + 63) >> 6
 
-    def bits(sigma: LinkSeq) -> np.ndarray:
-        mask = np.zeros(len(universe), dtype=bool)
-        for lid in sigma:
-            mask[link_pos[lid]] = True
-        return mask
+    def word_columns(seqs: Tuple[LinkSeq, ...]) -> np.ndarray:
+        # One scatter for all sequences' link bits, packed to 64-link
+        # words stored word-major: row ``w`` holds every sequence's
+        # word ``w``.
+        bits = np.zeros((len(seqs), num_words * 64), dtype=bool)
+        rows = np.repeat(
+            np.arange(len(seqs)), [len(sigma) for sigma in seqs]
+        )
+        cols = [link_pos[lid] for sigma in seqs for lid in sigma]
+        bits[rows, cols] = True
+        return np.ascontiguousarray(
+            np.packbits(bits, axis=1).view(np.uint64).T
+        )
 
-    examined_bits = (
-        np.stack([bits(sigma) for sigma in examined])
-        if examined
-        else np.zeros((0, len(universe)), dtype=bool)
-    )
+    examined_words = word_columns(examined)  # (W, E)
+    identified_words = word_columns(identified)  # (W, I)
     identified_set = set(identified)
     is_identified = np.array(
         [sigma in identified_set for sigma in examined], dtype=bool
     )
 
-    kept: List[LinkSeq] = []
-    for sigma in identified:
-        target = bits(sigma)
-        is_subset = ~(examined_bits & ~target).any(axis=1)
-        is_self = (examined_bits == target).all(axis=1)
-        candidates = is_subset & ~is_self
-        redundant = (
-            candidates.any()
-            and bool((candidates & is_identified).any())
-            and bool(
-                (examined_bits[candidates].any(axis=0) == target).all()
+    redundant = np.zeros(len(identified), dtype=bool)
+    # Blocks bound the (block, E) temporaries to a few MB.
+    block = max(1, (1 << 18) // max(1, len(examined)))
+    for lo in range(0, len(identified), block):
+        targets = identified_words[:, lo:lo + block, None]  # (W, b, 1)
+        outside = np.zeros((targets.shape[1], len(examined)), dtype=bool)
+        differs = outside.copy()
+        for ex, target in zip(examined_words, targets):
+            outside |= (ex & ~target) != 0
+            differs |= ex != target
+        candidates = ~outside & differs  # proper subsets, (b, E)
+        covers = (candidates & is_identified).any(axis=1)
+        for ex, target in zip(examined_words, targets):
+            union = np.bitwise_or.reduce(
+                np.where(candidates, ex, 0), axis=1
             )
-        )
-        if not redundant:
-            kept.append(sigma)
-    return tuple(kept)
+            covers &= union == target[:, 0]
+        redundant[lo:lo + block] = covers
+    return tuple(
+        sigma for sigma, drop in zip(identified, redundant) if not drop
+    )
 
 
 def identify_non_neutral(

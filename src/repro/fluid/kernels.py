@@ -37,8 +37,9 @@ under the fused backends are *not* bitwise-equal to the numpy
 backend. The engine version tags (``repro.fluid.engine.
 engine_version`` / ``repro.emulator.core.packet_engine_version``)
 therefore differ per backend family, keeping sweep cache keys honest.
-Integer kernels (greedy admission, pair popcounts) are exact and
-backend-invariant.
+The integer kernel (greedy admission) is exact and backend-invariant.
+Pair counts for Algorithm 2 have no kernel: they are one numpy
+primitive, :func:`repro.measurement.normalize.pair_joint_counts`.
 """
 
 from __future__ import annotations
@@ -749,60 +750,6 @@ def _greedy_admission_kernel(caps, admit):
 
 
 # ----------------------------------------------------------------------
-# Streaming-window popcount kernel
-# ----------------------------------------------------------------------
-
-
-def _pair_popcount_span_kernel(
-    packed, rows_a, rows_b, b0, b1, head_mask, tail_mask, table, out
-):
-    """Joint popcounts of bit-packed row pairs over a byte span.
-
-    The fused form of the streaming window's blocked
-    gather-AND-popcount slide: per pair, AND the two packed rows over
-    bytes ``[b0, b1)``, mask the partial edge bytes, and sum set
-    bits via the 256-entry ``table``. Integer-exact, so results are
-    bitwise-identical to the numpy route on every backend.
-    """
-    nb = b1 - b0
-    last = nb - 1
-    for k in range(rows_a.shape[0]):
-        a = rows_a[k]
-        b = rows_b[k]
-        total = 0
-        for j in range(nb):
-            v = packed[a, b0 + j] & packed[b, b0 + j]
-            if j == 0:
-                v = v & head_mask
-            if j == last:
-                v = v & tail_mask
-            total += int(table[v])
-        out[k] = total
-
-
-def _pair_popcount_rows_kernel(packed, rows_a, rows_b, table, out):
-    """Joint popcounts of bit-packed row pairs over full rows.
-
-    The unmasked sibling of :func:`_pair_popcount_span_kernel`, for
-    :func:`repro.measurement.normalize.pair_joint_popcounts`: per
-    pair, AND the two packed rows end to end and sum set bits via the
-    256-entry ``table``. Integer-exact, so results are bitwise-
-    identical to the blocked numpy route on every backend — and under
-    numba the compiled form (``nogil=True``) releases the GIL, which
-    is what lets the thread-based shard executor run pair passes
-    concurrently.
-    """
-    nb = packed.shape[1]
-    for k in range(rows_a.shape[0]):
-        a = rows_a[k]
-        b = rows_b[k]
-        total = 0
-        for j in range(nb):
-            total += int(table[packed[a, j] & packed[b, j]])
-        out[k] = total
-
-
-# ----------------------------------------------------------------------
 # Backend dispatch
 # ----------------------------------------------------------------------
 
@@ -811,8 +758,6 @@ _PY_IMPLS = {
     "fluid_step_post": _fluid_step_post,
     "serve_fifo": _serve_fifo_kernel,
     "greedy_admission": _greedy_admission_kernel,
-    "pair_popcount_span": _pair_popcount_span_kernel,
-    "pair_popcount_rows": _pair_popcount_rows_kernel,
 }
 
 if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
@@ -880,18 +825,3 @@ def greedy_admission(*args):
     _KERNEL_CALLS[key] = _KERNEL_CALLS.get(key, 0) + 1
     return _impl("greedy_admission")(*args)
 
-
-def pair_popcount_span(*args):
-    """Dispatch :func:`_pair_popcount_span_kernel` on the active
-    backend."""
-    key = ("pair_popcount_span", _backend)
-    _KERNEL_CALLS[key] = _KERNEL_CALLS.get(key, 0) + 1
-    return _impl("pair_popcount_span")(*args)
-
-
-def pair_popcount_rows(*args):
-    """Dispatch :func:`_pair_popcount_rows_kernel` on the active
-    backend."""
-    key = ("pair_popcount_rows", _backend)
-    _KERNEL_CALLS[key] = _KERNEL_CALLS.get(key, 0) + 1
-    return _impl("pair_popcount_rows")(*args)

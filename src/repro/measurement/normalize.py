@@ -61,83 +61,64 @@ from repro.measurement.records import MeasurementData
 #: bold default of Table 1.
 DEFAULT_LOSS_THRESHOLD = 0.01
 
-#: Per-byte popcount lookup, the NumPy < 2.0 fallback for
-#: ``np.bitwise_count`` (first 2.x-only API in the codebase; the
-#: project pins no NumPy minimum).
-_POPCOUNT = np.array(
-    [bin(byte).count("1") for byte in range(256)], dtype=np.uint8
-)
+if hasattr(np, "bitwise_count"):
+    _popcount = np.bitwise_count
+else:  # pragma: no cover - NumPy < 2.0 has no bitwise_count
+    _BYTE_POPCOUNT = np.array(
+        [bin(byte).count("1") for byte in range(256)], dtype=np.int64
+    )
+
+    def _popcount(words: np.ndarray) -> np.ndarray:
+        return _BYTE_POPCOUNT[words.view(np.uint8)].reshape(-1, 8).sum(1)
 
 
-def _popcount_bytes(packed: np.ndarray) -> np.ndarray:
-    """Elementwise set-bit counts of a packed uint8 array."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(packed)
-    return _POPCOUNT[packed]  # pragma: no cover - NumPy 1.x only
+#: Pairs per block in :func:`pair_joint_counts`: bounds the gathered
+#: ``(block,)`` word temporaries to a few hundred KB however many
+#: sharing pairs a topology has.
+PAIR_BLOCK = 1 << 15
 
 
-def _popcount_rows(packed: np.ndarray) -> np.ndarray:
-    """Row-wise set-bit counts of a packed uint8 matrix."""
-    return _popcount_bytes(packed).sum(axis=1, dtype=np.int64)
-
-
-#: Pairs per block in :func:`pair_joint_popcounts`: bounds the
-#: gathered ``(block, bytes_per_row)`` temporaries to a few MB
-#: regardless of how many sharing pairs a topology has.
-PAIR_POPCOUNT_BLOCK = 1 << 18
-
-#: Lazy handle on :mod:`repro.fluid.kernels` (imported on first use:
-#: ``repro.fluid`` pulls in the engines, which import this package).
-_kernels = None
-
-
-def _kernel_mod():
-    global _kernels
-    if _kernels is None:
-        from repro.fluid import kernels
-
-        _kernels = kernels
-    return _kernels
-
-
-def pair_joint_popcounts(
-    packed: np.ndarray,
+def pair_joint_counts(
+    status: np.ndarray,
     rows_a: np.ndarray,
     rows_b: np.ndarray,
-    block_pairs: int = PAIR_POPCOUNT_BLOCK,
+    block_pairs: int = PAIR_BLOCK,
 ) -> np.ndarray:
-    """Popcounts of ``packed[rows_a] & packed[rows_b]``, blocked.
+    """``(status[rows_a] & status[rows_b]).sum(axis=1)``, exactly.
 
-    The ≥5k-path topologies have millions of sharing pairs; gathering
-    both packed operands for all of them at once would allocate
-    ``O(n_pairs · T/8)`` twice. Processing in fixed-size blocks keeps
-    the peak additive memory constant.
-
-    Under the fused kernel backends the whole pass runs as one
-    gather-AND-popcount kernel (``pair_popcount_rows``) instead —
-    integer-exact, so bitwise-identical to the blocked route, with no
-    gathered temporaries at all; compiled under numba it releases the
-    GIL, which is what makes the thread leg of
-    :mod:`repro.parallel` scale.
+    The one pair-count primitive of Algorithm 2: how many intervals
+    each pair of paths was congestion-free together. The boolean
+    ``(n, T)`` matrix is packed into 64-interval words stored
+    column-major — one contiguous ``(n,)`` array per word — so a
+    block of pairs costs two ``take`` gathers, an AND and a popcount
+    per word. Blocking over pairs keeps the temporaries bounded at
+    millions of sharing pairs.
     """
-    kernels = _kernel_mod()
-    if kernels.step_kernels_enabled():
-        out = np.empty(rows_a.size, dtype=np.int64)
-        kernels.pair_popcount_rows(
-            np.ascontiguousarray(packed),
-            np.ascontiguousarray(rows_a, dtype=np.intp),
-            np.ascontiguousarray(rows_b, dtype=np.intp),
-            _POPCOUNT,
-            out,
-        )
-        return out
-    out = np.empty(rows_a.size, dtype=np.int64)
-    for lo in range(0, int(rows_a.size), block_pairs):
-        hi = min(lo + block_pairs, int(rows_a.size))
-        out[lo:hi] = _popcount_rows(
-            packed[rows_a[lo:hi]] & packed[rows_b[lo:hi]]
-        )
+    num_rows, total = status.shape
+    num_words = (total + 63) >> 6
+    packed = np.zeros((num_rows, num_words * 8), dtype=np.uint8)
+    packed[:, : (total + 7) >> 3] = np.packbits(status, axis=1)
+    words = np.ascontiguousarray(packed.view(np.uint64).T)
+    num_pairs = int(rows_a.size)
+    out = np.zeros(num_pairs, dtype=np.int64)
+    for lo in range(0, num_pairs, block_pairs):
+        a = rows_a[lo:lo + block_pairs]
+        b = rows_b[lo:lo + block_pairs]
+        acc = out[lo:lo + block_pairs]
+        for col in words:
+            acc += _popcount(col.take(a) & col.take(b))
     return out
+
+
+def cost_table(total: int) -> np.ndarray:
+    """Algorithm 2's cost of every count of ``total`` intervals.
+
+    ``table[k] = −log(clip(k/total, 1/(2·total), 1))``, so a pathset
+    congestion-free in ``k`` intervals costs ``table[k]`` — the same
+    float64 as evaluating the expression per pathset.
+    """
+    eps = 1.0 / (2.0 * total)
+    return -np.log(np.clip(np.arange(total + 1) / total, eps, 1.0))
 
 
 def _check_args(
@@ -594,9 +575,9 @@ def batch_slice_observations(
 
     The runner's route: when expected-mode normalization applies and
     every path has traffic in every interval, all singleton costs
-    come from one joint status matrix (row popcounts) and all pair
-    costs from bit-packed row ANDs over the batch's flat pair index
-    arrays — no per-family or per-pathset Python work, and the
+    come from one joint status matrix (row counts) and all pair
+    costs from :func:`pair_joint_counts` over the batch's flat pair
+    index arrays — no per-family or per-pathset Python work, and the
     returned mapping is a :class:`PathsetObservations` view over those
     arrays. Otherwise it defers to :func:`joint_slice_observations`
     (identical values, family by family) and gathers the arrays from
@@ -636,28 +617,20 @@ def batch_slice_observations(
     sent = data.sent_matrix
     lost = data.lost_matrix
     status = (lost / sent) < loss_threshold
-    total = status.shape[1]
-    eps = 1.0 / (2.0 * total)
+    table = cost_table(status.shape[1])
 
     used = np.unique(batch.member_rows)
     path_ids = index.path_ids
     data_rows = data.rows_of(path_ids[r] for r in used)
     joint = status[data_rows]  # (n_used, T), aligned with ``used``
-    p_single = joint.mean(axis=1)
-    y_used = -np.log(np.clip(p_single, eps, 1.0))
     y_single = np.full(num_paths, np.nan)
-    y_single[used] = y_used
+    y_single[used] = table[joint.sum(axis=1)]
 
-    # Pair costs: popcounts of bit-packed row ANDs, in fixed-size
-    # blocks so the gathered temporaries stay bounded at ≥5k paths.
     local = np.full(num_paths, -1, dtype=np.intp)
     local[used] = np.arange(used.size, dtype=np.intp)
-    packed = np.packbits(joint, axis=1)
-    joint_count = pair_joint_popcounts(
-        packed, local[batch.pair_a], local[batch.pair_b]
-    )
-    p_pair = joint_count / total
-    y_pair_flat = -np.log(np.clip(p_pair, eps, 1.0))
+    y_pair_flat = table[
+        pair_joint_counts(joint, local[batch.pair_a], local[batch.pair_b])
+    ]
 
     if not materialize:
         return {}, y_single, y_pair_flat

@@ -8,12 +8,10 @@ merely decides where it runs:
 
 * **inline** (``workers == 1``): the exact sequential loop.
 * **thread leg**: the same function over the parent's objects on a
-  ``ThreadPoolExecutor``. Chosen automatically when the numba kernel
-  backend is active — the hot popcount/pair kernels are compiled with
-  ``nogil=True`` and release the GIL, so threads scale without any
-  transport at all.
-* **process leg**: the fallback where kernels hold the GIL (numpy /
-  python backends). Matrices and packed incidence travel once through
+  ``ThreadPoolExecutor``, with no transport at all. Chosen
+  automatically when the numba kernel backend is active.
+* **process leg**: the automatic choice under the numpy / python
+  backends. Matrices and packed incidence travel once through
   :mod:`repro.parallel.shm` segments; per-task payloads carry only
   shard identities and descriptors, and workers rebuild sub-networks
   from the shared incidence.
@@ -81,11 +79,10 @@ def default_infer_workers() -> int:
 def resolve_shard_mode(mode: str = "auto") -> str:
     """Resolve ``auto`` to a concrete leg.
 
-    Threads win exactly when the numba backend is active: its kernels
-    are compiled ``nogil=True``, so the hot popcount/pair passes run
-    concurrently under one interpreter with zero transport. Under the
-    numpy/python backends the pair passes hold the GIL, so processes
-    (plus shared-memory transport) are the scaling leg.
+    Threads are chosen when the numba backend is active, processes
+    (plus shared-memory transport) under the numpy/python backends.
+    The pair counts themselves are numpy calls on every backend
+    (:func:`repro.measurement.normalize.pair_joint_counts`).
     """
     if mode not in MODES:
         raise ConfigurationError(

@@ -11,8 +11,8 @@ monitor in four layers:
   differentiation policy switches).
 * :mod:`repro.streaming.window` — incremental sufficient statistics
   for Algorithm 2 over sliding/tumbling windows: per-path
-  congestion-status prefix sums and bit-packed status rows updated in
-  O(new intervals), reusing the network's memoized
+  congestion-status prefix sums and status rows updated in O(new
+  intervals), sliding pair counts, reusing the network's memoized
   :class:`~repro.core.slices.SliceSystemBatch` across window
   advances.
 * :mod:`repro.streaming.monitor` — the

@@ -1,8 +1,8 @@
 """Incremental Algorithm 2 statistics over sliding/tumbling windows.
 
 The offline pipeline recomputes everything per record matrix:
-stack counters, derive the congestion-status matrix, bit-pack it,
-AND row pairs, popcount (see
+stack counters, derive the congestion-status matrix, count every
+pair's joint congestion-free intervals (see
 :func:`repro.measurement.normalize.batch_slice_observations`). For a
 monitor that re-evaluates a window every few intervals, almost all
 of that work is shared between consecutive windows.
@@ -10,15 +10,16 @@ of that work is shared between consecutive windows.
 :class:`SlidingWindowStats` maintains the sufficient statistics
 incrementally:
 
-* appended chunks update per-path congestion-status **prefix sums**
-  and **bit-packed status rows** in O(new intervals) — nothing is
+* appended chunks update the boolean status rows and per-path
+  congestion-status **prefix sums** in O(new intervals) — nothing is
   recomputed from scratch;
 * a window's singleton costs are prefix-sum differences; its pair
-  costs are popcounts of packed-row ANDs — and when one window
-  slides to the next, only the *delta spans* are counted
+  counts come from
+  :func:`~repro.measurement.normalize.pair_joint_counts` — and when
+  one window slides to the next, only the *delta spans* are counted
   (``count(new) = count(old) − count(dropped) + count(gained)``), so
-  a stride-S advance costs O(|pairs| · S/8) regardless of the window
-  length — reusing the network's memoized
+  a stride-S advance costs O(|pairs| · ⌈S/64⌉) regardless of the
+  window length — reusing the network's memoized
   :class:`~repro.core.slices.SliceSystemBatch` /
   :class:`~repro.core.network.PathIndex` across every window advance
   (the batch depends on the topology only, so no window ever
@@ -52,14 +53,12 @@ from repro.core.network import Network
 from repro.core.pathsets import PathSet
 from repro.core.slices import build_slice_batch
 from repro.exceptions import MeasurementError
-from repro.fluid import kernels as _kernels
 from repro.measurement.normalize import (
     DEFAULT_LOSS_THRESHOLD,
-    PAIR_POPCOUNT_BLOCK as _PAIR_BLOCK,
-    _POPCOUNT,
     PathsetObservations,
-    _popcount_rows,
     batch_slice_observations,
+    cost_table,
+    pair_joint_counts,
 )
 from repro.measurement.records import (
     MeasurementData,
@@ -73,13 +72,6 @@ _WINDOW_CACHE_LIMIT = 64
 
 #: Initial interval capacity of the growable state arrays.
 _INITIAL_CAPACITY = 256
-
-#: Path-count ceiling for the Gram-matrix pair-count route: the Gram
-#: product allocates a ``(|P|, |P|)`` float64 matrix, which at ≥5k
-#: paths (≈200 MB) defeats the streaming memory budget. Above this,
-#: the bit-packed popcount route is used even when pair coverage is
-#: dense.
-_GRAM_MAX_PATHS = 2048
 
 
 class SlidingWindowStats:
@@ -116,7 +108,6 @@ class SlidingWindowStats:
         self._sent: Optional[np.ndarray] = None
         self._lost: Optional[np.ndarray] = None
         self._status: Optional[np.ndarray] = None
-        self._packed: Optional[np.ndarray] = None
         self._status_prefix: Optional[np.ndarray] = None
         self._all_traffic_prefix: Optional[np.ndarray] = None
         # Sliding-delta anchor: the last window's pair counts.
@@ -128,7 +119,6 @@ class SlidingWindowStats:
         # advances later as the dropped edge.
         self._span_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._reserve_hint = 0
-        self._use_gram = True
         self._used: Optional[np.ndarray] = None
         self._used_stream_rows: Optional[np.ndarray] = None
         self._pair_a_stream: Optional[np.ndarray] = None
@@ -158,32 +148,14 @@ class SlidingWindowStats:
                 f"stream lacks records for indexed paths {missing}"
             )
 
-        def stream_rows(rows: np.ndarray) -> np.ndarray:
-            return np.array(
-                [self._row_of[index.path_ids[r]] for r in rows.tolist()],
-                dtype=np.intp,
-            )
-
-        if self.batch.num_systems:
-            self._used = np.unique(self.batch.member_rows)
-            self._used_stream_rows = stream_rows(self._used)
-            self._pair_a_stream = stream_rows(self.batch.pair_a)
-            self._pair_b_stream = stream_rows(self.batch.pair_b)
-        else:
-            self._used = np.zeros(0, dtype=np.intp)
-            self._used_stream_rows = np.zeros(0, dtype=np.intp)
-            self._pair_a_stream = np.zeros(0, dtype=np.intp)
-            self._pair_b_stream = np.zeros(0, dtype=np.intp)
-        # Dense pair coverage counts joints through a Gram matrix of
-        # the status columns; only sparse coverage walks the
-        # bit-packed rows (so they are maintained only then). The
-        # Gram product is O(|P|²) memory regardless of the span, so
-        # it is also capped by path count — ≥5k-path streams always
-        # take the packed route (DESIGN.md S20).
-        self._use_gram = (
-            self.batch.num_pairs >= len(self._path_ids)
-            and len(self._path_ids) <= _GRAM_MAX_PATHS
+        # Index row → stream row, gathered once per row array.
+        perm = np.array(
+            [self._row_of[pid] for pid in index.path_ids], dtype=np.intp
         )
+        self._used = np.unique(self.batch.member_rows)
+        self._used_stream_rows = perm[self._used]
+        self._pair_a_stream = perm[self.batch.pair_a]
+        self._pair_b_stream = perm[self.batch.pair_b]
 
     def reserve(self, num_intervals: int) -> None:
         """Pre-size the state arrays for a known stream length
@@ -197,7 +169,6 @@ class SlidingWindowStats:
         while cap < max(need, self._reserve_hint):
             cap *= 2
         num_paths = len(self._path_ids)
-        cap_bytes = (cap + 7) // 8
         T = self._T
 
         def grow(old, shape, dtype, filled):
@@ -214,12 +185,6 @@ class SlidingWindowStats:
         self._sent = grow(self._sent, (num_paths, cap), np.int64, T)
         self._lost = grow(self._lost, (num_paths, cap), np.int64, T)
         self._status = grow(self._status, (num_paths, cap), bool, T)
-        self._packed = grow(
-            self._packed,
-            (num_paths, cap_bytes),
-            np.uint8,
-            (T + 7) // 8,
-        )
         self._status_prefix = grow(
             self._status_prefix, (num_paths, cap + 1), np.int64, T + 1
         )
@@ -287,17 +252,6 @@ class SlidingWindowStats:
             self._all_traffic_prefix[T]
             + np.cumsum((sent > 0).all(axis=0))
         )
-        if not self._use_gram:
-            # Bit-pack the new columns in place: only the byte range
-            # covering [T, T+n) is touched — O(new intervals).
-            b0 = T >> 3
-            b1 = (T + n + 7) >> 3
-            padded = np.zeros(
-                (len(self._path_ids), (b1 - b0) * 8), dtype=bool
-            )
-            off = T - b0 * 8
-            padded[:, off:off + n] = status
-            self._packed[:, b0:b1] |= np.packbits(padded, axis=1)
         self._T = T + n
 
     # ------------------------------------------------------------------
@@ -339,63 +293,14 @@ class SlidingWindowStats:
 
     def _pair_span_counts(self, lo: int, hi: int) -> np.ndarray:
         """Joint congestion-free counts of every batch pair over
-        ``[lo, hi)``, exactly.
-
-        Dense pair coverage (the usual case: most path pairs share a
-        sequence) goes through a Gram matrix — ``S·Sᵀ`` of the span's
-        0/1 status columns counts every pair's joint intervals in one
-        BLAS call, exactly (0/1 products and sums below 2⁵³ are
-        integers in float64). Sparse coverage gathers the two
-        bit-packed rows per pair and popcounts their AND (masked edge
-        bytes).
-        """
+        ``[lo, hi)``, exactly (memoized per span)."""
         key = (lo, hi)
         cached = self._span_cache.get(key)
         if cached is not None:
             return cached
-        if self._use_gram:
-            span = self._status[:, lo:hi].astype(np.float64)
-            gram = span @ span.T
-            counts = gram[
-                self._pair_a_stream, self._pair_b_stream
-            ].astype(np.int64)
-        else:
-            b0 = lo >> 3
-            b1 = (hi + 7) >> 3
-            head = lo - b0 * 8
-            tail = b1 * 8 - hi
-            num_pairs = int(self._pair_a_stream.size)
-            counts = np.empty(num_pairs, dtype=np.int64)
-            if _kernels.step_kernels_enabled():
-                # Fused gather-AND-popcount over the byte span: no
-                # (pairs, span_bytes) temporary at all. Integer-
-                # exact, bitwise-identical to the blocked route.
-                _kernels.pair_popcount_span(
-                    self._packed,
-                    self._pair_a_stream,
-                    self._pair_b_stream,
-                    b0,
-                    b1,
-                    0xFF >> head if head else 0xFF,
-                    (0xFF << tail) & 0xFF if tail else 0xFF,
-                    _POPCOUNT,
-                    counts,
-                )
-            else:
-                # Blocked over pairs: the gathered (block,
-                # span_bytes) temporaries stay bounded however many
-                # sharing pairs the topology has.
-                for plo in range(0, num_pairs, _PAIR_BLOCK):
-                    phi = min(plo + _PAIR_BLOCK, num_pairs)
-                    joint = (
-                        self._packed[self._pair_a_stream[plo:phi], b0:b1]
-                        & self._packed[self._pair_b_stream[plo:phi], b0:b1]
-                    )
-                    if head:
-                        joint[:, 0] &= 0xFF >> head
-                    if tail:
-                        joint[:, -1] &= (0xFF << tail) & 0xFF
-                    counts[plo:phi] = _popcount_rows(joint)
+        counts = pair_joint_counts(
+            self._status[:, lo:hi], self._pair_a_stream, self._pair_b_stream
+        )
         if len(self._span_cache) >= 4 * _WINDOW_CACHE_LIMIT:
             self._span_cache.pop(next(iter(self._span_cache)))
         self._span_cache[key] = counts
@@ -408,7 +313,7 @@ class SlidingWindowStats:
         When this window overlaps the previous one (the monitor's
         advance pattern: ``lo₀ ≤ lo ≤ hi₀ ≤ hi``), only the dropped
         span ``[lo₀, lo)`` and the gained span ``[hi₀, hi)`` are
-        counted — O(|pairs| · stride/8) per advance, independent of
+        counted — O(|pairs| · ⌈stride/64⌉) per advance, independent of
         the window length. Counts are exact integers either way, so
         the delta route is bit-equal to counting from scratch.
         """
@@ -456,18 +361,14 @@ class SlidingWindowStats:
                 loss_threshold=self.loss_threshold,
             )
         else:
-            total = hi - lo
-            eps = 1.0 / (2.0 * total)
+            table = cost_table(hi - lo)
             counts = (
                 self._status_prefix[self._used_stream_rows, hi]
                 - self._status_prefix[self._used_stream_rows, lo]
             )
-            p_single = counts / total
-            y_used = -np.log(np.clip(p_single, eps, 1.0))
             y_single = np.full(batch.index.num_paths, np.nan)
-            y_single[self._used] = y_used
-            p_pair = self._pair_counts(lo, hi) / total
-            y_pair_flat = -np.log(np.clip(p_pair, eps, 1.0))
+            y_single[self._used] = table[counts]
+            y_pair_flat = table[self._pair_counts(lo, hi)]
             out = (
                 PathsetObservations(
                     batch.index,

@@ -161,6 +161,37 @@ def test_remove_redundant_link_relabeling_invariance(pool, pyrandom):
 
 @_SETTINGS
 @given(
+    st.integers(0, 2**31),
+    st.sampled_from([63, 64, 65, 130, 200]),
+)
+def test_remove_redundant_matches_reference_across_words(seed, links):
+    """Universes wider than one 64-link word, with planted unions so
+    some identified sequences are redundant, and planted extensions
+    (a sequence plus one more link) whose candidates leave that link
+    uncovered."""
+    rng = np.random.default_rng(seed)
+    universe = [f"l{k}" for k in range(links)]
+    base = [
+        tuple(sorted(rng.choice(universe, rng.integers(1, 4), False)))
+        for _ in range(30)
+    ]
+    unions = [
+        tuple(sorted(set(base[i]) | set(base[j])))
+        for i, j in rng.integers(0, len(base), (15, 2))
+    ]
+    extended = [
+        tuple(sorted(set(seq) | {str(rng.choice(universe))}))
+        for seq in base[:15]
+    ]
+    examined = list(dict.fromkeys(base + unions + extended))
+    identified = [seq for seq in examined if rng.random() < 0.5]
+    assert remove_redundant(identified, examined) == (
+        remove_redundant_reference(identified, examined)
+    )
+
+
+@_SETTINGS
+@given(
     st.lists(
         st.floats(
             min_value=0.0,

@@ -19,7 +19,7 @@ three ways:
   Lindley serialization runs as a recurrence in the kernel vs a
   ``cumsum``/``maximum.accumulate`` closed form in numpy — departure
   times are compared at fp tolerance while the integer-exact parts
-  (admission masks, popcounts) are compared exactly.
+  (admission masks) are compared exactly.
 * **Verdict invariance.** The quantities inference consumes — which
   paths/classes count as congested, and the differentiation structure
   between classes — must be identical across backends regardless of
@@ -41,7 +41,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from golden_config import SCENARIOS, SEED, run_scenario, scenario_inputs
-from repro.core.network import Network, Path
 from repro.exceptions import ConfigurationError
 from repro.fluid import kernels
 from repro.fluid.engine import (
@@ -51,7 +50,6 @@ from repro.fluid.engine import (
     engine_version,
 )
 from repro.fluid.tcp import TcpArrayState
-from repro.streaming.window import SlidingWindowStats
 
 #: The fused backend this machine can execute — compiled where numba
 #: is importable, the uncompiled kernel functions otherwise.
@@ -597,149 +595,3 @@ def test_serve_fifo_backends_equivalent(
     # The serialization order invariants hold under both backends.
     assert np.all(np.diff(k_dep) >= -1e-12)
     assert k_dep.shape[0] == int(np.count_nonzero(k_mask))
-
-
-# ----------------------------------------------------------------------
-# Streaming popcount kernel
-# ----------------------------------------------------------------------
-
-
-@_SETTINGS
-@given(
-    seed=st.integers(0, 2**31),
-    num_rows=st.integers(2, 6),
-    total=st.integers(1, 200),
-)
-def test_pair_popcount_kernel_exact(seed, num_rows, total):
-    """Direct kernel check: masked AND-popcounts over bit-packed rows
-    equal the unpacked boolean reference for arbitrary spans."""
-    from repro.measurement.normalize import _POPCOUNT
-
-    rng = np.random.default_rng(seed)
-    status = rng.random((num_rows, total)) < 0.5
-    packed = np.packbits(status, axis=1)
-    pairs = [
-        (a, b)
-        for a in range(num_rows)
-        for b in range(a + 1, num_rows)
-    ]
-    rows_a = np.array([a for a, _ in pairs], dtype=np.intp)
-    rows_b = np.array([b for _, b in pairs], dtype=np.intp)
-    lo = int(rng.integers(0, total))
-    hi = int(rng.integers(lo + 1, total + 1))
-    b0, head = divmod(lo, 8)
-    b1 = (hi + 7) // 8
-    tail = (8 - hi % 8) % 8
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    with kernels.use_backend(FUSED):
-        kernels.pair_popcount_span(
-            packed,
-            rows_a,
-            rows_b,
-            b0,
-            b1,
-            0xFF >> head if head else 0xFF,
-            (0xFF << tail) & 0xFF if tail else 0xFF,
-            _POPCOUNT,
-            counts,
-        )
-    expected = np.array(
-        [
-            int(np.count_nonzero(status[a, lo:hi] & status[b, lo:hi]))
-            for a, b in pairs
-        ],
-        dtype=np.int64,
-    )
-    np.testing.assert_array_equal(counts, expected)
-
-
-def test_sliding_window_sparse_route_backend_invariant(monkeypatch):
-    """The sparse (bit-packed) pair-count route produces identical
-    window costs under both backends — popcounts are integer-exact."""
-    import repro.streaming.window as window_mod
-
-    # Push every stream onto the packed route (normally only ≥5k-path
-    # streams take it — DESIGN.md S20).
-    monkeypatch.setattr(window_mod, "_GRAM_MAX_PATHS", 0)
-
-    def star(spokes):
-        links = ["hub"] + [f"a{i}" for i in range(spokes)]
-        paths = [Path(f"p{i}", (f"a{i}", "hub")) for i in range(spokes)]
-        return Network(links, paths)
-
-    rng = np.random.default_rng(11)
-    spokes, total = 5, 70
-    sent = rng.integers(1, 60, size=(spokes, total))
-    lost = rng.binomial(sent, 0.08)
-    path_ids = tuple(f"p{i}" for i in range(spokes))
-
-    def costs(backend):
-        with kernels.use_backend(backend):
-            stats = SlidingWindowStats(star(spokes))
-            stats.append_arrays(sent, lost, path_ids)
-            assert not stats._use_gram
-            return stats.window_costs(10, 60)
-
-    ref_single, ref_pair = costs("numpy")
-    k_single, k_pair = costs(FUSED)
-    np.testing.assert_array_equal(k_single, ref_single)
-    np.testing.assert_array_equal(k_pair, ref_pair)
-
-
-@_SETTINGS
-@given(
-    seed=st.integers(0, 2**31),
-    num_rows=st.integers(2, 8),
-    total=st.integers(1, 200),
-)
-def test_pair_popcount_rows_kernel_exact(seed, num_rows, total):
-    """Full-row packed-AND popcounts (the parallel executor's
-    normalization leg) equal the unpacked boolean reference."""
-    from repro.measurement.normalize import _POPCOUNT
-
-    rng = np.random.default_rng(seed)
-    status = rng.random((num_rows, total)) < 0.5
-    packed = np.packbits(status, axis=1)
-    pairs = [
-        (a, b)
-        for a in range(num_rows)
-        for b in range(a + 1, num_rows)
-    ]
-    rows_a = np.array([a for a, _ in pairs], dtype=np.intp)
-    rows_b = np.array([b for _, b in pairs], dtype=np.intp)
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    with kernels.use_backend(FUSED):
-        kernels.pair_popcount_rows(
-            packed, rows_a, rows_b, _POPCOUNT, counts
-        )
-    expected = np.array(
-        [
-            int(np.count_nonzero(status[a] & status[b]))
-            for a, b in pairs
-        ],
-        dtype=np.int64,
-    )
-    np.testing.assert_array_equal(counts, expected)
-
-
-def test_pair_joint_popcounts_backend_invariant():
-    """normalize.pair_joint_popcounts takes the kernel route when
-    step kernels are enabled and the numpy route otherwise — the
-    counts are integer-exact either way."""
-    from repro.measurement.normalize import pair_joint_popcounts
-
-    rng = np.random.default_rng(23)
-    status = rng.random((6, 130)) < 0.6
-    packed = np.packbits(status, axis=1)
-    rows_a = np.array([0, 1, 2, 3], dtype=np.intp)
-    rows_b = np.array([4, 5, 3, 5], dtype=np.intp)
-    with kernels.use_backend("numpy"):
-        numpy_route = pair_joint_popcounts(packed, rows_a, rows_b)
-    with kernels.use_backend(FUSED):
-        kernel_route = pair_joint_popcounts(packed, rows_a, rows_b)
-    np.testing.assert_array_equal(kernel_route, numpy_route)
-    expected = [
-        int(np.count_nonzero(status[a] & status[b]))
-        for a, b in zip(rows_a, rows_b)
-    ]
-    np.testing.assert_array_equal(numpy_route, expected)

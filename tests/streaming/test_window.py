@@ -225,3 +225,68 @@ class TestValidation:
         _, inc_single, inc_pair = stats.window_observations(100, 650)
         np.testing.assert_array_equal(inc_single, ref_single)
         np.testing.assert_array_equal(inc_pair, ref_pair)
+
+
+def test_sliding_spans_across_word_boundaries():
+    """A stride-25, width-100 monitor advance over 160 intervals:
+    delta spans and windows straddle 64-interval word boundaries, and
+    every window's costs stay bitwise the from-scratch recompute."""
+    spokes, total, width, stride = 6, 160, 100, 25
+    net = _star_network(spokes)
+    ids = tuple(f"p{i}" for i in range(spokes))
+    rng = np.random.default_rng(13)
+    sent = rng.integers(1, 40, size=(spokes, total))
+    lost = rng.binomial(sent, 0.03)
+    stats = SlidingWindowStats(net)
+    batch, _ = build_slice_batch(net, 5)
+    windows = 0
+    for a in range(0, total, stride):
+        b = min(a + stride, total)
+        stats.append_arrays(sent[:, a:b], lost[:, a:b], ids)
+        if b < width:
+            continue
+        lo, hi = b - width, b
+        window = MeasurementData(
+            [
+                PathRecord(pid, sent[i, lo:hi], lost[i, lo:hi])
+                for i, pid in enumerate(ids)
+            ],
+            0.1,
+        )
+        _, ref_single, ref_pair = batch_slice_observations(window, batch)
+        inc_single, inc_pair = stats.window_costs(lo, hi)
+        np.testing.assert_array_equal(inc_single, ref_single)
+        np.testing.assert_array_equal(inc_pair, ref_pair)
+        windows += 1
+    assert windows == 4
+
+
+def test_stream_rows_follow_the_stream_order():
+    """Index rows map to stream rows through one permutation: the
+    gathered arrays equal a per-element lookup by path id."""
+    net = _star_network(5)
+    ids = ("p3", "p0", "p4", "p1", "p2")
+    stats = SlidingWindowStats(net)
+    stats.append_arrays(
+        np.ones((5, 4), dtype=np.int64),
+        np.zeros((5, 4), dtype=np.int64),
+        ids,
+    )
+    index, batch = stats.batch.index, stats.batch
+    row_of = {pid: i for i, pid in enumerate(ids)}
+
+    def lookup(rows):
+        return np.array(
+            [row_of[index.path_ids[r]] for r in rows.tolist()],
+            dtype=np.intp,
+        )
+
+    used = np.unique(batch.member_rows)
+    np.testing.assert_array_equal(stats._used, used)
+    np.testing.assert_array_equal(stats._used_stream_rows, lookup(used))
+    np.testing.assert_array_equal(
+        stats._pair_a_stream, lookup(batch.pair_a)
+    )
+    np.testing.assert_array_equal(
+        stats._pair_b_stream, lookup(batch.pair_b)
+    )

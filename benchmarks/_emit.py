@@ -5,7 +5,7 @@ Every bench records the same fields into pytest-benchmark's
 uniformly machine-readable instead of each bench inventing its own
 shape:
 
-* ``name`` — stable artifact id (``"table2/sets"``, ``"kernels/step"``).
+* ``name`` — stable artifact id (``"table2/sets"``, ``"batch/throughput"``).
 * ``gate`` — the asserted floor/ceiling for gate benches; ``None``
   for claim-only benches (qualitative paper assertions, no threshold).
 * ``measured`` — the observed value the gate compares against (or the
@@ -14,7 +14,7 @@ shape:
   and durations differ between quick and full mode; downstream
   tooling must not compare across them).
 * ``manifest`` — a :class:`repro.telemetry.RunManifest` provenance
-  record (kernel backend, substrate tags, versions, git, host),
+  record (substrate tags, versions, git, host),
   embedded when the harness runs with ``--manifest`` or
   ``REPRO_BENCH_MANIFEST=1``.
 

@@ -84,7 +84,6 @@ def test_telemetry_overhead_gate(benchmark):
         # Provenance + registry export beside the trace: the sample
         # artifact CI uploads is exactly what a REPRO_TELEMETRY=<dir>
         # CLI run leaves behind.
-        telemetry.snapshot_kernel_counts()
         telemetry.write_manifest(
             telemetry.RunManifest.collect(
                 "bench:telemetry/overhead", seed=SETTINGS.seed

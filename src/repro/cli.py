@@ -2,8 +2,8 @@
 
 Commands:
 
-* ``info`` — the active step-kernel backend, numba availability, and
-  the substrate registry with cache-version tags.
+* ``info`` — the numpy version, the substrate registry with
+  cache-version tags, and the parallel and telemetry settings.
 * ``theory`` — the paper's worked examples, analytically (instant).
 * ``fig8 --set N [--value V]`` — one topology-A experiment (set 1–9).
 * ``topo-b [--seed S]`` — the topology-B experiment with reports.
@@ -44,37 +44,24 @@ never tracebacks.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
 
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.config import EmulationSettings
 
 
 def _cmd_info(_: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.fluid.kernels import kernel_info
     from repro.substrate.registry import (
         available_substrates,
         substrate_cache_tag,
     )
 
-    info = kernel_info()
-    print("kernel backend:")
-    print(f"  active:          {info['backend']}")
-    print(f"  compiled:        {'yes' if info['compiled'] else 'no'}")
-    print(
-        "  numba:           "
-        + (
-            f"available (version {info['numba_version']})"
-            if info["numba_available"]
-            else "not installed"
-        )
-    )
-    print(f"  REPRO_KERNEL:    {info['env_override'] or '(unset)'}")
-    print(f"  numpy:           {np.__version__}")
+    print(f"numpy:             {np.__version__}")
     print("substrates:")
     for name in available_substrates():
         # name:version — exactly the tag sweep cache entries carry,
@@ -94,8 +81,6 @@ def _cmd_info(_: argparse.Namespace) -> int:
         f"  {ENV_WORKERS}: "
         f"{os.environ.get(ENV_WORKERS) or '(unset)'}"
     )
-    # auto resolves per run from the kernel backend: threads when the
-    # nogil numba kernels are active, processes + shm otherwise.
     print(f"  shard mode:      {resolve_shard_mode('auto')} (auto)")
     print(f"  cpus:            {os.cpu_count()}")
     print(
@@ -382,6 +367,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         )
     onset = None
     if args.onset is not None:
+        if not math.isfinite(args.onset):
+            raise ConfigurationError(
+                f"--onset must be finite, got {args.onset}"
+            )
         onset = int(round(args.onset / settings.interval_seconds))
     scenario = Scenario(
         name=f"monitor-{args.topology}",
@@ -470,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "info",
-        help="active kernel backend, numba status, substrate registry",
+        help="numpy version, substrate registry, parallel and "
+        "telemetry settings",
     )
 
     sub.add_parser("theory", help="worked theory examples (instant)")
@@ -627,8 +617,8 @@ def _finalize_telemetry(args: argparse.Namespace) -> None:
     """Flush telemetry artifacts for an exporting CLI run.
 
     When ``REPRO_TELEMETRY`` names a directory, close the run by
-    folding kernel dispatch counts into the registry, appending a run
-    manifest to ``trace.jsonl``, and writing ``metrics.json`` beside
+    folding parallel transport totals into the registry, appending a
+    run manifest to ``trace.jsonl``, and writing ``metrics.json`` beside
     it.  In-memory mode and the read-only viewer commands
     (``trace``/``metrics``) skip all of this.
     """
@@ -636,7 +626,6 @@ def _finalize_telemetry(args: argparse.Namespace) -> None:
 
     if not telemetry.enabled():
         return
-    telemetry.snapshot_kernel_counts()
     telemetry.snapshot_parallel_stats()
     directory = telemetry.export_dir()
     if directory is None:

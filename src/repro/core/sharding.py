@@ -164,9 +164,8 @@ def infer_sharded(
             ``REPRO_INFER_WORKERS`` (1 when unset → the sequential
             loop). Contributions are folded in shard order, so
             verdicts are bitwise-identical for every worker count.
-        parallel_mode: ``auto`` (threads iff the numba kernel backend
-            is active, processes + shared-memory transport
-            otherwise), ``thread``, or ``process``.
+        parallel_mode: ``auto`` (processes + shared-memory
+            transport), ``thread``, or ``process``.
         executor: A caller-owned :class:`~repro.parallel.executor.
             ShardExecutor` to reuse (its warm pools survive across
             calls); overrides ``workers``/``parallel_mode``.

@@ -50,7 +50,6 @@ from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.emulator.specs import PacketLinkSpec
 from repro.exceptions import ConfigurationError, EmulationError
-from repro.fluid import kernels as _kernels
 from repro.fluid.params import PathWorkload, mb_to_packets
 from repro.measurement.records import (
     MeasurementData,
@@ -66,21 +65,6 @@ from repro.measurement.records import (
 #: :data:`repro.fluid.engine.ENGINE_VERSION`). Names the numpy
 #: closed-form quantum scans.
 PACKET_ENGINE_VERSION = "packet-batch-1"
-
-#: Tag of the fused scan kernels (DESIGN.md S21): the Lindley
-#: recurrence runs sequentially instead of as a ``(k+1)·s +
-#: maximum.accumulate`` unroll, so departure times match the numpy
-#: scans only within fp tolerance (admission decisions are
-#: integer-exact either way).
-PACKET_KERNEL_VERSION = "packet-kern-2"
-
-
-def packet_engine_version() -> str:
-    """Cache-key version tag of the *active* packet engine (backend-
-    dependent, like :func:`repro.fluid.engine.engine_version`)."""
-    if _kernels.step_kernels_enabled():
-        return PACKET_KERNEL_VERSION
-    return PACKET_ENGINE_VERSION
 
 #: Runaway-emulation backstop (total packet transmissions).
 DEFAULT_MAX_PACKETS = 50_000_000
@@ -101,12 +85,6 @@ def greedy_admission(caps: np.ndarray) -> np.ndarray:
     forward difference. One accumulate, no Python loop.
     """
     n = caps.shape[0]
-    if _kernels.step_kernels_enabled():
-        # Fused counting scan — the greedy rule verbatim, integer-
-        # exact and bitwise-identical to the closed form below.
-        mask = np.empty(n, dtype=np.bool_)
-        _kernels.greedy_admission(caps, mask)
-        return mask
     idx = np.arange(n)
     run = np.minimum.accumulate(caps - idx)
     admitted_after = np.minimum(idx + 1, idx + run)
@@ -269,20 +247,6 @@ def _serve_fifo(
     n = arr.shape[0]
     if n == 0:
         return None, arr, busy_until
-    if _kernels.step_kernels_enabled():
-        # Fused admission + Lindley recurrence: one pass over the
-        # batch instead of ~10 array ops. Admission decisions are
-        # integer-exact; departure times agree within fp tolerance
-        # (sequential adds vs the closed-form unroll below).
-        admit = np.empty(n, dtype=np.bool_)
-        dep = np.empty(n)
-        m, all_admitted, new_busy = _kernels.serve_fifo(
-            arr, float(rate), float(busy_until), float(capacity),
-            admit, dep,
-        )
-        if m == 0:
-            return admit, arr[:0], busy_until
-        return (None if all_admitted else admit), dep[:m], new_busy
     service = 1.0 / rate
     if busy_until <= arr[0] and n <= capacity:
         # Fast path: no standing backlog and the whole batch fits in
@@ -1093,13 +1057,11 @@ class PacketSession:
         self._occ_cols: List[np.ndarray] = []
         self._rtt_cols: List[np.ndarray] = []
         self.intervals_done = 0
-        # Sampled once per session (the step_kernels_enabled()
-        # contract): disabled telemetry costs one boolean here and a
-        # branch per advance/swap.
+        # Sampled once per session: disabled telemetry costs one
+        # boolean here and a branch per advance/swap.
         self._tel = telemetry.enabled()
         if self._tel:
             reg = telemetry.get_registry()
-            self._tel_backend = _kernels.active_backend()
             self._tel_intervals = reg.counter(
                 "repro_engine_intervals_total",
                 "measurement intervals emulated", substrate="packet",
@@ -1158,7 +1120,6 @@ class PacketSession:
             telemetry.span(
                 "engine.advance", substrate="packet",
                 intervals=int(num_intervals), start=start,
-                backend=self._tel_backend,
             )
             if self._tel
             else telemetry.NOOP_SPAN

@@ -9,6 +9,7 @@ Table 1 parameter space is encoded in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.exceptions import ConfigurationError
@@ -52,10 +53,19 @@ class EmulationSettings:
     normalization_mode: str = "expected"
 
     def __post_init__(self) -> None:
-        if self.duration_seconds <= 0:
-            raise ConfigurationError("duration must be positive")
-        if self.interval_seconds <= 0 or self.dt <= 0:
-            raise ConfigurationError("dt and interval must be positive")
+        for name in ("duration_seconds", "dt", "interval_seconds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value}"
+                )
+        if not (
+            math.isfinite(self.warmup_seconds) and self.warmup_seconds >= 0
+        ):
+            raise ConfigurationError(
+                "warmup_seconds must be finite and non-negative, got "
+                f"{self.warmup_seconds}"
+            )
         if not 0 < self.loss_threshold < 1:
             raise ConfigurationError("loss threshold must be in (0,1)")
         if self.normalization_mode not in ("expected", "sampled"):

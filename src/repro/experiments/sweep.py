@@ -437,9 +437,8 @@ class SweepRunner:
         self.stats.workers = self.workers
         shm_bytes_before = _SHM_REGISTRY.exported_bytes_total
         run_start = time.perf_counter()
-        # Telemetry is consulted once per run (the kernels-style
-        # enablement contract); when disabled the span below is the
-        # shared no-op and nothing else is touched.
+        # Telemetry is consulted once per run; when disabled the
+        # span below is the shared no-op and nothing else is touched.
         tel = telemetry.enabled()
         point_hist = (
             telemetry.get_registry().histogram(

@@ -53,7 +53,6 @@ from repro import telemetry
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError, EmulationError
-from repro.fluid import kernels
 from repro.fluid.engine import (
     DEFAULT_DT,
     DEFAULT_INTERVAL,
@@ -564,12 +563,6 @@ class FluidBatchNetwork:
             active[b] = False
 
         intervals_emitted = 0
-        # Under the fused kernel backends the per-scenario BLAS loops
-        # collapse into grouped GEMMs over the scenario axis. The
-        # numpy backend keeps the GEMV loops: its contract is bitwise
-        # identity with B separate single runs, and GEMM rows are not
-        # bit-identical to GEMV on all BLAS kernels.
-        use_gemm = kernels.step_kernels_enabled()
         step = 0
         while True:
             if session._pending is not None and (
@@ -650,16 +643,10 @@ class FluidBatchNetwork:
             else:
                 occupancy = queue
             np.multiply(occupancy, inv_capacity, out=scaled)
-            if use_gemm:
-                # One grouped GEMM over the whole scenario axis
-                # ((B,L) @ (L,P)); rows equal inc_pl @ scaled[b].
-                np.matmul(scaled, inc_lp, out=qdelay)
-            else:
-                for b in act_idx:
-                    # np.matmul with ``out`` is the same gufunc
-                    # (hence the same GEMV result) as ``@`` minus
-                    # the temp.
-                    np.matmul(inc_pl, scaled[b], out=qdelay[b])
+            for b in act_idx:
+                # np.matmul with ``out`` is the same gufunc (hence
+                # the same GEMV result) as ``@`` minus the temp.
+                np.matmul(inc_pl, scaled[b], out=qdelay[b])
             np.add(base_rtt, qdelay, out=instant)
             if srtt is None:
                 srtt = instant.copy()
@@ -736,14 +723,10 @@ class FluidBatchNetwork:
                 else:
                     rows = arrivals[g.bs, g.link]
                 tmask_f = g.tmask_f
-                if use_gemm:
-                    # Grouped GEMV: one (B,P) @ (P,) product.
-                    demand = rows @ tmask_f
-                else:
-                    demand = np.empty(len(g.bs))
-                    dot = np.dot  # same kernel as the single @
-                    for j in range(len(g.bs)):
-                        demand[j] = dot(rows[j], tmask_f)
+                demand = np.empty(len(g.bs))
+                dot = np.dot  # same kernel as the single @
+                for j in range(len(g.bs)):
+                    demand[j] = dot(rows[j], tmask_f)
                 allowed = np.minimum(demand, refilled)
                 g.tokens[:] = refilled - allowed
                 excess = demand - allowed
@@ -973,20 +956,11 @@ class FluidBatchNetwork:
                         (num_scenarios, num_links, len(class_names))
                     )
                     drop_cls = np.zeros_like(arr_cls)
-                    if use_gemm:
-                        # One batched (B,L,P) @ (P,C) contraction.
-                        np.matmul(
-                            link_arr_acc, class_onehot, out=arr_cls
-                        )
-                        np.matmul(
-                            link_drop_acc, class_onehot, out=drop_cls
-                        )
-                    else:
-                        for b in act_idx:
-                            # Same contiguous (L, P) @ (P, C) GEMM as
-                            # the single engine's interval close.
-                            arr_cls[b] = link_arr_acc[b] @ class_onehot
-                            drop_cls[b] = link_drop_acc[b] @ class_onehot
+                    for b in act_idx:
+                        # Same contiguous (L, P) @ (P, C) GEMM as the
+                        # single engine's interval close.
+                        arr_cls[b] = link_arr_acc[b] @ class_onehot
+                        drop_cls[b] = link_drop_acc[b] @ class_onehot
                     yield (
                         sent_col,
                         lost_col,
@@ -1103,7 +1077,6 @@ class FluidBatchSession:
         self._tel = telemetry.enabled()
         if self._tel:
             reg = telemetry.get_registry()
-            self._tel_backend = kernels.active_backend()
             self._tel_intervals = reg.counter(
                 "repro_engine_intervals_total",
                 "measurement intervals emulated", substrate="fluid",
@@ -1189,7 +1162,6 @@ class FluidBatchSession:
                 "engine.advance", substrate="fluid",
                 intervals=pulls, start=start,
                 scenarios=self.num_scenarios,
-                backend=self._tel_backend,
             )
             if self._tel
             else telemetry.NOOP_SPAN

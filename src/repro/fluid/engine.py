@@ -57,7 +57,6 @@ from repro import telemetry
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError, EmulationError
-from repro.fluid import kernels
 from repro.fluid.params import FluidLinkSpec, PathWorkload, build_link_arrays
 from repro.fluid.tcp import TcpArrayState
 from repro.fluid.traffic import SlotArrays
@@ -75,27 +74,6 @@ from repro.measurement.records import (
 #: the PR 1 goldens.
 ENGINE_VERSION = "fluid-vec-2"
 
-#: Tag of the fused step-kernel loop (DESIGN.md S21). The kernels
-#: reassociate a handful of reductions (hop-sum RTT vs BLAS GEMV), so
-#: their results match the numpy loop only within calibrated
-#: tolerances — a distinct version keeps sweep cache entries from the
-#: two families apart.
-KERNEL_ENGINE_VERSION = "fluid-kern-3"
-
-
-def engine_version() -> str:
-    """The cache-key version tag of the *active* fluid engine.
-
-    Backend-dependent: the numpy backend reproduces the frozen
-    goldens bit-for-bit and keeps :data:`ENGINE_VERSION`; the fused
-    kernel backends (numba / python) share
-    :data:`KERNEL_ENGINE_VERSION` because they run identical
-    arithmetic (the python backend executes the very same kernel
-    functions uncompiled).
-    """
-    if kernels.step_kernels_enabled():
-        return KERNEL_ENGINE_VERSION
-    return ENGINE_VERSION
 
 #: Default step length (seconds).
 DEFAULT_DT = 0.01
@@ -512,13 +490,6 @@ class FluidNetwork:
         base_rtt = np.array(
             [self._workloads[pid].rtt_seconds for pid in path_ids]
         )
-        # Padded hop table for the fused kernel's per-path walks.
-        path_len = np.array(
-            [len(r) for r in path_link_rows], dtype=np.int64
-        )
-        hop_link = np.full((num_paths, max_hops), -1, dtype=np.int64)
-        for p, row in enumerate(path_link_rows):
-            hop_link[p, : len(row)] = row
 
         # --- link state -------------------------------------------------
         # The queues persist across mid-run spec swaps (a policy
@@ -625,56 +596,6 @@ class FluidNetwork:
             dual_shares,
         ) = _compile_mechanisms(self._link_specs, None, frozenset())
 
-        use_kernels = kernels.step_kernels_enabled()
-
-        def _pack_mechanisms():
-            """Lower the compiled mechanism lists to the dense arrays
-            the fused kernel iterates (one row per mechanism, float
-            target masks over paths). Re-run after every spec swap."""
-            empty_mask = np.zeros((0, num_paths))
-            pol = (
-                np.array([t[0] for t in policers], dtype=np.int64),
-                np.array([t[1] for t in policers]),
-                np.array([t[2] for t in policers]),
-                np.stack([t[4] for t in policers])
-                if policers
-                else empty_mask,
-            )
-            aqm = (
-                np.array([t[0] for t in aqms], dtype=np.int64),
-                np.array([t[1] for t in aqms]),
-                np.array([t[2] for t in aqms]),
-                np.array([t[3] for t in aqms]),
-                np.stack([t[5] for t in aqms]) if aqms else empty_mask,
-            )
-            sh = (
-                np.array([t[0] for t in shapers], dtype=np.int64),
-                np.array([t[1] for t in shapers]),
-                np.array([t[2] for t in shapers]),
-                np.array([t[3] for t in shapers]),
-                np.array([t[4] for t in shapers]),
-                np.stack([t[5] for t in shapers])
-                if shapers
-                else empty_mask,
-            )
-            wt = (
-                np.array([t[0] for t in weighted], dtype=np.int64),
-                np.array([t[1] for t in weighted]),
-                np.array([t[2] for t in weighted]),
-                np.array([t[3] for t in weighted]),
-                np.array([t[4] for t in weighted]),
-                np.array([t[5] for t in weighted]),
-                np.stack([t[6] for t in weighted])
-                if weighted
-                else empty_mask,
-            )
-            is_bypass = np.zeros(num_links, dtype=bool)
-            is_bypass[shaper_links] = True
-            return pol, aqm, sh, wt, is_bypass
-
-        if use_kernels:
-            k_pol, k_aqm, k_sh, k_wt, k_bypass = _pack_mechanisms()
-
         # --- slot / TCP state ------------------------------------------
         slots = SlotArrays(self._workloads, path_ids, rng)
         num_slots = len(slots)
@@ -706,19 +627,6 @@ class FluidNetwork:
         burst_dirty = False
         srtt = None
         srtt_gain = min(dt / SRTT_TIME_CONSTANT, 1.0)
-        if use_kernels:
-            # The fused kernel keeps all per-step state in
-            # preallocated arrays (no allocation inside the loop).
-            srtt = np.zeros(num_paths)
-            srtt_init = True
-            frac_dirty = np.zeros(num_links, dtype=bool)
-            drop_acc = np.zeros((num_links, num_paths))
-            row_dropped = np.zeros(num_links, dtype=bool)
-            send = np.zeros(num_slots)
-            rtt_slot = np.zeros(num_slots)
-            path_send = np.zeros(num_paths)
-            total_in = np.zeros(num_links)
-            completed = np.zeros(num_slots, dtype=bool)
         jitter_block = None
         jitter_pos = _JITTER_BLOCK_STEPS
         jitter_cv = self._send_jitter_cv
@@ -781,10 +689,6 @@ class FluidNetwork:
                         queue[l] = 0.0
                 self._link_specs = session._pending_specs
                 session._pending_specs = None
-                if use_kernels:
-                    k_pol, k_aqm, k_sh, k_wt, k_bypass = (
-                        _pack_mechanisms()
-                    )
             now = step * dt
             measuring = step >= warmup_steps
 
@@ -809,8 +713,7 @@ class FluidNetwork:
 
             # 2. Start pending flows (hoisted above the RTT update,
             #    which consumes no RNG and shares no state with the
-            #    scan — the stream and results are unchanged). Shared
-            #    by both step drivers.
+            #    scan — the stream and results are unchanged).
             if now >= next_start_min:
                 startable = (slots.remaining <= 0.0) & (
                     slots.next_start <= now
@@ -825,7 +728,7 @@ class FluidNetwork:
                     else np.inf
                 )
 
-            # Clear the previous step's loss attribution (shared).
+            # Clear the previous step's loss attribution.
             if smooth_dirty:
                 path_smooth[:] = 0.0
                 smooth_dirty = False
@@ -833,85 +736,6 @@ class FluidNetwork:
                 path_burst[:] = 0.0
                 slot_burst[:] = 0.0
                 burst_dirty = False
-
-            if use_kernels:
-                # Fused driver: one kernel call advances steps 1-4,
-                # the burst-placement RNG draw runs between halves,
-                # and a second call advances steps 5-6 (loss
-                # application, TCP, completions, accounting).
-                sf, bf = kernels.fluid_step_pre(
-                    srtt_init, measuring, srtt_gain,
-                    hop_link, path_len, base_rtt,
-                    inv_capacity, cap_dt, buffers, k_bypass,
-                    k_pol[0], k_pol[1], k_pol[2], k_pol[3], tokens,
-                    k_aqm[0], k_aqm[1], k_aqm[2], k_aqm[3], k_aqm[4],
-                    k_sh[0], k_sh[1], k_sh[2], k_sh[3], k_sh[4],
-                    k_sh[5],
-                    k_wt[0], k_wt[1], k_wt[2], k_wt[3], k_wt[4],
-                    k_wt[5], k_wt[6],
-                    queue, shaper_tq, shaper_oq,
-                    spath, slots.rtt_factor, tcp.cwnd,
-                    slots.remaining, jit_dt,
-                    srtt, path_smooth, path_burst,
-                    arrivals, drop_frac, frac_dirty, drop_acc,
-                    row_dropped,
-                    send, rtt_slot, path_send, total_in,
-                    rtt_acc, link_drop_acc,
-                )
-                srtt_init = False
-                smooth_dirty = bool(sf)
-                burst_dirty = bool(bf)
-                if burst_dirty:
-                    _allocate_bursts(
-                        rng, path_burst, path_send, slots_of_path,
-                        send, slot_burst,
-                    )
-                n_comp = kernels.fluid_step_post(
-                    now, measuring, smooth_dirty or burst_dirty,
-                    burst_dirty,
-                    spath, send, rtt_slot, path_smooth, slot_burst,
-                    slots.remaining,
-                    tcp.is_cubic, tcp.cwnd, tcp.ssthresh,
-                    tcp.last_loss_time, tcp.w_max, tcp.epoch_start,
-                    tcp.epoch_k, tcp.pending_due, tcp.pending_lost,
-                    tcp.pending_sent,
-                    completed,
-                    slot_sent_acc, slot_lost_acc, arrivals,
-                    link_arr_acc,
-                )
-                if n_comp:
-                    idx = completed.nonzero()[0]
-                    slots.complete_flows(idx, now, rng)
-                    next_start_min = min(
-                        next_start_min,
-                        float(slots.next_start[idx].min()),
-                    )
-                step += 1
-                if measuring and (
-                    step - warmup_steps
-                ) % steps_per_interval == 0:
-                    yield (
-                        np.bincount(
-                            spath,
-                            weights=slot_sent_acc,
-                            minlength=num_paths,
-                        ),
-                        np.bincount(
-                            spath,
-                            weights=slot_lost_acc,
-                            minlength=num_paths,
-                        ),
-                        rtt_acc / steps_per_interval,
-                        link_arr_acc @ class_onehot,
-                        link_drop_acc @ class_onehot,
-                        queue + shaper_tq + shaper_oq,
-                    )
-                    slot_sent_acc[:] = 0.0
-                    slot_lost_acc[:] = 0.0
-                    rtt_acc[:] = 0.0
-                    link_arr_acc[:] = 0.0
-                    link_drop_acc[:] = 0.0
-                continue
 
             # 1. Effective RTTs: queueing delay along the path on top
             #    of the base, smoothed per path (EWMA, time constant
@@ -1211,15 +1035,14 @@ class FluidSession:
         self._drop_cols: List[np.ndarray] = []
         self._occ_cols: List[np.ndarray] = []
         self.intervals_done = 0
-        # Telemetry enablement is sampled once per session, mirroring
-        # the step_kernels_enabled() contract: the disabled path costs
-        # one boolean and nothing else. The RNG proxy forwards every
-        # call to the same Generator, so the draw stream (and all
-        # records) stay bit-identical with telemetry on or off.
+        # Telemetry enablement is sampled once per session: the
+        # disabled path costs one boolean and nothing else. The RNG
+        # proxy forwards every call to the same Generator, so the draw
+        # stream (and all records) stay bit-identical with telemetry
+        # on or off.
         self._tel = telemetry.enabled()
         if self._tel:
             reg = telemetry.get_registry()
-            self._tel_backend = kernels.active_backend()
             self._tel_intervals = reg.counter(
                 "repro_engine_intervals_total",
                 "measurement intervals emulated", substrate="fluid",
@@ -1274,7 +1097,6 @@ class FluidSession:
             telemetry.span(
                 "engine.advance", substrate="fluid",
                 intervals=int(num_intervals), start=start,
-                backend=self._tel_backend,
             )
             if self._tel
             else telemetry.NOOP_SPAN

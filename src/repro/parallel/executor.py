@@ -8,10 +8,10 @@ merely decides where it runs:
 
 * **inline** (``workers == 1``): the exact sequential loop.
 * **thread leg**: the same function over the parent's objects on a
-  ``ThreadPoolExecutor``, with no transport at all. Chosen
-  automatically when the numba kernel backend is active.
-* **process leg**: the automatic choice under the numpy / python
-  backends. Matrices and packed incidence travel once through
+  ``ThreadPoolExecutor``, with no transport at all. Opt-in
+  (``mode="thread"``).
+* **process leg**: what ``auto`` resolves to. Matrices and packed
+  incidence travel once through
   :mod:`repro.parallel.shm` segments; per-task payloads carry only
   shard identities and descriptors, and workers rebuild sub-networks
   from the shared incidence.
@@ -26,7 +26,7 @@ full argument).
 This module also hosts :class:`SweepExecutor`, the persistent warm
 pool behind :class:`repro.experiments.sweep.SweepRunner`: one pool
 survives across ``run()`` calls and adaptive waves, so per-wave
-dispatch stops paying fork + import + (under numba) JIT-warm costs.
+dispatch stops paying fork + import costs.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.parallel import shm
 #: inline sequential execution (deterministic default).
 ENV_WORKERS = "REPRO_INFER_WORKERS"
 
-#: Executor modes: ``auto`` resolves per run from the kernel backend.
+#: Executor modes: ``auto`` resolves to ``process``.
 MODES = ("auto", "thread", "process")
 
 
@@ -79,20 +79,14 @@ def default_infer_workers() -> int:
 def resolve_shard_mode(mode: str = "auto") -> str:
     """Resolve ``auto`` to a concrete leg.
 
-    Threads are chosen when the numba backend is active, processes
-    (plus shared-memory transport) under the numpy/python backends.
-    The pair counts themselves are numpy calls on every backend
-    (:func:`repro.measurement.normalize.pair_joint_counts`).
+    ``auto`` is processes plus shared-memory transport; the thread
+    leg is opt-in.
     """
     if mode not in MODES:
         raise ConfigurationError(
             f"unknown parallel mode {mode!r}; expected one of {MODES}"
         )
-    if mode != "auto":
-        return mode
-    from repro.fluid import kernels
-
-    return "thread" if kernels.active_backend() == "numba" else "process"
+    return "process" if mode == "auto" else mode
 
 
 class ShardResult(NamedTuple):
@@ -265,8 +259,8 @@ class ShardExecutor:
     Args:
         workers: Worker count; ``None`` reads ``REPRO_INFER_WORKERS``
             (1 when unset → inline).
-        mode: ``auto`` (thread iff the numba kernel backend is
-            active), ``thread``, or ``process``.
+        mode: ``auto`` (resolves to ``process``), ``thread``, or
+            ``process``.
     """
 
     def __init__(

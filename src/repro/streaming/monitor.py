@@ -273,7 +273,7 @@ class NeutralityMonitor:
         self._prune_cache: Dict[
             Tuple[LinkSeq, ...], Tuple[LinkSeq, ...]
         ] = {}
-        # Once-per-monitor telemetry sampling (the kernels contract):
+        # Once-per-monitor telemetry sampling:
         # disabled costs one boolean and a branch per window.
         self._tel = telemetry.enabled()
         if self._tel:

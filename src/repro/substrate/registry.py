@@ -105,9 +105,9 @@ class FluidSubstrate:
 
     @property
     def version(self) -> str:
-        from repro.fluid.engine import engine_version
+        from repro.fluid.engine import ENGINE_VERSION
 
-        return engine_version()
+        return ENGINE_VERSION
 
     def run(
         self,
@@ -245,9 +245,9 @@ class PacketSubstrate:
 
     @property
     def version(self) -> str:
-        from repro.emulator.core import packet_engine_version
+        from repro.emulator.core import PACKET_ENGINE_VERSION
 
-        return packet_engine_version()
+        return PACKET_ENGINE_VERSION
 
     def run(
         self,

@@ -115,29 +115,6 @@ def count_rng(rng, counter):
     return CountingRNG(rng, counter)
 
 
-def snapshot_kernel_counts(registry=None):
-    """Mirror ``fluid.kernels`` dispatch counts into a registry.
-
-    The kernels module keeps its counts in a plain dict (nanosecond
-    increments on a microsecond path); this folds the current totals
-    into ``repro_kernel_calls_total{kernel,backend}`` counters.  The
-    source is monotonic, so snapshot assignment is safe.
-    """
-    from repro.fluid import kernels  # lazy: avoid an import cycle
-
-    reg = registry if registry is not None else get_registry()
-    for (name, backend), count in sorted(
-            kernels.kernel_call_counts().items()):
-        instrument = reg.counter(
-            "repro_kernel_calls_total",
-            "fused step-kernel dispatches by kernel and backend",
-            kernel=name, backend=backend,
-        )
-        if isinstance(instrument, Counter):
-            instrument.value = float(count)
-    return reg
-
-
 def snapshot_parallel_stats(registry=None):
     """Mirror :mod:`repro.parallel` transport totals into a registry.
 

@@ -1,9 +1,9 @@
 """Run manifests: provenance attached to sweep/bench/monitor artifacts.
 
-A :class:`RunManifest` pins down *what produced an artifact*: the kernel
-backend (the same internals ``repro info`` reports), substrate
-``name:version`` tags, numpy/numba/python versions, seed, spec digests,
-best-effort ``git describe``, and host.  Benches embed it in
+A :class:`RunManifest` pins down *what produced an artifact*: substrate
+``name:version`` tags (the same tags ``repro info`` reports),
+numpy/python versions, seed, spec digests, best-effort
+``git describe``, and host.  Benches embed it in
 ``BENCH_*.json`` (via ``benchmarks/_emit.py``), CLI runs prepend it to
 ``trace.jsonl``, and ``repro trace`` prints it above the span tree.
 """
@@ -35,14 +35,6 @@ def _git_describe() -> Optional[str]:
     return out if proc.returncode == 0 and out else None
 
 
-def _numba_version() -> Optional[str]:
-    try:
-        import numba  # noqa: F401 (optional dependency)
-    except ImportError:
-        return None
-    return getattr(numba, "__version__", "unknown")
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance for one run; build with :meth:`collect`."""
@@ -54,9 +46,6 @@ class RunManifest:
     platform: str
     python: str
     numpy: str
-    numba: Optional[str]
-    kernel_backend: str
-    kernel_compiled: bool
     substrates: Tuple[Tuple[str, str], ...]
     seed: Optional[int]
     spec_digests: Tuple[str, ...]
@@ -73,11 +62,9 @@ class RunManifest:
         # layers, which must stay importable without telemetry.
         import numpy as np
 
-        from repro.fluid import kernels
         from repro.substrate.registry import (available_substrates,
                                               substrate_cache_tag)
 
-        info = kernels.kernel_info()
         names = (tuple(substrates) if substrates is not None
                  else tuple(available_substrates()))
         tags = []
@@ -98,9 +85,6 @@ class RunManifest:
             platform=platform.platform(),
             python=sys.version.split()[0],
             numpy=np.__version__,
-            numba=_numba_version(),
-            kernel_backend=str(info.get("backend")),
-            kernel_compiled=bool(info.get("compiled")),
             substrates=tuple(tags),
             seed=seed,
             spec_digests=tuple(spec_digests),
@@ -118,9 +102,6 @@ class RunManifest:
                 "platform": self.platform,
                 "python": self.python,
                 "numpy": self.numpy,
-                "numba": self.numba,
-                "kernel_backend": self.kernel_backend,
-                "kernel_compiled": self.kernel_compiled,
                 "substrates": {name: tag for name, tag in self.substrates},
                 "seed": self.seed,
                 "spec_digests": list(self.spec_digests),

@@ -35,6 +35,8 @@ import math
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.exceptions import ConfigurationError
+
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
@@ -280,5 +282,29 @@ def reset_registry() -> None:
 
 
 def load_metrics(path: str) -> Dict[str, Any]:
+    """Read a :meth:`Registry.to_json` payload back from ``path``.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` unless the
+    file is a JSON object mapping each family name to an object with
+    a list ``series`` of objects.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{path} is not a metrics file: {exc}"
+            ) from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path} is not a metrics file")
+    for name, family in data.items():
+        series = (
+            family.get("series") if isinstance(family, dict) else None
+        )
+        if not isinstance(series, list) or not all(
+            isinstance(entry, dict) for entry in series
+        ):
+            raise ConfigurationError(
+                f"{path}: metric family {name!r} is malformed"
+            )
+    return data

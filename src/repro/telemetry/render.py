@@ -98,10 +98,8 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
     fields = [
         ("kind", manifest.get("kind", "-")),
         ("run", manifest.get("run_id") or "-"),
-        ("kernel", manifest.get("kernel_backend", "-")),
         ("substrates", sub),
         ("numpy", manifest.get("numpy", "-")),
-        ("numba", manifest.get("numba") or "absent"),
         ("python", manifest.get("python", "-")),
         ("seed", manifest.get("seed")),
         ("git", manifest.get("git") or "-"),

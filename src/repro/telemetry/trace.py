@@ -3,10 +3,8 @@
 The tracer is a strictly opt-in observability layer: with
 ``REPRO_TELEMETRY`` unset the module-level :func:`span` helper returns a
 shared no-op singleton and the hot paths never allocate, never touch the
-clock, and never take a lock.  The contract mirrors
-``fluid.kernels.step_kernels_enabled()`` — callers consult
-:func:`enabled` once per session/run and skip instrument setup entirely
-when it is false.
+clock, and never take a lock.  Callers consult :func:`enabled` once per
+session/run and skip instrument setup entirely when it is false.
 
 Enablement (checked once at import, mutable via :func:`configure`):
 

@@ -1,32 +1,8 @@
-"""Suite-wide fixtures.
-
-The tier-1 suite's golden and fp-identity contracts (scalar-engine
-goldens, batch==single bitwise equivalence, session==one-shot
-bit-identity) pin the *numpy* step loop's arithmetic. On a machine
-with numba installed the kernel module would default to the fused
-backend, whose results differ at fp tolerance — so every test runs
-with the backend pinned to numpy unless it opts in via
-``repro.fluid.kernels.use_backend`` (as the kernel-equivalence suite
-does). The environment variable is pinned too, so subprocess workers
-(sweep pools, subprocess-based tests) inherit the same backend.
-"""
-
-import os
+"""Suite-wide fixtures."""
 
 import pytest
 
 from repro import telemetry
-from repro.fluid import kernels
-
-
-@pytest.fixture(autouse=True)
-def _pin_numpy_kernel_backend(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    prev = kernels.set_backend("numpy")
-    try:
-        yield
-    finally:
-        kernels.set_backend(prev)
 
 
 @pytest.fixture(autouse=True)
@@ -41,10 +17,8 @@ def _telemetry_disabled(monkeypatch):
     monkeypatch.delenv(telemetry.ENV_VAR, raising=False)
     telemetry.configure(enabled=False)
     telemetry.reset_registry()
-    kernels.reset_kernel_call_counts()
     try:
         yield
     finally:
         telemetry.configure(enabled=False)
         telemetry.reset_registry()
-        kernels.reset_kernel_call_counts()

@@ -25,6 +25,28 @@ class TestSettings:
         with pytest.raises(ConfigurationError):
             EmulationSettings(duration_seconds=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("duration_seconds", float("nan")),
+            ("duration_seconds", float("inf")),
+            ("duration_seconds", 0.0),
+            ("dt", float("nan")),
+            ("dt", 0.0),
+            ("interval_seconds", float("inf")),
+            ("interval_seconds", -1.0),
+            ("warmup_seconds", float("nan")),
+            ("warmup_seconds", float("inf")),
+            ("warmup_seconds", -1.0),
+        ],
+    )
+    def test_non_finite_or_out_of_range_times_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            EmulationSettings(**{field: value})
+
+    def test_zero_warmup_accepted(self):
+        assert EmulationSettings(warmup_seconds=0.0).warmup_seconds == 0.0
+
     def test_invalid_threshold(self):
         with pytest.raises(ConfigurationError):
             EmulationSettings(loss_threshold=1.5)

@@ -229,41 +229,6 @@ class TestCache:
         assert bumped != fluid.spec_digest(1, "")
         assert PACKET_ENGINE_VERSION  # packet version is a real tag
 
-    def test_kernel_backend_versions_digest(self):
-        """Cache keys are honest about the kernel backend: the fused
-        backends run at calibrated fp tolerance, so their entries
-        must never be mistaken for numpy-backend results — the
-        substrate tag (hence the digest) moves with the backend
-        family. Both fused backends (numba, python) run identical
-        kernel code, so they share one tag."""
-        from repro.emulator.core import (
-            PACKET_ENGINE_VERSION,
-            PACKET_KERNEL_VERSION,
-        )
-        from repro.fluid.engine import ENGINE_VERSION, KERNEL_ENGINE_VERSION
-        from repro.fluid import kernels
-        from repro.substrate.registry import substrate_cache_tag
-
-        fluid = _points((1.0,))[0]
-        with kernels.use_backend("numpy"):
-            assert substrate_cache_tag("fluid") == f"fluid:{ENGINE_VERSION}"
-            assert (
-                substrate_cache_tag("packet")
-                == f"packet:{PACKET_ENGINE_VERSION}"
-            )
-            numpy_digest = fluid.spec_digest(1, "")
-            assert numpy_digest == fluid.spec_digest(1, "")  # stable
-        with kernels.use_backend("python"):
-            assert (
-                substrate_cache_tag("fluid")
-                == f"fluid:{KERNEL_ENGINE_VERSION}"
-            )
-            assert (
-                substrate_cache_tag("packet")
-                == f"packet:{PACKET_KERNEL_VERSION}"
-            )
-            assert fluid.spec_digest(1, "") != numpy_digest
-
     def test_corrupt_entry_reruns(self, tmp_path):
         cache = tmp_path / "cache"
         runner = SweepRunner(base_seed=5, cache_dir=str(cache))

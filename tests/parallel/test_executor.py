@@ -86,8 +86,6 @@ class TestWorkerConfig:
             default_infer_workers()
 
     def test_mode_resolution(self):
-        # The suite pins the numpy backend (conftest), where the pair
-        # kernels hold the GIL — auto must pick processes.
         assert resolve_shard_mode("auto") == "process"
         assert resolve_shard_mode("thread") == "thread"
         with pytest.raises(ConfigurationError):

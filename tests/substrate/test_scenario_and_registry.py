@@ -42,6 +42,9 @@ class TestRegistry:
         assert substrate_cache_tag("fluid") != substrate_cache_tag(
             "packet"
         )
+        # Frozen literals: existing sweep cache entries keep hitting.
+        assert substrate_cache_tag("fluid") == "fluid:fluid-vec-2"
+        assert substrate_cache_tag("packet") == "packet:packet-batch-1"
 
 
 class TestPolicy:

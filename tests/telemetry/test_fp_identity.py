@@ -2,20 +2,17 @@
 
 The tier-1 contract from DESIGN.md S23: with telemetry fully enabled
 (spans + JSONL export + counters) an experiment produces records,
-observations, and verdicts *bit-identical* to the untraced run — on
-both step-kernel backends available without numba. The golden suites
-pin the disabled path; this suite pins the enabled one.
+observations, and verdicts *bit-identical* to the untraced run. The
+golden suites pin the disabled path; this suite pins the enabled one.
 """
 
 import dataclasses
 
 import numpy as np
-import pytest
 
 from repro import telemetry
 from repro.experiments.config import EmulationSettings
 from repro.experiments.topology_a import run_topology_a
-from repro.fluid import kernels
 
 QUICK = EmulationSettings(
     duration_seconds=30.0, warmup_seconds=5.0, seed=11
@@ -57,16 +54,14 @@ def _assert_identical(plain, traced):
     assert congestion_a == congestion_b
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_traced_experiment_bit_identical(backend, tmp_path):
-    """Table 1 policing workload, traced vs untraced, per backend."""
+def test_traced_experiment_bit_identical(tmp_path):
+    """Table 1 policing workload, traced vs untraced."""
     trace_path = str(tmp_path / "trace.jsonl")
-    with kernels.use_backend(backend):
-        telemetry.configure(enabled=False)
-        plain = _fingerprint(run_topology_a(6, 30.0, QUICK))
-        telemetry.configure(enabled=True, trace_path=trace_path)
-        traced = _fingerprint(run_topology_a(6, 30.0, QUICK))
-        telemetry.configure(enabled=False)
+    telemetry.configure(enabled=False)
+    plain = _fingerprint(run_topology_a(6, 30.0, QUICK))
+    telemetry.configure(enabled=True, trace_path=trace_path)
+    traced = _fingerprint(run_topology_a(6, 30.0, QUICK))
+    telemetry.configure(enabled=False)
     _assert_identical(plain, traced)
     # The traced run actually exercised the whole span hierarchy.
     names = {r["name"] for r in telemetry.load_trace(trace_path)}

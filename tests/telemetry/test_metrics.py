@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro import telemetry
+from repro.exceptions import ConfigurationError
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     NOOP_INSTRUMENT,
@@ -110,6 +111,38 @@ class TestJsonExport:
             "sum": 0.5,
             "count": 1,
         }
+
+    def test_empty_registry_round_trips(self, tmp_path):
+        path = str(tmp_path / "metrics.json")
+        Registry().write_json(path)
+        assert telemetry.load_metrics(path) == {}
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "not json",
+            "[]",
+            '{"counters": 5}',
+            '{"hits_total": {"kind": "counter"}}',
+            '{"hits_total": {"series": {"value": 1}}}',
+            '{"metrics": [1]}',
+            '{"hits_total": {"series": [1]}}',
+        ],
+        ids=[
+            "not-json",
+            "not-object",
+            "family-not-object",
+            "series-missing",
+            "series-not-list",
+            "family-list",
+            "series-entry-not-object",
+        ],
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, payload):
+        path = tmp_path / "metrics.json"
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            telemetry.load_metrics(str(path))
 
 
 class TestPrometheusExport:

@@ -290,12 +290,14 @@ class Network:
                     raise UnknownLinkError(link_id)
             self._paths[path.id] = path
 
-        # Incidence caches: link id -> frozenset of path ids.
+        # Incidence caches: link id -> frozenset of path ids, built in
+        # one walk over every path's links (O(Σ|path|), not O(|L|·|P|)).
+        through: Dict[str, List[str]] = {link_id: [] for link_id in self._links}
+        for path in self._paths.values():
+            for link_id in path.links:
+                through[link_id].append(path.id)
         self._paths_through: Dict[str, FrozenSet[str]] = {
-            link_id: frozenset(
-                p.id for p in self._paths.values() if link_id in p.link_set
-            )
-            for link_id in self._links
+            link_id: frozenset(ids) for link_id, ids in through.items()
         }
 
         # Lazy derived structures (the graph is immutable): the

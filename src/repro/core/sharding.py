@@ -54,6 +54,7 @@ from repro.core.algorithm import (
 )
 from repro.core.network import LinkSeq, Network
 from repro.core.pathsets import PathSet
+from repro.core.slices import sorted_unique
 from repro.exceptions import ShardingError, UnknownLinkError
 from repro.experiments.config import EmulationSettings
 from repro.measurement.clustering import make_cluster_decider
@@ -287,7 +288,7 @@ def infer_sharded(
                 uniq, first = np.unique(keys, return_index=True)
                 ests = ests[first]
                 members = int(
-                    np.unique(
+                    sorted_unique(
                         np.concatenate(
                             (uniq // num_paths, uniq % num_paths)
                         )

@@ -52,7 +52,12 @@ import numpy as np
 
 from repro.core.network import PathIndex
 from repro.core.pathsets import PathSet, PathSetFamily
-from repro.core.slices import _observation_arrays, gather_sorted, pair_keys
+from repro.core.slices import (
+    _observation_arrays,
+    gather_sorted,
+    pair_keys,
+    sorted_unique,
+)
 from repro.exceptions import MeasurementError
 from repro.measurement.records import MeasurementData
 
@@ -619,7 +624,7 @@ def batch_slice_observations(
     status = (lost / sent) < loss_threshold
     table = cost_table(status.shape[1])
 
-    used = np.unique(batch.member_rows)
+    used = sorted_unique(batch.member_rows)
     path_ids = index.path_ids
     data_rows = data.rows_of(path_ids[r] for r in used)
     joint = status[data_rows]  # (n_used, T), aligned with ``used``

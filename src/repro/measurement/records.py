@@ -9,6 +9,8 @@ exactly the inputs of the paper's Algorithm 2. Both emulators emit
 
 from __future__ import annotations
 
+import math
+import numbers
 import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
@@ -16,6 +18,39 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import MeasurementError
+
+
+def _checked_interval(interval_seconds: object) -> float:
+    """``interval_seconds`` as a float, if it is a finite positive real.
+
+    Raises:
+        MeasurementError: Otherwise (non-numeric, NaN, inf or ≤ 0).
+    """
+    if not isinstance(interval_seconds, numbers.Real) or not (
+        math.isfinite(interval_seconds) and interval_seconds > 0
+    ):
+        raise MeasurementError(
+            "interval_seconds must be finite and positive, got "
+            f"{interval_seconds!r}"
+        )
+    return float(interval_seconds)
+
+
+def _checked_counters(path_id: str, name: str, values: object) -> np.ndarray:
+    """One path's counters as int64, rejecting non-numeric or non-finite
+    values before the cast (which would otherwise raise ``ValueError``
+    or turn NaN into ``INT64_MIN``)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise MeasurementError(
+            f"path {path_id!r}: {name} counters must be numeric, "
+            f"got dtype {arr.dtype}"
+        )
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise MeasurementError(
+            f"path {path_id!r}: {name} counters must be finite"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -95,8 +130,8 @@ class PathRecord:
     lost: np.ndarray
 
     def __post_init__(self) -> None:
-        self.sent = np.asarray(self.sent, dtype=np.int64)
-        self.lost = np.asarray(self.lost, dtype=np.int64)
+        self.sent = _checked_counters(self.path_id, "sent", self.sent)
+        self.lost = _checked_counters(self.path_id, "lost", self.lost)
         if self.sent.shape != self.lost.shape:
             raise MeasurementError(
                 f"path {self.path_id!r}: sent and lost shapes differ "
@@ -184,12 +219,8 @@ class MeasurementData:
             raise MeasurementError(
                 f"records have differing interval counts: {sorted(lengths)}"
             )
-        if interval_seconds <= 0:
-            raise MeasurementError(
-                f"interval_seconds must be positive, got {interval_seconds}"
-            )
         self._num_intervals = lengths.pop()
-        self.interval_seconds = float(interval_seconds)
+        self.interval_seconds = _checked_interval(interval_seconds)
         # Lazy stacked matrices (sorted-path-id row order): built once
         # and reused by every normalization family/slice instead of
         # re-stacking per congestion_free_matrix call.
@@ -223,8 +254,9 @@ class MeasurementData:
                 flag; ``None`` defers to a lazy scan.
 
         Raises:
-            MeasurementError: On unsorted ids, misaligned matrices, a
-                non-positive interval, or invalid counters.
+            MeasurementError: On unsorted ids, misaligned matrices, an
+                interval that is not finite and positive, or invalid
+                counters.
         """
         ids = tuple(path_ids)
         if list(ids) != sorted(ids):
@@ -240,10 +272,7 @@ class MeasurementData:
             raise MeasurementError(
                 f"{sent.shape[0]} matrix rows for {len(ids)} paths"
             )
-        if interval_seconds <= 0:
-            raise MeasurementError(
-                f"interval_seconds must be positive, got {interval_seconds}"
-            )
+        interval_seconds = _checked_interval(interval_seconds)
         # The record constructor's counter checks, one array pass each.
         if (lost < 0).any() or (lost > sent).any():
             raise MeasurementError(
@@ -259,7 +288,7 @@ class MeasurementData:
             records[pid] = rec
         self._records = records
         self._num_intervals = int(sent.shape[1])
-        self.interval_seconds = float(interval_seconds)
+        self.interval_seconds = interval_seconds
         self._row_of = {pid: i for i, pid in enumerate(ids)}
         self._sent_matrix = sent
         self._lost_matrix = lost
@@ -271,12 +300,15 @@ class MeasurementData:
     def _build_matrices(self) -> None:
         ids = self.path_ids
         self._row_of = {pid: i for i, pid in enumerate(ids)}
-        self._sent_matrix = np.stack(
+        # One concatenate + reshape per matrix: the same rows as
+        # ``np.stack``, without its per-row expand_dims.
+        shape = (len(ids), self._num_intervals)
+        self._sent_matrix = np.concatenate(
             [self._records[pid].sent for pid in ids]
-        )
-        self._lost_matrix = np.stack(
+        ).reshape(shape)
+        self._lost_matrix = np.concatenate(
             [self._records[pid].lost for pid in ids]
-        )
+        ).reshape(shape)
         self._sent_matrix.setflags(write=False)
         self._lost_matrix.setflags(write=False)
 
@@ -436,14 +468,34 @@ class MeasurementData:
 
     @classmethod
     def load(cls, path: str) -> "MeasurementData":
-        """Reload a checkpoint written by :meth:`save`."""
+        """Reload a checkpoint written by :meth:`save`.
+
+        Raises:
+            MeasurementError: On an unreadable file, missing fields,
+                counter matrices that are not 2-D with one row per path
+                id, or an interval that is not a finite positive scalar.
+        """
         try:
             with np.load(cls._checkpoint_path(path)) as payload:
                 path_ids = [str(pid) for pid in payload["path_ids"]]
                 sent = payload["sent"]
                 lost = payload["lost"]
-                interval_seconds = float(payload["interval_seconds"])
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+                interval_seconds = payload["interval_seconds"]
+            for name, counters in (("sent", sent), ("lost", lost)):
+                if counters.ndim != 2 or counters.shape[0] != len(path_ids):
+                    raise ValueError(
+                        f"{name} has shape {counters.shape}, expected one "
+                        f"row per path id ({len(path_ids)})"
+                    )
+            if interval_seconds.shape != ():
+                raise ValueError(
+                    "interval_seconds must be a scalar, got shape "
+                    f"{interval_seconds.shape}"
+                )
+            interval_seconds = float(interval_seconds)
+        except (
+            OSError, KeyError, ValueError, TypeError, zipfile.BadZipFile
+        ) as exc:
             raise MeasurementError(
                 f"cannot load measurement data from {path!r}: {exc}"
             ) from exc

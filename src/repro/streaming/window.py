@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.network import Network
 from repro.core.pathsets import PathSet
-from repro.core.slices import build_slice_batch
+from repro.core.slices import build_slice_batch, sorted_unique
 from repro.exceptions import MeasurementError
 from repro.measurement.normalize import (
     DEFAULT_LOSS_THRESHOLD,
@@ -152,7 +152,7 @@ class SlidingWindowStats:
         perm = np.array(
             [self._row_of[pid] for pid in index.path_ids], dtype=np.intp
         )
-        self._used = np.unique(self.batch.member_rows)
+        self._used = sorted_unique(self.batch.member_rows)
         self._used_stream_rows = perm[self._used]
         self._pair_a_stream = perm[self.batch.pair_a]
         self._pair_b_stream = perm[self.batch.pair_b]

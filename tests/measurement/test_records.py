@@ -341,3 +341,104 @@ class TestFromMatrices:
             MeasurementData.from_matrices(
                 ("p1", "p2"), np.array(sent), np.array(lost)
             )
+
+
+_BAD_INTERVALS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.1, "0.1"]
+
+
+class TestMalformedRecords:
+    """Every entry point rejects malformed input with MeasurementError."""
+
+    @pytest.mark.parametrize("interval", _BAD_INTERVALS)
+    def test_constructor_rejects_interval(self, interval):
+        with pytest.raises(MeasurementError, match="finite and positive"):
+            MeasurementData([_record()], interval)
+
+    @pytest.mark.parametrize("interval", _BAD_INTERVALS)
+    def test_from_arrays_rejects_interval(self, interval):
+        sent = {"p1": np.array([10, 20])}
+        lost = {"p1": np.array([0, 1])}
+        with pytest.raises(MeasurementError, match="finite and positive"):
+            from_arrays(sent, lost, interval)
+
+    @pytest.mark.parametrize("interval", _BAD_INTERVALS)
+    def test_from_matrices_rejects_interval(self, interval):
+        sent = np.array([[10, 20]])
+        with pytest.raises(MeasurementError, match="finite and positive"):
+            MeasurementData.from_matrices(
+                ("p1",), sent, np.zeros_like(sent), interval
+            )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # fewer sent rows than path ids
+            dict(sent=np.ones((1, 3)), lost=np.zeros((2, 3))),
+            # fewer lost rows than path ids
+            dict(sent=np.ones((2, 3)), lost=np.zeros((1, 3))),
+            # 1-D counters
+            dict(sent=np.ones(3), lost=np.zeros(3)),
+            # 3-D counters
+            dict(sent=np.ones((2, 3, 1)), lost=np.zeros((2, 3, 1))),
+            # a non-scalar interval
+            dict(interval_seconds=np.array([0.1, 0.2])),
+            # a NaN interval
+            dict(interval_seconds=np.array(float("nan"))),
+            # an infinite interval
+            dict(interval_seconds=np.array(float("inf"))),
+            # a non-numeric interval
+            dict(interval_seconds=np.array("fast")),
+            # NaN inside float counters
+            dict(sent=np.array([[5.0, np.nan, 5.0], [5.0, 5.0, 5.0]])),
+        ],
+    )
+    def test_load_rejects_malformed_checkpoint(self, tmp_path, payload):
+        fields = dict(
+            path_ids=np.array(["p1", "p2"], dtype=np.str_),
+            sent=np.full((2, 3), 5),
+            lost=np.zeros((2, 3), dtype=np.int64),
+            interval_seconds=np.array(0.1),
+        )
+        fields.update(payload)
+        path = str(tmp_path / "bad.npz")
+        np.savez_compressed(path, **fields)
+        with pytest.raises(MeasurementError):
+            MeasurementData.load(path)
+
+    @pytest.mark.parametrize(
+        "sent, lost",
+        [
+            ([5.0, float("nan")], [0, 1]),  # NaN in a list
+            (np.array([5.0, np.nan]), np.array([0, 1])),  # NaN in ndarray
+            ([5, 5], np.array([0.0, np.inf])),  # inf lost
+            ([5.0, -np.inf], [0, 0]),  # -inf sent
+            (["a"], [0]),  # strings
+            ([5, 5], [None, 0]),  # object dtype
+        ],
+    )
+    def test_path_record_rejects_bad_counters(self, sent, lost):
+        with pytest.raises(MeasurementError, match="numeric|finite"):
+            PathRecord("p", sent, lost)
+
+    def test_integral_float_counters_still_accepted(self):
+        rec = PathRecord("p", np.array([5.0, 6.0]), [0.0, 1.0])
+        assert rec.sent.dtype == np.int64
+        np.testing.assert_array_equal(rec.lost, [0, 1])
+
+    def test_stacked_matrices_match_np_stack(self):
+        data = MeasurementData(
+            [
+                _record("p2", sent=(5, 6, 7), lost=(0, 1, 2)),
+                _record("p1"),
+            ]
+        )
+        for matrix, attr in (
+            (data.sent_matrix, "sent"),
+            (data.lost_matrix, "lost"),
+        ):
+            expected = np.stack(
+                [getattr(data.record(pid), attr) for pid in ("p1", "p2")]
+            )
+            np.testing.assert_array_equal(matrix, expected)
+            assert matrix.dtype == expected.dtype
+            assert not matrix.flags.writeable

@@ -3,7 +3,7 @@
 Commands:
 
 * ``info`` — the numpy version, the substrate registry with
-  cache-version tags, and the parallel and telemetry settings.
+  cache-version tags, and the telemetry settings.
 * ``theory`` — the paper's worked examples, analytically (instant).
 * ``fig8 --set N [--value V]`` — one topology-A experiment (set 1–9).
 * ``topo-b [--seed S]`` — the topology-B experiment with reports.
@@ -67,26 +67,6 @@ def _cmd_info(_: argparse.Namespace) -> int:
         # name:version — exactly the tag sweep cache entries carry,
         # so logs record which backend produced a cached result.
         print(f"  {name:<10} {substrate_cache_tag(name)}")
-    from repro.parallel import (
-        ENV_WORKERS,
-        default_infer_workers,
-        resolve_shard_mode,
-        shm_available,
-    )
-
-    print("parallel:")
-    workers = default_infer_workers()
-    print(f"  infer workers:   {workers}" + (" (inline)" if workers == 1 else ""))
-    print(
-        f"  {ENV_WORKERS}: "
-        f"{os.environ.get(ENV_WORKERS) or '(unset)'}"
-    )
-    print(f"  shard mode:      {resolve_shard_mode('auto')} (auto)")
-    print(f"  cpus:            {os.cpu_count()}")
-    print(
-        "  shared memory:   "
-        + ("available" if shm_available() else "unavailable")
-    )
     from repro import telemetry
 
     print("telemetry:")
@@ -228,6 +208,7 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
 def _cmd_topo_b(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import (
         render_ground_truth,
+        render_quality,
         render_queue_traces,
         render_sequences,
     )
@@ -247,12 +228,7 @@ def _cmd_topo_b(args: argparse.Namespace) -> int:
     print(render_sequences(report))
     print("\nFigure 11: queue traces")
     print(render_queue_traces(report))
-    q = report.outcome.quality
-    print(
-        f"\nquality: FN {q.false_negative_rate:.0%}  "
-        f"FP {q.false_positive_rate:.0%}  "
-        f"granularity {q.granularity:.2f}"
-    )
+    print("\n" + render_quality(report.outcome.quality))
     return 0
 
 
@@ -399,7 +375,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
     rows = []
     for w, end in enumerate(outcome.window_ends.tolist()):
-        top = int(np.argmax(outcome.scores[w])) if outcome.sigmas else 0
+        # NaN marks an uninformative score; an all-NaN row prints "-".
+        informative = outcome.scores[w][~np.isnan(outcome.scores[w])]
         flagged = [
             fmt_sigma(s)
             for k, s in enumerate(outcome.sigmas)
@@ -409,7 +386,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             (
                 str(w),
                 f"{end * settings.interval_seconds:.1f}",
-                f"{outcome.scores[w, top]:.4f}" if outcome.sigmas else "-",
+                f"{informative.max():.4f}" if informative.size else "-",
                 "; ".join(flagged) or "-",
             )
         )
@@ -427,11 +404,17 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         "; ".join(fmt_sigma(s) for s in outcome.final_identified) or "-"
     )
     print(f"final verdict (full stream): {verdict}")
+    delay = outcome.detection_delay_intervals
     if outcome.onset_interval is not None:
-        if outcome.detection_delay_intervals is not None:
+        if delay is not None and delay < 0:
+            print(
+                f"onset at interval {outcome.onset_interval}: flagged "
+                f"{-delay} intervals before onset"
+            )
+        elif delay is not None:
             print(
                 f"onset at interval {outcome.onset_interval} detected "
-                f"after {outcome.detection_delay_intervals} intervals"
+                f"after {delay} intervals"
             )
         else:
             print(
@@ -459,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "info",
-        help="numpy version, substrate registry, parallel and "
-        "telemetry settings",
+        help="numpy version, substrate registry and telemetry settings",
     )
 
     sub.add_parser("theory", help="worked theory examples (instant)")
@@ -617,16 +599,14 @@ def _finalize_telemetry(args: argparse.Namespace) -> None:
     """Flush telemetry artifacts for an exporting CLI run.
 
     When ``REPRO_TELEMETRY`` names a directory, close the run by
-    folding parallel transport totals into the registry, appending a
-    run manifest to ``trace.jsonl``, and writing ``metrics.json`` beside
-    it.  In-memory mode and the read-only viewer commands
-    (``trace``/``metrics``) skip all of this.
+    appending a run manifest to ``trace.jsonl`` and writing
+    ``metrics.json`` beside it.  In-memory mode and the read-only
+    viewer commands (``trace``/``metrics``) skip all of this.
     """
     from repro import telemetry
 
     if not telemetry.enabled():
         return
-    telemetry.snapshot_parallel_stats()
     directory = telemetry.export_dir()
     if directory is None:
         return

@@ -22,10 +22,10 @@ Since the indexed rewrite (DESIGN.md S17) the hot path is batched
 numpy over the :class:`~repro.core.network.PathIndex` registry; since
 the sparse rewrite (DESIGN.md S20) the candidate pairs are enumerated
 per incidence *column* (``Paths(l)`` CSR) instead of over the dense
-``P²`` triangle, and signatures are the bit-packed uint64 row ANDs —
-the dense pass survives as ``method="dense"`` for differential
-testing, and both produce structurally identical
-:class:`_PairGroups`. All candidate systems are scored at once with
+``P²`` triangle, and signatures are the bit-packed uint64 row ANDs.
+The cold pass runs in bounded blocks of columns and of σ groups
+(:data:`COLD_BLOCK`); the dense ``P²`` pass survives only as a test
+oracle. All candidate systems are scored at once with
 one flat ``y_a + y_b − y_ab`` gather (:func:`batch_unsolvability`);
 :class:`SliceSystemBatch` materializes its per-σ :class:`SliceSystem`
 objects lazily so the ≥5k-path runs never build them. The pre-rewrite
@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -65,18 +64,12 @@ from repro.core.network import (
     Network,
     PathIndex,
     make_linkseq,
-    pack_bool_rows,
 )
 from repro.core.pathsets import PathSet, PathSetFamily
 from repro.exceptions import SliceError
 
 #: Column label of the logical link for σ in System 4.
 SIGMA_COLUMN = "<sigma>"
-
-#: Valid pair-grouping methods. ``auto`` resolves to ``sparse``; the
-#: dense pass is kept for the differential test harness.
-PAIR_METHODS = ("auto", "dense", "sparse")
-
 
 @dataclass(frozen=True)
 class SliceSystem:
@@ -199,16 +192,6 @@ class _PairGroups:
         return self.pair_a[lo:hi], self.pair_b[lo:hi]
 
 
-def _resolve_method(method: str) -> str:
-    """Resolve a pair-grouping method name (``auto`` → ``sparse``)."""
-    if method not in PAIR_METHODS:
-        raise SliceError(
-            f"unknown pair-grouping method {method!r}; "
-            f"expected one of {PAIR_METHODS}"
-        )
-    return "sparse" if method == "auto" else method
-
-
 def _empty_groups(index: PathIndex) -> _PairGroups:
     return _PairGroups(
         index=index,
@@ -221,133 +204,174 @@ def _empty_groups(index: PathIndex) -> _PairGroups:
     )
 
 
-def _finalize_groups(
-    index: PathIndex,
-    ia: np.ndarray,
-    ib: np.ndarray,
-    words: np.ndarray,
-    masks_for: Callable[[np.ndarray], np.ndarray],
-) -> _PairGroups:
-    """Group candidate pairs by signature and sort groups by σ.
-
-    ``ia``/``ib`` are the candidate pair rows in row-major order, and
-    ``words`` the ``(n_pairs, W)`` bit-packed shared-link signatures
-    (every candidate must share ≥ 1 link). ``masks_for`` maps
-    positions into the candidate arrays to the boolean shared-link
-    rows of those pairs — a callable so the sparse pass never builds
-    the full ``(n_pairs, |L|)`` matrix.
-
-    Equal signatures are grouped with one lexsort over the words
-    (much faster than comparison-sorting raw byte rows), groups are
-    reordered by canonical sequence order, and the row-major pair
-    order within each group is kept (stable sort on group rank).
-    """
-    order = np.lexsort(words.T[::-1])
-    sorted_words = words[order]
-    new_group = np.empty(order.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (sorted_words[1:] != sorted_words[:-1]).any(axis=1)
-    group_id_sorted = np.cumsum(new_group) - 1
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = group_id_sorted
-    representatives = order[new_group]
-    masks = masks_for(representatives)
-    sigmas = [index.linkseq_from_mask(mask) for mask in masks]
-
-    sigma_order = sorted(range(len(sigmas)), key=lambda g: sigmas[g])
-    rank = np.empty(len(sigmas), dtype=np.intp)
-    rank[sigma_order] = np.arange(len(sigmas))
-    by_group = np.argsort(rank[inverse], kind="stable")
-    counts = np.bincount(rank[inverse], minlength=len(sigmas))
-    offsets = np.concatenate(
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``(n + 1,)`` segment boundaries of ``n`` segment sizes."""
+    return np.concatenate(
         [np.zeros(1, dtype=np.intp), np.cumsum(counts, dtype=np.intp)]
     )
+
+
+#: Leading zero bits of every byte value (8 for 0).
+_LEADING_ZEROS = np.array(
+    [8 - value.bit_length() for value in range(256)], dtype=np.intp
+)
+
+
+def _lowest_links(words: np.ndarray) -> np.ndarray:
+    """Column of the lowest set link of each (non-zero) packed row.
+
+    :func:`~repro.core.network.pack_bool_rows` stores link ``k`` in
+    byte ``k // 8``, most significant bit first, so the lowest link is
+    the first non-zero byte's position times 8 plus its leading zeros.
+    """
+    octets = words.view(np.uint8)
+    first = (octets != 0).argmax(axis=1)
+    lead = octets[np.arange(first.size), first]
+    return first * 8 + _LEADING_ZEROS[lead]
+
+
+def _group_pairs(
+    index: PathIndex,
+    blocks: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> _PairGroups:
+    """Group sharing pairs by signature and sort the groups by σ.
+
+    ``blocks`` yields ``(a, b, words)``: pair rows (``a < b``) and
+    their ``(n, W)`` bit-packed shared-link signatures. Every pair
+    must share ≥ 1 link and appear in exactly one block, and all pairs
+    of one σ must be in the same block. Each block is grouped on its
+    own (one lexsort over its words), so only the pair keys and group
+    ids of all blocks are held at once. One final
+    ``lexsort((key, σ-rank))`` orders the pairs by σ and, within a
+    group, in ascending ``a·|P| + b`` key (row-major) order.
+    """
+    rep_a: List[np.ndarray] = []
+    rep_b: List[np.ndarray] = []
+    key_parts: List[np.ndarray] = []
+    group_parts: List[np.ndarray] = []
+    num_groups = 0
+    for a, b, words in blocks:
+        if a.size == 0:
+            continue
+        order = np.lexsort(words.T[::-1])
+        sorted_words = words[order]
+        new_group = np.empty(order.size, dtype=bool)
+        new_group[0] = True
+        new_group[1:] = (sorted_words[1:] != sorted_words[:-1]).any(axis=1)
+        firsts = order[new_group]
+        rep_a.append(a[firsts])
+        rep_b.append(b[firsts])
+        group = np.empty(order.size, dtype=np.intp)
+        group[order] = num_groups + np.cumsum(new_group) - 1
+        num_groups += firsts.size
+        key_parts.append(pair_keys(a, b, index.num_paths))
+        group_parts.append(group)
+    if not num_groups:
+        return _empty_groups(index)
+
+    incidence = index.incidence
+    masks = incidence[np.concatenate(rep_a)] & incidence[np.concatenate(rep_b)]
+    sigmas = [index.linkseq_from_mask(mask) for mask in masks]
+    sigma_order = sorted(range(num_groups), key=sigmas.__getitem__)
+    rank = np.empty(num_groups, dtype=np.intp)
+    rank[sigma_order] = np.arange(num_groups)
+
+    keys = np.concatenate(key_parts)
+    del key_parts
+    group_rank = rank[np.concatenate(group_parts)]
+    del group_parts
+    order = np.lexsort((keys, group_rank))
+    counts = np.bincount(group_rank, minlength=num_groups)
+    del group_rank
+    keys = keys[order]
+    del order
     sorted_sigmas = tuple(sigmas[g] for g in sigma_order)
     return _PairGroups(
         index=index,
         sigmas=sorted_sigmas,
         sigma_masks=masks[sigma_order],
-        pair_a=ia[by_group],
-        pair_b=ib[by_group],
-        offsets=offsets,
+        pair_a=(keys // index.num_paths).astype(np.intp),
+        pair_b=(keys % index.num_paths).astype(np.intp),
+        offsets=_offsets(counts),
         group_of={s: g for g, s in enumerate(sorted_sigmas)},
     )
 
 
-def _dense_sharing_pairs(net: Network) -> Optional[_PairGroups]:
-    """Dense pair pass: all ``triu`` pairs, full shared-row matrix."""
-    index = net.path_index
-    ia, ib = np.triu_indices(index.num_paths, k=1)
-    shared = index.incidence[ia] & index.incidence[ib]
-    nonempty = shared.any(axis=1)
-    if not nonempty.any():
-        return None
-    ia, ib, shared = ia[nonempty], ib[nonempty], shared[nonempty]
-    words = pack_bool_rows(shared)
-    return _finalize_groups(
-        index, ia, ib, words, lambda reps: shared[reps]
-    )
+#: Bound of one block of the cold pass: the candidate pairs of one
+#: block of incidence columns (:func:`_column_blocks`) and the pairs
+#: of one block of σ groups (:func:`_member_layout`). It keeps every
+#: per-block temporary at a few MB however many sharing pairs a
+#: network has. A block holds whole columns or whole groups, so it
+#: exceeds the bound only by its last one.
+COLD_BLOCK = 1 << 16
 
 
-def _sparse_sharing_pairs(net: Network) -> Optional[_PairGroups]:
-    """Sparse pair pass: candidates per incidence column.
+def _block_bounds(first: np.ndarray) -> List[Tuple[int, int]]:
+    """``[lo, hi)`` runs of whole items, in order, of about
+    :data:`COLD_BLOCK` pairs each: item ``j``, whose pairs start at
+    flat position ``first[j]`` (ascending), opens a new run when that
+    position crosses a multiple of :data:`COLD_BLOCK`."""
+    if first.size == 0:
+        return []
+    splits = np.flatnonzero(np.diff(first // COLD_BLOCK)) + 1
+    bounds = [0, *splits.tolist(), int(first.size)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _column_blocks(
+    index: PathIndex,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The sharing pairs of a registry, in blocks of incidence columns.
 
     A pair shares a link iff it appears in some column of the
-    incidence matrix, so the candidates are the within-column pair
-    sets of ``Paths(l)`` (CSR form) — ``Σ_l C(|Paths(l)|, 2)`` keys
-    instead of ``C(P, 2)``. Pairs sharing several links appear once
-    per shared link; ``np.unique`` over the scalar ``a·|P| + b`` keys
-    dedups them *and* yields row-major order. Signatures are the
-    word-wise ANDs of the bit-packed incidence rows — identical to
-    the dense pass's packing of the boolean row AND, so both methods
-    group identically.
+    incidence matrix, so the candidates are the within-column pairs
+    of ``Paths(l)`` (CSR form) — ``Σ_l C(|Paths(l)|, 2)`` of them
+    instead of ``C(P, 2)``. A pair sharing several links is a
+    candidate in each of their columns; it is kept only in the column
+    of its *lowest* shared link, so every pair leaves exactly one
+    block and no dedup across blocks is needed. All pairs of one σ
+    share its lowest link, so they leave the same block, in ascending
+    key order. Signatures are the word-wise ANDs of the bit-packed
+    incidence rows.
+
+    Yields:
+        ``(a, b, words)`` as :func:`_group_pairs` takes them.
     """
-    index = net.path_index
     indptr, rows = index.link_csr
-    num_paths = index.num_paths
-    tri_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    key_parts: List[np.ndarray] = []
-    for k in range(index.num_links):
-        col = rows[indptr[k]:indptr[k + 1]]
-        size = int(col.size)
-        if size < 2:
-            continue
-        tri = tri_cache.get(size)
-        if tri is None:
-            tri = np.triu_indices(size, k=1)
-            tri_cache[size] = tri
-        key_parts.append(
-            col[tri[0]].astype(np.int64) * num_paths + col[tri[1]]
-        )
-    if not key_parts:
-        return None
-    keys = sorted_unique(np.concatenate(key_parts))
-    ia = (keys // num_paths).astype(np.intp)
-    ib = (keys % num_paths).astype(np.intp)
+    sizes = np.diff(indptr)
+    candidates = sizes * (sizes - 1) // 2
+    columns = np.flatnonzero(candidates)
+    first = np.cumsum(candidates[columns]) - candidates[columns]
     packed = index.packed
-    words = packed[ia] & packed[ib]
-    incidence = index.incidence
-    return _finalize_groups(
-        index,
-        ia,
-        ib,
-        words,
-        lambda reps: incidence[ia[reps]] & incidence[ib[reps]],
-    )
+    tri_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for lo, hi in _block_bounds(first):
+        block = columns[lo:hi]
+        parts_a: List[np.ndarray] = []
+        parts_b: List[np.ndarray] = []
+        for k in block.tolist():
+            col = rows[indptr[k]:indptr[k + 1]]
+            tri = tri_cache.get(col.size)
+            if tri is None:
+                tri = tri_cache[col.size] = np.triu_indices(col.size, k=1)
+            parts_a.append(col[tri[0]])
+            parts_b.append(col[tri[1]])
+        a = np.concatenate(parts_a)
+        b = np.concatenate(parts_b)
+        words = packed[a] & packed[b]
+        owned = _lowest_links(words) == np.repeat(block, candidates[block])
+        yield a[owned], b[owned], words[owned]
 
 
-def _pair_groups(net: Network, method: str = "auto") -> _PairGroups:
+def _pair_groups(net: Network) -> _PairGroups:
     """Lines 2–8 of Algorithm 1, batched over the path registry.
 
-    All sharing path pairs are enumerated (dense ``triu`` pass or
-    sparse per-column pass, see :data:`PAIR_METHODS`), their shared
-    sequences grouped by bit-packed signature. Memoized on the
-    network per resolved method; a memo entry is served only when its
-    registry is still the network's current one.
+    All sharing path pairs are enumerated per block of incidence
+    columns (:func:`_column_blocks`) and grouped by bit-packed
+    signature (:func:`_group_pairs`). Memoized on the network; a memo
+    entry is served only when its registry is still the network's
+    current one.
     """
-    resolved = _resolve_method(method)
-    cache_key = ("pair_groups", resolved)
-    cached = net._inference_cache.get(cache_key)
+    cached = net._inference_cache.get("pair_groups")
     if cached is not None and cached.index is net.path_index:
         return cached
 
@@ -355,19 +379,12 @@ def _pair_groups(net: Network, method: str = "auto") -> _PairGroups:
     if index.num_paths < 2 or index.num_links == 0:
         groups = _empty_groups(index)
     else:
-        build = (
-            _dense_sharing_pairs
-            if resolved == "dense"
-            else _sparse_sharing_pairs
-        )
-        groups = build(net) or _empty_groups(index)
-    net._inference_cache[cache_key] = groups
+        groups = _group_pairs(index, _column_blocks(index))
+    net._inference_cache["pair_groups"] = groups
     return groups
 
 
-def shared_sequences(
-    net: Network, method: str = "auto"
-) -> Dict[LinkSeq, List[Tuple[str, str]]]:
+def shared_sequences(net: Network) -> Dict[LinkSeq, List[Tuple[str, str]]]:
     """Group all path pairs by their shared link sequence.
 
     This is lines 2–8 of Algorithm 1: for every unordered path pair,
@@ -380,7 +397,7 @@ def shared_sequences(
         ``{σ: [pairs]}`` in sorted-σ order, with deterministic
         (row-major) pair order within each bucket.
     """
-    groups = _pair_groups(net, method)
+    groups = _pair_groups(net)
     path_ids = net.path_index.path_ids
     out: Dict[LinkSeq, List[Tuple[str, str]]] = {}
     for g, sigma in enumerate(groups.sigmas):
@@ -392,11 +409,9 @@ def shared_sequences(
     return out
 
 
-def pairs_for_sequence(
-    net: Network, sigma: LinkSeq, method: str = "auto"
-) -> List[Tuple[str, str]]:
+def pairs_for_sequence(net: Network, sigma: LinkSeq) -> List[Tuple[str, str]]:
     """All path pairs whose shared links are exactly σ."""
-    groups = _pair_groups(net, method)
+    groups = _pair_groups(net)
     g = groups.group_of.get(make_linkseq(sigma))
     if g is None:
         return []
@@ -691,107 +706,85 @@ class SliceSystemsView(Mapping[LinkSeq, SliceSystem]):
         return f"SliceSystemsView({len(self)} systems)"
 
 
+def _member_layout(
+    groups: _PairGroups,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each group's member paths and each pair's local positions.
+
+    Runs over blocks of whole groups of about :data:`COLD_BLOCK`
+    pairs: within a block, the member rows of every group come from
+    one sorted unique over ``(group, row)`` keys, and a pair's local
+    positions are its keys' ranks within its group's members.
+
+    Returns:
+        ``(member_rows, member_counts, la, lb)`` — the members of each
+        group ascending, one count per group, and the local positions
+        aligned with ``groups.pair_a`` / ``pair_b``.
+    """
+    offsets = groups.offsets
+    num_paths = groups.index.num_paths
+    la = np.empty(groups.pair_a.size, dtype=np.intp)
+    lb = np.empty(groups.pair_b.size, dtype=np.intp)
+    member_parts: List[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    member_counts = np.zeros(offsets.size - 1, dtype=np.intp)
+    for g0, g1 in _block_bounds(offsets[:-1]):
+        lo, hi = offsets[g0], offsets[g1]
+        local_group = np.repeat(
+            np.arange(g1 - g0, dtype=np.intp), np.diff(offsets[g0:g1 + 1])
+        )
+        base = local_group * num_paths
+        key_a = base + groups.pair_a[lo:hi]
+        key_b = base + groups.pair_b[lo:hi]
+        members = sorted_unique(np.concatenate((key_a, key_b)))
+        starts = np.searchsorted(
+            members, np.arange(g1 - g0 + 1, dtype=np.intp) * num_paths
+        )
+        la[lo:hi] = np.searchsorted(members, key_a) - starts[local_group]
+        lb[lo:hi] = np.searchsorted(members, key_b) - starts[local_group]
+        member_parts.append(members % num_paths)
+        member_counts[g0:g1] = np.diff(starts)
+    return np.concatenate(member_parts), member_counts, la, lb
+
+
 def build_slice_batch(
-    net: Network, min_pathsets: int, method: str = "auto"
+    net: Network, min_pathsets: int
 ) -> Tuple[SliceSystemBatch, Tuple[LinkSeq, ...]]:
     """Lines 2–12 of Algorithm 1, batched.
 
-    Groups all path pairs by shared sequence (one sparse or dense
-    registry pass), drops sequences below the pathset threshold, and
-    lays out every surviving System 4 in flat arrays (objects
-    materialize lazily). Memoized on the network per ``min_pathsets``
-    and resolved method; served only while the memo's registry is the
-    network's current one.
+    Groups all path pairs by shared sequence (:func:`_pair_groups`),
+    drops sequences below the pathset threshold, and lays out every
+    surviving System 4 in flat arrays (objects materialize lazily).
+    When nothing is dropped, the batch shares the groups' pair arrays.
+    Memoized on the network per ``min_pathsets``; served only while
+    the memo's registry is the network's current one.
 
     Returns:
         ``(batch, skipped)`` — the candidate systems and the
         sequences with too few pathsets (non-identifiable).
     """
-    resolved = _resolve_method(method)
-    cache_key = ("slice_batch", int(min_pathsets), resolved)
+    cache_key = ("slice_batch", int(min_pathsets))
     cached = net._inference_cache.get(cache_key)
     if cached is not None and cached[0].index is net.path_index:
         return cached
 
-    groups = _pair_groups(net, resolved)
+    groups = _pair_groups(net)
     index = net.path_index
-    num_groups = len(groups.sigmas)
-    total_pairs = int(groups.pair_a.size)
-
-    # Per-group member paths and per-pair local positions, from one
-    # global sort over (group, path-row) keys instead of an np.unique
-    # per group.
-    if total_pairs:
-        group_ids = np.repeat(
-            np.arange(num_groups, dtype=np.intp),
-            np.diff(groups.offsets),
-        )
-        both_groups = np.concatenate((group_ids, group_ids))
-        both_rows = np.concatenate((groups.pair_a, groups.pair_b))
-        key = both_groups * index.num_paths + both_rows
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        first = np.empty(sorted_key.size, dtype=bool)
-        first[0] = True
-        first[1:] = sorted_key[1:] != sorted_key[:-1]
-        unique_rank = np.cumsum(first) - 1
-        member_keys = sorted_key[first]
-        all_member_group = member_keys // index.num_paths
-        all_member_rows = member_keys % index.num_paths
-        all_member_offsets = np.searchsorted(
-            all_member_group, np.arange(num_groups + 1)
-        )
-        elem_rank = np.empty(sorted_key.size, dtype=np.intp)
-        elem_rank[order] = unique_rank
-        local = elem_rank - all_member_offsets[both_groups]
-        la_all = local[:total_pairs]
-        lb_all = local[total_pairs:]
-    else:
-        all_member_rows = np.zeros(0, dtype=np.intp)
-        all_member_offsets = np.zeros(num_groups + 1, dtype=np.intp)
-        la_all = lb_all = np.zeros(0, dtype=np.intp)
-
-    kept: List[int] = []
-    kept_sigmas: List[LinkSeq] = []
-    skipped: List[LinkSeq] = []
-    for g, sigma in enumerate(groups.sigmas):
-        num_pairs = int(groups.offsets[g + 1] - groups.offsets[g])
-        num_members = int(
-            all_member_offsets[g + 1] - all_member_offsets[g]
-        )
-        if num_members + num_pairs < min_pathsets:
-            skipped.append(sigma)
-        else:
-            kept.append(g)
-            kept_sigmas.append(sigma)
-
-    def _concat_segments(flat, offs):
-        if not kept:
-            return np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
-        parts = [flat[offs[g]:offs[g + 1]] for g in kept]
-        sizes = np.array([p.size for p in parts], dtype=np.intp)
-        return (
-            np.concatenate(parts),
-            np.concatenate(
-                [np.zeros(1, dtype=np.intp), np.cumsum(sizes, dtype=np.intp)]
-            ),
-        )
-
-    pair_a, offsets = _concat_segments(groups.pair_a, groups.offsets)
-    pair_b, _ = _concat_segments(groups.pair_b, groups.offsets)
-    la, _ = _concat_segments(la_all, groups.offsets)
-    lb, _ = _concat_segments(lb_all, groups.offsets)
-    member_rows, member_offsets = _concat_segments(
-        all_member_rows, all_member_offsets
-    )
-    sigma_masks = (
-        groups.sigma_masks[kept]
-        if kept
-        else np.zeros((0, index.num_links), dtype=bool)
-    )
+    member_rows, member_counts, la, lb = _member_layout(groups)
+    pair_counts = np.diff(groups.offsets)
+    kept = member_counts + pair_counts >= min_pathsets
+    pair_a, pair_b = groups.pair_a, groups.pair_b
+    offsets, sigma_masks = groups.offsets, groups.sigma_masks
+    if not kept.all():
+        on_pair = np.repeat(kept, pair_counts)
+        pair_a, pair_b = pair_a[on_pair], pair_b[on_pair]
+        la, lb = la[on_pair], lb[on_pair]
+        member_rows = member_rows[np.repeat(kept, member_counts)]
+        offsets = _offsets(pair_counts[kept])
+        sigma_masks = sigma_masks[kept]
+    keep_list = kept.tolist()
     batch = SliceSystemBatch(
         index=index,
-        sigmas=tuple(kept_sigmas),
+        sigmas=tuple(s for s, k in zip(groups.sigmas, keep_list) if k),
         sigma_masks=sigma_masks,
         pair_a=pair_a,
         pair_b=pair_b,
@@ -799,10 +792,11 @@ def build_slice_batch(
         la=la,
         lb=lb,
         member_rows=member_rows,
-        member_offsets=member_offsets,
+        member_offsets=_offsets(member_counts[kept]),
         singletons=_singleton_pathsets(net),
     )
-    result = (batch, tuple(skipped))
+    skipped = tuple(s for s, k in zip(groups.sigmas, keep_list) if not k)
+    result = (batch, skipped)
     net._inference_cache[cache_key] = result
     return result
 
@@ -927,14 +921,6 @@ def _merge_pair_groups(
     )
 
 
-def _cached_pair_group_keys(net: Network) -> List[Tuple[str, str]]:
-    return [
-        key
-        for key in net._inference_cache
-        if isinstance(key, tuple) and key and key[0] == "pair_groups"
-    ]
-
-
 def patch_network_add(
     old_net: Network, new_net: Network, added_ids: Sequence[str]
 ) -> None:
@@ -951,14 +937,11 @@ def patch_network_add(
     index = _patched_index_add(old_index, new_net, added_ids)
     new_net._path_index = index
 
-    patched: Optional[_PairGroups] = None
-    for key in _cached_pair_group_keys(old_net):
-        cached = old_net._inference_cache[key]
-        if cached.index is not old_index:
-            continue
-        if patched is None:
-            patched = _patch_groups_add(cached, index, added_ids)
-        new_net._inference_cache[key] = patched
+    cached = old_net._inference_cache.get("pair_groups")
+    if cached is not None and cached.index is old_index:
+        new_net._inference_cache["pair_groups"] = _patch_groups_add(
+            cached, index, added_ids
+        )
 
 
 def _patch_groups_add(
@@ -986,14 +969,7 @@ def _patch_groups_add(
         na = (keys // num_paths).astype(np.intp)
         nb = (keys % num_paths).astype(np.intp)
         packed = index.packed
-        words = packed[na] & packed[nb]
-        new_groups = _finalize_groups(
-            index,
-            na,
-            nb,
-            words,
-            lambda reps: incidence[na[reps]] & incidence[nb[reps]],
-        )
+        new_groups = _group_pairs(index, [(na, nb, packed[na] & packed[nb])])
     else:
         new_groups = _empty_groups(index)
     return _merge_pair_groups(index, old_remap, old_groups, new_groups)
@@ -1019,14 +995,11 @@ def patch_network_remove(
     )
     old_to_new[keep_rows] = np.arange(index.num_paths, dtype=np.intp)
 
-    patched: Optional[_PairGroups] = None
-    for key in _cached_pair_group_keys(old_net):
-        cached = old_net._inference_cache[key]
-        if cached.index is not old_index:
-            continue
-        if patched is None:
-            patched = _patch_groups_remove(cached, index, old_to_new)
-        new_net._inference_cache[key] = patched
+    cached = old_net._inference_cache.get("pair_groups")
+    if cached is not None and cached.index is old_index:
+        new_net._inference_cache["pair_groups"] = _patch_groups_remove(
+            cached, index, old_to_new
+        )
 
 
 def _patch_groups_remove(
@@ -1209,11 +1182,28 @@ def batch_pair_estimates_arrays(
     ``y_single`` is indexed by path row, ``y_pair_flat`` aligned with
     ``batch.pair_a``/``pair_b``. NaN marks a missing observation.
     """
+    return _pair_estimates(batch, y_single, y_pair_flat, 0, batch.num_pairs)
+
+
+def _pair_estimates(
+    batch: SliceSystemBatch,
+    y_single: np.ndarray,
+    y_pair_flat: np.ndarray,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Equation 14 over the flat pairs ``[lo, hi)``.
+
+    Raises:
+        SliceError: If any needed pathset was not measured.
+    """
     estimates = (
-        y_single[batch.pair_a] + y_single[batch.pair_b] - y_pair_flat
+        y_single[batch.pair_a[lo:hi]]
+        + y_single[batch.pair_b[lo:hi]]
+        - y_pair_flat[lo:hi]
     )
     if np.isnan(estimates).any():
-        bad = int(np.flatnonzero(np.isnan(estimates))[0])
+        bad = lo + int(np.flatnonzero(np.isnan(estimates))[0])
         pa = batch.index.path_ids[batch.pair_a[bad]]
         pb = batch.index.path_ids[batch.pair_b[bad]]
         raise SliceError(
@@ -1221,14 +1211,6 @@ def batch_pair_estimates_arrays(
             "singleton"
         )
     return estimates
-
-
-def _segment_spread(batch: SliceSystemBatch, clipped: np.ndarray) -> np.ndarray:
-    starts = batch.offsets[:-1]
-    maxs = np.maximum.reduceat(clipped, starts)
-    mins = np.minimum.reduceat(clipped, starts)
-    counts = np.diff(batch.offsets)
-    return np.where(counts >= 2, maxs - mins, 0.0)
 
 
 def batch_unsolvability(
@@ -1241,10 +1223,9 @@ def batch_unsolvability(
     the max − min over its segment of the flat estimate array;
     single-pair systems score 0.
     """
-    if batch.num_systems == 0:
-        return np.zeros(0, dtype=float)
-    clipped = np.maximum(batch_pair_estimates(batch, observations), 0.0)
-    return _segment_spread(batch, clipped)
+    return batch_unsolvability_arrays(
+        batch, *_observation_arrays(batch, observations)
+    )
 
 
 def batch_unsolvability_arrays(
@@ -1253,13 +1234,21 @@ def batch_unsolvability_arrays(
     y_pair_flat: np.ndarray,
 ) -> np.ndarray:
     """:func:`batch_unsolvability` from pre-gathered arrays (the
-    zero-dict route used by the experiment runner)."""
-    if batch.num_systems == 0:
-        return np.zeros(0, dtype=float)
-    clipped = np.maximum(
-        batch_pair_estimates_arrays(batch, y_single, y_pair_flat), 0.0
-    )
-    return _segment_spread(batch, clipped)
+    zero-dict route used by the experiment runner).
+
+    Scored over blocks of whole systems (:func:`_block_bounds`), so
+    no ``(n_pairs,)`` estimate array is held at once.
+    """
+    offsets = batch.offsets
+    spread = np.zeros(batch.num_systems, dtype=float)
+    for g0, g1 in _block_bounds(offsets[:-1]):
+        lo, hi = int(offsets[g0]), int(offsets[g1])
+        clipped = _pair_estimates(batch, y_single, y_pair_flat, lo, hi)
+        np.maximum(clipped, 0.0, out=clipped)
+        starts = offsets[g0:g1] - lo
+        spread[g0:g1] = np.maximum.reduceat(clipped, starts)
+        spread[g0:g1] -= np.minimum.reduceat(clipped, starts)
+    return np.where(np.diff(offsets) >= 2, spread, 0.0)
 
 
 def slice_pathsets(net: Network, sigma: LinkSeq) -> PathSetFamily:

@@ -61,10 +61,6 @@ class SliceError(TheoryError):
     """A network slice could not be formed (e.g., empty pathset family)."""
 
 
-class ShardingError(TheoryError):
-    """Invalid shard plan (links uncovered, unknown, or double-owned)."""
-
-
 class MeasurementError(ReproError):
     """Invalid or inconsistent measurement data."""
 

@@ -7,9 +7,11 @@ benches and the CLI print them: one function per paper artifact.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from repro.analysis.stats import boxplot_summary, format_table, series_summary
+from repro.core.metrics import QualityReport
 from repro.experiments.runner import ExperimentOutcome
 from repro.experiments.topology_b import TopologyBReport
 from repro.topology.multi_isp import POLICED_LINKS
@@ -42,13 +44,21 @@ def render_verdict(outcome: ExperimentOutcome) -> str:
             f"{outcome.algorithm.scores[sigma]:.4f})"
         )
     if outcome.quality is not None:
-        q = outcome.quality
-        lines.append(
-            f"quality: FN {q.false_negative_rate:.0%}  "
-            f"FP {q.false_positive_rate:.0%}  "
-            f"granularity {q.granularity}"
-        )
+        lines.append(render_quality(outcome.quality))
     return "\n".join(lines)
+
+
+def render_quality(q: QualityReport) -> str:
+    """The §5 quality line. Granularity is undefined (NaN) when nothing
+    was identified and prints as ``-``."""
+    granularity = (
+        "-" if math.isnan(q.granularity) else f"{q.granularity:.2f}"
+    )
+    return (
+        f"quality: FN {q.false_negative_rate:.0%}  "
+        f"FP {q.false_positive_rate:.0%}  "
+        f"granularity {granularity}"
+    )
 
 
 def render_sweep_summary(
@@ -108,9 +118,6 @@ def render_sweep_summary(
                 f"({getattr(stats, 'pool_setup_seconds', 0.0):.2f} s)"
             )
             table += f"\nparallel: {workers} workers, {pool}"
-            shm_bytes = getattr(stats, "shm_bytes", 0)
-            if shm_bytes:
-                table += f", {shm_bytes / 1e6:.1f} MB shared memory"
     return table
 
 

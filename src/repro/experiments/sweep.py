@@ -57,14 +57,13 @@ import os
 import pickle
 import time
 import warnings
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.parallel.executor import SweepExecutor
-from repro.parallel.shm import REGISTRY as _SHM_REGISTRY
 from repro.substrate.registry import substrate_cache_tag
 
 
@@ -212,14 +211,76 @@ class SweepStats:
     workers: int = 1
     pool_reused: bool = False
     pool_setup_seconds: float = 0.0
-    #: Shared-memory bytes exported while the run executed (zero for
-    #: sweeps whose points never shard inference in-process).
-    shm_bytes: int = 0
 
     @property
     def executed_seconds(self) -> float:
         """Total worker-side compute seconds across executed points."""
         return sum(self.point_seconds.values())
+
+
+def _make_pool(workers: int):
+    import multiprocessing as mp
+    import sys
+
+    # fork is the cheap option where it is safe (Linux); elsewhere
+    # fall back to the platform default (spawn) — tasks are picklable
+    # module-level functions and arguments, so both work.
+    method = "fork" if sys.platform == "linux" else None
+    return mp.get_context(method).Pool(workers)
+
+
+def _terminate_pool(pool) -> None:
+    pool.terminate()
+    pool.join()
+
+
+class SweepExecutor:
+    """A warm ``multiprocessing.Pool`` reused across sweep runs.
+
+    Owned by :class:`SweepRunner` (and hence by adaptive sweeps and
+    monitor fleets): the first parallel ``run()`` pays pool setup,
+    every later run — every adaptive wave — dispatches onto the same
+    workers. Seeding, caching, and retry semantics are untouched: the
+    pool is an execution vehicle, task construction never sees it.
+    """
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ConfigurationError("workers must be >= 1")
+        self.workers = workers
+        self._pool = None
+        self._finalizer = None
+        self.pools_created = 0
+        self.reuses = 0
+        self.setup_seconds_total = 0.0
+        self.last_setup_seconds = 0.0
+
+    def ensure_pool(self) -> Tuple[object, bool]:
+        """``(pool, created)`` — created is False on warm reuse."""
+        if self._pool is not None:
+            self.reuses += 1
+            return self._pool, False
+        start = time.perf_counter()
+        pool = _make_pool(self.workers)
+        elapsed = time.perf_counter() - start
+        self._pool = pool
+        self._finalizer = weakref.finalize(self, _terminate_pool, pool)
+        self.pools_created += 1
+        self.setup_seconds_total += elapsed
+        self.last_setup_seconds = elapsed
+        return pool, True
+
+    def close(self) -> None:
+        if self._finalizer is not None:
+            self._finalizer()
+            self._finalizer = None
+            self._pool = None
+
+    def __enter__(self) -> "SweepExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class SweepRunner:
@@ -435,7 +496,6 @@ class SweepRunner:
             raise ConfigurationError("sweep point keys must be unique")
         self.stats = SweepStats()  # per-run bookkeeping, as documented
         self.stats.workers = self.workers
-        shm_bytes_before = _SHM_REGISTRY.exported_bytes_total
         run_start = time.perf_counter()
         # Telemetry is consulted once per run; when disabled the
         # span below is the shared no-op and nothing else is touched.
@@ -580,9 +640,6 @@ class SweepRunner:
                             self._executor.close()
 
             self.stats.wall_seconds = time.perf_counter() - run_start
-            self.stats.shm_bytes = (
-                _SHM_REGISTRY.exported_bytes_total - shm_bytes_before
-            )
             run_span.set(
                 cache_hits=self.stats.cache_hits,
                 cache_misses=self.stats.cache_misses,

@@ -93,26 +93,42 @@ def pair_joint_counts(
 
     The one pair-count primitive of Algorithm 2: how many intervals
     each pair of paths was congestion-free together. The boolean
-    ``(n, T)`` matrix is packed into 64-interval words stored
-    column-major — one contiguous ``(n,)`` array per word — so a
-    block of pairs costs two ``take`` gathers, an AND and a popcount
-    per word. Blocking over pairs keeps the temporaries bounded at
-    millions of sharing pairs.
+    ``(n, T)`` matrix is packed into 64-interval words
+    (:func:`_interval_words`), and each block of pairs is counted by
+    :func:`_joint_counts`. Blocking over pairs keeps the temporaries
+    bounded at millions of sharing pairs.
     """
+    words = _interval_words(status)
+    num_pairs = int(rows_a.size)
+    out = np.zeros(num_pairs, dtype=np.int64)
+    for lo in range(0, num_pairs, block_pairs):
+        hi = lo + block_pairs
+        _joint_counts(words, rows_a[lo:hi], rows_b[lo:hi], out[lo:hi])
+    return out
+
+
+def _interval_words(status: np.ndarray) -> np.ndarray:
+    """A boolean ``(n, T)`` matrix packed into 64-interval words,
+    stored column-major: one contiguous ``(n,)`` uint64 array per
+    word."""
     num_rows, total = status.shape
     num_words = (total + 63) >> 6
     packed = np.zeros((num_rows, num_words * 8), dtype=np.uint8)
     packed[:, : (total + 7) >> 3] = np.packbits(status, axis=1)
-    words = np.ascontiguousarray(packed.view(np.uint64).T)
-    num_pairs = int(rows_a.size)
-    out = np.zeros(num_pairs, dtype=np.int64)
-    for lo in range(0, num_pairs, block_pairs):
-        a = rows_a[lo:lo + block_pairs]
-        b = rows_b[lo:lo + block_pairs]
-        acc = out[lo:lo + block_pairs]
-        for col in words:
-            acc += _popcount(col.take(a) & col.take(b))
-    return out
+    return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
+def _joint_counts(
+    words: np.ndarray,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    acc: np.ndarray,
+) -> None:
+    """Add the joint counts of one block of pairs over
+    :func:`_interval_words` into the int64 ``acc``: two ``take``
+    gathers, an AND and a popcount per word."""
+    for col in words:
+        acc += _popcount(col.take(rows_a) & col.take(rows_b))
 
 
 def cost_table(total: int) -> np.ndarray:
@@ -627,15 +643,20 @@ def batch_slice_observations(
     used = sorted_unique(batch.member_rows)
     path_ids = index.path_ids
     data_rows = data.rows_of(path_ids[r] for r in used)
-    joint = status[data_rows]  # (n_used, T), aligned with ``used``
+    # Indexed by path row (all-False for paths in no system), so the
+    # batch's pair rows gather it directly, with no per-pair remap.
+    joint = np.zeros((num_paths, status.shape[1]), dtype=bool)
+    joint[used] = status[data_rows]
     y_single = np.full(num_paths, np.nan)
-    y_single[used] = table[joint.sum(axis=1)]
-
-    local = np.full(num_paths, -1, dtype=np.intp)
-    local[used] = np.arange(used.size, dtype=np.intp)
-    y_pair_flat = table[
-        pair_joint_counts(joint, local[batch.pair_a], local[batch.pair_b])
-    ]
+    y_single[used] = table[joint[used].sum(axis=1)]
+    # Costs block by block: no (n_pairs,) count array next to them.
+    words = _interval_words(joint)
+    y_pair_flat = np.empty(batch.num_pairs)
+    for lo in range(0, batch.num_pairs, PAIR_BLOCK):
+        hi = min(lo + PAIR_BLOCK, batch.num_pairs)
+        counts = np.zeros(hi - lo, dtype=np.int64)
+        _joint_counts(words, batch.pair_a[lo:hi], batch.pair_b[lo:hi], counts)
+        y_pair_flat[lo:hi] = table[counts]
 
     if not materialize:
         return {}, y_single, y_pair_flat

@@ -13,7 +13,7 @@ import math
 import numbers
 import zipfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -229,74 +229,6 @@ class MeasurementData:
         self._lost_matrix: Optional[np.ndarray] = None
         self._all_sent_positive: Optional[bool] = None
 
-    @classmethod
-    def from_matrices(
-        cls,
-        path_ids: Sequence[str],
-        sent: np.ndarray,
-        lost: np.ndarray,
-        interval_seconds: float = 0.1,
-        *,
-        all_sent_positive: Optional[bool] = None,
-    ) -> "MeasurementData":
-        """Zero-copy construction from stacked matrices.
-
-        The shared-memory transport path (:mod:`repro.parallel`):
-        workers rebuild a :class:`MeasurementData` directly over
-        attached segment views without building or copying per-path
-        records. The counters get the record constructor's checks
-        (``0 <= lost <= sent``) as whole-matrix array tests.
-        ``path_ids`` must be sorted (the stacked-matrix row order) and
-        the matrices stay shared: rows are views, not copies.
-
-        Args:
-            all_sent_positive: Pre-computed :attr:`all_sent_positive`
-                flag; ``None`` defers to a lazy scan.
-
-        Raises:
-            MeasurementError: On unsorted ids, misaligned matrices, an
-                interval that is not finite and positive, or invalid
-                counters.
-        """
-        ids = tuple(path_ids)
-        if list(ids) != sorted(ids):
-            raise MeasurementError(
-                "from_matrices path_ids must be sorted (row order)"
-            )
-        if sent.shape != lost.shape or sent.ndim != 2:
-            raise MeasurementError(
-                f"stacked matrices must be 2-D and aligned, got "
-                f"{sent.shape} vs {lost.shape}"
-            )
-        if sent.shape[0] != len(ids):
-            raise MeasurementError(
-                f"{sent.shape[0]} matrix rows for {len(ids)} paths"
-            )
-        interval_seconds = _checked_interval(interval_seconds)
-        # The record constructor's counter checks, one array pass each.
-        if (lost < 0).any() or (lost > sent).any():
-            raise MeasurementError(
-                "stacked counters must satisfy 0 <= lost <= sent"
-            )
-        self = cls.__new__(cls)
-        records: Dict[str, PathRecord] = {}
-        for i, pid in enumerate(ids):
-            rec = PathRecord.__new__(PathRecord)
-            rec.path_id = pid
-            rec.sent = sent[i]
-            rec.lost = lost[i]
-            records[pid] = rec
-        self._records = records
-        self._num_intervals = int(sent.shape[1])
-        self.interval_seconds = interval_seconds
-        self._row_of = {pid: i for i, pid in enumerate(ids)}
-        self._sent_matrix = sent
-        self._lost_matrix = lost
-        self._all_sent_positive = (
-            None if all_sent_positive is None else bool(all_sent_positive)
-        )
-        return self
-
     def _build_matrices(self) -> None:
         ids = self.path_ids
         self._row_of = {pid: i for i, pid in enumerate(ids)}
@@ -332,10 +264,9 @@ class MeasurementData:
         """Whether every path sent traffic in every interval.
 
         The fast-path guard of :func:`repro.measurement.normalize.
-        batch_slice_observations` and :func:`repro.core.sharding.
-        infer_sharded` — cached alongside the stacked matrices instead
-        of re-scanning ``(|P|, T)`` on every inference call, and
-        invalidated with them on :meth:`append_intervals`.
+        batch_slice_observations` — cached alongside the stacked
+        matrices instead of re-scanning ``(|P|, T)`` on every inference
+        call, and invalidated with them on :meth:`append_intervals`.
         """
         if self._all_sent_positive is None:
             self._all_sent_positive = bool((self.sent_matrix > 0).all())

@@ -115,42 +115,3 @@ def count_rng(rng, counter):
     return CountingRNG(rng, counter)
 
 
-def snapshot_parallel_stats(registry=None):
-    """Mirror :mod:`repro.parallel` transport totals into a registry.
-
-    The shared-memory layer keeps its counters in a plain dataclass
-    (one lock-guarded increment per export/pickle, nothing per
-    element); this folds the current totals into
-    ``repro_parallel_*_total`` counters. All sources are monotonic,
-    so snapshot assignment is safe.
-    """
-    from repro import parallel  # lazy: avoid an import cycle
-
-    reg = registry if registry is not None else get_registry()
-    stats = parallel.transport_stats()
-    for name, help_text, value in (
-        (
-            "repro_parallel_shm_bytes_exported_total",
-            "bytes copied into shared-memory segments",
-            stats.shm_bytes_exported,
-        ),
-        (
-            "repro_parallel_handle_pickles_total",
-            "shared-array handles pickled into worker task payloads",
-            stats.handle_pickles,
-        ),
-        (
-            "repro_parallel_task_array_bytes_total",
-            "raw ndarray bytes pickled in task payloads (0 = zero-copy)",
-            stats.task_array_bytes,
-        ),
-        (
-            "repro_parallel_tasks_counted_total",
-            "worker task payloads audited by the transport counter",
-            stats.tasks,
-        ),
-    ):
-        instrument = reg.counter(name, help_text)
-        if isinstance(instrument, Counter):
-            instrument.value = float(value)
-    return reg

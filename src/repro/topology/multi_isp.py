@@ -151,9 +151,7 @@ class FederatedTopology:
         link_owner: ``{link_id: ISP name}`` — the administrative
             partition of the links. Access, core, and egress links
             belong to their subnet; the backbone link between ISPs
-            ``i < j`` is owned by ISP ``i``. This is the canonical
-            link partition for sharded inference
-            (:meth:`shard_plan`).
+            ``i < j`` is owned by ISP ``i``.
     """
 
     network: Network
@@ -164,16 +162,9 @@ class FederatedTopology:
     subnet_of: Mapping[str, str]
     link_owner: Mapping[str, str]
 
-    def shard_plan(self):
-        """The per-ISP :class:`~repro.core.sharding.ShardPlan` derived
-        from :attr:`link_owner`."""
-        from repro.core.sharding import ShardPlan  # local: avoid cycle
-
-        return ShardPlan.from_link_partition(self.network, self.link_owner)
-
 
 def isp_name(k: int) -> str:
-    """Canonical ISP/shard name for subnet ``k``."""
+    """Canonical ISP name for subnet ``k``."""
     return f"isp{k}"
 
 

@@ -34,9 +34,16 @@ from repro.core.algorithm_reference import (
     identify_non_neutral_exact_reference,
     infer_reference,
 )
-from repro.core.slices import _pair_groups, build_slice_batch
+from oracles.dense_pairs import dense_pair_groups, dense_slice_layout
+from repro.core.slices import (
+    SliceSystemBatch,
+    _pair_groups,
+    batch_unsolvability_arrays,
+    build_slice_batch,
+)
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import infer_from_measurements
+from repro.measurement.normalize import batch_slice_observations
 
 RELTOL = 1e-9
 
@@ -46,7 +53,7 @@ with open(GOLDEN_PATH) as fh:
 CASES = build_cases()
 CASE_NAMES = sorted(CASES)
 #: The frozen reference is intentionally O(P²) Python; ≥1k-path
-#: cases are locked by the goldens and the dense/sparse differential
+#: cases are locked by the goldens and the dense-oracle differential
 #: tests instead.
 REFERENCE_CASE_NAMES = sorted(set(CASES) - REFERENCE_EXEMPT)
 
@@ -153,59 +160,64 @@ class TestAgainstFrozenReference:
 
 @pytest.mark.parametrize("name", sorted(FEDERATED_CASE_NAMES))
 class TestDenseSparseDifferential:
-    """The sparse/bit-packed pair pass vs the dense reference pass.
+    """The blocked sparse pair pass vs the dense oracle pass.
 
-    Both grouping methods must produce *identical* flat arrays (same
-    pairs, same σ order, same packed signatures) and, end to end,
-    bitwise-equal scores — on the federated multi-ISP cases where the
+    :func:`_pair_groups` and :func:`build_slice_batch` must produce
+    *identical* flat arrays to the dense ``P²`` oracle in
+    ``tests/oracles/dense_pairs.py`` (same pairs, same σ order, same
+    masks, same layout) — on the federated multi-ISP cases where the
     sparse path actually pays off (including the ≥1k-path one the
     frozen Python reference cannot afford)."""
 
     def test_pair_groups_identical(self, name):
         net, _perf, _mp, _mode = CASES[name]
-        dense = _pair_groups(net, method="dense")
-        sparse = _pair_groups(net, method="sparse")
+        dense = dense_pair_groups(net)
+        sparse = _pair_groups(net)
         assert dense.sigmas == sparse.sigmas
-        np.testing.assert_array_equal(dense.pair_a, sparse.pair_a)
-        np.testing.assert_array_equal(dense.pair_b, sparse.pair_b)
-        np.testing.assert_array_equal(dense.offsets, sparse.offsets)
-        np.testing.assert_array_equal(
-            dense.sigma_masks, sparse.sigma_masks
-        )
-        np.testing.assert_array_equal(
-            dense.group_of, sparse.group_of
-        )
+        for field in ("pair_a", "pair_b", "offsets", "sigma_masks"):
+            want, got = getattr(dense, field), getattr(sparse, field)
+            assert got.dtype == want.dtype, field
+            np.testing.assert_array_equal(want, got, field)
+        assert dense.group_of == sparse.group_of
 
     def test_slice_batch_identical(self, name):
         net, _perf, mp, _mode = CASES[name]
-        dense, skipped_d = build_slice_batch(net, mp, method="dense")
-        sparse, skipped_s = build_slice_batch(net, mp, method="sparse")
-        assert skipped_d == skipped_s
-        assert dense.sigmas == sparse.sigmas
+        want = dense_slice_layout(dense_pair_groups(net), mp)
+        batch, skipped = build_slice_batch(net, mp)
+        assert skipped == want["skipped"]
+        assert batch.sigmas == want["sigmas"]
         for field in (
             "pair_a", "pair_b", "offsets", "la", "lb",
             "member_rows", "member_offsets", "sigma_masks",
         ):
-            np.testing.assert_array_equal(
-                getattr(dense, field), getattr(sparse, field), field
-            )
+            got = getattr(batch, field)
+            assert got.dtype == want[field].dtype, field
+            np.testing.assert_array_equal(want[field], got, field)
 
     def test_verdicts_identical(self, name):
         net, perf, mp, mode = CASES[name]
         data = case_records(name, net, perf)
+        layout = dense_slice_layout(dense_pair_groups(net), mp)
+        batch, skipped = build_slice_batch(net, mp)
+        oracle = SliceSystemBatch(
+            index=batch.index,
+            singletons=batch.singletons,
+            **{
+                field: layout[field]
+                for field in (
+                    "sigmas", "sigma_masks", "pair_a", "pair_b", "offsets",
+                    "la", "lb", "member_rows", "member_offsets",
+                )
+            },
+        )
         results = []
-        for method in ("dense", "sparse"):
-            batch, skipped = build_slice_batch(net, mp, method=method)
-            from repro.measurement.normalize import (
-                batch_slice_observations,
-            )
-            from repro.core.slices import batch_unsolvability_arrays
+        for candidate in (oracle, batch):
             _, y_single, y_pair = batch_slice_observations(
-                data, batch, mode=mode, materialize=False
+                data, candidate, mode=mode, materialize=False
             )
-            scores = batch_unsolvability_arrays(batch, y_single, y_pair)
-            results.append((batch.sigmas, tuple(skipped), scores))
-        (sig_d, skip_d, sc_d), (sig_s, skip_s, sc_s) = results
+            scores = batch_unsolvability_arrays(candidate, y_single, y_pair)
+            results.append((candidate.sigmas, scores))
+        (sig_d, sc_d), (sig_s, sc_s) = results
         assert sig_d == sig_s
-        assert skip_d == skip_s
+        assert layout["skipped"] == skipped
         np.testing.assert_array_equal(sc_d, sc_s)

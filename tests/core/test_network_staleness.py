@@ -87,9 +87,9 @@ class TestConsumerValidation:
 
     def test_planted_pair_groups_are_rebuilt(self):
         donor = _warm(_net())
-        stale = donor._inference_cache[("pair_groups", "sparse")]
+        stale = donor._inference_cache["pair_groups"]
         net = _net()
-        net._inference_cache[("pair_groups", "sparse")] = stale
+        net._inference_cache["pair_groups"] = stale
         groups = _pair_groups(net)
         assert groups is not stale
         assert groups.index is net.path_index
@@ -97,9 +97,9 @@ class TestConsumerValidation:
 
     def test_planted_slice_batch_is_rebuilt(self):
         donor = _warm(_net())
-        stale = donor._inference_cache[("slice_batch", 1, "sparse")]
+        stale = donor._inference_cache[("slice_batch", 1)]
         net = _net()
-        net._inference_cache[("slice_batch", 1, "sparse")] = stale
+        net._inference_cache[("slice_batch", 1)] = stale
         batch, _ = build_slice_batch(net, 1)
         assert batch is not stale[0]
         assert batch.index is net.path_index

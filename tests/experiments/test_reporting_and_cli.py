@@ -391,3 +391,125 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _monitor_outcome(delay, onset=400):
+    """A hand-built monitor outcome: window 0 is uninformative (an
+    all-NaN score row), window 1 flags ``<l1>``."""
+    import numpy as np
+
+    from repro.streaming.fleet import MonitorOutcome
+
+    return MonitorOutcome(
+        name="monitor-multi_isp",
+        substrate="fluid",
+        sigmas=(("l1",), ("l2",)),
+        window_ends=np.array([100, 200]),
+        scores=np.array([[np.nan, np.nan], [0.5, 0.125]]),
+        flagged=np.array([[False, False], [True, False]]),
+        change_points=(),
+        final_identified=(("l1",),),
+        final_neutral=(("l2",),),
+        ground_truth_links=frozenset({"l1"}),
+        onset_interval=onset,
+        detection_delay_intervals=delay,
+        num_intervals=300,
+    )
+
+
+class TestUndefinedValuesRenderAsDash:
+    """Negative delays, uninformative windows and an undefined
+    granularity never print as a negative count or ``nan``."""
+
+    MONITOR_ARGV = ["monitor", "--duration", "30", "--onset", "40"]
+
+    @pytest.mark.parametrize(
+        "delay, line",
+        [
+            (-375, "onset at interval 400: flagged 375 intervals before onset"),
+            (0, "onset at interval 400 detected after 0 intervals"),
+            (12, "onset at interval 400 detected after 12 intervals"),
+            (None, "onset at interval 400 was NOT detected"),
+        ],
+    )
+    def test_monitor_detection_line(self, capsys, monkeypatch, delay, line):
+        monkeypatch.setattr(
+            "repro.streaming.fleet.run_monitor_task",
+            lambda seed, task: _monitor_outcome(delay),
+        )
+        assert main(self.MONITOR_ARGV) == 0
+        out = capsys.readouterr().out
+        assert line in out
+        assert "after -" not in out
+
+    def test_monitor_max_score_of_uninformative_window(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.streaming.fleet.run_monitor_task",
+            lambda seed, task: _monitor_outcome(-375),
+        )
+        assert main(self.MONITOR_ARGV) == 0
+        out = capsys.readouterr().out
+        rows = {
+            line.split()[0]: line.split()
+            for line in out.splitlines()
+            if line[:1].isdigit()
+        }
+        assert rows["0"][2] == "-"  # all-NaN scores
+        assert rows["1"][2] == "0.5000"
+        assert "nan" not in out
+
+    def test_fig8_granularity_without_identification(
+        self, capsys, monkeypatch, outcome
+    ):
+        import dataclasses
+
+        blank = dataclasses.replace(
+            outcome,
+            quality=dataclasses.replace(
+                outcome.quality, granularity=float("nan")
+            ),
+        )
+        monkeypatch.setattr(
+            "repro.experiments.topology_a.run_topology_a",
+            lambda *args, **kwargs: blank,
+        )
+        argv = ["fig8", "--set", "6", "--value", "30.0", "--duration", "30"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "granularity -" in out
+        assert "nan" not in out
+
+    def test_topo_b_granularity_without_identification(
+        self, capsys, monkeypatch, outcome
+    ):
+        import dataclasses
+
+        from repro.experiments.topology_b import TopologyBReport
+
+        blank = dataclasses.replace(
+            outcome,
+            quality=dataclasses.replace(
+                outcome.quality, granularity=float("nan")
+            ),
+        )
+        report = TopologyBReport(
+            outcome=blank, ground_truth={}, sequences=(), queue_traces_mb={}
+        )
+        monkeypatch.setattr(
+            "repro.experiments.topology_b.run_topology_b",
+            lambda *args, **kwargs: report,
+        )
+        assert main(["topo-b", "--duration", "30"]) == 0
+        out = capsys.readouterr().out
+        assert "granularity -" in out
+        assert "nan" not in out
+
+    def test_finite_granularity_keeps_two_decimals(self, outcome):
+        import dataclasses
+
+        from repro.experiments.reporting import render_quality
+
+        quality = dataclasses.replace(outcome.quality, granularity=1.5)
+        assert render_quality(quality).endswith("granularity 1.50")

@@ -14,6 +14,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
 from repro.experiments.sweep import (
+    SweepExecutor,
     SweepPoint,
     SweepRunner,
     derive_seed,
@@ -682,3 +683,32 @@ class TestPersistentPool:
             runner.run(_points())
             summary = render_sweep_summary({}, runner.stats)
         assert "parallel: 2 workers, warm pool reused" in summary
+
+
+class TestSweepExecutor:
+    """The warm pool itself, without a runner around it."""
+
+    def test_pool_is_created_once_then_reused(self):
+        with SweepExecutor(2) as executor:
+            pool, created = executor.ensure_pool()
+            assert created is True
+            assert executor.last_setup_seconds > 0.0
+            again, created = executor.ensure_pool()
+            assert again is pool and created is False
+            assert executor.pools_created == 1
+            assert executor.reuses == 1
+            assert pool.apply(abs, (-3,)) == 3
+
+    def test_close_is_idempotent_and_reopens(self):
+        executor = SweepExecutor(2)
+        executor.ensure_pool()
+        executor.close()
+        executor.close()
+        _, created = executor.ensure_pool()
+        assert created is True
+        assert executor.pools_created == 2
+        executor.close()
+
+    def test_worker_count_validated(self):
+        with pytest.raises(ConfigurationError):
+            SweepExecutor(0)

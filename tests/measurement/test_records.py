@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MeasurementError
-from repro.measurement.records import MeasurementData, PathRecord, from_arrays
+from repro.measurement.records import (
+    MeasurementData,
+    PathRecord,
+    RecordChunk,
+    chunk_from_columns,
+    from_arrays,
+)
 
 
 def _record(pid="p1", sent=(10, 20, 30), lost=(0, 2, 3)):
@@ -281,66 +287,74 @@ class TestAllSentPositive:
         assert data.all_sent_positive is False
 
 
-class TestFromMatrices:
-    def test_zero_copy_and_equivalent(self):
-        base = MeasurementData(
-            [_record("p1"), _record("p2", sent=(5, 5, 5), lost=(1, 0, 0))],
-            interval_seconds=0.25,
-        )
-        sent, lost = base.sent_matrix, base.lost_matrix
-        data = MeasurementData.from_matrices(
-            base.path_ids, sent, lost, base.interval_seconds
-        )
-        assert data.sent_matrix is sent  # shared, not copied
-        assert data.lost_matrix is lost
-        assert data.path_ids == base.path_ids
-        assert data.num_intervals == base.num_intervals
-        np.testing.assert_array_equal(
-            data.record("p2").sent, base.record("p2").sent
-        )
-        assert data.all_sent_positive == base.all_sent_positive
+#: Stacked ``(paths, intervals)`` counters that break a record check.
+_BAD_STACKED_COUNTERS = [
+    ([[3, 2], [4, 4]], [[0, -1], [0, 0]]),  # negative lost
+    ([[3, -2], [4, 4]], [[0, -2], [0, 0]]),  # negative sent
+    ([[3, 2], [4, 4]], [[0, 0], [5, 0]]),  # lost > sent
+]
 
-    def test_precomputed_flag_is_trusted(self):
-        sent = np.array([[0, 1]])
-        data = MeasurementData.from_matrices(
-            ("p1",), sent, np.zeros_like(sent),
-            all_sent_positive=True,
-        )
-        # Trusted classmethod: the caller's flag wins over a scan.
-        assert data.all_sent_positive is True
 
-    def test_validation(self):
-        sent = np.array([[1, 2], [3, 4]])
-        with pytest.raises(MeasurementError):
-            MeasurementData.from_matrices(
-                ("p2", "p1"), sent, sent  # unsorted ids
-            )
-        with pytest.raises(MeasurementError):
-            MeasurementData.from_matrices(
-                ("p1", "p2"), sent, sent[:1]  # misaligned
-            )
-        with pytest.raises(MeasurementError):
-            MeasurementData.from_matrices(("p1",), sent, sent)
-        with pytest.raises(MeasurementError):
-            MeasurementData.from_matrices(
-                ("p1", "p2"), sent, sent, interval_seconds=0.0
-            )
+def _chunk(sent, lost, interval_seconds=0.1):
+    return RecordChunk(
+        path_ids=("p1", "p2"),
+        sent=np.array(sent),
+        lost=np.array(lost),
+        interval_seconds=interval_seconds,
+    )
+
+
+class TestRecordChunk:
+    """Stacked chunks reach the per-record checks on every way in."""
 
     @pytest.mark.parametrize(
         "sent, lost",
         [
-            ([[3, 2], [4, 4]], [[0, -1], [0, 0]]),  # negative count
-            ([[3, -2], [4, 4]], [[0, -2], [0, 0]]),  # negative sent
-            ([[3, 2], [4, 4]], [[0, 0], [5, 0]]),  # lost > sent
+            (np.ones(3), np.zeros(3)),  # 1-D
+            (np.ones((2, 3)), np.zeros((2, 2))),  # misaligned
+            (np.ones((3, 2)), np.zeros((3, 2))),  # rows ≠ paths
         ],
     )
-    def test_counter_validation(self, sent, lost):
-        """The record constructor's counter checks apply to the
-        stacked matrices too."""
-        with pytest.raises(MeasurementError, match="lost <= sent"):
-            MeasurementData.from_matrices(
-                ("p1", "p2"), np.array(sent), np.array(lost)
-            )
+    def test_malformed_matrices_rejected(self, sent, lost):
+        with pytest.raises(MeasurementError, match="chunk"):
+            _chunk(sent, lost)
+
+    @pytest.mark.parametrize("sent, lost", _BAD_STACKED_COUNTERS)
+    def test_to_measurement_data_validates_counters(self, sent, lost):
+        chunk = _chunk(sent, lost)
+        with pytest.raises(MeasurementError, match="lost exceeds|negative"):
+            chunk.to_measurement_data()
+
+    @pytest.mark.parametrize("sent, lost", _BAD_STACKED_COUNTERS)
+    def test_append_chunk_validates_counters_atomically(self, sent, lost):
+        data = MeasurementData(
+            [_record("p1"), _record("p2", sent=(5, 6, 7), lost=(0, 1, 2))]
+        )
+        before = data.sent_matrix.copy()
+        with pytest.raises(MeasurementError, match="lost exceeds|negative"):
+            data.append_chunk(_chunk(sent, lost))
+        assert data.num_intervals == 3
+        np.testing.assert_array_equal(data.sent_matrix, before)
+
+    def test_to_measurement_data_round_trip(self):
+        chunk = _chunk([[3, 2], [4, 4]], [[0, 1], [2, 0]], 0.25)
+        data = chunk.to_measurement_data()
+        assert data.path_ids == ("p1", "p2")
+        assert data.interval_seconds == 0.25
+        np.testing.assert_array_equal(data.sent_matrix, chunk.sent)
+        np.testing.assert_array_equal(data.lost_matrix, chunk.lost)
+
+    def test_chunk_from_columns_rounds_clamps_and_selects_rows(self):
+        sent_cols = [np.array([9.6, 4.2, 7.0]), np.array([2.4, 5.5, 1.0])]
+        lost_cols = [np.array([1.2, 9.9, 0.0]), np.array([0.0, 6.4, 3.0])]
+        chunk = chunk_from_columns(
+            ("a", "c"), sent_cols, lost_cols, np.array([0, 2]), 0.1, 5
+        )
+        np.testing.assert_array_equal(chunk.sent, [[10, 2], [7, 1]])
+        # lost is rounded, then clamped to the rounded sent.
+        np.testing.assert_array_equal(chunk.lost, [[1, 0], [0, 1]])
+        assert chunk.sent.dtype == chunk.lost.dtype == np.int64
+        assert (chunk.start_interval, chunk.end_interval) == (5, 7)
 
 
 _BAD_INTERVALS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.1, "0.1"]
@@ -362,12 +376,10 @@ class TestMalformedRecords:
             from_arrays(sent, lost, interval)
 
     @pytest.mark.parametrize("interval", _BAD_INTERVALS)
-    def test_from_matrices_rejects_interval(self, interval):
-        sent = np.array([[10, 20]])
+    def test_record_chunk_rejects_interval(self, interval):
+        chunk = _chunk([[10, 20], [5, 5]], [[0, 1], [0, 0]], interval)
         with pytest.raises(MeasurementError, match="finite and positive"):
-            MeasurementData.from_matrices(
-                ("p1",), sent, np.zeros_like(sent), interval
-            )
+            chunk.to_measurement_data()
 
     @pytest.mark.parametrize(
         "payload",

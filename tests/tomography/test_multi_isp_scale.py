@@ -1,14 +1,15 @@
 """Memory regression: ≥5k-path records→verdict under a hard budget.
 
-The PR-6 scaling contract (DESIGN.md S20): on the 8×13 federated
+The scaling contract (DESIGN.md S20): on the 8×13 federated
 multi-ISP topology (5356 paths, 196 links) the sparse/bit-packed
 pipeline must complete records→verdict within a fixed tracemalloc
-peak — monolithic (the default call, which builds no per-pathset or
-per-σ object) and sharded — and the two must agree bitwise. Measured peaks at the time of writing were
-~173 MB monolithic and ~59 MB sharded; the budgets below leave
-≈1.5–2× headroom so the test fails on a genuine regression (e.g. a
-dense P×P intermediate, ~229 MB of float64 alone at this size), not
-on allocator noise.
+peak. The call builds no per-pathset or per-σ object, and its cold
+pass runs in bounded blocks (DESIGN.md S24), so a cold verdict on a
+fresh network stays within :data:`SHARDED_BUDGET` — the budget the
+sharded pipeline was once held to. Measured cold peak at the time of
+writing: ~47 MB. The budgets leave headroom so the test fails on a
+genuine regression (e.g. a dense P×P intermediate, ~229 MB of
+float64 alone at this size), not on allocator noise.
 """
 
 import tracemalloc
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.algorithm import DEFAULT_MIN_PATHSETS
-from repro.core.sharding import infer_sharded
 from repro.core.slices import _observation_arrays, build_slice_batch
 from repro.experiments.runner import infer_from_measurements
 from repro.measurement.synthetic import synthesize_records
@@ -71,19 +71,21 @@ def test_monolithic_within_budget(scale_case):
     assert peak <= MONOLITHIC_BUDGET, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_sharded_within_budget_and_identical(scale_case):
+def test_cold_monolith_within_sharded_budget(scale_case):
+    """A cold verdict (pair pass and layout included) stays within the
+    budget the sharded pipeline was held to, and equals the verdict
+    on the fixture's network bitwise."""
     fed, data = scale_case
     net = build_federated_multi_isp(8, 13).network
-    (_, sharded), peak = _traced_peak(
-        lambda: infer_sharded(net, data, fed.shard_plan())
+    (_, cold), peak = _traced_peak(
+        lambda: infer_from_measurements(net, data)
     )
     assert peak <= SHARDED_BUDGET, f"peak {peak / 1e6:.1f} MB"
-    # Bitwise agreement with the monolith on the full-scale topology.
-    _, mono = infer_from_measurements(fed.network, data)
-    assert sharded.scores == mono.scores
-    assert set(sharded.identified) == set(mono.identified)
-    assert set(sharded.neutral) == set(mono.neutral)
-    assert set(sharded.skipped) == set(mono.skipped)
+    _, warm = infer_from_measurements(fed.network, data)
+    assert cold.scores == warm.scores
+    assert set(cold.identified) == set(warm.identified)
+    assert set(cold.neutral) == set(warm.neutral)
+    assert set(cold.skipped) == set(warm.skipped)
 
 
 def test_observation_arrays_gather_without_dense_matrix(scale_case):

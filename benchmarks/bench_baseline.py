@@ -11,7 +11,7 @@ paper's algorithm flags the differentiation itself.
 
 The engine head-to-head runs the same Table 1 high-parallelism
 policing workload on the frozen scalar reference
-(:mod:`repro.fluid.engine_scalar`) and the vectorized engine, checks
+(``tests/oracles/engine_scalar.py``) and the vectorized engine, checks
 they agree on the differentiation signal, and asserts the vectorized
 hot path is at least 5× faster.
 """
@@ -21,11 +21,11 @@ import time
 import pytest
 from _emit import emit
 from conftest import BENCH_QUICK, BENCH_SETTINGS, heading, run_once
+from oracles.engine_scalar import ScalarFluidNetwork
 
 from repro.analysis.stats import format_table
 from repro.experiments.topology_a import run_topology_a
 from repro.fluid.engine import FluidNetwork
-from repro.fluid.engine_scalar import ScalarFluidNetwork
 from repro.fluid.params import FlowSlotSpec, PathWorkload
 from repro.tomography import (
     boolean_tomography,

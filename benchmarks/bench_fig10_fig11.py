@@ -21,8 +21,8 @@ from repro.analysis.stats import boxplot_summary, format_table, series_summary
 from repro.experiments.sweep import SweepPoint, SweepRunner
 from repro.experiments.topology_b import (
     TOPOLOGY_B_SETTINGS,
-    run_topology_b_batch,
     run_topology_b_point,
+    run_topology_b_rate_batch,
 )
 from repro.topology.multi_isp import POLICED_LINKS
 
@@ -44,7 +44,7 @@ def reports():
                 "policing_rate": 0.15,
             },
             seed=seed,
-            batch_func=run_topology_b_batch,
+            batch_func=run_topology_b_rate_batch,
             batch_group="topoB/fig10",
         )
         for seed in SEEDS

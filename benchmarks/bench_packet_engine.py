@@ -18,15 +18,12 @@ import time
 
 from conftest import BENCH_QUICK, heading, run_once
 from _emit import emit
+from oracles.event_reference import EventPacketNetwork
 
 from repro.analysis.stats import format_table
 from repro.core.classes import two_classes
 from repro.core.network import Network, Path
-from repro.emulator import (
-    EventPacketNetwork,
-    PacketLinkSpec,
-    PacketNetwork,
-)
+from repro.emulator import PacketLinkSpec, PacketNetwork
 from repro.measurement.normalize import path_congestion_probability
 
 #: (shared-link pps, emulated seconds) per engine and mode. The

@@ -21,6 +21,7 @@ Environment knobs (all optional):
 """
 
 import os
+import sys
 
 import pytest
 
@@ -41,6 +42,13 @@ def pytest_configure(config):
     # see one switch regardless of how the harness was invoked.
     if config.getoption("--manifest"):
         os.environ["REPRO_BENCH_MANIFEST"] = "1"
+
+# The frozen reference engines the speedup gates measure against live
+# with the tests (``tests/oracles``); appended, so this directory's own
+# ``conftest`` and helpers still win any name clash.
+sys.path.append(
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
+)
 
 #: Bench-wide emulation length. The paper runs 600 s; 240 s keeps the
 #: full harness under ~15 minutes while (per the calibration notes in

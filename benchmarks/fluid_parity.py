@@ -1,0 +1,251 @@
+"""Bitwise parity digests of the fluid engine's outputs.
+
+Runs a fixed list of fluid emulations and prints one SHA-256 digest
+per run, taken over every array the run produced: each measured
+path's ``sent`` / ``lost`` counters, the per-link per-class arrivals
+and drops, the queue-occupancy and per-path RTT traces, and the
+completed-flow counts (or, for ``keep_ground_truth=False`` sessions,
+every emitted chunk). Two checkouts whose digests agree produce
+bit-identical fluid outputs on these runs, so a refactor of the step
+program can be checked against its parent commit with::
+
+    PYTHONPATH=src python benchmarks/fluid_parity.py --out new.json
+    (cd ../parent && PYTHONPATH=src python benchmarks/fluid_parity.py \\
+        --out old.json)
+    PYTHONPATH=src python benchmarks/fluid_parity.py --compare old.json
+
+The script uses only the public ``FluidNetwork`` /
+``FluidBatchNetwork`` API, so it runs unchanged on older commits.
+The whole list runs in a few seconds on one core.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+
+from repro.experiments.topology_b import table3_workloads
+from repro.fluid import FluidBatchNetwork, FluidNetwork
+from repro.fluid.params import (
+    AqmSpec,
+    FlowSlotSpec,
+    FluidLinkSpec,
+    PathWorkload,
+    PolicerSpec,
+    ShaperSpec,
+)
+from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
+from repro.topology.multi_isp import build_multi_isp
+
+SEED = 11
+DURATION = 20.0
+
+
+def _dumbbell_workloads(net):
+    return {
+        pid: PathWorkload(
+            slots=(FlowSlotSpec(mean_size_mb=10.0, mean_gap_seconds=2.0),)
+            * 4,
+            rtt_seconds=0.05,
+        )
+        for pid in net.path_ids
+    }
+
+
+def _dumbbell(mechanism=None):
+    topo = build_dumbbell(mechanism=mechanism, rate_fraction=0.3)
+    return topo, _dumbbell_workloads(topo.network)
+
+
+def _shared_link_specs(**mechanism):
+    """Dumbbell link specs with one mechanism on the shared link."""
+    specs = dict(build_dumbbell().link_specs)
+    shared = specs[SHARED_LINK]
+    specs[SHARED_LINK] = FluidLinkSpec(
+        capacity_mbps=shared.capacity_mbps,
+        buffer_rtt_seconds=shared.buffer_rtt_seconds,
+        **mechanism,
+    )
+    return specs
+
+
+def _update(h, name, array):
+    h.update(name.encode())
+    h.update(str(array.dtype).encode())
+    h.update(str(array.shape).encode())
+    h.update(array.tobytes())
+
+
+def result_digest(result):
+    """SHA-256 over every array of one ``FluidResult``."""
+    h = hashlib.sha256()
+    for pid in sorted(result.measurements.path_ids):
+        rec = result.measurements.record(pid)
+        _update(h, f"sent/{pid}", rec.sent)
+        _update(h, f"lost/{pid}", rec.lost)
+    for field in ("link_class_arrivals", "link_class_drops"):
+        per_link = getattr(result, field)
+        for lid in sorted(per_link):
+            for cn in sorted(per_link[lid]):
+                _update(h, f"{field}/{lid}/{cn}", per_link[lid][cn])
+    for lid in sorted(result.queue_occupancy):
+        _update(h, f"queue/{lid}", result.queue_occupancy[lid])
+    for pid in sorted(result.path_rtt_seconds):
+        _update(h, f"rtt/{pid}", result.path_rtt_seconds[pid])
+    h.update(json.dumps(result.flows_completed, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def chunks_digest(chunks):
+    """SHA-256 over a sequence of emitted record chunks."""
+    h = hashlib.sha256()
+    for i, chunk in enumerate(chunks):
+        h.update(repr((chunk.path_ids, chunk.start_interval)).encode())
+        _update(h, f"sent/{i}", chunk.sent)
+        _update(h, f"lost/{i}", chunk.lost)
+    return h.hexdigest()
+
+
+def _one_shot(mechanism, **run_kwargs):
+    topo, wl = _dumbbell(mechanism)
+    sim = FluidNetwork(
+        topo.network, topo.classes, topo.link_specs, wl, seed=SEED
+    )
+    return result_digest(sim.run(DURATION, **run_kwargs))
+
+
+def run_multi_isp():
+    topo = build_multi_isp(policing_rate=0.15)
+    sim = FluidNetwork(
+        topo.network,
+        topo.classes,
+        topo.link_specs,
+        table3_workloads(topo),
+        seed=SEED,
+    )
+    return result_digest(sim.run(10.0))
+
+
+def run_two_families():
+    """Two mechanism families in one scenario: a policer on the shared
+    link and AQM on p3's (congested) egress link."""
+    topo, wl = _dumbbell(None)
+    specs = _shared_link_specs(policer=PolicerSpec("c2", 0.3))
+    specs["l8"] = FluidLinkSpec(
+        capacity_mbps=8.0, buffer_rtt_seconds=0.1, aqm=AqmSpec("c2")
+    )
+    sim = FluidNetwork(topo.network, topo.classes, specs, wl, seed=SEED)
+    return result_digest(sim.run(DURATION))
+
+
+def run_no_jitter():
+    topo, wl = _dumbbell("policing")
+    sim = FluidNetwork(
+        topo.network, topo.classes, topo.link_specs, wl, seed=SEED,
+        send_jitter_cv=0.0,
+    )
+    return result_digest(sim.run(10.0))
+
+
+def run_segmented_swap():
+    """Neutral → policing → policing at a higher rate (a deep token
+    bucket, so the drained one carries over) → shaping → neutral,
+    swapped mid-run."""
+    topo, wl = _dumbbell(None)
+    sim = FluidNetwork(
+        topo.network, topo.classes, topo.link_specs, wl, seed=SEED
+    )
+    session = sim.session(warmup_seconds=1.0)
+    chunks = []
+    for mechanism in (
+        {"policer": PolicerSpec("c2", 0.1, burst_seconds=0.2)},
+        {"policer": PolicerSpec("c2", 0.15, burst_seconds=0.2)},
+        {"shaper": ShaperSpec("c2", 0.3)},
+        {},
+    ):
+        chunks.append(session.advance(37))
+        session.set_link_specs(_shared_link_specs(**mechanism))
+    chunks.append(session.advance(40))
+    return chunks_digest(chunks) + ":" + result_digest(session.result())
+
+
+def run_streaming_chunks():
+    """``keep_ground_truth=False``: only the emitted chunks remain."""
+    topo, wl = _dumbbell("aqm")
+    sim = FluidNetwork(
+        topo.network, topo.classes, topo.link_specs, wl, seed=SEED
+    )
+    session = sim.session(keep_ground_truth=False)
+    chunks = [session.advance(n) for n in (10, 25, 1, 64)]
+    return chunks_digest(chunks)
+
+
+def run_batch_mixed():
+    """A B=4 batch: mixed families, durations and a per-world swap."""
+    topo, wl = _dumbbell(None)
+    spec_sets = [
+        _shared_link_specs(policer=PolicerSpec("c2", 0.25)),
+        _shared_link_specs(shaper=ShaperSpec("c2", 0.3)),
+        _shared_link_specs(aqm=AqmSpec("c2")),
+        _shared_link_specs(),
+    ]
+    sim = FluidBatchNetwork(
+        topo.network, topo.classes, spec_sets, wl, [SEED, 12, 13, 14]
+    )
+    session = sim.session(
+        warmup_seconds=1.0, interval_limits=[100, 60, 100, 80]
+    )
+    session.advance(30)
+    session.set_link_specs(spec_sets[1], scenario=3)
+    session.advance(70)
+    return ":".join(result_digest(r) for r in session.results())
+
+
+RUNS = {
+    "dumbbell-neutral": lambda: _one_shot(None),
+    "dumbbell-policing": lambda: _one_shot("policing"),
+    "dumbbell-shaping": lambda: _one_shot("shaping"),
+    "dumbbell-aqm": lambda: _one_shot("aqm"),
+    "dumbbell-weighted": lambda: _one_shot("weighted"),
+    "dumbbell-policing-warmup": lambda: _one_shot(
+        "policing", warmup_seconds=2.5
+    ),
+    "dumbbell-policing-no-jitter": run_no_jitter,
+    "dumbbell-policer-and-aqm": run_two_families,
+    "multi-isp-10s": run_multi_isp,
+    "segmented-swap": run_segmented_swap,
+    "streaming-chunks": run_streaming_chunks,
+    "batch-b4-mixed": run_batch_mixed,
+}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", help="write the digests as JSON here")
+    parser.add_argument(
+        "--compare",
+        help="JSON digests to compare against; exit 1 on any mismatch",
+    )
+    args = parser.parse_args(argv)
+    digests = {}
+    for name, run in RUNS.items():
+        digests[name] = run()
+        print(f"{name:30s} {digests[name][:16]}", flush=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(digests, fh, indent=2, sort_keys=True)
+    if args.compare:
+        with open(args.compare) as fh:
+            expected = json.load(fh)
+        bad = sorted(
+            name for name in expected if digests.get(name) != expected[name]
+        )
+        if bad:
+            print(f"MISMATCH: {', '.join(bad)}")
+            return 1
+        print(f"all {len(expected)} digests equal")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,8 +4,8 @@ This module is a verbatim freeze of the inference pipeline as it stood
 before the indexed/vectorized rewrite (PR 3): per-pair ``frozenset``
 intersections in ``shared_sequences``, per-pathset Python loops in the
 normalization, and per-pair dict lookups in the scoring. It plays the
-same role :mod:`repro.fluid.engine_scalar` and
-:mod:`repro.emulator.event_reference` play for the two emulation
+same role ``tests/oracles/engine_scalar.py`` and
+``tests/oracles/event_reference.py`` play for the two emulation
 substrates:
 
 * the golden equivalence suite runs both implementations on the seed

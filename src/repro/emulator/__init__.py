@@ -1,9 +1,9 @@
 """Packet-level emulator: the per-packet evaluation substrate.
 
 :class:`PacketNetwork` (:mod:`repro.emulator.core`) is the batched,
-vectorized engine; :class:`EventPacketNetwork`
-(:mod:`repro.emulator.event_reference`) is the frozen seed per-event
-loop kept as the behavioural and performance baseline.
+vectorized engine. The frozen seed per-event loop it replaced, kept as
+the behavioural and performance baseline, lives with the tests
+(``tests/oracles/event_reference.py``).
 """
 
 from repro.emulator.core import (
@@ -13,12 +13,10 @@ from repro.emulator.core import (
     PacketResult,
     greedy_admission,
 )
-from repro.emulator.event_reference import EventPacketNetwork
 from repro.emulator.specs import PacketLinkSpec
 
 __all__ = [
     "DEFAULT_MAX_PACKETS",
-    "EventPacketNetwork",
     "PACKET_ENGINE_VERSION",
     "PacketLinkSpec",
     "PacketNetwork",

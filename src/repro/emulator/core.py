@@ -21,7 +21,7 @@ per-packet heap events:
   the RED-style ramp evaluated at a vectorized occupancy estimate.
 
 The model matches the frozen per-event reference
-(:mod:`repro.emulator.event_reference`) in structure — window-based
+(``tests/oracles/event_reference.py``) in structure — window-based
 senders, slow start, congestion avoidance, one-RTT-delayed
 multiplicative decrease, droptail queues, token-bucket policing —
 and extends it with the full differentiation-mechanism vocabulary

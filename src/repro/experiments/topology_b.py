@@ -219,63 +219,17 @@ def run_topology_b_point(
     )
 
 
-def run_topology_b_batch(seeds, kwargs_list) -> List[TopologyBReport]:
-    """Batched executor for topology-B repetitions.
-
-    Grouped points share everything but the seed (one policing rate,
-    one settings object, one substrate — enforced by the batch
-    group), so the multi-ISP topology is built once and every
-    repetition advances in one lockstep scenario batch; each member's
-    report is then assembled by the single-run tail.
-    """
-    first = kwargs_list[0]
-    if any(kw != first for kw in kwargs_list[1:]):
-        # Guard against an incomplete batch_group key upstream —
-        # topology-B members may differ only in their seed.
-        raise ConfigurationError(
-            "batched topology-B points must share settings, "
-            "policing_rate, and substrate"
-        )
-    settings = first["settings"]
-    policing_rate = first["policing_rate"]
-    substrate = first.get("substrate", "fluid")
-    topo = build_multi_isp(policing_rate=policing_rate)
-    workloads = table3_workloads(topo)
-    batch = ScenarioBatch.compile(
-        topo.network,
-        topo.classes,
-        workloads,
-        [topo.link_specs] * len(seeds),
-        seeds,
-    )
-    emulations = run_scenario_batch(batch, settings, substrate)
-    reports = []
-    for seed, emulation in zip(seeds, emulations):
-        outcome = outcome_from_emulation(
-            topo.network,
-            topo.classes,
-            workloads,
-            emulation,
-            settings=settings.with_seed(seed),
-            ground_truth_links=POLICED_LINKS,
-            substrate=substrate,
-        )
-        reports.append(
-            _report_from_outcome(topo, outcome, settings.with_seed(seed))
-        )
-    return reports
-
-
 def run_topology_b_rate_batch(
     seeds, kwargs_list
 ) -> List[TopologyBReport]:
-    """Batched executor for *rate-varying* topology-B points.
+    """Batched executor for topology-B points.
 
-    Unlike :func:`run_topology_b_batch` (repetitions of one rate),
-    members here may differ in ``policing_rate``: the multi-ISP
-    builder varies only link specs with the rate, so a frontier
-    sweep's wave of rates still advances as one lockstep scenario
-    batch over a shared topology/workload.
+    Members share settings and substrate and may differ in
+    ``policing_rate`` and seed: the multi-ISP builder varies only
+    link specs with the rate, so a frontier sweep's wave of rates,
+    or a dense sweep's repetitions of one rate, advances as one
+    lockstep scenario batch over a shared topology/workload; each
+    member's report is then assembled by the single-run tail.
     """
     first = kwargs_list[0]
     for kw in kwargs_list[1:]:
@@ -436,7 +390,7 @@ def run_topology_b_sweep(
                 "substrate": substrate,
             },
             substrate=substrate,
-            batch_func=run_topology_b_batch if batchable else None,
+            batch_func=run_topology_b_rate_batch if batchable else None,
             batch_group=group,
         )
         for rep in range(repetitions)

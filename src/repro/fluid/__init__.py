@@ -6,16 +6,11 @@ structure the inference pipeline depends on. See
 :mod:`repro.emulator` for the packet-level validation substrate.
 """
 
-from repro.fluid.batch import (
-    FluidBatchNetwork,
-    FluidBatchSession,
-    run_batch,
-)
+from repro.fluid.batch import FluidBatchNetwork, FluidBatchSession
 from repro.fluid.engine import (
     DEFAULT_DT,
     DEFAULT_INTERVAL,
     ENGINE_VERSION,
-    FluidEngine,
     FluidNetwork,
     FluidResult,
 )
@@ -48,12 +43,10 @@ __all__ = [
     "FlowSlot",
     "FluidBatchNetwork",
     "FluidBatchSession",
-    "FluidEngine",
     "FlowSlotSpec",
     "FluidLinkSpec",
     "FluidNetwork",
     "FluidResult",
-    "run_batch",
     "MSS_BITS",
     "PathWorkload",
     "PolicerSpec",

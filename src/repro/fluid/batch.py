@@ -1,40 +1,45 @@
-"""Scenario-batched fluid engine: B link-spec variants in lockstep.
+"""The fluid step program: B link-spec variants in lockstep.
 
 One time-stepped numpy program advances ``B`` *scenarios* — link-spec
-variants of a shared topology/workload — simultaneously, by giving
-every state array of the single-scenario engine
-(:mod:`repro.fluid.engine`) a leading scenario axis. Slot-shaped
-state folds the scenario axis into the slot axis (scenario ``b``'s
-slot ``i`` lives at flat index ``b·S + i``), so
-:class:`~repro.fluid.tcp.TcpArrayState` and
-:class:`~repro.fluid.traffic.SlotArrays` apply unchanged; link- and
-path-shaped state becomes ``(B, L)`` / ``(B, P)`` arrays.
+variants of a shared topology/workload — simultaneously. It is the
+only fluid step loop: :class:`~repro.fluid.engine.FluidNetwork` and
+its session run it at ``B = 1`` (see :mod:`repro.fluid.engine` for
+the model and its loss-attribution rationale).
+
+**Flat rows.** The scenario axis is folded into the leading axis of
+every state array, so each operation has the shape a lone scenario
+would give it and ``B = 1`` runs exactly the single-scenario ops:
+
+* slot state at ``b·S + i`` (:class:`~repro.fluid.tcp.TcpArrayState`
+  and :class:`~repro.fluid.traffic.SlotArrays` apply unchanged);
+* link state (queues, tokens, capacities) at ``b·L + l``;
+* path state (sends, smooth/burst loss, RTTs) at ``b·P + p``;
+* per-link per-path arrivals and drop fractions as ``(B·L, P)``
+  arrays whose row ``b·L + l`` is scenario ``b``'s link ``l``.
+
+Differentiation mechanisms compile to one entry per flat link row, in
+(family, scenario, link) order — policers, then AQMs, then shapers,
+then weighted service — so every scenario applies its mechanisms in
+the same order at any ``B``.
 
 **The contract is floating-point identity**: scenario ``b``'s output
-is bit-for-bit the output of a single
-:class:`~repro.fluid.engine.FluidNetwork` run with ``spec_sets[b]``
+is bit-for-bit the output of a ``B = 1`` run with ``spec_sets[b]``
 and ``seeds[b]`` (pinned by ``tests/fluid/test_batch_equivalence.py``
 and the ``bench_batch.py`` gate). Three rules make that possible:
 
 * **Per-scenario RNG streams.** Every scenario owns its own
   :class:`numpy.random.Generator`; data-dependent draws (flow
   starts/completions, droptail burst allocation, jitter blocks) are
-  made per scenario in exactly the single engine's within-step order.
+  made per scenario in the same within-step order at any ``B``.
 * **Batch-invariant reductions only.** Elementwise ufuncs, last-axis
-  ``sum`` (pairwise per row), flattened ``bincount`` (sequential by
-  construction) and ``np.add.at`` produce per-scenario slices
-  identical to the single-scenario call. BLAS matvec/dot do *not*
-  (GEMM row blocking differs from GEMV), so the two matvec sites —
-  the queueing-delay RTT term and each policer's demand dot — loop
-  over scenarios and issue the very same GEMV/dot the single engine
-  issues.
-* **Order-preserving mechanism groups.** Differentiation mechanisms
-  vectorize *across scenarios*, grouped by (family, link, class) and
-  applied in family-rank/link order
-  (:data:`repro.fluid.params.MECHANISM_FAMILY_RANK`) — each
-  scenario's mechanisms run in its own single-run order, so
-  order-sensitive shared accumulations (per-path smooth-loss
-  fractions, burst volumes) agree bitwise.
+  ``sum`` (pairwise per row) and flattened ``bincount`` (sequential
+  by construction) produce per-scenario slices identical to a lone
+  scenario's. BLAS matvec/dot do *not* (GEMM row blocking differs
+  from GEMV), so the queueing-delay RTT term, each policer's demand
+  dot and the interval-close class sums are issued per scenario.
+* **Per-row mechanisms.** Mechanism state and its shared-state
+  accumulations (per-path smooth-loss fractions, burst volumes) are
+  updated row by row through per-scenario views, in the order above.
 
 Scenarios may have different durations: a world that reaches its own
 interval limit is removed from the *active mask* — its slots stop
@@ -45,7 +50,7 @@ stepping until every world is done.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,67 +68,89 @@ from repro.fluid.engine import (
     FluidResult,
     package_result,
 )
-from repro.fluid.params import (
-    FluidLinkSpec,
-    PathWorkload,
-    build_batch_link_arrays,
-)
+from repro.fluid.params import FluidLinkSpec, PathWorkload, build_link_arrays
 from repro.fluid.tcp import TcpArrayState
 from repro.fluid.traffic import SlotArrays
 from repro.measurement.records import RecordChunk, chunk_from_columns
 
 
-class _PolicerGroup:
-    """Token-bucket policers of one (link, class) across scenarios."""
+def _allocate_bursts(
+    rngs, num_paths, path_burst, path_send, slots_of_path, send, slot_burst
+) -> None:
+    """Allocate each path's burst-drop volume to its active flows.
 
-    __slots__ = (
-        "link", "bs", "tmask", "tmask_f", "rate_dt", "bucket", "tokens",
+    A droptail burst is a contiguous packet run, so it lands on one
+    randomly chosen flow per step (weighted by what each sent),
+    spilling to the next only when the burst exceeds the flow's
+    traffic — the weighted order without replacement comes from
+    Gumbel keys (Efraimidis–Spirakis). Paths are flat (``b·P + p``),
+    hence grouped by scenario; each scenario's uniforms are drawn in
+    one RNG call and sliced per path, which consumes the same stream
+    as one ``rng.random(len(members))`` per path (Generator.random
+    fills a buffer sequentially).
+    """
+    todo: Dict[int, list] = {}
+    for fp in np.nonzero((path_burst > 0.0) & (path_send > 0.0))[0]:
+        members = slots_of_path[fp]
+        weights = send[members]
+        present = weights > 0.0
+        if not present.any():
+            continue
+        todo.setdefault(fp // num_paths, []).append(
+            (fp, members[present], weights[present])
+        )
+    for b, paths in todo.items():
+        u_all = rngs[b].random(sum(len(m) for _, m, _ in paths))
+        pos = 0
+        for fp, members, weights in paths:
+            u = u_all[pos : pos + len(members)]
+            pos += len(members)
+            burst = min(path_burst[fp], path_send[fp])
+            order = (np.log(-np.log(u)) - np.log(weights)).argsort()
+            ordered = weights[order]
+            ahead = ordered.cumsum() - ordered
+            slot_burst[members[order]] = np.minimum(
+                ordered, np.maximum(burst - ahead, 0.0)
+            )
+
+
+def _by_scenario(idx, width):
+    """Split sorted flat slot indices into ``(scenario, indices)`` runs
+    (scenario ``b`` owns slots ``[b·width, (b+1)·width)``)."""
+    if not len(idx):
+        return []
+    first = int(idx[0]) // width
+    last = int(idx[-1]) // width
+    if first == last:
+        return [(first, idx)]
+    cuts = np.searchsorted(idx, np.arange(first + 1, last + 1) * width)
+    return [
+        (b, part)
+        for b, part in zip(range(first, last + 1), np.split(idx, cuts))
+        if len(part)
+    ]
+
+
+def _step_counts(dt, interval_seconds, warmup_seconds):
+    """Validate a session's timing; ``(steps/interval, warmup steps)``."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise EmulationError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(warmup_seconds) and warmup_seconds >= 0):
+        raise EmulationError(
+            f"warmup_seconds must be finite and >= 0, got {warmup_seconds}"
+        )
+    steps_per_interval = (
+        int(round(interval_seconds / dt))
+        if np.isfinite(interval_seconds)
+        else 0
     )
-
-    def __init__(self, link, bs, tmask, tmask_f, rate_dt, bucket, tokens):
-        self.link = link
-        self.bs = bs
-        self.tmask = tmask
-        self.tmask_f = tmask_f
-        self.rate_dt = rate_dt
-        self.bucket = bucket
-        self.tokens = tokens
-
-
-class _AqmGroup:
-    __slots__ = ("link", "bs", "tmask", "tmask_f", "minth", "ramp", "pmax")
-
-    def __init__(self, link, bs, tmask, tmask_f, minth, ramp, pmax):
-        self.link = link
-        self.bs = bs
-        self.tmask = tmask
-        self.tmask_f = tmask_f
-        self.minth = minth
-        self.ramp = ramp
-        self.pmax = pmax
-
-
-class _DualGroup:
-    """Dual-queue mechanisms (shaper / weighted) of one (link, class)."""
-
-    __slots__ = (
-        "link", "bs", "tmask_f", "t_rate_dt", "o_rate_dt", "cap_dt",
-        "t_buf", "o_buf", "work_conserving",
-    )
-
-    def __init__(
-        self, link, bs, tmask_f, t_rate_dt, o_rate_dt, cap_dt,
-        t_buf, o_buf, work_conserving,
-    ):
-        self.link = link
-        self.bs = bs
-        self.tmask_f = tmask_f
-        self.t_rate_dt = t_rate_dt
-        self.o_rate_dt = o_rate_dt
-        self.cap_dt = cap_dt
-        self.t_buf = t_buf
-        self.o_buf = o_buf
-        self.work_conserving = work_conserving
+    if steps_per_interval < 1 or abs(
+        steps_per_interval * dt - interval_seconds
+    ) > 1e-9:
+        raise EmulationError(
+            f"dt={dt} must divide interval_seconds={interval_seconds}"
+        )
+    return steps_per_interval, int(round(warmup_seconds / dt))
 
 
 class FluidBatchNetwork:
@@ -133,7 +160,7 @@ class FluidBatchNetwork:
         net: The shared network graph.
         classes: The shared class assignment.
         spec_sets: One per-link spec mapping per scenario (links not
-            mentioned get defaults, exactly like the single engine).
+            mentioned get defaults, exactly like a single run).
         workloads: The shared per-path traffic description.
         seeds: One emulation seed per scenario; scenario ``b``
             consumes the same RNG stream its single run would.
@@ -158,33 +185,47 @@ class FluidBatchNetwork:
             raise ConfigurationError(
                 f"got {len(spec_sets)} spec sets but {len(seeds)} seeds"
             )
-        # One single-engine instance per scenario performs the
-        # spec/workload validation, spec completion, and RNG
-        # construction — so batched scenarios cannot drift from the
-        # single engine in any of those.
-        self._templates = [
-            FluidNetwork(
-                net,
-                classes,
-                specs,
-                workloads,
-                seed=seed,
-                send_jitter_cv=send_jitter_cv,
-            )
-            for specs, seed in zip(spec_sets, seeds)
-        ]
-        self._net = net
-        self._classes = classes
-        self._workloads = dict(workloads)
-        self._spec_sets: List[Dict[str, FluidLinkSpec]] = [
-            t._link_specs for t in self._templates
-        ]
-        self._rngs = [t._rng for t in self._templates]
-        self._send_jitter_cv = send_jitter_cv
+        # One FluidNetwork per scenario performs the spec/workload
+        # validation, spec completion, and RNG construction, and holds
+        # the scenario's current specs and RNG for the program.
+        self._init_worlds(
+            [
+                FluidNetwork(
+                    net,
+                    classes,
+                    specs,
+                    workloads,
+                    seed=seed,
+                    send_jitter_cv=send_jitter_cv,
+                )
+                for specs, seed in zip(spec_sets, seeds)
+            ]
+        )
+
+    @classmethod
+    def _of_worlds(cls, worlds: Sequence[FluidNetwork]) -> "FluidBatchNetwork":
+        """A batch over existing :class:`FluidNetwork` instances.
+
+        The worlds must share the first one's network, classes,
+        workloads and jitter; each keeps its own specs and RNG (which
+        the batch consumes). ``FluidNetwork.session`` runs through
+        this at ``B = 1``.
+        """
+        batch = cls.__new__(cls)
+        batch._init_worlds(list(worlds))
+        return batch
+
+    def _init_worlds(self, worlds: List[FluidNetwork]) -> None:
+        first = worlds[0]
+        self._worlds = worlds
+        self._net = first._net
+        self._classes = first._classes
+        self._workloads = first._workloads
+        self._send_jitter_cv = first._send_jitter_cv
 
     @property
     def num_scenarios(self) -> int:
-        return len(self._templates)
+        return len(self._worlds)
 
     def run(
         self,
@@ -209,11 +250,10 @@ class FluidBatchNetwork:
                 f"duration_seconds must be a scalar or one value per "
                 f"scenario ({self.num_scenarios})"
             ) from None
-        if (durations <= 0).any():
+        if not (np.isfinite(durations) & (durations > 0)).all():
             raise EmulationError("duration must be positive")
-        limits = [
-            int(round(d / interval_seconds)) for d in durations
-        ]
+        _step_counts(dt, interval_seconds, warmup_seconds)  # validates
+        limits = [int(round(d / interval_seconds)) for d in durations]
         if min(limits) < 1:
             raise EmulationError("duration shorter than one interval")
         session = self.session(
@@ -251,160 +291,6 @@ class FluidBatchNetwork:
         )
 
     # ------------------------------------------------------------------
-    # Mechanism compilation (batched counterpart of the single
-    # engine's ``_compile_mechanisms``)
-    # ------------------------------------------------------------------
-
-    def _target_mask(self, path_ids, target_class: str) -> np.ndarray:
-        return np.array(
-            [
-                self._classes.class_of(pid) == target_class
-                for pid in path_ids
-            ]
-        )
-
-    def _compile(
-        self,
-        spec_sets,
-        path_ids,
-        link_ids,
-        dt: float,
-        prev_tokens: Optional[np.ndarray],
-        prev_policed: Optional[np.ndarray],
-    ):
-        """Lower per-scenario specs to batched per-step constants.
-
-        Pure (no RNG), like the single engine's compile: called once
-        at start and again at every spec swap. Token buckets carry
-        over per (scenario, link) that stays policed — clipped to the
-        new bucket — and start full elsewhere, exactly the single
-        engine's rule applied per scenario.
-        """
-        bla = build_batch_link_arrays(link_ids, spec_sets)
-        capacity = bla.capacity_pps
-        inv_capacity = 1.0 / capacity
-        cap_dt = capacity * dt
-        buffers = bla.buffer_packets
-        policers: List[_PolicerGroup] = []
-        aqms: List[_AqmGroup] = []
-        duals: List[_DualGroup] = []
-        for group in bla.groups:
-            l = group.link_index
-            bs = group.scenarios
-            cap_bl = capacity[bs, l]
-            tmask = self._target_mask(path_ids, group.target_class)
-            tmask_f = tmask.astype(float)
-            if group.family == "policer":
-                rate = (
-                    np.array([s.rate_fraction for s in group.specs])
-                    * cap_bl
-                )
-                bucket = (
-                    np.array([s.burst_seconds for s in group.specs])
-                    * rate
-                )
-                tokens = np.empty(len(bs))
-                for j, b in enumerate(bs):
-                    if prev_tokens is not None and prev_policed[b, l]:
-                        tokens[j] = min(
-                            float(prev_tokens[b, l]), bucket[j]
-                        )
-                    else:
-                        tokens[j] = bucket[j]
-                policers.append(
-                    _PolicerGroup(
-                        l, bs, tmask, tmask_f, rate * dt, bucket, tokens
-                    )
-                )
-            elif group.family == "aqm":
-                buf_bl = buffers[bs, l]
-                minth = (
-                    np.array(
-                        [s.min_threshold_fraction for s in group.specs]
-                    )
-                    * buf_bl
-                )
-                ramp = (
-                    np.array(
-                        [
-                            s.max_threshold_fraction
-                            - s.min_threshold_fraction
-                            for s in group.specs
-                        ]
-                    )
-                    * buf_bl
-                )
-                pmax = np.array(
-                    [s.max_drop_probability for s in group.specs]
-                )
-                aqms.append(
-                    _AqmGroup(l, bs, tmask, tmask_f, minth, ramp, pmax)
-                )
-            elif group.family == "shaper":
-                rf = np.array([s.rate_fraction for s in group.specs])
-                bufs = np.array([s.buffer_seconds for s in group.specs])
-                t_rate = rf * cap_bl
-                o_rate = (1.0 - rf) * cap_bl
-                duals.append(
-                    _DualGroup(
-                        l, bs, tmask_f, t_rate * dt, o_rate * dt, None,
-                        bufs * t_rate, bufs * o_rate,
-                        work_conserving=False,
-                    )
-                )
-            else:  # weighted
-                w = np.array([s.weight for s in group.specs])
-                bufs = np.array([s.buffer_seconds for s in group.specs])
-                t_rate = w * cap_bl
-                o_rate = (1.0 - w) * cap_bl
-                duals.append(
-                    _DualGroup(
-                        l, bs, tmask_f, t_rate * dt, o_rate * dt,
-                        cap_bl * dt, bufs * t_rate, bufs * o_rate,
-                        work_conserving=True,
-                    )
-                )
-        # Per-scenario dual-queue service shares, for reconciling
-        # standing backlog when a swap changes a link's mechanism
-        # family (mirrors the single engine's ``dual_shares``).
-        dual_shares: List[Dict[int, Tuple[float, float]]] = [
-            {} for _ in range(bla.num_scenarios)
-        ]
-        lindex = {lid: i for i, lid in enumerate(link_ids)}
-        for b, scenario_specs in enumerate(spec_sets):
-            for lid, spec in scenario_specs.items():
-                if spec.shaper is not None:
-                    dual_shares[b][lindex[lid]] = (
-                        spec.shaper.rate_fraction,
-                        1.0 - spec.shaper.rate_fraction,
-                    )
-                elif spec.weighted is not None:
-                    dual_shares[b][lindex[lid]] = (
-                        spec.weighted.weight,
-                        1.0 - spec.weighted.weight,
-                    )
-        return (
-            inv_capacity,
-            cap_dt,
-            buffers,
-            policers,
-            aqms,
-            duals,
-            bla.dual_mask,
-            bla.policed_mask,
-            dual_shares,
-        )
-
-    @staticmethod
-    def _dense_tokens(
-        policers: List[_PolicerGroup], shape: Tuple[int, int]
-    ) -> np.ndarray:
-        dense = np.zeros(shape)
-        for g in policers:
-            dense[g.bs, g.link] = g.tokens
-        return dense
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
 
@@ -415,142 +301,271 @@ class FluidBatchNetwork:
         steps_per_interval: int,
         warmup_steps: int,
     ):
-        """The lockstep emulation loop, yielding once per interval.
+        """The emulation loop, yielding once per closed interval.
 
-        A line-by-line batched transcription of
-        :meth:`FluidNetwork._interval_loop`; comments here focus on
-        the batching — see the single engine for the model rationale.
-        Every yield hands the session ``(B, …)`` column stacks; rows
-        of inactive scenarios carry unused zeros.
+        Each yield hands the session the interval's ``(B, …)``
+        per-path sent / lost / RTT columns and per-link ground-truth
+        columns; rows of inactive scenarios carry unused values. The
+        loop is open-ended: the consumer stops pulling when its run
+        (or stream segment) is complete. Pending link-spec swaps
+        (``session._pending``) are applied exactly at interval
+        boundaries and consume no randomness, so a segmented run with
+        no swaps is bit-identical to a one-shot run.
         """
+        worlds = self._worlds
+        rngs = [w._rng for w in worlds]
+        num_scenarios = len(worlds)
         net = self._net
-        rngs = self._rngs
-        num_scenarios = len(rngs)
         path_ids: List[str] = list(net.path_ids)
         link_ids: List[str] = list(net.link_ids)
         class_names = self._classes.names
         num_paths = len(path_ids)
         num_links = len(link_ids)
+        num_rows = num_scenarios * num_links
         lindex = {lid: i for i, lid in enumerate(link_ids)}
-
-        # --- static geometry (shared across scenarios) -----------------
-        inc_lp = np.zeros((num_links, num_paths))
-        path_link_rows: List[np.ndarray] = []
-        for p, pid in enumerate(path_ids):
-            row = np.array(
-                [lindex[lid] for lid in net.path(pid).links], dtype=np.intp
-            )
-            path_link_rows.append(row)
-            inc_lp[row, p] = 1.0
-        inc_pl = np.ascontiguousarray(inc_lp.T)
-        max_hops = max(len(r) for r in path_link_rows)
-        hops: List[Tuple[np.ndarray, np.ndarray]] = []
-        for d in range(max_hops):
-            pp = np.array(
-                [p for p in range(num_paths) if len(path_link_rows[p]) > d],
-                dtype=np.intp,
-            )
-            ll = np.array(
-                [path_link_rows[p][d] for p in pp], dtype=np.intp
-            )
-            hops.append((ll, pp))
         cindex = {cn: i for i, cn in enumerate(class_names)}
+
+        # --- static geometry -------------------------------------------
+        # Incidence (links × paths) for arrival scatter and its
+        # transpose for the per-scenario RTT matvec.
+        inc_lp = np.zeros((num_links, num_paths))
+        path_links: List[List[int]] = []
+        for p, pid in enumerate(path_ids):
+            path_links.append([lindex[lid] for lid in net.path(pid).links])
+            inc_lp[path_links[p], p] = 1.0
+        inc_pl = np.ascontiguousarray(inc_lp.T)
+        # Hop table for the attenuated-arrival walk: hop d of flat path
+        # b·P + p crosses flat link row hop_rows[d, b·P + p] (padded
+        # with the path's last hop past its end). walk[d] holds the
+        # volume entering hop d: the path's send, times (1 − drop
+        # fraction) of each earlier hop, multiplied in hop order.
+        max_hops = max(len(links) for links in path_links)
+        hop_rows = np.empty((max_hops, num_scenarios * num_paths), np.intp)
+        hop_cols = np.empty_like(hop_rows)
+        on_path = np.zeros(hop_rows.shape, dtype=bool)
+        for b in range(num_scenarios):
+            for p, links in enumerate(path_links):
+                padded = links + links[-1:] * (max_hops - len(links))
+                hop_rows[:, b * num_paths + p] = b * num_links + np.array(
+                    padded
+                )
+                hop_cols[:, b * num_paths + p] = p
+                on_path[: len(links), b * num_paths + p] = True
+        walk = np.empty(hop_rows.shape)
+        walk_pos = np.flatnonzero(on_path)
+        arr_rows = hop_rows.ravel()[walk_pos]
+        arr_cols = hop_cols.ravel()[walk_pos]
+        # Hops whose drop fraction attenuates a later hop's arrivals.
+        up_rows, up_cols, up_walk = hop_rows[:-1], hop_cols[:-1], walk[1:]
         class_onehot = np.zeros((num_paths, len(class_names)))
         for p, pid in enumerate(path_ids):
             class_onehot[p, cindex[self._classes.class_of(pid)]] = 1.0
-        base_rtt = np.array(
-            [self._workloads[pid].rtt_seconds for pid in path_ids]
+        base_rtt = np.tile(
+            [self._workloads[pid].rtt_seconds for pid in path_ids],
+            num_scenarios,
         )
 
-        # --- link state: (B, L) ----------------------------------------
-        queue = np.zeros((num_scenarios, num_links))
-        shaper_tq = np.zeros((num_scenarios, num_links))
-        shaper_oq = np.zeros((num_scenarios, num_links))
+        # --- link / path state (flat rows) -----------------------------
+        # The queues persist across mid-run spec swaps (a policy
+        # switch does not empty standing buffers); everything derived
+        # from the specs is rebuilt by ``compile_mechanisms``.
+        queue = np.zeros(num_rows)
+        shaper_tq = np.zeros(num_rows)
+        shaper_oq = np.zeros(num_rows)
+        path_smooth = np.zeros(num_scenarios * num_paths)
+        path_burst = np.zeros(num_scenarios * num_paths)
+        smooth_of = [
+            path_smooth[b * num_paths : (b + 1) * num_paths]
+            for b in range(num_scenarios)
+        ]
+        burst_of = [
+            path_burst[b * num_paths : (b + 1) * num_paths]
+            for b in range(num_scenarios)
+        ]
+        burst_of_row = [burst_of[r // num_links] for r in range(num_rows)]
+
+        target_masks: Dict[str, np.ndarray] = {}
+
+        def target_mask(target_class: str) -> np.ndarray:
+            if target_class not in target_masks:
+                target_masks[target_class] = np.array(
+                    [
+                        self._classes.class_of(pid) == target_class
+                        for pid in path_ids
+                    ]
+                )
+            return target_masks[target_class]
+
+        def compile_mechanisms(spec_sets, prev_tokens=None, prev_policers=()):
+            """Lower every scenario's link specs to per-row constants.
+
+            Pure (no RNG): called once at start and again whenever a
+            session swaps specs at an interval boundary. Token
+            buckets carry over for rows that stay policed (clipped to
+            the new bucket depth); newly policed rows start with a
+            full bucket, exactly like a fresh run.
+            """
+            per_scenario = [
+                build_link_arrays(link_ids, specs) for specs in spec_sets
+            ]
+            capacity = np.concatenate(
+                [la.capacity_pps for la in per_scenario]
+            )
+            buffers = np.concatenate(
+                [la.buffer_packets for la in per_scenario]
+            )
+            prev_policed = {r for r, *_ in prev_policers}
+            # Per-row token buckets as Python floats: the policer step
+            # is scalar arithmetic, cheaper on floats than on numpy
+            # scalars (same IEEE results).
+            tokens = [0.0] * num_rows
+            policers, aqms, shapers, weighted = [], [], [], []
+            # Per-dual-queue service shares (of capacity), for moving
+            # standing backlog between the common droptail queue and
+            # the virtual queues when a swap changes a row's
+            # mechanism family.
+            dual_shares = {}
+            for b, la in enumerate(per_scenario):
+                base = b * num_links
+                for l, pol in la.policers:
+                    r = base + l
+                    rate = float(pol.rate_fraction * capacity[r])
+                    bucket = pol.burst_seconds * rate
+                    tmask = target_mask(pol.target_class)
+                    policers.append(
+                        (r, rate * dt, bucket, tmask, tmask.astype(float),
+                         smooth_of[b])
+                    )
+                    if r in prev_policed:
+                        tokens[r] = min(prev_tokens[r], bucket)
+                    else:
+                        tokens[r] = bucket
+                for l, aq in la.aqms:
+                    r = base + l
+                    ramp = (
+                        aq.max_threshold_fraction - aq.min_threshold_fraction
+                    ) * buffers[r]
+                    tmask = target_mask(aq.target_class)
+                    aqms.append(
+                        (r, aq.min_threshold_fraction * buffers[r], ramp,
+                         aq.max_drop_probability, tmask, tmask.astype(float),
+                         smooth_of[b])
+                    )
+                for l, sh in la.shapers:
+                    r = base + l
+                    t_rate = sh.rate_fraction * capacity[r]
+                    o_rate = (1.0 - sh.rate_fraction) * capacity[r]
+                    shapers.append(
+                        (r, t_rate * dt, o_rate * dt,
+                         sh.buffer_seconds * t_rate,
+                         sh.buffer_seconds * o_rate,
+                         target_mask(sh.target_class).astype(float),
+                         burst_of[b])
+                    )
+                    dual_shares[r] = (sh.rate_fraction, 1.0 - sh.rate_fraction)
+                for l, ws in la.weighted:
+                    r = base + l
+                    t_rate = ws.weight * capacity[r]
+                    o_rate = (1.0 - ws.weight) * capacity[r]
+                    weighted.append(
+                        (r, t_rate * dt, o_rate * dt, capacity[r] * dt,
+                         ws.buffer_seconds * t_rate,
+                         ws.buffer_seconds * o_rate,
+                         target_mask(ws.target_class).astype(float),
+                         burst_of[b])
+                    )
+                    dual_shares[r] = (ws.weight, 1.0 - ws.weight)
+            # Rows whose traffic bypasses the common droptail queue:
+            # dual shapers and weighted-service links keep their own
+            # pair of virtual queues.
+            dual_rows = np.array(sorted(dual_shares), dtype=np.intp)
+            return (
+                1.0 / capacity, capacity * dt, buffers, tokens,
+                policers, aqms, shapers, weighted, dual_shares, dual_rows,
+            )
 
         (
-            inv_capacity, cap_dt, buffers, policers, aqms, duals,
-            dual_mask, policed_mask, dual_shares,
-        ) = self._compile(
-            self._spec_sets, path_ids, link_ids, dt, None, None
-        )
-        has_dual = bool(dual_mask.any())
+            inv_capacity, cap_dt, buffers, tokens,
+            policers, aqms, shapers, weighted, dual_shares, dual_rows,
+        ) = compile_mechanisms([w._link_specs for w in worlds])
 
-        # --- slot / TCP state: scenario axis folded into slots ---------
-        # Each scenario's slots are built from its own RNG (the single
-        # engine's first draws), then flattened to B·S.
+        # --- slot / TCP state ------------------------------------------
+        # Each scenario's slots are built from its own RNG (its first
+        # draws), then flattened to B·S.
         parts = [
             SlotArrays(self._workloads, path_ids, rng) for rng in rngs
         ]
         slots_per_scenario = len(parts[0])
         slots = SlotArrays.concat(parts, num_paths)
         num_slots = len(slots)
-        spath_flat = slots.path_index  # slot -> b * P + p
-        spath_local = parts[0].path_index
+        spath = slots.path_index  # slot -> b·P + p
         tcp = TcpArrayState(slots.is_cubic)
-        slots_of_path_local: List[np.ndarray] = [
-            np.nonzero(spath_local == p)[0] for p in range(num_paths)
+        slots_of_path: List[np.ndarray] = [
+            np.nonzero(spath == fp)[0]
+            for fp in range(num_scenarios * num_paths)
         ]
-        session._bind(slots, spath_flat)
+        session._bind(slots, spath)
 
         # --- accumulators ----------------------------------------------
+        shape_blp = (num_scenarios, num_links, num_paths)
         slot_sent_acc = np.zeros(num_slots)
         slot_lost_acc = np.zeros(num_slots)
-        rtt_acc = np.zeros((num_scenarios, num_paths))
-        link_arr_acc = np.zeros((num_scenarios, num_links, num_paths))
-        link_drop_acc = np.zeros((num_scenarios, num_links, num_paths))
+        rtt_acc = np.zeros(num_scenarios * num_paths)
+        link_arr_acc = np.zeros((num_rows, num_paths))
+        link_drop_acc = np.zeros((num_rows, num_paths))
+        link_arr_acc_3d = link_arr_acc.reshape(shape_blp)
+        link_drop_acc_3d = link_drop_acc.reshape(shape_blp)
 
         # --- per-step scratch ------------------------------------------
-        arrivals = np.zeros((num_scenarios, num_links, num_paths))
-        drop_frac = np.zeros((num_scenarios, num_links, num_paths))
-        drop_acc = np.zeros((num_scenarios, num_links, num_paths))
-        row_dropped = np.zeros((num_scenarios, num_links), dtype=bool)
-        dirty: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        path_smooth = np.zeros((num_scenarios, num_paths))
-        path_burst = np.zeros((num_scenarios, num_paths))
+        arrivals = np.zeros((num_rows, num_paths))
+        arrivals_3d = arrivals.reshape(shape_blp)
+        drop_frac = np.zeros((num_rows, num_paths))
+        dirty_frac_rows: List[int] = []
         slot_burst = np.zeros(num_slots)
-        qdelay = np.empty((num_scenarios, num_paths))
         smooth_dirty = False
         burst_dirty = False
+        # Column stacks for the RTT matvec: a stacked matmul issues one
+        # (P, L) @ (L,) GEMV per scenario.
+        scaled_3d = np.empty((num_scenarios, num_links, 1))
+        scaled = scaled_3d.reshape(-1)
+        qdelay_3d = np.empty((num_scenarios, num_paths, 1))
+        qdelay = qdelay_3d.reshape(-1)
         srtt = None
         srtt_gain = min(dt / SRTT_TIME_CONSTANT, 1.0)
-        jitter_block = np.zeros(
-            (_JITTER_BLOCK_STEPS, num_scenarios, slots_per_scenario)
-        )
+        jitter_block = np.empty((_JITTER_BLOCK_STEPS, num_slots))
         jitter_pos = _JITTER_BLOCK_STEPS
         jitter_cv = self._send_jitter_cv
         jitter_shape = 1.0 / (jitter_cv * jitter_cv) if jitter_cv > 0 else 0.0
-        next_start_min_b = slots.next_start.reshape(
-            num_scenarios, slots_per_scenario
-        ).min(axis=1)
-        # Scalar gate over all worlds: quiet steps skip the per-world
-        # start scan with one Python comparison (min is exact, so
-        # this cannot change which scans fire).
-        next_start_global = float(next_start_min_b.min())
-        path_smooth_flat = path_smooth.reshape(-1)
-        srtt_flat = None
-        # Reused per-step buffers (the single engine's temporaries,
-        # preallocated; op sequences — hence values — unchanged).
-        scaled = np.empty((num_scenarios, num_links))
-        instant = np.empty((num_scenarios, num_paths))
-        srtt_delta = np.empty((num_scenarios, num_paths))
-        rtt_slot = np.empty(num_slots)
-        send = np.empty(num_slots)
-        total_in = np.empty((num_scenarios, num_links))
+        # Earliest pending flow start among idle slots, so quiet steps
+        # skip the start scan with one float comparison.
+        next_start_min = float(slots.next_start.min())
+
+        def shed_overflow(r, q, buf, inflow, drop_rows, burst):
+            """Clamp a virtual queue to its buffer, shedding the
+            overflow pro rata over this step's inflow as a burst
+            drop. Returns the clamped queue."""
+            nonlocal burst_dirty
+            if q <= buf:
+                return q
+            overflow = q - buf
+            total = float(inflow.sum())
+            if total > 0.0:
+                f = min(overflow / total, 1.0)
+                burst_row = inflow * f
+                drop_rows[r] = drop_rows.get(r, 0.0) + burst_row
+                burst += burst_row
+                burst_dirty = True
+            return buf
 
         # --- active mask -----------------------------------------------
-        # end_step[b]: first step scenario b no longer executes (its
-        # single run ends after the last measured interval closes).
-        limits = session._limits
-        end_step = np.array(
-            [
-                np.inf
-                if lim is None
-                else warmup_steps + lim * steps_per_interval
-                for lim in limits
-            ]
-        )
-        active = np.ones(num_scenarios, dtype=bool)
-        act_idx = np.arange(num_scenarios)
+        # A scenario retires once its last measured interval closes
+        # (where its single run ends): retire_at maps an interval count
+        # to the scenarios whose limit it is.
+        retire_at: Dict[int, List[int]] = {}
+        for b, lim in enumerate(session._limits):
+            if lim is not None:
+                retire_at.setdefault(lim, []).append(b)
+        act_idx = list(range(num_scenarios))
 
         def deactivate(b: int) -> None:
             """Freeze a finished world: no sends, no events, no RNG."""
@@ -558,9 +573,8 @@ class FluidBatchNetwork:
             seg_idx = np.arange(lo, lo + slots_per_scenario)
             slots.remaining[seg_idx] = 0.0
             slots.next_start[seg_idx] = np.inf
-            next_start_min_b[b] = np.inf
             tcp.reset(seg_idx)
-            active[b] = False
+            act_idx.remove(b)
 
         intervals_emitted = 0
         step = 0
@@ -572,142 +586,80 @@ class FluidBatchNetwork:
                     and (step - warmup_steps) % steps_per_interval == 0
                 )
             ):
-                pending = session._pending
-                new_sets = [
-                    p if p is not None else cur
-                    for p, cur in zip(pending, self._spec_sets)
-                ]
+                for world, specs in zip(worlds, session._pending):
+                    if specs is not None:
+                        world._link_specs = specs
                 old_dual = dual_shares
-                prev_tokens = self._dense_tokens(
-                    policers, (num_scenarios, num_links)
-                )
                 (
-                    inv_capacity, cap_dt, buffers, policers, aqms,
-                    duals, dual_mask, policed_mask, dual_shares,
-                ) = self._compile(
-                    new_sets, path_ids, link_ids, dt,
-                    prev_tokens, policed_mask,
+                    inv_capacity, cap_dt, buffers, tokens,
+                    policers, aqms, shapers, weighted, dual_shares, dual_rows,
+                ) = compile_mechanisms(
+                    [w._link_specs for w in worlds], tokens, policers
                 )
-                has_dual = bool(dual_mask.any())
-                # Standing backlog follows the queueing discipline
-                # across the swap, per scenario (single engine rule:
-                # off-swap folds virtual queues into the droptail
-                # queue, on-swap splits droptail backlog by service
-                # share). Only swapped scenarios are touched.
-                for b, spec in enumerate(pending):
-                    if spec is None:
-                        continue
-                    for l in old_dual[b]:
-                        if l not in dual_shares[b]:
-                            queue[b, l] += shaper_tq[b, l] + shaper_oq[b, l]
-                            shaper_tq[b, l] = 0.0
-                            shaper_oq[b, l] = 0.0
-                    for l, (t_share, o_share) in dual_shares[b].items():
-                        if l not in old_dual[b] and queue[b, l] > 0.0:
-                            shaper_tq[b, l] += queue[b, l] * t_share
-                            shaper_oq[b, l] += queue[b, l] * o_share
-                            queue[b, l] = 0.0
-                self._spec_sets = new_sets
-                session._spec_sets = new_sets
+                # Standing backlog follows the row's queueing
+                # discipline across the swap: a row that stops
+                # running a dual mechanism folds its virtual queues
+                # back into the common droptail queue (the next
+                # overfull check clamps any excess), and a row that
+                # starts one hands its droptail backlog to the
+                # virtual queues split by their service shares — no
+                # buffered traffic is stranded or double-served.
+                # Unswapped scenarios keep their rows, so nothing of
+                # theirs moves.
+                for r in old_dual:
+                    if r not in dual_shares:
+                        queue[r] += shaper_tq[r] + shaper_oq[r]
+                        shaper_tq[r] = 0.0
+                        shaper_oq[r] = 0.0
+                for r, (t_share, o_share) in dual_shares.items():
+                    if r not in old_dual and queue[r] > 0.0:
+                        shaper_tq[r] += queue[r] * t_share
+                        shaper_oq[r] += queue[r] * o_share
+                        queue[r] = 0.0
                 session._pending = None
             now = step * dt
             measuring = step >= warmup_steps
 
-            # 0. Per-flow send jitter, per-scenario blocks (each
-            #    scenario's gamma stream matches its single run).
+            # 0. Per-flow send jitter, drawn in per-scenario blocks,
+            #    pre-scaled by dt.
             if jitter_pos == _JITTER_BLOCK_STEPS:
                 for b in act_idx:
+                    seg = slice(
+                        b * slots_per_scenario, (b + 1) * slots_per_scenario
+                    )
                     if jitter_cv > 0:
                         blk = rngs[b].gamma(
                             jitter_shape,
                             1.0 / jitter_shape,
-                            size=(
-                                _JITTER_BLOCK_STEPS,
-                                slots_per_scenario,
-                            ),
+                            size=(_JITTER_BLOCK_STEPS, slots_per_scenario),
                         )
                         blk *= dt
-                        jitter_block[:, b, :] = blk
+                        jitter_block[:, seg] = blk
                     else:
-                        jitter_block[:, b, :] = dt
+                        jitter_block[:, seg] = dt
                 jitter_pos = 0
-            jit_flat = jitter_block[jitter_pos].reshape(-1)
+            jit_dt = jitter_block[jitter_pos]
             jitter_pos += 1
 
-            # 1. Effective RTTs. The queueing-delay matvec must be
-            #    the single engine's exact GEMV, so it loops over
-            #    active scenarios (GEMM rows are not bit-identical
-            #    to GEMV on all BLAS kernels).
-            if has_dual:
-                occupancy = queue + shaper_tq + shaper_oq
-            else:
-                occupancy = queue
-            np.multiply(occupancy, inv_capacity, out=scaled)
-            for b in act_idx:
-                # np.matmul with ``out`` is the same gufunc (hence
-                # the same GEMV result) as ``@`` minus the temp.
-                np.matmul(inc_pl, scaled[b], out=qdelay[b])
-            np.add(base_rtt, qdelay, out=instant)
-            if srtt is None:
-                srtt = instant.copy()
-                srtt_flat = srtt.reshape(-1)
-            else:
-                np.subtract(instant, srtt, out=srtt_delta)
-                srtt_delta *= srtt_gain
-                srtt += srtt_delta
-            if measuring:
-                rtt_acc += instant
-
-            # 2. Start pending flows (per-scenario RNG), then offers.
-            if now >= next_start_global:
-                for b in (next_start_min_b <= now).nonzero()[0]:
-                    lo = b * slots_per_scenario
-                    seg = slice(lo, lo + slots_per_scenario)
-                    startable = (slots.remaining[seg] <= 0.0) & (
-                        slots.next_start[seg] <= now
-                    )
-                    idx = startable.nonzero()[0] + lo
-                    slots.start_flows(idx, rngs[b])
-                    tcp.reset(idx)
-                    idle = slots.remaining[seg] <= 0.0
-                    next_start_min_b[b] = (
-                        float(slots.next_start[seg][idle].min())
-                        if np.count_nonzero(idle)
-                        else np.inf
-                    )
-                next_start_global = float(next_start_min_b.min())
-            np.take(srtt_flat, spath_flat, out=rtt_slot)
-            rtt_slot *= slots.rtt_factor
-            np.maximum(rtt_slot, 1e-3, out=rtt_slot)
-            np.multiply(tcp.cwnd, jit_flat, out=send)
-            send /= rtt_slot
-            np.minimum(send, slots.remaining, out=send)
-            sending = send > 0.0
-            path_send = np.bincount(
-                spath_flat,
-                weights=send,
-                minlength=num_scenarios * num_paths,
-            ).reshape(num_scenarios, num_paths)
-
-            # 3. Per-link, per-path arrivals with upstream-drop
-            #    attenuation (shared hop walk; per-scenario values).
-            if dirty is not None:
-                volume = path_send.copy()
-                for link_row, path_row in hops:
-                    v = volume[:, path_row]
-                    arrivals[:, link_row, path_row] = v
-                    volume[:, path_row] = v * (
-                        1.0 - drop_frac[:, link_row, path_row]
-                    )
-                drop_frac[dirty] = 0.0
-                dirty = None
-            else:
-                np.multiply(
-                    inc_lp, path_send[:, None, :], out=arrivals
+            # 2. Start pending flows (per-scenario RNG; hoisted above
+            #    the RTT update, which consumes no RNG and shares no
+            #    state with the scan).
+            if now >= next_start_min:
+                startable = (slots.remaining <= 0.0) & (
+                    slots.next_start <= now
                 )
-            arrivals.sum(axis=2, out=total_in)
+                idx = startable.nonzero()[0]
+                for b, sub in _by_scenario(idx, slots_per_scenario):
+                    slots.start_flows(sub, rngs[b])
+                tcp.reset(idx)
+                idle = slots.remaining <= 0.0
+                next_start_min = (
+                    float(slots.next_start[idle].min())
+                    if np.count_nonzero(idle)
+                    else np.inf
+                )
 
-            # 4. Serve links: mechanism groups in family/link order.
+            # Clear the previous step's loss attribution.
             if smooth_dirty:
                 path_smooth[:] = 0.0
                 smooth_dirty = False
@@ -715,198 +667,181 @@ class FluidBatchNetwork:
                 path_burst[:] = 0.0
                 slot_burst[:] = 0.0
                 burst_dirty = False
-            queue_in = total_in  # adjusted in place below
-            for g in policers:
-                refilled = np.minimum(g.bucket, g.tokens + g.rate_dt)
-                if len(g.bs) == num_scenarios:
-                    rows = arrivals[:, g.link, :]  # view, same values
-                else:
-                    rows = arrivals[g.bs, g.link]
-                tmask_f = g.tmask_f
-                demand = np.empty(len(g.bs))
-                dot = np.dot  # same kernel as the single @
-                for j in range(len(g.bs)):
-                    demand[j] = dot(rows[j], tmask_f)
-                allowed = np.minimum(demand, refilled)
-                g.tokens[:] = refilled - allowed
-                excess = demand - allowed
-                shedding = excess > 0.0
-                if shedding.any():
-                    js = shedding.nonzero()[0]
-                    bsh = g.bs[js]
-                    f = excess[js] / demand[js]
-                    shed = rows[js] * g.tmask_f
-                    shed *= f[:, None]
-                    drop_acc[bsh, g.link] += shed
-                    row_dropped[bsh, g.link] = True
-                    queue_in[bsh, g.link] -= excess[js]
-                    present = g.tmask & (rows[js] > 0.0)
-                    sub = path_smooth[bsh]
-                    upd = 1.0 - (1.0 - sub) * (1.0 - f[:, None])
-                    path_smooth[bsh] = np.where(present, upd, sub)
-                    smooth_dirty = True
-            for g in aqms:
-                f = g.pmax * np.minimum(
-                    np.maximum((queue[g.bs, g.link] - g.minth) / g.ramp, 0.0),
-                    1.0,
+
+            # 1. Effective RTTs: queueing delay along the path on top
+            #    of the base, smoothed per path (EWMA, time constant
+            #    SRTT_TIME_CONSTANT).
+            if dual_shares:
+                occupancy = queue + shaper_tq + shaper_oq
+            else:
+                occupancy = queue
+            np.multiply(occupancy, inv_capacity, out=scaled)
+            np.matmul(inc_pl, scaled_3d, out=qdelay_3d)
+            instant = base_rtt + qdelay
+            if srtt is None:
+                srtt = instant.copy()
+            else:
+                srtt += srtt_gain * (instant - srtt)
+            if measuring:
+                rtt_acc += instant
+
+            # 2b. Per-slot offers.
+            rtt_slot = srtt[spath]
+            rtt_slot *= slots.rtt_factor
+            np.maximum(rtt_slot, 1e-3, out=rtt_slot)
+            send = tcp.cwnd * jit_dt / rtt_slot
+            np.minimum(send, slots.remaining, out=send)
+            sending = send > 0.0
+            path_send = np.bincount(
+                spath, weights=send, minlength=num_scenarios * num_paths
+            )
+
+            # 3. Per-link, per-path arrivals, attenuated by upstream
+            #    drops (the previous step's per-row drop fractions
+            #    stand in for this step's).
+            if dirty_frac_rows:
+                walk[0] = path_send
+                np.subtract(1.0, drop_frac[up_rows, up_cols], out=up_walk)
+                np.multiply.accumulate(walk, axis=0, out=walk)
+                arrivals[arr_rows, arr_cols] = walk.take(walk_pos)
+                drop_frac[dirty_frac_rows] = 0.0
+                dirty_frac_rows = []
+            else:
+                np.multiply(
+                    inc_lp,
+                    path_send.reshape(num_scenarios, 1, num_paths),
+                    out=arrivals_3d,
                 )
-                on = f > 0.0
-                if not on.any():
+            total_in = arrivals.sum(axis=1)
+
+            # 4. Serve links. "Smooth" drops (policer shedding, AQM)
+            #    hit every flow of a path proportionally; "burst"
+            #    drops (queue overflow) land on single flows.
+            drop_rows: Dict[int, np.ndarray] = {}
+            queue_in = total_in  # adjusted in place below
+            for r, rate_dt, bucket, tmask, tmask_f, smooth in policers:
+                refilled = min(bucket, tokens[r] + rate_dt)
+                row = arrivals[r]
+                demand = float(row @ tmask_f)
+                allowed = demand if demand <= refilled else refilled
+                tokens[r] = refilled - allowed
+                excess = demand - allowed
+                if excess > 0.0:
+                    # Continuous shedding: proportional over policed
+                    # paths, i.e. the same fraction for each.
+                    f = excess / demand
+                    shed = row * tmask_f
+                    shed *= f
+                    drop_rows[r] = shed
+                    queue_in[r] -= excess
+                    present = tmask & (row > 0.0)
+                    smooth[present] = 1.0 - (1.0 - smooth[present]) * (
+                        1.0 - f
+                    )
+                    smooth_dirty = True
+            for r, minth, ramp, pmax, tmask, tmask_f, smooth in aqms:
+                # RED-style early drop of the targeted class: the
+                # expected shed fraction ramps with the droptail
+                # queue's fill level, applied deterministically.
+                f = pmax * min(max((queue[r] - minth) / ramp, 0.0), 1.0)
+                if f <= 0.0:
                     continue
-                js = on.nonzero()[0]
-                rows = arrivals[g.bs[js], g.link]
-                shed = rows * g.tmask_f
-                demand = shed.sum(axis=1)
-                pos = demand > 0.0
-                if not pos.any():
+                row = arrivals[r]
+                shed = row * tmask_f
+                demand = float(shed.sum())
+                if demand <= 0.0:
                     continue
-                js = js[pos]
-                bsh = g.bs[js]
-                fj = f[js][:, None]
-                shed = shed[pos]
-                shed *= fj
-                drop_acc[bsh, g.link] += shed
-                row_dropped[bsh, g.link] = True
-                queue_in[bsh, g.link] -= f[js] * demand[pos]
-                present = g.tmask & (rows[pos] > 0.0)
-                sub = path_smooth[bsh]
-                upd = 1.0 - (1.0 - sub) * (1.0 - fj)
-                path_smooth[bsh] = np.where(present, upd, sub)
+                shed *= f
+                drop_rows[r] = drop_rows.get(r, 0.0) + shed
+                queue_in[r] -= f * demand
+                present = tmask & (row > 0.0)
+                smooth[present] = 1.0 - (1.0 - smooth[present]) * (1.0 - f)
                 smooth_dirty = True
-            for g in duals:
-                rows = arrivals[g.bs, g.link]
-                t_in = rows * g.tmask_f
-                o_in = rows - t_in
-                t_sums = t_in.sum(axis=1)
-                o_sums = o_in.sum(axis=1)
-                if g.work_conserving:
-                    t_total = shaper_tq[g.bs, g.link] + t_sums
-                    o_total = shaper_oq[g.bs, g.link] + o_sums
-                    t_served = np.minimum(t_total, g.t_rate_dt)
-                    o_served = np.minimum(o_total, g.o_rate_dt)
-                    spare = g.cap_dt - t_served - o_served
-                    has_spare = spare > 0.0
-                    if has_spare.any():
-                        extra_o = np.where(
-                            has_spare,
-                            np.minimum(spare, o_total - o_served),
-                            0.0,
-                        )
-                        o_served = o_served + extra_o
-                        spare = spare - extra_o
-                        t_served = t_served + np.where(
-                            has_spare,
-                            np.minimum(spare, t_total - t_served),
-                            0.0,
-                        )
-                    queues = (
-                        (t_total - t_served, t_in, t_sums, g.t_buf,
-                         shaper_tq),
-                        (o_total - o_served, o_in, o_sums, g.o_buf,
-                         shaper_oq),
+            for r, t_rate_dt, o_rate_dt, t_buf, o_buf, tmask_f, burst \
+                    in shapers:
+                row = arrivals[r]
+                t_in = row * tmask_f
+                o_in = row - t_in
+                for q_arr, inflow, served, buf in (
+                    (shaper_tq, t_in, t_rate_dt, t_buf),
+                    (shaper_oq, o_in, o_rate_dt, o_buf),
+                ):
+                    q = q_arr[r] + float(inflow.sum())
+                    q -= min(q, served)
+                    q_arr[r] = shed_overflow(
+                        r, q, buf, inflow, drop_rows, burst
                     )
-                else:
-                    tq = shaper_tq[g.bs, g.link] + t_sums
-                    tq -= np.minimum(tq, g.t_rate_dt)
-                    oq = shaper_oq[g.bs, g.link] + o_sums
-                    oq -= np.minimum(oq, g.o_rate_dt)
-                    queues = (
-                        (tq, t_in, t_sums, g.t_buf, shaper_tq),
-                        (oq, o_in, o_sums, g.o_buf, shaper_oq),
+            for r, t_rate_dt, o_rate_dt, cap_r_dt, t_buf, o_buf, \
+                    tmask_f, burst in weighted:
+                row = arrivals[r]
+                t_in = row * tmask_f
+                o_in = row - t_in
+                t_total = shaper_tq[r] + float(t_in.sum())
+                o_total = shaper_oq[r] + float(o_in.sum())
+                # Work-conserving weighted service: each virtual
+                # queue is guaranteed its share; whatever one queue
+                # cannot use, the other absorbs (capped at total
+                # capacity).
+                t_served = min(t_total, t_rate_dt)
+                o_served = min(o_total, o_rate_dt)
+                spare = cap_r_dt - t_served - o_served
+                if spare > 0.0:
+                    extra_o = min(spare, o_total - o_served)
+                    o_served += extra_o
+                    spare -= extra_o
+                    t_served += min(spare, t_total - t_served)
+                for q_val, inflow, buf, q_arr in (
+                    (t_total - t_served, t_in, t_buf, shaper_tq),
+                    (o_total - o_served, o_in, o_buf, shaper_oq),
+                ):
+                    q_arr[r] = shed_overflow(
+                        r, q_val, buf, inflow, drop_rows, burst
                     )
-                for q, inflow, sums, buf, q_arr in queues:
-                    over = q > buf
-                    if over.any():
-                        js = over.nonzero()[0]
-                        overflow = q[js] - buf[js]
-                        totals = sums[js]
-                        pos = totals > 0.0
-                        if pos.any():
-                            k = js[pos]
-                            fsub = np.minimum(
-                                overflow[pos] / totals[pos], 1.0
-                            )
-                            burst = inflow[k] * fsub[:, None]
-                            bsel = g.bs[k]
-                            drop_acc[bsel, g.link] += burst
-                            row_dropped[bsel, g.link] = True
-                            path_burst[bsel] += burst
-                            burst_dirty = True
-                        q[js] = buf[js]
-                    q_arr[g.bs, g.link] = q
-            if has_dual:
-                queue_in[dual_mask] = 0.0
-            # Droptail FIFO on the common queues.
+            if dual_shares:
+                queue_in[dual_rows] = 0.0
+            # Droptail FIFO on the common queues: serve at capacity,
+            # spill the overflow pro rata over this step's arrivals.
             queue += queue_in
             queue -= np.minimum(queue, cap_dt)
             overfull = queue > buffers
             if np.count_nonzero(overfull):
-                ob, ol = overfull.nonzero()
-                overflow_v = queue[ob, ol] - buffers[ob, ol]
-                queue[ob, ol] = buffers[ob, ol]
-                totals = queue_in[ob, ol]
-                pos = totals > 0.0
-                if pos.any():
-                    ob = ob[pos]
-                    ol = ol[pos]
-                    f = np.minimum(overflow_v[pos] / totals[pos], 1.0)
-                    # With a dense zero-initialized drop accumulator,
-                    # "arrivals minus drops so far" covers both the
-                    # fresh-row and already-shedding cases of the
-                    # single engine bitwise (x - 0.0 == x).
-                    burst = (
-                        arrivals[ob, ol] - drop_acc[ob, ol]
-                    ) * f[:, None]
-                    drop_acc[ob, ol] += burst
-                    row_dropped[ob, ol] = True
-                    # Ordered scatter-add: one scenario may overflow
-                    # several links; np.add.at applies them in the
-                    # single engine's link order.
-                    np.add.at(path_burst, ob, burst)
-                    burst_dirty = True
-            db, dl = row_dropped.nonzero()
-            if len(db):
-                drows = drop_acc[db, dl]
-                drop_frac[db, dl] = np.minimum(
-                    drows / np.maximum(arrivals[db, dl], 1e-300), 1.0
-                )
-                dirty = (db, dl)
-                if measuring:
-                    link_drop_acc[db, dl] += drows
-                drop_acc[db, dl] = 0.0
-                row_dropped[db, dl] = False
-
-            # 5. Allocate burst volume to flows (per-scenario RNG,
-            #    paths ascending within each scenario).
-            if burst_dirty:
-                cand = (path_burst > 0.0) & (path_send > 0.0)
-                for b, p in zip(*cand.nonzero()):
-                    burst = min(
-                        float(path_burst[b, p]), float(path_send[b, p])
-                    )
-                    members = (
-                        slots_of_path_local[p] + b * slots_per_scenario
-                    )
-                    weights = send[members]
-                    present = weights > 0.0
-                    if not present.any():
+                for r in overfull.nonzero()[0]:
+                    overflow = queue[r] - buffers[r]
+                    queue[r] = buffers[r]
+                    total = queue_in[r]
+                    if total <= 0.0:
                         continue
-                    members = members[present]
-                    weights = weights[present]
-                    u = rngs[b].random(len(members))
-                    order = (
-                        np.log(-np.log(u)) - np.log(weights)
-                    ).argsort()
-                    ordered = weights[order]
-                    ahead = ordered.cumsum() - ordered
-                    slot_burst[members[order]] = np.minimum(
-                        ordered, np.maximum(burst - ahead, 0.0)
+                    f = min(overflow / total, 1.0)
+                    if r in drop_rows:
+                        burst_row = (arrivals[r] - drop_rows[r]) * f
+                        drop_rows[r] = drop_rows[r] + burst_row
+                    else:
+                        burst_row = arrivals[r] * f
+                        drop_rows[r] = burst_row
+                    burst_of_row[r] += burst_row
+                    burst_dirty = True
+            if drop_rows:
+                for r, drow in drop_rows.items():
+                    # Zero arrivals imply zero drops, so the guarded
+                    # denominator never manufactures a fraction.
+                    drop_frac[r] = np.minimum(
+                        drow / np.maximum(arrivals[r], 1e-300), 1.0
                     )
+                    dirty_frac_rows.append(r)
+                    if measuring:
+                        link_drop_acc[r] += drow
 
-            # 6. TCP reactions, completions, accounting (flattened:
-            #    every op is per-slot, so scenarios cannot mix).
+            # 5. Allocate each path's burst volume to its flows.
+            if burst_dirty:
+                _allocate_bursts(
+                    rngs, num_paths, path_burst, path_send, slots_of_path,
+                    send, slot_burst,
+                )
+
+            # 6. TCP reactions, flow completion, path accounting (every
+            #    op is per-slot, so scenarios cannot mix).
             if smooth_dirty or burst_dirty:
-                lost = send * path_smooth_flat[spath_flat]
+                lost = send * path_smooth[spath]
                 if burst_dirty:
                     lost += slot_burst
                 np.minimum(lost, send, out=lost)
@@ -918,56 +853,43 @@ class FluidBatchNetwork:
             slots.remaining -= delivered
             completed = sending & (slots.remaining <= 1e-9)
             if np.count_nonzero(completed):
-                comp2d = completed.reshape(
-                    num_scenarios, slots_per_scenario
+                idx = completed.nonzero()[0]
+                for b, sub in _by_scenario(idx, slots_per_scenario):
+                    slots.complete_flows(sub, now, rngs[b])
+                next_start_min = min(
+                    next_start_min, float(slots.next_start[idx].min())
                 )
-                for b in comp2d.any(axis=1).nonzero()[0]:
-                    idx = (
-                        comp2d[b].nonzero()[0] + b * slots_per_scenario
-                    )
-                    slots.complete_flows(idx, now, rngs[b])
-                    next_start_min_b[b] = min(
-                        next_start_min_b[b],
-                        float(slots.next_start[idx].min()),
-                    )
-                    next_start_global = min(
-                        next_start_global, next_start_min_b[b]
-                    )
             if measuring:
                 slot_sent_acc += send
                 if lost is not None:
                     slot_lost_acc += lost
                 link_arr_acc += arrivals
 
-                # 7. Close the interval: hand the session the column
-                #    stacks, then retire worlds at their limit.
+                # 7. Close the interval: hand the session this
+                #    interval's columns, reset the accumulators, then
+                #    retire worlds at their limit.
                 if (step - warmup_steps + 1) % steps_per_interval == 0:
-                    sent_col = np.bincount(
-                        spath_flat,
-                        weights=slot_sent_acc,
-                        minlength=num_scenarios * num_paths,
-                    ).reshape(num_scenarios, num_paths)
-                    lost_col = np.bincount(
-                        spath_flat,
-                        weights=slot_lost_acc,
-                        minlength=num_scenarios * num_paths,
-                    ).reshape(num_scenarios, num_paths)
-                    arr_cls = np.zeros(
-                        (num_scenarios, num_links, len(class_names))
-                    )
-                    drop_cls = np.zeros_like(arr_cls)
-                    for b in act_idx:
-                        # Same contiguous (L, P) @ (P, C) GEMM as the
-                        # single engine's interval close.
-                        arr_cls[b] = link_arr_acc[b] @ class_onehot
-                        drop_cls[b] = link_drop_acc[b] @ class_onehot
                     yield (
-                        sent_col,
-                        lost_col,
-                        rtt_acc / steps_per_interval,
-                        arr_cls,
-                        drop_cls,
-                        queue + shaper_tq + shaper_oq,
+                        np.bincount(
+                            spath,
+                            weights=slot_sent_acc,
+                            minlength=num_scenarios * num_paths,
+                        ).reshape(num_scenarios, num_paths),
+                        np.bincount(
+                            spath,
+                            weights=slot_lost_acc,
+                            minlength=num_scenarios * num_paths,
+                        ).reshape(num_scenarios, num_paths),
+                        (rtt_acc / steps_per_interval).reshape(
+                            num_scenarios, num_paths
+                        ),
+                        # A stacked matmul issues one (L, P) @ (P, C)
+                        # GEMM per scenario, whatever B is.
+                        link_arr_acc_3d @ class_onehot,
+                        link_drop_acc_3d @ class_onehot,
+                        (queue + shaper_tq + shaper_oq).reshape(
+                            num_scenarios, num_links
+                        ),
                     )
                     slot_sent_acc[:] = 0.0
                     slot_lost_acc[:] = 0.0
@@ -975,15 +897,8 @@ class FluidBatchNetwork:
                     link_arr_acc[:] = 0.0
                     link_drop_acc[:] = 0.0
                     intervals_emitted += 1
-                    retiring = active & (
-                        end_step
-                        <= warmup_steps
-                        + intervals_emitted * steps_per_interval
-                    )
-                    if retiring.any():
-                        for b in retiring.nonzero()[0]:
-                            deactivate(b)
-                        act_idx = active.nonzero()[0]
+                    for b in retire_at.pop(intervals_emitted, ()):
+                        deactivate(b)
             step += 1
 
 
@@ -1011,13 +926,9 @@ class FluidBatchSession:
         keep_ground_truth: bool = True,
         interval_limits: Optional[Sequence[int]] = None,
     ) -> None:
-        steps_per_interval = int(round(interval_seconds / dt))
-        if steps_per_interval < 1 or abs(
-            steps_per_interval * dt - interval_seconds
-        ) > 1e-9:
-            raise EmulationError(
-                f"dt={dt} must divide interval_seconds={interval_seconds}"
-            )
+        steps_per_interval, warmup_steps = _step_counts(
+            dt, interval_seconds, warmup_seconds
+        )
         num = sim.num_scenarios
         if interval_limits is None:
             limits: List[Optional[int]] = [None] * num
@@ -1043,9 +954,8 @@ class FluidBatchSession:
         self._pending: Optional[List[Optional[Dict[str, FluidLinkSpec]]]] = (
             None
         )
-        self._spec_sets = sim._spec_sets
         self._gen = sim._interval_loop(
-            self, dt, steps_per_interval, int(round(warmup_seconds / dt))
+            self, dt, steps_per_interval, warmup_steps
         )
         self._slots = None
         self._spath = None
@@ -1071,9 +981,11 @@ class FluidBatchSession:
         self._drop_cols: List[np.ndarray] = []
         self._occ_cols: List[np.ndarray] = []
         self.intervals_done = 0
-        # Same once-per-session telemetry contract as FluidSession;
-        # the per-scenario RNG proxies are pure pass-throughs, so all
-        # scenario streams stay bit-identical to single runs.
+        # Telemetry enablement is sampled once per session: the
+        # disabled path costs one boolean and nothing else. The RNG
+        # proxies forward every call to the same Generators, so every
+        # scenario's draw stream (and all records) stay bit-identical
+        # with telemetry on or off.
         self._tel = telemetry.enabled()
         if self._tel:
             reg = telemetry.get_registry()
@@ -1093,15 +1005,18 @@ class FluidBatchSession:
                 "repro_engine_rng_draws_total",
                 "RNG method calls made by the engine", substrate="fluid",
             )
-            for b, rng in enumerate(sim._rngs):
-                if not isinstance(rng, telemetry.CountingRNG):
-                    sim._rngs[b] = telemetry.CountingRNG(rng, rng_counter)
+            for world in sim._worlds:
+                if not isinstance(world._rng, telemetry.CountingRNG):
+                    world._rng = telemetry.CountingRNG(
+                        world._rng, rng_counter
+                    )
 
     @property
     def num_scenarios(self) -> int:
         return self._sim.num_scenarios
 
     def _bind(self, slots, spath) -> None:
+        """Called by the loop once its state exists (first advance)."""
         self._slots = slots
         self._spath = spath
 
@@ -1124,18 +1039,28 @@ class FluidBatchSession:
         otherwise only the given world swaps (the others' mechanism
         state — token buckets, virtual queues — carries over
         untouched, so their streams stay bit-identical to unswapped
-        single runs). Validation and completion are the single
-        engine's.
+        single runs). The mapping is validated and completed exactly
+        like the constructor's (unspecified links revert to
+        defaults). Queues and in-flight flow state carry over; token
+        buckets persist for links that stay policed and start full
+        for newly policed links.
         """
-        completed = self._sim._templates[
-            scenario if scenario is not None else 0
-        ]._complete_specs(link_specs)
-        if self._pending is None:
-            self._pending = [None] * self.num_scenarios
+        worlds = self._sim._worlds
+        if scenario is not None and (
+            isinstance(scenario, bool)
+            or not isinstance(scenario, (int, np.integer))
+            or not 0 <= scenario < len(worlds)
+        ):
+            raise ConfigurationError(
+                f"scenario must be an index in [0, {len(worlds)}), "
+                f"got {scenario!r}"
+            )
+        completed = worlds[scenario or 0]._complete_specs(link_specs)
         if scenario is None:
-            for b in range(self.num_scenarios):
-                self._pending[b] = completed
+            self._pending = [completed] * len(worlds)
         else:
+            if self._pending is None:
+                self._pending = [None] * len(worlds)
             self._pending[scenario] = completed
         if self._tel:
             self._tel_swaps.inc()
@@ -1245,31 +1170,3 @@ class FluidBatchSession:
     def results(self) -> List[FluidResult]:
         """Every scenario's :class:`FluidResult`, in scenario order."""
         return [self.result(b) for b in range(self.num_scenarios)]
-
-
-def run_batch(
-    net: Network,
-    classes: ClassAssignment,
-    spec_sets: Sequence[Mapping[str, FluidLinkSpec]],
-    workloads: Mapping[str, PathWorkload],
-    seeds: Sequence[int],
-    duration_seconds,
-    dt: float = DEFAULT_DT,
-    interval_seconds: float = DEFAULT_INTERVAL,
-    warmup_seconds: float = 0.0,
-    send_jitter_cv: float = DEFAULT_SEND_JITTER_CV,
-) -> List[FluidResult]:
-    """Functional form of :meth:`FluidNetwork.run_batch`."""
-    return FluidBatchNetwork(
-        net,
-        classes,
-        spec_sets,
-        workloads,
-        seeds,
-        send_jitter_cv=send_jitter_cv,
-    ).run(
-        duration_seconds,
-        dt=dt,
-        interval_seconds=interval_seconds,
-        warmup_seconds=warmup_seconds,
-    )

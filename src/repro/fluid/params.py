@@ -307,145 +307,6 @@ def build_link_arrays(
     )
 
 
-#: Iteration order of mechanism families inside one emulation step —
-#: the single engine's loop order (policers, then AQMs, then shapers,
-#: then weighted service). The batched engine sorts its mechanism
-#: groups by this rank so every scenario's mechanisms are applied in
-#: exactly the order its own single run would apply them (shared-state
-#: accumulations like the per-path smooth-loss fraction are
-#: order-sensitive in floating point).
-MECHANISM_FAMILY_RANK = {
-    "policer": 0,
-    "aqm": 1,
-    "shaper": 2,
-    "weighted": 3,
-}
-
-
-@dataclass(frozen=True)
-class MechanismGroup:
-    """One (family, link, target class) bundle of a scenario batch.
-
-    The scenario-batched engine vectorizes differentiation mechanisms
-    *across scenarios*: every scenario that runs the same mechanism
-    family on the same link against the same class joins one group,
-    whose per-member constants become aligned arrays. Grouping on the
-    target class keeps the path mask shared; grouping on the link
-    keeps per-link state (tokens, virtual queues) a single gather.
-
-    Attributes:
-        family: ``"policer"`` / ``"aqm"`` / ``"shaper"`` /
-            ``"weighted"``.
-        link_index: The link, in engine link order.
-        target_class: The differentiated class.
-        scenarios: Member scenario indices, ascending.
-        specs: The members' mechanism specs, aligned with
-            ``scenarios``.
-    """
-
-    family: str
-    link_index: int
-    target_class: str
-    scenarios: np.ndarray
-    specs: Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class BatchLinkArrays:
-    """Per-scenario link specs stacked along a leading scenario axis.
-
-    The batched counterpart of :class:`LinkArrays`: physical per-link
-    quantities become ``(B, L)`` arrays and the differentiation
-    mechanisms are regrouped from per-scenario lists into
-    cross-scenario :class:`MechanismGroup` bundles, ordered by
-    (family rank, link, class) — which preserves each scenario's own
-    single-run mechanism application order.
-
-    Attributes:
-        ids: Link ids in array order.
-        num_scenarios: The batch width ``B``.
-        capacity_pps: ``(B, L)`` service rates.
-        buffer_packets: ``(B, L)`` droptail queue depths.
-        groups: Mechanism groups in application order.
-        dual_mask: ``(B, L)`` — True where a scenario's link runs a
-            dual-queue mechanism (shaper or weighted service), i.e.
-            its traffic bypasses the common droptail queue.
-        policed_mask: ``(B, L)`` — True where a scenario polices the
-            link (token-bucket carry-over across spec swaps).
-    """
-
-    ids: Tuple[str, ...]
-    num_scenarios: int
-    capacity_pps: np.ndarray
-    buffer_packets: np.ndarray
-    groups: Tuple[MechanismGroup, ...]
-    dual_mask: np.ndarray
-    policed_mask: np.ndarray
-
-
-def build_batch_link_arrays(
-    link_ids: Sequence[str],
-    spec_sets: Sequence[Mapping[str, "FluidLinkSpec"]],
-) -> BatchLinkArrays:
-    """Stack per-scenario spec mappings into a :class:`BatchLinkArrays`.
-
-    Each scenario's specs are flattened through
-    :func:`build_link_arrays` (the single engine's own lowering, so
-    unit conversions cannot drift between the engines) and the
-    mechanism lists are regrouped across scenarios.
-    """
-    per_scenario = [
-        build_link_arrays(link_ids, specs) for specs in spec_sets
-    ]
-    num_scenarios = len(per_scenario)
-    num_links = len(link_ids)
-    capacity = np.stack([la.capacity_pps for la in per_scenario])
-    buffers = np.stack([la.buffer_packets for la in per_scenario])
-    dual_mask = np.zeros((num_scenarios, num_links), dtype=bool)
-    policed_mask = np.zeros((num_scenarios, num_links), dtype=bool)
-    buckets: Dict[Tuple[int, int, str], List[Tuple[int, object]]] = {}
-    for b, la in enumerate(per_scenario):
-        for family, entries in (
-            ("policer", la.policers),
-            ("aqm", la.aqms),
-            ("shaper", la.shapers),
-            ("weighted", la.weighted),
-        ):
-            rank = MECHANISM_FAMILY_RANK[family]
-            for link_index, spec in entries:
-                buckets.setdefault(
-                    (rank, link_index, spec.target_class), []
-                ).append((b, spec))
-                if family in ("shaper", "weighted"):
-                    dual_mask[b, link_index] = True
-                elif family == "policer":
-                    policed_mask[b, link_index] = True
-    rank_names = {v: k for k, v in MECHANISM_FAMILY_RANK.items()}
-    groups = tuple(
-        MechanismGroup(
-            family=rank_names[rank],
-            link_index=link_index,
-            target_class=target_class,
-            scenarios=np.array(
-                [b for b, _ in members], dtype=np.intp
-            ),
-            specs=tuple(spec for _, spec in members),
-        )
-        for (rank, link_index, target_class), members in sorted(
-            buckets.items(), key=lambda item: item[0]
-        )
-    )
-    return BatchLinkArrays(
-        ids=tuple(link_ids),
-        num_scenarios=num_scenarios,
-        capacity_pps=capacity,
-        buffer_packets=buffers,
-        groups=groups,
-        dual_mask=dual_mask,
-        policed_mask=policed_mask,
-    )
-
-
 @dataclass(frozen=True)
 class FlowSlotSpec:
     """One parallel TCP "slot" on a path.

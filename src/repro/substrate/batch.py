@@ -160,10 +160,7 @@ def run_scenario_batch(
     """
     backend = get_substrate(substrate)
     run_batch = getattr(backend, "run_batch", None)
-    # A one-variant batch (common at the tail of adaptive-refinement
-    # waves) has nothing to amortize: the plain single-run entry point
-    # skips the batch program's setup and is floating-point-identical.
-    if run_batch is not None and len(batch) > 1:
+    if run_batch is not None:
         return run_batch(
             batch.net,
             batch.classes,

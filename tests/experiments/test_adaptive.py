@@ -590,8 +590,8 @@ class TestTopologyBFrontier:
         ``run_topology_b_sweep``'s first repetition at r (batch hooks
         differ, but they are digest-exempt by design)."""
         from repro.experiments.topology_b import (
-            run_topology_b_batch,
             run_topology_b_point,
+            run_topology_b_rate_batch,
             topology_b_rate_point,
         )
 
@@ -610,7 +610,7 @@ class TestTopologyBFrontier:
                 "substrate": "fluid",
             },
             substrate="fluid",
-            batch_func=run_topology_b_batch,
+            batch_func=run_topology_b_rate_batch,
             batch_group="topoB/rate0.15/fluid/x",
         )
         assert frontier_point.key == dense_point.key
@@ -646,7 +646,7 @@ class TestTopologyBFrontier:
         # Cache interchange with the repetition sweep, end to end:
         # rep 0 of a dense sweep at a visited rate replays from the
         # frontier run's cache without re-emulating.
-        from repro.experiments.topology_b import run_topology_b_batch
+        from repro.experiments.topology_b import run_topology_b_rate_batch
 
         rep0 = SweepPoint(
             key="topoB/rate0.05/rep0",
@@ -657,7 +657,7 @@ class TestTopologyBFrontier:
                 "substrate": "fluid",
             },
             substrate="fluid",
-            batch_func=run_topology_b_batch,
+            batch_func=run_topology_b_rate_batch,
             batch_group="topoB/rate0.05/fluid/x",
         )
         runner = SweepRunner.for_settings(settings, cache_dir=cache)

@@ -3,7 +3,7 @@
 The golden file (``golden/scalar_goldens.json``) holds per-path
 ``(sent, lost)`` totals and congestion probabilities captured from the
 *pre-vectorization scalar engine* (the seed implementation, now frozen
-as :mod:`repro.fluid.engine_scalar`). The equivalence test re-runs the
+as ``tests/oracles/engine_scalar.py``). The equivalence test re-runs the
 same configurations on the vectorized engine and compares against
 these numbers with tolerances — locking in that the rewrite changed
 the arithmetic layout, not the emulated physics.
@@ -11,7 +11,7 @@ the arithmetic layout, not the emulated physics.
 Regenerate (only if the *reference* model itself legitimately changes)
 with::
 
-    PYTHONPATH=src python tests/fluid/golden_config.py
+    PYTHONPATH=src:tests python tests/fluid/golden_config.py
 """
 
 import json
@@ -87,7 +87,7 @@ def capture(engine_cls):
 
 
 if __name__ == "__main__":
-    from repro.fluid.engine_scalar import ScalarFluidNetwork
+    from oracles.engine_scalar import ScalarFluidNetwork
 
     goldens = capture(ScalarFluidNetwork)
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)

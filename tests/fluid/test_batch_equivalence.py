@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.classes import two_classes
 from repro.exceptions import ConfigurationError, EmulationError
-from repro.fluid.batch import FluidBatchNetwork, run_batch
+from repro.fluid.batch import FluidBatchNetwork
 from repro.fluid.engine import FluidNetwork
 from repro.fluid.params import (
     AqmSpec,
@@ -166,9 +166,10 @@ def test_batched_slices_match_single_runs(data):
     ]
     warmup = draw(st.sampled_from([0.0, 0.5]))
 
-    batched = run_batch(
-        net, classes, spec_sets, workloads, seeds, durations,
-        dt=DT, interval_seconds=INTERVAL, warmup_seconds=warmup,
+    batched = FluidBatchNetwork(
+        net, classes, spec_sets, workloads, seeds
+    ).run(
+        durations, dt=DT, interval_seconds=INTERVAL, warmup_seconds=warmup,
     )
     for b in range(num_scenarios):
         single = FluidNetwork(
@@ -322,8 +323,8 @@ def test_heterogeneous_durations_active_mask():
     spec_sets = [specs, specs, specs]
     seeds = [11, 12, 13]
     durations = [2.0, 5.0, 3.0]
-    batched = run_batch(
-        net, classes, spec_sets, wl, seeds, durations, warmup_seconds=0.5
+    batched = FluidBatchNetwork(net, classes, spec_sets, wl, seeds).run(
+        durations, warmup_seconds=0.5
     )
     for b in range(3):
         assert batched[b].measurements.num_intervals == int(
@@ -397,14 +398,3 @@ class TestValidation:
                 wl,
                 [1, 2],
             )
-
-    def test_run_batch_classmethod(self):
-        net, classes, wl = self._net()
-        results = FluidNetwork.run_batch(
-            net, classes, [{}, {}], wl, [1, 2], 1.0
-        )
-        assert len(results) == 2
-        single = FluidNetwork(net, classes, {}, wl, seed=2).run(
-            duration_seconds=1.0
-        )
-        _assert_results_identical(single, results[1])

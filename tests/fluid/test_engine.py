@@ -84,6 +84,49 @@ class TestValidation:
             sim.run(duration_seconds=0.0)
 
 
+class TestSessionInputs:
+    """Bad session inputs raise the package's own errors, whether the
+    session is opened by a single run or by a scenario batch."""
+
+    def _sim(self):
+        topo = build_dumbbell()
+        wl = {pid: PathWorkload() for pid in topo.network.path_ids}
+        return topo, wl, FluidNetwork(
+            topo.network, topo.classes, topo.link_specs, wl
+        )
+
+    def test_negative_warmup_rejected(self):
+        # A negative warmup would shift the interval boundaries, so the
+        # first interval's RTT average would cover only part of it.
+        _, _, sim = self._sim()
+        with pytest.raises(EmulationError):
+            sim.run(1.0, warmup_seconds=-0.05)
+
+    def test_nan_warmup_rejected(self):
+        _, _, sim = self._sim()
+        with pytest.raises(EmulationError):
+            sim.session(warmup_seconds=float("nan"))
+
+    def _batch_session(self):
+        from repro.fluid.batch import FluidBatchNetwork
+
+        topo, wl, _ = self._sim()
+        return FluidBatchNetwork(
+            topo.network, topo.classes, [{}, {}], wl, [1, 2]
+        ).session()
+
+    def test_swap_scenario_out_of_range_rejected(self):
+        with pytest.raises(ConfigurationError):
+            self._batch_session().set_link_specs({}, scenario=5)
+
+    def test_swap_negative_scenario_rejected(self):
+        # Python's negative indexing would swap the last world.
+        session = self._batch_session()
+        with pytest.raises(ConfigurationError):
+            session.set_link_specs({}, scenario=-1)
+        assert session._pending is None
+
+
 class TestStructure:
     def test_result_shapes(self):
         res = _run(duration=20.0)

@@ -1,7 +1,8 @@
 """The *reference* scalar fluid emulator (DESIGN.md S11).
 
 This is the seed implementation of the fluid engine, frozen when the
-hot path was vectorized (see :mod:`repro.fluid.engine`). It advances
+hot path was vectorized (see :mod:`repro.fluid.engine`) and kept here,
+outside the shipped package, as a test oracle. It advances
 every flow slot and link with per-object Python loops — slow, but
 simple enough to audit by eye — and serves two purposes:
 

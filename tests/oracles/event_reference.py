@@ -4,9 +4,11 @@ This is the pre-vectorization discrete-event engine, kept verbatim
 (modulo the class rename and the spec import) as the behavioural and
 performance baseline for the batched engine in
 :mod:`repro.emulator.core` — the packet analogue of
-:mod:`repro.fluid.engine_scalar`. ``benchmarks/bench_packet_engine.py``
-measures the vectorized engine against this loop; do not optimize or
-extend it. It supports droptail and token-bucket policing only and
+``tests/oracles/engine_scalar.py``. ``tests/emulator/
+test_event_reference.py`` checks that both engines see the same
+differentiation, and ``benchmarks/bench_packet_engine.py`` measures
+the vectorized engine against this loop; do not optimize or extend
+it. It supports droptail and token-bucket policing only and
 rejects specs carrying the newer mechanisms.
 """
 

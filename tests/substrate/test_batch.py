@@ -238,22 +238,13 @@ class TestSubset:
                 )
 
 
-class TestSingleVariantFastPath:
-    def test_one_variant_batch_skips_run_batch(self, monkeypatch):
+class TestSingleVariant:
+    def test_one_variant_batch_equals_run(self):
         """A one-variant batch (the tail of an adaptive refinement
-        wave) has nothing to amortize: it must go through the plain
-        single-run entry point, not the batch program."""
+        wave) goes through the same program as a plain run: its
+        result equals ``run`` with the variant's specs and seed."""
         topo, workloads, variant = _fixture()
         backend = get_substrate("fluid")
-
-        def exploding_run_batch(*args, **kwargs):
-            raise AssertionError(
-                "run_batch must not be used for B == 1"
-            )
-
-        monkeypatch.setattr(
-            backend, "run_batch", exploding_run_batch
-        )
         single = ScenarioBatch.compile(
             topo.network,
             topo.classes,
@@ -269,18 +260,19 @@ class TestSingleVariantFastPath:
             workloads,
             SETTINGS.with_seed(3),
         )
+        assert result.measurements.path_ids == want.measurements.path_ids
         for pid in want.measurements.path_ids:
+            for field in ("sent", "lost"):
+                np.testing.assert_array_equal(
+                    getattr(result.measurements.record(pid), field),
+                    getattr(want.measurements.record(pid), field),
+                )
+        for lid, per_class in want.link_class_drops.items():
             np.testing.assert_array_equal(
-                result.measurements.record(pid).sent,
-                want.measurements.record(pid).sent,
+                result.queue_occupancy[lid], want.queue_occupancy[lid]
             )
-        # ...while a 2-variant batch does dispatch the capability.
-        pair = ScenarioBatch.compile(
-            topo.network,
-            topo.classes,
-            workloads,
-            [variant(0.25), variant(0.4)],
-            seeds=[3, 4],
-        )
-        with pytest.raises(AssertionError, match="B == 1"):
-            run_scenario_batch(pair, SETTINGS, "fluid")
+            for cn, series in per_class.items():
+                np.testing.assert_array_equal(
+                    result.link_class_drops[lid][cn], series
+                )
+        assert result.flows_completed == want.flows_completed

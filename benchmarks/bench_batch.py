@@ -39,7 +39,7 @@ from repro.experiments.runner import outcome_from_emulation
 from repro.experiments.sweep import SweepPoint, SweepRunner
 from repro.fluid.params import (
     FlowSlotSpec,
-    FluidLinkSpec,
+    LinkSpec,
     PathWorkload,
     PolicerSpec,
 )
@@ -88,9 +88,9 @@ def _dense_workloads(net):
 def _variant_specs(topo, rate, burst):
     specs = dict(topo.link_specs)
     base = specs[SHARED_LINK]
-    specs[SHARED_LINK] = FluidLinkSpec(
+    specs[SHARED_LINK] = LinkSpec(
         capacity_mbps=base.capacity_mbps,
-        buffer_rtt_seconds=base.buffer_rtt_seconds,
+        buffer_seconds=base.buffer_seconds,
         policer=PolicerSpec(
             target_class="c2", rate_fraction=rate, burst_seconds=burst
         ),

@@ -13,7 +13,7 @@ Gates:
 * ≥ 10× end-to-end speedup of the vectorized records→verdict
   (:func:`repro.experiments.runner.infer_from_measurements`) over the
   frozen reference
-  (:func:`repro.core.algorithm_reference.infer_reference`);
+  (``oracles.algorithm_reference.infer_reference``);
 * identical identified / neutral / skipped sets and fp-equal scores
   and observations on every record set (the golden suite asserts the
   same on the seed topologies).
@@ -31,7 +31,7 @@ import pytest
 from _emit import emit
 from conftest import BENCH_QUICK, heading, run_once
 
-from repro.core.algorithm_reference import infer_reference
+from oracles.algorithm_reference import infer_reference
 from repro.core.network import Network
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import infer_from_measurements

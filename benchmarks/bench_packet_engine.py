@@ -18,12 +18,13 @@ import time
 
 from conftest import BENCH_QUICK, heading, run_once
 from _emit import emit
-from oracles.event_reference import EventPacketNetwork
+from oracles.event_reference import EventPacketNetwork, packet_link_spec
 
 from repro.analysis.stats import format_table
 from repro.core.classes import two_classes
 from repro.core.network import Network, Path
-from repro.emulator import PacketLinkSpec, PacketNetwork
+from repro.emulator import PacketNetwork
+from repro.fluid.params import MSS_BITS, LinkSpec, PolicerSpec
 from repro.measurement.normalize import path_congestion_probability
 
 #: (shared-link pps, emulated seconds) per engine and mode. The
@@ -50,25 +51,44 @@ def _dumbbell(shared_pps, policer_pps=None, queue=300):
     )
     net = Network(links, paths)
     classes = two_classes(net, ["p3", "p4"])
-    fast = PacketLinkSpec(
-        rate_pps=5 * shared_pps, queue_packets=500, delay_seconds=0.01
-    )
-    shared = PacketLinkSpec(
-        rate_pps=shared_pps,
-        queue_packets=queue,
+    # Queues of 500 (edges) and ``queue`` (shared) packets; the
+    # policer's bucket holds 8 packets.
+    fast = LinkSpec(
+        capacity_mbps=5 * shared_pps * MSS_BITS / 1e6,
+        buffer_seconds=500 / (5 * shared_pps),
         delay_seconds=0.01,
-        policer_rate_pps=policer_pps,
-        policed_class="c2" if policer_pps else None,
+    )
+    shared = LinkSpec(
+        capacity_mbps=shared_pps * MSS_BITS / 1e6,
+        buffer_seconds=queue / shared_pps,
+        delay_seconds=0.01,
+        policer=(
+            PolicerSpec(
+                "c2",
+                policer_pps / shared_pps,
+                burst_seconds=8.0 / policer_pps,
+            )
+            if policer_pps
+            else None
+        ),
     )
     specs = {lid: fast for lid in links}
     specs["shared"] = shared
     return net, classes, specs
 
 
+def _engine_specs(engine_cls, specs):
+    """The reference loop reads its own packet-unit spec."""
+    if engine_cls is EventPacketNetwork:
+        return {lid: packet_link_spec(s) for lid, s in specs.items()}
+    return specs
+
+
 def _throughput(engine_cls, shared_pps, duration):
     net, classes, specs = _dumbbell(shared_pps)
     sim = engine_cls(
-        net, classes, specs, {pid: [10**9] for pid in net.path_ids},
+        net, classes, _engine_specs(engine_cls, specs),
+        {pid: [10**9] for pid in net.path_ids},
         seed=7,
     )
     t0 = time.perf_counter()
@@ -92,7 +112,7 @@ def test_packet_engine_agreement_and_speedup(benchmark):
             4000.0, policer_pps=1200.0, queue=200
         )
         sim = engine_cls(
-            net, classes, specs,
+            net, classes, _engine_specs(engine_cls, specs),
             {pid: [10**9] for pid in net.path_ids}, seed=11,
         )
         result = sim.run(duration_seconds=15.0)

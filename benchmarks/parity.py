@@ -1,39 +1,45 @@
-"""Bitwise parity digests of the fluid engine's outputs.
+"""Bitwise parity digests of both emulation engines' outputs.
 
-Runs a fixed list of fluid emulations and prints one SHA-256 digest
-per run, taken over every array the run produced: each measured
-path's ``sent`` / ``lost`` counters, the per-link per-class arrivals
-and drops, the queue-occupancy and per-path RTT traces, and the
-completed-flow counts (or, for ``keep_ground_truth=False`` sessions,
-every emitted chunk). Two checkouts whose digests agree produce
-bit-identical fluid outputs on these runs, so a refactor of the step
-program can be checked against its parent commit with::
+Runs a fixed list of fluid and packet emulations and prints one
+SHA-256 digest per run, taken over every array the run produced: each
+measured path's ``sent`` / ``lost`` counters, the per-link per-class
+arrivals and drops, the queue-occupancy and per-path RTT traces, and
+the completed-flow counts (or, for ``keep_ground_truth=False``
+sessions, every emitted chunk). Two checkouts whose digests agree
+produce bit-identical outputs on these runs, so a refactor of either
+engine can be checked against its parent commit with::
 
-    PYTHONPATH=src python benchmarks/fluid_parity.py --out new.json
-    (cd ../parent && PYTHONPATH=src python benchmarks/fluid_parity.py \\
+    PYTHONPATH=src python benchmarks/parity.py --out new.json
+    (cd ../parent && PYTHONPATH=src python benchmarks/parity.py \\
         --out old.json)
-    PYTHONPATH=src python benchmarks/fluid_parity.py --compare old.json
+    PYTHONPATH=src python benchmarks/parity.py --compare old.json
 
-The script uses only the public ``FluidNetwork`` /
-``FluidBatchNetwork`` API, so it runs unchanged on older commits.
-The whole list runs in a few seconds on one core.
+The fluid runs drive ``FluidNetwork`` / ``FluidBatchNetwork`` with
+the topology builders' specs; the packet runs (``packet-*``) go
+through ``get_substrate("packet")`` with explicit ``LinkSpec``
+values. Both routes exist unchanged on older commits, so the script
+runs there too. The whole list runs in a few seconds on one core.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 
+from repro.experiments.config import EmulationSettings
 from repro.experiments.topology_b import table3_workloads
 from repro.fluid import FluidBatchNetwork, FluidNetwork
 from repro.fluid.params import (
     AqmSpec,
     FlowSlotSpec,
-    FluidLinkSpec,
     PathWorkload,
     PolicerSpec,
     ShaperSpec,
+    WeightedShaperSpec,
 )
+from repro.substrate.registry import get_substrate
+from repro.substrate.spec import LinkSpec
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
 from repro.topology.multi_isp import build_multi_isp
 
@@ -60,12 +66,7 @@ def _dumbbell(mechanism=None):
 def _shared_link_specs(**mechanism):
     """Dumbbell link specs with one mechanism on the shared link."""
     specs = dict(build_dumbbell().link_specs)
-    shared = specs[SHARED_LINK]
-    specs[SHARED_LINK] = FluidLinkSpec(
-        capacity_mbps=shared.capacity_mbps,
-        buffer_rtt_seconds=shared.buffer_rtt_seconds,
-        **mechanism,
-    )
+    specs[SHARED_LINK] = dataclasses.replace(specs[SHARED_LINK], **mechanism)
     return specs
 
 
@@ -131,9 +132,9 @@ def run_two_families():
     link and AQM on p3's (congested) egress link."""
     topo, wl = _dumbbell(None)
     specs = _shared_link_specs(policer=PolicerSpec("c2", 0.3))
-    specs["l8"] = FluidLinkSpec(
-        capacity_mbps=8.0, buffer_rtt_seconds=0.1, aqm=AqmSpec("c2")
-    )
+    # Capacity and buffer depth are the spec's first two fields on
+    # every commit (the buffer field's name differs between them).
+    specs["l8"] = type(specs["l8"])(8.0, 0.1, aqm=AqmSpec("c2"))
     sim = FluidNetwork(topo.network, topo.classes, specs, wl, seed=SEED)
     return result_digest(sim.run(DURATION))
 
@@ -201,6 +202,52 @@ def run_batch_mixed():
     return ":".join(result_digest(r) for r in session.results())
 
 
+#: Packet runs: a 2000 packets/second bottleneck (24 Mbps) behind
+#: 240 Mbps access and egress links.
+PACKET_SETTINGS = EmulationSettings(
+    duration_seconds=DURATION, warmup_seconds=1.0, seed=SEED
+)
+
+
+def _packet_specs(**mechanism):
+    """Explicit ``LinkSpec`` values for every dumbbell link."""
+    net = build_dumbbell().network
+    specs = {lid: LinkSpec(capacity_mbps=240.0) for lid in net.link_ids}
+    specs[SHARED_LINK] = LinkSpec(
+        capacity_mbps=24.0, buffer_seconds=0.2, **mechanism
+    )
+    return specs
+
+
+def _packet_one_shot(**mechanism):
+    topo, wl = _dumbbell(None)
+    result = get_substrate("packet").run(
+        topo.network, topo.classes, _packet_specs(**mechanism), wl,
+        PACKET_SETTINGS,
+    )
+    return result_digest(result)
+
+
+def run_packet_segmented_swap():
+    """The fluid swap sequence on the packet engine, through the
+    substrate's resumable session."""
+    topo, wl = _dumbbell(None)
+    session = get_substrate("packet").start(
+        topo.network, topo.classes, _packet_specs(), wl, PACKET_SETTINGS
+    )
+    chunks = []
+    for mechanism in (
+        {"policer": PolicerSpec("c2", 0.1, burst_seconds=0.2)},
+        {"policer": PolicerSpec("c2", 0.15, burst_seconds=0.2)},
+        {"shaper": ShaperSpec("c2", 0.3)},
+        {},
+    ):
+        chunks.append(session.advance(37))
+        session.set_link_specs(_packet_specs(**mechanism))
+    chunks.append(session.advance(40))
+    return chunks_digest(chunks) + ":" + result_digest(session.result())
+
+
 RUNS = {
     "dumbbell-neutral": lambda: _one_shot(None),
     "dumbbell-policing": lambda: _one_shot("policing"),
@@ -216,6 +263,15 @@ RUNS = {
     "segmented-swap": run_segmented_swap,
     "streaming-chunks": run_streaming_chunks,
     "batch-b4-mixed": run_batch_mixed,
+    "packet-dumbbell-neutral": lambda: _packet_one_shot(),
+    "packet-dumbbell-policing": lambda: _packet_one_shot(
+        policer=PolicerSpec("c2", 0.3)
+    ),
+    "packet-dumbbell-aqm": lambda: _packet_one_shot(aqm=AqmSpec("c2")),
+    "packet-dumbbell-weighted": lambda: _packet_one_shot(
+        weighted=WeightedShaperSpec("c2", 0.3)
+    ),
+    "packet-segmented-swap": run_packet_segmented_swap,
 }
 
 

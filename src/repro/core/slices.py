@@ -29,8 +29,8 @@ oracle. All candidate systems are scored at once with
 one flat ``y_a + y_b − y_ab`` gather (:func:`batch_unsolvability`);
 :class:`SliceSystemBatch` materializes its per-σ :class:`SliceSystem`
 objects lazily so the ≥5k-path runs never build them. The pre-rewrite
-per-pair/per-dict implementation is frozen in
-:mod:`repro.core.algorithm_reference`.
+per-pair/per-dict implementation is frozen with the tests, in
+``tests/oracles/algorithm_reference.py``.
 
 Incrementality (DESIGN.md S20): :func:`patch_network_add` /
 :func:`patch_network_remove` transplant a network's cached

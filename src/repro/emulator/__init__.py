@@ -1,9 +1,13 @@
 """Packet-level emulator: the per-packet evaluation substrate.
 
 :class:`PacketNetwork` (:mod:`repro.emulator.core`) is the batched,
-vectorized engine. The frozen seed per-event loop it replaced, kept as
-the behavioural and performance baseline, lives with the tests
-(``tests/oracles/event_reference.py``).
+vectorized engine. It takes the same
+:class:`~repro.fluid.params.LinkSpec` mappings as the fluid engine and
+converts each link to packet units (packets/second, queue and token
+bucket in packets) when it builds its per-link state. The frozen seed
+per-event loop it replaced, kept as the behavioural and performance
+baseline, lives with the tests (``tests/oracles/event_reference.py``)
+together with its own packet-unit spec.
 """
 
 from repro.emulator.core import (
@@ -13,12 +17,10 @@ from repro.emulator.core import (
     PacketResult,
     greedy_admission,
 )
-from repro.emulator.specs import PacketLinkSpec
 
 __all__ = [
     "DEFAULT_MAX_PACKETS",
     "PACKET_ENGINE_VERSION",
-    "PacketLinkSpec",
     "PacketNetwork",
     "PacketResult",
     "greedy_admission",

@@ -48,9 +48,13 @@ import numpy as np
 from repro import telemetry
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
-from repro.emulator.specs import PacketLinkSpec
 from repro.exceptions import ConfigurationError, EmulationError
-from repro.fluid.params import PathWorkload, mb_to_packets
+from repro.fluid.params import (
+    LinkSpec,
+    PathWorkload,
+    complete_link_specs,
+    mb_to_packets,
+)
 from repro.measurement.records import (
     MeasurementData,
     PathRecord,
@@ -126,7 +130,14 @@ class PacketResult:
 
 
 class _LinkRuntime:
-    """Mutable per-link service state (plain attributes, no numpy)."""
+    """Mutable per-link service state (plain attributes, no numpy).
+
+    Built from a :class:`~repro.fluid.params.LinkSpec`, converted to
+    packet units here: the rate in packets/second, the buffer in
+    whole packets (at least one), and the fraction-based policer as a
+    packet-rate token bucket of ``burst_seconds`` at that rate (at
+    least one token).
+    """
 
     __slots__ = (
         "index", "rate", "delay", "queue", "mech",
@@ -137,19 +148,23 @@ class _LinkRuntime:
         "aqm_minth", "aqm_ramp", "aqm_pmax",
     )
 
-    def __init__(self, index: int, spec: PacketLinkSpec,
+    def __init__(self, index: int, spec: LinkSpec,
                  class_index: Mapping[str, int]) -> None:
+        rate_pps = spec.capacity_pps
         self.index = index
-        self.rate = float(spec.rate_pps)
+        self.rate = float(rate_pps)
         self.delay = float(spec.delay_seconds)
-        self.queue = int(spec.queue_packets)
+        self.queue = max(1, int(round(spec.buffer_seconds * rate_pps)))
         self.busy_until = 0.0
         self.mech = "none"
-        if spec.policer_rate_pps is not None:
+        if spec.policer is not None:
             self.mech = "policer"
-            self.pol_rate = float(spec.policer_rate_pps)
-            self.pol_bucket = float(spec.policer_bucket)
-            self.pol_class_idx = class_index[spec.policed_class]
+            policer_rate = spec.policer.rate_fraction * rate_pps
+            self.pol_rate = float(policer_rate)
+            self.pol_bucket = float(
+                max(1.0, spec.policer.burst_seconds * policer_rate)
+            )
+            self.pol_class_idx = class_index[spec.policer.target_class]
             self.tokens = self.pol_bucket
             self.tokens_at = 0.0
         elif spec.aqm is not None:
@@ -193,7 +208,7 @@ class _LinkRuntime:
 
 def _swap_link_runtimes(
     links: List["_LinkRuntime"],
-    new_specs: Mapping[str, "PacketLinkSpec"],
+    new_specs: Mapping[str, LinkSpec],
     link_ids: List[str],
     cindex: Mapping[str, int],
 ) -> List["_LinkRuntime"]:
@@ -283,8 +298,8 @@ class PacketNetwork:
     Args:
         net: The network graph.
         classes: Class assignment (differentiation targets).
-        link_specs: Per-link physical parameters; unspecified links
-            get defaults.
+        link_specs: Per-link :class:`~repro.fluid.params.LinkSpec`;
+            unspecified links get ``LinkSpec()``.
         flow_plan: Legacy traffic form — ``{path_id: [flow sizes in
             packets]}``; each entry is one TCP flow restarted (same
             size) after a 1-second idle gap, as in the reference
@@ -305,7 +320,7 @@ class PacketNetwork:
         self,
         net: Network,
         classes: ClassAssignment,
-        link_specs: Mapping[str, PacketLinkSpec] = None,
+        link_specs: Mapping[str, LinkSpec] = None,
         flow_plan: Mapping[str, List[int]] = None,
         seed: int = 0,
         workloads: Mapping[str, PathWorkload] = None,
@@ -314,7 +329,7 @@ class PacketNetwork:
     ) -> None:
         self._net = net
         self._classes = classes
-        self._specs = self._complete_specs(link_specs)
+        self._specs = complete_link_specs(net, classes, link_specs)
         if (flow_plan is None) == (workloads is None):
             raise ConfigurationError(
                 "exactly one of flow_plan / workloads is required"
@@ -342,40 +357,6 @@ class PacketNetwork:
         self._seed = seed
         self._quantum = quantum_seconds
         self._max_packets = int(max_packets)
-
-    def _complete_specs(
-        self, link_specs: Optional[Mapping[str, PacketLinkSpec]]
-    ) -> Dict[str, PacketLinkSpec]:
-        """Validate a spec mapping and fill unspecified links.
-
-        Shared by the constructor and mid-run spec swaps
-        (:meth:`PacketSession.set_link_specs`).
-        """
-        specs = dict(link_specs or {})
-        unknown = set(specs) - set(self._net.link_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"link specs for unknown links: {sorted(unknown)}"
-            )
-        complete = {
-            lid: specs.get(lid, PacketLinkSpec())
-            for lid in self._net.link_ids
-        }
-        for lid, spec in complete.items():
-            targets = [
-                m.target_class
-                for m in (spec.shaper, spec.aqm, spec.weighted)
-                if m is not None
-            ]
-            if spec.policed_class is not None:
-                targets.append(spec.policed_class)
-            for target in targets:
-                if target not in self._classes.names:
-                    raise ConfigurationError(
-                        f"link {lid!r} differentiates against unknown "
-                        f"class {target!r}"
-                    )
-        return complete
 
     # ------------------------------------------------------------------
 
@@ -1043,7 +1024,7 @@ class PacketSession:
         self._sim = sim
         self.interval_seconds = float(interval_seconds)
         self._keep_history = bool(keep_ground_truth)
-        self._pending_specs: Optional[Dict[str, PacketLinkSpec]] = None
+        self._pending_specs: Optional[Dict[str, LinkSpec]] = None
         self._gen = sim._interval_loop(
             self,
             float(interval_seconds),
@@ -1104,10 +1085,16 @@ class PacketSession:
         )
 
     def set_link_specs(
-        self, link_specs: Mapping[str, PacketLinkSpec] = None
+        self, link_specs: Mapping[str, LinkSpec] = None
     ) -> None:
-        """Swap the per-link specs at the next interval boundary."""
-        self._pending_specs = self._sim._complete_specs(link_specs)
+        """Swap the per-link specs at the next interval boundary.
+
+        The mapping is validated and completed exactly like the
+        constructor's (unspecified links revert to ``LinkSpec()``).
+        """
+        self._pending_specs = complete_link_specs(
+            self._sim._net, self._sim._classes, link_specs
+        )
         if self._tel:
             self._tel_swaps.inc()
 

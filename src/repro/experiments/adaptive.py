@@ -62,7 +62,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import outcome_from_emulation
 from repro.experiments.sweep import SweepPoint, SweepRunner
-from repro.fluid.params import FluidLinkSpec, PolicerSpec
+from repro.fluid.params import LinkSpec, PolicerSpec
 from repro.substrate.batch import (
     ScenarioBatch,
     run_scenario_batch,
@@ -757,12 +757,12 @@ def _plane_link_specs(
     capacity_mbps: float,
     burst_seconds: float,
     buffer_rtt_seconds: float,
-) -> Dict[str, FluidLinkSpec]:
+) -> Dict[str, LinkSpec]:
     topo = build_dumbbell()
     specs = dict(topo.link_specs)
-    specs[SHARED_LINK] = FluidLinkSpec(
+    specs[SHARED_LINK] = LinkSpec(
         capacity_mbps=capacity_mbps,
-        buffer_rtt_seconds=buffer_rtt_seconds,
+        buffer_seconds=buffer_rtt_seconds,
         policer=PolicerSpec(
             target_class="c2",
             rate_fraction=policing_rate,

@@ -6,8 +6,8 @@ y-axis), Algorithm 1's verdict, and — given ground truth — the §5
 quality metrics. The emulation step is substrate-agnostic: any
 backend registered in :mod:`repro.substrate.registry` (the fluid
 engine, the packet DES, future ones) plugs in via the ``substrate``
-argument; link specs are normalized once through the shared compiler
-in :mod:`repro.substrate.spec`.
+argument, and every backend takes the same
+:class:`~repro.substrate.spec.LinkSpec` mappings.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.measurement.normalize import (
 from repro.measurement.records import MeasurementData
 from repro.substrate.base import SubstrateResult
 from repro.substrate.registry import get_substrate
-from repro.substrate.spec import LinkSpec, normalize_specs
+from repro.substrate.spec import LinkSpec
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,10 @@ def infer_from_measurements(
 ) -> Tuple[Mapping[PathSet, float], AlgorithmResult]:
     """Records → verdict: the batched inference pipeline.
 
-    This is the vectorized counterpart of
-    :func:`repro.core.algorithm_reference.infer_reference` (and the
-    function ``benchmarks/bench_inference.py`` gates at ≥ 10× over
-    it): one slice-batch build over the path index, per-slice
+    This is the vectorized counterpart of the frozen
+    ``infer_reference`` in ``tests/oracles/algorithm_reference.py``
+    (and the function ``benchmarks/bench_inference.py`` gates at
+    ≥ 10× over it): one slice-batch build over the path index, per-slice
     normalization from a joint congestion-status matrix (Algorithm
     2), and batched score-based Algorithm 1.
 
@@ -233,10 +233,8 @@ def run_experiment(
     Args:
         net: The network graph (including background paths).
         classes: Class assignment used by differentiating links.
-        link_specs: Per-link specs — shared
-            :class:`~repro.substrate.spec.LinkSpec` or fluid-native
-            :class:`~repro.fluid.params.FluidLinkSpec` values (both
-            are normalized through the shared compiler).
+        link_specs: Per-link :class:`~repro.substrate.spec.LinkSpec`
+            values.
         workloads: Per-path traffic.
         settings: Emulation/inference settings.
         ground_truth_links: Links that actually differentiate, for
@@ -262,7 +260,7 @@ def run_experiment(
             emulation = backend.run(
                 net,
                 classes,
-                normalize_specs(link_specs),
+                link_specs,
                 workloads,
                 settings,
             )

@@ -18,7 +18,7 @@ from repro.fluid.params import (
     MSS_BITS,
     AqmSpec,
     FlowSlotSpec,
-    FluidLinkSpec,
+    LinkSpec,
     PathWorkload,
     PolicerSpec,
     ShaperSpec,
@@ -44,9 +44,9 @@ __all__ = [
     "FluidBatchNetwork",
     "FluidBatchSession",
     "FlowSlotSpec",
-    "FluidLinkSpec",
     "FluidNetwork",
     "FluidResult",
+    "LinkSpec",
     "MSS_BITS",
     "PathWorkload",
     "PolicerSpec",

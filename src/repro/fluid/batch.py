@@ -68,7 +68,12 @@ from repro.fluid.engine import (
     FluidResult,
     package_result,
 )
-from repro.fluid.params import FluidLinkSpec, PathWorkload, build_link_arrays
+from repro.fluid.params import (
+    LinkSpec,
+    PathWorkload,
+    build_link_arrays,
+    complete_link_specs,
+)
 from repro.fluid.tcp import TcpArrayState
 from repro.fluid.traffic import SlotArrays
 from repro.measurement.records import RecordChunk, chunk_from_columns
@@ -172,7 +177,7 @@ class FluidBatchNetwork:
         self,
         net: Network,
         classes: ClassAssignment,
-        spec_sets: Sequence[Mapping[str, FluidLinkSpec]],
+        spec_sets: Sequence[Mapping[str, LinkSpec]],
         workloads: Mapping[str, PathWorkload],
         seeds: Sequence[int],
         send_jitter_cv: float = DEFAULT_SEND_JITTER_CV,
@@ -951,9 +956,7 @@ class FluidBatchSession:
         self._steps_per_interval = steps_per_interval
         self._keep_history = bool(keep_ground_truth)
         self._limits = limits
-        self._pending: Optional[List[Optional[Dict[str, FluidLinkSpec]]]] = (
-            None
-        )
+        self._pending: Optional[List[Optional[Dict[str, LinkSpec]]]] = None
         self._gen = sim._interval_loop(
             self, dt, steps_per_interval, warmup_steps
         )
@@ -1030,7 +1033,7 @@ class FluidBatchSession:
 
     def set_link_specs(
         self,
-        link_specs: Mapping[str, FluidLinkSpec] = None,
+        link_specs: Mapping[str, LinkSpec] = None,
         scenario: Optional[int] = None,
     ) -> None:
         """Swap link specs at the next interval boundary.
@@ -1055,7 +1058,9 @@ class FluidBatchSession:
                 f"scenario must be an index in [0, {len(worlds)}), "
                 f"got {scenario!r}"
             )
-        completed = worlds[scenario or 0]._complete_specs(link_specs)
+        completed = complete_link_specs(
+            self._sim._net, self._sim._classes, link_specs
+        )
         if scenario is None:
             self._pending = [completed] * len(worlds)
         else:

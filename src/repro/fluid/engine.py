@@ -60,7 +60,7 @@ import numpy as np
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError, EmulationError
-from repro.fluid.params import FluidLinkSpec, PathWorkload
+from repro.fluid.params import LinkSpec, PathWorkload, complete_link_specs
 from repro.measurement.records import (
     MeasurementData,
     PathRecord,
@@ -220,8 +220,9 @@ class FluidNetwork:
         net: The network graph (paths define flow routes).
         classes: Class assignment — used by differentiating links to
             decide which traffic to police/shape.
-        link_specs: Physical/differentiation spec per link; links not
-            mentioned get defaults (100 Mbps, no differentiation).
+        link_specs: :class:`~repro.fluid.params.LinkSpec` per link;
+            links not mentioned get ``LinkSpec()`` (100 Mbps, no
+            differentiation).
         workloads: Traffic description per path; every path of the
             network must be covered.
         seed: Seed for the emulation's private RNG.
@@ -231,7 +232,7 @@ class FluidNetwork:
         self,
         net: Network,
         classes: ClassAssignment,
-        link_specs: Mapping[str, FluidLinkSpec] = None,
+        link_specs: Mapping[str, LinkSpec] = None,
         workloads: Mapping[str, PathWorkload] = None,
         seed: int = 0,
         send_jitter_cv: float = DEFAULT_SEND_JITTER_CV,
@@ -241,7 +242,7 @@ class FluidNetwork:
         self._send_jitter_cv = send_jitter_cv
         self._net = net
         self._classes = classes
-        self._link_specs = self._complete_specs(link_specs)
+        self._link_specs = complete_link_specs(net, classes, link_specs)
         if workloads is None:
             raise ConfigurationError("workloads are required")
         missing = set(net.path_ids) - set(workloads)
@@ -251,37 +252,6 @@ class FluidNetwork:
             )
         self._workloads: Dict[str, PathWorkload] = dict(workloads)
         self._rng = np.random.default_rng(seed)
-
-    def _complete_specs(
-        self, link_specs: Optional[Mapping[str, FluidLinkSpec]]
-    ) -> Dict[str, FluidLinkSpec]:
-        """Validate a spec mapping and fill unspecified links.
-
-        Shared by the constructor and mid-run spec swaps
-        (:meth:`FluidSession.set_link_specs`), so a swapped policy
-        set passes exactly the construction-time checks.
-        """
-        specs = dict(link_specs or {})
-        unknown = set(specs) - set(self._net.link_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"link specs for unknown links: {sorted(unknown)}"
-            )
-        complete = {
-            lid: specs.get(lid, FluidLinkSpec())
-            for lid in self._net.link_ids
-        }
-        for lid, spec in complete.items():
-            for mech in (spec.policer, spec.shaper):
-                if (
-                    mech is not None
-                    and mech.target_class not in self._classes.names
-                ):
-                    raise ConfigurationError(
-                        f"link {lid!r} differentiates against unknown "
-                        f"class {mech.target_class!r}"
-                    )
-        return complete
 
     def run(
         self,
@@ -343,8 +313,6 @@ class FluidNetwork:
         )
 
 
-
-
 class FluidSession:
     """A resumable fluid emulation, advanced N intervals at a time.
 
@@ -383,7 +351,7 @@ class FluidSession:
         return self._batch.intervals_done
 
     def set_link_specs(
-        self, link_specs: Mapping[str, FluidLinkSpec] = None
+        self, link_specs: Mapping[str, LinkSpec] = None
     ) -> None:
         """Swap the per-link specs at the next interval boundary.
 

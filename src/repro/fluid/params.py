@@ -1,4 +1,10 @@
-"""Configuration dataclasses for the fluid emulator.
+"""Configuration dataclasses shared by both emulation engines.
+
+:class:`LinkSpec` (with its mechanism specs) is the one description of
+a link that the fluid engine and the packet engine both accept, and
+:func:`complete_link_specs` is the one validation step both run on
+construction and on every mid-run swap. This module imports nothing
+else from the package, so either engine can load it.
 
 Units follow networking convention at the API surface (Mbps,
 milliseconds, Mb for flow sizes — as in the paper's Table 1) and are
@@ -8,12 +14,27 @@ bytes = 12000 bits, matching common Ethernet framing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, fields
+from numbers import Real
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only; keeps this
+    # module a leaf that both engines import.
+    from repro.core.classes import ClassAssignment
+    from repro.core.network import Network
 
 #: Maximum segment size in bits (1500-byte packets).
 MSS_BITS = 12_000
@@ -21,10 +42,28 @@ MSS_BITS = 12_000
 #: Bits per megabit.
 MEGABIT = 1_000_000
 
+#: Default one-way propagation per link (packet engine). Deliberately
+#: small: path RTTs are owned by the workload
+#: (``PathWorkload.rtt_seconds``), which the packet engine honours by
+#: stretching the ACK return path; link delay only has to keep the
+#: forward direction causally ordered.
+DEFAULT_DELAY_SECONDS = 0.002
+
 
 def mbps_to_pps(mbps: float) -> float:
     """Convert a rate in Mbps to packets (MSS) per second."""
     return mbps * MEGABIT / MSS_BITS
+
+
+def _require_finite(spec) -> None:
+    """Reject NaN and ±inf in any numeric field of a spec dataclass."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, Real) and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{type(spec).__name__}.{f.name} must be finite, "
+                f"got {value}"
+            )
 
 
 def mb_to_packets(megabits: float) -> float:
@@ -33,13 +72,7 @@ def mb_to_packets(megabits: float) -> float:
 
 
 def validate_single_mechanism(mechanisms: Sequence[object]) -> None:
-    """The one-mechanism-per-link rule, shared by every spec layer.
-
-    ``FluidLinkSpec``, ``PacketLinkSpec``, and the substrate-neutral
-    ``LinkSpec`` all enforce the same constraint through this single
-    check, so no substrate can accept a mechanism combination the
-    others reject.
-    """
+    """The one-mechanism-per-link rule of :class:`LinkSpec`."""
     if len(mechanisms) > 1:
         raise ConfigurationError(
             "a link can apply at most one differentiation "
@@ -70,6 +103,7 @@ class PolicerSpec:
     burst_seconds: float = 0.005
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.rate_fraction <= 1.0:
             raise ConfigurationError(
                 f"policing rate fraction must be in (0,1], "
@@ -102,6 +136,7 @@ class ShaperSpec:
     buffer_seconds: float = 0.25
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.rate_fraction < 1.0:
             raise ConfigurationError(
                 f"shaping rate fraction must be in (0,1), "
@@ -139,6 +174,7 @@ class AqmSpec:
     max_drop_probability: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 <= self.min_threshold_fraction < 1.0:
             raise ConfigurationError(
                 "AQM min threshold must be in [0,1)"
@@ -185,6 +221,7 @@ class WeightedShaperSpec:
     buffer_seconds: float = 0.05
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.weight < 1.0:
             raise ConfigurationError(
                 f"weighted-shaper weight must be in (0,1), "
@@ -195,14 +232,19 @@ class WeightedShaperSpec:
 
 
 @dataclass(frozen=True)
-class FluidLinkSpec:
-    """Physical parameters of one emulated link.
+class LinkSpec:
+    """Physical parameters and differentiation of one link.
+
+    The one link description every builder, engine, session and
+    mid-run swap accepts. The fluid engine reads it directly; the
+    packet engine converts it to packet units per link.
 
     Attributes:
         capacity_mbps: Link capacity (paper default: 100 Mbps).
-        buffer_rtt_seconds: Queue depth expressed as seconds at link
-            capacity; the paper sizes queues by the maximum RTT of
-            traversing traffic (a bandwidth-delay product).
+        buffer_seconds: Droptail queue depth in seconds at capacity;
+            the paper sizes queues by the maximum RTT of traversing
+            traffic (a bandwidth-delay product).
+        delay_seconds: One-way propagation (packet engine only).
         policer: Optional token-bucket differentiation.
         shaper: Optional dual-shaper differentiation.
         aqm: Optional class-targeted early-drop differentiation.
@@ -210,17 +252,21 @@ class FluidLinkSpec:
     """
 
     capacity_mbps: float = 100.0
-    buffer_rtt_seconds: float = 0.2
+    buffer_seconds: float = 0.2
+    delay_seconds: float = DEFAULT_DELAY_SECONDS
     policer: Optional[PolicerSpec] = None
     shaper: Optional[ShaperSpec] = None
     aqm: Optional[AqmSpec] = None
     weighted: Optional[WeightedShaperSpec] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.capacity_mbps <= 0:
             raise ConfigurationError("capacity must be positive")
-        if self.buffer_rtt_seconds <= 0:
+        if self.buffer_seconds <= 0:
             raise ConfigurationError("buffer depth must be positive")
+        if self.delay_seconds < 0:
+            raise ConfigurationError("delay must be nonnegative")
         validate_single_mechanism(self.mechanisms)
 
     @property
@@ -238,11 +284,64 @@ class FluidLinkSpec:
 
     @property
     def buffer_packets(self) -> float:
-        return self.capacity_pps * self.buffer_rtt_seconds
+        return self.capacity_pps * self.buffer_seconds
 
     @property
     def is_differentiating(self) -> bool:
         return bool(self.mechanisms)
+
+
+def normalize_specs(
+    link_specs: Mapping[str, LinkSpec],
+) -> Dict[str, LinkSpec]:
+    """A checked copy of a per-link spec mapping.
+
+    Raises :class:`~repro.exceptions.ConfigurationError` unless
+    ``link_specs`` is a mapping whose values are all
+    :class:`LinkSpec`.
+    """
+    if not isinstance(link_specs, Mapping):
+        raise ConfigurationError(
+            f"link specs must be a mapping, got "
+            f"{type(link_specs).__name__}"
+        )
+    for lid, spec in link_specs.items():
+        if not isinstance(spec, LinkSpec):
+            raise ConfigurationError(
+                f"link {lid!r}: expected a LinkSpec, got "
+                f"{type(spec).__name__}"
+            )
+    return dict(link_specs)
+
+
+def complete_link_specs(
+    net: "Network",
+    classes: "ClassAssignment",
+    link_specs: Optional[Mapping[str, LinkSpec]],
+) -> Dict[str, LinkSpec]:
+    """Validate a spec mapping and fill unspecified links.
+
+    The one completion step of both engines, run on construction and
+    on every mid-run swap, so a swapped policy set passes exactly the
+    construction-time checks on either substrate. Specs must name
+    links of ``net`` and target classes of ``classes``; links not
+    mentioned get ``LinkSpec()``.
+    """
+    specs = normalize_specs({} if link_specs is None else link_specs)
+    unknown = set(specs) - set(net.link_ids)
+    if unknown:
+        raise ConfigurationError(
+            f"link specs for unknown links: {sorted(unknown)}"
+        )
+    for lid, spec in specs.items():
+        for mech in spec.mechanisms:
+            if mech.target_class not in classes.names:
+                raise ConfigurationError(
+                    f"link {lid!r} differentiates against unknown "
+                    f"class {mech.target_class!r}"
+                )
+    default = LinkSpec()
+    return {lid: specs.get(lid, default) for lid in net.link_ids}
 
 
 @dataclass(frozen=True)
@@ -276,7 +375,7 @@ class LinkArrays:
 
 
 def build_link_arrays(
-    link_ids: Sequence[str], specs: Mapping[str, "FluidLinkSpec"]
+    link_ids: Sequence[str], specs: Mapping[str, LinkSpec]
 ) -> LinkArrays:
     """Flatten per-link specs into a :class:`LinkArrays`."""
     ids = tuple(link_ids)

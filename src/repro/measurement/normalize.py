@@ -28,8 +28,8 @@ divided by ``m`` is just ``L/M``, so the indicator does not depend on
 the family's minimum rate), sampled mode draws all hypergeometric
 counts in one array-shaped call, and a family's pathset costs come
 from index arrays — singleton costs are status rows, pair costs
-elementwise row ANDs. The pre-rewrite per-pathset loops are frozen in
-:mod:`repro.core.algorithm_reference`.
+elementwise row ANDs. The pre-rewrite per-pathset loops are frozen
+with the tests, in ``tests/oracles/algorithm_reference.py``.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from repro.fluid.params import PathWorkload
 from repro.measurement.records import MeasurementData, RecordChunk
 from repro.substrate.base import SubstrateResult, SubstrateSession
 from repro.substrate.registry import get_substrate
-from repro.substrate.spec import normalize_specs
+from repro.substrate.spec import LinkSpec
 
 
 @runtime_checkable
@@ -85,8 +85,8 @@ class EmulationStream:
     Args:
         net: The network graph (including background paths).
         classes: Class assignment (differentiation targets).
-        link_specs: Initial per-link specs (shared or engine-native;
-            normalized once).
+        link_specs: Initial per-link
+            :class:`~repro.substrate.spec.LinkSpec` values.
         workloads: Per-path traffic.
         settings: Emulation settings; ``duration_seconds`` fixes the
             stream length unless ``total_intervals`` overrides it.
@@ -108,13 +108,13 @@ class EmulationStream:
         self,
         net: Network,
         classes: ClassAssignment,
-        link_specs: Mapping[str, object],
+        link_specs: Mapping[str, LinkSpec],
         workloads: Mapping[str, PathWorkload],
         settings: EmulationSettings = EmulationSettings(),
         substrate: str = "fluid",
         chunk_intervals: int = 50,
         total_intervals: Optional[int] = None,
-        switches: Optional[Mapping[int, Mapping[str, object]]] = None,
+        switches: Optional[Mapping[int, Mapping[str, LinkSpec]]] = None,
         keep_ground_truth: bool = True,
     ) -> None:
         if chunk_intervals < 1:
@@ -130,7 +130,9 @@ class EmulationStream:
         self._chunk = int(chunk_intervals)
         self.total_intervals = int(total_intervals)
         self.interval_seconds = settings.interval_seconds
-        self._switches: Dict[int, Mapping[str, object]] = dict(switches or {})
+        self._switches: Dict[int, Mapping[str, LinkSpec]] = dict(
+            switches or {}
+        )
         for at in self._switches:
             if not 0 <= at < self.total_intervals:
                 raise ConfigurationError(
@@ -141,7 +143,7 @@ class EmulationStream:
         self.session: SubstrateSession = backend.start(
             net,
             classes,
-            normalize_specs(link_specs),
+            link_specs,
             workloads,
             settings,
             keep_ground_truth=keep_ground_truth,

@@ -3,10 +3,12 @@
 The experiment pipeline (emulate → measure → infer) is written
 against :class:`~repro.substrate.base.EmulationSubstrate`, not
 against a particular engine. This package holds the protocol, the
-shared link-spec compiler, the substrate registry (fluid engine +
-packet DES), and the declarative :class:`~repro.substrate.scenario.
-Scenario` layer that compiles one experiment description for any
-registered backend.
+substrate registry (fluid engine + packet DES), and the declarative
+:class:`~repro.substrate.scenario.Scenario` layer that compiles one
+experiment description for any registered backend. Every substrate,
+engine and session takes the one link description,
+:class:`~repro.substrate.spec.LinkSpec`, as it is; the packet engine
+converts it to packet units internally.
 """
 
 from repro.substrate.base import EmulationSubstrate, SubstrateResult
@@ -33,10 +35,7 @@ from repro.substrate.scenario import (
 from repro.substrate.spec import (
     DEFAULT_DELAY_SECONDS,
     LinkSpec,
-    from_fluid,
     normalize_specs,
-    to_fluid,
-    to_packet,
 )
 
 __all__ = [
@@ -53,13 +52,10 @@ __all__ = [
     "SubstrateResult",
     "available_substrates",
     "compile_scenario",
-    "from_fluid",
     "get_substrate",
     "normalize_specs",
     "run_scenario",
     "run_scenario_batch",
     "substrate_cache_tag",
     "substrate_supports_batch",
-    "to_fluid",
-    "to_packet",
 ]

@@ -73,7 +73,8 @@ class SubstrateSession(Protocol):
     Obtained from :meth:`EmulationSubstrate.start`. The session
     advances the emulation a chosen number of measurement intervals
     at a time — carrying all engine state in between — and accepts
-    shared-vocabulary link-spec swaps at interval boundaries, which
+    :class:`~repro.substrate.spec.LinkSpec` swaps at interval
+    boundaries, which
     is how the streaming monitor realizes mid-run differentiation
     onset/offset scenarios. Advancing a session in any segmentation
     yields records bit-identical to a one-shot

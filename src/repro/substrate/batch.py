@@ -6,9 +6,8 @@ and ``B`` per-variant link-spec mappings with per-variant seeds (and
 optionally durations). It is the compile step between sweep-shaped
 callers (:class:`repro.experiments.sweep.SweepRunner` groups, the
 grid benches) and a substrate's batched entry point: variant specs
-are normalized once through the shared compiler
-(:func:`repro.substrate.spec.normalize_specs`), validated for
-batchability (equal lengths, shared everything else), and handed to
+are type-checked once (:func:`repro.substrate.spec.normalize_specs`),
+validated for batchability (equal lengths, shared everything else), and handed to
 :meth:`EmulationSubstrate.run_batch` when the backend advertises the
 capability — or replayed variant-by-variant through the ordinary
 :meth:`~repro.substrate.base.EmulationSubstrate.run` when it does
@@ -42,7 +41,7 @@ class ScenarioBatch:
         net: The shared network graph.
         classes: The shared class assignment.
         workloads: The shared per-path traffic.
-        variants: Normalized per-variant link specs (one mapping per
+        variants: Checked per-variant link specs (one mapping per
             scenario; links not mentioned default like a single run).
         seeds: Per-variant emulation seeds.
         durations: Optional per-variant measured spans (seconds);
@@ -81,16 +80,12 @@ class ScenarioBatch:
         net: Network,
         classes: ClassAssignment,
         workloads: Mapping[str, PathWorkload],
-        variant_specs: Sequence[Mapping[str, object]],
+        variant_specs: Sequence[Mapping[str, LinkSpec]],
         seeds: Sequence[int],
         durations: Optional[Sequence[float]] = None,
     ) -> "ScenarioBatch":
-        """Normalize and stack per-variant specs into a batch.
-
-        Accepts shared :class:`~repro.substrate.spec.LinkSpec` or
-        engine-native spec values per variant (the same vocabulary
-        every single-run entry point accepts).
-        """
+        """Check and stack per-variant :class:`~repro.substrate.spec.
+        LinkSpec` mappings into a batch."""
         return cls(
             net=net,
             classes=classes,

@@ -1,9 +1,12 @@
 """Substrate registry: the fluid engine and the packet DES.
 
 Each entry is an :class:`~repro.substrate.base.EmulationSubstrate`
-adapter binding one engine to the shared spec/result contracts. Look
-backends up by name (``get_substrate``) and fingerprint them for
-sweep caching (``substrate_cache_tag``).
+adapter binding one engine to the shared spec/result contracts. Both
+engines take :class:`~repro.substrate.spec.LinkSpec` mappings as they
+are, so an adapter only maps settings to engine arguments and returns
+the engine's own sessions. Look backends up by name
+(``get_substrate``) and fingerprint them for sweep caching
+(``substrate_cache_tag``).
 """
 
 from __future__ import annotations
@@ -14,82 +17,13 @@ from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError
 from repro.fluid.params import PathWorkload
-from repro.substrate.spec import LinkSpec, to_fluid, to_packet
+from repro.substrate.spec import LinkSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (see base.py)
+    from repro.emulator.core import PacketSession
     from repro.experiments.config import EmulationSettings
-
-
-class _CompiledSession:
-    """Binds an engine session to the shared :class:`LinkSpec` vocabulary.
-
-    Engine sessions (:class:`repro.fluid.engine.FluidSession`,
-    :class:`repro.emulator.core.PacketSession`) speak engine-native
-    specs; this wrapper compiles shared (or engine-native) spec
-    mappings through :func:`repro.substrate.spec.normalize_specs`
-    before every swap, so streaming callers stay substrate-agnostic.
-    """
-
-    def __init__(self, session, compile_spec) -> None:
-        self._session = session
-        self._compile = compile_spec
-
-    @property
-    def interval_seconds(self) -> float:
-        return self._session.interval_seconds
-
-    @property
-    def intervals_done(self) -> int:
-        return self._session.intervals_done
-
-    def advance(self, num_intervals: int):
-        return self._session.advance(num_intervals)
-
-    def _compile_specs(self, link_specs: Mapping[str, LinkSpec]):
-        """Normalize + compile a swap's specs to engine-native form
-        (the one compilation step both session wrappers share)."""
-        from repro.substrate.spec import normalize_specs
-
-        return {
-            lid: self._compile(spec)
-            for lid, spec in normalize_specs(link_specs).items()
-        }
-
-    def set_link_specs(self, link_specs: Mapping[str, LinkSpec]) -> None:
-        self._session.set_link_specs(self._compile_specs(link_specs))
-
-    def result(self):
-        return self._session.result()
-
-
-class _CompiledBatchSession(_CompiledSession):
-    """Shared-vocabulary wrapper over a batched engine session.
-
-    The many-worlds counterpart of :class:`_CompiledSession` (which
-    provides the construction, progress properties, ``advance``, and
-    the spec-compilation step): swaps take an optional ``scenario``
-    index and results are per scenario.
-    """
-
-    @property
-    def num_scenarios(self) -> int:
-        return self._session.num_scenarios
-
-    def scenario_intervals_done(self, scenario: int) -> int:
-        return self._session.scenario_intervals_done(scenario)
-
-    def set_link_specs(
-        self, link_specs: Mapping[str, LinkSpec], scenario=None
-    ) -> None:
-        self._session.set_link_specs(
-            self._compile_specs(link_specs), scenario=scenario
-        )
-
-    def result(self, scenario: int):
-        return self._session.result(scenario)
-
-    def results(self):
-        return self._session.results()
+    from repro.fluid.batch import FluidBatchSession
+    from repro.fluid.engine import FluidSession
 
 
 class FluidSubstrate:
@@ -122,7 +56,7 @@ class FluidSubstrate:
         sim = FluidNetwork(
             net,
             classes,
-            {lid: to_fluid(spec) for lid, spec in link_specs.items()},
+            link_specs,
             workloads,
             seed=settings.seed,
         )
@@ -141,24 +75,21 @@ class FluidSubstrate:
         workloads: Mapping[str, PathWorkload],
         settings: "EmulationSettings",
         keep_ground_truth: bool = True,
-    ) -> _CompiledSession:
+    ) -> "FluidSession":
         from repro.fluid.engine import FluidNetwork
 
         sim = FluidNetwork(
             net,
             classes,
-            {lid: to_fluid(spec) for lid, spec in link_specs.items()},
+            link_specs,
             workloads,
             seed=settings.seed,
         )
-        return _CompiledSession(
-            sim.session(
-                dt=settings.dt,
-                interval_seconds=settings.interval_seconds,
-                warmup_seconds=settings.warmup_seconds,
-                keep_ground_truth=keep_ground_truth,
-            ),
-            to_fluid,
+        return sim.session(
+            dt=settings.dt,
+            interval_seconds=settings.interval_seconds,
+            warmup_seconds=settings.warmup_seconds,
+            keep_ground_truth=keep_ground_truth,
         )
 
     def run_batch(
@@ -182,10 +113,7 @@ class FluidSubstrate:
         sim = FluidBatchNetwork(
             net,
             classes,
-            [
-                {lid: to_fluid(spec) for lid, spec in specs.items()}
-                for specs in spec_sets
-            ],
+            spec_sets,
             workloads,
             seeds,
         )
@@ -210,29 +138,23 @@ class FluidSubstrate:
         seeds,
         keep_ground_truth: bool = True,
         interval_limits=None,
-    ) -> _CompiledBatchSession:
+    ) -> "FluidBatchSession":
         """Open a resumable many-worlds session (streaming mode)."""
         from repro.fluid.batch import FluidBatchNetwork
 
         sim = FluidBatchNetwork(
             net,
             classes,
-            [
-                {lid: to_fluid(spec) for lid, spec in specs.items()}
-                for specs in spec_sets
-            ],
+            spec_sets,
             workloads,
             seeds,
         )
-        return _CompiledBatchSession(
-            sim.session(
-                dt=settings.dt,
-                interval_seconds=settings.interval_seconds,
-                warmup_seconds=settings.warmup_seconds,
-                keep_ground_truth=keep_ground_truth,
-                interval_limits=interval_limits,
-            ),
-            to_fluid,
+        return sim.session(
+            dt=settings.dt,
+            interval_seconds=settings.interval_seconds,
+            warmup_seconds=settings.warmup_seconds,
+            keep_ground_truth=keep_ground_truth,
+            interval_limits=interval_limits,
         )
 
 
@@ -262,7 +184,7 @@ class PacketSubstrate:
         sim = PacketNetwork(
             net,
             classes,
-            {lid: to_packet(spec) for lid, spec in link_specs.items()},
+            link_specs,
             workloads=workloads,
             seed=settings.seed,
         )
@@ -280,23 +202,20 @@ class PacketSubstrate:
         workloads: Mapping[str, PathWorkload],
         settings: "EmulationSettings",
         keep_ground_truth: bool = True,
-    ) -> _CompiledSession:
+    ) -> "PacketSession":
         from repro.emulator.core import PacketNetwork
 
         sim = PacketNetwork(
             net,
             classes,
-            {lid: to_packet(spec) for lid, spec in link_specs.items()},
+            link_specs,
             workloads=workloads,
             seed=settings.seed,
         )
-        return _CompiledSession(
-            sim.session(
-                interval_seconds=settings.interval_seconds,
-                warmup_seconds=settings.warmup_seconds,
-                keep_ground_truth=keep_ground_truth,
-            ),
-            to_packet,
+        return sim.session(
+            interval_seconds=settings.interval_seconds,
+            warmup_seconds=settings.warmup_seconds,
+            keep_ground_truth=keep_ground_truth,
         )
 
 

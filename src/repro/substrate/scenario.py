@@ -17,7 +17,7 @@ work-conserving weighted per-class service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional
 
 from repro.core.classes import ClassAssignment
@@ -31,7 +31,7 @@ from repro.fluid.params import (
     ShaperSpec,
     WeightedShaperSpec,
 )
-from repro.substrate.spec import LinkSpec, normalize_specs
+from repro.substrate.spec import LinkSpec
 
 #: The differentiation mechanism families a policy can express.
 MECHANISMS = ("policing", "shaping", "aqm", "weighted")
@@ -74,7 +74,7 @@ class DifferentiationPolicy:
             )
 
     def mechanism_spec(self) -> object:
-        """The shared-vocabulary spec object for this policy."""
+        """The mechanism spec object for this policy."""
         if self.mechanism == "policing":
             return PolicerSpec(
                 target_class=self.target_class,
@@ -113,10 +113,8 @@ class DifferentiationPolicy:
     def apply_to(self, spec: LinkSpec) -> LinkSpec:
         """A copy of ``spec`` carrying this policy (and no other)."""
         mech = self.mechanism_spec()
-        return LinkSpec(
-            capacity_mbps=spec.capacity_mbps,
-            buffer_seconds=spec.buffer_seconds,
-            delay_seconds=spec.delay_seconds,
+        return replace(
+            spec,
             policer=mech if self.mechanism == "policing" else None,
             shaper=mech if self.mechanism == "shaping" else None,
             aqm=mech if self.mechanism == "aqm" else None,
@@ -163,8 +161,6 @@ class Scenario:
             )
 
     def with_substrate(self, substrate: str) -> "Scenario":
-        from dataclasses import replace
-
         return replace(self, substrate=substrate)
 
 
@@ -176,10 +172,9 @@ class CompiledScenario:
         scenario: The source description.
         network: The graph.
         classes: The class assignment.
-        link_specs: Shared per-link specs (compile with
-            :func:`repro.substrate.spec.to_fluid` /
-            :func:`~repro.substrate.spec.to_packet`, or hand them to
-            :func:`repro.experiments.runner.run_experiment`).
+        link_specs: Per-link specs, ready for any substrate or
+            engine (or :func:`repro.experiments.runner.
+            run_experiment`).
         workloads: Per-path traffic.
         ground_truth_links: Links that actually differentiate.
     """
@@ -208,7 +203,7 @@ def _compile_dumbbell(scenario: Scenario) -> CompiledScenario:
         capacity_mbps=scenario.capacity_mbps,
         buffer_rtt_seconds=scenario.buffer_seconds,
     )
-    specs = normalize_specs(topo.link_specs)
+    specs = dict(topo.link_specs)
     truth: FrozenSet[str] = frozenset()
     if scenario.policy is not None:
         specs[SHARED_LINK] = scenario.policy.apply_to(specs[SHARED_LINK])
@@ -241,17 +236,12 @@ def _compile_multi_isp(scenario: Scenario) -> CompiledScenario:
         else 0.15
     )
     topo = build_multi_isp(policing_rate=rate)
-    specs = normalize_specs(topo.link_specs)
+    specs = dict(topo.link_specs)
     truth: FrozenSet[str] = frozenset()
     if scenario.policy is None:
         # Neutral variant: strip the built-in policers.
         for lid in POLICED_LINKS:
-            old = specs[lid]
-            specs[lid] = LinkSpec(
-                capacity_mbps=old.capacity_mbps,
-                buffer_seconds=old.buffer_seconds,
-                delay_seconds=old.delay_seconds,
-            )
+            specs[lid] = replace(specs[lid], policer=None)
     else:
         for lid in POLICED_LINKS:
             specs[lid] = scenario.policy.apply_to(specs[lid])

@@ -1,171 +1,22 @@
-"""The shared per-link spec and its per-substrate compiler.
+"""The per-link spec, as the substrate layer exports it.
 
-:class:`LinkSpec` is the substrate-neutral description of one link:
-physical parameters (capacity, buffer, propagation) plus at most one
-differentiation mechanism from the shared vocabulary of
-:mod:`repro.fluid.params` (:class:`PolicerSpec`, :class:`ShaperSpec`,
-:class:`AqmSpec`, :class:`WeightedShaperSpec` — all expressed as
-fractions of capacity and seconds, so they compile to any substrate).
-
-This module is the *single* validation point for link configuration:
-:func:`normalize_specs` accepts shared or fluid-native specs, checks
-them once, and the compilers (:func:`to_fluid`, :func:`to_packet`)
-translate into engine-native units. All errors are
-:class:`~repro.exceptions.ConfigurationError` (a
-:class:`~repro.exceptions.ReproError`), so callers catch one base
-class regardless of substrate.
+:class:`LinkSpec` lives in :mod:`repro.fluid.params`, a leaf module
+both engines import; it is re-exported here with
+:func:`normalize_specs` (the mapping type check) and
+:data:`DEFAULT_DELAY_SECONDS`. Every engine, session and substrate
+accepts ``LinkSpec`` mappings directly: the fluid engine reads them
+as they are and the packet engine converts each link to packet units
+itself. All errors are :class:`~repro.exceptions.ConfigurationError`.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple, Union
-
-from repro.exceptions import ConfigurationError
 from repro.fluid.params import (
-    AqmSpec,
-    FluidLinkSpec,
-    PolicerSpec,
-    ShaperSpec,
-    WeightedShaperSpec,
-    mbps_to_pps,
-    validate_single_mechanism,
+    DEFAULT_DELAY_SECONDS,
+    LinkSpec,
+    normalize_specs,
 )
-from repro.emulator.specs import PacketLinkSpec
 
-#: Default one-way propagation per link for the packet substrate.
-#: Deliberately small: path RTTs are owned by the workload
-#: (``PathWorkload.rtt_seconds``), which the packet engine honours by
-#: stretching the ACK return path; link delay only has to keep the
-#: forward direction causally ordered.
-DEFAULT_DELAY_SECONDS = 0.002
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    """Substrate-neutral physical + policy description of one link.
-
-    Attributes:
-        capacity_mbps: Link capacity.
-        buffer_seconds: Droptail queue depth in seconds at capacity
-            (the paper's RTT-sized buffers).
-        delay_seconds: One-way propagation (packet substrate).
-        policer: Optional token-bucket differentiation.
-        shaper: Optional dual-shaper differentiation.
-        aqm: Optional class-targeted early drop.
-        weighted: Optional work-conserving weighted service.
-    """
-
-    capacity_mbps: float = 100.0
-    buffer_seconds: float = 0.2
-    delay_seconds: float = DEFAULT_DELAY_SECONDS
-    policer: Optional[PolicerSpec] = None
-    shaper: Optional[ShaperSpec] = None
-    aqm: Optional[AqmSpec] = None
-    weighted: Optional[WeightedShaperSpec] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity_mbps <= 0:
-            raise ConfigurationError("capacity must be positive")
-        if self.buffer_seconds <= 0:
-            raise ConfigurationError("buffer depth must be positive")
-        if self.delay_seconds < 0:
-            raise ConfigurationError("delay must be nonnegative")
-        validate_single_mechanism(self.mechanisms)
-
-    @property
-    def mechanisms(self) -> Tuple[object, ...]:
-        return tuple(
-            m
-            for m in (self.policer, self.shaper, self.aqm, self.weighted)
-            if m is not None
-        )
-
-    @property
-    def is_differentiating(self) -> bool:
-        return bool(self.mechanisms)
-
-    @property
-    def capacity_pps(self) -> float:
-        return mbps_to_pps(self.capacity_mbps)
-
-
-def from_fluid(
-    spec: FluidLinkSpec,
-    delay_seconds: float = DEFAULT_DELAY_SECONDS,
-) -> LinkSpec:
-    """Lift a fluid-native spec into the shared form."""
-    return LinkSpec(
-        capacity_mbps=spec.capacity_mbps,
-        buffer_seconds=spec.buffer_rtt_seconds,
-        delay_seconds=delay_seconds,
-        policer=spec.policer,
-        shaper=spec.shaper,
-        aqm=spec.aqm,
-        weighted=spec.weighted,
-    )
-
-
-def to_fluid(spec: LinkSpec) -> FluidLinkSpec:
-    """Compile a shared spec for the fluid engine."""
-    return FluidLinkSpec(
-        capacity_mbps=spec.capacity_mbps,
-        buffer_rtt_seconds=spec.buffer_seconds,
-        policer=spec.policer,
-        shaper=spec.shaper,
-        aqm=spec.aqm,
-        weighted=spec.weighted,
-    )
-
-
-def to_packet(spec: LinkSpec) -> PacketLinkSpec:
-    """Compile a shared spec for the packet engine.
-
-    Rates become packets/second, the buffer becomes a packet count,
-    and the fraction-based policer becomes a packet-rate token
-    bucket; the other mechanisms pass through (the packet engine
-    consumes the shared fraction-based vocabulary directly).
-    """
-    rate_pps = spec.capacity_pps
-    policer_rate = None
-    policer_bucket = 8.0
-    policed_class = None
-    if spec.policer is not None:
-        policer_rate = spec.policer.rate_fraction * rate_pps
-        policer_bucket = max(1.0, spec.policer.burst_seconds * policer_rate)
-        policed_class = spec.policer.target_class
-    return PacketLinkSpec(
-        rate_pps=rate_pps,
-        delay_seconds=spec.delay_seconds,
-        queue_packets=max(1, int(round(spec.buffer_seconds * rate_pps))),
-        policer_rate_pps=policer_rate,
-        policer_bucket=policer_bucket,
-        policed_class=policed_class,
-        shaper=spec.shaper,
-        aqm=spec.aqm,
-        weighted=spec.weighted,
-    )
-
-
-def normalize_specs(
-    link_specs: Mapping[str, Union[LinkSpec, FluidLinkSpec]],
-) -> Dict[str, LinkSpec]:
-    """Normalize a possibly mixed spec mapping to the shared form.
-
-    Accepts shared :class:`LinkSpec` and fluid-native
-    :class:`FluidLinkSpec` values (existing topology builders emit
-    the latter); anything else is a configuration error. Dataclass
-    construction re-runs the unified validation on every entry.
-    """
-    out: Dict[str, LinkSpec] = {}
-    for lid, spec in link_specs.items():
-        if isinstance(spec, LinkSpec):
-            out[lid] = spec
-        elif isinstance(spec, FluidLinkSpec):
-            out[lid] = from_fluid(spec)
-        else:
-            raise ConfigurationError(
-                f"link {lid!r}: unsupported spec type "
-                f"{type(spec).__name__}"
-            )
-    return out
+__all__ = [
+    "DEFAULT_DELAY_SECONDS",
+    "LinkSpec",
+    "normalize_specs",
+]

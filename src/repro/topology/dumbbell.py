@@ -18,9 +18,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.classes import ClassAssignment, two_classes
 from repro.core.network import Network, Path
+from repro.exceptions import ConfigurationError
 from repro.fluid.params import (
     AqmSpec,
-    FluidLinkSpec,
+    LinkSpec,
     PolicerSpec,
     ShaperSpec,
     WeightedShaperSpec,
@@ -41,14 +42,14 @@ class DumbbellTopology:
     Attributes:
         network: The 9-link, 4-path graph of Figure 7(b).
         classes: ``c1 = {p1,p2}``, ``c2 = {p3,p4}``.
-        link_specs: Fluid specs; only ``l5`` is a bottleneck (access
-            and egress links run at 10× its capacity).
+        link_specs: Per-link specs; only ``l5`` is a bottleneck
+            (access and egress links run at 10× its capacity).
         differentiated: Whether ``l5`` polices/shapes class c2.
     """
 
     network: Network
     classes: ClassAssignment
-    link_specs: Dict[str, FluidLinkSpec]
+    link_specs: Dict[str, LinkSpec]
     differentiated: bool
 
 
@@ -100,15 +101,15 @@ def build_dumbbell(
             target_class="c2", weight=rate_fraction
         )
     elif mechanism is not None:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+        raise ConfigurationError(f"unknown mechanism {mechanism!r}")
 
-    specs: Dict[str, FluidLinkSpec] = {
-        lid: FluidLinkSpec(capacity_mbps=10.0 * capacity_mbps)
+    specs: Dict[str, LinkSpec] = {
+        lid: LinkSpec(capacity_mbps=10.0 * capacity_mbps)
         for lid in links
     }
-    specs[SHARED_LINK] = FluidLinkSpec(
+    specs[SHARED_LINK] = LinkSpec(
         capacity_mbps=capacity_mbps,
-        buffer_rtt_seconds=buffer_rtt_seconds,
+        buffer_seconds=buffer_rtt_seconds,
         policer=policer,
         shaper=shaper,
         aqm=aqm,

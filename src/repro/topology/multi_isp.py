@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.core.classes import ClassAssignment, classes_from_mapping
 from repro.core.network import Network, Path
-from repro.fluid.params import FluidLinkSpec, PolicerSpec
+from repro.fluid.params import LinkSpec, PolicerSpec
 
 #: The three policing links (ground truth for Figure 10).
 POLICED_LINKS = ("l5", "l14", "l20")
@@ -119,13 +119,13 @@ class MultiIspTopology:
     Attributes:
         network: 24 links, 25 paths (10 dark + 10 light + 5 white).
         classes: ``c1`` = dark + white paths, ``c2`` = light paths.
-        link_specs: Fluid specs; policers on ``l5``, ``l14``, ``l20``.
+        link_specs: Per-link specs; policers on ``l5``, ``l14``, ``l20``.
         dark_paths / light_paths / white_paths: Path-id groups.
     """
 
     network: Network
     classes: ClassAssignment
-    link_specs: Dict[str, FluidLinkSpec]
+    link_specs: Dict[str, LinkSpec]
     dark_paths: Tuple[str, ...]
     light_paths: Tuple[str, ...]
     white_paths: Tuple[str, ...]
@@ -278,7 +278,7 @@ def build_multi_isp(
     classes = classes_from_mapping(net, mapping)
 
     access_links = set(ACCESS.values()) | set(WHITE_ACCESS.values())
-    specs: Dict[str, FluidLinkSpec] = {}
+    specs: Dict[str, LinkSpec] = {}
     for lid in link_ids:
         capacity = (
             access_capacity_mbps if lid in access_links
@@ -289,7 +289,7 @@ def build_multi_isp(
             if lid in policed
             else None
         )
-        specs[lid] = FluidLinkSpec(capacity_mbps=capacity, policer=policer)
+        specs[lid] = LinkSpec(capacity_mbps=capacity, policer=policer)
     return MultiIspTopology(
         network=net,
         classes=classes,

@@ -4,7 +4,7 @@ The golden file (``golden/inference_goldens.json``) holds Algorithm
 1/2 outputs — identified / neutral / skipped sequence sets,
 unsolvability scores, and normalized observations — captured from the
 *pre-vectorization* inference pipeline (the seed implementation, now
-frozen as :mod:`repro.core.algorithm_reference`) on a locked set of
+frozen as ``tests/oracles/algorithm_reference.py``) on a locked set of
 seed topologies: the paper figures, star/chain/tree/mesh generator
 draws, and the multi-ISP measured subnetwork, in exact and scored
 modes (plus one sampled-normalization case).

@@ -7,7 +7,7 @@ Two layers of locking:
   star/chain/tree/mesh draws, multi-ISP, plus a sampled-mode case).
   The vectorized pipeline must reproduce identical
   identified/neutral/skipped sets and fp-equal scores/observations.
-* The frozen reference module (:mod:`repro.core.algorithm_reference`)
+* The frozen reference module (``tests/oracles/algorithm_reference.py``)
   is run side by side on the same inputs, so equivalence holds even
   for quantities the JSON does not pin (e.g. system structure).
 """
@@ -30,7 +30,7 @@ from inference_golden_config import (
 from repro.core.algorithm import (
     identify_non_neutral_exact,
 )
-from repro.core.algorithm_reference import (
+from oracles.algorithm_reference import (
     identify_non_neutral_exact_reference,
     infer_reference,
 )

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.algorithm import remove_redundant
-from repro.core.algorithm_reference import (
+from oracles.algorithm_reference import (
     pair_estimates_reference,
     remove_redundant_reference,
     shared_sequences_reference,

@@ -22,7 +22,7 @@ from repro.emulator.core import PacketNetwork
 from repro.fluid.params import FlowSlotSpec, PathWorkload
 from repro.measurement.normalize import path_congestion_probability
 from repro.substrate.scenario import DifferentiationPolicy
-from repro.substrate.spec import LinkSpec, to_packet
+from repro.substrate.spec import LinkSpec
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
 
 GOLDEN_PATH = os.path.join(
@@ -41,7 +41,7 @@ CAPACITY_MBPS = 24.0  # 2000 packets/second at the bottleneck
 
 
 def scenario_inputs(scenario):
-    """Build (net, classes, packet link specs, workloads)."""
+    """Build (topology, link specs, workloads)."""
     topo = build_dumbbell(mechanism=None)
     specs = {
         lid: LinkSpec(capacity_mbps=10 * CAPACITY_MBPS, buffer_seconds=0.2)
@@ -63,7 +63,7 @@ def scenario_inputs(scenario):
         )
         for pid in topo.network.path_ids
     }
-    return topo, {lid: to_packet(s) for lid, s in specs.items()}, workloads
+    return topo, specs, workloads
 
 
 def summarize(result):

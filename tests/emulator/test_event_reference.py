@@ -11,20 +11,28 @@ policed and a neutral dumbbell.
 """
 
 import pytest
-from oracles.event_reference import EventPacketNetwork
+from oracles.event_reference import (
+    EventPacketNetwork,
+    PacketLinkSpec,
+    packet_link_spec,
+)
 
 from repro.core.classes import two_classes
 from repro.core.network import Network, Path
-from repro.emulator import PacketLinkSpec, PacketNetwork
+from repro.emulator import PacketNetwork
 from repro.exceptions import ConfigurationError
-from repro.fluid.params import AqmSpec
+from repro.fluid.params import AqmSpec, LinkSpec, PolicerSpec
 from repro.measurement.normalize import path_congestion_probability
 
 SHARED_PPS = 4000.0
+SHARED_MBPS = 48.0  # 4000 packets/second at 1500 B
 DURATION = 10.0
 
 
 def _dumbbell(policer_pps=None):
+    """Shared 4000 pps link (200-packet queue), 5x faster edges
+    (500-packet queues), 10 ms per hop; the policer's bucket holds
+    8 packets."""
     paths = [
         Path(f"p{i}", (f"a{i}", "shared", f"e{i}")) for i in range(1, 5)
     ]
@@ -35,22 +43,33 @@ def _dumbbell(policer_pps=None):
     )
     net = Network(links, paths)
     classes = two_classes(net, ["p3", "p4"])
-    fast = PacketLinkSpec(
-        rate_pps=5 * SHARED_PPS, queue_packets=500, delay_seconds=0.01
+    fast = LinkSpec(
+        capacity_mbps=5 * SHARED_MBPS,
+        buffer_seconds=500 / (5 * SHARED_PPS),
+        delay_seconds=0.01,
     )
     specs = {lid: fast for lid in links}
-    specs["shared"] = PacketLinkSpec(
-        rate_pps=SHARED_PPS,
-        queue_packets=200,
+    specs["shared"] = LinkSpec(
+        capacity_mbps=SHARED_MBPS,
+        buffer_seconds=200 / SHARED_PPS,
         delay_seconds=0.01,
-        policer_rate_pps=policer_pps,
-        policed_class="c2" if policer_pps else None,
+        policer=(
+            PolicerSpec(
+                "c2",
+                policer_pps / SHARED_PPS,
+                burst_seconds=8.0 / policer_pps,
+            )
+            if policer_pps
+            else None
+        ),
     )
     return net, classes, specs
 
 
 def _summary(engine_cls, policer_pps):
     net, classes, specs = _dumbbell(policer_pps)
+    if engine_cls is EventPacketNetwork:
+        specs = {lid: packet_link_spec(s) for lid, s in specs.items()}
     sim = engine_cls(
         net, classes, specs, {pid: [10**9] for pid in net.path_ids},
         seed=11,
@@ -116,6 +135,7 @@ def test_engines_carry_the_same_load(summaries, label):
 
 def test_reference_rejects_newer_mechanisms():
     net, classes, specs = _dumbbell()
+    specs = {lid: packet_link_spec(s) for lid, s in specs.items()}
     specs["shared"] = PacketLinkSpec(
         rate_pps=SHARED_PPS, aqm=AqmSpec("c2")
     )

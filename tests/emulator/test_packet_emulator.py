@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.classes import two_classes
 from repro.core.network import Network, Path
-from repro.emulator import PacketLinkSpec, PacketNetwork
+from repro.emulator import PacketNetwork
 from repro.exceptions import ConfigurationError, EmulationError
+from repro.fluid.params import LinkSpec, PolicerSpec
 from repro.measurement.normalize import path_congestion_probability
 
 
@@ -20,12 +21,22 @@ def _dumbbell(policer_rate=None):
         ],
     )
     classes = two_classes(net, ["p2"])
-    fast = PacketLinkSpec(rate_pps=5000.0, queue_packets=500)
-    shared = PacketLinkSpec(
-        rate_pps=500.0,
-        queue_packets=50,
-        policer_rate_pps=policer_rate,
-        policed_class="c2" if policer_rate else None,
+    # 5000 / 500 packets/second, 500- / 50-packet queues, 5 ms hops;
+    # the policer's bucket holds 8 packets.
+    fast = LinkSpec(
+        capacity_mbps=60.0, buffer_seconds=0.1, delay_seconds=0.005
+    )
+    shared = LinkSpec(
+        capacity_mbps=6.0,
+        buffer_seconds=0.1,
+        delay_seconds=0.005,
+        policer=(
+            PolicerSpec(
+                "c2", policer_rate / 500.0, burst_seconds=8.0 / policer_rate
+            )
+            if policer_rate
+            else None
+        ),
     )
     specs = {
         "a1": fast, "a2": fast, "e1": fast, "e2": fast,
@@ -46,10 +57,12 @@ class TestValidation:
             PacketNetwork(net, classes, specs, {"p9": [100]})
 
     def test_spec_validation(self):
+        net, classes, specs = _dumbbell()
         with pytest.raises(ConfigurationError):
-            PacketLinkSpec(rate_pps=0)
-        with pytest.raises(ConfigurationError):
-            PacketLinkSpec(policer_rate_pps=100.0)  # missing class
+            LinkSpec(capacity_mbps=0)
+        specs["shared"] = LinkSpec(policer=PolicerSpec("c9", 0.2))
+        with pytest.raises(ConfigurationError):  # unknown class
+            PacketNetwork(net, classes, specs, {"p1": [100]})
 
     def test_duration_validation(self):
         net, classes, specs = _dumbbell()

@@ -22,8 +22,8 @@ from repro.fluid.batch import FluidBatchNetwork
 from repro.fluid.engine import FluidNetwork
 from repro.fluid.params import (
     AqmSpec,
-    FluidLinkSpec,
     FlowSlotSpec,
+    LinkSpec,
     PathWorkload,
     PolicerSpec,
     ShaperSpec,
@@ -110,15 +110,15 @@ def _spec_set(draw, net, classes):
     specs = {}
     num_mech = draw(st.integers(0, 2))
     for lid in shared[:num_mech]:
-        specs[lid] = FluidLinkSpec(
+        specs[lid] = LinkSpec(
             capacity_mbps=draw(st.sampled_from([30.0, 50.0])),
-            buffer_rtt_seconds=0.1,
+            buffer_seconds=0.1,
             **_mechanism(draw, "c2"),
         )
     for lid in link_ids:
         specs.setdefault(
             lid,
-            FluidLinkSpec(capacity_mbps=60.0, buffer_rtt_seconds=0.1),
+            LinkSpec(capacity_mbps=60.0, buffer_seconds=0.1),
         )
     return specs
 
@@ -276,9 +276,9 @@ def test_all_mechanism_families_in_one_batch():
     def with_mech(**mech):
         specs = dict(base)
         spec = specs[SHARED_LINK]
-        specs[SHARED_LINK] = FluidLinkSpec(
+        specs[SHARED_LINK] = LinkSpec(
             capacity_mbps=spec.capacity_mbps,
-            buffer_rtt_seconds=spec.buffer_rtt_seconds,
+            buffer_seconds=spec.buffer_seconds,
             **mech,
         )
         return specs
@@ -314,9 +314,9 @@ def test_heterogeneous_durations_active_mask():
         for pid in net.path_ids
     }
     specs = {
-        "hub": FluidLinkSpec(
+        "hub": LinkSpec(
             capacity_mbps=40.0,
-            buffer_rtt_seconds=0.1,
+            buffer_seconds=0.1,
             policer=PolicerSpec("c2", 0.3),
         )
     }
@@ -394,7 +394,7 @@ class TestValidation:
             FluidBatchNetwork(
                 net,
                 classes,
-                [{}, {"nope": FluidLinkSpec()}],
+                [{}, {"nope": LinkSpec()}],
                 wl,
                 [1, 2],
             )

@@ -12,7 +12,7 @@ from repro.exceptions import ConfigurationError, EmulationError
 from repro.fluid.engine import FluidNetwork
 from repro.fluid.params import (
     FlowSlotSpec,
-    FluidLinkSpec,
+    LinkSpec,
     PathWorkload,
     PolicerSpec,
     ShaperSpec,
@@ -56,7 +56,7 @@ class TestValidation:
     def test_unknown_link_spec(self):
         topo = build_dumbbell()
         specs = dict(topo.link_specs)
-        specs["l99"] = FluidLinkSpec()
+        specs["l99"] = LinkSpec()
         wl = {pid: PathWorkload() for pid in topo.network.path_ids}
         with pytest.raises(ConfigurationError):
             FluidNetwork(topo.network, topo.classes, specs, wl)
@@ -64,7 +64,7 @@ class TestValidation:
     def test_unknown_target_class(self):
         topo = build_dumbbell()
         specs = dict(topo.link_specs)
-        specs["l5"] = FluidLinkSpec(policer=PolicerSpec("c9", 0.3))
+        specs["l5"] = LinkSpec(policer=PolicerSpec("c9", 0.3))
         wl = {pid: PathWorkload() for pid in topo.network.path_ids}
         with pytest.raises(ConfigurationError):
             FluidNetwork(topo.network, topo.classes, specs, wl)

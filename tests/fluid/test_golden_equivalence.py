@@ -2,7 +2,7 @@
 
 ``golden/scalar_goldens.json`` holds per-path ``(sent, lost)`` totals
 and congestion probabilities captured from the pre-vectorization
-scalar engine (frozen as :mod:`repro.fluid.engine_scalar`) on three
+scalar engine (frozen as ``tests/oracles/engine_scalar.py``) on three
 locked dumbbell configurations — neutral, policing, shaping. The
 vectorized engine consumes its RNG stream in a different order, so it
 realizes a *different sample path* of the same stochastic model;

@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.fluid.params import (
     FlowSlotSpec,
-    FluidLinkSpec,
+    LinkSpec,
     PathWorkload,
     PolicerSpec,
     ShaperSpec,
@@ -47,13 +47,13 @@ class TestSpecs:
 
     def test_link_cannot_police_and_shape(self):
         with pytest.raises(ConfigurationError):
-            FluidLinkSpec(
+            LinkSpec(
                 policer=PolicerSpec("c2", 0.3),
                 shaper=ShaperSpec("c2", 0.3),
             )
 
     def test_link_derived_quantities(self):
-        spec = FluidLinkSpec(capacity_mbps=12, buffer_rtt_seconds=0.1)
+        spec = LinkSpec(capacity_mbps=12, buffer_seconds=0.1)
         assert spec.capacity_pps == pytest.approx(1000.0)
         assert spec.buffer_packets == pytest.approx(100.0)
         assert not spec.is_differentiating

@@ -26,11 +26,11 @@ from repro.core import identify_non_neutral
 from repro.core.algorithm import required_pathsets
 from repro.core.classes import two_classes
 from repro.core.network import Network, Path
-from repro.emulator import PacketLinkSpec, PacketNetwork
+from repro.emulator import PacketNetwork
 from repro.fluid.engine import FluidNetwork
 from repro.fluid.params import (
     FlowSlotSpec,
-    FluidLinkSpec,
+    LinkSpec,
     PathWorkload,
     PolicerSpec,
     MSS_BITS,
@@ -66,12 +66,27 @@ def _dumbbell():
 
 def _run_packet(policing, seed=11, duration=60.0):
     net, classes = _dumbbell()
-    fast = PacketLinkSpec(rate_pps=EDGE_RATE_PPS, queue_packets=500)
-    shared = PacketLinkSpec(
-        rate_pps=SHARED_RATE_PPS,
-        queue_packets=40,
-        policer_rate_pps=POLICER_RATE_PPS if policing else None,
-        policed_class="c2" if policing else None,
+    pps_to_mbps = MSS_BITS / 1e6
+    # 500- / 40-packet queues, 5 ms hops; the policer's bucket holds
+    # 8 packets.
+    fast = LinkSpec(
+        capacity_mbps=EDGE_RATE_PPS * pps_to_mbps,
+        buffer_seconds=500 / EDGE_RATE_PPS,
+        delay_seconds=0.005,
+    )
+    shared = LinkSpec(
+        capacity_mbps=SHARED_RATE_PPS * pps_to_mbps,
+        buffer_seconds=40 / SHARED_RATE_PPS,
+        delay_seconds=0.005,
+        policer=(
+            PolicerSpec(
+                "c2",
+                POLICER_RATE_PPS / SHARED_RATE_PPS,
+                burst_seconds=8.0 / POLICER_RATE_PPS,
+            )
+            if policing
+            else None
+        ),
     )
     specs = {lid: fast for lid in net.link_ids}
     specs["shared"] = shared
@@ -88,10 +103,10 @@ def _run_packet(policing, seed=11, duration=60.0):
 def _run_fluid(policing, seed=11, duration=60.0):
     net, classes = _dumbbell()
     pps_to_mbps = MSS_BITS / 1e6
-    fast = FluidLinkSpec(capacity_mbps=EDGE_RATE_PPS * pps_to_mbps)
-    shared = FluidLinkSpec(
+    fast = LinkSpec(capacity_mbps=EDGE_RATE_PPS * pps_to_mbps)
+    shared = LinkSpec(
         capacity_mbps=SHARED_RATE_PPS * pps_to_mbps,
-        buffer_rtt_seconds=0.1,  # 40 packets at 400 pps
+        buffer_seconds=0.1,  # 40 packets at 400 pps
         policer=(
             PolicerSpec("c2", POLICER_RATE_PPS / SHARED_RATE_PPS)
             if policing

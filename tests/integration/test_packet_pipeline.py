@@ -12,7 +12,8 @@ from repro.core import identify_non_neutral
 from repro.core.algorithm import required_pathsets
 from repro.core.classes import two_classes
 from repro.core.network import Network, Path
-from repro.emulator import PacketLinkSpec, PacketNetwork
+from repro.emulator import PacketNetwork
+from repro.fluid.params import LinkSpec, PolicerSpec
 from repro.measurement import pathset_performance_numbers
 
 
@@ -28,12 +29,22 @@ def _four_path_dumbbell(policer_rate=None):
     )
     net = Network(links, paths)
     classes = two_classes(net, ["p3", "p4"])
-    fast = PacketLinkSpec(rate_pps=5000.0, queue_packets=500)
-    shared = PacketLinkSpec(
-        rate_pps=400.0,
-        queue_packets=40,
-        policer_rate_pps=policer_rate,
-        policed_class="c2" if policer_rate else None,
+    # 5000 / 400 packets/second, 500- / 40-packet queues, 5 ms hops;
+    # the policer's bucket holds 8 packets.
+    fast = LinkSpec(
+        capacity_mbps=60.0, buffer_seconds=0.1, delay_seconds=0.005
+    )
+    shared = LinkSpec(
+        capacity_mbps=4.8,
+        buffer_seconds=0.1,
+        delay_seconds=0.005,
+        policer=(
+            PolicerSpec(
+                "c2", policer_rate / 400.0, burst_seconds=8.0 / policer_rate
+            )
+            if policer_rate
+            else None
+        ),
     )
     specs = {lid: fast for lid in links}
     specs["shared"] = shared

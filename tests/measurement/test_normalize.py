@@ -85,7 +85,7 @@ class TestCongestionFreeMatrix:
         stream exactly like the frozen per-cell loop — including
         skipping invalid intervals — so seeded sampled runs are
         bit-reproducible across the rewrite."""
-        from repro.core.algorithm_reference import (
+        from oracles.algorithm_reference import (
             congestion_free_matrix_reference,
         )
 

@@ -33,7 +33,7 @@ from repro.fluid.engine import (
     SRTT_TIME_CONSTANT,
     FluidResult,
 )
-from repro.fluid.params import FluidLinkSpec, PathWorkload
+from repro.fluid.params import LinkSpec, PathWorkload
 from repro.fluid.traffic import FlowSlot, build_slots
 from repro.measurement.records import MeasurementData, PathRecord
 
@@ -42,7 +42,7 @@ from repro.measurement.records import MeasurementData, PathRecord
 class _LinkState:
     """Mutable runtime state of one link."""
 
-    spec: FluidLinkSpec
+    spec: LinkSpec
     queue: float = 0.0  # common droptail queue, packets
     tokens: float = 0.0  # policer bucket, packets
     shaper_target_queue: float = 0.0
@@ -78,7 +78,7 @@ class ScalarFluidNetwork:
         self,
         net: Network,
         classes: ClassAssignment,
-        link_specs: Mapping[str, FluidLinkSpec] = None,
+        link_specs: Mapping[str, LinkSpec] = None,
         workloads: Mapping[str, PathWorkload] = None,
         seed: int = 0,
         send_jitter_cv: float = DEFAULT_SEND_JITTER_CV,
@@ -94,8 +94,8 @@ class ScalarFluidNetwork:
             raise ConfigurationError(
                 f"link specs for unknown links: {sorted(unknown)}"
             )
-        self._link_specs: Dict[str, FluidLinkSpec] = {
-            lid: specs.get(lid, FluidLinkSpec()) for lid in net.link_ids
+        self._link_specs: Dict[str, LinkSpec] = {
+            lid: specs.get(lid, LinkSpec()) for lid in net.link_ids
         }
         if workloads is None:
             raise ConfigurationError("workloads are required")

@@ -1,15 +1,20 @@
 """Frozen seed per-event packet loop (reference implementation).
 
 This is the pre-vectorization discrete-event engine, kept verbatim
-(modulo the class rename and the spec import) as the behavioural and
-performance baseline for the batched engine in
-:mod:`repro.emulator.core` — the packet analogue of
-``tests/oracles/engine_scalar.py``. ``tests/emulator/
+(modulo the class rename) as the behavioural and performance baseline
+for the batched engine in :mod:`repro.emulator.core` — the packet
+analogue of ``tests/oracles/engine_scalar.py``. ``tests/emulator/
 test_event_reference.py`` checks that both engines see the same
 differentiation, and ``benchmarks/bench_packet_engine.py`` measures
 the vectorized engine against this loop; do not optimize or extend
 it. It supports droptail and token-bucket policing only and
 rejects specs carrying the newer mechanisms.
+
+The loop reads its own packet-unit spec, :class:`PacketLinkSpec`
+(rates in packets/second, queues in packets), which the shipped
+engines no longer use; :func:`packet_link_spec` converts a shared
+:class:`~repro.fluid.params.LinkSpec` to it with the packet engine's
+own arithmetic, so a test can hand both engines the same link.
 """
 
 
@@ -17,15 +22,108 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError, EmulationError
-from repro.emulator.specs import PacketLinkSpec
+from repro.fluid.params import (
+    AqmSpec,
+    LinkSpec,
+    ShaperSpec,
+    WeightedShaperSpec,
+    validate_single_mechanism,
+)
 from repro.measurement.records import MeasurementData, PathRecord
+
+
+@dataclass(frozen=True)
+class PacketLinkSpec:
+    """Physical parameters of one packet-level link.
+
+    Attributes:
+        rate_pps: Service rate in packets per second.
+        delay_seconds: Propagation delay.
+        queue_packets: Droptail queue capacity.
+        policer_rate_pps: Token-bucket rate applied to the policed
+            class (None = no policing).
+        policer_bucket: Bucket depth in packets.
+        policed_class: Class the policer targets.
+        shaper: Optional dual-shaper differentiation (fractions of
+            ``rate_pps``, like the fluid substrate).
+        aqm: Optional class-targeted early-drop differentiation.
+        weighted: Optional work-conserving weighted per-class service.
+    """
+
+    rate_pps: float = 1000.0
+    delay_seconds: float = 0.005
+    queue_packets: int = 100
+    policer_rate_pps: Optional[float] = None
+    policer_bucket: float = 8.0
+    policed_class: Optional[str] = None
+    shaper: Optional[ShaperSpec] = None
+    aqm: Optional[AqmSpec] = None
+    weighted: Optional[WeightedShaperSpec] = None
+
+    def __post_init__(self) -> None:
+        if self.rate_pps <= 0:
+            raise ConfigurationError("rate must be positive")
+        if self.queue_packets < 1:
+            raise ConfigurationError("queue must hold >= 1 packet")
+        if (self.policer_rate_pps is None) != (self.policed_class is None):
+            raise ConfigurationError(
+                "policer rate and policed class go together"
+            )
+        if self.policer_rate_pps is not None and self.policer_rate_pps <= 0:
+            raise ConfigurationError("policer rate must be positive")
+        if self.policer_bucket < 1:
+            raise ConfigurationError("policer bucket must hold >= 1 token")
+        validate_single_mechanism(self.mechanisms)
+
+    @property
+    def mechanisms(self) -> Tuple[object, ...]:
+        """The configured differentiation mechanisms (0 or 1)."""
+        mechs = []
+        if self.policer_rate_pps is not None:
+            mechs.append(("policer", self.policer_rate_pps))
+        for m in (self.shaper, self.aqm, self.weighted):
+            if m is not None:
+                mechs.append(m)
+        return tuple(mechs)
+
+    @property
+    def is_differentiating(self) -> bool:
+        return bool(self.mechanisms)
+
+
+def packet_link_spec(spec: LinkSpec) -> PacketLinkSpec:
+    """A shared spec in packet units, for this loop.
+
+    Rates become packets/second, the buffer becomes a packet count,
+    and the fraction-based policer becomes a packet-rate token
+    bucket; the other mechanisms pass through.
+    """
+    rate_pps = spec.capacity_pps
+    policer_rate = None
+    policer_bucket = 8.0
+    policed_class = None
+    if spec.policer is not None:
+        policer_rate = spec.policer.rate_fraction * rate_pps
+        policer_bucket = max(1.0, spec.policer.burst_seconds * policer_rate)
+        policed_class = spec.policer.target_class
+    return PacketLinkSpec(
+        rate_pps=rate_pps,
+        delay_seconds=spec.delay_seconds,
+        queue_packets=max(1, int(round(spec.buffer_seconds * rate_pps))),
+        policer_rate_pps=policer_rate,
+        policer_bucket=policer_bucket,
+        policed_class=policed_class,
+        shaper=spec.shaper,
+        aqm=spec.aqm,
+        weighted=spec.weighted,
+    )
 
 
 @dataclass

@@ -23,7 +23,7 @@ from repro.fluid.engine import FluidNetwork
 from repro.measurement.records import MeasurementData, PathRecord
 from repro.streaming.stream import EmulationStream, ReplayStream
 from repro.substrate.registry import get_substrate
-from repro.substrate.spec import normalize_specs, to_fluid, to_packet
+from repro.substrate.spec import normalize_specs
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
 from repro.workloads.profiles import class_workload
 
@@ -201,10 +201,7 @@ class TestFluidSession:
 
 class TestPacketSession:
     def test_segmented_equals_one_shot(self, dumbbell, workloads):
-        specs = {
-            lid: to_packet(spec)
-            for lid, spec in normalize_specs(dumbbell.link_specs).items()
-        }
+        specs = normalize_specs(dumbbell.link_specs)
 
         def make():
             return PacketNetwork(
@@ -225,10 +222,7 @@ class TestPacketSession:
         )
 
     def test_swap_validation(self, dumbbell, workloads):
-        specs = {
-            lid: to_packet(spec)
-            for lid, spec in normalize_specs(dumbbell.link_specs).items()
-        }
+        specs = normalize_specs(dumbbell.link_specs)
         session = PacketNetwork(
             dumbbell.network,
             dumbbell.classes,
@@ -261,7 +255,7 @@ class TestSubstrateStart:
             dumbbell.network, dumbbell.classes, specs, workloads, QUICK
         )
         session.advance(1)
-        session.set_link_specs(specs)  # shared vocabulary, recompiled
+        session.set_link_specs(specs)  # the engine session, unwrapped
         session.advance(1)
         assert session.intervals_done == 2
 

@@ -7,7 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
 from repro.fluid.params import (
     FlowSlotSpec,
-    FluidLinkSpec,
+    LinkSpec,
     PathWorkload,
     PolicerSpec,
 )
@@ -36,9 +36,9 @@ def _fixture():
     def variant(rate):
         specs = dict(topo.link_specs)
         base = specs[SHARED_LINK]
-        specs[SHARED_LINK] = FluidLinkSpec(
+        specs[SHARED_LINK] = LinkSpec(
             capacity_mbps=base.capacity_mbps,
-            buffer_rtt_seconds=base.buffer_rtt_seconds,
+            buffer_seconds=base.buffer_seconds,
             policer=PolicerSpec("c2", rate),
         )
         return specs

@@ -2,7 +2,7 @@
 
 :func:`repro.experiments.runner.infer_from_measurements` must return
 the verdict of the frozen O(P²)-Python
-:func:`repro.core.algorithm_reference.infer_reference` on federated
+``oracles.algorithm_reference.infer_reference`` on federated
 multi-ISP topologies (identical identified / neutral / skipped sets,
 scores equal to round-off), and its own verdict must not depend on the
 cold-pass block bound (:data:`repro.core.slices.COLD_BLOCK`) or on
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import slices
-from repro.core.algorithm_reference import infer_reference
+from oracles.algorithm_reference import infer_reference
 from repro.core.network import Network, Path
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import infer_from_measurements

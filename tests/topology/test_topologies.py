@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.slices import shared_sequences
+from repro.exceptions import ConfigurationError
 from repro.topology.dumbbell import (
     CLASS1_PATHS,
     CLASS2_PATHS,
@@ -91,7 +92,7 @@ class TestDumbbell:
         assert pol.link_specs[SHARED_LINK].policer.rate_fraction == 0.25
         shp = build_dumbbell("shaping", 0.4)
         assert shp.link_specs[SHARED_LINK].shaper.rate_fraction == 0.4
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             build_dumbbell("rate-limiting")
 
     def test_only_shared_link_is_bottleneck(self):

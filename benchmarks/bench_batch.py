@@ -2,7 +2,7 @@
 
 The paper's headline artifacts are *sweeps* — dozens to hundreds of
 link-spec variants of one topology (a Figure 8 rate panel, a Table 2
-grid, a monitoring fleet). The scenario-batched fluid engine
+grid). The scenario-batched fluid engine
 (:mod:`repro.fluid.batch`) advances all of them as one lockstep
 numpy program, and its contract is floating-point identity: variant
 ``b`` of the batch is bit-for-bit the single run with its specs and

@@ -468,37 +468,27 @@ class Network:
     def with_paths(self, paths: Iterable[Path]) -> "Network":
         """A new network with additional measured paths.
 
-        The incremental vantage-point operation (DESIGN.md S20): the
-        link universe is unchanged (every new path must traverse
-        existing links), and when this network's :class:`PathIndex` /
-        memoized pair groups have been built they are *patched* —
-        row insertion plus grouping of only the new pairs — instead
-        of rebuilt from scratch. The patched structures are equal to
-        a cold rebuild (property-tested).
+        The vantage-point operation (DESIGN.md S20): the link universe
+        is unchanged (every new path must traverse existing links).
+        The result is a fresh network whose :class:`PathIndex` and
+        pair groups are built cold on first use.
 
         Raises:
             UnknownLinkError: If a new path uses an unknown link.
             ModelError: On a duplicate path id.
         """
-        added = list(paths)
-        net = Network(
+        return Network(
             self._links.values(),
-            list(self._paths.values()) + added,
+            list(self._paths.values()) + list(paths),
             self._nodes.values(),
         )
-        if added and self._path_index is not None:
-            from repro.core.slices import patch_network_add  # local: avoid cycle
-
-            patch_network_add(self, net, [p.id for p in added])
-        return net
 
     def without_paths(self, path_ids: Iterable[str]) -> "Network":
         """A new network with the given measured paths removed.
 
         Unlike :meth:`restricted_to_paths` the link universe is kept
-        (a departing vantage point does not decommission links), so
-        the cached :class:`PathIndex` and memoized pair groups are
-        patched by row deletion instead of rebuilt.
+        (a departing vantage point does not decommission links). The
+        result is a fresh network, like :meth:`with_paths`.
 
         Raises:
             UnknownPathError: On an id that is not a path.
@@ -508,12 +498,7 @@ class Network:
             if pid not in self._paths:
                 raise UnknownPathError(pid)
         kept = [p for pid, p in self._paths.items() if pid not in drop]
-        net = Network(self._links.values(), kept, self._nodes.values())
-        if drop and self._path_index is not None:
-            from repro.core.slices import patch_network_remove  # local: avoid cycle
-
-            patch_network_remove(self, net, drop)
-        return net
+        return Network(self._links.values(), kept, self._nodes.values())
 
     def __getstate__(self) -> Dict[str, object]:
         """Drop derived caches when pickling (sweep results embed the

@@ -31,13 +31,6 @@ one flat ``y_a + y_b − y_ab`` gather (:func:`batch_unsolvability`);
 objects lazily so the ≥5k-path runs never build them. The pre-rewrite
 per-pair/per-dict implementation is frozen with the tests, in
 ``tests/oracles/algorithm_reference.py``.
-
-Incrementality (DESIGN.md S20): :func:`patch_network_add` /
-:func:`patch_network_remove` transplant a network's cached
-:class:`~repro.core.network.PathIndex` and memoized pair groups onto
-a path-added/removed copy by row patching — called from
-:meth:`Network.with_paths` / :meth:`Network.without_paths`, and
-property-tested equal to a cold rebuild.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -799,250 +791,6 @@ def build_slice_batch(
     result = (batch, skipped)
     net._inference_cache[cache_key] = result
     return result
-
-
-# ----------------------------------------------------------------------
-# Incremental registry patching (DESIGN.md S20)
-# ----------------------------------------------------------------------
-
-
-def _patched_index_add(
-    old: PathIndex, new_net: Network, added_ids: Sequence[str]
-) -> PathIndex:
-    """The new network's registry by row insertion into ``old``.
-
-    The link universe is unchanged (:meth:`Network.with_paths`
-    contract), and path rows stay id-sorted, so the old rows map
-    monotonically into the new matrix.
-    """
-    path_ids = new_net.path_ids
-    path_pos = {pid: i for i, pid in enumerate(path_ids)}
-    incidence = np.zeros((len(path_ids), old.num_links), dtype=bool)
-    old_rows = np.array(
-        [path_pos[pid] for pid in old.path_ids], dtype=np.intp
-    )
-    incidence[old_rows] = old.incidence
-    for pid in added_ids:
-        row = incidence[path_pos[pid]]
-        for lid in new_net.links_of(pid):
-            row[old.link_pos[lid]] = True
-    incidence.setflags(write=False)
-    return PathIndex(
-        path_ids=path_ids,
-        link_ids=old.link_ids,
-        incidence=incidence,
-        path_pos=path_pos,
-        link_pos=old.link_pos,
-    )
-
-
-def _patched_index_remove(
-    old: PathIndex, dropped: Set[str]
-) -> PathIndex:
-    """The new network's registry by row deletion from ``old``."""
-    keep = np.array(
-        [pid not in dropped for pid in old.path_ids], dtype=bool
-    )
-    path_ids = tuple(
-        pid for pid in old.path_ids if pid not in dropped
-    )
-    incidence = old.incidence[keep]
-    incidence.setflags(write=False)
-    return PathIndex(
-        path_ids=path_ids,
-        link_ids=old.link_ids,
-        incidence=incidence,
-        path_pos={pid: i for i, pid in enumerate(path_ids)},
-        link_pos=old.link_pos,
-    )
-
-
-def _merge_pair_groups(
-    index: PathIndex,
-    old_remap: np.ndarray,
-    old_groups: _PairGroups,
-    new_groups: _PairGroups,
-) -> _PairGroups:
-    """Merge remapped old pair groups with the new-pair groups.
-
-    ``old_remap`` maps old registry rows to new rows (monotonic, so
-    ``a < b`` ordering and ascending-key order within a group are
-    both preserved). Old and new pair sets are disjoint (every new
-    pair involves an added row); a σ present in both gets its two
-    ascending-key segments merged back into ascending order.
-    """
-    num_paths = index.num_paths
-    merged_sigmas = sorted(
-        set(old_groups.sigmas) | set(new_groups.sigmas)
-    )
-    pa_parts: List[np.ndarray] = []
-    pb_parts: List[np.ndarray] = []
-    mask_rows: List[np.ndarray] = []
-    sizes: List[int] = []
-    for sigma in merged_sigmas:
-        og = old_groups.group_of.get(sigma)
-        ng = new_groups.group_of.get(sigma)
-        if og is not None:
-            oa, ob = old_groups.group(og)
-            oa, ob = old_remap[oa], old_remap[ob]
-        if ng is not None:
-            na, nb = new_groups.group(ng)
-        if og is not None and ng is not None:
-            pa = np.concatenate((oa, na))
-            pb = np.concatenate((ob, nb))
-            order = np.argsort(pa * num_paths + pb)
-            pa, pb = pa[order], pb[order]
-            mask = old_groups.sigma_masks[og]
-        elif og is not None:
-            pa, pb, mask = oa, ob, old_groups.sigma_masks[og]
-        else:
-            pa, pb, mask = na, nb, new_groups.sigma_masks[ng]
-        pa_parts.append(pa)
-        pb_parts.append(pb)
-        mask_rows.append(mask)
-        sizes.append(int(pa.size))
-    if not merged_sigmas:
-        return _empty_groups(index)
-    offsets = np.concatenate(
-        [
-            np.zeros(1, dtype=np.intp),
-            np.cumsum(np.array(sizes, dtype=np.intp)),
-        ]
-    )
-    sorted_sigmas = tuple(merged_sigmas)
-    return _PairGroups(
-        index=index,
-        sigmas=sorted_sigmas,
-        sigma_masks=np.stack(mask_rows),
-        pair_a=np.concatenate(pa_parts),
-        pair_b=np.concatenate(pb_parts),
-        offsets=offsets,
-        group_of={s: g for g, s in enumerate(sorted_sigmas)},
-    )
-
-
-def patch_network_add(
-    old_net: Network, new_net: Network, added_ids: Sequence[str]
-) -> None:
-    """Transplant patched caches onto a path-added network copy.
-
-    Called from :meth:`Network.with_paths` when ``old_net`` has a
-    built registry: the new registry is produced by row insertion,
-    and every valid memoized pair grouping is patched by grouping
-    *only* the pairs that involve an added row and merging them into
-    the remapped old groups — equal to a cold rebuild
-    (property-tested in ``tests/core/test_incremental_index.py``).
-    """
-    old_index = old_net._path_index
-    index = _patched_index_add(old_index, new_net, added_ids)
-    new_net._path_index = index
-
-    cached = old_net._inference_cache.get("pair_groups")
-    if cached is not None and cached.index is old_index:
-        new_net._inference_cache["pair_groups"] = _patch_groups_add(
-            cached, index, added_ids
-        )
-
-
-def _patch_groups_add(
-    old_groups: _PairGroups,
-    index: PathIndex,
-    added_ids: Sequence[str],
-) -> _PairGroups:
-    num_paths = index.num_paths
-    new_rows = index.rows(sorted(added_ids))
-    old_row_mask = np.ones(num_paths, dtype=bool)
-    old_row_mask[new_rows] = False
-    old_remap = np.flatnonzero(old_row_mask)
-
-    incidence = index.incidence
-    key_parts: List[np.ndarray] = []
-    for i in new_rows.tolist():
-        partners = np.flatnonzero((incidence & incidence[i]).any(axis=1))
-        partners = partners[partners != i]
-        if partners.size:
-            a = np.minimum(partners, i)
-            b = np.maximum(partners, i)
-            key_parts.append(a.astype(np.int64) * num_paths + b)
-    if key_parts:
-        keys = sorted_unique(np.concatenate(key_parts))
-        na = (keys // num_paths).astype(np.intp)
-        nb = (keys % num_paths).astype(np.intp)
-        packed = index.packed
-        new_groups = _group_pairs(index, [(na, nb, packed[na] & packed[nb])])
-    else:
-        new_groups = _empty_groups(index)
-    return _merge_pair_groups(index, old_remap, old_groups, new_groups)
-
-
-def patch_network_remove(
-    old_net: Network, new_net: Network, dropped: Set[str]
-) -> None:
-    """Transplant patched caches onto a path-removed network copy.
-
-    The new registry is produced by row deletion; every valid
-    memoized pair grouping is patched by filtering out pairs that
-    touch a dropped row, dropping groups left empty, and remapping
-    the surviving rows (monotonic, order-preserving).
-    """
-    old_index = old_net._path_index
-    index = _patched_index_remove(old_index, dropped)
-    new_net._path_index = index
-
-    old_to_new = np.full(old_index.num_paths, -1, dtype=np.intp)
-    keep_rows = np.array(
-        [pid not in dropped for pid in old_index.path_ids], dtype=bool
-    )
-    old_to_new[keep_rows] = np.arange(index.num_paths, dtype=np.intp)
-
-    cached = old_net._inference_cache.get("pair_groups")
-    if cached is not None and cached.index is old_index:
-        new_net._inference_cache["pair_groups"] = _patch_groups_remove(
-            cached, index, old_to_new
-        )
-
-
-def _patch_groups_remove(
-    old_groups: _PairGroups,
-    index: PathIndex,
-    old_to_new: np.ndarray,
-) -> _PairGroups:
-    num_groups = len(old_groups.sigmas)
-    if num_groups == 0:
-        return _empty_groups(index)
-    keep = (old_to_new[old_groups.pair_a] >= 0) & (
-        old_to_new[old_groups.pair_b] >= 0
-    )
-    group_ids = np.repeat(
-        np.arange(num_groups, dtype=np.intp),
-        np.diff(old_groups.offsets),
-    )
-    kept_counts = np.bincount(group_ids[keep], minlength=num_groups)
-    nonempty = kept_counts > 0
-    if not nonempty.any():
-        return _empty_groups(index)
-    pair_a = old_to_new[old_groups.pair_a[keep]]
-    pair_b = old_to_new[old_groups.pair_b[keep]]
-    offsets = np.concatenate(
-        [
-            np.zeros(1, dtype=np.intp),
-            np.cumsum(kept_counts[nonempty], dtype=np.intp),
-        ]
-    )
-    sorted_sigmas = tuple(
-        sigma
-        for sigma, ne in zip(old_groups.sigmas, nonempty.tolist())
-        if ne
-    )
-    return _PairGroups(
-        index=index,
-        sigmas=sorted_sigmas,
-        sigma_masks=old_groups.sigma_masks[nonempty],
-        pair_a=pair_a,
-        pair_b=pair_b,
-        offsets=offsets,
-        group_of={s: g for g, s in enumerate(sorted_sigmas)},
-    )
 
 
 # ----------------------------------------------------------------------

@@ -298,12 +298,11 @@ class SweepRunner:
             (auto) uses :data:`DEFAULT_BATCH_SIZE`; ``1`` disables
             batching entirely (every point runs via its own
             ``func``). Results are identical for any value.
-        reuse_pool: Keep one warm worker pool across :meth:`run`
-            calls (the default) — adaptive waves and repeated sweeps
-            stop paying fork + import per call. ``False`` restores
-            the per-run pool (created and torn down inside each
-            :meth:`run`). Results are identical either way; only
-            pool-setup accounting differs.
+
+    A parallel runner keeps one warm worker pool across :meth:`run`
+    calls, so adaptive waves and repeated sweeps stop paying fork +
+    import per call; :meth:`close` (or the context manager) shuts it
+    down.
     """
 
     def __init__(
@@ -313,7 +312,6 @@ class SweepRunner:
         cache_dir: Optional[str] = None,
         cache_salt: str = "",
         batch_size: Optional[int] = None,
-        reuse_pool: bool = True,
     ) -> None:
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
@@ -324,7 +322,6 @@ class SweepRunner:
         self.cache_dir = cache_dir
         self.cache_salt = cache_salt
         self.batch_size = batch_size
-        self.reuse_pool = reuse_pool
         self.stats = SweepStats()
         self._executor = (
             SweepExecutor(workers) if workers > 1 else None
@@ -353,7 +350,6 @@ class SweepRunner:
         workers: int = 1,
         cache_dir: Optional[str] = None,
         batch_size: Optional[int] = None,
-        reuse_pool: bool = True,
     ) -> "SweepRunner":
         """Runner bound to an :class:`~repro.experiments.config.
         EmulationSettings`: its seed becomes the base seed and its
@@ -365,7 +361,6 @@ class SweepRunner:
             cache_dir=cache_dir,
             cache_salt=settings.fingerprint(),
             batch_size=batch_size,
-            reuse_pool=reuse_pool,
         )
 
     # ------------------------------------------------------------------
@@ -621,23 +616,19 @@ class SweepRunner:
                     self.stats.pool_setup_seconds = (
                         self._executor.last_setup_seconds if created else 0.0
                     )
-                    try:
-                        retries = _collect(
+                    retries = _collect(
+                        pool.imap_unordered(
+                            _execute_task, tasks, chunksize=chunksize
+                        )
+                    )
+                    if retries:
+                        # Same pool, second phase: the members of any
+                        # failed batch run as ordinary single points.
+                        _collect(
                             pool.imap_unordered(
-                                _execute_task, tasks, chunksize=chunksize
+                                _execute_task, retries, chunksize=1
                             )
                         )
-                        if retries:
-                            # Same pool, second phase: the members of any
-                            # failed batch run as ordinary single points.
-                            _collect(
-                                pool.imap_unordered(
-                                    _execute_task, retries, chunksize=1
-                                )
-                            )
-                    finally:
-                        if not self.reuse_pool:
-                            self._executor.close()
 
             self.stats.wall_seconds = time.perf_counter() - run_start
             run_span.set(

@@ -430,6 +430,7 @@ class FlowSlotSpec:
     pareto_shape: float = 1.2
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.mean_size_mb <= 0:
             raise ConfigurationError("mean flow size must be positive")
         if self.mean_gap_seconds < 0:
@@ -460,6 +461,7 @@ class PathWorkload:
     measured: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.slots:
             raise ConfigurationError("a path needs at least one flow slot")
         if self.rtt_seconds <= 0:

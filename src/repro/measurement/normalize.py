@@ -392,8 +392,9 @@ def joint_slice_observations(
 ) -> Dict[PathSet, float]:
     """Per-slice normalization with one joint status matrix.
 
-    The batched form of :func:`slice_observations` used by the
-    experiment runner: families are merged *in the given order*
+    The batched form of :func:`slice_observations`, and the fallback
+    of :func:`batch_slice_observations` (which the experiment runner
+    calls): families are merged *in the given order*
     (σ-sorted system order — later families win shared pathsets,
     matching the historical per-slice loop), and in expected mode the
     congestion status of every path is computed once for the whole

@@ -20,7 +20,7 @@ monitor in four layers:
   :class:`~repro.core.algorithm.AlgorithmResult` per window plus a
   CUSUM change-point detector that timestamps when each pathset
   family flips neutral ↔ non-neutral.
-* :mod:`repro.streaming.fleet` — a sharded multi-scenario runner on
+* :mod:`repro.streaming.fleet` — a multi-scenario runner on
   :class:`~repro.experiments.sweep.SweepRunner`'s worker pool that
   monitors many topology/policy scenarios concurrently and
   aggregates their verdict timelines.

@@ -1,4 +1,4 @@
-"""Sharded multi-scenario monitoring: many streams, one worker pool.
+"""Multi-scenario monitoring: many streams, one worker pool.
 
 A :class:`MonitorTask` is plain picklable data — a declarative
 :class:`~repro.substrate.scenario.Scenario` plus streaming knobs
@@ -30,7 +30,6 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.sweep import SweepPoint, SweepRunner, SweepStats
 from repro.streaming.monitor import ChangePoint, NeutralityMonitor
 from repro.streaming.stream import EmulationStream
-from repro.substrate.batch import substrate_supports_batch
 from repro.substrate.scenario import Scenario, compile_scenario
 
 
@@ -125,7 +124,7 @@ class MonitorOutcome:
 
 def _compile_task(seed: int, task: MonitorTask):
     """Lower one task to (settings, compiled scenario, start specs,
-    switch schedule) — shared by the single and batched executors."""
+    switch schedule)."""
     settings = task.scenario.settings.with_seed(seed)
     scenario = replace(task.scenario, settings=settings)
     compiled_on = compile_scenario(scenario)
@@ -149,7 +148,7 @@ def _outcome_from_report(
     num_intervals: int,
 ) -> MonitorOutcome:
     """Condense a :class:`~repro.streaming.monitor.MonitorReport`
-    into the fleet's compact outcome (single and batched paths)."""
+    into the fleet's compact outcome."""
     delay = None
     if task.onset_interval is not None:
         truth_cols = [
@@ -233,169 +232,30 @@ def _run_monitor_task(seed: int, task: MonitorTask) -> MonitorOutcome:
     )
 
 
-def monitor_task_group(task: MonitorTask) -> str:
-    """Batch-compatibility key of a task: everything that shapes the
-    shared emulation program — topology and workload knobs, settings,
-    substrate, and chunk cadence — with the name, the *policy*, and
-    the baked settings seed masked out: worlds of one batch may
-    differ in what differentiation they run and when they switch it
-    (specs and swaps are per scenario), and each task's emulation
-    seed is re-derived from its name regardless of the baked one."""
-    neutral = replace(
-        task.scenario,
-        name="",
-        policy=None,
-        settings=task.scenario.settings.with_seed(0),
-    )
-    return (
-        f"{task.scenario.substrate}/{task.chunk_intervals}/{neutral!r}"
-    )
-
-
-def run_monitor_task_batch(seeds, kwargs_list) -> list:
-    """Batched executor: many monitored worlds, one emulation program.
-
-    The grouped tasks share topology, workloads, and settings (the
-    batch group guarantees it), so their streams advance as one
-    scenario-batched substrate session — per-world link specs, swap
-    schedules, and seeds — feeding one
-    :class:`~repro.streaming.monitor.NeutralityMonitor` per task.
-    Each outcome equals the task's single
-    :func:`run_monitor_task` run: the emulated records are
-    floating-point-identical, and the monitor's incremental window
-    statistics are chunking-invariant (the global segment boundaries
-    here are the union of every world's switch points).
-    """
-    from repro.experiments.runner import measured_subnetwork
-    from repro.substrate.registry import get_substrate
-
-    tasks = [kwargs["task"] for kwargs in kwargs_list]
-    # Guard against an incomplete batch_group key upstream: every
-    # member must share the emulation-shaping knobs (the same mask
-    # monitor_task_group applies — policy/name/baked-seed may vary).
-    reference = monitor_task_group(tasks[0])
-    for task in tasks[1:]:
-        if monitor_task_group(task) != reference:
-            raise ConfigurationError(
-                "batched monitor tasks must share topology, "
-                "workload, settings, substrate, and chunk cadence"
-            )
-    compiled = [
-        _compile_task(seed, task) for seed, task in zip(seeds, tasks)
-    ]
-    settings = compiled[0][0]
-    substrate = tasks[0].scenario.substrate
-    base = compiled[0][1]
-    total = int(
-        round(settings.duration_seconds / settings.interval_seconds)
-    )
-    if total < 1:
-        raise ConfigurationError("stream shorter than one interval")
-    # The same switch-bounds validation EmulationStream applies on
-    # the single path — an out-of-range onset/offset must fail
-    # identically whether or not the task was batched (cached
-    # outcomes are shared between the two modes).
-    for task, (_, _, _, switches) in zip(tasks, compiled):
-        for at in switches:
-            if not 0 <= at < total:
-                raise ConfigurationError(
-                    f"task {task.name!r}: switch interval {at} "
-                    f"outside the stream [0, {total})"
-                )
-    backend = get_substrate(substrate)
-    session = backend.start_batch(
-        base.network,
-        base.classes,
-        [start_specs for _, _, start_specs, _ in compiled],
-        base.workloads,
-        settings,
-        seeds,
-        keep_ground_truth=False,
-        interval_limits=[total] * len(tasks),
-    )
-    inference_net = measured_subnetwork(base.network, base.workloads)
-    monitors = []
-    for (task_settings, _, _, _), task in zip(compiled, tasks):
-        monitor = NeutralityMonitor(
-            inference_net,
-            settings=task_settings,
-            window_intervals=task.window_intervals,
-            stride=(
-                task.stride
-                if task.stride is not None
-                else task.chunk_intervals
-            ),
-        )
-        monitor.stats.reserve(total)
-        monitors.append(monitor)
-    chunk = tasks[0].chunk_intervals
-    switch_union = sorted(
-        {at for _, _, _, switches in compiled for at in switches}
-    )
-    done = 0
-    while done < total:
-        for b, (_, _, _, switches) in enumerate(compiled):
-            if done in switches:
-                session.set_link_specs(switches[done], scenario=b)
-        upcoming = [at for at in switch_union if at > done]
-        next_stop = min(
-            upcoming[0] if upcoming else total, total
-        )
-        n = min(chunk, next_stop - done)
-        chunks = session.advance(n)
-        for monitor, chunk_b in zip(monitors, chunks):
-            monitor.observe(chunk_b)
-        done += n
-    outcomes = []
-    for (_, compiled_on, _, _), task, monitor in zip(
-        compiled, tasks, monitors
-    ):
-        outcomes.append(
-            _outcome_from_report(
-                task,
-                substrate,
-                compiled_on.ground_truth_links,
-                monitor.report(),
-                monitor.stats.num_intervals,
-            )
-        )
-    return outcomes
-
-
 def monitor_sweep_point(task: MonitorTask) -> SweepPoint:
     """Lower one task to its sweep point (shared by the dense fleet
     and the adaptive detection-delay search, so both key the cache
     identically)."""
-    batchable = substrate_supports_batch(task.scenario.substrate)
     return SweepPoint(
         key=task.name,
         func=run_monitor_task,
         kwargs={"task": task},
         substrate=task.scenario.substrate,
-        batch_func=run_monitor_task_batch if batchable else None,
-        batch_group=monitor_task_group(task) if batchable else None,
     )
 
 
 class MonitorFleet:
     """Monitor many scenarios concurrently, with caching.
 
-    Tasks whose scenarios are batch-compatible (same topology and
-    workload knobs, same settings and chunk cadence, any mix of
-    policies/onsets/seeds) run as scenario batches on batch-capable
-    substrates — one lockstep emulation program monitoring many
-    worlds per worker task. ``batch_size=1`` restores strictly
-    per-task execution; outcomes are identical either way.
+    Every task runs through :func:`run_monitor_task`, the executor
+    ``repro monitor`` uses, one task per worker dispatch. The fleet's
+    worker pool stays warm across :meth:`run` calls and adaptive
+    waves until :meth:`close`.
 
     Args:
         base_seed: Folded into every task's derived seed.
         workers: Process count (1 = run inline).
         cache_dir: Outcome cache directory (``None`` disables).
-        batch_size: Maximum tasks per scenario batch (``None`` =
-            auto).
-        reuse_pool: Keep one warm worker pool across :meth:`run`
-            calls and adaptive waves (the default); ``False``
-            restores per-run pools.
     """
 
     def __init__(
@@ -403,15 +263,11 @@ class MonitorFleet:
         base_seed: int = 1,
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        reuse_pool: bool = True,
     ) -> None:
         self._runner = SweepRunner(
             base_seed=base_seed,
             workers=workers,
             cache_dir=cache_dir,
-            batch_size=batch_size,
-            reuse_pool=reuse_pool,
         )
 
     @property
@@ -451,10 +307,8 @@ class MonitorFleet:
             axes: :class:`~repro.experiments.adaptive.GridAxis`
                 lattice over scenario knobs.
             task_factory: ``factory({axis: value}) -> MonitorTask``;
-                must produce batch-compatible tasks for the waves to
-                stay single pool dispatches, and the same task a
-                dense fleet over the lattice would run (shared cache
-                digests).
+                must produce the same task a dense fleet over the
+                lattice would run (shared cache digests).
             refinable: Cell labeling; defaults to
                 :class:`~repro.experiments.adaptive.
                 DetectionDelayContour` (refine where detectability —

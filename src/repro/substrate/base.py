@@ -145,14 +145,11 @@ class EmulationSubstrate(Protocol):
     # A substrate MAY additionally expose
     #
     #   run_batch(net, classes, spec_sets, workloads, settings,
-    #             seeds, durations=None) -> List[SubstrateResult]
-    #   start_batch(net, classes, spec_sets, workloads, settings,
-    #               seeds, keep_ground_truth=True,
-    #               interval_limits=None) -> batched session
+    #             seeds) -> List[SubstrateResult]
     #
     # emulating B link-spec variants of the shared topology in one
     # lockstep program, with variant b's output floating-point-
-    # identical to run()/start() under spec_sets[b] and seeds[b].
+    # identical to run() under spec_sets[b] and seeds[b].
     # Callers discover the capability via
     # :func:`repro.substrate.batch.substrate_supports_batch` and must
     # fall back to variant-at-a-time run() when absent (see

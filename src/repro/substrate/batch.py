@@ -2,10 +2,10 @@
 
 A :class:`ScenarioBatch` is the substrate-level description of a
 "many-worlds" run: one topology, one class assignment, one workload —
-and ``B`` per-variant link-spec mappings with per-variant seeds (and
-optionally durations). It is the compile step between sweep-shaped
-callers (:class:`repro.experiments.sweep.SweepRunner` groups, the
-grid benches) and a substrate's batched entry point: variant specs
+and ``B`` per-variant link-spec mappings with per-variant seeds. It is
+the compile step between sweep-shaped callers
+(:class:`repro.experiments.sweep.SweepRunner` groups, the grid
+benches) and a substrate's batched entry point: variant specs
 are type-checked once (:func:`repro.substrate.spec.normalize_specs`),
 validated for batchability (equal lengths, shared everything else), and handed to
 :meth:`EmulationSubstrate.run_batch` when the backend advertises the
@@ -19,7 +19,7 @@ need to know which route ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
@@ -44,9 +44,6 @@ class ScenarioBatch:
         variants: Checked per-variant link specs (one mapping per
             scenario; links not mentioned default like a single run).
         seeds: Per-variant emulation seeds.
-        durations: Optional per-variant measured spans (seconds);
-            ``None`` runs every variant for the settings' duration.
-            Shorter variants leave the engine's active mask early.
     """
 
     net: Network
@@ -54,7 +51,6 @@ class ScenarioBatch:
     workloads: Mapping[str, PathWorkload]
     variants: Tuple[Dict[str, LinkSpec], ...]
     seeds: Tuple[int, ...]
-    durations: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if not self.variants:
@@ -66,13 +62,6 @@ class ScenarioBatch:
                 f"{len(self.variants)} variants but "
                 f"{len(self.seeds)} seeds"
             )
-        if self.durations is not None and len(self.durations) != len(
-            self.variants
-        ):
-            raise ConfigurationError(
-                f"{len(self.variants)} variants but "
-                f"{len(self.durations)} durations"
-            )
 
     @classmethod
     def compile(
@@ -82,7 +71,6 @@ class ScenarioBatch:
         workloads: Mapping[str, PathWorkload],
         variant_specs: Sequence[Mapping[str, LinkSpec]],
         seeds: Sequence[int],
-        durations: Optional[Sequence[float]] = None,
     ) -> "ScenarioBatch":
         """Check and stack per-variant :class:`~repro.substrate.spec.
         LinkSpec` mappings into a batch."""
@@ -94,44 +82,10 @@ class ScenarioBatch:
                 normalize_specs(specs) for specs in variant_specs
             ),
             seeds=tuple(int(s) for s in seeds),
-            durations=(
-                None
-                if durations is None
-                else tuple(float(d) for d in durations)
-            ),
         )
 
     def __len__(self) -> int:
         return len(self.variants)
-
-    def subset(self, indices: Sequence[int]) -> "ScenarioBatch":
-        """A new batch holding the selected variants (with their
-        seeds/durations), sharing the already-normalized topology.
-
-        This is how refinement-wave callers form partial batches: an
-        adaptive sweep that compiled a full lattice batch can carve
-        out exactly the variants a wave revisits without
-        re-normalizing specs or re-validating the shared scenario.
-        """
-        idx = [int(i) for i in indices]
-        for i in idx:
-            if not 0 <= i < len(self.variants):
-                raise ConfigurationError(
-                    f"subset index {i} outside the "
-                    f"{len(self.variants)}-variant batch"
-                )
-        return ScenarioBatch(
-            net=self.net,
-            classes=self.classes,
-            workloads=self.workloads,
-            variants=tuple(self.variants[i] for i in idx),
-            seeds=tuple(self.seeds[i] for i in idx),
-            durations=(
-                None
-                if self.durations is None
-                else tuple(self.durations[i] for i in idx)
-            ),
-        )
 
 
 def substrate_supports_batch(substrate: str) -> bool:
@@ -163,25 +117,14 @@ def run_scenario_batch(
             batch.workloads,
             settings,
             batch.seeds,
-            durations=batch.durations,
         )
-    results: List[SubstrateResult] = []
-    for i, specs in enumerate(batch.variants):
-        variant_settings = settings.with_seed(batch.seeds[i])
-        if batch.durations is not None:
-            from dataclasses import replace
-
-            variant_settings = replace(
-                variant_settings,
-                duration_seconds=batch.durations[i],
-            )
-        results.append(
-            backend.run(
-                batch.net,
-                batch.classes,
-                specs,
-                batch.workloads,
-                variant_settings,
-            )
+    return [
+        backend.run(
+            batch.net,
+            batch.classes,
+            specs,
+            batch.workloads,
+            settings.with_seed(seed),
         )
-    return results
+        for specs, seed in zip(batch.variants, batch.seeds)
+    ]

@@ -22,7 +22,6 @@ from repro.substrate.spec import LinkSpec
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (see base.py)
     from repro.emulator.core import PacketSession
     from repro.experiments.config import EmulationSettings
-    from repro.fluid.batch import FluidBatchSession
     from repro.fluid.engine import FluidSession
 
 
@@ -30,7 +29,7 @@ class FluidSubstrate:
     """The time-stepped fluid engine (primary sweep substrate).
 
     Also the one substrate with the *batch capability*
-    (``run_batch`` / ``start_batch``): many link-spec variants of one
+    (``run_batch``): many link-spec variants of one
     topology advance as a single lockstep numpy program
     (:mod:`repro.fluid.batch`), each variant's output
     floating-point-identical to its single run."""
@@ -100,7 +99,6 @@ class FluidSubstrate:
         workloads: Mapping[str, PathWorkload],
         settings: "EmulationSettings",
         seeds,
-        durations=None,
     ):
         """Emulate ``B`` link-spec variants in one lockstep program.
 
@@ -118,43 +116,10 @@ class FluidSubstrate:
             seeds,
         )
         return sim.run(
-            (
-                settings.duration_seconds
-                if durations is None
-                else list(durations)
-            ),
+            settings.duration_seconds,
             dt=settings.dt,
             interval_seconds=settings.interval_seconds,
             warmup_seconds=settings.warmup_seconds,
-        )
-
-    def start_batch(
-        self,
-        net: Network,
-        classes: ClassAssignment,
-        spec_sets,
-        workloads: Mapping[str, PathWorkload],
-        settings: "EmulationSettings",
-        seeds,
-        keep_ground_truth: bool = True,
-        interval_limits=None,
-    ) -> "FluidBatchSession":
-        """Open a resumable many-worlds session (streaming mode)."""
-        from repro.fluid.batch import FluidBatchNetwork
-
-        sim = FluidBatchNetwork(
-            net,
-            classes,
-            spec_sets,
-            workloads,
-            seeds,
-        )
-        return sim.session(
-            dt=settings.dt,
-            interval_seconds=settings.interval_seconds,
-            warmup_seconds=settings.warmup_seconds,
-            keep_ground_truth=keep_ground_truth,
-            interval_limits=interval_limits,
         )
 
 

@@ -684,10 +684,3 @@ class TestPersistentPool:
         seq = _sweep((4, 13), runner=SweepRunner(base_seed=5)).run()
         assert result.results == seq.results
         assert result.frontier == seq.frontier
-
-    def test_per_wave_pools_when_reuse_disabled(self):
-        with SweepRunner(
-            base_seed=5, workers=2, reuse_pool=False
-        ) as runner:
-            result = _sweep((4, 13), runner=runner).run()
-            assert runner.executor.pools_created == len(result.waves)

@@ -634,16 +634,6 @@ class TestPersistentPool:
         assert runner.executor.pools_created == 2
         assert third == first
 
-    def test_reuse_pool_false_restores_per_run_pools(self):
-        with SweepRunner(
-            base_seed=5, workers=2, reuse_pool=False
-        ) as runner:
-            a = runner.run(_points())
-            b = runner.run(_points())
-            assert runner.executor.pools_created == 2
-            assert runner.stats.pool_reused is False
-        assert a == b
-
     def test_results_identical_to_inline(self):
         seq = SweepRunner(base_seed=5, workers=1).run(_points())
         with SweepRunner(base_seed=5, workers=2) as runner:

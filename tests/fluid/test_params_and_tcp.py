@@ -71,6 +71,23 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             PathWorkload(congestion_control="bbr")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cls,field",
+        [
+            (FlowSlotSpec, "mean_size_mb"),
+            (FlowSlotSpec, "mean_gap_seconds"),
+            (FlowSlotSpec, "pareto_shape"),
+            (PathWorkload, "rtt_seconds"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_non_finite_workload_fields_rejected(self, cls, field, value):
+        """NaN passes every ``<= 0`` / ``< 0`` check, so each numeric
+        workload field is checked for finiteness first."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            cls(**{field: value})
+
     def test_uniform_workload(self):
         wl = uniform_workload(["p1", "p2"], flows_per_path=3)
         assert set(wl) == {"p1", "p2"}

@@ -1,16 +1,31 @@
-"""MonitorFleet: sharded multi-scenario monitoring with caching."""
+"""MonitorFleet: multi-scenario monitoring with caching."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
-from repro.streaming.fleet import MonitorFleet, MonitorTask
+from repro.experiments.sweep import derive_seed
+from repro.streaming.fleet import MonitorFleet, MonitorTask, run_monitor_task
 from repro.substrate.scenario import DifferentiationPolicy, Scenario
 
 QUICK = EmulationSettings(
     duration_seconds=15.0, warmup_seconds=2.0, seed=1
 )
+
+
+def _assert_same_outcome(a, b):
+    assert a.sigmas == b.sigmas
+    np.testing.assert_array_equal(a.window_ends, b.window_ends)
+    # assert_array_equal treats same-position NaNs as equal
+    # (uninformative windows score NaN).
+    np.testing.assert_array_equal(a.scores, b.scores)
+    np.testing.assert_array_equal(a.flagged, b.flagged)
+    assert a.change_points == b.change_points
+    assert a.final_identified == b.final_identified
+    assert a.final_neutral == b.final_neutral
+    assert a.detection_delay_intervals == b.detection_delay_intervals
+    assert a.num_intervals == b.num_intervals
 
 
 def _tasks():
@@ -74,49 +89,25 @@ class TestMonitorFleet:
             )
             assert replay[name].change_points == outcome.change_points
 
-    def test_batched_fleet_matches_unbatched_exactly(self, tmp_path):
-        """Compatible tasks run as one scenario batch; every outcome
-        (scores, flags, change points, delays) must be bit-identical
-        to strictly per-task execution — which also keeps cached
-        outcomes interchangeable between the two modes."""
+    def test_fleet_matches_run_monitor_task_exactly(self, tmp_path):
+        """Every fleet outcome (scores, flags, change points, verdict,
+        delay) is bit-identical to ``run_monitor_task`` at the task's
+        derived seed, and a cached fleet replays it unchanged."""
         tasks = _tasks()
-        unbatched = MonitorFleet(base_seed=2, batch_size=1).run(tasks)
-        fleet = MonitorFleet(base_seed=2)
-        batched = fleet.run(tasks)
-        assert fleet.stats.batches == 1
-        assert fleet.stats.batched_points == len(tasks)
-        for name in unbatched:
-            a, b = unbatched[name], batched[name]
-            assert a.sigmas == b.sigmas
-            np.testing.assert_array_equal(a.window_ends, b.window_ends)
-            # assert_array_equal treats same-position NaNs as equal
-            # (uninformative windows score NaN in both modes).
-            np.testing.assert_array_equal(a.scores, b.scores)
-            np.testing.assert_array_equal(a.flagged, b.flagged)
-            assert a.change_points == b.change_points
-            assert a.final_identified == b.final_identified
-            assert a.final_neutral == b.final_neutral
-            assert (
-                a.detection_delay_intervals
-                == b.detection_delay_intervals
-            )
-            assert a.num_intervals == b.num_intervals
-
-        # A batched fleet's cache replays into an unbatched fleet.
-        caching = MonitorFleet(base_seed=2, cache_dir=str(tmp_path))
-        caching.run(tasks)
-        replay = MonitorFleet(
-            base_seed=2, cache_dir=str(tmp_path), batch_size=1
-        )
-        replay.run(tasks)
+        fleet = MonitorFleet(base_seed=2, cache_dir=str(tmp_path))
+        outcomes = fleet.run(tasks)
+        replay = MonitorFleet(base_seed=2, cache_dir=str(tmp_path))
+        replayed = replay.run(tasks)
         assert replay.stats.cache_hits == len(tasks)
         assert replay.stats.executed == 0
+        for task in tasks:
+            want = run_monitor_task(derive_seed(2, task.name), task)
+            for got in (outcomes[task.name], replayed[task.name]):
+                _assert_same_outcome(got, want)
 
-    def test_out_of_range_switch_fails_same_batched_or_not(self):
-        """Review regression: an onset beyond the stream end must
-        raise the same ConfigurationError whether the task runs
-        singly or inside a scenario batch (the batched executor
-        validates switch bounds like EmulationStream does)."""
+    def test_out_of_range_switch_raises(self):
+        """An onset beyond the stream end raises ConfigurationError
+        (EmulationStream validates switch bounds)."""
         policed = Scenario(
             name="p",
             topology="dumbbell",
@@ -132,42 +123,25 @@ class TestMonitorFleet:
         )
         ok = _tasks()[0]
         with pytest.raises(ConfigurationError):
-            MonitorFleet(base_seed=2, batch_size=1).run([ok, bad])
-        with pytest.raises(ConfigurationError):
             MonitorFleet(base_seed=2).run([ok, bad])
 
-    def test_baked_seed_does_not_split_groups(self):
-        """Review regression: the per-task emulation seed is derived
-        from the task name, so tasks differing only in the scenario
-        settings' baked seed must still share one batch group."""
+    def test_baked_seed_does_not_change_outcome(self):
+        """The per-task emulation seed is derived from the task name,
+        so two tasks differing only in the scenario settings' baked
+        seed give identical outcomes."""
         from dataclasses import replace
 
-        from repro.streaming.fleet import monitor_task_group
-
-        a, b = _tasks()
-        reseeded = MonitorTask(
-            name=b.name,
+        task = _tasks()[0]
+        reseeded = replace(
+            task,
             scenario=replace(
-                b.scenario, settings=b.scenario.settings.with_seed(99)
+                task.scenario,
+                settings=task.scenario.settings.with_seed(99),
             ),
-            chunk_intervals=b.chunk_intervals,
-            window_intervals=b.window_intervals,
         )
-        assert monitor_task_group(a) == monitor_task_group(reseeded)
-
-    def test_incompatible_tasks_do_not_group(self):
-        """Different chunk cadence (or any scenario knob) splits the
-        batch group — those tasks run singly."""
-        base, other = _tasks()
-        other = MonitorTask(
-            name=other.name,
-            scenario=other.scenario,
-            chunk_intervals=50,
-            window_intervals=75,
-        )
-        fleet = MonitorFleet(base_seed=2)
-        fleet.run([base, other])
-        assert fleet.stats.batches == 0
+        [a] = MonitorFleet(base_seed=2).run([task]).values()
+        [b] = MonitorFleet(base_seed=2).run([reseeded]).values()
+        _assert_same_outcome(a, b)
 
     def test_task_validation(self):
         neutral = Scenario(name="n", topology="dumbbell", settings=QUICK)

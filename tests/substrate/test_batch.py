@@ -81,15 +81,6 @@ class TestScenarioBatch:
             )
         with pytest.raises(ConfigurationError):
             ScenarioBatch.compile(
-                topo.network,
-                topo.classes,
-                workloads,
-                [variant(0.2), variant(0.3)],
-                seeds=[1, 2],
-                durations=[3.0],
-            )
-        with pytest.raises(ConfigurationError):
-            ScenarioBatch.compile(
                 topo.network, topo.classes, workloads, [], seeds=[]
             )
 
@@ -132,110 +123,22 @@ class TestScenarioBatch:
             workloads,
             [variant(0.25), variant(0.4)],
             seeds=[3, 4],
-            durations=[2.0, 3.0],
         )
         results = run_scenario_batch(batch, SETTINGS, "packet")
         assert len(results) == 2
-        assert results[0].measurements.num_intervals == 20
-        assert results[1].measurements.num_intervals == 30
-
-    def test_per_variant_durations_through_capability(self):
-        topo, workloads, variant = _fixture()
-        batch = ScenarioBatch.compile(
+        assert all(r.measurements.num_intervals == 30 for r in results)
+        single = get_substrate("packet").run(
             topo.network,
             topo.classes,
+            batch.variants[1],
             workloads,
-            [variant(0.25), variant(0.4)],
-            seeds=[3, 4],
-            durations=[2.0, 3.0],
+            SETTINGS.with_seed(4),
         )
-        results = run_scenario_batch(batch, SETTINGS, "fluid")
-        assert results[0].measurements.num_intervals == 20
-        assert results[1].measurements.num_intervals == 30
-
-    def test_start_batch_session(self):
-        topo, workloads, variant = _fixture()
-        backend = get_substrate("fluid")
-        from repro.substrate.spec import normalize_specs
-
-        session = backend.start_batch(
-            topo.network,
-            topo.classes,
-            [
-                normalize_specs(variant(0.2)),
-                normalize_specs(variant(0.4)),
-            ],
-            workloads,
-            SETTINGS,
-            seeds=[7, 8],
-        )
-        chunks = session.advance(10)
-        assert session.num_scenarios == 2
-        assert all(c.num_intervals == 10 for c in chunks)
-        session.set_link_specs(variant(0.3), scenario=0)
-        chunks = session.advance(5)
-        assert all(c.start_interval == 10 for c in chunks)
-        assert session.result(0).measurements.num_intervals == 15
-
-
-class TestSubset:
-    def _batch(self):
-        topo, workloads, variant = _fixture()
-        return topo, ScenarioBatch.compile(
-            topo.network,
-            topo.classes,
-            workloads,
-            [variant(0.2), variant(0.3), variant(0.45)],
-            seeds=[5, 6, 7],
-            durations=[2.0, 3.0, 4.0],
-        )
-
-    def test_selects_variants_seeds_durations(self):
-        _, batch = self._batch()
-        sub = batch.subset([2, 0])
-        assert len(sub) == 2
-        assert sub.seeds == (7, 5)
-        assert sub.durations == (4.0, 2.0)
-        assert sub.variants == (batch.variants[2], batch.variants[0])
-        # The shared scenario is reused, not re-normalized.
-        assert sub.net is batch.net
-        assert sub.workloads is batch.workloads
-
-    def test_no_durations_stays_none(self):
-        topo, workloads, variant = _fixture()
-        batch = ScenarioBatch.compile(
-            topo.network,
-            topo.classes,
-            workloads,
-            [variant(0.2), variant(0.3)],
-            seeds=[5, 6],
-        )
-        assert batch.subset([1]).durations is None
-
-    def test_out_of_range_index_rejected(self):
-        _, batch = self._batch()
-        with pytest.raises(ConfigurationError):
-            batch.subset([3])
-        with pytest.raises(ConfigurationError):
-            batch.subset([-1])
-
-    def test_subset_runs_identically_to_full_batch(self):
-        """The batched engines are variant-independent, so carving a
-        subset out of a compiled batch reproduces the full batch's
-        per-variant records exactly."""
-        _, batch = self._batch()
-        full = run_scenario_batch(batch, SETTINGS, "fluid")
-        part = run_scenario_batch(batch.subset([0, 2]), SETTINGS, "fluid")
-        for got, want in zip(part, (full[0], full[2])):
-            for pid in want.measurements.path_ids:
-                np.testing.assert_array_equal(
-                    got.measurements.record(pid).sent,
-                    want.measurements.record(pid).sent,
-                )
-                np.testing.assert_array_equal(
-                    got.measurements.record(pid).lost,
-                    want.measurements.record(pid).lost,
-                )
+        for pid in single.measurements.path_ids:
+            np.testing.assert_array_equal(
+                single.measurements.record(pid).sent,
+                results[1].measurements.record(pid).sent,
+            )
 
 
 class TestSingleVariant:

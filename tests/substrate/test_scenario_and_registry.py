@@ -123,6 +123,20 @@ class TestScenarioCompile:
             s.is_differentiating for s in compiled.link_specs.values()
         )
 
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("rtt_ms", float("nan")),
+            ("mean_flow_size_mb", float("inf")),
+            ("mean_gap_seconds", float("nan")),
+        ],
+    )
+    def test_non_finite_workload_knob_rejected(self, knob, value):
+        """A non-finite workload knob fails at compile time, before
+        any engine runs."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            compile_scenario(Scenario(name="x", **{knob: value}))
+
     def test_unknown_topology_rejected(self):
         with pytest.raises(ConfigurationError):
             Scenario(name="x", topology="fat-tree")

@@ -18,16 +18,31 @@ The fluid runs drive ``FluidNetwork`` / ``FluidBatchNetwork`` with
 the topology builders' specs; the packet runs (``packet-*``) go
 through ``get_substrate("packet")`` with explicit ``LinkSpec``
 values. Both routes exist unchanged on older commits, so the script
-runs there too. The whole list runs in a few seconds on one core.
+runs there too. The ``infer-*`` entries digest inference on the
+records of two of those runs: the ``batch_slice_observations`` cost
+arrays in expected mode and in sampled mode with a fixed seed, and
+the ``infer_from_measurements`` scores and identified set, so an
+Algorithm 1/2 refactor is checked bit for bit as well. The whole list
+runs in a few seconds on one core.
 """
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
 
+import numpy as np
+
+from repro.core.algorithm import DEFAULT_MIN_PATHSETS
+from repro.core.slices import build_slice_batch
+from repro.exceptions import MeasurementError
 from repro.experiments.config import EmulationSettings
+from repro.experiments.runner import (
+    infer_from_measurements,
+    measured_subnetwork,
+)
 from repro.experiments.topology_b import table3_workloads
 from repro.fluid import FluidBatchNetwork, FluidNetwork
 from repro.fluid.params import (
@@ -38,6 +53,7 @@ from repro.fluid.params import (
     ShaperSpec,
     WeightedShaperSpec,
 )
+from repro.measurement.normalize import batch_slice_observations
 from repro.substrate.registry import get_substrate
 from repro.substrate.spec import LinkSpec
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
@@ -115,16 +131,51 @@ def _one_shot(mechanism, **run_kwargs):
     return result_digest(sim.run(DURATION, **run_kwargs))
 
 
-def run_multi_isp():
-    topo = build_multi_isp(policing_rate=0.15)
+def infer_digest(net, data):
+    """SHA-256 over inference on one run's records: the Algorithm 2
+    cost arrays and the verdict, in both normalization modes (a
+    ``MeasurementError`` is digested by its message)."""
+    h = hashlib.sha256()
+    batch, _ = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
+    for mode in ("expected", "sampled"):
+        try:
+            _, y_single, y_pair = batch_slice_observations(
+                data, batch, mode=mode, rng=np.random.default_rng(SEED)
+            )
+            _update(h, f"{mode}/y_single", y_single)
+            _update(h, f"{mode}/y_pair", y_pair)
+            _, algorithm = infer_from_measurements(
+                net,
+                data,
+                settings=EmulationSettings(normalization_mode=mode),
+                rng=np.random.default_rng(SEED),
+            )
+            h.update(repr(sorted(algorithm.scores.items())).encode())
+            h.update(repr(algorithm.identified).encode())
+        except MeasurementError as exc:
+            h.update(f"{mode}/error/{exc}".encode())
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _policing_run():
+    """The ``dumbbell-policing`` run, shared with its ``infer-`` entry."""
+    topo, wl = _dumbbell("policing")
     sim = FluidNetwork(
-        topo.network,
-        topo.classes,
-        topo.link_specs,
-        table3_workloads(topo),
-        seed=SEED,
+        topo.network, topo.classes, topo.link_specs, wl, seed=SEED
     )
-    return result_digest(sim.run(10.0))
+    return measured_subnetwork(topo.network, wl), sim.run(DURATION)
+
+
+@functools.lru_cache(maxsize=None)
+def _multi_isp_run():
+    """The ``multi-isp-10s`` run, shared with its ``infer-`` entry."""
+    topo = build_multi_isp(policing_rate=0.15)
+    wl = table3_workloads(topo)
+    sim = FluidNetwork(
+        topo.network, topo.classes, topo.link_specs, wl, seed=SEED
+    )
+    return measured_subnetwork(topo.network, wl), sim.run(10.0)
 
 
 def run_two_families():
@@ -250,7 +301,7 @@ def run_packet_segmented_swap():
 
 RUNS = {
     "dumbbell-neutral": lambda: _one_shot(None),
-    "dumbbell-policing": lambda: _one_shot("policing"),
+    "dumbbell-policing": lambda: result_digest(_policing_run()[1]),
     "dumbbell-shaping": lambda: _one_shot("shaping"),
     "dumbbell-aqm": lambda: _one_shot("aqm"),
     "dumbbell-weighted": lambda: _one_shot("weighted"),
@@ -259,7 +310,7 @@ RUNS = {
     ),
     "dumbbell-policing-no-jitter": run_no_jitter,
     "dumbbell-policer-and-aqm": run_two_families,
-    "multi-isp-10s": run_multi_isp,
+    "multi-isp-10s": lambda: result_digest(_multi_isp_run()[1]),
     "segmented-swap": run_segmented_swap,
     "streaming-chunks": run_streaming_chunks,
     "batch-b4-mixed": run_batch_mixed,
@@ -272,6 +323,12 @@ RUNS = {
         weighted=WeightedShaperSpec("c2", 0.3)
     ),
     "packet-segmented-swap": run_packet_segmented_swap,
+    "infer-dumbbell-policing": lambda: infer_digest(
+        _policing_run()[0], _policing_run()[1].measurements
+    ),
+    "infer-multi-isp-10s": lambda: infer_digest(
+        _multi_isp_run()[0], _multi_isp_run()[1].measurements
+    ),
 }
 
 

@@ -105,8 +105,9 @@ def infer_from_measurements(
 
     Nothing per pathset or per σ is built: the returned observations
     are a :class:`~repro.measurement.normalize.PathsetObservations`
-    view over the cost arrays (a plain dict on the sampled /
-    zero-traffic fallback), and the result's ``systems`` a
+    view over the cost arrays in both normalization branches (see
+    :func:`~repro.measurement.normalize.batch_slice_observations`),
+    and the result's ``systems`` a
     :class:`~repro.core.slices.SliceSystemsView` that builds a System
     4 only when one is read.
 

@@ -29,10 +29,8 @@ from repro.measurement.latency import (
 from repro.measurement.normalize import (
     DEFAULT_LOSS_THRESHOLD,
     congestion_free_matrix,
-    joint_slice_observations,
     path_congestion_probability,
     pathset_performance_numbers,
-    slice_observations,
 )
 from repro.measurement.synthetic import synthesize_records
 from repro.measurement.records import (
@@ -64,8 +62,6 @@ __all__ = [
     "SystemDiagnostics",
     "diagnose_system",
     "estimate_variance",
-    "joint_slice_observations",
-    "slice_observations",
     "synthesize_records",
     "threshold_decider",
     "two_means_split",

@@ -17,12 +17,14 @@ observations-out.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+import math
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
 from repro.core.pathsets import PathSet, PathSetFamily
 from repro.exceptions import MeasurementError
+from repro.measurement.normalize import _family_values
 
 
 def latency_indicators(
@@ -32,44 +34,48 @@ def latency_indicators(
     """Per-interval below-threshold indicators for each path.
 
     Args:
-        delays: ``{path: delay per interval}`` (seconds).
-        threshold_seconds: The latency threshold.
+        delays: ``{path: delay per interval}`` (seconds), one 1-D
+            series per path, all of one length, with no NaN.
+        threshold_seconds: The latency threshold, positive and finite.
 
     Returns:
         ``(ok, ids)``: ``ok[i, t]`` is 1 when path ``ids[i]``'s delay
         stayed below the threshold in interval ``t``.
     """
-    if threshold_seconds <= 0:
-        raise MeasurementError("latency threshold must be positive")
+    if not 0 < threshold_seconds < math.inf:
+        raise MeasurementError(
+            "latency threshold must be positive and finite, got "
+            f"{threshold_seconds!r}"
+        )
     ids = tuple(sorted(delays))
     if not ids:
         raise MeasurementError("no delay series provided")
-    lengths = {np.asarray(delays[pid]).shape[0] for pid in ids}
+    series = [np.asarray(delays[pid], dtype=float) for pid in ids]
+    if any(s.ndim != 1 for s in series):
+        raise MeasurementError("delay series must be one-dimensional")
+    lengths = {s.size for s in series}
     if len(lengths) != 1:
         raise MeasurementError(
             f"delay series lengths differ: {sorted(lengths)}"
         )
-    ok = np.stack(
-        [
-            (np.asarray(delays[pid], dtype=float) < threshold_seconds)
-            for pid in ids
-        ]
-    ).astype(np.int8)
-    return ok, ids
+    stacked = np.stack(series)
+    if np.isnan(stacked).any():
+        raise MeasurementError("delay series contain NaN")
+    return (stacked < threshold_seconds).astype(np.int8), ids
 
 
 def latency_performance_numbers(
     delays: Mapping[str, np.ndarray],
     family: PathSetFamily,
     threshold_seconds: float,
-    min_probability: Optional[float] = None,
 ) -> Dict[PathSet, float]:
     """Pathset performance numbers under the latency metric.
 
     ``y_Φ = −log P(every member path below threshold)`` — additive
     across independent links exactly like the loss metric, so the
     returned mapping plugs straight into
-    :func:`repro.core.algorithm.identify_non_neutral`.
+    :func:`repro.core.algorithm.identify_non_neutral`. Costs are
+    priced like the loss metric's (every interval is valid).
     """
     paths = tuple(sorted({pid for ps in family for pid in ps}))
     if not paths:
@@ -80,22 +86,11 @@ def latency_performance_numbers(
     ok, ids = latency_indicators(
         {pid: delays[pid] for pid in paths}, threshold_seconds
     )
-    index = {pid: i for i, pid in enumerate(ids)}
-    num_intervals = ok.shape[1]
-    if num_intervals == 0:
+    if ok.shape[1] == 0:
         raise MeasurementError("empty delay series")
-    eps = (
-        min_probability
-        if min_probability is not None
-        else 1.0 / (2.0 * num_intervals)
-    )
-    out: Dict[PathSet, float] = {}
-    for ps in family:
-        rows = [index[pid] for pid in ps]
-        joint = ok[rows].min(axis=0)
-        p_ok = min(max(float(joint.mean()), eps), 1.0)
-        out[ps] = -float(np.log(p_ok))
-    return out
+    index = {pid: i for i, pid in enumerate(ids)}
+    values = _family_values(ok.astype(bool), family, index)
+    return {ps: float(values[f]) for f, ps in enumerate(family)}
 
 
 def latency_congestion_probability(

@@ -25,39 +25,30 @@ Since the indexed rewrite (DESIGN.md S17) everything here is batched:
 the stacked counters are cached on :class:`MeasurementData`, the
 expected-mode congestion status is one array expression (``m·L/M``
 divided by ``m`` is just ``L/M``, so the indicator does not depend on
-the family's minimum rate), sampled mode draws all hypergeometric
-counts in one array-shaped call, and a family's pathset costs come
-from index arrays — singleton costs are status rows, pair costs
-elementwise row ANDs. The pre-rewrite per-pathset loops are frozen
-with the tests, in ``tests/oracles/algorithm_reference.py``.
+the family's minimum rate), and sampled mode draws all of a family's
+hypergeometric counts in one array-shaped call. Only intervals in
+which every path of the family sent are *valid*; a pathset
+congestion-free in ``k`` of ``T`` valid intervals costs
+``cost_table(T)[k]``, with singleton counts from status row sums and
+pair counts from :func:`pair_joint_counts`.
+:func:`batch_slice_observations` runs a whole slice batch: one joint
+pass when every path sent in every interval (expected mode), else one
+loop over the σ groups, each over its own valid intervals. The
+pre-rewrite per-pathset loops are frozen with the tests, in
+``tests/oracles/algorithm_reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import ItemsView
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.network import PathIndex
 from repro.core.pathsets import PathSet, PathSetFamily
-from repro.core.slices import (
-    _observation_arrays,
-    gather_sorted,
-    pair_keys,
-    sorted_unique,
-)
+from repro.core.slices import gather_sorted, pair_keys, sorted_unique
 from repro.exceptions import MeasurementError
 from repro.measurement.records import MeasurementData
 
@@ -227,74 +218,45 @@ def congestion_free_matrix(
     return status, valid
 
 
-def _family_index_arrays(
-    family: PathSetFamily, index: Dict[str, int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, PathSet]]]:
-    """Split a family into index arrays by pathset size.
-
-    Returns ``(single_pos, single_row, pair_pos, pair_rows, larger)``
-    where ``*_pos`` index into the family and ``larger`` holds the
-    (rare) pathsets of size ≥ 3, evaluated per set.
-    """
-    single_pos: List[int] = []
-    single_row: List[int] = []
-    pair_pos: List[int] = []
-    pair_a: List[int] = []
-    pair_b: List[int] = []
-    larger: List[Tuple[int, PathSet]] = []
-    for f, ps in enumerate(family):
-        size = len(ps)
-        if size == 1:
-            (pid,) = ps
-            single_pos.append(f)
-            single_row.append(index[pid])
-        elif size == 2:
-            pid_a, pid_b = ps
-            pair_pos.append(f)
-            pair_a.append(index[pid_a])
-            pair_b.append(index[pid_b])
-        else:
-            larger.append((f, ps))
-    return (
-        np.array(single_pos, dtype=np.intp),
-        np.array(single_row, dtype=np.intp),
-        np.array(pair_pos, dtype=np.intp),
-        np.stack(
-            [
-                np.array(pair_a, dtype=np.intp),
-                np.array(pair_b, dtype=np.intp),
-            ]
-        ),
-        larger,
-    )
-
-
 def _family_values(
     status_valid: np.ndarray,
     family: PathSetFamily,
     index: Dict[str, int],
-    eps: float,
 ) -> np.ndarray:
     """Performance numbers for one family from its status matrix.
 
     ``status_valid`` is the boolean congestion-free matrix restricted
-    to valid intervals (family paths × valid intervals). Singleton
-    probabilities are row means, pair probabilities are means of
-    elementwise row ANDs — no per-pathset Python loop.
+    to valid intervals (family paths × valid intervals). A singleton
+    ``{a}`` is counted as the pair ``(a, a)``, so singletons and pairs
+    share one :func:`pair_joint_counts` call; pathsets of any other
+    size (in practice the rare ≥ 3) are counted one by one. Every
+    count is priced by :func:`cost_table`.
     """
-    p_free = np.empty(len(family), dtype=float)
-    single_pos, single_row, pair_pos, pair_rows, larger = (
-        _family_index_arrays(family, index)
-    )
-    if single_pos.size:
-        p_free[single_pos] = status_valid[single_row].mean(axis=1)
-    if pair_pos.size:
-        joint = status_valid[pair_rows[0]] & status_valid[pair_rows[1]]
-        p_free[pair_pos] = joint.mean(axis=1)
-    for f, ps in larger:
+    rows_a: List[int] = []
+    rows_b: List[int] = []
+    others: List[Tuple[int, List[int]]] = []
+    for f, ps in enumerate(family):
         rows = [index[pid] for pid in ps]
-        p_free[f] = status_valid[rows].all(axis=0).mean()
-    return -np.log(np.clip(p_free, eps, 1.0))
+        if not 1 <= len(rows) <= 2:
+            others.append((f, rows))
+            rows = [0]  # a placeholder count, overwritten below
+        rows_a.append(rows[0])
+        rows_b.append(rows[-1])
+    counts = pair_joint_counts(
+        status_valid,
+        np.array(rows_a, dtype=np.intp),
+        np.array(rows_b, dtype=np.intp),
+    )
+    for f, rows in others:
+        counts[f] = status_valid[rows].all(axis=0).sum()
+    return cost_table(status_valid.shape[1])[counts]
+
+
+def _no_valid_interval(paths: Tuple[str, ...]) -> MeasurementError:
+    return MeasurementError(
+        "no interval has traffic on every involved path; cannot "
+        "normalize (paths: %s)" % (paths,)
+    )
 
 
 def pathset_performance_numbers(
@@ -303,12 +265,15 @@ def pathset_performance_numbers(
     loss_threshold: float = DEFAULT_LOSS_THRESHOLD,
     mode: str = "expected",
     rng: Optional[np.random.Generator] = None,
-    min_probability: Optional[float] = None,
 ) -> Dict[PathSet, float]:
     """Algorithm 2: performance numbers for a family of pathsets.
 
     All paths appearing in the family are normalized *jointly* (one
     common subsampling), matching the paper's per-slice processing.
+    A pathset congestion-free in ``k`` of the ``T`` valid intervals
+    costs ``cost_table(T)[k]``: the probability is clamped at
+    ``1/(2T)``, so a pathset congested in *every* interval gets a
+    large finite cost.
 
     Args:
         data: Raw measurement records.
@@ -317,13 +282,13 @@ def pathset_performance_numbers(
         loss_threshold: See :func:`congestion_free_matrix`.
         mode: ``"expected"`` or ``"sampled"``.
         rng: Generator for sampled mode.
-        min_probability: Clamp for the congestion-free probability
-            before taking logs; defaults to ``1/(2T)`` so that a
-            pathset congested in *every* interval gets a large finite
-            cost.
 
     Returns:
         ``{pathset: y}`` with ``y = −log P(pathset congestion-free)``.
+
+    Raises:
+        MeasurementError: When no interval has traffic on every path
+            of the family.
     """
     paths: Tuple[str, ...] = tuple(
         sorted({pid for ps in family for pid in ps})
@@ -333,151 +298,20 @@ def pathset_performance_numbers(
     status, valid = congestion_free_matrix(
         data, paths, loss_threshold, mode, rng
     )
+    if not valid.any():
+        raise _no_valid_interval(paths)
     index = {pid: i for i, pid in enumerate(paths)}
-    total_valid = int(valid.sum())
-    if total_valid == 0:
-        raise MeasurementError(
-            "no interval has traffic on every involved path; cannot "
-            "normalize (paths: %s)" % (paths,)
-        )
-    eps = (
-        min_probability
-        if min_probability is not None
-        else 1.0 / (2.0 * total_valid)
-    )
-    values = _family_values(
-        status[:, valid].astype(bool), family, index, eps
-    )
+    values = _family_values(status[:, valid].astype(bool), family, index)
     return {ps: float(values[f]) for f, ps in enumerate(family)}
-
-
-def slice_observations(
-    data: MeasurementData,
-    families: Iterable[PathSetFamily],
-    loss_threshold: float = DEFAULT_LOSS_THRESHOLD,
-    mode: str = "expected",
-    rng: Optional[np.random.Generator] = None,
-) -> Dict[PathSet, float]:
-    """Per-slice normalization over many System 4 families.
-
-    The paper normalizes *per slice* — each System 4's vector ``y`` is
-    computed with that slice's own equal-rate aggregates. When the
-    same pathset appears in several slices, the value from the larger
-    normalization group wins deterministically (groups sorted by path
-    tuple); values differ only marginally and only through the shared
-    minimum rate.
-
-    Returns:
-        A merged ``{pathset: y}`` mapping covering every family.
-    """
-    merged: Dict[PathSet, float] = {}
-    for fam in sorted(
-        families, key=lambda f: tuple(sorted(tuple(sorted(ps)) for ps in f))
-    ):
-        if not fam:
-            continue
-        values = pathset_performance_numbers(
-            data, fam, loss_threshold, mode, rng
-        )
-        merged.update(values)
-    return merged
-
-
-def joint_slice_observations(
-    data: MeasurementData,
-    families: Sequence[PathSetFamily],
-    loss_threshold: float = DEFAULT_LOSS_THRESHOLD,
-    mode: str = "expected",
-    rng: Optional[np.random.Generator] = None,
-) -> Dict[PathSet, float]:
-    """Per-slice normalization with one joint status matrix.
-
-    The batched form of :func:`slice_observations`, and the fallback
-    of :func:`batch_slice_observations` (which the experiment runner
-    calls): families are merged *in the given order*
-    (σ-sorted system order — later families win shared pathsets,
-    matching the historical per-slice loop), and in expected mode the
-    congestion status of every path is computed once for the whole
-    experiment instead of once per family. This is valid because the
-    expected-mode indicator is ``L/M < threshold`` — independent of
-    the family's minimum rate (see :func:`congestion_free_matrix`);
-    only the set of *valid* intervals, the clamp ``1/(2T_valid)``,
-    and sampled-mode draws are family-dependent.
-
-    When every path has traffic in every interval (the common case
-    for emulated and synthetic records), all families see the same
-    valid set and the merge collapses further: every pathset is
-    evaluated exactly once from the joint matrix — singletons as
-    status rows, pairs as elementwise row ANDs.
-    """
-    _check_args(loss_threshold, mode, rng)
-    families = [fam for fam in families if fam]
-    if not families:
-        return {}
-    if mode == "sampled":
-        # Sampled draws are family-coupled (the minimum rate enters
-        # the hypergeometric); keep the per-family path, which draws
-        # each family's counts in one array call.
-        merged: Dict[PathSet, float] = {}
-        for fam in families:
-            merged.update(
-                pathset_performance_numbers(
-                    data, fam, loss_threshold, mode, rng
-                )
-            )
-        return merged
-
-    sent = data.sent_matrix
-    lost = data.lost_matrix
-    has_traffic = sent > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(has_traffic, lost / sent, 0.0)
-    status = (frac < loss_threshold) & has_traffic
-
-    if bool(has_traffic.all()):
-        # Fast path: every interval is valid for every family, so a
-        # pathset's value is family-independent — evaluate each
-        # pathset once, straight off the joint matrix.
-        total_valid = status.shape[1]
-        eps = 1.0 / (2.0 * total_valid)
-        index = {pid: i for i, pid in enumerate(data.path_ids)}
-        seen: Set[PathSet] = set()
-        flat: List[PathSet] = []
-        for fam in families:
-            for ps in fam:
-                if ps not in seen:
-                    seen.add(ps)
-                    flat.append(ps)
-        values = _family_values(status, tuple(flat), index, eps)
-        return {ps: float(values[f]) for f, ps in enumerate(flat)}
-
-    merged = {}
-    for fam in families:
-        paths = tuple(sorted({pid for ps in fam for pid in ps}))
-        rows = data.rows_of(paths)
-        valid = has_traffic[rows].all(axis=0)
-        total_valid = int(valid.sum())
-        if total_valid == 0:
-            raise MeasurementError(
-                "no interval has traffic on every involved path; cannot "
-                "normalize (paths: %s)" % (paths,)
-            )
-        eps = 1.0 / (2.0 * total_valid)
-        index = {pid: i for i, pid in enumerate(paths)}
-        values = _family_values(status[rows][:, valid], fam, index, eps)
-        merged.update(
-            {ps: float(values[f]) for f, ps in enumerate(fam)}
-        )
-    return merged
 
 
 class PathsetObservations(Mapping[PathSet, float]):
     """Read-only ``{pathset: y}`` view over Algorithm 2's cost arrays.
 
-    What :func:`batch_slice_observations` returns on its fast path: a
-    mapping backed by the arrays the pipeline computes anyway, so a
-    verdict never builds one frozenset per pathset (~905k of them at
-    5356 paths) unless a caller reads them.
+    What :func:`batch_slice_observations` returns: a mapping backed
+    by the arrays the pipeline computes anyway, so a verdict never
+    builds one frozenset per pathset (~905k of them at 5356 paths)
+    unless a caller reads them.
 
     * Singletons are the ``used`` rows, valued by ``y_single`` (NaN on
       every other row); lookups go through ``index.path_pos``.
@@ -595,28 +429,37 @@ def batch_slice_observations(
     """Per-slice observations for a whole
     :class:`~repro.core.slices.SliceSystemBatch` at once.
 
-    The runner's route: when expected-mode normalization applies and
-    every path has traffic in every interval, all singleton costs
-    come from one joint status matrix (row counts) and all pair
-    costs from :func:`pair_joint_counts` over the batch's flat pair
-    index arrays — no per-family or per-pathset Python work, and the
-    returned mapping is a :class:`PathsetObservations` view over those
-    arrays. Otherwise it defers to :func:`joint_slice_observations`
-    (identical values, family by family) and gathers the arrays from
-    its dict.
+    Algorithm 2 normalizes each σ group over its valid intervals, the
+    ones in which every member path sent. Two branches compute those
+    costs, selected by a property of the input:
+
+    * **All traffic** (expected mode and ``data.all_sent_positive``:
+      every path sent in every interval, as in synthetic and replayed
+      records). Every group's valid set is every interval, so a
+      pathset's cost does not depend on its group: singleton costs
+      are row counts of one joint status matrix and pair costs come
+      from :func:`pair_joint_counts` over the batch's flat pair
+      arrays.
+    * **Per group** (some path silent in some interval, as in
+      emulated records, or sampled mode): :func:`_group_costs`, one
+      loop over the σ groups in batch order.
 
     Args:
-        materialize: When False *and* the fast path applies, the
-            mapping is returned empty; the non-fast fallback always
-            returns its dict.
+        materialize: When False the mapping is returned empty; the
+            arrays alone carry a verdict.
 
     Returns:
-        ``(observations, y_single, y_pair_flat)`` — the pathset→cost
-        mapping plus the same values in gatherable array form:
+        ``(observations, y_single, y_pair_flat)`` — a
+        :class:`PathsetObservations` view over the cost arrays (``{}``
+        for a batch without systems), plus the arrays themselves:
         ``y_single`` indexed by path row (NaN for unmeasured paths),
         ``y_pair_flat`` aligned with ``batch.pair_a``/``pair_b``.
         Feed the arrays to
         :func:`repro.core.slices.batch_unsolvability_arrays`.
+
+    Raises:
+        MeasurementError: When a σ group has no valid interval, which
+            includes records with zero intervals.
     """
     _check_args(loss_threshold, mode, rng)
     index = batch.index
@@ -625,39 +468,37 @@ def batch_slice_observations(
     if batch.num_systems == 0:
         return {}, np.full(num_paths, np.nan), np.zeros(0, dtype=float)
 
-    fast = mode == "expected" and data.all_sent_positive
-    if not fast:
-        observations = joint_slice_observations(
-            data,
-            list(batch.families()),
-            loss_threshold=loss_threshold,
-            mode=mode,
-            rng=rng,
-        )
-        return (observations,) + _observation_arrays(batch, observations)
-
-    sent = data.sent_matrix
-    lost = data.lost_matrix
-    status = (lost / sent) < loss_threshold
-    table = cost_table(status.shape[1])
-
     used = sorted_unique(batch.member_rows)
-    path_ids = index.path_ids
-    data_rows = data.rows_of(path_ids[r] for r in used)
-    # Indexed by path row (all-False for paths in no system), so the
-    # batch's pair rows gather it directly, with no per-pair remap.
-    joint = np.zeros((num_paths, status.shape[1]), dtype=bool)
-    joint[used] = status[data_rows]
-    y_single = np.full(num_paths, np.nan)
-    y_single[used] = table[joint[used].sum(axis=1)]
-    # Costs block by block: no (n_pairs,) count array next to them.
-    words = _interval_words(joint)
-    y_pair_flat = np.empty(batch.num_pairs)
-    for lo in range(0, batch.num_pairs, PAIR_BLOCK):
-        hi = min(lo + PAIR_BLOCK, batch.num_pairs)
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        _joint_counts(words, batch.pair_a[lo:hi], batch.pair_b[lo:hi], counts)
-        y_pair_flat[lo:hi] = table[counts]
+    # Zero intervals take the group loop, which raises on their empty
+    # valid sets (all_sent_positive is vacuously true for them).
+    if mode == "sampled" or not (
+        data.all_sent_positive and data.num_intervals
+    ):
+        y_single, y_pair_flat = _group_costs(
+            data, batch, loss_threshold, mode, rng
+        )
+    else:
+        status = (data.lost_matrix / data.sent_matrix) < loss_threshold
+        table = cost_table(status.shape[1])
+        path_ids = index.path_ids
+        data_rows = data.rows_of(path_ids[r] for r in used)
+        # Indexed by path row (all-False for paths in no system), so
+        # the batch's pair rows gather it directly, with no per-pair
+        # remap.
+        joint = np.zeros((num_paths, status.shape[1]), dtype=bool)
+        joint[used] = status[data_rows]
+        y_single = np.full(num_paths, np.nan)
+        y_single[used] = table[joint[used].sum(axis=1)]
+        # Costs block by block: no (n_pairs,) count array next to them.
+        words = _interval_words(joint)
+        y_pair_flat = np.empty(batch.num_pairs)
+        for lo in range(0, batch.num_pairs, PAIR_BLOCK):
+            hi = min(lo + PAIR_BLOCK, batch.num_pairs)
+            counts = np.zeros(hi - lo, dtype=np.int64)
+            _joint_counts(
+                words, batch.pair_a[lo:hi], batch.pair_b[lo:hi], counts
+            )
+            y_pair_flat[lo:hi] = table[counts]
 
     if not materialize:
         return {}, y_single, y_pair_flat
@@ -667,6 +508,60 @@ def batch_slice_observations(
         index, used, y_single, batch.pair_a, batch.pair_b, y_pair_flat
     )
     return observations, y_single, y_pair_flat
+
+
+def _group_costs(
+    data: MeasurementData,
+    batch,
+    loss_threshold: float,
+    mode: str,
+    rng: Optional[np.random.Generator],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(y_single, y_pair_flat)`` σ group by σ group, each group over
+    its own valid intervals.
+
+    Groups run in batch order and each writes its members' singleton
+    costs, so a later group wins a path it shares with an earlier
+    one. Expected-mode status is computed once; sampled mode draws
+    through :func:`congestion_free_matrix` one group at a time, with
+    the paths in sorted-id order.
+    """
+    path_ids = batch.index.path_ids
+    y_single = np.full(batch.index.num_paths, np.nan)
+    y_pair_flat = np.empty(batch.num_pairs)
+    if mode == "expected":
+        has_traffic = data.sent_matrix > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = data.lost_matrix / data.sent_matrix
+        status_all = (frac < loss_threshold) & has_traffic
+    for g in range(batch.num_systems):
+        members = batch.member_rows[
+            batch.member_offsets[g]:batch.member_offsets[g + 1]
+        ]
+        ids = [path_ids[r] for r in members.tolist()]
+        rows = data.rows_of(ids)
+        # Data rows are in sorted-id order, so this sorts the members.
+        order = np.argsort(rows)
+        sorted_ids = tuple(ids[i] for i in order.tolist())
+        if mode == "expected":
+            status = status_all[rows]
+            valid = has_traffic[rows].all(axis=0)
+        else:
+            drawn, valid = congestion_free_matrix(
+                data, sorted_ids, loss_threshold, mode, rng
+            )
+            status = np.empty(drawn.shape, dtype=bool)
+            status[order] = drawn
+        if not valid.any():
+            raise _no_valid_interval(sorted_ids)
+        status = status[:, valid]
+        table = cost_table(status.shape[1])
+        y_single[members] = table[status.sum(axis=1)]
+        lo, hi = batch.offsets[g], batch.offsets[g + 1]
+        y_pair_flat[lo:hi] = table[
+            pair_joint_counts(status, batch.la[lo:hi], batch.lb[lo:hi])
+        ]
+    return y_single, y_pair_flat
 
 
 def path_congestion_probability(

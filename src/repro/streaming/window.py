@@ -27,7 +27,10 @@ incrementally:
 * results are **fp-identical** to a from-scratch
   :func:`~repro.measurement.normalize.batch_slice_observations` on
   the window's records (the hypothesis suite in
-  ``tests/streaming/test_window.py`` asserts exact equality).
+  ``tests/streaming/test_window.py`` asserts exact equality);
+* a window in which some path sent nothing in some interval gives
+  each σ group its own valid intervals, so it is computed from the
+  window's records by ``batch_slice_observations``' per-group branch.
 
 Cache rules: window results are memoized by ``(lo, hi)``; appends
 only ever extend the stream, so no existing window entry can go
@@ -236,9 +239,9 @@ class SlidingWindowStats:
         self._lost[:, T:T + n] = lost
 
         # Expected-mode congestion-free indicator, matching
-        # batch_slice_observations' fast path cell-for-cell where
-        # traffic is present (sent == 0 cells are only ever read
-        # through the fallback path).
+        # batch_slice_observations cell-for-cell where traffic is
+        # present (windows with sent == 0 cells are computed by
+        # batch_slice_observations itself).
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = lost / sent
         status = (frac < self.loss_threshold) & (sent > 0)
@@ -337,10 +340,14 @@ class SlidingWindowStats:
     def _evaluate_window(self, lo: int, hi: int) -> tuple:
         """Cached core: ``(observations, y_single, y_pair_flat)``.
 
-        On the fast path the observations are a
+        The observations are a
         :class:`~repro.measurement.normalize.PathsetObservations` view
         over the cost arrays, so the monitor, which reads only the
-        arrays, never builds a per-pathset object.
+        arrays, never builds a per-pathset object. A window in which
+        some path fell silent goes through
+        :func:`~repro.measurement.normalize.batch_slice_observations`
+        (its per-group branch); every other window is computed from
+        the incremental state.
         """
         key = (int(lo), int(hi))
         cached = self._cache.get(key)
@@ -412,8 +419,9 @@ class SlidingWindowStats:
         batch_slice_observations` on the window's records —
         fp-identically, but from the incremental state instead of a
         full recompute. Windows containing an interval where some
-        path sent nothing take the exact fallback (per-family valid
-        sets) through the batch routine itself.
+        path sent nothing are computed by the batch routine itself,
+        whose per-group branch gives each σ group its own valid
+        intervals.
         """
         self._check_window(lo, hi)
         return self._evaluate_window(lo, hi)

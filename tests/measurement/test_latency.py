@@ -36,6 +36,21 @@ class TestIndicators:
             latency_indicators(
                 _delays({"p1": [0.1], "p2": [0.1, 0.2]}), 0.1
             )
+        with pytest.raises(MeasurementError):
+            latency_indicators(_delays({"p1": [0.05, 0.05]}), math.nan)
+        with pytest.raises(MeasurementError):
+            latency_indicators(_delays({"p1": [0.05, math.nan]}), 0.1)
+        with pytest.raises(MeasurementError):
+            latency_indicators({"p1": np.full((2, 3), 0.05)}, 0.1)
+        # The same inputs through the performance numbers.
+        fam = (frozenset({"p1"}),)
+        for delays, threshold in (
+            (_delays({"p1": [0.05, 0.05]}), math.nan),
+            (_delays({"p1": [0.05, math.nan]}), 0.1),
+            ({"p1": np.full((2, 3), 0.05)}, 0.1),
+        ):
+            with pytest.raises(MeasurementError):
+                latency_performance_numbers(delays, fam, threshold)
 
 
 class TestPerformanceNumbers:

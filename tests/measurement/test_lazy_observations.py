@@ -25,7 +25,10 @@ from inference_golden_config import (  # noqa: E402
     build_cases,
     case_records,
 )
-from repro.core.algorithm import identify_non_neutral  # noqa: E402
+from repro.core.algorithm import (  # noqa: E402
+    DEFAULT_MIN_PATHSETS,
+    identify_non_neutral,
+)
 from repro.core.slices import (  # noqa: E402
     SliceSystemsView,
     _observation_arrays,
@@ -33,10 +36,17 @@ from repro.core.slices import (  # noqa: E402
 )
 from repro.experiments.config import EmulationSettings  # noqa: E402
 from repro.experiments.runner import infer_from_measurements  # noqa: E402
+from repro.experiments.topology_a import run_topology_a  # noqa: E402
+from repro.experiments.topology_b import (  # noqa: E402
+    TOPOLOGY_B_SETTINGS,
+    run_topology_b,
+)
+from oracles.algorithm_reference import (  # noqa: E402
+    pathset_performance_numbers_reference,
+)
 from repro.measurement.normalize import (  # noqa: E402
     PathsetObservations,
     batch_slice_observations,
-    joint_slice_observations,
 )
 from repro.measurement.records import (  # noqa: E402
     MeasurementData,
@@ -161,8 +171,10 @@ def test_golden_case_matches_eager_oracle(name):
     )
     if mode == "expected":
         _assert_matches_oracle(obs, eager_observations(data, batch))
-    else:  # sampled mode falls back to a plain dict
-        assert type(obs) is dict
+    else:
+        assert isinstance(obs, PathsetObservations)
+        np.testing.assert_array_equal(obs.y_single, y_single)
+        np.testing.assert_array_equal(obs.y_pair_flat, y_pair_flat)
     _assert_dense_oracle(batch, obs)
     _assert_dense_oracle(batch, dict(obs))
 
@@ -234,14 +246,14 @@ def test_random_topologies_match_oracles(case):
     _assert_dense_oracle(batch, dict(obs))
     assert pickle.loads(pickle.dumps(obs)) == dict(obs)
 
-    # A silent interval takes the per-family fallback: its arrays come
-    # from the dict through the sorted pair-key gather.
+    # A silent interval takes the per-group loop; its view unpacks to
+    # the same arrays through the dense oracle.
     silent = _with_silent_interval(data, data.path_ids[0], 0)
-    fallback, fb_single, fb_pair = batch_slice_observations(silent, batch)
-    assert type(fallback) is dict
-    ref_single, ref_pair = dense_observation_arrays(batch, fallback)
-    np.testing.assert_array_equal(fb_single, ref_single)
-    np.testing.assert_array_equal(fb_pair, ref_pair)
+    per_group, pg_single, pg_pair = batch_slice_observations(silent, batch)
+    assert isinstance(per_group, PathsetObservations)
+    ref_single, ref_pair = dense_observation_arrays(batch, dict(per_group))
+    np.testing.assert_array_equal(pg_single, ref_single)
+    np.testing.assert_array_equal(pg_pair, ref_pair)
 
 
 # ----------------------------------------------------------------------
@@ -356,22 +368,77 @@ def test_foreign_batch_gathers_by_pair_key():
 
 
 # ----------------------------------------------------------------------
-# Zero-traffic fallback at 1225 paths
+# Zero-traffic route at 1225 paths
 # ----------------------------------------------------------------------
 
 
+def reference_slice_observations(data, batch, mode="expected", rng=None):
+    """The frozen per-pathset Algorithm 2 over every family of the
+    batch, merged in batch order (a later family wins a shared
+    pathset)."""
+    merged = {}
+    for family in batch.families():
+        merged.update(
+            pathset_performance_numbers_reference(
+                data, family, mode=mode, rng=rng
+            )
+        )
+    return merged
+
+
 def test_zero_traffic_route_on_federated_5x10():
-    """One silent interval sends fed 5×10 down the per-family route;
-    its arrays equal the dense unpacking of the same dict bitwise."""
+    """One silent interval sends fed 5×10 down the per-group loop; it
+    equals the frozen per-pathset oracle, and its arrays the dense
+    unpacking of the view."""
     net, perf, mp, _mode = CASES["fed5x10"]
     net = net.restricted_to_paths(net.path_ids)  # fresh caches
     data = case_records("fed5x10", net, perf, num_intervals=120)
     silent = _with_silent_interval(data, net.path_ids[7], 3)
     batch, _ = build_slice_batch(net, mp)
     obs, y_single, y_pair_flat = batch_slice_observations(silent, batch)
-    oracle = joint_slice_observations(silent, list(batch.families()))
+    assert batch.num_materialized == 0
+    oracle = reference_slice_observations(silent, batch)
     assert obs == oracle
-    ref_single, ref_pair = dense_observation_arrays(batch, oracle)
+    ref_single, ref_pair = dense_observation_arrays(batch, dict(obs))
     np.testing.assert_array_equal(y_single, ref_single)
     np.testing.assert_array_equal(y_pair_flat, ref_pair)
-    assert batch.num_materialized == 0
+
+
+# ----------------------------------------------------------------------
+# Emulated records with silent intervals
+# ----------------------------------------------------------------------
+
+#: The golden suite's tolerance (``tests/core/test_inference_golden.py``).
+RELTOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def emulated_records():
+    """Records whose paths fall silent in some intervals: one Table 2
+    set-6 point and topology B, 60 s each."""
+    settings = EmulationSettings().quick(60.0)
+    set6 = run_topology_a(6, 30.0, settings)
+    topo_b = run_topology_b(TOPOLOGY_B_SETTINGS.quick(60.0)).outcome
+    return {
+        "set6": (set6.inference_network, set6.emulation.measurements),
+        "topo-b": (topo_b.inference_network, topo_b.emulation.measurements),
+    }
+
+
+@pytest.mark.parametrize("mode", ["expected", "sampled"])
+@pytest.mark.parametrize("name", ["set6", "topo-b"])
+def test_emulated_records_match_frozen_oracle(emulated_records, name, mode):
+    net, data = emulated_records[name]
+    assert not data.all_sent_positive
+    batch, _ = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
+    assert batch.num_systems > 0
+    obs, _, _ = batch_slice_observations(
+        data, batch, mode=mode, rng=np.random.default_rng(NORM_SEED)
+    )
+    oracle = reference_slice_observations(
+        data, batch, mode=mode, rng=np.random.default_rng(NORM_SEED)
+    )
+    assert isinstance(obs, PathsetObservations)
+    assert set(obs) == set(oracle)
+    for pathset, want in oracle.items():
+        assert abs(obs[pathset] - want) <= RELTOL + RELTOL * abs(want)

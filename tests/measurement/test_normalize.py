@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.network import network_from_path_specs
+from repro.core.slices import build_slice_batch
 from repro.exceptions import MeasurementError
+from repro.experiments.config import EmulationSettings
+from repro.experiments.runner import infer_from_measurements
 from repro.measurement.normalize import (
+    batch_slice_observations,
     congestion_free_matrix,
     path_congestion_probability,
     pathset_performance_numbers,
-    slice_observations,
 )
 from repro.measurement.records import MeasurementData, PathRecord
 
@@ -162,20 +166,42 @@ class TestPathsetPerformance:
         data = _data([("p1", [10], [0])])
         assert pathset_performance_numbers(data, ()) == {}
 
-    def test_slice_observations_merges_families(self):
-        data = _data(
-            [
-                ("p1", [100] * 4, [0] * 4),
-                ("p2", [100] * 4, [0] * 4),
-                ("p3", [100] * 4, [5] * 4),
-            ]
-        )
-        fam_a = (frozenset({"p1"}), frozenset({"p2"}))
-        fam_b = (frozenset({"p2"}), frozenset({"p3"}))
-        merged = slice_observations(data, [fam_a, fam_b])
-        assert set(merged) == {
-            frozenset({"p1"}), frozenset({"p2"}), frozenset({"p3"}),
-        }
+
+def _hub_network():
+    return network_from_path_specs(
+        {f"p{i}": ["hub", f"s{i}"] for i in range(1, 5)}
+    )
+
+
+def _infer(data, mode, rng):
+    return infer_from_measurements(
+        _hub_network(),
+        data,
+        settings=EmulationSettings(normalization_mode=mode),
+        rng=rng,
+    )
+
+
+def _batch(data, mode, rng):
+    batch, _ = build_slice_batch(_hub_network(), 3)
+    return batch_slice_observations(data, batch, mode=mode, rng=rng)
+
+
+def _family_numbers(data, mode, rng):
+    family = tuple(frozenset({pid}) for pid in data.path_ids)
+    return pathset_performance_numbers(data, family, mode=mode, rng=rng)
+
+
+@pytest.mark.parametrize("mode", ["expected", "sampled"])
+@pytest.mark.parametrize("entry", [_infer, _batch, _family_numbers])
+def test_zero_intervals_raise_measurement_error(mode, entry):
+    """Records with no interval cannot be normalized, in either mode
+    and at every entry point."""
+    empty = np.zeros(0, dtype=np.int64)
+    data = _data([(f"p{i}", empty, empty) for i in range(1, 5)])
+    assert data.num_intervals == 0
+    with pytest.raises(MeasurementError, match="no interval"):
+        entry(data, mode, np.random.default_rng(0))
 
 
 class TestPathCongestionProbability:

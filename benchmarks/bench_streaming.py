@@ -7,10 +7,10 @@ windows over a long record stream on the 210-path two-tier mesh
 verdict sequence:
 
 * **incremental** — :class:`~repro.streaming.window.
-  SlidingWindowStats` consuming the stream in chunks: status prefix
-  sums updated in O(new intervals), each window's unsolvability
-  scores from sliding-delta pair counts and the memoized slice
-  batch;
+  SlidingWindowStats` consuming the stream in chunks: each chunk's
+  counters and congestion status kept as appended, in O(new
+  intervals), each window's unsolvability scores from sliding-delta
+  singleton and pair counts and the memoized slice batch;
 * **recompute** — the offline route per window: build a fresh
   window :class:`MeasurementData`, run
   :func:`~repro.measurement.normalize.batch_slice_observations` and
@@ -104,7 +104,6 @@ def _window_bounds():
 def _run_incremental(net, data):
     """Stream chunks in, emit every due window's score array."""
     stats = SlidingWindowStats(net, loss_threshold=SETTINGS.loss_threshold)
-    stats.reserve(data.num_intervals)
     scores = []
     next_end = WINDOW
     for chunk in ReplayStream(data, chunk_intervals=STRIDE):

@@ -10,6 +10,7 @@ from repro.measurement.clustering import (
     DEFAULT_MIN_ABSOLUTE,
     DEFAULT_MIN_RATIO,
     ClusterSplit,
+    classify_score_array,
     classify_scores,
     cluster_decider,
     make_cluster_decider,
@@ -49,6 +50,7 @@ __all__ = [
     "MeasurementData",
     "PathRecord",
     "RecordChunk",
+    "classify_score_array",
     "classify_scores",
     "cluster_decider",
     "congestion_free_matrix",

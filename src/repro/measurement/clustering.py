@@ -19,9 +19,10 @@ plus the safeguards a practical deployment needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Mapping, TypeVar
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.exceptions import MeasurementError
 
@@ -62,14 +63,15 @@ class ClusterSplit:
 
 
 def two_means_split(
-    values: Sequence[float],
+    values: ArrayLike,
     min_absolute: float = DEFAULT_MIN_ABSOLUTE,
     min_ratio: float = DEFAULT_MIN_RATIO,
 ) -> ClusterSplit:
     """Optimal 1-D 2-means split with separation safeguards.
 
     Args:
-        values: The unsolvability scores (any order).
+        values: The unsolvability scores (any order): an array or
+            a sequence of floats.
         min_absolute: The high-cluster center must be at least this
             large for the split to count.
         min_ratio: And at least ``min_ratio`` times the low center
@@ -80,7 +82,7 @@ def two_means_split(
         The :class:`ClusterSplit`. With fewer than 2 values, or when
         all values are equal, ``separated`` is False.
     """
-    arr = np.sort(np.asarray(list(values), dtype=float))
+    arr = np.sort(np.asarray(values, dtype=float))
     if arr.size == 0:
         raise MeasurementError("cannot cluster an empty score list")
     if arr.size == 1 or np.isclose(arr[0], arr[-1]):
@@ -121,13 +123,13 @@ def two_means_split(
     )
 
 
-def classify_scores(
-    scores: Mapping[K, float],
+def classify_score_array(
+    scores: np.ndarray,
     min_absolute: float = DEFAULT_MIN_ABSOLUTE,
     min_ratio: float = DEFAULT_MIN_RATIO,
     definite: float = DEFAULT_DEFINITE,
-) -> Dict[K, bool]:
-    """Classify scores into solvable (False) / unsolvable (True).
+) -> np.ndarray:
+    """Classify a score array into solvable (False) / unsolvable (True).
 
     Implements the §6.2 decision: 2-means over all scores; a system is
     unsolvable when it falls in the high cluster of a *separated*
@@ -135,17 +137,31 @@ def classify_scores(
     score at or above ``definite`` is always unsolvable (single-system
     experiments have no population to cluster over).
     """
-    if not scores:
-        return {}
+    scores = np.asarray(scores, dtype=float)
+    if scores.size == 0:
+        return np.zeros(0, dtype=bool)
     split = two_means_split(
-        list(scores.values()), min_absolute=min_absolute, min_ratio=min_ratio
+        scores, min_absolute=min_absolute, min_ratio=min_ratio
     )
     if not split.separated:
-        return {key: value >= definite for key, value in scores.items()}
-    return {
-        key: value > split.threshold or value >= definite
-        for key, value in scores.items()
-    }
+        return scores >= definite
+    return (scores > split.threshold) | (scores >= definite)
+
+
+def classify_scores(
+    scores: Mapping[K, float],
+    min_absolute: float = DEFAULT_MIN_ABSOLUTE,
+    min_ratio: float = DEFAULT_MIN_RATIO,
+    definite: float = DEFAULT_DEFINITE,
+) -> Dict[K, bool]:
+    """:func:`classify_score_array` over a ``{key: score}`` mapping."""
+    flags = classify_score_array(
+        np.fromiter(scores.values(), dtype=float, count=len(scores)),
+        min_absolute=min_absolute,
+        min_ratio=min_ratio,
+        definite=definite,
+    )
+    return dict(zip(scores, flags.tolist()))
 
 
 def cluster_decider(scores: Mapping[K, float]) -> Dict[K, bool]:

@@ -53,6 +53,36 @@ def _checked_counters(path_id: str, name: str, values: object) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def checked_counter_rows(
+    path_ids: Tuple[str, ...], sent: object, lost: object
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Aligned ``(|paths|, n)`` counter matrices as fresh int64 copies,
+    checked by :class:`PathRecord`'s rules: numeric, finite,
+    non-negative and ``lost ≤ sent``.
+
+    One array pass when every row holds; otherwise the rows are
+    checked as :class:`PathRecord`\\ s in order, so the error names
+    the first offending path.
+
+    Raises:
+        MeasurementError: When some row breaks a rule.
+    """
+    sent_arr, lost_arr = np.asarray(sent), np.asarray(lost)
+    if all(
+        arr.dtype.kind in "biu"
+        or (arr.dtype.kind == "f" and np.isfinite(arr).all())
+        for arr in (sent_arr, lost_arr)
+    ):
+        sent64 = sent_arr.astype(np.int64)
+        lost64 = lost_arr.astype(np.int64)
+        # 0 ≤ lost ≤ sent also makes sent non-negative.
+        if (lost64 >= 0).all() and (lost64 <= sent64).all():
+            return sent64, lost64
+    for pid, sent_row, lost_row in zip(path_ids, sent_arr, lost_arr):
+        PathRecord(pid, sent_row, lost_row)
+    raise AssertionError("unreachable: some row breaks a counter rule")
+
+
 @dataclass(frozen=True)
 class RecordChunk:
     """A contiguous run of intervals for a fixed set of paths.

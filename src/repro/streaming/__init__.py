@@ -10,9 +10,9 @@ monitor in four layers:
   intervals, yield, continue from carried state — including mid-run
   differentiation policy switches).
 * :mod:`repro.streaming.window` — incremental sufficient statistics
-  for Algorithm 2 over sliding/tumbling windows: per-path
-  congestion-status prefix sums and status rows updated in O(new
-  intervals), sliding pair counts, reusing the network's memoized
+  for Algorithm 2 over sliding/tumbling windows: the appended chunks
+  and their status rows kept in O(new intervals), sliding singleton
+  and pair counts, reusing the network's memoized
   :class:`~repro.core.slices.SliceSystemBatch` across window
   advances.
 * :mod:`repro.streaming.monitor` — the

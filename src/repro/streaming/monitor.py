@@ -51,7 +51,10 @@ from repro.core.network import LinkSeq, Network
 from repro.core.slices import SliceSystemsView, batch_unsolvability_arrays
 from repro.exceptions import ConfigurationError, MeasurementError
 from repro.experiments.config import EmulationSettings
-from repro.measurement.clustering import two_means_split
+from repro.measurement.clustering import (
+    classify_score_array,
+    two_means_split,
+)
 from repro.measurement.records import RecordChunk
 from repro.streaming.window import SlidingWindowStats
 
@@ -304,24 +307,6 @@ class NeutralityMonitor:
 
     # ------------------------------------------------------------------
 
-    def _classify_array(self, score_array: np.ndarray) -> np.ndarray:
-        """Array form of :func:`~repro.measurement.clustering.
-        classify_scores` (identical semantics on the same knobs): a
-        2-means split over all scores; in a separated split the high
-        cluster is unsolvable; the ``definite`` bar always is."""
-        if score_array.size == 0:
-            return np.zeros(0, dtype=bool)
-        split = two_means_split(
-            score_array,
-            min_absolute=self._min_absolute,
-            min_ratio=self._min_ratio,
-        )
-        if not split.separated:
-            return score_array >= self._definite
-        return (score_array > split.threshold) | (
-            score_array >= self._definite
-        )
-
     def _prune(
         self, identified_raw: Tuple[LinkSeq, ...]
     ) -> Tuple[LinkSeq, ...]:
@@ -354,7 +339,12 @@ class NeutralityMonitor:
             batch, y_single, y_pair_flat
         )
         scores = dict(zip(batch.sigmas, score_array.tolist()))
-        flagged = self._classify_array(score_array).tolist()
+        flagged = classify_score_array(
+            score_array,
+            min_absolute=self._min_absolute,
+            min_ratio=self._min_ratio,
+            definite=self._definite,
+        ).tolist()
         identified_raw = tuple(compress(batch.sigmas, flagged))
         neutral = tuple(
             compress(batch.sigmas, (not f for f in flagged))
@@ -477,11 +467,6 @@ class NeutralityMonitor:
 
     def run(self, stream) -> MonitorReport:
         """Consume a whole record stream and report."""
-        total = getattr(stream, "total_intervals", None) or getattr(
-            stream, "num_intervals", None
-        )
-        if total:
-            self.stats.reserve(int(total))
         for chunk in stream:
             self.observe(chunk)
         return self.report()

@@ -10,13 +10,14 @@ of that work is shared between consecutive windows.
 :class:`SlidingWindowStats` maintains the sufficient statistics
 incrementally:
 
-* appended chunks update the boolean status rows and per-path
-  congestion-status **prefix sums** in O(new intervals) — nothing is
-  recomputed from scratch;
-* a window's singleton costs are prefix-sum differences; its pair
-  counts come from
-  :func:`~repro.measurement.normalize.pair_joint_counts` — and when
-  one window slides to the next, only the *delta spans* are counted
+* each appended chunk is kept as it came — its int64 ``sent`` and
+  ``lost`` counters, its boolean congestion-free status and its
+  every-path-sent column flags, one O(new intervals) pass; a window
+  reads the chunk slices that overlap it;
+* a window's counts come from
+  :func:`~repro.measurement.normalize.pair_joint_counts`, with a
+  singleton ``{a}`` counted as the pair ``(a, a)`` — and when one
+  window slides to the next, only the *delta spans* are counted
   (``count(new) = count(old) − count(dropped) + count(gained)``), so
   a stride-S advance costs O(|pairs| · ⌈S/64⌉) regardless of the
   window length — reusing the network's memoized
@@ -32,11 +33,12 @@ incrementally:
   each σ group its own valid intervals, so it is computed from the
   window's records by ``batch_slice_observations``' per-group branch.
 
-Cache rules: window results are memoized by ``(lo, hi)``; appends
-only ever extend the stream, so no existing window entry can go
-stale — the only *dirty* state a swap of records could create is the
-stacked-matrix cache on :class:`MeasurementData`, which
-:meth:`MeasurementData.append_intervals` invalidates explicitly.
+State rules: besides the chunks, the only state is the last
+window's counts (the delta anchor) and the spans gained by sliding
+windows that start at or after that window's ``lo`` — the only spans
+a forward slide can drop. Window results are not memoized: a
+monitor reads each window once, and a repeated read is a zero-delta
+slide.
 
 Only expected-mode normalization streams: sampled mode couples every
 draw to the family's minimum rate *and* to the RNG stream position,
@@ -47,7 +49,8 @@ incremental to maintain. The monitor therefore requires
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,14 +70,8 @@ from repro.measurement.records import (
     MeasurementData,
     PathRecord,
     RecordChunk,
+    checked_counter_rows,
 )
-
-#: Window results memoized per (lo, hi); append-only streams never
-#: invalidate an entry, so the cap only bounds memory.
-_WINDOW_CACHE_LIMIT = 64
-
-#: Initial interval capacity of the growable state arrays.
-_INITIAL_CAPACITY = 256
 
 
 class SlidingWindowStats:
@@ -105,28 +102,23 @@ class SlidingWindowStats:
         self.loss_threshold = float(loss_threshold)
         self.interval_seconds = float(interval_seconds)
         self._path_ids: Optional[Tuple[str, ...]] = None
-        self._row_of: Dict[str, int] = {}
-        self._T = 0
-        self._cap = 0
-        self._sent: Optional[np.ndarray] = None
-        self._lost: Optional[np.ndarray] = None
-        self._status: Optional[np.ndarray] = None
-        self._status_prefix: Optional[np.ndarray] = None
-        self._all_traffic_prefix: Optional[np.ndarray] = None
-        # Sliding-delta anchor: the last window's pair counts.
+        # The appended chunks, one entry each: chunk k covers
+        # [_ends[k-1], _ends[k]) with (|paths|, n) counters and status
+        # and an (n,) every-path-sent flag.
+        self._ends: List[int] = []
+        self._sent: List[np.ndarray] = []
+        self._lost: List[np.ndarray] = []
+        self._status: List[np.ndarray] = []
+        self._traffic: List[np.ndarray] = []
+        # Sliding-delta anchor: the last window's counts.
         self._last_pair_window: Optional[
             Tuple[int, int, np.ndarray]
         ] = None
-        # Span-count memo: a sliding monitor counts each stride span
-        # once as the gained edge and reuses it ~window/stride
-        # advances later as the dropped edge.
+        # Gained spans a later slide may drop, keyed by (lo, hi).
         self._span_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._reserve_hint = 0
         self._used: Optional[np.ndarray] = None
-        self._used_stream_rows: Optional[np.ndarray] = None
-        self._pair_a_stream: Optional[np.ndarray] = None
-        self._pair_b_stream: Optional[np.ndarray] = None
-        self._cache: Dict[Tuple[int, int], tuple] = {}
+        self._rows_a: Optional[np.ndarray] = None
+        self._rows_b: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Appending
@@ -135,73 +127,36 @@ class SlidingWindowStats:
     @property
     def num_intervals(self) -> int:
         """Intervals appended so far."""
-        return self._T
+        return self._ends[-1] if self._ends else 0
 
     def _init_paths(self, path_ids: Sequence[str]) -> None:
         self._path_ids = tuple(path_ids)
         if len(set(self._path_ids)) != len(self._path_ids):
             raise MeasurementError("stream repeats a path id")
-        self._row_of = {pid: i for i, pid in enumerate(self._path_ids)}
+        row_of = {pid: i for i, pid in enumerate(self._path_ids)}
         index = self.batch.index
-        missing = [
-            pid for pid in index.path_ids if pid not in self._row_of
-        ]
+        missing = [pid for pid in index.path_ids if pid not in row_of]
         if missing:
             raise MeasurementError(
                 f"stream lacks records for indexed paths {missing}"
             )
 
-        # Index row → stream row, gathered once per row array.
+        # Index row → stream row, gathered once per row array. The
+        # used singletons lead as pairs (a, a), then the batch pairs.
         perm = np.array(
-            [self._row_of[pid] for pid in index.path_ids], dtype=np.intp
+            [row_of[pid] for pid in index.path_ids], dtype=np.intp
         )
         self._used = sorted_unique(self.batch.member_rows)
-        self._used_stream_rows = perm[self._used]
-        self._pair_a_stream = perm[self.batch.pair_a]
-        self._pair_b_stream = perm[self.batch.pair_b]
-
-    def reserve(self, num_intervals: int) -> None:
-        """Pre-size the state arrays for a known stream length
-        (avoids growth copies on long replays)."""
-        self._reserve_hint = max(self._reserve_hint, int(num_intervals))
-
-    def _ensure_capacity(self, need: int) -> None:
-        if need <= self._cap:
-            return
-        cap = max(_INITIAL_CAPACITY, self._cap * 2)
-        while cap < max(need, self._reserve_hint):
-            cap *= 2
-        num_paths = len(self._path_ids)
-        T = self._T
-
-        def grow(old, shape, dtype, filled):
-            # Copy only the filled region — the tail of the old
-            # allocation is zeros by construction.
-            new = np.zeros(shape, dtype=dtype)
-            if old is not None and filled:
-                if old.ndim == 1:
-                    new[:filled] = old[:filled]
-                else:
-                    new[:, :filled] = old[:, :filled]
-            return new
-
-        self._sent = grow(self._sent, (num_paths, cap), np.int64, T)
-        self._lost = grow(self._lost, (num_paths, cap), np.int64, T)
-        self._status = grow(self._status, (num_paths, cap), bool, T)
-        self._status_prefix = grow(
-            self._status_prefix, (num_paths, cap + 1), np.int64, T + 1
-        )
-        self._all_traffic_prefix = grow(
-            self._all_traffic_prefix, (cap + 1,), np.int64, T + 1
-        )
-        self._cap = cap
+        singles = perm[self._used]
+        self._rows_a = np.concatenate([singles, perm[self.batch.pair_a]])
+        self._rows_b = np.concatenate([singles, perm[self.batch.pair_b]])
 
     def append(self, chunk: RecordChunk) -> None:
         """Append a stream chunk (must be the next contiguous one)."""
-        if chunk.start_interval != self._T:
+        if chunk.start_interval != self.num_intervals:
             raise MeasurementError(
                 f"non-contiguous chunk: starts at {chunk.start_interval}, "
-                f"stream is at {self._T}"
+                f"stream is at {self.num_intervals}"
             )
         self.append_arrays(chunk.sent, chunk.lost, chunk.path_ids)
 
@@ -211,9 +166,15 @@ class SlidingWindowStats:
         lost: np.ndarray,
         path_ids: Sequence[str],
     ) -> None:
-        """Append raw ``(|paths|, n)`` counter matrices."""
-        sent = np.asarray(sent, dtype=np.int64)
-        lost = np.asarray(lost, dtype=np.int64)
+        """Append raw ``(|paths|, n)`` counter matrices.
+
+        Raises:
+            MeasurementError: On misaligned matrices, a path set or
+                order that differs from the stream's, or counters
+                that :class:`~repro.measurement.records.PathRecord`
+                would reject (the error names the path).
+        """
+        sent, lost = np.asarray(sent), np.asarray(lost)
         if sent.shape != lost.shape or sent.ndim != 2:
             raise MeasurementError(
                 f"chunk matrices must be 2-D and aligned, got "
@@ -233,56 +194,56 @@ class SlidingWindowStats:
         n = sent.shape[1]
         if n == 0:
             return
-        T = self._T
-        self._ensure_capacity(T + n)
-        self._sent[:, T:T + n] = sent
-        self._lost[:, T:T + n] = lost
+        sent, lost = checked_counter_rows(self._path_ids, sent, lost)
 
         # Expected-mode congestion-free indicator, matching
         # batch_slice_observations cell-for-cell where traffic is
         # present (windows with sent == 0 cells are computed by
         # batch_slice_observations itself).
+        has_traffic = sent > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = lost / sent
-        status = (frac < self.loss_threshold) & (sent > 0)
-        self._status[:, T:T + n] = status
-
-        self._status_prefix[:, T + 1:T + n + 1] = (
-            self._status_prefix[:, T:T + 1]
-            + np.cumsum(status, axis=1)
-        )
-        self._all_traffic_prefix[T + 1:T + n + 1] = (
-            self._all_traffic_prefix[T]
-            + np.cumsum((sent > 0).all(axis=0))
-        )
-        self._T = T + n
+            status = (lost / sent < self.loss_threshold) & has_traffic
+        self._sent.append(sent)
+        self._lost.append(lost)
+        self._status.append(status)
+        self._traffic.append(has_traffic.all(axis=0))
+        self._ends.append(self.num_intervals + n)
 
     # ------------------------------------------------------------------
     # Window evaluation
     # ------------------------------------------------------------------
 
     def _check_window(self, lo: int, hi: int) -> None:
-        if not 0 <= lo < hi <= self._T:
+        if not 0 <= lo < hi <= self.num_intervals:
             raise MeasurementError(
-                f"window [{lo}, {hi}) outside the stream [0, {self._T})"
+                f"window [{lo}, {hi}) outside the stream "
+                f"[0, {self.num_intervals})"
             )
 
-    def _all_traffic(self, lo: int, hi: int) -> bool:
-        return bool(
-            self._all_traffic_prefix[hi] - self._all_traffic_prefix[lo]
-            == hi - lo
-        )
+    def _columns(
+        self, chunks: List[np.ndarray], lo: int, hi: int
+    ) -> np.ndarray:
+        """Stream columns ``[lo, hi)`` of one per-chunk state list, as
+        a fresh array."""
+        k = bisect_right(self._ends, lo)
+        start = self._ends[k - 1] if k else 0
+        pieces = []
+        while start < hi:
+            end = self._ends[k]
+            pieces.append(
+                chunks[k][..., max(lo, start) - start:min(hi, end) - start]
+            )
+            start, k = end, k + 1
+        return np.concatenate(pieces, axis=-1)
 
     def window_data(self, lo: int, hi: int) -> MeasurementData:
         """The window's raw records as a :class:`MeasurementData`."""
         self._check_window(lo, hi)
+        sent = self._columns(self._sent, lo, hi)
+        lost = self._columns(self._lost, lo, hi)
         return MeasurementData(
             [
-                PathRecord(
-                    pid,
-                    self._sent[i, lo:hi].copy(),
-                    self._lost[i, lo:hi].copy(),
-                )
+                PathRecord(pid, sent[i], lost[i])
                 for i, pid in enumerate(self._path_ids)
             ],
             self.interval_seconds,
@@ -292,26 +253,21 @@ class SlidingWindowStats:
         """The window's boolean congestion-free matrix (stream row
         order), for inspection and the exactness tests."""
         self._check_window(lo, hi)
-        return self._status[:, lo:hi].copy()
+        return self._columns(self._status, lo, hi)
 
-    def _pair_span_counts(self, lo: int, hi: int) -> np.ndarray:
-        """Joint congestion-free counts of every batch pair over
-        ``[lo, hi)``, exactly (memoized per span)."""
-        key = (lo, hi)
-        cached = self._span_cache.get(key)
+    def _span_counts(self, lo: int, hi: int) -> np.ndarray:
+        """Joint congestion-free counts over ``[lo, hi)`` of every
+        singleton ``(a, a)`` and batch pair, exactly."""
+        cached = self._span_cache.get((lo, hi))
         if cached is not None:
             return cached
-        counts = pair_joint_counts(
-            self._status[:, lo:hi], self._pair_a_stream, self._pair_b_stream
+        return pair_joint_counts(
+            self._columns(self._status, lo, hi), self._rows_a, self._rows_b
         )
-        if len(self._span_cache) >= 4 * _WINDOW_CACHE_LIMIT:
-            self._span_cache.pop(next(iter(self._span_cache)))
-        self._span_cache[key] = counts
-        return counts
 
-    def _pair_counts(self, lo: int, hi: int) -> np.ndarray:
-        """Joint congestion-free counts for every batch pair over the
-        window, sliding-delta style.
+    def _counts(self, lo: int, hi: int) -> np.ndarray:
+        """Joint congestion-free counts for every singleton and batch
+        pair over the window, sliding-delta style.
 
         When this window overlaps the previous one (the monitor's
         advance pattern: ``lo₀ ≤ lo ≤ hi₀ ≤ hi``), only the dropped
@@ -319,6 +275,10 @@ class SlidingWindowStats:
         counted — O(|pairs| · ⌈stride/64⌉) per advance, independent of
         the window length. Counts are exact integers either way, so
         the delta route is bit-equal to counting from scratch.
+
+        A gained span is kept only when the window slid (a window
+        that keeps its ``lo`` never drops what it gains), and only
+        until the window's ``lo`` passes its start.
         """
         anchor = self._last_pair_window
         counts = None
@@ -329,70 +289,65 @@ class SlidingWindowStats:
             ):
                 counts = counts0.copy()
                 if lo > lo0:
-                    counts -= self._pair_span_counts(lo0, lo)
+                    counts -= self._span_counts(lo0, lo)
                 if hi > hi0:
-                    counts += self._pair_span_counts(hi0, hi)
+                    gained = self._span_counts(hi0, hi)
+                    counts += gained
+                    if lo > lo0:
+                        self._span_cache[(hi0, hi)] = gained
         if counts is None:
-            counts = self._pair_span_counts(lo, hi)
+            counts = self._span_counts(lo, hi)
         self._last_pair_window = (lo, hi, counts)
+        for key in [key for key in self._span_cache if key[0] < lo]:
+            del self._span_cache[key]
         return counts
 
-    def _evaluate_window(self, lo: int, hi: int) -> tuple:
-        """Cached core: ``(observations, y_single, y_pair_flat)``.
+    def window_observations(
+        self, lo: int, hi: int
+    ) -> Tuple[Mapping[PathSet, float], np.ndarray, np.ndarray]:
+        """Algorithm 2 over the window ``[lo, hi)``.
 
-        The observations are a
-        :class:`~repro.measurement.normalize.PathsetObservations` view
-        over the cost arrays, so the monitor, which reads only the
-        arrays, never builds a per-pathset object. A window in which
-        some path fell silent goes through
-        :func:`~repro.measurement.normalize.batch_slice_observations`
-        (its per-group branch); every other window is computed from
-        the incremental state.
+        Returns the same ``(observations, y_single, y_pair_flat)``
+        triple as :func:`~repro.measurement.normalize.
+        batch_slice_observations` on the window's records —
+        fp-identically, but from the incremental state instead of a
+        full recompute. The observations are a
+        :class:`~repro.measurement.normalize.PathsetObservations`
+        view over the cost arrays, so the monitor, which reads only
+        the arrays, never builds a per-pathset object. Windows
+        containing an interval where some path sent nothing are
+        computed by the batch routine itself, whose per-group branch
+        gives each σ group its own valid intervals.
         """
-        key = (int(lo), int(hi))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
+        self._check_window(lo, hi)
         batch = self.batch
         if batch.num_systems == 0:
-            out = (
+            return (
                 {},
                 np.full(batch.index.num_paths, np.nan),
                 np.zeros(0, dtype=float),
             )
-        elif not self._all_traffic(lo, hi):
-            out = batch_slice_observations(
+        if not self._columns(self._traffic, lo, hi).all():
+            return batch_slice_observations(
                 self.window_data(lo, hi),
                 batch,
                 loss_threshold=self.loss_threshold,
             )
-        else:
-            table = cost_table(hi - lo)
-            counts = (
-                self._status_prefix[self._used_stream_rows, hi]
-                - self._status_prefix[self._used_stream_rows, lo]
-            )
-            y_single = np.full(batch.index.num_paths, np.nan)
-            y_single[self._used] = table[counts]
-            y_pair_flat = table[self._pair_counts(lo, hi)]
-            out = (
-                PathsetObservations(
-                    batch.index,
-                    self._used,
-                    y_single,
-                    batch.pair_a,
-                    batch.pair_b,
-                    y_pair_flat,
-                ),
-                y_single,
-                y_pair_flat,
-            )
-
-        if len(self._cache) >= _WINDOW_CACHE_LIMIT:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = out
-        return out
+        table = cost_table(hi - lo)
+        counts = self._counts(lo, hi)
+        num_used = self._used.size
+        y_single = np.full(batch.index.num_paths, np.nan)
+        y_single[self._used] = table[counts[:num_used]]
+        y_pair_flat = table[counts[num_used:]]
+        observations = PathsetObservations(
+            batch.index,
+            self._used,
+            y_single,
+            batch.pair_a,
+            batch.pair_b,
+            y_pair_flat,
+        )
+        return observations, y_single, y_pair_flat
 
     def window_costs(
         self, lo: int, hi: int
@@ -405,23 +360,5 @@ class SlidingWindowStats:
         :func:`~repro.core.slices.batch_unsolvability_arrays` —
         the monitor's hot path.
         """
-        self._check_window(lo, hi)
-        _, y_single, y_pair_flat = self._evaluate_window(lo, hi)
+        _, y_single, y_pair_flat = self.window_observations(lo, hi)
         return y_single, y_pair_flat
-
-    def window_observations(
-        self, lo: int, hi: int
-    ) -> Tuple[Mapping[PathSet, float], np.ndarray, np.ndarray]:
-        """Algorithm 2 over the window ``[lo, hi)``.
-
-        Returns the same ``(observations, y_single, y_pair_flat)``
-        triple as :func:`~repro.measurement.normalize.
-        batch_slice_observations` on the window's records —
-        fp-identically, but from the incremental state instead of a
-        full recompute. Windows containing an interval where some
-        path sent nothing are computed by the batch routine itself,
-        whose per-group branch gives each σ group its own valid
-        intervals.
-        """
-        self._check_window(lo, hi)
-        return self._evaluate_window(lo, hi)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.exceptions import MeasurementError
 from repro.measurement.clustering import (
+    classify_score_array,
     classify_scores,
     cluster_decider,
     make_cluster_decider,
@@ -88,6 +89,27 @@ class TestClassifyScores:
 
     def test_empty(self):
         assert classify_scores({}) == {}
+
+    @given(
+        st.lists(st.floats(0.0, 2.0), max_size=30),
+        st.floats(0.01, 0.5),
+    )
+    def test_array_form_matches_the_per_score_rule(self, values, definite):
+        """The array form and the mapping form decide each score by
+        the §6.2 rule written per score: one split, then the high
+        cluster of a separated split or the ``definite`` bar."""
+        flags = classify_score_array(np.array(values), definite=definite)
+        expected = []
+        if values:
+            split = two_means_split(values)
+            expected = [
+                v >= definite or (split.separated and v > split.threshold)
+                for v in values
+            ]
+        assert flags.tolist() == expected
+        assert classify_scores(
+            dict(enumerate(values)), definite=definite
+        ) == dict(enumerate(expected))
 
     def test_make_cluster_decider_custom_definite(self):
         decider = make_cluster_decider(definite=0.2)

@@ -8,6 +8,8 @@ final full-stream verdict identical to the one-shot
 :func:`infer_from_measurements` on the concatenated records.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,11 @@ from repro.streaming.monitor import (
     two_means_change_point,
 )
 from repro.streaming.stream import ReplayStream
-from repro.topology.generators import star_network
+from repro.topology.generators import (
+    random_mesh_network,
+    random_two_class_performance,
+    star_network,
+)
 
 ONSET = 300
 TOTAL = 600
@@ -188,6 +194,36 @@ class TestMonitorConfig:
             report.windows
         )
         assert report.windows[-1].end_interval == TOTAL
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("window", [100, None], ids=["sliding", "growing"])
+    def test_state_stays_near_the_raw_chunks(self, window):
+        """Streaming 2000 intervals of a 210-path mesh (7763 sharing
+        pairs) allocates at most twice the raw int64 counter bytes:
+        the monitor keeps the chunks, their status and a few stride
+        spans of counts, not per-window results or growth copies."""
+        net = random_mesh_network(
+            np.random.default_rng(42), num_stubs=21, extra_edges=6
+        )
+        perf, _ = random_two_class_performance(
+            np.random.default_rng(43), net, num_violations=3
+        )
+        data = synthesize_records(
+            perf, np.random.default_rng(142), num_intervals=2000
+        )
+        raw_bytes = data.sent_matrix.nbytes + data.lost_matrix.nbytes
+        monitor = NeutralityMonitor(
+            net, SETTINGS, window_intervals=window, stride=25
+        )
+        tracemalloc.start()
+        try:
+            report = monitor.run(ReplayStream(data, chunk_intervals=25))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.windows) >= 77
+        assert peak <= 2 * raw_bytes, (peak, raw_bytes)
 
 
 class TestTwoMeansChangePoint:

@@ -201,9 +201,9 @@ class TestValidation:
         with pytest.raises(MeasurementError):
             stats.window_observations(0, 9)
 
-    def test_capacity_growth_preserves_state(self):
-        """Crossing the growable arrays' capacity boundary keeps all
-        earlier statistics intact (regression for the doubling)."""
+    def test_window_across_many_chunks_preserves_state(self):
+        """A window that starts and ends inside appended chunks and
+        spans six more reads every overlapping chunk slice intact."""
         net = _star_network(4)
         ids = tuple(f"p{i}" for i in range(4))
         rng = np.random.default_rng(1)
@@ -225,6 +225,31 @@ class TestValidation:
         _, inc_single, inc_pair = stats.window_observations(100, 650)
         np.testing.assert_array_equal(inc_single, ref_single)
         np.testing.assert_array_equal(inc_pair, ref_pair)
+
+    @pytest.mark.parametrize(
+        "sent, lost, message",
+        [
+            ([[5, 5], [5, 5], [5, 5], [5, 5]],
+             [[0, 0], [0, 6], [0, 0], [0, 0]], "'p1': lost exceeds sent"),
+            ([[5, 5], [5, 5], [5, 5], [5, 5]],
+             [[0, 0], [0, 0], [-1, 0], [0, 0]], "'p2': negative"),
+            ([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, np.nan]],
+             [[0, 0], [0, 0], [0, 0], [0, 0]], "'p3': sent counters "
+             "must be finite"),
+        ],
+        ids=["lost-exceeds-sent", "negative", "nan-sent"],
+    )
+    def test_bad_counters_rejected_naming_the_path(
+        self, sent, lost, message
+    ):
+        """A chunk is held to PathRecord's counter rules: nothing is
+        appended, and the error names the offending path."""
+        net = _star_network(4)
+        stats = SlidingWindowStats(net)
+        ids = tuple(f"p{i}" for i in range(4))
+        with pytest.raises(MeasurementError, match=message):
+            stats.append_arrays(np.array(sent), np.array(lost), ids)
+        assert stats.num_intervals == 0
 
 
 def test_sliding_spans_across_word_boundaries():
@@ -281,12 +306,14 @@ def test_stream_rows_follow_the_stream_order():
             dtype=np.intp,
         )
 
+    # Singletons {a} lead as pairs (a, a), then the batch pairs.
     used = np.unique(batch.member_rows)
     np.testing.assert_array_equal(stats._used, used)
-    np.testing.assert_array_equal(stats._used_stream_rows, lookup(used))
     np.testing.assert_array_equal(
-        stats._pair_a_stream, lookup(batch.pair_a)
+        stats._rows_a,
+        np.concatenate([lookup(used), lookup(batch.pair_a)]),
     )
     np.testing.assert_array_equal(
-        stats._pair_b_stream, lookup(batch.pair_b)
+        stats._rows_b,
+        np.concatenate([lookup(used), lookup(batch.pair_b)]),
     )

@@ -22,8 +22,12 @@ runs there too. The ``infer-*`` entries digest inference on the
 records of two of those runs: the ``batch_slice_observations`` cost
 arrays in expected mode and in sampled mode with a fixed seed, and
 the ``infer_from_measurements`` scores and identified set, so an
-Algorithm 1/2 refactor is checked bit for bit as well. The whole list
-runs in a few seconds on one core.
+Algorithm 1/2 refactor is checked bit for bit as well. The
+``monitor-*`` entries digest a ``NeutralityMonitor`` report on three
+synthesized record streams with a planted onset: the per-window
+scores, CUSUM flags, change points and identified sets, and the
+full-stream final verdict. The whole list runs in a few seconds on
+one core.
 """
 
 import argparse
@@ -36,6 +40,7 @@ import sys
 import numpy as np
 
 from repro.core.algorithm import DEFAULT_MIN_PATHSETS
+from repro.core.performance import LinkPerformance, NetworkPerformance
 from repro.core.slices import build_slice_batch
 from repro.exceptions import MeasurementError
 from repro.experiments.config import EmulationSettings
@@ -54,10 +59,21 @@ from repro.fluid.params import (
     WeightedShaperSpec,
 )
 from repro.measurement.normalize import batch_slice_observations
+from repro.measurement.records import MeasurementData, PathRecord
+from repro.measurement.synthetic import synthesize_records
+from repro.streaming.monitor import NeutralityMonitor
+from repro.streaming.stream import ReplayStream
 from repro.substrate.registry import get_substrate
 from repro.substrate.spec import LinkSpec
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
-from repro.topology.multi_isp import build_multi_isp
+from repro.topology.generators import (
+    random_mesh_network,
+    random_two_class_performance,
+)
+from repro.topology.multi_isp import (
+    build_federated_multi_isp,
+    build_multi_isp,
+)
 
 SEED = 11
 DURATION = 20.0
@@ -299,6 +315,127 @@ def run_packet_segmented_swap():
     return chunks_digest(chunks) + ":" + result_digest(session.result())
 
 
+def _onset_records(net, half):
+    """``2 * half`` synthesized intervals: neutral for ``half``, then
+    with four planted violations."""
+    perf, classes = random_two_class_performance(
+        np.random.default_rng(SEED), net, num_violations=4
+    )
+    neutral = NetworkPerformance(
+        net,
+        classes,
+        {
+            lid: LinkPerformance.neutral(
+                min(
+                    perf.link_performance(lid).for_class(c)
+                    for c in classes.names
+                ),
+                classes.names,
+            )
+            for lid in net.link_ids
+        },
+    )
+    before = synthesize_records(
+        neutral, np.random.default_rng(SEED + 1), num_intervals=half
+    )
+    after = synthesize_records(
+        perf, np.random.default_rng(SEED + 2), num_intervals=half
+    )
+    return (
+        before.path_ids,
+        np.hstack([before.sent_matrix, after.sent_matrix]),
+        np.hstack([before.lost_matrix, after.lost_matrix]),
+    )
+
+
+def _records(path_ids, sent, lost):
+    return MeasurementData(
+        [PathRecord(pid, sent[i], lost[i]) for i, pid in enumerate(path_ids)],
+        0.1,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _federated_stream():
+    """The 5×10 federated network (1225 paths) and 1200 intervals with
+    the onset at 600."""
+    net = build_federated_multi_isp(5, 10).network
+    return net, _records(*_onset_records(net, 600))
+
+
+def _mesh_stream():
+    """A random mesh and 800 intervals with the onset at 400. One path
+    sends nothing over [200, 330), so the windows inside that span are
+    uninformative; scattered zero-sent cells in [500, 560) send the
+    windows over them down the per-group branch."""
+    net = random_mesh_network(
+        np.random.default_rng(SEED), num_stubs=8, extra_edges=3
+    )
+    path_ids, sent, lost = _onset_records(net, 400)
+    sent[0, 200:330] = 0
+    holes = np.zeros(sent.shape, dtype=bool)
+    holes[:, 500:560] = (
+        np.random.default_rng(SEED + 3).random((sent.shape[0], 60)) < 0.02
+    )
+    sent[holes] = 0
+    lost = np.minimum(lost, sent)
+    return net, _records(path_ids, sent, lost)
+
+
+def _verdict_repr(result):
+    if result is None:
+        return "None"
+    return repr(
+        (
+            result.identified,
+            result.identified_raw,
+            result.neutral,
+            result.skipped,
+            sorted(result.scores.items()),
+        )
+    )
+
+
+def monitor_digest(net, data, window, stride, chunk):
+    """SHA-256 over one ``NeutralityMonitor`` report: the score
+    timeline (NaN cells marked, then zeroed), the CUSUM flags and
+    change points, each window's identified sets, and the final
+    verdict."""
+    monitor = NeutralityMonitor(
+        net, EmulationSettings(), window_intervals=window, stride=stride
+    )
+    report = monitor.run(ReplayStream(data, chunk_intervals=chunk))
+    h = hashlib.sha256()
+    h.update(repr(report.sigmas).encode())
+    _update(h, "window_ends", report.window_ends)
+    _update(h, "scores/nan", np.isnan(report.scores))
+    _update(h, "scores", np.nan_to_num(report.scores, nan=0.0))
+    _update(h, "flagged", report.flagged)
+    for cp in report.change_points:
+        h.update(
+            repr(
+                (
+                    cp.sigma,
+                    cp.kind,
+                    cp.window_index,
+                    cp.interval,
+                    cp.estimate_interval,
+                )
+            ).encode()
+        )
+    for w in report.windows:
+        h.update(repr((w.index, w.start_interval, w.end_interval)).encode())
+        h.update(
+            repr(
+                None
+                if w.result is None
+                else (w.result.identified, w.result.identified_raw)
+            ).encode()
+        )
+    h.update(_verdict_repr(report.final).encode())
+    return h.hexdigest()
+
+
 RUNS = {
     "dumbbell-neutral": lambda: _one_shot(None),
     "dumbbell-policing": lambda: result_digest(_policing_run()[1]),
@@ -328,6 +465,15 @@ RUNS = {
     ),
     "infer-multi-isp-10s": lambda: infer_digest(
         _multi_isp_run()[0], _multi_isp_run()[1].measurements
+    ),
+    "monitor-federated-sliding": lambda: monitor_digest(
+        *_federated_stream(), window=100, stride=25, chunk=25
+    ),
+    "monitor-federated-growing": lambda: monitor_digest(
+        *_federated_stream(), window=None, stride=50, chunk=25
+    ),
+    "monitor-mesh-holes": lambda: monitor_digest(
+        *_mesh_stream(), window=100, stride=25, chunk=40
     ),
 }
 

@@ -36,11 +36,13 @@ from repro.core.pathsets import PathSet
 from repro.core.performance import NetworkPerformance
 from repro.core.slices import (
     SliceSystem,
+    SliceSystemBatch,
     SliceSystemsView,
     batch_unsolvability,
     batch_unsolvability_arrays,
     build_slice_batch,
 )
+from repro.exceptions import TheoryError
 
 #: A decider maps {σ: unsolvability score} to {σ: is_unsolvable}.
 Decider = Callable[[Mapping[LinkSeq, float]], Mapping[LinkSeq, bool]]
@@ -84,11 +86,57 @@ class AlgorithmResult:
         return frozenset(out)
 
 
+def redundant_rows(
+    incidence: np.ndarray, sizes: np.ndarray, rows: Sequence[int]
+) -> np.ndarray:
+    """Which identified sequences are redundant, by the rule of
+    :func:`remove_redundant`.
+
+    Only proper subsets of σ can be in its decomposition, so σ is
+    redundant iff its proper subsets cover every link of σ and one of
+    them is identified. Both tests are two small products over the
+    identified rows: ``σ_j ⊂ σ`` iff ``|σ ∩ σ_j| = |σ_j| < |σ|``,
+    and a link of σ is covered iff some proper subset holds it.
+
+    Args:
+        incidence: ``(E, |L|)`` 0/1 float32 incidence of the examined
+            sequences (exact: every product is a small integer).
+        sizes: ``(E,)`` link count of each examined sequence.
+        rows: Positions of the identified sequences in ``incidence``.
+
+    Returns:
+        ``(len(rows),)`` boolean: True where the sequence is redundant.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        return np.zeros(0, dtype=bool)
+    targets = incidence[rows]
+    target_sizes = sizes[rows]
+    proper = (targets @ incidence.T == sizes) & (
+        sizes < target_sizes[:, None]
+    )
+    covered = (proper.astype(np.float32) @ incidence > 0).sum(axis=1)
+    return (covered == target_sizes) & proper[:, rows].any(axis=1)
+
+
+def prune_identified(
+    batch: SliceSystemBatch, rows: Sequence[int]
+) -> Tuple[LinkSeq, ...]:
+    """The non-redundant ``batch.sigmas[rows]``, in ``rows`` order,
+    from the batch's cached σ incidence (:func:`redundant_rows`)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    drop = redundant_rows(*batch.sigma_incidence, rows).tolist()
+    sigmas = batch.sigmas
+    return tuple(
+        sigmas[r] for r, d in zip(rows.tolist(), drop) if not d
+    )
+
+
 def remove_redundant(
     identified: Sequence[LinkSeq],
     examined: Sequence[LinkSeq],
 ) -> Tuple[LinkSeq, ...]:
-    """Prune redundant sequences from Σn̄ (paper §5).
+    """Prune redundant sequences from Σn̄ ⊆ ``examined`` (paper §5).
 
     σ ∈ Σn̄ is redundant iff there exist sequences
     ``{σ_i} ⊆ (Σn ∪ Σn̄) ∖ {σ}`` whose union equals σ with at least
@@ -97,63 +145,41 @@ def remove_redundant(
     redundant, σ_b's own decomposition substitutes transitively, so
     iterating cannot remove more.
 
-    Each sequence is encoded as a bitmask over the union link
-    universe, packed into 64-link words; subset tests, the candidate
-    union, and the has-identified check then run word by word for a
-    block of identified sequences at once, with no per-sequence loop.
+    The test is :func:`redundant_rows` over an incidence built from
+    ``examined``; Algorithm 1 itself prunes from its slice batch's
+    cached incidence (:func:`prune_identified`).
+
+    Raises:
+        TheoryError: When an identified sequence was not examined.
     """
     identified = tuple(identified)
-    examined = tuple(examined)
+    examined = tuple(dict.fromkeys(examined))
     if not identified:
         return ()
-    universe = sorted(
-        {lid for sigma in examined for lid in sigma}
-        | {lid for sigma in identified for lid in sigma}
-    )
-    link_pos = {lid: k for k, lid in enumerate(universe)}
-    num_words = (len(universe) + 63) >> 6
-
-    def word_columns(seqs: Tuple[LinkSeq, ...]) -> np.ndarray:
-        # One scatter for all sequences' link bits, packed to 64-link
-        # words stored word-major: row ``w`` holds every sequence's
-        # word ``w``.
-        bits = np.zeros((len(seqs), num_words * 64), dtype=bool)
-        rows = np.repeat(
-            np.arange(len(seqs)), [len(sigma) for sigma in seqs]
+    row_of = {sigma: k for k, sigma in enumerate(examined)}
+    missing = [sigma for sigma in identified if sigma not in row_of]
+    if missing:
+        raise TheoryError(
+            f"identified sequences {missing} are not among the examined"
         )
-        cols = [link_pos[lid] for sigma in seqs for lid in sigma]
-        bits[rows, cols] = True
-        return np.ascontiguousarray(
-            np.packbits(bits, axis=1).view(np.uint64).T
-        )
-
-    examined_words = word_columns(examined)  # (W, E)
-    identified_words = word_columns(identified)  # (W, I)
-    identified_set = set(identified)
-    is_identified = np.array(
-        [sigma in identified_set for sigma in examined], dtype=bool
-    )
-
-    redundant = np.zeros(len(identified), dtype=bool)
-    # Blocks bound the (block, E) temporaries to a few MB.
-    block = max(1, (1 << 18) // max(1, len(examined)))
-    for lo in range(0, len(identified), block):
-        targets = identified_words[:, lo:lo + block, None]  # (W, b, 1)
-        outside = np.zeros((targets.shape[1], len(examined)), dtype=bool)
-        differs = outside.copy()
-        for ex, target in zip(examined_words, targets):
-            outside |= (ex & ~target) != 0
-            differs |= ex != target
-        candidates = ~outside & differs  # proper subsets, (b, E)
-        covers = (candidates & is_identified).any(axis=1)
-        for ex, target in zip(examined_words, targets):
-            union = np.bitwise_or.reduce(
-                np.where(candidates, ex, 0), axis=1
-            )
-            covers &= union == target[:, 0]
-        redundant[lo:lo + block] = covers
+    link_pos: Dict[str, int] = {}
+    cols = [
+        link_pos.setdefault(lid, len(link_pos))
+        for sigma in examined
+        for lid in sigma
+    ]
+    incidence = np.zeros((len(examined), len(link_pos)), dtype=np.float32)
+    incidence[
+        np.repeat(np.arange(len(examined)), [len(s) for s in examined]),
+        cols,
+    ] = 1.0
+    drop = redundant_rows(
+        incidence,
+        incidence.sum(axis=1),
+        [row_of[sigma] for sigma in identified],
+    ).tolist()
     return tuple(
-        sigma for sigma, drop in zip(identified, redundant) if not drop
+        sigma for sigma, d in zip(identified, drop) if not d
     )
 
 
@@ -212,16 +238,16 @@ def identify_from_scores(
 
         decider = cluster_decider
     verdict = decider(scores)
-    identified_raw = tuple(
-        sigma for sigma in batch.sigmas if verdict.get(sigma, False)
-    )
+    rows = [
+        g for g, sigma in enumerate(batch.sigmas)
+        if verdict.get(sigma, False)
+    ]
+    identified_raw = tuple(batch.sigmas[g] for g in rows)
     neutral = tuple(
         sigma for sigma in batch.sigmas if not verdict.get(sigma, False)
     )
     identified = (
-        remove_redundant(identified_raw, batch.sigmas)
-        if prune_redundant
-        else identified_raw
+        prune_identified(batch, rows) if prune_redundant else identified_raw
     )
     return AlgorithmResult(
         identified=identified,
@@ -264,7 +290,7 @@ def identify_non_neutral_exact(
         sigma: float(score)
         for sigma, score in zip(batch.sigmas, score_array)
     }
-    identified_raw: List[LinkSeq] = []
+    rows: List[int] = []
     neutral: List[LinkSeq] = []
     for g, (sigma, system) in enumerate(zip(batch.sigmas, batch.systems)):
         # The system's observation vector in family order: member
@@ -283,15 +309,14 @@ def identify_non_neutral_exact(
         if is_solvable(system.matrix, y, tol=tol):
             neutral.append(sigma)
         else:
-            identified_raw.append(sigma)
+            rows.append(g)
+    identified_raw = tuple(batch.sigmas[g] for g in rows)
     identified = (
-        remove_redundant(identified_raw, batch.sigmas)
-        if prune_redundant
-        else tuple(identified_raw)
+        prune_identified(batch, rows) if prune_redundant else identified_raw
     )
     return AlgorithmResult(
-        identified=tuple(identified),
-        identified_raw=tuple(identified_raw),
+        identified=identified,
+        identified_raw=identified_raw,
         neutral=tuple(neutral),
         skipped=skipped,
         scores=scores,

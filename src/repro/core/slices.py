@@ -595,6 +595,14 @@ class SliceSystemBatch:
         return {sigma: g for g, sigma in enumerate(self.sigmas)}
 
     @cached_property
+    def sigma_incidence(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(n_systems, |L|)`` float32 0/1 σ × link incidence and the
+        ``(n_systems,)`` σ sizes — the operands of the §5 redundancy
+        pruning (:func:`repro.core.algorithm.redundant_rows`)."""
+        incidence = self.sigma_masks.astype(np.float32)
+        return incidence, incidence.sum(axis=1)
+
+    @cached_property
     def _memo(self) -> Dict[int, SliceSystem]:
         return {}
 

@@ -81,10 +81,15 @@ def two_means_split(
     Returns:
         The :class:`ClusterSplit`. With fewer than 2 values, or when
         all values are equal, ``separated`` is False.
+
+    Raises:
+        MeasurementError: On an empty or non-finite score list.
     """
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size == 0:
         raise MeasurementError("cannot cluster an empty score list")
+    if not np.isfinite(arr).all():
+        raise MeasurementError("cannot cluster non-finite scores")
     if arr.size == 1 or np.isclose(arr[0], arr[-1]):
         return ClusterSplit(
             threshold=float(arr[-1]),

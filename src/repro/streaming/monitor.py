@@ -25,7 +25,9 @@ monitor cannot flag an onset before it happens — while a strong
 violation (scores several times the reference) crosses within one or
 two windows of the switch. The classical CUSUM change-point estimate
 (the window after the statistic last left zero) is recorded alongside
-the flagging window.
+the flagging window. Every sequence's statistic, state and last-zero
+window live in three arrays, updated together once per window
+(:func:`cusum_update`).
 
 For retrospective localization over a finished score series,
 :func:`two_means_change_point` applies the paper's two-means split to
@@ -45,7 +47,7 @@ from repro import telemetry
 from repro.core.algorithm import (
     DEFAULT_MIN_PATHSETS,
     AlgorithmResult,
-    remove_redundant,
+    prune_identified,
 )
 from repro.core.network import LinkSeq, Network
 from repro.core.slices import SliceSystemsView, batch_unsolvability_arrays
@@ -167,6 +169,11 @@ def two_means_change_point(
     Splits one sequence's per-window score series into low/high
     clusters; when the split is separated, returns the index of the
     first window in the high cluster. ``None`` means no level shift.
+    NaN entries (the uninformative windows of
+    :attr:`MonitorReport.scores`) are skipped; the index counts them.
+
+    Raises:
+        MeasurementError: On an infinite score.
     """
     kwargs = {}
     if min_absolute is not None:
@@ -174,22 +181,49 @@ def two_means_change_point(
     if min_ratio is not None:
         kwargs["min_ratio"] = min_ratio
     arr = np.asarray(list(scores), dtype=float)
-    if arr.size < 2:
+    kept = np.flatnonzero(~np.isnan(arr))
+    if kept.size < 2:
         return None
-    split = two_means_split(arr, **kwargs)
+    split = two_means_split(arr[kept], **kwargs)
     if not split.separated:
         return None
-    above = np.flatnonzero(arr > split.threshold)
+    above = kept[arr[kept] > split.threshold]
     return int(above[0]) if above.size else None
 
 
-class _CusumState:
-    __slots__ = ("flagged", "stat", "last_zero")
+def cusum_update(
+    stat: np.ndarray,
+    flagged: np.ndarray,
+    last_zero: np.ndarray,
+    scores: np.ndarray,
+    idx: int,
+    reference: float,
+    threshold: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One window's CUSUM step for every sequence, in place.
 
-    def __init__(self) -> None:
-        self.flagged = False
-        self.stat = 0.0
-        self.last_zero = -1
+    ``stat`` accumulates ``max(0, stat + excursion)``, the excursion
+    being ``score − reference`` for neutral sequences and
+    ``reference − score`` for flagged ones (a NaN sum resets to zero,
+    as Python's ``max(0.0, nan)`` does). A sequence whose statistic
+    exceeds ``threshold`` fires: its state flips and its statistic
+    restarts at zero.
+
+    Returns:
+        ``(fired, estimates)``: the fired sequence positions,
+        ascending, and for each the window after its statistic last
+        sat at zero (the change-point estimate, at most ``idx``).
+    """
+    excursion = np.where(flagged, reference - scores, scores - reference)
+    np.fmax(0.0, stat + excursion, out=stat)
+    zero = stat == 0.0
+    fired = np.flatnonzero(~zero & (stat > threshold))
+    estimates = np.minimum(last_zero[fired] + 1, idx)
+    flagged[fired] ^= True
+    stat[fired] = 0.0
+    last_zero[zero] = idx
+    last_zero[fired] = idx
+    return fired, estimates
 
 
 class NeutralityMonitor:
@@ -261,21 +295,17 @@ class NeutralityMonitor:
         )
         self.windows: List[WindowVerdict] = []
         self.change_points: List[ChangePoint] = []
-        self._cusum: Dict[LinkSeq, _CusumState] = {
-            sigma: _CusumState() for sigma in self.stats.batch.sigmas
-        }
+        num_sigmas = self.stats.batch.num_systems
+        self._stat = np.zeros(num_sigmas)
+        self._flagged = np.zeros(num_sigmas, dtype=bool)
+        self._last_zero = np.full(num_sigmas, -1, dtype=np.int64)
         self._score_rows: List[np.ndarray] = []
         self._flag_rows: List[np.ndarray] = []
         self._next_end = int(window_intervals or self.stride)
         self.interval_seconds = settings.interval_seconds
-        # Per-window tail amortization: the examined sequences never
-        # change, so one lazy systems view is shared across verdicts
-        # and the §5 redundancy pruning is memoized per identified set
-        # (it usually only changes at change points).
+        # The examined sequences never change, so one lazy systems
+        # view is shared across verdicts.
         self._systems = SliceSystemsView(self.stats.batch)
-        self._prune_cache: Dict[
-            Tuple[LinkSeq, ...], Tuple[LinkSeq, ...]
-        ] = {}
         # Once-per-monitor telemetry sampling:
         # disabled costs one boolean and a branch per window.
         self._tel = telemetry.enabled()
@@ -307,26 +337,15 @@ class NeutralityMonitor:
 
     # ------------------------------------------------------------------
 
-    def _prune(
-        self, identified_raw: Tuple[LinkSeq, ...]
-    ) -> Tuple[LinkSeq, ...]:
-        cached = self._prune_cache.get(identified_raw)
-        if cached is None:
-            cached = remove_redundant(
-                identified_raw, self.stats.batch.sigmas
-            )
-            self._prune_cache[identified_raw] = cached
-        return cached
-
     def evaluate_window(
         self, lo: int, hi: int
-    ) -> Tuple[Dict[LinkSeq, float], AlgorithmResult]:
+    ) -> Tuple[np.ndarray, AlgorithmResult]:
         """Run windowed Algorithm 2 + Algorithm 1 over ``[lo, hi)``
         (without recording a timeline entry).
 
         The same decide + prune tail as
-        :func:`~repro.core.algorithm.identify_from_scores`, with the
-        pruning memoized per identified set.
+        :func:`~repro.core.algorithm.identify_from_scores`, on the
+        score array. Returns that ``(|sigmas|,)`` array and the result.
 
         Raises:
             MeasurementError: When the window has no interval with
@@ -338,26 +357,22 @@ class NeutralityMonitor:
         score_array = batch_unsolvability_arrays(
             batch, y_single, y_pair_flat
         )
-        scores = dict(zip(batch.sigmas, score_array.tolist()))
         flagged = classify_score_array(
             score_array,
             min_absolute=self._min_absolute,
             min_ratio=self._min_ratio,
             definite=self._definite,
-        ).tolist()
-        identified_raw = tuple(compress(batch.sigmas, flagged))
-        neutral = tuple(
-            compress(batch.sigmas, (not f for f in flagged))
         )
+        sigmas = batch.sigmas
         result = AlgorithmResult(
-            identified=self._prune(identified_raw),
-            identified_raw=identified_raw,
-            neutral=neutral,
+            identified=prune_identified(batch, np.flatnonzero(flagged)),
+            identified_raw=tuple(compress(sigmas, flagged.tolist())),
+            neutral=tuple(compress(sigmas, (~flagged).tolist())),
             skipped=tuple(self.stats.skipped),
-            scores=scores,
+            scores=dict(zip(sigmas, score_array.tolist())),
             systems=self._systems,
         )
-        return scores, result
+        return score_array, result
 
     def _emit(self, end: int) -> WindowVerdict:
         if not self._tel:
@@ -373,10 +388,8 @@ class NeutralityMonitor:
             self._tel_uninformative.inc()
         for cp in self.change_points[flips_before:]:
             self._tel_flips[cp.kind].inc()
-        if self._cusum:
-            self._tel_cusum_max.set(
-                max(st.stat for st in self._cusum.values())
-            )
+        if self._stat.size:
+            self._tel_cusum_max.set(float(self._stat.max()))
         return verdict
 
     def _emit_window(self, end: int) -> WindowVerdict:
@@ -397,44 +410,33 @@ class NeutralityMonitor:
             index=idx,
             start_interval=lo,
             end_interval=end,
-            scores=scores,
+            scores=result.scores,
             result=result,
         )
         self.windows.append(verdict)
 
-        sigmas = self.stats.batch.sigmas
-        flags = np.zeros(len(sigmas), dtype=bool)
-        for k, sigma in enumerate(sigmas):
-            st = self._cusum[sigma]
-            x = scores[sigma]
-            excursion = (
-                x - self._reference if not st.flagged
-                else self._reference - x
-            )
-            st.stat = max(0.0, st.stat + excursion)
-            if st.stat == 0.0:
-                st.last_zero = idx
-            elif st.stat > self._threshold:
-                estimate = self.windows[
-                    min(st.last_zero + 1, idx)
-                ].end_interval
-                self.change_points.append(
-                    ChangePoint(
-                        sigma=sigma,
-                        kind="offset" if st.flagged else "onset",
-                        window_index=idx,
-                        interval=end,
-                        estimate_interval=estimate,
-                    )
-                )
-                st.flagged = not st.flagged
-                st.stat = 0.0
-                st.last_zero = idx
-            flags[k] = st.flagged
-        self._score_rows.append(
-            np.array([scores[s] for s in sigmas], dtype=float)
+        fired, estimates = cusum_update(
+            self._stat,
+            self._flagged,
+            self._last_zero,
+            scores,
+            idx,
+            self._reference,
+            self._threshold,
         )
-        self._flag_rows.append(flags)
+        sigmas = self.stats.batch.sigmas
+        for k, estimate in zip(fired.tolist(), estimates.tolist()):
+            self.change_points.append(
+                ChangePoint(
+                    sigma=sigmas[k],
+                    kind="onset" if self._flagged[k] else "offset",
+                    window_index=idx,
+                    interval=end,
+                    estimate_interval=self.windows[estimate].end_interval,
+                )
+            )
+        self._score_rows.append(scores)
+        self._flag_rows.append(self._flagged.copy())
         return verdict
 
     def _emit_uninformative(self, lo: int, end: int) -> WindowVerdict:
@@ -447,13 +449,8 @@ class NeutralityMonitor:
             result=None,
         )
         self.windows.append(verdict)
-        sigmas = self.stats.batch.sigmas
-        self._score_rows.append(np.full(len(sigmas), np.nan))
-        self._flag_rows.append(
-            np.array(
-                [self._cusum[s].flagged for s in sigmas], dtype=bool
-            )
-        )
+        self._score_rows.append(np.full(self._stat.size, np.nan))
+        self._flag_rows.append(self._flagged.copy())
         return verdict
 
     def observe(self, chunk: RecordChunk) -> List[WindowVerdict]:

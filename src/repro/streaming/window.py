@@ -33,10 +33,16 @@ incrementally:
   each σ group its own valid intervals, so it is computed from the
   window's records by ``batch_slice_observations``' per-group branch.
 
-State rules: besides the chunks, the only state is the last
-window's counts (the delta anchor) and the spans gained by sliding
-windows that start at or after that window's ``lo`` — the only spans
-a forward slide can drop. Window results are not memoized: a
+State rules: besides the chunks, the state is two delta anchors and
+a few spans. The first anchor is the last window's counts. The second
+is a running count of the stream prefix ``[0, hi_max)``: each newly
+counted span that starts at ``hi_max`` — a window's gained span, or a
+from-scratch window such as the next tumbling one — extends it, so
+the monitor's final whole-stream verdict counts only ``[hi_max, N)``
+(a stride gap stops the prefix, and that verdict then counts the rest
+of the stream once). The kept spans are those gained by sliding
+windows that start at or after the last window's ``lo`` — the only
+spans a forward slide can drop. Window results are not memoized: a
 monitor reads each window once, and a repeated read is a zero-delta
 slide.
 
@@ -110,10 +116,12 @@ class SlidingWindowStats:
         self._lost: List[np.ndarray] = []
         self._status: List[np.ndarray] = []
         self._traffic: List[np.ndarray] = []
-        # Sliding-delta anchor: the last window's counts.
+        # Sliding-delta anchors: the last window's counts, and the
+        # running count of the stream prefix [0, hi_max).
         self._last_pair_window: Optional[
             Tuple[int, int, np.ndarray]
         ] = None
+        self._prefix: Optional[Tuple[int, int, np.ndarray]] = None
         # Gained spans a later slide may drop, keyed by (lo, hi).
         self._span_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._used: Optional[np.ndarray] = None
@@ -269,38 +277,72 @@ class SlidingWindowStats:
         """Joint congestion-free counts for every singleton and batch
         pair over the window, sliding-delta style.
 
-        When this window overlaps the previous one (the monitor's
-        advance pattern: ``lo₀ ≤ lo ≤ hi₀ ≤ hi``), only the dropped
-        span ``[lo₀, lo)`` and the gained span ``[hi₀, hi)`` are
-        counted — O(|pairs| · ⌈stride/64⌉) per advance, independent of
-        the window length. Counts are exact integers either way, so
-        the delta route is bit-equal to counting from scratch.
+        Two anchors serve a window: the previous window's counts and
+        the running count of the stream prefix ``[0, hi_max)``. When
+        an anchor ``[lo₀, hi₀)`` overlaps this window (``lo₀ ≤ lo ≤
+        hi₀ ≤ hi`` — the monitor's advance pattern, or the final
+        whole-stream window over the prefix), only the dropped span
+        ``[lo₀, lo)`` and the gained span ``[hi₀, hi)`` are counted —
+        O(|pairs| · ⌈stride/64⌉) per advance, independent of the
+        window length. Counts are exact integers either way, so the
+        delta route is bit-equal to counting from scratch.
 
         A gained span is kept only when the window slid (a window
         that keeps its ``lo`` never drops what it gains), and only
-        until the window's ``lo`` passes its start.
+        until the window's ``lo`` passes its start. The newly counted
+        span — the gained one, or a from-scratch window — extends the
+        prefix when it starts at ``hi_max``; after a stride gap the
+        prefix stays behind, and the whole-stream window counts the
+        rest of the stream once.
         """
-        anchor = self._last_pair_window
         counts = None
-        if anchor is not None:
-            lo0, hi0, counts0 = anchor
-            if lo0 <= lo <= hi0 <= hi and (lo - lo0) + (hi - hi0) < (
-                hi - lo
-            ):
-                counts = counts0.copy()
+        new_lo = lo
+        anchors = [
+            a for a in (self._last_pair_window, self._prefix)
+            if a is not None and a[0] <= lo <= a[1] <= hi
+        ]
+        if anchors:
+            lo0, hi0, counts0 = min(
+                anchors, key=lambda a: (lo - a[0]) + (hi - a[1])
+            )
+            if (lo - lo0) + (hi - hi0) < hi - lo:
+                counts, new_lo = counts0, hi0
+                gained = (
+                    self._span_counts(hi0, hi) if hi > hi0 else None
+                )
                 if lo > lo0:
-                    counts -= self._span_counts(lo0, lo)
-                if hi > hi0:
-                    gained = self._span_counts(hi0, hi)
-                    counts += gained
-                    if lo > lo0:
+                    counts = counts - self._span_counts(lo0, lo)
+                    if gained is not None:
+                        counts += gained
                         self._span_cache[(hi0, hi)] = gained
+                elif gained is not None:
+                    counts = counts + gained
         if counts is None:
-            counts = self._span_counts(lo, hi)
+            counts = gained = self._span_counts(lo, hi)
         self._last_pair_window = (lo, hi, counts)
+        self._extend_prefix(hi, new_lo, gained)
         for key in [key for key in self._span_cache if key[0] < lo]:
             del self._span_cache[key]
         return counts
+
+    def _extend_prefix(
+        self, hi: int, new_lo: int, gained: Optional[np.ndarray]
+    ) -> None:
+        """Add the newly counted span ``[new_lo, hi)`` to the running
+        prefix count when it starts at ``hi_max``.
+
+        The prefix array is private and grows in place: a window only
+        reads it through a zero-delta slide, which counts no new span,
+        and the next window replaces that anchor before any growth.
+        """
+        hi_max, counts = self._prefix[1:] if self._prefix else (0, None)
+        if gained is None or new_lo != hi_max:
+            return
+        if counts is None:
+            counts = gained.copy()
+        else:
+            counts += gained
+        self._prefix = (0, hi, counts)
 
     def window_observations(
         self, lo: int, hi: int

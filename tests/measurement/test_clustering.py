@@ -39,6 +39,15 @@ class TestTwoMeansSplit:
         with pytest.raises(MeasurementError):
             two_means_split([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_non_finite_raises(self, bad, size):
+        """A NaN or infinite score is a measurement error, not an
+        ``IndexError`` from an all-NaN cost array."""
+        values = [0.01] * (size - 1) + [bad]
+        with pytest.raises(MeasurementError, match="non-finite"):
+            two_means_split(values)
+
     def test_ratio_safeguard(self):
         # High center barely above low: not a real split.
         split = two_means_split([0.30, 0.31, 0.32, 0.33])

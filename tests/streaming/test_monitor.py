@@ -5,26 +5,32 @@ neutral prefix, then a non-neutral suffix starting at a known onset
 interval. The monitor must (a) never flag the violated family before
 the onset, (b) flag it within a bounded delay after, (c) produce a
 final full-stream verdict identical to the one-shot
-:func:`infer_from_measurements` on the concatenated records.
+:func:`infer_from_measurements` on the concatenated records. The
+array CUSUM update is checked against the frozen scalar loop in
+``tests/oracles/cusum_reference.py``.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles.cusum_reference import cusum_reference
 
 from repro.core.classes import two_classes
 from repro.core.performance import (
     neutral_performance,
     performance_with_violations,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, MeasurementError
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import infer_from_measurements
 from repro.measurement.records import MeasurementData, PathRecord
 from repro.measurement.synthetic import synthesize_records
 from repro.streaming.monitor import (
     NeutralityMonitor,
+    cusum_update,
     two_means_change_point,
 )
 from repro.streaming.stream import ReplayStream
@@ -39,8 +45,25 @@ TOTAL = 600
 SETTINGS = EmulationSettings()
 
 
-def _onset_data(seed=11, spokes=6):
-    """Neutral records for [0, ONSET), violated for [ONSET, TOTAL)."""
+def _onset_data(seed=11, spokes=6, silent=None):
+    """Neutral records for [0, ONSET), violated for [ONSET, TOTAL);
+    path ``p1`` sends nothing over the ``silent`` span, if given."""
+    net, data = _onset_records(seed, spokes)
+    if silent is None:
+        return net, data
+    records = []
+    for pid in data.path_ids:
+        sent = data.record(pid).sent.copy()
+        lost = data.record(pid).lost.copy()
+        if pid == "p1":
+            sent[slice(*silent)] = 0
+            lost[slice(*silent)] = 0
+        records.append(PathRecord(pid, sent, lost))
+    return net, MeasurementData(records, 0.1)
+
+
+def _onset_records(seed, spokes):
+    """The star network and its records, every path sending."""
     net = star_network(spokes)
     classes = two_classes(
         net, {f"p{i}" for i in range(spokes // 2 + 1, spokes + 1)}
@@ -234,3 +257,157 @@ class TestTwoMeansChangePoint:
     def test_no_shift_returns_none(self):
         assert two_means_change_point([0.01] * 20) is None
         assert two_means_change_point([0.3]) is None
+
+
+class TestUninformativeWindows:
+    SILENT = (150, 260)
+
+    def test_report_scores_feed_the_retrospective_split(self):
+        """Windows inside a silent span are uninformative (NaN score
+        rows); the two-means split skips them and indexes the original
+        series."""
+        net, data = _onset_data(silent=self.SILENT)
+        monitor = NeutralityMonitor(
+            net, SETTINGS, window_intervals=100, stride=25
+        )
+        report = monitor.run(ReplayStream(data, chunk_intervals=25))
+        uninformative = [not w.informative for w in report.windows]
+        assert any(uninformative) and not all(uninformative)
+        col = report.sigmas.index(("hub",))
+        series = report.scores[:, col]
+        assert np.isnan(series[uninformative]).all()
+        idx = two_means_change_point(series)
+        assert idx is not None and not np.isnan(series[idx])
+        assert report.window_ends[idx] > ONSET
+
+        flagged, _, change_points = cusum_reference(
+            report.scores,
+            report.window_ends,
+            SETTINGS.decider_definite,
+            SETTINGS.decider_definite,
+        )
+        np.testing.assert_array_equal(report.flagged, flagged)
+        assert [
+            (
+                report.sigmas.index(cp.sigma),
+                cp.kind,
+                cp.window_index,
+                cp.interval,
+                cp.estimate_interval,
+            )
+            for cp in report.change_points
+        ] == change_points
+
+
+class TestTwoMeansChangePointNaN:
+    def test_nan_windows_are_skipped(self):
+        nan = float("nan")
+        scores = [nan, 0.01, 0.01, nan, 0.5, nan, 0.5]
+        assert two_means_change_point(scores) == 4
+
+    def test_too_few_finite_windows(self):
+        nan = float("nan")
+        assert two_means_change_point([nan] * 5) is None
+        assert two_means_change_point([nan, 0.5, nan]) is None
+
+    def test_infinite_score_raises(self):
+        with pytest.raises(MeasurementError):
+            two_means_change_point([0.01, float("inf"), 0.5])
+
+
+@st.composite
+def cusum_timelines(draw):
+    """A random score timeline: a low baseline, one raised segment
+    per sequence (onset then offset), scores sitting exactly on the
+    reference, NaN cells and all-NaN (uninformative) rows."""
+    num_windows = draw(st.integers(1, 40))
+    num_sigmas = draw(st.integers(0, 6))
+    reference = draw(st.floats(0.0, 0.2))
+    threshold = draw(st.floats(-0.05, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    shape = (num_windows, num_sigmas)
+    scores = rng.exponential(reference / 2 + 1e-3, shape)
+    for k in range(num_sigmas):
+        a, b = np.sort(rng.integers(0, num_windows + 1, 2))
+        scores[a:b, k] += rng.uniform(0.0, 4.0) * (reference + 0.01)
+    scores[rng.random(shape) < 0.1] = reference
+    scores[rng.random(shape) < 0.03] = np.nan
+    scores[rng.random(num_windows) < 0.15] = np.nan
+    ends = 25 * np.arange(1, num_windows + 1)
+    return scores, ends, reference, threshold
+
+
+def _array_cusum(scores, ends, reference, threshold):
+    """The monitor's per-window CUSUM step over a whole timeline."""
+    num_sigmas = scores.shape[1]
+    stat = np.zeros(num_sigmas)
+    flagged = np.zeros(num_sigmas, dtype=bool)
+    last_zero = np.full(num_sigmas, -1, dtype=np.int64)
+    flag_rows, stat_rows, change_points = [], [], []
+    for idx, row in enumerate(scores):
+        if not np.isnan(row).all():
+            fired, estimates = cusum_update(
+                stat, flagged, last_zero, row, idx, reference, threshold
+            )
+            for k, estimate in zip(fired.tolist(), estimates.tolist()):
+                change_points.append(
+                    (
+                        k,
+                        "onset" if flagged[k] else "offset",
+                        idx,
+                        int(ends[idx]),
+                        int(ends[estimate]),
+                    )
+                )
+        flag_rows.append(flagged.copy())
+        stat_rows.append(stat.copy())
+    return (
+        np.array(flag_rows).reshape(scores.shape),
+        np.array(stat_rows).reshape(scores.shape),
+        change_points,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cusum_timelines())
+def test_array_cusum_matches_scalar_reference(case):
+    scores, ends, reference, threshold = case
+    flags, stats, change_points = _array_cusum(
+        scores, ends, reference, threshold
+    )
+    ref_flags, ref_stats, ref_change_points = cusum_reference(
+        scores, ends, reference, threshold
+    )
+    np.testing.assert_array_equal(flags, ref_flags)
+    np.testing.assert_array_equal(stats, ref_stats)
+    assert change_points == ref_change_points
+
+
+def test_monitor_cusum_matches_scalar_reference():
+    """The monitor's timeline and change points, with custom CUSUM
+    knobs, equal the scalar loop run over its own score timeline."""
+    net, data = _onset_data()
+    monitor = NeutralityMonitor(
+        net,
+        SETTINGS,
+        window_intervals=100,
+        stride=25,
+        cusum_reference=0.02,
+        cusum_threshold=0.1,
+    )
+    report = monitor.run(ReplayStream(data, chunk_intervals=50))
+    flagged, _, change_points = cusum_reference(
+        report.scores, report.window_ends, 0.02, 0.1
+    )
+    np.testing.assert_array_equal(report.flagged, flagged)
+    assert change_points
+    assert [
+        (
+            report.sigmas.index(cp.sigma),
+            cp.kind,
+            cp.window_index,
+            cp.interval,
+            cp.estimate_interval,
+        )
+        for cp in report.change_points
+    ] == change_points

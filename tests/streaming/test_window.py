@@ -317,3 +317,78 @@ def test_stream_rows_follow_the_stream_order():
         stats._rows_b,
         np.concatenate([lookup(used), lookup(batch.pair_b)]),
     )
+
+
+@st.composite
+def monitor_schedules(draw):
+    """A stream read the way a monitor reads it: a window length
+    (``None`` grows from 0) and stride — gaps, tumbling windows and
+    slides alike — then the whole stream, twice."""
+    spokes = draw(st.integers(4, 6))
+    total = draw(st.integers(20, 200))
+    width = draw(st.one_of(st.none(), st.integers(1, 80)))
+    stride = draw(st.integers(1, 90))
+    chunk = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    sent = rng.integers(1, 40, size=(spokes, total))
+    lost = rng.binomial(sent, draw(st.floats(0.0, 0.2)))
+    return spokes, sent, lost, width, stride, chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(monitor_schedules())
+def test_running_count_serves_the_whole_stream_exactly(case):
+    """Every window of a monitor schedule, and the final whole-stream
+    window served by the running prefix count, equal the from-scratch
+    counts of a fresh object."""
+    spokes, sent, lost, width, stride, chunk = case
+    net = _star_network(spokes)
+    ids = tuple(f"p{i}" for i in range(spokes))
+    total = sent.shape[1]
+    stats = SlidingWindowStats(net)
+
+    def check(lo, hi):
+        fresh = SlidingWindowStats(net)
+        fresh.append_arrays(sent, lost, ids)
+        expected = fresh.window_costs(lo, hi)
+        for got, want in zip(stats.window_costs(lo, hi), expected):
+            np.testing.assert_array_equal(got, want)
+
+    end = width or stride
+    for a in range(0, total, chunk):
+        stats.append_arrays(sent[:, a:a + chunk], lost[:, a:a + chunk], ids)
+        while end <= stats.num_intervals:
+            check(0 if width is None else max(0, end - width), end)
+            end += stride
+    check(0, total)
+    check(0, total)
+
+
+def test_final_window_counts_only_past_the_prefix():
+    """After gap-free sliding windows, the whole-stream window counts
+    just the intervals past the last window; after a stride gap the
+    prefix stops at the gap."""
+    net = _star_network(5)
+    ids = tuple(f"p{i}" for i in range(5))
+    rng = np.random.default_rng(3)
+    sent = rng.integers(1, 40, size=(5, 310))
+    lost = rng.binomial(sent, 0.05)
+    for width, stride, expected in [
+        (100, 25, [(300, 310)]),
+        (50, 50, [(300, 310)]),
+        (30, 100, [(30, 310)]),
+    ]:
+        stats = SlidingWindowStats(net)
+        stats.append_arrays(sent, lost, ids)
+        for end in range(width, 301, stride):
+            stats.window_costs(max(0, end - width), end)
+        counted = []
+        span_counts = stats._span_counts
+
+        def recording(lo, hi):
+            counted.append((lo, hi))
+            return span_counts(lo, hi)
+
+        stats._span_counts = recording
+        stats.window_costs(0, 310)
+        assert counted == expected, (width, stride)

@@ -20,53 +20,33 @@ Public API highlights:
 * :mod:`repro.tomography` — classical tomography baselines.
 """
 
-from repro.core import (
-    AlgorithmResult,
-    ClassAssignment,
-    Network,
-    NetworkPerformance,
-    Path,
-    PerformanceClass,
-    build_equivalent,
-    build_slice_system,
-    check_observability,
-    evaluate,
-    identify_non_neutral,
-    identify_non_neutral_exact,
-    is_identifiable_exact,
-    network_from_path_specs,
-    neutral_performance,
-    performance_with_violations,
-    routing_matrix,
-    satisfies_lemma3,
-    single_class,
-    two_classes,
-)
-from repro.exceptions import ReproError
+from repro._namespace import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlgorithmResult",
-    "ClassAssignment",
-    "Network",
-    "NetworkPerformance",
-    "Path",
-    "PerformanceClass",
-    "ReproError",
-    "build_equivalent",
-    "build_slice_system",
-    "check_observability",
-    "evaluate",
-    "identify_non_neutral",
-    "identify_non_neutral_exact",
-    "is_identifiable_exact",
-    "network_from_path_specs",
-    "neutral_performance",
-    "performance_with_violations",
-    "routing_matrix",
-    "satisfies_lemma3",
-    "single_class",
-    "two_classes",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core": (
+        "AlgorithmResult",
+        "ClassAssignment",
+        "Network",
+        "NetworkPerformance",
+        "Path",
+        "PerformanceClass",
+        "build_equivalent",
+        "build_slice_system",
+        "check_observability",
+        "evaluate",
+        "identify_non_neutral",
+        "identify_non_neutral_exact",
+        "is_identifiable_exact",
+        "network_from_path_specs",
+        "neutral_performance",
+        "performance_with_violations",
+        "routing_matrix",
+        "satisfies_lemma3",
+        "single_class",
+        "two_classes",
+    ),
+    "exceptions": ("ReproError",),
+})
+__all__ += ["__version__"]

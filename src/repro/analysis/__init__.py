@@ -1,15 +1,12 @@
 """Analysis utilities: boxplot summaries and report tables."""
 
-from repro.analysis.stats import (
-    BoxplotSummary,
-    boxplot_summary,
-    format_table,
-    series_summary,
-)
+from repro._namespace import lazy_exports
 
-__all__ = [
-    "BoxplotSummary",
-    "boxplot_summary",
-    "format_table",
-    "series_summary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "stats": (
+        "BoxplotSummary",
+        "boxplot_summary",
+        "format_table",
+        "series_summary",
+    ),
+})

@@ -5,167 +5,98 @@ This subpackage is pure: no I/O, no randomness, no emulation — only
 the mathematical objects of Sections 2–5 of the paper.
 """
 
-from repro.core.algorithm import (
-    DEFAULT_MIN_PATHSETS,
-    AlgorithmResult,
-    identify_non_neutral,
-    identify_non_neutral_exact,
-    remove_redundant,
-    required_pathsets,
-)
-from repro.core.classes import (
-    ClassAssignment,
-    PerformanceClass,
-    classes_from_mapping,
-    single_class,
-    two_classes,
-)
-from repro.core.equivalent import (
-    EquivalentNeutralNetwork,
-    VirtualLink,
-    VirtualLinkKind,
-    build_equivalent,
-    structural_equivalent,
-)
-from repro.core.identifiability import (
-    Lemma3Result,
-    identifiable_sequences_exact,
-    is_identifiable_exact,
-    satisfies_lemma3,
-)
-from repro.core.linear import (
-    LeastSquaresSolution,
-    is_solvable,
-    residual,
-    solve_least_squares,
-)
-from repro.core.metrics import (
-    QualityReport,
-    evaluate,
-    false_negative_rate,
-    false_positive_rate,
-    granularity,
-)
-from repro.core.network import (
-    Link,
-    LinkSeq,
-    Network,
-    Node,
-    NodeKind,
-    Path,
-    PathIndex,
-    make_linkseq,
-    network_from_path_specs,
-)
-from repro.core.observability import (
-    ObservabilityResult,
-    UnsolvableWitness,
-    check_observability,
-    check_structural_observability,
-    find_unsolvable_family,
-    minimal_unsolvable_family,
-)
-from repro.core.pathsets import (
-    PathSet,
-    PathSetFamily,
-    all_pairs,
-    family,
-    pathset,
-    power_family,
-    singletons,
-    singletons_and_pairs,
-)
-from repro.core.performance import (
-    LinkPerformance,
-    NetworkPerformance,
-    neutral_performance,
-    perf_from_probability,
-    performance_with_violations,
-    probability_from_perf,
-)
-from repro.core.routing import RoutingMatrix, routing_matrix
-from repro.core.slices import (
-    SIGMA_COLUMN,
-    SliceSystem,
-    SliceSystemBatch,
-    batch_pair_estimates,
-    batch_unsolvability,
-    build_slice_batch,
-    build_slice_system,
-    pairs_for_sequence,
-    shared_sequences,
-    slice_pathsets,
-)
+from repro._namespace import lazy_exports
 
-__all__ = [
-    "DEFAULT_MIN_PATHSETS",
-    "AlgorithmResult",
-    "ClassAssignment",
-    "EquivalentNeutralNetwork",
-    "LeastSquaresSolution",
-    "Lemma3Result",
-    "Link",
-    "LinkPerformance",
-    "LinkSeq",
-    "Network",
-    "NetworkPerformance",
-    "Node",
-    "NodeKind",
-    "ObservabilityResult",
-    "Path",
-    "PathIndex",
-    "PathSet",
-    "PathSetFamily",
-    "PerformanceClass",
-    "QualityReport",
-    "RoutingMatrix",
-    "SIGMA_COLUMN",
-    "SliceSystem",
-    "SliceSystemBatch",
-    "UnsolvableWitness",
-    "VirtualLink",
-    "VirtualLinkKind",
-    "all_pairs",
-    "build_equivalent",
-    "batch_pair_estimates",
-    "batch_unsolvability",
-    "build_slice_batch",
-    "build_slice_system",
-    "check_observability",
-    "check_structural_observability",
-    "classes_from_mapping",
-    "evaluate",
-    "false_negative_rate",
-    "false_positive_rate",
-    "family",
-    "find_unsolvable_family",
-    "granularity",
-    "identifiable_sequences_exact",
-    "identify_non_neutral",
-    "identify_non_neutral_exact",
-    "is_identifiable_exact",
-    "is_solvable",
-    "make_linkseq",
-    "minimal_unsolvable_family",
-    "network_from_path_specs",
-    "neutral_performance",
-    "pairs_for_sequence",
-    "pathset",
-    "perf_from_probability",
-    "performance_with_violations",
-    "power_family",
-    "probability_from_perf",
-    "remove_redundant",
-    "required_pathsets",
-    "residual",
-    "routing_matrix",
-    "satisfies_lemma3",
-    "shared_sequences",
-    "single_class",
-    "singletons",
-    "singletons_and_pairs",
-    "slice_pathsets",
-    "solve_least_squares",
-    "structural_equivalent",
-    "two_classes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "algorithm": (
+        "DEFAULT_MIN_PATHSETS",
+        "AlgorithmResult",
+        "identify_non_neutral",
+        "identify_non_neutral_exact",
+        "remove_redundant",
+        "required_pathsets",
+    ),
+    "classes": (
+        "ClassAssignment",
+        "PerformanceClass",
+        "classes_from_mapping",
+        "single_class",
+        "two_classes",
+    ),
+    "equivalent": (
+        "EquivalentNeutralNetwork",
+        "VirtualLink",
+        "VirtualLinkKind",
+        "build_equivalent",
+        "structural_equivalent",
+    ),
+    "identifiability": (
+        "Lemma3Result",
+        "identifiable_sequences_exact",
+        "is_identifiable_exact",
+        "satisfies_lemma3",
+    ),
+    "linear": (
+        "LeastSquaresSolution",
+        "is_solvable",
+        "residual",
+        "solve_least_squares",
+    ),
+    "metrics": (
+        "QualityReport",
+        "evaluate",
+        "false_negative_rate",
+        "false_positive_rate",
+        "granularity",
+    ),
+    "network": (
+        "Link",
+        "LinkSeq",
+        "Network",
+        "Node",
+        "NodeKind",
+        "Path",
+        "PathIndex",
+        "make_linkseq",
+        "network_from_path_specs",
+    ),
+    "observability": (
+        "ObservabilityResult",
+        "UnsolvableWitness",
+        "check_observability",
+        "check_structural_observability",
+        "find_unsolvable_family",
+        "minimal_unsolvable_family",
+    ),
+    "pathsets": (
+        "PathSet",
+        "PathSetFamily",
+        "all_pairs",
+        "family",
+        "pathset",
+        "power_family",
+        "singletons",
+        "singletons_and_pairs",
+    ),
+    "performance": (
+        "LinkPerformance",
+        "NetworkPerformance",
+        "neutral_performance",
+        "perf_from_probability",
+        "performance_with_violations",
+        "probability_from_perf",
+    ),
+    "routing": ("RoutingMatrix", "routing_matrix"),
+    "slices": (
+        "SIGMA_COLUMN",
+        "SliceSystem",
+        "SliceSystemBatch",
+        "batch_pair_estimates",
+        "batch_unsolvability",
+        "build_slice_batch",
+        "build_slice_system",
+        "pairs_for_sequence",
+        "shared_sequences",
+        "slice_pathsets",
+    ),
+})

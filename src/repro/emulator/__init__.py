@@ -10,18 +10,14 @@ baseline, lives with the tests (``tests/oracles/event_reference.py``)
 together with its own packet-unit spec.
 """
 
-from repro.emulator.core import (
-    DEFAULT_MAX_PACKETS,
-    PACKET_ENGINE_VERSION,
-    PacketNetwork,
-    PacketResult,
-    greedy_admission,
-)
+from repro._namespace import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_PACKETS",
-    "PACKET_ENGINE_VERSION",
-    "PacketNetwork",
-    "PacketResult",
-    "greedy_admission",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core": (
+        "DEFAULT_MAX_PACKETS",
+        "PACKET_ENGINE_VERSION",
+        "PacketNetwork",
+        "PacketResult",
+        "greedy_admission",
+    ),
+})

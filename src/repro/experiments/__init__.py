@@ -1,105 +1,53 @@
 """End-to-end experiment runners regenerating the paper's evaluation."""
 
-from repro.experiments.config import EmulationSettings
-from repro.experiments.runner import (
-    ExperimentOutcome,
-    measured_subnetwork,
-    run_experiment,
-)
-from repro.experiments.sweep import (
-    SweepPoint,
-    SweepRunner,
-    SweepStats,
-    derive_seed,
-)
-from repro.experiments.topology_a import (
-    TABLE2_SETS,
-    TopologyAExperiment,
-    build_experiment,
-    experiment_values,
-    run_full_set,
-    run_topology_a,
-    sweep_points,
-)
-from repro.experiments.reporting import (
-    render_adaptive_frontier,
-    render_ground_truth,
-    render_path_congestion,
-    render_queue_traces,
-    render_sequences,
-    render_sweep_summary,
-    render_verdict,
-)
-from repro.experiments.topology_b import (
-    TOPOLOGY_B_SETTINGS,
-    SequenceEstimates,
-    TopologyBReport,
-    run_topology_b,
-    run_topology_b_frontier,
-    run_topology_b_point,
-    run_topology_b_sweep,
-    table3_workloads,
-)
-from repro.experiments.adaptive import (
-    AdaptiveResult,
-    AdaptiveSweep,
-    CalibrationResult,
-    Cell,
-    DetectionDelayContour,
-    GridAxis,
-    PlanePointFactory,
-    PlanePointResult,
-    ScoreBands,
-    VerdictFlip,
-    calibrate_fluid_to_packet,
-    cell_bounds,
-    plane_axes,
-    run_plane_frontier,
-)
+from repro._namespace import lazy_exports
 
-__all__ = [
-    "AdaptiveResult",
-    "AdaptiveSweep",
-    "CalibrationResult",
-    "Cell",
-    "DetectionDelayContour",
-    "EmulationSettings",
-    "ExperimentOutcome",
-    "GridAxis",
-    "PlanePointFactory",
-    "PlanePointResult",
-    "ScoreBands",
-    "SequenceEstimates",
-    "SweepPoint",
-    "SweepRunner",
-    "SweepStats",
-    "TABLE2_SETS",
-    "TOPOLOGY_B_SETTINGS",
-    "TopologyAExperiment",
-    "TopologyBReport",
-    "VerdictFlip",
-    "build_experiment",
-    "calibrate_fluid_to_packet",
-    "cell_bounds",
-    "derive_seed",
-    "experiment_values",
-    "measured_subnetwork",
-    "plane_axes",
-    "run_experiment",
-    "run_full_set",
-    "run_plane_frontier",
-    "run_topology_a",
-    "render_adaptive_frontier",
-    "render_ground_truth",
-    "render_path_congestion",
-    "render_queue_traces",
-    "render_sequences",
-    "render_sweep_summary",
-    "render_verdict",
-    "run_topology_b",
-    "run_topology_b_frontier",
-    "run_topology_b_point",
-    "run_topology_b_sweep",
-    "sweep_points",
-    "table3_workloads",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "config": ("EmulationSettings",),
+    "runner": ("ExperimentOutcome", "measured_subnetwork", "run_experiment"),
+    "sweep": ("SweepPoint", "SweepRunner", "SweepStats", "derive_seed"),
+    "topology_a": (
+        "TABLE2_SETS",
+        "TopologyAExperiment",
+        "build_experiment",
+        "experiment_values",
+        "run_full_set",
+        "run_topology_a",
+        "sweep_points",
+    ),
+    "reporting": (
+        "render_adaptive_frontier",
+        "render_ground_truth",
+        "render_path_congestion",
+        "render_queue_traces",
+        "render_sequences",
+        "render_sweep_summary",
+        "render_verdict",
+    ),
+    "topology_b": (
+        "TOPOLOGY_B_SETTINGS",
+        "SequenceEstimates",
+        "TopologyBReport",
+        "run_topology_b",
+        "run_topology_b_frontier",
+        "run_topology_b_point",
+        "run_topology_b_sweep",
+        "table3_workloads",
+    ),
+    "adaptive": (
+        "AdaptiveResult",
+        "AdaptiveSweep",
+        "CalibrationResult",
+        "Cell",
+        "DetectionDelayContour",
+        "GridAxis",
+        "PlanePointFactory",
+        "PlanePointResult",
+        "ScoreBands",
+        "VerdictFlip",
+        "calibrate_fluid_to_packet",
+        "cell_bounds",
+        "plane_axes",
+        "run_plane_frontier",
+    ),
+})

@@ -6,57 +6,35 @@ structure the inference pipeline depends on. See
 :mod:`repro.emulator` for the packet-level validation substrate.
 """
 
-from repro.fluid.batch import FluidBatchNetwork, FluidBatchSession
-from repro.fluid.engine import (
-    DEFAULT_DT,
-    DEFAULT_INTERVAL,
-    ENGINE_VERSION,
-    FluidNetwork,
-    FluidResult,
-)
-from repro.fluid.params import (
-    MSS_BITS,
-    AqmSpec,
-    FlowSlotSpec,
-    LinkSpec,
-    PathWorkload,
-    PolicerSpec,
-    ShaperSpec,
-    WeightedShaperSpec,
-    mb_to_packets,
-    mbps_to_pps,
-    uniform_workload,
-)
-from repro.fluid.tcp import TcpState
-from repro.fluid.traffic import (
-    FlowSlot,
-    build_slots,
-    sample_flow_size_packets,
-    sample_gap_seconds,
-)
+from repro._namespace import lazy_exports
 
-__all__ = [
-    "AqmSpec",
-    "DEFAULT_DT",
-    "DEFAULT_INTERVAL",
-    "ENGINE_VERSION",
-    "FlowSlot",
-    "FluidBatchNetwork",
-    "FluidBatchSession",
-    "FlowSlotSpec",
-    "FluidNetwork",
-    "FluidResult",
-    "LinkSpec",
-    "MSS_BITS",
-    "PathWorkload",
-    "PolicerSpec",
-    "ShaperSpec",
-    "WeightedShaperSpec",
-    "TcpState",
-    "build_slots",
-    "mb_to_packets",
-    "mbps_to_pps",
-    "sample_flow_size_packets",
-    "sample_gap_seconds",
-    "uniform_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "batch": ("FluidBatchNetwork", "FluidBatchSession"),
+    "engine": (
+        "DEFAULT_DT",
+        "DEFAULT_INTERVAL",
+        "ENGINE_VERSION",
+        "FluidNetwork",
+        "FluidResult",
+    ),
+    "params": (
+        "MSS_BITS",
+        "AqmSpec",
+        "FlowSlotSpec",
+        "LinkSpec",
+        "PathWorkload",
+        "PolicerSpec",
+        "ShaperSpec",
+        "WeightedShaperSpec",
+        "mb_to_packets",
+        "mbps_to_pps",
+        "uniform_workload",
+    ),
+    "tcp": ("TcpState",),
+    "traffic": (
+        "FlowSlot",
+        "build_slots",
+        "sample_flow_size_packets",
+        "sample_gap_seconds",
+    ),
+})

@@ -28,32 +28,21 @@ monitor in four layers:
 See DESIGN.md S18 for window semantics and cache-reuse rules.
 """
 
-from repro.streaming.fleet import (
-    MonitorFleet,
-    MonitorOutcome,
-    MonitorTask,
-    run_monitor_task,
-)
-from repro.streaming.monitor import (
-    ChangePoint,
-    MonitorReport,
-    NeutralityMonitor,
-    WindowVerdict,
-)
-from repro.streaming.stream import EmulationStream, RecordStream, ReplayStream
-from repro.streaming.window import SlidingWindowStats
+from repro._namespace import lazy_exports
 
-__all__ = [
-    "ChangePoint",
-    "EmulationStream",
-    "MonitorFleet",
-    "MonitorOutcome",
-    "MonitorReport",
-    "MonitorTask",
-    "NeutralityMonitor",
-    "RecordStream",
-    "ReplayStream",
-    "SlidingWindowStats",
-    "WindowVerdict",
-    "run_monitor_task",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "fleet": (
+        "MonitorFleet",
+        "MonitorOutcome",
+        "MonitorTask",
+        "run_monitor_task",
+    ),
+    "monitor": (
+        "ChangePoint",
+        "MonitorReport",
+        "NeutralityMonitor",
+        "WindowVerdict",
+    ),
+    "stream": ("EmulationStream", "RecordStream", "ReplayStream"),
+    "window": ("SlidingWindowStats",),
+})

@@ -11,51 +11,29 @@ engine and session takes the one link description,
 converts it to packet units internally.
 """
 
-from repro.substrate.base import EmulationSubstrate, SubstrateResult
-from repro.substrate.batch import (
-    ScenarioBatch,
-    run_scenario_batch,
-    substrate_supports_batch,
-)
-from repro.substrate.registry import (
-    FluidSubstrate,
-    PacketSubstrate,
-    available_substrates,
-    get_substrate,
-    substrate_cache_tag,
-)
-from repro.substrate.scenario import (
-    MECHANISMS,
-    CompiledScenario,
-    DifferentiationPolicy,
-    Scenario,
-    compile_scenario,
-    run_scenario,
-)
-from repro.substrate.spec import (
-    DEFAULT_DELAY_SECONDS,
-    LinkSpec,
-    normalize_specs,
-)
+from repro._namespace import lazy_exports
 
-__all__ = [
-    "CompiledScenario",
-    "DEFAULT_DELAY_SECONDS",
-    "DifferentiationPolicy",
-    "EmulationSubstrate",
-    "FluidSubstrate",
-    "LinkSpec",
-    "MECHANISMS",
-    "PacketSubstrate",
-    "Scenario",
-    "ScenarioBatch",
-    "SubstrateResult",
-    "available_substrates",
-    "compile_scenario",
-    "get_substrate",
-    "normalize_specs",
-    "run_scenario",
-    "run_scenario_batch",
-    "substrate_cache_tag",
-    "substrate_supports_batch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "base": ("EmulationSubstrate", "SubstrateResult"),
+    "batch": (
+        "ScenarioBatch",
+        "run_scenario_batch",
+        "substrate_supports_batch",
+    ),
+    "registry": (
+        "FluidSubstrate",
+        "PacketSubstrate",
+        "available_substrates",
+        "get_substrate",
+        "substrate_cache_tag",
+    ),
+    "scenario": (
+        "MECHANISMS",
+        "CompiledScenario",
+        "DifferentiationPolicy",
+        "Scenario",
+        "compile_scenario",
+        "run_scenario",
+    ),
+    "spec": ("DEFAULT_DELAY_SECONDS", "LinkSpec", "normalize_specs"),
+})

@@ -140,6 +140,36 @@ class _NoopInstrument:
 NOOP_INSTRUMENT = _NoopInstrument()
 
 
+class CountingRNG:
+    """Forwarding proxy that counts method calls on a numpy Generator.
+
+    Every attribute access forwards to the wrapped generator, so the
+    underlying bit stream is untouched — draws made through the proxy
+    are bit-identical to draws made directly.  Only *method calls* are
+    counted (one per call, regardless of the size drawn), which is what
+    the engines need to spot workload-mix changes.  The engines wrap
+    their generator only after their own ``telemetry.enabled()`` check.
+    """
+
+    __slots__ = ("_rng", "_counter")
+
+    def __init__(self, rng, counter) -> None:
+        self._rng = rng
+        self._counter = counter
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+        counter = self._counter
+
+        def _counted(*args, **kwargs):
+            counter.inc()
+            return attr(*args, **kwargs)
+
+        return _counted
+
+
 class _Family:
     __slots__ = ("kind", "help", "buckets", "instruments")
 

@@ -36,12 +36,15 @@ every golden suite holds with tracing enabled or disabled.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
+
+from repro.exceptions import ConfigurationError
 
 ENV_VAR = "REPRO_TELEMETRY"
 
@@ -322,15 +325,59 @@ def activate(ctx: Optional[SpanContext]) -> Iterator[None]:
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
-    """Parse a trace.jsonl file, skipping malformed lines."""
+    """Parse a trace.jsonl file into its records.
+
+    Blank and undecodable lines are skipped: a writer killed mid-write
+    leaves a torn last line, and the records before it still stand.
+    A line that decodes to something other than a trace record raises
+    :class:`~repro.exceptions.ConfigurationError` naming the file and
+    line: a value that is not a JSON object, a non-object
+    ``manifest``, or a span record (one with ``name`` and ``span``)
+    whose name is not a string, whose ``span`` / ``parent`` id is not
+    a string or an integer, or whose ``dur`` / ``wall`` (its start
+    stamp) is not a finite number.
+    """
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
                 continue
+            problem = _record_problem(record)
+            if problem is not None:
+                raise ConfigurationError(f"{path}:{lineno}: {problem}")
+            records.append(record)
     return records
+
+
+def _is_id(value: Any) -> bool:
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _record_problem(record: Any) -> Optional[str]:
+    """Why a decoded trace line is not a record (None when it is one)."""
+    if not isinstance(record, dict):
+        return "trace record is not a JSON object"
+    if "manifest" in record and not isinstance(record["manifest"], dict):
+        return "manifest is not a JSON object"
+    if "name" not in record or "span" not in record:
+        return None
+    if not isinstance(record["name"], str):
+        return "span name is not a string"
+    if not _is_id(record["span"]):
+        return "span id is not a string or an integer"
+    if record.get("parent") is not None and not _is_id(record["parent"]):
+        return "span parent id is not a string or an integer"
+    for key in ("dur", "wall"):
+        if key in record and not _is_finite(record[key]):
+            return f"span {key} is not a finite number"
+    return None

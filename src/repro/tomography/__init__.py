@@ -1,18 +1,13 @@
 """Classical tomography baselines (the approach the paper inverts)."""
 
-from repro.tomography.boolean import (
-    BooleanTomographyResult,
-    boolean_tomography,
-    path_states,
-    smallest_explanation,
-)
-from repro.tomography.lsq import LsqTomographyResult, lsq_tomography
+from repro._namespace import lazy_exports
 
-__all__ = [
-    "BooleanTomographyResult",
-    "LsqTomographyResult",
-    "boolean_tomography",
-    "lsq_tomography",
-    "path_states",
-    "smallest_explanation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "boolean": (
+        "BooleanTomographyResult",
+        "boolean_tomography",
+        "path_states",
+        "smallest_explanation",
+    ),
+    "lsq": ("LsqTomographyResult", "lsq_tomography"),
+})

@@ -319,6 +319,35 @@ class TestTelemetryCli:
         assert main(["trace", str(tmp_path / "nope.jsonl")]) == 2
         assert "error: cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"name": "a", "span": "1", "dur": "x"}',
+            '{"name": "a", "span": ["x"], "dur": 1}',
+            '{"manifest": 5}',
+            "5",
+            "[1, 2]",
+        ],
+        ids=["dur-not-number", "span-id-list", "manifest-not-object",
+             "number", "list"],
+    )
+    def test_trace_command_rejects_malformed_record(
+        self, capsys, tmp_path, line
+    ):
+        """A decodable line that is not a trace record is one error
+        line naming the file and line, exit 2; a torn line is skipped."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"name": "ok", "span": "1", "dur": 0.5}\n'
+            + "{torn\n"
+            + line + "\n"
+        )
+        assert main(["trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:3: ")
+        assert captured.err.count("\n") == 1
+
     def test_metrics_command_renders_table(self, capsys, tmp_path):
         from repro import telemetry
 
@@ -372,9 +401,30 @@ class TestTelemetryCli:
             json.load(handle)  # valid JSON registry export
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy is imported only by the one NNLS call that needs it, so
-    a CLI start does not pay for it."""
+# Modules an entry point must not load at import: scipy serves one NNLS
+# call, subprocess comes with the run manifest, and the rest are engines
+# or runners that only some commands use.
+LOAD_ON_FIRST_USE = (
+    "scipy",
+    "subprocess",
+    "repro.experiments.adaptive",
+    "repro.experiments.sweep",
+    "repro.fluid.batch",
+    "repro.emulator.core",
+    "repro.telemetry.manifest",
+    "repro.streaming.fleet",
+)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["repro", "repro.cli", "repro.streaming.monitor",
+     "repro.experiments.runner"],
+)
+def test_entry_point_import_budget(entry):
+    """Package namespaces load on first use, so importing an entry
+    point in a fresh interpreter loads only what it runs."""
+    import json
     import os
     import subprocess
     import sys
@@ -382,15 +432,18 @@ def test_cli_import_leaves_scipy_unloaded():
     import repro
 
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    code = "import sys, repro.cli; print('scipy' in sys.modules)"
+    code = (
+        f"import json, sys, {entry}; "
+        "print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *LOAD_ON_FIRST_USE],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == []
 
 
 def _monitor_outcome(delay, onset=400):

@@ -109,13 +109,3 @@ class TestCountingRNG:
         rng = np.random.default_rng(1)
         counted = telemetry.CountingRNG(rng, telemetry.Counter())
         assert counted.bit_generator is rng.bit_generator
-
-    def test_count_rng_is_passthrough_when_disabled(self):
-        rng = np.random.default_rng(1)
-        assert telemetry.count_rng(rng, telemetry.Counter()) is rng
-
-    def test_count_rng_wraps_when_enabled(self):
-        telemetry.configure(enabled=True)
-        rng = np.random.default_rng(1)
-        wrapped = telemetry.count_rng(rng, telemetry.Counter())
-        assert isinstance(wrapped, telemetry.CountingRNG)

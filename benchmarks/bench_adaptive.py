@@ -34,7 +34,7 @@ from repro.experiments.adaptive import (
     AdaptiveSweep,
     PlanePointFactory,
     plane_axes,
-    plane_refinable,
+    plane_label,
 )
 from repro.experiments.config import EmulationSettings
 from repro.experiments.sweep import SweepRunner
@@ -61,7 +61,7 @@ def _sweep(cache_dir=None):
         SweepRunner.for_settings(SETTINGS, cache_dir=cache_dir),
         plane_axes(RATE_POINTS, NOISE_POINTS),
         PlanePointFactory(settings=SETTINGS),
-        plane_refinable(),
+        plane_label,
     )
 
 
@@ -90,11 +90,8 @@ def test_adaptive_frontier_gate(benchmark, tmp_path):
         assert pickle.dumps(replayed[key]) == pickle.dumps(result), key
 
     # Dense agreement: every adaptive label is the dense label...
-    refinable = plane_refinable()
     for coords, key in adaptive.keys.items():
-        assert adaptive.labels[coords] == refinable.label(
-            key, dense[key]
-        ), coords
+        assert adaptive.labels[coords] == plane_label(dense[key]), coords
         assert pickle.dumps(dense[key]) == pickle.dumps(
             adaptive.results[key]
         ), key
@@ -102,9 +99,7 @@ def test_adaptive_frontier_gate(benchmark, tmp_path):
     assert adaptive.frontier
     for cell in adaptive.frontier:
         corner_labels = {
-            refinable.label(
-                sweep.point_at(c).key, dense[sweep.point_at(c).key]
-            )
+            plane_label(dense[sweep.point_at(c).key])
             for c in cell.corners()
         }
         assert len(corner_labels) > 1, cell

@@ -29,23 +29,16 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "SequenceEstimates",
         "TopologyBReport",
         "run_topology_b",
-        "run_topology_b_frontier",
         "run_topology_b_point",
-        "run_topology_b_sweep",
         "table3_workloads",
     ),
     "adaptive": (
         "AdaptiveResult",
         "AdaptiveSweep",
-        "CalibrationResult",
         "Cell",
-        "DetectionDelayContour",
         "GridAxis",
         "PlanePointFactory",
         "PlanePointResult",
-        "ScoreBands",
-        "VerdictFlip",
-        "calibrate_fluid_to_packet",
         "cell_bounds",
         "plane_axes",
         "run_plane_frontier",

@@ -23,7 +23,7 @@ Design rules, in priority order:
 * **Deterministic under any worker count.** Refinement decisions
   depend only on point labels (deterministic given the digest) and
   cells are processed in coordinate order, never completion order.
-  The same lattice, factory, refinable, and budget always visit the
+  The same lattice, factory, label, and budget always visit the
   same points through the same waves.
 * **One pool dispatch per wave.** Each refinement wave is a single
   :meth:`~repro.experiments.sweep.SweepRunner.run` call; points built
@@ -41,9 +41,9 @@ Design rules, in priority order:
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import (
@@ -198,92 +198,6 @@ def cell_bounds(
 
 
 # ----------------------------------------------------------------------
-# Refinables: pluggable cell-scoring reductions
-
-
-def _resolve_attr(obj: Any, path: str) -> Any:
-    """Dotted attribute lookup (``"outcome.verdict_non_neutral"``)."""
-    for part in path.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-@dataclass(frozen=True)
-class VerdictFlip:
-    """Label by a boolean verdict attribute — cells refine where the
-    verdict flips between corners (the detection frontier)."""
-
-    attr: str = "verdict_non_neutral"
-
-    def label(self, key: str, result: Any) -> int:
-        return int(bool(_resolve_attr(result, self.attr)))
-
-
-@dataclass(frozen=True)
-class ScoreBands:
-    """Label by banding a continuous score — cells refine across band
-    boundaries, localizing score-separation contours rather than a
-    single verdict flip.
-
-    Exactly one of ``attr`` (dotted attribute path on the result) or
-    ``getter`` (callable on the result) supplies the score;
-    ``thresholds`` are the increasing band edges.
-    """
-
-    thresholds: Tuple[float, ...]
-    attr: Optional[str] = None
-    getter: Optional[Callable[[Any], float]] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "thresholds", tuple(self.thresholds)
-        )
-        if not self.thresholds:
-            raise ConfigurationError("ScoreBands needs >= 1 threshold")
-        if any(
-            b <= a
-            for a, b in zip(self.thresholds, self.thresholds[1:])
-        ):
-            raise ConfigurationError(
-                "ScoreBands thresholds must be strictly increasing"
-            )
-        if (self.attr is None) == (self.getter is None):
-            raise ConfigurationError(
-                "ScoreBands takes exactly one of attr/getter"
-            )
-
-    def score(self, result: Any) -> float:
-        if self.attr is not None:
-            return float(_resolve_attr(result, self.attr))
-        return float(self.getter(result))
-
-    def label(self, key: str, result: Any) -> int:
-        return bisect.bisect_right(
-            self.thresholds, self.score(result)
-        )
-
-
-@dataclass(frozen=True)
-class DetectionDelayContour:
-    """Label a :class:`~repro.streaming.fleet.MonitorOutcome` by its
-    detection delay — never-detected scenarios get band ``0``, and
-    detected ones band ``1 + #thresholds exceeded``, so refinement
-    localizes both the detectability frontier and (with thresholds)
-    iso-delay contours."""
-
-    thresholds: Tuple[float, ...] = ()
-    attr: str = "detection_delay_intervals"
-
-    def label(self, key: str, result: Any) -> int:
-        delay = _resolve_attr(result, self.attr)
-        if delay is None:
-            return 0
-        return 1 + bisect.bisect_right(
-            tuple(self.thresholds), float(delay)
-        )
-
-
-# ----------------------------------------------------------------------
 # The adaptive driver
 
 
@@ -310,7 +224,7 @@ class AdaptiveResult:
             exactly the dense sweep's results restricted to the
             visited coordinates.
         keys: ``{index coords: point key}``.
-        labels: ``{index coords: refinable label}``.
+        labels: ``{index coords: label}``.
         frontier: Terminal (grid-step-sized) cells whose corner
             labels disagree — the localized boundary.
         dropped: Cells that *disagreed* but could not be refined
@@ -408,33 +322,29 @@ class AdaptiveSweep:
             Must be exactly the factory a dense sweep over the same
             lattice would use — that is what makes adaptive and dense
             results bit-interchangeable (same keys, same digests).
-        refinable: Labeling reduction; cells whose corner labels
-            disagree are refined. Ships: :class:`VerdictFlip`,
-            :class:`ScoreBands`, :class:`DetectionDelayContour`.
+        label: ``label(result) -> int``; cells whose corner labels
+            disagree are refined (the plane uses :func:`plane_label`).
         budget: Max unique lattice points dispatched, cache hits
             included (None = unbounded). The coarse pass must fit —
             a budget below it is a :class:`ConfigurationError`;
             mid-refinement exhaustion drops trailing cells loudly
             (:attr:`AdaptiveResult.dropped`).
-        coarse_step: Initial cell side in index steps for refined
-            axes (int for all, or per-refined-axis mapping by name).
-            Must be a power of two dividing ``len(values) - 1``.
-            Default: the largest power of two dividing the axis
-            length minus one, capped at 8.
+
+    A refined axis starts at the largest power of two dividing its
+    span (``len(values) - 1``), capped at :attr:`MAX_COARSE`.
     """
 
-    #: Default cap on the automatic coarse step: starting coarser
-    #: than 8 grid steps risks stepping over narrow features.
-    MAX_AUTO_COARSE = 8
+    #: Cap on the coarse step: starting coarser than 8 grid steps
+    #: risks stepping over narrow features.
+    MAX_COARSE = 8
 
     def __init__(
         self,
         runner: SweepRunner,
         axes: Sequence[GridAxis],
         point_factory: Callable[[Mapping[str, float]], SweepPoint],
-        refinable,
+        label: Callable[[Any], int],
         budget: Optional[int] = None,
-        coarse_step: Optional[object] = None,
     ) -> None:
         self.runner = runner
         self.axes = tuple(axes)
@@ -448,45 +358,18 @@ class AdaptiveSweep:
                 "adaptive sweep needs >= 1 refined axis"
             )
         self.point_factory = point_factory
-        self.refinable = refinable
+        self.label = label
         if budget is not None and budget < 1:
             raise ConfigurationError("budget must be >= 1")
         self.budget = budget
-        self.coarse = self._coarse_steps(coarse_step)
+        self.coarse = tuple(
+            min(self.MAX_COARSE, _pow2_divisor(len(ax.values) - 1))
+            if ax.refine
+            else 0
+            for ax in self.axes
+        )
 
     # ------------------------------------------------------------------
-
-    def _coarse_steps(
-        self, coarse_step: Optional[object]
-    ) -> Tuple[int, ...]:
-        steps: List[int] = []
-        for ax in self.axes:
-            if not ax.refine:
-                steps.append(0)
-                continue
-            span = len(ax.values) - 1
-            if coarse_step is None:
-                step = min(
-                    self.MAX_AUTO_COARSE, _pow2_divisor(span)
-                )
-            else:
-                step = (
-                    int(coarse_step[ax.name])
-                    if isinstance(coarse_step, Mapping)
-                    else int(coarse_step)
-                )
-                if step < 1 or (step & (step - 1)):
-                    raise ConfigurationError(
-                        f"axis {ax.name!r}: coarse step {step} is "
-                        "not a power of two"
-                    )
-                if span % step:
-                    raise ConfigurationError(
-                        f"axis {ax.name!r}: coarse step {step} does "
-                        f"not divide the {span}-step span"
-                    )
-            steps.append(step)
-        return tuple(steps)
 
     def dense_size(self) -> int:
         return math.prod(len(ax.values) for ax in self.axes)
@@ -546,9 +429,7 @@ class AdaptiveSweep:
                 res = wave_results[point.key]
                 result.results[point.key] = res
                 result.keys[c] = point.key
-                result.labels[c] = int(
-                    self.refinable.label(point.key, res)
-                )
+                result.labels[c] = int(self.label(res))
             result.budget_used += len(coords)
             wave_span.set(
                 cache_hits=stats.cache_hits,
@@ -738,35 +619,27 @@ class PlanePointResult:
     max_score: float
     identified: Tuple[Tuple[str, ...], ...]
 
-    @property
-    def detected(self) -> bool:
-        """Thresholded detection label the plane's frontier uses."""
-        return self.truth_score >= PLANE_SCORE_THRESHOLD
 
-
-def plane_refinable() -> ScoreBands:
-    """The plane's default labeling: band the ground-truth-sequence
-    score at :data:`PLANE_SCORE_THRESHOLD`."""
-    return ScoreBands(
-        thresholds=(PLANE_SCORE_THRESHOLD,), attr="truth_score"
-    )
+def plane_label(result: PlanePointResult) -> int:
+    """The plane's label: ``1`` where the ground-truth-sequence score
+    reaches :data:`PLANE_SCORE_THRESHOLD`, else ``0`` (a NaN score
+    bands above the threshold, as :func:`bisect.bisect_right` places
+    it)."""
+    return bisect_right((PLANE_SCORE_THRESHOLD,), result.truth_score)
 
 
 def _plane_link_specs(
-    policing_rate: float,
-    capacity_mbps: float,
-    burst_seconds: float,
-    buffer_rtt_seconds: float,
+    policing_rate: float, capacity_mbps: float
 ) -> Dict[str, LinkSpec]:
     topo = build_dumbbell()
     specs = dict(topo.link_specs)
     specs[SHARED_LINK] = LinkSpec(
         capacity_mbps=capacity_mbps,
-        buffer_seconds=buffer_rtt_seconds,
+        buffer_seconds=0.2,
         policer=PolicerSpec(
             target_class="c2",
             rate_fraction=policing_rate,
-            burst_seconds=burst_seconds,
+            burst_seconds=PLANE_BURST_SECONDS,
         ),
     )
     return specs
@@ -793,53 +666,29 @@ def run_plane_point(
     settings: EmulationSettings,
     policing_rate: float,
     capacity_mbps: float,
-    burst_seconds: float = PLANE_BURST_SECONDS,
-    buffer_rtt_seconds: float = 0.2,
     substrate: str = "fluid",
 ) -> PlanePointResult:
-    """One plane point (module-level, pool-picklable)."""
-    topo = build_dumbbell()
-    workloads = class_workload(
-        topo.network.path_ids, mean_size_mb=PLANE_MEAN_SIZE_MB
-    )
-    batch = ScenarioBatch.compile(
-        topo.network,
-        topo.classes,
-        workloads,
-        [
-            _plane_link_specs(
-                policing_rate,
-                capacity_mbps,
-                burst_seconds,
-                buffer_rtt_seconds,
-            )
-        ],
+    """One plane point (module-level, pool-picklable): a one-member
+    :func:`run_plane_batch`."""
+    return run_plane_batch(
         [seed],
-    )
-    emulation = run_scenario_batch(batch, settings, substrate)[0]
-    outcome = outcome_from_emulation(
-        topo.network,
-        topo.classes,
-        workloads,
-        emulation,
-        settings=settings.with_seed(seed),
-        ground_truth_links={SHARED_LINK},
-        substrate=substrate,
-    )
-    return _plane_result(outcome)
+        [
+            {
+                "settings": settings,
+                "policing_rate": policing_rate,
+                "capacity_mbps": capacity_mbps,
+                "substrate": substrate,
+            }
+        ],
+    )[0]
 
 
 def run_plane_batch(seeds, kwargs_list) -> List[PlanePointResult]:
     """Batched plane executor: the wave's worlds differ only in the
-    shared link's spec (rate/capacity/bucket/buffer), so they advance
-    as one lockstep scenario batch."""
+    shared link's rate and capacity, so they advance as one lockstep
+    scenario batch."""
     first = kwargs_list[0]
-    varying = {
-        "policing_rate",
-        "capacity_mbps",
-        "burst_seconds",
-        "buffer_rtt_seconds",
-    }
+    varying = {"policing_rate", "capacity_mbps"}
     for kw in kwargs_list[1:]:
         if {
             k: v for k, v in kw.items() if k not in varying
@@ -852,7 +701,7 @@ def run_plane_batch(seeds, kwargs_list) -> List[PlanePointResult]:
                 "substrate"
             )
     settings = first["settings"]
-    substrate = first.get("substrate", "fluid")
+    substrate = first["substrate"]
     topo = build_dumbbell()
     workloads = class_workload(
         topo.network.path_ids, mean_size_mb=PLANE_MEAN_SIZE_MB
@@ -862,12 +711,7 @@ def run_plane_batch(seeds, kwargs_list) -> List[PlanePointResult]:
         topo.classes,
         workloads,
         [
-            _plane_link_specs(
-                kw["policing_rate"],
-                kw["capacity_mbps"],
-                kw.get("burst_seconds", PLANE_BURST_SECONDS),
-                kw.get("buffer_rtt_seconds", 0.2),
-            )
+            _plane_link_specs(kw["policing_rate"], kw["capacity_mbps"])
             for kw in kwargs_list
         ],
         seeds,
@@ -899,13 +743,10 @@ class PlanePointFactory:
 
     settings: EmulationSettings
     substrate: str = "fluid"
-    fixed: Tuple[Tuple[str, float], ...] = ()
 
     def __call__(self, values: Mapping[str, float]) -> SweepPoint:
-        kwargs = dict(self.fixed)
-        kwargs.update(values)
         key = "plane/" + "/".join(
-            f"{name}={kwargs[name]:.8g}" for name in sorted(kwargs)
+            f"{name}={values[name]:.8g}" for name in sorted(values)
         )
         batchable = substrate_supports_batch(self.substrate)
         return SweepPoint(
@@ -914,7 +755,7 @@ class PlanePointFactory:
             kwargs={
                 "settings": self.settings,
                 "substrate": self.substrate,
-                **kwargs,
+                **values,
             },
             substrate=self.substrate,
             batch_func=run_plane_batch if batchable else None,
@@ -929,8 +770,6 @@ class PlanePointFactory:
 def plane_axes(
     rate_points: int = 65,
     noise_points: int = 5,
-    rate_range: Tuple[float, float] = (0.02, 0.3),
-    noise_range: Tuple[float, float] = (40.0, 120.0),
 ) -> Tuple[GridAxis, GridAxis]:
     """The plane's lattice: policing rate (refined) × capacity
     (scan — the threshold is localized per congestion level)."""
@@ -943,11 +782,11 @@ def plane_axes(
 
     return (
         GridAxis(
-            PLANE_RATE_AXIS, linspace(*rate_range, rate_points)
+            PLANE_RATE_AXIS, linspace(0.02, 0.3, rate_points)
         ),
         GridAxis(
             PLANE_NOISE_AXIS,
-            linspace(*noise_range, noise_points),
+            linspace(40.0, 120.0, noise_points),
             refine=False,
         ),
     )
@@ -962,7 +801,6 @@ def run_plane_frontier(
     cache_dir: Optional[str] = None,
     batch_size: Optional[int] = None,
     substrate: str = "fluid",
-    refinable=None,
 ) -> AdaptiveResult:
     """Adaptively localize the plane's detection frontier (the CLI's
     ``sweep --adaptive`` path; the bench drives :class:`AdaptiveSweep`
@@ -979,135 +817,7 @@ def run_plane_frontier(
             runner,
             plane_axes(rate_points, noise_points),
             PlanePointFactory(settings=settings, substrate=substrate),
-            refinable if refinable is not None else plane_refinable(),
+            plane_label,
             budget=budget,
         )
         return sweep.run()
-
-
-# ----------------------------------------------------------------------
-# Calibration: fit fluid params to packet ground truth
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Outcome of :func:`calibrate_fluid_to_packet`.
-
-    Attributes:
-        best_values: Fitted fluid parameter values (argmin of the
-            objective over visited lattice points; coordinate-order
-            tie-break).
-        best_key / best_objective: The winning point and its
-            objective value.
-        reference_key / reference_score: The packet-substrate ground
-            truth the fluid points were fitted against.
-        objectives: ``{key: objective}`` for every visited point.
-        adaptive: The underlying search result (frontier = the
-            tolerance contour around the packet behaviour).
-    """
-
-    best_values: Dict[str, float]
-    best_key: str
-    best_objective: float
-    reference_key: str
-    reference_score: float
-    objectives: Dict[str, float]
-    adaptive: AdaptiveResult
-
-    def summary(self) -> str:
-        fitted = ", ".join(
-            f"{k}={v:.6g}" for k, v in self.best_values.items()
-        )
-        return (
-            f"calibration: packet truth score "
-            f"{self.reference_score:.3f}; best fluid fit {fitted} "
-            f"(|Δscore| {self.best_objective:.3f}, "
-            f"{self.adaptive.evaluated} fluid points searched)"
-        )
-
-
-def calibrate_fluid_to_packet(
-    settings: EmulationSettings,
-    axes: Optional[Sequence[GridAxis]] = None,
-    policing_rate: float = 0.08,
-    capacity_mbps: float = 100.0,
-    tolerance: float = 0.5,
-    budget: Optional[int] = None,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    batch_size: Optional[int] = None,
-) -> CalibrationResult:
-    """Fit fluid-model knobs to the packet substrate's ground truth
-    with the same adaptive search loop the frontier sweeps use.
-
-    One packet-substrate reference point is emulated (and cached
-    under its own substrate-tagged digest); the fluid model's
-    token-bucket depth and queue depth — the knobs that shape how the
-    fluid policer responds to burstiness — are then searched over
-    ``axes``, labeling each point by whether its ground-truth-
-    sequence score lands within ``tolerance`` of the packet score.
-    The refined frontier is the tolerance contour; the fitted values
-    are the visited argmin of the absolute score gap.
-    """
-    if axes is None:
-        axes = (
-            GridAxis(
-                "burst_seconds",
-                tuple(0.02 + 0.035 * i for i in range(9)),
-            ),
-            GridAxis(
-                "buffer_rtt_seconds",
-                (0.1, 0.2, 0.4),
-                refine=False,
-            ),
-        )
-    fixed = (
-        ("policing_rate", float(policing_rate)),
-        ("capacity_mbps", float(capacity_mbps)),
-    )
-    runner = SweepRunner.for_settings(
-        settings,
-        workers=workers,
-        cache_dir=cache_dir,
-        batch_size=batch_size,
-    )
-    ref_point = PlanePointFactory(
-        settings=settings, substrate="packet", fixed=fixed
-    )({})
-    ref_result = runner.run([ref_point])[ref_point.key]
-    reference_score = ref_result.truth_score
-
-    def objective(result: PlanePointResult) -> float:
-        return abs(result.truth_score - reference_score)
-
-    sweep = AdaptiveSweep(
-        runner,
-        axes,
-        PlanePointFactory(
-            settings=settings, substrate="fluid", fixed=fixed
-        ),
-        ScoreBands(thresholds=(tolerance,), getter=objective),
-        budget=budget,
-    )
-    adaptive = sweep.run()
-    objectives = {
-        key: objective(result)
-        for key, result in adaptive.results.items()
-    }
-    best_coords = min(
-        adaptive.keys,
-        key=lambda c: (objectives[adaptive.keys[c]], c),
-    )
-    best_key = adaptive.keys[best_coords]
-    return CalibrationResult(
-        best_values={
-            ax.name: ax.values[i]
-            for ax, i in zip(adaptive.axes, best_coords)
-        },
-        best_key=best_key,
-        best_objective=objectives[best_key],
-        reference_key=ref_point.key,
-        reference_score=reference_score,
-        objectives=objectives,
-        adaptive=adaptive,
-    )

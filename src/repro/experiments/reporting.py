@@ -108,16 +108,13 @@ def render_sweep_summary(
                 f", {stats.executed_seconds:.2f} s compute "
                 f"({per_point * 1e3:.0f} ms/point executed)"
             )
-        # getattr keeps older pickled/duck-typed stats objects valid.
-        workers = getattr(stats, "workers", 1)
-        if workers > 1:
+        if stats.workers > 1:
             pool = (
                 "warm pool reused"
-                if getattr(stats, "pool_reused", False)
-                else "pool created "
-                f"({getattr(stats, 'pool_setup_seconds', 0.0):.2f} s)"
+                if stats.pool_reused
+                else f"pool created ({stats.pool_setup_seconds:.2f} s)"
             )
-            table += f"\nparallel: {workers} workers, {pool}"
+            table += f"\nparallel: {stats.workers} workers, {pool}"
     return table
 
 

@@ -237,8 +237,8 @@ def _terminate_pool(pool) -> None:
 class SweepExecutor:
     """A warm ``multiprocessing.Pool`` reused across sweep runs.
 
-    Owned by :class:`SweepRunner` (and hence by adaptive sweeps and
-    monitor fleets): the first parallel ``run()`` pays pool setup,
+    Owned by :class:`SweepRunner` (and hence by adaptive sweeps):
+    the first parallel ``run()`` pays pool setup,
     every later run — every adaptive wave — dispatches onto the same
     workers. Seeding, caching, and retry semantics are untouched: the
     pool is an execution vehicle, task construction never sees it.

@@ -16,7 +16,7 @@ Table 3, and the full inference pipeline. Outputs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -28,12 +28,7 @@ from repro.experiments.runner import (
     outcome_from_emulation,
     run_experiment,
 )
-from repro.experiments.sweep import SweepPoint, SweepRunner
-from repro.substrate.batch import (
-    ScenarioBatch,
-    run_scenario_batch,
-    substrate_supports_batch,
-)
+from repro.substrate.batch import ScenarioBatch, run_scenario_batch
 from repro.fluid.params import MSS_BITS, PathWorkload
 from repro.topology.multi_isp import (
     NEUTRAL_BUSY_LINK,
@@ -226,10 +221,10 @@ def run_topology_b_rate_batch(
 
     Members share settings and substrate and may differ in
     ``policing_rate`` and seed: the multi-ISP builder varies only
-    link specs with the rate, so a frontier sweep's wave of rates,
-    or a dense sweep's repetitions of one rate, advances as one
-    lockstep scenario batch over a shared topology/workload; each
-    member's report is then assembled by the single-run tail.
+    link specs with the rate, so a sweep's points (rates, or seeds of
+    one rate) advance as one lockstep scenario batch over a shared
+    topology/workload; each member's report is then assembled by the
+    single-run tail.
     """
     first = kwargs_list[0]
     for kw in kwargs_list[1:]:
@@ -273,133 +268,3 @@ def run_topology_b_rate_batch(
             _report_from_outcome(topo, outcome, settings.with_seed(seed))
         )
     return reports
-
-
-def topology_b_rate_point(
-    settings: EmulationSettings,
-    substrate: str = "fluid",
-):
-    """Factory for rate-lattice topology-B sweep points.
-
-    Keys match :func:`run_topology_b_sweep`'s first repetition
-    (``topoB/rate{r}/rep0``) with identical func/kwargs, so frontier
-    visits and dense repetition sweeps share cache digests — an
-    adaptive frontier run warms the rep-0 cache of a later dense
-    sweep and vice versa.
-    """
-    batchable = substrate_supports_batch(substrate)
-
-    def factory(values) -> SweepPoint:
-        rate = values["policing_rate"]
-        return SweepPoint(
-            key=f"topoB/rate{rate}/rep0",
-            func=run_topology_b_point,
-            kwargs={
-                "settings": settings,
-                "policing_rate": rate,
-                "substrate": substrate,
-            },
-            substrate=substrate,
-            batch_func=run_topology_b_rate_batch if batchable else None,
-            batch_group=(
-                f"topoB/frontier/{substrate}/{settings.fingerprint()}"
-                if batchable
-                else None
-            ),
-        )
-
-    return factory
-
-
-def run_topology_b_frontier(
-    rates: Tuple[float, ...],
-    settings: EmulationSettings = TOPOLOGY_B_SETTINGS,
-    budget: int = None,
-    workers: int = 1,
-    cache_dir: str = None,
-    substrate: str = "fluid",
-    batch_size: int = None,
-    refinable=None,
-):
-    """Localize the policing-rate detection threshold adaptively.
-
-    The frontier mode of the topology-B sweep: instead of emulating
-    every rate of a dense grid, run the coarse lattice and subdivide
-    only where Algorithm 1's verdict flips. Returns the
-    :class:`~repro.experiments.adaptive.AdaptiveResult`; its
-    ``results`` are ordinary :class:`TopologyBReport` values, cached
-    interchangeably with :func:`run_topology_b_sweep` repetitions.
-    """
-    from repro.experiments.adaptive import (
-        AdaptiveSweep,
-        GridAxis,
-        VerdictFlip,
-    )
-
-    runner = SweepRunner.for_settings(
-        settings,
-        workers=workers,
-        cache_dir=cache_dir,
-        batch_size=batch_size,
-    )
-    sweep = AdaptiveSweep(
-        runner,
-        (GridAxis("policing_rate", tuple(rates)),),
-        topology_b_rate_point(settings, substrate),
-        refinable
-        if refinable is not None
-        else VerdictFlip("outcome.verdict_non_neutral"),
-        budget=budget,
-    )
-    return sweep.run()
-
-
-def run_topology_b_sweep(
-    repetitions: int = 4,
-    settings: EmulationSettings = TOPOLOGY_B_SETTINGS,
-    policing_rate: float = 0.15,
-    workers: int = 1,
-    cache_dir: str = None,
-    substrate: str = "fluid",
-    batch_size: int = None,
-) -> List[TopologyBReport]:
-    """Run several independently-seeded topology-B repetitions.
-
-    The paper reports topology-B quality metrics as probabilities, so
-    a single realization is noisy; fanning repetitions over workers
-    makes multi-seed aggregates as cheap as one sequential run — and
-    on a batch-capable substrate the repetitions advance as one
-    lockstep scenario batch per worker task (``batch_size=1``
-    disables). Per-repetition seeds derive from ``settings.seed`` and
-    the repetition index, so the result list is identical for any
-    worker count or batch width.
-    """
-    batchable = substrate_supports_batch(substrate)
-    group = (
-        f"topoB/rate{policing_rate}/{substrate}/{settings.fingerprint()}"
-        if batchable
-        else None
-    )
-    points = [
-        SweepPoint(
-            key=f"topoB/rate{policing_rate}/rep{rep}",
-            func=run_topology_b_point,
-            kwargs={
-                "settings": settings,
-                "policing_rate": policing_rate,
-                "substrate": substrate,
-            },
-            substrate=substrate,
-            batch_func=run_topology_b_rate_batch if batchable else None,
-            batch_group=group,
-        )
-        for rep in range(repetitions)
-    ]
-    runner = SweepRunner.for_settings(
-        settings,
-        workers=workers,
-        cache_dir=cache_dir,
-        batch_size=batch_size,
-    )
-    results = runner.run(points)
-    return [results[p.key] for p in points]

@@ -28,7 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "WeightedShaperSpec",
         "mb_to_packets",
         "mbps_to_pps",
-        "uniform_workload",
     ),
     "tcp": ("TcpState",),
     "traffic": (

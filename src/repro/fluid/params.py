@@ -470,26 +470,3 @@ class PathWorkload:
             raise ConfigurationError(
                 f"unknown congestion control {self.congestion_control!r}"
             )
-
-
-def uniform_workload(
-    path_ids,
-    flows_per_path: int = 1,
-    mean_size_mb: float = 10.0,
-    mean_gap_seconds: float = 10.0,
-    rtt_seconds: float = 0.05,
-    congestion_control: str = "cubic",
-    pareto_shape: float = 1.2,
-) -> Dict[str, PathWorkload]:
-    """The same workload on every path (experiment sets 4–9)."""
-    slot = FlowSlotSpec(
-        mean_size_mb=mean_size_mb,
-        mean_gap_seconds=mean_gap_seconds,
-        pareto_shape=pareto_shape,
-    )
-    workload = PathWorkload(
-        slots=(slot,) * flows_per_path,
-        rtt_seconds=rtt_seconds,
-        congestion_control=congestion_control,
-    )
-    return {pid: workload for pid in path_ids}

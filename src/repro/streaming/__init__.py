@@ -20,10 +20,9 @@ monitor in four layers:
   :class:`~repro.core.algorithm.AlgorithmResult` per window plus a
   CUSUM change-point detector that timestamps when each pathset
   family flips neutral ↔ non-neutral.
-* :mod:`repro.streaming.fleet` — a multi-scenario runner on
-  :class:`~repro.experiments.sweep.SweepRunner`'s worker pool that
-  monitors many topology/policy scenarios concurrently and
-  aggregates their verdict timelines.
+* :mod:`repro.streaming.fleet` — monitoring tasks: one declarative
+  scenario driven through a stream into the monitor and condensed
+  into a picklable verdict timeline (what ``repro monitor`` runs).
 
 See DESIGN.md S18 for window semantics and cache-reuse rules.
 """
@@ -32,7 +31,6 @@ from repro._namespace import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "fleet": (
-        "MonitorFleet",
         "MonitorOutcome",
         "MonitorTask",
         "run_monitor_task",

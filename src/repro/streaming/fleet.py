@@ -1,4 +1,4 @@
-"""Multi-scenario monitoring: many streams, one worker pool.
+"""Monitoring tasks: one scenario's stream, end to end.
 
 A :class:`MonitorTask` is plain picklable data — a declarative
 :class:`~repro.substrate.scenario.Scenario` plus streaming knobs
@@ -9,25 +9,19 @@ compile the scenario, drive its substrate in segment mode through an
 differentiation policy on/off at the scheduled intervals), feed the
 chunks to a :class:`~repro.streaming.monitor.NeutralityMonitor`, and
 condense the result into a compact :class:`MonitorOutcome`.
-
-:class:`MonitorFleet` fans tasks over
-:class:`~repro.experiments.sweep.SweepRunner`'s process pool with the
-same deterministic per-task seeding and on-disk memoization the
-figure sweeps use — monitoring N scenarios costs N/workers wall
-time, and re-running a fleet replays finished timelines from cache.
+``repro monitor`` runs one task this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.core.network import LinkSeq
 from repro.exceptions import ConfigurationError
-from repro.experiments.sweep import SweepPoint, SweepRunner, SweepStats
 from repro.streaming.monitor import ChangePoint, NeutralityMonitor
 from repro.streaming.stream import EmulationStream
 from repro.substrate.scenario import Scenario, compile_scenario
@@ -148,7 +142,7 @@ def _outcome_from_report(
     num_intervals: int,
 ) -> MonitorOutcome:
     """Condense a :class:`~repro.streaming.monitor.MonitorReport`
-    into the fleet's compact outcome."""
+    into the task's compact outcome."""
     delay = None
     if task.onset_interval is not None:
         truth_cols = [
@@ -183,8 +177,7 @@ def _outcome_from_report(
 
 
 def run_monitor_task(seed: int, task: MonitorTask) -> MonitorOutcome:
-    """Execute one monitoring task end to end (module-level, so the
-    fleet can dispatch it through a process pool)."""
+    """Execute one monitoring task end to end."""
     with telemetry.span(
         "monitor.task", name=task.name,
         substrate=task.scenario.substrate, seed=seed,
@@ -208,7 +201,7 @@ def _run_monitor_task(seed: int, task: MonitorTask) -> MonitorOutcome:
         chunk_intervals=task.chunk_intervals,
         switches=switches,
         # The monitor consumes only the chunks; dropping the
-        # ground-truth history keeps long fleet runs' memory bounded.
+        # ground-truth history keeps long runs' memory bounded.
         keep_ground_truth=False,
     )
     inference_net = measured_subnetwork(
@@ -230,111 +223,3 @@ def _run_monitor_task(seed: int, task: MonitorTask) -> MonitorOutcome:
         report,
         monitor.stats.num_intervals,
     )
-
-
-def monitor_sweep_point(task: MonitorTask) -> SweepPoint:
-    """Lower one task to its sweep point (shared by the dense fleet
-    and the adaptive detection-delay search, so both key the cache
-    identically)."""
-    return SweepPoint(
-        key=task.name,
-        func=run_monitor_task,
-        kwargs={"task": task},
-        substrate=task.scenario.substrate,
-    )
-
-
-class MonitorFleet:
-    """Monitor many scenarios concurrently, with caching.
-
-    Every task runs through :func:`run_monitor_task`, the executor
-    ``repro monitor`` uses, one task per worker dispatch. The fleet's
-    worker pool stays warm across :meth:`run` calls and adaptive
-    waves until :meth:`close`.
-
-    Args:
-        base_seed: Folded into every task's derived seed.
-        workers: Process count (1 = run inline).
-        cache_dir: Outcome cache directory (``None`` disables).
-    """
-
-    def __init__(
-        self,
-        base_seed: int = 1,
-        workers: int = 1,
-        cache_dir: Optional[str] = None,
-    ) -> None:
-        self._runner = SweepRunner(
-            base_seed=base_seed,
-            workers=workers,
-            cache_dir=cache_dir,
-        )
-
-    @property
-    def stats(self) -> SweepStats:
-        return self._runner.stats
-
-    def close(self) -> None:
-        """Shut the fleet's warm worker pool down (idempotent)."""
-        self._runner.close()
-
-    def __enter__(self) -> "MonitorFleet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def run(
-        self, tasks: Sequence[MonitorTask]
-    ) -> Dict[str, MonitorOutcome]:
-        """Run every task; returns ``{name: outcome}`` in task order."""
-        with telemetry.span("monitor.fleet", tasks=len(tasks)):
-            return self._runner.run(
-                [monitor_sweep_point(task) for task in tasks]
-            )
-
-    def run_adaptive(
-        self,
-        axes,
-        task_factory,
-        refinable=None,
-        budget: Optional[int] = None,
-        coarse_step=None,
-    ):
-        """Localize detection-delay contours over a scenario lattice.
-
-        Args:
-            axes: :class:`~repro.experiments.adaptive.GridAxis`
-                lattice over scenario knobs.
-            task_factory: ``factory({axis: value}) -> MonitorTask``;
-                must produce the same task a dense fleet over the
-                lattice would run (shared cache digests).
-            refinable: Cell labeling; defaults to
-                :class:`~repro.experiments.adaptive.
-                DetectionDelayContour` (refine where detectability —
-                or a delay band — flips between neighbours).
-            budget: Max monitored scenarios, cache hits included.
-            coarse_step: Initial lattice stride (see
-                :class:`~repro.experiments.adaptive.AdaptiveSweep`).
-
-        Returns:
-            The :class:`~repro.experiments.adaptive.AdaptiveResult`;
-            ``results`` values are ordinary
-            :class:`MonitorOutcome`\\ s.
-        """
-        from repro.experiments.adaptive import (
-            AdaptiveSweep,
-            DetectionDelayContour,
-        )
-
-        sweep = AdaptiveSweep(
-            self._runner,
-            axes,
-            lambda values: monitor_sweep_point(task_factory(values)),
-            refinable
-            if refinable is not None
-            else DetectionDelayContour(),
-            budget=budget,
-            coarse_step=coarse_step,
-        )
-        return sweep.run()

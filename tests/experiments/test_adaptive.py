@@ -14,9 +14,9 @@ driver's contract):
   dropped cells, never silently truncated.
 """
 
+import math
 import pickle
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Tuple
 
 import pytest
@@ -26,16 +26,13 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.adaptive import (
     AdaptiveSweep,
     Cell,
-    DetectionDelayContour,
     GridAxis,
     PlanePointFactory,
-    ScoreBands,
-    VerdictFlip,
+    PlanePointResult,
     _pow2_divisor,
     cell_bounds,
-    calibrate_fluid_to_packet,
     plane_axes,
-    plane_refinable,
+    plane_label,
     run_plane_batch,
     run_plane_frontier,
 )
@@ -91,8 +88,8 @@ def _axes(rows):
     )
 
 
-def _bands():
-    return ScoreBands(thresholds=(0.5,), getter=float)
+def _label(result):
+    return int(result >= 0.5)
 
 
 def _sweep(t_indices, runner=None, batch=False, **kwargs):
@@ -103,7 +100,7 @@ def _sweep(t_indices, runner=None, batch=False, **kwargs):
         runner if runner is not None else SweepRunner(base_seed=5),
         _axes(len(t_indices)),
         _StepFactory(thresholds, batch=batch),
-        _bands(),
+        _label,
         **kwargs,
     )
 
@@ -179,29 +176,36 @@ class TestValidation:
         runner = SweepRunner()
         factory = _StepFactory((0.5,))
         with pytest.raises(ConfigurationError):
-            AdaptiveSweep(runner, (), factory, _bands())
+            AdaptiveSweep(runner, (), factory, _label)
         with pytest.raises(ConfigurationError):
             AdaptiveSweep(
                 runner,
                 (GridAxis("y", (1.0, 2.0), refine=False),),
                 factory,
-                _bands(),
+                _label,
             )
         with pytest.raises(ConfigurationError):
             AdaptiveSweep(
                 runner,
                 (GridAxis("x", X_VALUES), GridAxis("x", X_VALUES)),
                 factory,
-                _bands(),
+                _label,
             )
 
-    def test_coarse_step_must_be_pow2_dividing_span(self):
-        with pytest.raises(ConfigurationError):
-            _sweep((4,), coarse_step=3)  # not a power of two
-        with pytest.raises(ConfigurationError):
-            _sweep((4,), coarse_step=32)  # does not divide 16
-        _sweep((4,), coarse_step=4)  # ok
-        _sweep((4,), coarse_step={"x": 2})  # per-axis mapping ok
+    def test_coarse_step_is_capped_pow2_divisor_of_span(self):
+        """Refined axes start at the largest power of two dividing
+        their span, capped at 8; scan axes at 0."""
+        assert _sweep((4,)).coarse == (8, 0)  # span 16
+        sweep = AdaptiveSweep(
+            SweepRunner(),
+            (
+                GridAxis("x", tuple(float(i) for i in range(13))),
+                GridAxis("z", (0.0, 1.0, 2.0, 3.0)),
+            ),
+            _StepFactory((0.5,)),
+            _label,
+        )
+        assert sweep.coarse == (4, 1)  # spans 12 and 3
 
     def test_budget_validation(self):
         with pytest.raises(ConfigurationError):
@@ -209,49 +213,6 @@ class TestValidation:
         # A budget below the coarse pass fails up front, loudly.
         with pytest.raises(ConfigurationError, match="coarse pass"):
             _sweep((4, 4), budget=3).run()
-
-    def test_score_bands_validation(self):
-        with pytest.raises(ConfigurationError):
-            ScoreBands(thresholds=())
-        with pytest.raises(ConfigurationError):
-            ScoreBands(thresholds=(2.0, 1.0), getter=float)
-        with pytest.raises(ConfigurationError):
-            ScoreBands(thresholds=(1.0,))  # neither attr nor getter
-        with pytest.raises(ConfigurationError):
-            ScoreBands(
-                thresholds=(1.0,), attr="score", getter=float
-            )  # both
-
-
-class TestRefinables:
-    def test_verdict_flip_dotted_path(self):
-        flip = VerdictFlip("outcome.verdict_non_neutral")
-        hit = SimpleNamespace(
-            outcome=SimpleNamespace(verdict_non_neutral=True)
-        )
-        miss = SimpleNamespace(
-            outcome=SimpleNamespace(verdict_non_neutral=False)
-        )
-        assert flip.label("k", hit) == 1
-        assert flip.label("k", miss) == 0
-
-    def test_score_bands_banding(self):
-        bands = ScoreBands(thresholds=(1.0, 3.0), attr="score")
-        assert bands.label("k", SimpleNamespace(score=0.5)) == 0
-        assert bands.label("k", SimpleNamespace(score=2.0)) == 1
-        assert bands.label("k", SimpleNamespace(score=9.0)) == 2
-
-    def test_detection_delay_contour(self):
-        contour = DetectionDelayContour(thresholds=(10, 20))
-        never = SimpleNamespace(detection_delay_intervals=None)
-        fast = SimpleNamespace(detection_delay_intervals=5)
-        mid = SimpleNamespace(detection_delay_intervals=15)
-        slow = SimpleNamespace(detection_delay_intervals=25)
-        assert contour.label("k", never) == 0
-        assert contour.label("k", fast) == 1
-        assert contour.label("k", mid) == 2
-        assert contour.label("k", slow) == 3
-
 
 # --- frontier equivalence with the dense grid ------------------------
 
@@ -469,22 +430,6 @@ class TestPlaneFactory:
         assert point.batch_group is None
         assert point.substrate == "packet"
 
-    def test_fixed_values_reach_key_and_kwargs(self):
-        factory = PlanePointFactory(
-            settings=PLANE_SETTINGS,
-            fixed=(
-                ("policing_rate", 0.08),
-                ("capacity_mbps", 100.0),
-            ),
-        )
-        point = factory({"burst_seconds": 0.125})
-        assert point.key == (
-            "plane/burst_seconds=0.125/capacity_mbps=100/"
-            "policing_rate=0.08"
-        )
-        assert point.kwargs["policing_rate"] == 0.08
-        assert point.kwargs["burst_seconds"] == 0.125
-
     def test_plane_axes_shape(self):
         rate_axis, noise_axis = plane_axes(
             rate_points=9, noise_points=3
@@ -496,6 +441,35 @@ class TestPlaneFactory:
         assert noise_axis.values == (40.0, 80.0, 120.0)
         with pytest.raises(ConfigurationError):
             plane_axes(rate_points=1)
+
+    def test_packet_digest_differs_from_fluid(self):
+        values = {"policing_rate": 0.08, "capacity_mbps": 100.0}
+        packet = PlanePointFactory(
+            settings=PLANE_SETTINGS, substrate="packet"
+        )(values)
+        fluid = PlanePointFactory(settings=PLANE_SETTINGS)(values)
+        assert packet.key == fluid.key
+        assert packet.spec_digest(1, "") != fluid.spec_digest(1, "")
+
+    def test_plane_label_bands_the_truth_score(self):
+        """1 from ``PLANE_SCORE_THRESHOLD`` (1.0) up, else 0; a NaN
+        score lands in band 1, where ``bisect_right`` places it."""
+
+        def label(score):
+            return plane_label(
+                PlanePointResult(
+                    verdict_non_neutral=False,
+                    truth_score=score,
+                    max_score=score,
+                    identified=(),
+                )
+            )
+
+        assert label(0.0) == 0
+        assert label(0.999) == 0
+        assert label(1.0) == 1
+        assert label(4.0) == 1
+        assert label(math.nan) == 1
 
 
 class TestRealPlane:
@@ -518,7 +492,7 @@ class TestRealPlane:
             SweepRunner.for_settings(PLANE_SETTINGS, cache_dir=cache),
             plane_axes(rate_points=9, noise_points=2),
             PlanePointFactory(settings=PLANE_SETTINGS),
-            plane_refinable(),
+            plane_label,
         )
         dense_runner = sweep.runner
         dense = dense_runner.run(sweep.dense_points())
@@ -529,146 +503,12 @@ class TestRealPlane:
             assert pickle.dumps(dense[key]) == pickle.dumps(result)
         # ...and the dense labels confirm every refined cell: its
         # corners really disagree on the dense grid.
-        refinable = plane_refinable()
         for cell in adaptive.frontier:
             labels = {
-                refinable.label(
-                    sweep.point_at(corner).key,
-                    dense[sweep.point_at(corner).key],
-                )
+                plane_label(dense[sweep.point_at(corner).key])
                 for corner in cell.corners()
             }
             assert len(labels) > 1, cell
-
-
-class TestCalibration:
-    def test_fits_fluid_to_packet_reference(self, tmp_path):
-        result = calibrate_fluid_to_packet(
-            PLANE_SETTINGS,
-            axes=(
-                GridAxis(
-                    "burst_seconds",
-                    tuple(0.02 + 0.07 * i for i in range(5)),
-                ),
-            ),
-            policing_rate=0.08,
-            cache_dir=str(tmp_path / "cache"),
-        )
-        assert result.reference_key.startswith("plane/")
-        assert set(result.best_values) == {"burst_seconds"}
-        assert result.best_objective == min(
-            result.objectives.values()
-        )
-        assert result.best_objective == pytest.approx(
-            abs(
-                result.adaptive.results[result.best_key].truth_score
-                - result.reference_score
-            )
-        )
-        assert "calibration:" in result.summary()
-
-    def test_packet_reference_digest_differs_from_fluid(self):
-        fixed = (
-            ("policing_rate", 0.08),
-            ("capacity_mbps", 100.0),
-        )
-        packet = PlanePointFactory(
-            settings=PLANE_SETTINGS, substrate="packet", fixed=fixed
-        )({})
-        fluid = PlanePointFactory(
-            settings=PLANE_SETTINGS, substrate="fluid", fixed=fixed
-        )({})
-        assert packet.key == fluid.key
-        assert packet.spec_digest(1, "") != fluid.spec_digest(1, "")
-
-
-# --- topology-B frontier wiring --------------------------------------
-
-class TestTopologyBFrontier:
-    def test_digests_interchange_with_dense_sweep_rep0(self):
-        """A frontier visit at rate r keys the cache exactly like
-        ``run_topology_b_sweep``'s first repetition at r (batch hooks
-        differ, but they are digest-exempt by design)."""
-        from repro.experiments.topology_b import (
-            run_topology_b_point,
-            run_topology_b_rate_batch,
-            topology_b_rate_point,
-        )
-
-        settings = EmulationSettings(
-            duration_seconds=10.0, warmup_seconds=2.0, seed=1
-        )
-        frontier_point = topology_b_rate_point(settings)(
-            {"policing_rate": 0.15}
-        )
-        dense_point = SweepPoint(
-            key="topoB/rate0.15/rep0",
-            func=run_topology_b_point,
-            kwargs={
-                "settings": settings,
-                "policing_rate": 0.15,
-                "substrate": "fluid",
-            },
-            substrate="fluid",
-            batch_func=run_topology_b_rate_batch,
-            batch_group="topoB/rate0.15/fluid/x",
-        )
-        assert frontier_point.key == dense_point.key
-        assert frontier_point.spec_digest(
-            7, ""
-        ) == dense_point.spec_digest(7, "")
-
-    def test_uniform_verdict_stops_at_endpoints(self, tmp_path):
-        """At this scale every valid rate is detected, so the lattice
-        is label-uniform: the frontier run must stop after the coarse
-        endpoints — and still warm the dense sweep's rep-0 cache."""
-        from repro.experiments.topology_b import (
-            run_topology_b_frontier,
-            run_topology_b_point,
-        )
-
-        settings = EmulationSettings(
-            duration_seconds=10.0, warmup_seconds=2.0, seed=1
-        )
-        cache = str(tmp_path / "cache")
-        result = run_topology_b_frontier(
-            (0.05, 0.15, 0.25, 0.35, 0.45),
-            settings=settings,
-            cache_dir=cache,
-        )
-        assert result.evaluated == 2  # endpoints only
-        assert result.frontier == ()
-        assert sorted(result.keys.values()) == [
-            "topoB/rate0.05/rep0",
-            "topoB/rate0.45/rep0",
-        ]
-        assert all(label == 1 for label in result.labels.values())
-        # Cache interchange with the repetition sweep, end to end:
-        # rep 0 of a dense sweep at a visited rate replays from the
-        # frontier run's cache without re-emulating.
-        from repro.experiments.topology_b import run_topology_b_rate_batch
-
-        rep0 = SweepPoint(
-            key="topoB/rate0.05/rep0",
-            func=run_topology_b_point,
-            kwargs={
-                "settings": settings,
-                "policing_rate": 0.05,
-                "substrate": "fluid",
-            },
-            substrate="fluid",
-            batch_func=run_topology_b_rate_batch,
-            batch_group="topoB/rate0.05/fluid/x",
-        )
-        runner = SweepRunner.for_settings(settings, cache_dir=cache)
-        replayed = runner.run([rep0])
-        assert runner.stats.cache_hits == 1
-        assert runner.stats.executed == 0
-        frontier_report = result.results["topoB/rate0.05/rep0"]
-        assert (
-            replayed[rep0.key].outcome.algorithm.scores
-            == frontier_report.outcome.algorithm.scores
-        )
 
 
 class TestPersistentPool:

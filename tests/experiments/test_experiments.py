@@ -151,16 +151,18 @@ class TestRunner:
 
 
 class TestTopologyBBatchedSweep:
-    def test_batched_repetitions_match_unbatched(self):
-        """Topology-B repetitions share everything but the seed, so
-        they run as one scenario batch — which must reproduce the
-        one-at-a-time sweep report for report."""
+    def test_batched_points_match_unbatched(self):
+        """Topology-B sweep points that differ only in rate and seed
+        run as one scenario batch — which must reproduce the
+        one-at-a-time (``batch_size=1``) sweep report for report."""
         import numpy as np
         from dataclasses import replace
 
+        from repro.experiments.sweep import SweepPoint, SweepRunner
         from repro.experiments.topology_b import (
             TOPOLOGY_B_SETTINGS,
-            run_topology_b_sweep,
+            run_topology_b_point,
+            run_topology_b_rate_batch,
         )
 
         quick = replace(
@@ -168,11 +170,25 @@ class TestTopologyBBatchedSweep:
             duration_seconds=15.0,
             warmup_seconds=2.0,
         )
-        plain = run_topology_b_sweep(
-            repetitions=2, settings=quick, batch_size=1
-        )
-        batched = run_topology_b_sweep(repetitions=2, settings=quick)
-        for a, b in zip(plain, batched):
+        points = [
+            SweepPoint(
+                key=f"topoB/rate{rate}/rep{rep}",
+                func=run_topology_b_point,
+                kwargs={"settings": quick, "policing_rate": rate},
+                batch_func=run_topology_b_rate_batch,
+                batch_group="topoB/test",
+            )
+            for rep, rate in enumerate((0.15, 0.25))
+        ]
+        plain_runner = SweepRunner.for_settings(quick, batch_size=1)
+        plain = plain_runner.run(points)
+        batched_runner = SweepRunner.for_settings(quick)
+        batched = batched_runner.run(points)
+        assert plain_runner.stats.batches == 0
+        assert batched_runner.stats.batches == 1
+        assert batched_runner.stats.batched_points == len(points)
+        for point in points:
+            a, b = plain[point.key], batched[point.key]
             assert a.ground_truth == b.ground_truth
             assert a.outcome.observations == b.outcome.observations
             assert (

@@ -239,6 +239,24 @@ class TestCli:
         assert "frontier" in out
         assert "policing_rate" in out
 
+    def test_sweep_adaptive_budget_runs_out_mid_refinement(self, capsys):
+        """A budget that covers the coarse pass but not the whole
+        refinement still exits 0, with the frontier marked partial."""
+        with pytest.warns(RuntimeWarning, match="partial"):
+            code = main(
+                [
+                    "sweep",
+                    "--adaptive",
+                    "--resolution", "8",
+                    "--duration", "6",
+                    "--budget", "22",
+                ]
+            )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "budget 22/22" in out
+        assert "frontier is PARTIAL" in out
+
     def test_sweep_budget_requires_adaptive(self, capsys):
         code = main(["sweep", "--sets", "6", "--budget", "10"])
         assert code == 2

@@ -13,7 +13,6 @@ from repro.fluid.params import (
     ShaperSpec,
     mb_to_packets,
     mbps_to_pps,
-    uniform_workload,
 )
 from repro.fluid.tcp import (
     CUBIC_BETA,
@@ -22,6 +21,7 @@ from repro.fluid.tcp import (
     MIN_WINDOW,
     TcpState,
 )
+from repro.workloads.profiles import class_workload
 
 
 class TestUnits:
@@ -88,8 +88,8 @@ class TestSpecs:
         with pytest.raises(ConfigurationError, match="finite"):
             cls(**{field: value})
 
-    def test_uniform_workload(self):
-        wl = uniform_workload(["p1", "p2"], flows_per_path=3)
+    def test_class_workload(self):
+        wl = class_workload(["p1", "p2"], mean_size_mb=10.0, flows_per_path=3)
         assert set(wl) == {"p1", "p2"}
         assert len(wl["p1"].slots) == 3
 

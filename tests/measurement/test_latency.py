@@ -137,11 +137,12 @@ class TestEndToEndLatencyInference:
 
 class TestFluidRttTrace:
     def test_engine_records_rtt(self):
-        from repro.fluid import FluidNetwork, uniform_workload
+        from repro.fluid import FluidNetwork
         from repro.topology.dumbbell import build_dumbbell
+        from repro.workloads.profiles import class_workload
 
         topo = build_dumbbell()
-        wl = uniform_workload(
+        wl = class_workload(
             topo.network.path_ids,
             flows_per_path=5,
             mean_size_mb=10,

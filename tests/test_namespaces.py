@@ -18,8 +18,11 @@ import repro
 
 SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
-# Each package's ``__all__`` as it stood with eager re-exports (sorted;
-# ``repro.telemetry.count_rng`` has since been deleted).
+# Each package's ``__all__`` as it stood with eager re-exports (sorted),
+# minus the names deleted since: ``repro.telemetry.count_rng``; the
+# adaptive calibration, the three refinable labelings and the
+# topology-B frontier/sweep runners of ``repro.experiments``;
+# ``repro.fluid.uniform_workload``; ``repro.streaming.MonitorFleet``.
 FROZEN_ALL = {
     "repro": (
         "AlgorithmResult", "ClassAssignment", "Network", "NetworkPerformance",
@@ -63,20 +66,18 @@ FROZEN_ALL = {
         "PacketResult", "greedy_admission",
     ),
     "repro.experiments": (
-        "AdaptiveResult", "AdaptiveSweep", "CalibrationResult", "Cell",
-        "DetectionDelayContour", "EmulationSettings", "ExperimentOutcome",
-        "GridAxis", "PlanePointFactory", "PlanePointResult", "ScoreBands",
-        "SequenceEstimates", "SweepPoint", "SweepRunner", "SweepStats",
-        "TABLE2_SETS", "TOPOLOGY_B_SETTINGS", "TopologyAExperiment",
-        "TopologyBReport", "VerdictFlip", "build_experiment",
-        "calibrate_fluid_to_packet", "cell_bounds", "derive_seed",
-        "experiment_values", "measured_subnetwork", "plane_axes",
-        "render_adaptive_frontier", "render_ground_truth",
-        "render_path_congestion", "render_queue_traces", "render_sequences",
-        "render_sweep_summary", "render_verdict", "run_experiment",
-        "run_full_set", "run_plane_frontier", "run_topology_a",
-        "run_topology_b", "run_topology_b_frontier", "run_topology_b_point",
-        "run_topology_b_sweep", "sweep_points", "table3_workloads",
+        "AdaptiveResult", "AdaptiveSweep", "Cell", "EmulationSettings",
+        "ExperimentOutcome", "GridAxis", "PlanePointFactory",
+        "PlanePointResult", "SequenceEstimates", "SweepPoint", "SweepRunner",
+        "SweepStats", "TABLE2_SETS", "TOPOLOGY_B_SETTINGS",
+        "TopologyAExperiment", "TopologyBReport", "build_experiment",
+        "cell_bounds", "derive_seed", "experiment_values",
+        "measured_subnetwork", "plane_axes", "render_adaptive_frontier",
+        "render_ground_truth", "render_path_congestion",
+        "render_queue_traces", "render_sequences", "render_sweep_summary",
+        "render_verdict", "run_experiment", "run_full_set",
+        "run_plane_frontier", "run_topology_a", "run_topology_b",
+        "run_topology_b_point", "sweep_points", "table3_workloads",
     ),
     "repro.fluid": (
         "AqmSpec", "DEFAULT_DT", "DEFAULT_INTERVAL", "ENGINE_VERSION",
@@ -84,7 +85,7 @@ FROZEN_ALL = {
         "FluidNetwork", "FluidResult", "LinkSpec", "MSS_BITS", "PathWorkload",
         "PolicerSpec", "ShaperSpec", "TcpState", "WeightedShaperSpec",
         "build_slots", "mb_to_packets", "mbps_to_pps",
-        "sample_flow_size_packets", "sample_gap_seconds", "uniform_workload",
+        "sample_flow_size_packets", "sample_gap_seconds",
     ),
     "repro.measurement": (
         "ClusterSplit", "DEFAULT_DEFINITE", "DEFAULT_LOSS_THRESHOLD",
@@ -98,10 +99,9 @@ FROZEN_ALL = {
         "synthesize_records", "threshold_decider", "two_means_split",
     ),
     "repro.streaming": (
-        "ChangePoint", "EmulationStream", "MonitorFleet", "MonitorOutcome",
-        "MonitorReport", "MonitorTask", "NeutralityMonitor", "RecordStream",
-        "ReplayStream", "SlidingWindowStats", "WindowVerdict",
-        "run_monitor_task",
+        "ChangePoint", "EmulationStream", "MonitorOutcome", "MonitorReport",
+        "MonitorTask", "NeutralityMonitor", "RecordStream", "ReplayStream",
+        "SlidingWindowStats", "WindowVerdict", "run_monitor_task",
     ),
     "repro.substrate": (
         "CompiledScenario", "DEFAULT_DELAY_SECONDS", "DifferentiationPolicy",

@@ -14,8 +14,10 @@ driver's contract):
   dropped cells, never silently truncated.
 """
 
+import inspect
 import math
 import pickle
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -35,6 +37,7 @@ from repro.experiments.adaptive import (
     plane_label,
     run_plane_batch,
     run_plane_frontier,
+    run_plane_point,
 )
 from repro.experiments.config import EmulationSettings
 from repro.experiments.sweep import SweepPoint, SweepRunner
@@ -90,6 +93,35 @@ def _axes(rows):
 
 def _label(result):
     return int(result >= 0.5)
+
+
+def _band_point(x, y, thresholds, seed):
+    """Per-row staircase: the number of the row's thresholds at or
+    left of ``x`` (0, 1 or 2)."""
+    return float(sum(x >= t for t in thresholds[int(y)]))
+
+
+@dataclass(frozen=True)
+class _BandFactory:
+    """Synthetic staircase factory: row ``r`` steps up at each of
+    ``thresholds[r]``."""
+
+    thresholds: Tuple[Tuple[float, ...], ...]
+
+    def __call__(self, values) -> SweepPoint:
+        return SweepPoint(
+            key=f"band/x={values['x']:.8g}/y={values['y']:.8g}",
+            func=_band_point,
+            kwargs={
+                "x": values["x"],
+                "y": values["y"],
+                "thresholds": self.thresholds,
+            },
+        )
+
+
+def _band_label(result):
+    return bisect_right((0.5, 1.5), result)
 
 
 def _sweep(t_indices, runner=None, batch=False, **kwargs):
@@ -207,6 +239,15 @@ class TestValidation:
         )
         assert sweep.coarse == (4, 1)  # spans 12 and 3
 
+    def test_sweep_signature(self):
+        """The label is a plain callable; the budget is the only
+        option."""
+        params = inspect.signature(AdaptiveSweep.__init__).parameters
+        assert list(params) == [
+            "self", "runner", "axes", "point_factory", "label", "budget",
+        ]
+        assert params["budget"].default is None
+
     def test_budget_validation(self):
         with pytest.raises(ConfigurationError):
             _sweep((4,), budget=0)
@@ -261,6 +302,51 @@ class TestFrontierEquivalence:
         assert len(result.waves) == 1
         # 3 coarse x stations (0, 8, 16) per row.
         assert result.evaluated == 6
+
+    @hyp_settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=len(X_VALUES)),
+                min_size=2,
+                max_size=2,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_multi_band_label_refines_every_boundary(self, rows):
+        """A label with more than two values (a two-threshold band
+        rule over a staircase field) refines every cell whose corner
+        bands differ: the frontier is the dense grid's, both steps of
+        each row included."""
+        thresholds = tuple(
+            tuple(t - 0.5 for t in sorted(row)) for row in rows
+        )
+        result = AdaptiveSweep(
+            SweepRunner(base_seed=5),
+            _axes(len(rows)),
+            _BandFactory(thresholds),
+            _band_label,
+        ).run()
+
+        def band(ix, iy):
+            return _band_label(
+                _band_point(X_VALUES[ix], iy, thresholds, seed=0)
+            )
+
+        dense = tuple(
+            sorted(
+                Cell(origin=(ix, iy), step=(1, 0))
+                for iy in range(len(rows))
+                for ix in range(len(X_VALUES) - 1)
+                if band(ix, iy) != band(ix + 1, iy)
+            )
+        )
+        assert result.frontier == dense
+        assert not result.dropped
+        for (ix, iy), label in result.labels.items():
+            assert label == band(ix, iy)
 
     def test_frontier_bounds_in_parameter_space(self):
         result = _sweep((4,)).run()
@@ -451,6 +537,60 @@ class TestPlaneFactory:
         assert packet.key == fluid.key
         assert packet.spec_digest(1, "") != fluid.spec_digest(1, "")
 
+    #: ``spec_digest(1, "")`` of plane points at capacity 80 Mb/s, as
+    #: caches already on disk hold them: a change here turns every
+    #: cached plane point into a miss. Only a deliberate cache break
+    #: (an engine version bump changes the substrate's cache tag)
+    #: may update them. Keyed by (settings, substrate, policing rate).
+    FROZEN_DIGESTS = {
+        ("cli", "fluid", 0.02): "abe33b1374dbcda3d567c0f5f4a877a0"
+        "bdf71f6f7f733bb413eb02d3909b3626",
+        ("cli", "fluid", 0.16): "1dcb0c3d5d8ef38cc5bb20ed1d9a3ee5"
+        "c134e2c96e17238bade2f4e0f4847d3d",
+        ("cli", "fluid", 0.3): "2a65d4113093d77e714e9acc6794f221"
+        "e7fd40a240f80bd2ee4e67780ef22fcc",
+        ("default", "fluid", 0.02): "1e856f6b1ef82b80663898e10c0569e9"
+        "78e04af670f712c1e14740be8d6d8663",
+        ("default", "fluid", 0.16): "a783eeb2d1c2991719a4bdef121b2008"
+        "599a526b1128f0a860ff15bf1cbb9455",
+        ("default", "fluid", 0.3): "f1e4bdeb7f258fffc440bfa28009bc5f"
+        "2d3a312a0b58217efae8005ecd9e8595",
+        ("cli", "packet", 0.02): "924bb9f7f7fd8136192478c9df4b1d94"
+        "8c113fefa7d586366587704e6b2294e0",
+        ("cli", "packet", 0.16): "b531784d36f8949eb6ef97300b9f87a6"
+        "99efdb693311cb864bdfa372ab2c60a9",
+        ("cli", "packet", 0.3): "3c9f6a83b6da4a293164c2fd9327ae18"
+        "a82205fb1ec59078bb76012220c0586c",
+        ("default", "packet", 0.02): "5242962f923b1ff71a5f0da17c945942"
+        "26be9f49427bb1c0bfac0e1803538afb",
+        ("default", "packet", 0.16): "afeef742cca6613ae0fd6e488bb53934"
+        "f5a034d3c27c15b4653cd06683ab4c1e",
+        ("default", "packet", 0.3): "04cbb631c6d28906e9134c2376f13ba5"
+        "61289ea120da1b1f4b92e8ee16fad15e",
+    }
+
+    @pytest.mark.parametrize("substrate", ["fluid", "packet"])
+    def test_spec_digests_are_frozen(self, substrate):
+        """Plane points hash as before, on the lattice values
+        ``plane_axes()`` emits: the ``sweep --adaptive --duration 6
+        --seed 3`` settings and the defaults."""
+        settings = {
+            "cli": EmulationSettings(duration_seconds=6.0, seed=3),
+            "default": EmulationSettings(),
+        }
+        rate_axis, capacity_axis = plane_axes()
+        assert 80.0 in capacity_axis.values
+        for (name, sub, rate), digest in self.FROZEN_DIGESTS.items():
+            if sub != substrate:
+                continue
+            [value] = [
+                v for v in rate_axis.values if v == pytest.approx(rate)
+            ]
+            point = PlanePointFactory(
+                settings=settings[name], substrate=substrate
+            )({"policing_rate": value, "capacity_mbps": 80.0})
+            assert point.spec_digest(1, "") == digest, (name, rate)
+
     def test_plane_label_bands_the_truth_score(self):
         """1 from ``PLANE_SCORE_THRESHOLD`` (1.0) up, else 0; a NaN
         score lands in band 1, where ``bisect_right`` places it."""
@@ -470,6 +610,37 @@ class TestPlaneFactory:
         assert label(1.0) == 1
         assert label(4.0) == 1
         assert label(math.nan) == 1
+
+
+class TestPlaneExecutors:
+    @pytest.mark.parametrize("substrate", ["fluid", "packet"])
+    def test_point_is_a_one_member_batch(self, substrate):
+        """``run_plane_point`` and a one-member ``run_plane_batch``
+        give the same result, bit for bit."""
+        kwargs = {
+            "settings": PLANE_SETTINGS,
+            "policing_rate": 0.1,
+            "capacity_mbps": 80.0,
+            "substrate": substrate,
+        }
+        point = run_plane_point(4, **kwargs)
+        [batched] = run_plane_batch([4], [kwargs])
+        assert pickle.dumps(point) == pickle.dumps(batched)
+        assert point.identified  # a real emulation, policing seen
+
+    def test_batch_rejects_mixed_settings(self):
+        """Batched points may differ only in rate and capacity."""
+        base = {
+            "settings": PLANE_SETTINGS,
+            "policing_rate": 0.1,
+            "capacity_mbps": 80.0,
+            "substrate": "fluid",
+        }
+        other = dict(base, settings=PLANE_SETTINGS.with_seed(4))
+        with pytest.raises(ConfigurationError, match="must share"):
+            run_plane_batch([1, 2], [base, other])
+        with pytest.raises(ConfigurationError, match="must share"):
+            run_plane_batch([1, 2], [base, dict(base, substrate="packet")])
 
 
 class TestRealPlane:

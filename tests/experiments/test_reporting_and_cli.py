@@ -257,6 +257,62 @@ class TestCli:
         assert "budget 22/22" in out
         assert "frontier is PARTIAL" in out
 
+    #: ``sweep --adaptive --resolution 8 --duration 6 --seed 3``: the
+    #: frontier table and summary lines (timings aside).
+    ADAPTIVE_TABLE = (
+        "policing_rate  capacity_mbps\n"
+        "-------------  -------------\n"
+        "0.055..0.09    80\n"
+        "0.055..0.09    100\n"
+        "0.055..0.09    120\n"
+        "0.09..0.125    40\n"
+        "0.09..0.125    60\n"
+        "adaptive sweep: 25/45 lattice points (55.6% of dense), "
+        "4 wave(s)\n"
+        "frontier: 5 cell(s) at grid-step resolution\n"
+    )
+    ADAPTIVE_ARGS = [
+        "sweep", "--adaptive", "--resolution", "8",
+        "--duration", "6", "--seed", "3",
+    ]
+
+    def test_sweep_adaptive_output_is_stable(self, capsys):
+        assert main(self.ADAPTIVE_ARGS) == 0
+        out = capsys.readouterr().out
+        assert self.ADAPTIVE_TABLE in out
+        assert "cache: 0 hits, 25 misses;" in out
+
+    def test_sweep_adaptive_partial_output_is_stable(self, capsys):
+        with pytest.warns(RuntimeWarning, match="3 disagreeing"):
+            code = main(self.ADAPTIVE_ARGS + ["--budget", "22"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (
+            "policing_rate  capacity_mbps\n"
+            "-------------  -------------\n"
+            "0.055..0.09    80\n"
+            "0.055..0.09    100\n"
+            "adaptive sweep: 22/45 lattice points (48.9% of dense), "
+            "4 wave(s), budget 22/22\n"
+            "frontier: 2 cell(s) at grid-step resolution\n"
+            "budget exhausted: 3 disagreeing cell(s) dropped before "
+            "full refinement — frontier is PARTIAL\n"
+            "cache: 0 hits, 22 misses;"
+        ) in out
+
+    def test_sweep_adaptive_rerun_replays_from_cache(
+        self, capsys, tmp_path
+    ):
+        """A second run over the same cache evaluates nothing and
+        prints the same frontier."""
+        args = self.ADAPTIVE_ARGS + ["--cache", str(tmp_path / "c")]
+        assert main(args) == 0
+        assert "cache: 0 hits, 25 misses;" in capsys.readouterr().out
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert self.ADAPTIVE_TABLE in out
+        assert "cache: 25 hits, 0 misses;" in out
+
     def test_sweep_budget_requires_adaptive(self, capsys):
         code = main(["sweep", "--sets", "6", "--budget", "10"])
         assert code == 2

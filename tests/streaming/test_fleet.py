@@ -7,7 +7,11 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
-from repro.streaming.fleet import MonitorTask, run_monitor_task
+from repro.streaming.fleet import (
+    MonitorTask,
+    _compile_task,
+    run_monitor_task,
+)
 from repro.substrate.scenario import DifferentiationPolicy, Scenario
 
 QUICK = EmulationSettings(
@@ -87,6 +91,55 @@ class TestRunMonitorTask:
         first = run_monitor_task(2, task)
         _assert_same_outcome(run_monitor_task(2, task), first)
         _assert_same_outcome(run_monitor_task(2, reseeded), first)
+
+    def test_detection_delay_is_first_truth_flag_after_onset(self):
+        """The delay runs from the onset to the end of the first
+        window that flags a sequence through the policing link."""
+        outcome = run_monitor_task(1, _onset_task())
+        truth = [
+            k
+            for k, sigma in enumerate(outcome.sigmas)
+            if "l5" in sigma
+        ]
+        hits = np.flatnonzero(outcome.flagged[:, truth].any(axis=1))
+        assert hits.size  # the policer is caught
+        assert outcome.onset_interval == 50
+        assert outcome.detection_delay_intervals == (
+            outcome.window_ends[hits[0]] - 50
+        )
+        assert outcome.detection_delay_intervals > 0
+        assert outcome.verdict_non_neutral
+
+    def test_policed_from_the_start_has_no_delay(self):
+        """Without an onset there is nothing to time a delay from,
+        even when the policer is caught."""
+        outcome = run_monitor_task(
+            1,
+            MonitorTask(
+                name="always-policed",
+                scenario=POLICED,
+                chunk_intervals=25,
+                window_intervals=75,
+            ),
+        )
+        assert outcome.ground_truth_links == frozenset({"l5"})
+        assert outcome.verdict_non_neutral
+        assert outcome.onset_interval is None
+        assert outcome.detection_delay_intervals is None
+
+    def test_onset_and_offset_switch_the_policy(self):
+        """An onset/offset task starts neutral, switches the policed
+        link specs in at the onset and the neutral ones back at the
+        offset; the task's seed replaces the scenario's."""
+        task = replace(_onset_task(), offset_interval=100)
+        settings, compiled, start, switches = _compile_task(7, task)
+        assert settings.seed == 7
+        assert sorted(switches) == [50, 100]
+        assert switches[50] == compiled.link_specs
+        assert switches[100] == start
+        assert start != compiled.link_specs
+        assert start["l5"].policer is None
+        assert compiled.link_specs["l5"].policer is not None
 
     def test_out_of_range_switch_raises(self):
         """An onset beyond the stream end raises ConfigurationError

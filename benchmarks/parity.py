@@ -26,8 +26,12 @@ Algorithm 1/2 refactor is checked bit for bit as well. The
 ``monitor-*`` entries digest a ``NeutralityMonitor`` report on three
 synthesized record streams with a planted onset: the per-window
 scores, CUSUM flags, change points and identified sets, and the
-full-stream final verdict. The whole list runs in a few seconds on
-one core.
+full-stream final verdict. The ``slices-*`` entries digest the cold
+``build_slice_batch`` arrays (σ order, pairs, member layout, σ masks
+and the skipped sequences) of four fresh networks: the 8×13
+federated topology, a 2000-spoke star, a 300-hop chain of 400 paths
+and a random mesh. The whole list runs in well under a minute on one
+core.
 """
 
 import argparse
@@ -67,8 +71,10 @@ from repro.substrate.registry import get_substrate
 from repro.substrate.spec import LinkSpec
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
 from repro.topology.generators import (
+    chain_network,
     random_mesh_network,
     random_two_class_performance,
+    star_network,
 )
 from repro.topology.multi_isp import (
     build_federated_multi_isp,
@@ -436,6 +442,24 @@ def monitor_digest(net, data, window, stride, chunk):
     return h.hexdigest()
 
 
+#: The flat arrays of a :class:`SliceSystemBatch`.
+BATCH_FIELDS = (
+    "pair_a", "pair_b", "offsets", "la", "lb",
+    "member_rows", "member_offsets", "sigma_masks",
+)
+
+
+def slices_digest(net):
+    """SHA-256 over a cold ``build_slice_batch`` on a fresh network:
+    the candidate and skipped sequences, then every flat array."""
+    batch, skipped = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
+    h = hashlib.sha256()
+    h.update(repr((batch.sigmas, skipped)).encode())
+    for field in BATCH_FIELDS:
+        _update(h, field, getattr(batch, field))
+    return h.hexdigest()
+
+
 RUNS = {
     "dumbbell-neutral": lambda: _one_shot(None),
     "dumbbell-policing": lambda: result_digest(_policing_run()[1]),
@@ -474,6 +498,16 @@ RUNS = {
     ),
     "monitor-mesh-holes": lambda: monitor_digest(
         *_mesh_stream(), window=100, stride=25, chunk=40
+    ),
+    "slices-federated-8x13": lambda: slices_digest(
+        build_federated_multi_isp(8, 13).network
+    ),
+    "slices-star-2000": lambda: slices_digest(star_network(2000)),
+    "slices-chain-300x400": lambda: slices_digest(chain_network(300, 400)),
+    "slices-mesh": lambda: slices_digest(
+        random_mesh_network(
+            np.random.default_rng(SEED), num_stubs=12, extra_edges=6
+        )
     ),
 }
 

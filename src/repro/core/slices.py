@@ -23,9 +23,11 @@ numpy over the :class:`~repro.core.network.PathIndex` registry; since
 the sparse rewrite (DESIGN.md S20) the candidate pairs are enumerated
 per incidence *column* (``Paths(l)`` CSR) instead of over the dense
 ``P²`` triangle, and signatures are the bit-packed uint64 row ANDs.
-The cold pass runs in bounded blocks of columns and of σ groups
-(:data:`COLD_BLOCK`); the dense ``P²`` pass survives only as a test
-oracle. All candidate systems are scored at once with
+The cold pass groups the pairs one column at a time, each column
+emitting its σ groups already in final order, and lays the systems
+out in bounded blocks of σ groups (:data:`COLD_BLOCK`); the dense
+``P²`` pass survives only as a test oracle. All candidate systems
+are scored at once with
 one flat ``y_a + y_b − y_ab`` gather (:func:`batch_unsolvability`);
 :class:`SliceSystemBatch` materializes its per-σ :class:`SliceSystem`
 objects lazily so the ≥5k-path runs never build them. The pre-rewrite
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -56,9 +57,10 @@ from repro.core.network import (
     Network,
     PathIndex,
     make_linkseq,
+    pack_bool_rows,
 )
 from repro.core.pathsets import PathSet, PathSetFamily
-from repro.exceptions import SliceError
+from repro.exceptions import ConfigurationError, SliceError
 
 #: Column label of the logical link for σ in System 4.
 SIGMA_COLUMN = "<sigma>"
@@ -203,98 +205,12 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     )
 
 
-#: Leading zero bits of every byte value (8 for 0).
-_LEADING_ZEROS = np.array(
-    [8 - value.bit_length() for value in range(256)], dtype=np.intp
-)
-
-
-def _lowest_links(words: np.ndarray) -> np.ndarray:
-    """Column of the lowest set link of each (non-zero) packed row.
-
-    :func:`~repro.core.network.pack_bool_rows` stores link ``k`` in
-    byte ``k // 8``, most significant bit first, so the lowest link is
-    the first non-zero byte's position times 8 plus its leading zeros.
-    """
-    octets = words.view(np.uint8)
-    first = (octets != 0).argmax(axis=1)
-    lead = octets[np.arange(first.size), first]
-    return first * 8 + _LEADING_ZEROS[lead]
-
-
-def _group_pairs(
-    index: PathIndex,
-    blocks: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> _PairGroups:
-    """Group sharing pairs by signature and sort the groups by σ.
-
-    ``blocks`` yields ``(a, b, words)``: pair rows (``a < b``) and
-    their ``(n, W)`` bit-packed shared-link signatures. Every pair
-    must share ≥ 1 link and appear in exactly one block, and all pairs
-    of one σ must be in the same block. Each block is grouped on its
-    own (one lexsort over its words), so only the pair keys and group
-    ids of all blocks are held at once. One final
-    ``lexsort((key, σ-rank))`` orders the pairs by σ and, within a
-    group, in ascending ``a·|P| + b`` key (row-major) order.
-    """
-    rep_a: List[np.ndarray] = []
-    rep_b: List[np.ndarray] = []
-    key_parts: List[np.ndarray] = []
-    group_parts: List[np.ndarray] = []
-    num_groups = 0
-    for a, b, words in blocks:
-        if a.size == 0:
-            continue
-        order = np.lexsort(words.T[::-1])
-        sorted_words = words[order]
-        new_group = np.empty(order.size, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (sorted_words[1:] != sorted_words[:-1]).any(axis=1)
-        firsts = order[new_group]
-        rep_a.append(a[firsts])
-        rep_b.append(b[firsts])
-        group = np.empty(order.size, dtype=np.intp)
-        group[order] = num_groups + np.cumsum(new_group) - 1
-        num_groups += firsts.size
-        key_parts.append(pair_keys(a, b, index.num_paths))
-        group_parts.append(group)
-    if not num_groups:
-        return _empty_groups(index)
-
-    incidence = index.incidence
-    masks = incidence[np.concatenate(rep_a)] & incidence[np.concatenate(rep_b)]
-    sigmas = [index.linkseq_from_mask(mask) for mask in masks]
-    sigma_order = sorted(range(num_groups), key=sigmas.__getitem__)
-    rank = np.empty(num_groups, dtype=np.intp)
-    rank[sigma_order] = np.arange(num_groups)
-
-    keys = np.concatenate(key_parts)
-    del key_parts
-    group_rank = rank[np.concatenate(group_parts)]
-    del group_parts
-    order = np.lexsort((keys, group_rank))
-    counts = np.bincount(group_rank, minlength=num_groups)
-    del group_rank
-    keys = keys[order]
-    del order
-    sorted_sigmas = tuple(sigmas[g] for g in sigma_order)
-    return _PairGroups(
-        index=index,
-        sigmas=sorted_sigmas,
-        sigma_masks=masks[sigma_order],
-        pair_a=(keys // index.num_paths).astype(np.intp),
-        pair_b=(keys % index.num_paths).astype(np.intp),
-        offsets=_offsets(counts),
-        group_of={s: g for g, s in enumerate(sorted_sigmas)},
-    )
-
-
-#: Bound of one block of the cold pass: the candidate pairs of one
-#: block of incidence columns (:func:`_column_blocks`) and the pairs
-#: of one block of σ groups (:func:`_member_layout`). It keeps every
-#: per-block temporary at a few MB however many sharing pairs a
-#: network has. A block holds whole columns or whole groups, so it
-#: exceeds the bound only by its last one.
+#: Bound of one block of σ groups in the cold layout
+#: (:func:`_member_layout`) and in the scoring
+#: (:func:`batch_unsolvability_arrays`). It keeps every per-block
+#: temporary at a few MB however many sharing pairs a network has. A
+#: block holds whole groups, so it exceeds the bound only by its last
+#: one.
 COLD_BLOCK = 1 << 16
 
 
@@ -310,68 +226,90 @@ def _block_bounds(first: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _column_blocks(
-    index: PathIndex,
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The sharing pairs of a registry, in blocks of incidence columns.
+def _pair_groups(net: Network) -> _PairGroups:
+    """Lines 2–8 of Algorithm 1, one incidence column at a time.
 
     A pair shares a link iff it appears in some column of the
-    incidence matrix, so the candidates are the within-column pairs
-    of ``Paths(l)`` (CSR form) — ``Σ_l C(|Paths(l)|, 2)`` of them
-    instead of ``C(P, 2)``. A pair sharing several links is a
-    candidate in each of their columns; it is kept only in the column
-    of its *lowest* shared link, so every pair leaves exactly one
-    block and no dedup across blocks is needed. All pairs of one σ
-    share its lowest link, so they leave the same block, in ascending
-    key order. Signatures are the word-wise ANDs of the bit-packed
-    incidence rows.
-
-    Yields:
-        ``(a, b, words)`` as :func:`_group_pairs` takes them.
-    """
-    indptr, rows = index.link_csr
-    sizes = np.diff(indptr)
-    candidates = sizes * (sizes - 1) // 2
-    columns = np.flatnonzero(candidates)
-    first = np.cumsum(candidates[columns]) - candidates[columns]
-    packed = index.packed
-    tri_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for lo, hi in _block_bounds(first):
-        block = columns[lo:hi]
-        parts_a: List[np.ndarray] = []
-        parts_b: List[np.ndarray] = []
-        for k in block.tolist():
-            col = rows[indptr[k]:indptr[k + 1]]
-            tri = tri_cache.get(col.size)
-            if tri is None:
-                tri = tri_cache[col.size] = np.triu_indices(col.size, k=1)
-            parts_a.append(col[tri[0]])
-            parts_b.append(col[tri[1]])
-        a = np.concatenate(parts_a)
-        b = np.concatenate(parts_b)
-        words = packed[a] & packed[b]
-        owned = _lowest_links(words) == np.repeat(block, candidates[block])
-        yield a[owned], b[owned], words[owned]
-
-
-def _pair_groups(net: Network) -> _PairGroups:
-    """Lines 2–8 of Algorithm 1, batched over the path registry.
-
-    All sharing path pairs are enumerated per block of incidence
-    columns (:func:`_column_blocks`) and grouped by bit-packed
-    signature (:func:`_group_pairs`). Memoized on the network; a memo
-    entry is served only when its registry is still the network's
-    current one.
+    incidence matrix, so the candidates are the within-column pairs of
+    ``Paths(l_k)`` (CSR form), ``Σ_k C(|Paths(l_k)|, 2)`` of them
+    instead of ``C(P, 2)``, each in ascending ``a·|P| + b`` order.
+    Column ``k`` owns the candidates whose lowest shared link is
+    ``k`` (no shared bit in the packed words below it), so every
+    sharing pair is kept exactly once, and every σ it owns starts
+    with ``link_ids[k]``. Link ids are index-sorted, so those σ sort
+    after every σ of an earlier column: each column's owned pairs are
+    grouped by signature (one lexsort over its non-zero shared words),
+    its groups are put in σ order, and the columns' arrays concatenate
+    to the final ones. Memoized on the network; a memo entry is served
+    only when its registry is still the network's current one.
     """
     cached = net._inference_cache.get("pair_groups")
     if cached is not None and cached.index is net.path_index:
         return cached
 
     index = net.path_index
-    if index.num_paths < 2 or index.num_links == 0:
+    indptr, rows = index.link_csr
+    # Word ``w`` of every packed row, contiguous: 1-D gathers from it
+    # run ~3× faster than ``packed[rows, w]``.
+    words_of = np.ascontiguousarray(index.packed.T)
+    # prefix[r]: the bits of a word's first r links.
+    prefix = pack_bool_rows(np.tri(64, 64, -1, dtype=bool))[:, 0]
+    sigmas: List[LinkSeq] = []
+    mask_parts: List[np.ndarray] = []
+    count_parts: List[np.ndarray] = []
+    a_parts: List[np.ndarray] = []
+    b_parts: List[np.ndarray] = []
+    tri_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for k in np.flatnonzero(np.diff(indptr) >= 2).tolist():
+        col = rows[indptr[k]:indptr[k + 1]]
+        tri = tri_cache.get(col.size)
+        if tri is None:
+            tri = tri_cache[col.size] = np.triu_indices(col.size, k=1)
+        a, b = col[tri[0]], col[tri[1]]
+        w0 = k >> 6
+        below = words_of[w0][a] & words_of[w0][b] & prefix[k & 63]
+        for word in words_of[:w0]:
+            below |= word[a] & word[b]
+        owned = below == 0
+        a, b = a[owned], b[owned]
+        if a.size == 0:
+            continue
+        shared = (word[a] & word[b] for word in words_of[w0:])
+        words = [word for word in shared if word.any()]
+        order = np.lexsort(words)
+        new_group = np.zeros(order.size, dtype=bool)
+        new_group[0] = True
+        for word in words:
+            word = word[order]
+            new_group[1:] |= word[1:] != word[:-1]
+        starts = np.flatnonzero(new_group)
+        sizes = np.diff(starts, append=order.size)
+        firsts = order[starts]
+        masks = index.incidence[a[firsts]] & index.incidence[b[firsts]]
+        column_sigmas = [index.linkseq_from_mask(mask) for mask in masks]
+        by_sigma = sorted(range(starts.size), key=column_sigmas.__getitem__)
+        # Move whole segments of the (stable) signature order into σ
+        # order: each group keeps its ascending a·|P| + b pairs.
+        sizes, starts = sizes[by_sigma], starts[by_sigma]
+        shift = starts - (np.cumsum(sizes) - sizes)
+        take = order[np.repeat(shift, sizes) + np.arange(order.size)]
+        sigmas.extend(map(column_sigmas.__getitem__, by_sigma))
+        mask_parts.append(masks[by_sigma])
+        count_parts.append(sizes)
+        a_parts.append(a[take])
+        b_parts.append(b[take])
+    if not sigmas:
         groups = _empty_groups(index)
     else:
-        groups = _group_pairs(index, _column_blocks(index))
+        groups = _PairGroups(
+            index=index,
+            sigmas=tuple(sigmas),
+            sigma_masks=np.concatenate(mask_parts),
+            pair_a=np.concatenate(a_parts),
+            pair_b=np.concatenate(b_parts),
+            offsets=_offsets(np.concatenate(count_parts)),
+            group_of={s: g for g, s in enumerate(sigmas)},
+        )
     net._inference_cache["pair_groups"] = groups
     return groups
 
@@ -761,8 +699,18 @@ def build_slice_batch(
     Returns:
         ``(batch, skipped)`` — the candidate systems and the
         sequences with too few pathsets (non-identifiable).
+
+    Raises:
+        ConfigurationError: If ``min_pathsets`` is not an integer.
     """
-    cache_key = ("slice_batch", int(min_pathsets))
+    if isinstance(min_pathsets, bool) or not isinstance(
+        min_pathsets, (int, np.integer)
+    ):
+        raise ConfigurationError(
+            f"min_pathsets must be an integer, got {min_pathsets!r}"
+        )
+    min_pathsets = int(min_pathsets)
+    cache_key = ("slice_batch", min_pathsets)
     cached = net._inference_cache.get(cache_key)
     if cached is not None and cached[0].index is net.path_index:
         return cached

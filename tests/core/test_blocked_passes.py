@@ -1,13 +1,12 @@
-"""The blocked cold pass ≡ the dense oracle, bit for bit.
+"""The cold passes ≡ the dense oracle, bit for bit.
 
-:func:`repro.core.slices._pair_groups` enumerates candidate pairs per
-block of incidence columns and keeps each pair only in the column of
-its lowest shared link; :func:`build_slice_batch` lays out member rows
-and local positions per block of σ groups. With the block bound
-(:data:`repro.core.slices.COLD_BLOCK`) patched down to 1, every column
-and every group is its own block, so pairs sharing several links are
-candidates in several blocks and the groups of many blocks are merged
-into one σ order. Whatever the bound, the arrays must equal the dense
+:func:`repro.core.slices._pair_groups` enumerates candidate pairs one
+incidence column at a time and keeps each pair only in the column of
+its lowest shared link, read off the packed words below that column;
+:func:`build_slice_batch` lays out member rows and local positions per
+block of σ groups. With the block bound
+(:data:`repro.core.slices.COLD_BLOCK`) patched down to 1, every group
+is its own block. Whatever the bound, the arrays must equal the dense
 ``P²`` oracle's — and so must the blocked pair costs and scores.
 """
 
@@ -17,16 +16,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles.dense_pairs import dense_pair_groups, dense_slice_layout
 from repro.core import slices
-from repro.core.network import Network, Path, pack_bool_rows
+from repro.core.network import Network, Path
 from repro.core.slices import (
-    _lowest_links,
     _pair_groups,
     batch_unsolvability_arrays,
     build_slice_batch,
 )
 from repro.measurement import normalize
 from repro.measurement.synthetic import synthesize_records
-from repro.topology.generators import random_two_class_performance
+from repro.topology.generators import (
+    random_two_class_performance,
+    star_network,
+)
 from repro.topology.multi_isp import build_federated_multi_isp
 
 _SETTINGS = settings(
@@ -48,13 +49,17 @@ BATCH_FIELDS = (
 
 @st.composite
 def random_networks(draw):
-    """Paths as random link subsets: up to 140 links (three packed
-    words), dense enough that many pairs share several links."""
-    num_links = draw(st.integers(1, 140))
+    """Paths as random link subsets: up to 260 links (five packed
+    words, so a lowest shared link falls past the 64/128/192/256
+    word boundaries), dense enough that many pairs share several
+    links. Link ids are zero-padded or not: unpadded ids (``l10``
+    before ``l2``) put the index order apart from the number order."""
+    num_links = draw(st.integers(1, 260))
     num_paths = draw(st.integers(0, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.floats(0.02, 0.7))
-    links = [f"l{k:03d}" for k in range(num_links)]
+    name = "l{:03d}" if draw(st.booleans()) else "l{}"
+    links = [name.format(k) for k in range(num_links)]
     paths = []
     for i in range(num_paths):
         chosen = np.flatnonzero(rng.random(num_links) < density)
@@ -98,35 +103,9 @@ def test_blocked_passes_equal_dense_oracle(case, block, min_pathsets):
     _assert_fields_equal(want, batch, BATCH_FIELDS)
 
 
-@_SETTINGS
-@given(random_networks())
-def test_every_sharing_pair_leaves_exactly_one_column_block(case):
-    """With one column per block, the blocks partition the sharing
-    pairs: none is lost and none is kept twice."""
-    net = _fresh(case)
-    index = net.path_index
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(slices, "COLD_BLOCK", 1)
-        blocks = list(slices._column_blocks(index))
-    kept = [
-        (a, b)
-        for block_a, block_b, _ in blocks
-        for a, b in zip(block_a.tolist(), block_b.tolist())
-    ]
-    incidence = index.incidence
-    expected = {
-        (a, b)
-        for a in range(index.num_paths)
-        for b in range(a + 1, index.num_paths)
-        if (incidence[a] & incidence[b]).any()
-    }
-    assert len(kept) == len(set(kept))
-    assert set(kept) == expected
-
-
 def test_multi_link_pairs_span_blocks():
     """A deterministic case: p0/p1 share l0, l1 and l2, so they are
-    candidates in three one-column blocks and kept in the first."""
+    candidates in three columns and kept in the first."""
     net = Network(
         ["l0", "l1", "l2", "l3"],
         [
@@ -135,25 +114,25 @@ def test_multi_link_pairs_span_blocks():
             Path("p2", ("l1", "l3")),
         ],
     )
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(slices, "COLD_BLOCK", 1)
-        blocks = list(slices._column_blocks(net.path_index))
-        groups = _pair_groups(net)
-    pairs_per_block = [list(zip(a.tolist(), b.tolist())) for a, b, _ in blocks]
-    assert pairs_per_block == [[(0, 1)], [(0, 2), (1, 2)], [], []]
+    groups = _pair_groups(net)
     assert groups.sigmas == (("l0", "l1", "l2"), ("l1",), ("l1", "l3"))
     oracle = dense_pair_groups(net)
     _assert_fields_equal(oracle, groups, GROUP_FIELDS)
 
 
-@given(st.integers(1, 200), st.integers(0, 2**32 - 1))
-def test_lowest_links_matches_the_first_set_column(num_links, seed):
-    rng = np.random.default_rng(seed)
-    rows = rng.random((20, num_links)) < rng.random()
-    rows[np.arange(20), rng.integers(0, num_links, 20)] = True
-    np.testing.assert_array_equal(
-        _lowest_links(pack_bool_rows(rows)), rows.argmax(axis=1)
-    )
+@pytest.mark.parametrize("hub", ["hub", "zhub"])
+@pytest.mark.parametrize("num_spokes", [2, 3, 70])
+def test_star_hub_column_holds_every_pair(num_spokes, hub):
+    """One hub column owns every pair, as one σ in triu order: the
+    first column (``hub``) or, past 64 spokes, one in the second
+    packed word (``zhub``)."""
+    net = star_network(num_spokes, hub_link=hub)
+    groups = _pair_groups(net)
+    assert groups.sigmas == ((hub,),)
+    a, b = np.triu_indices(num_spokes, k=1)
+    np.testing.assert_array_equal(groups.pair_a, a)
+    np.testing.assert_array_equal(groups.pair_b, b)
+    _assert_fields_equal(dense_pair_groups(net), groups, GROUP_FIELDS)
 
 
 @pytest.mark.parametrize("block", BLOCKS)

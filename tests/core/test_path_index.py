@@ -9,7 +9,12 @@ from repro.core.slices import (
     batch_pair_estimates,
     build_slice_batch,
 )
-from repro.exceptions import SliceError, UnknownLinkError, UnknownPathError
+from repro.exceptions import (
+    ConfigurationError,
+    SliceError,
+    UnknownLinkError,
+    UnknownPathError,
+)
 from repro.topology.figures import figure4
 
 
@@ -106,3 +111,39 @@ class TestSliceBatch:
         assert batch.num_systems == 0
         assert batch.num_pairs == 0
         assert skipped == ()
+
+    @staticmethod
+    def _threshold_net():
+        # ⟨l1⟩ has 3 members and 2 pairs (5 pathsets), ⟨l1,l3⟩ has 3.
+        return network_from_path_specs(
+            {
+                "p1": ["l1", "l2"],
+                "p2": ["l1", "l3", "l4"],
+                "p3": ["l1", "l3", "l5"],
+            }
+        )
+
+    def test_integer_threshold_is_exact(self):
+        net = self._threshold_net()
+        batch, skipped = build_slice_batch(net, 5)
+        assert batch.sigmas == (("l1",),)
+        assert skipped == (("l1", "l3"),)
+        batch, skipped = build_slice_batch(net, np.int64(6))
+        assert batch.sigmas == ()
+        assert skipped == (("l1",), ("l1", "l3"))
+
+    @pytest.mark.parametrize(
+        "bad", [5.5, 5.0, None, float("nan"), "3", True, np.float64(5)]
+    )
+    def test_non_integer_threshold_raises(self, bad):
+        with pytest.raises(ConfigurationError, match="min_pathsets"):
+            build_slice_batch(self._threshold_net(), bad)
+
+    def test_rejected_threshold_leaves_no_memo(self):
+        """A rejected threshold memoizes nothing: a later integer call
+        gets its own batch, not one keyed by a truncated value."""
+        net = self._threshold_net()
+        with pytest.raises(ConfigurationError):
+            build_slice_batch(net, 5.5)
+        batch, _ = build_slice_batch(net, 5)
+        assert batch.sigmas == (("l1",),)

@@ -27,6 +27,11 @@ from repro.topology.multi_isp import build_federated_multi_isp
 #: Hard tracemalloc-peak budgets (bytes) for the 5356-path run.
 MONOLITHIC_BUDGET = 256 * 1024 * 1024
 SHARDED_BUDGET = 128 * 1024 * 1024
+#: Hard tracemalloc-peak budget (bytes) of a cold ``build_slice_batch``
+#: on a fresh 5356-path network: registry, pair pass and layout.
+#: Measured at the time of writing: ~36.0 MB, of which ~15 MB is the
+#: pair grouping it keeps.
+COLD_BATCH_BUDGET = 40 * 1024 * 1024
 
 NUM_INTERVALS = 60
 
@@ -86,6 +91,18 @@ def test_cold_monolith_within_sharded_budget(scale_case):
     assert set(cold.identified) == set(warm.identified)
     assert set(cold.neutral) == set(warm.neutral)
     assert set(cold.skipped) == set(warm.skipped)
+
+
+def test_cold_slice_batch_within_budget():
+    """Lines 2–12 of Algorithm 1 on a fresh network: the column-wise
+    pair pass and the blocked layout hold no all-pairs temporary
+    beyond the arrays they return."""
+    net = build_federated_multi_isp(8, 13).network
+    (batch, _), peak = _traced_peak(
+        lambda: build_slice_batch(net, DEFAULT_MIN_PATHSETS)
+    )
+    assert batch.num_pairs > 900_000  # non-vacuous
+    assert peak <= COLD_BATCH_BUDGET, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_observation_arrays_gather_without_dense_matrix(scale_case):

@@ -16,7 +16,8 @@ from conftest import BENCH_SETTINGS, heading, run_once
 
 from repro.analysis.stats import format_table
 from repro.core import identify_non_neutral
-from repro.core.slices import build_slice_system
+from repro.core.algorithm import DEFAULT_MIN_PATHSETS, identify_from_scores
+from repro.core.slices import build_slice_batch, build_slice_system
 from repro.experiments.topology_a import run_topology_a
 from repro.measurement.clustering import threshold_decider
 from repro.measurement.normalize import pathset_performance_numbers
@@ -43,11 +44,10 @@ def test_ablation_threshold_and_interval(benchmark, policing_outcome):
                     system.family,
                     loss_threshold=threshold,
                 )
-                verdict = bool(
-                    identify_non_neutral(net, obs).identified
-                )
+                result = identify_non_neutral(net, obs)
                 rows.append((threshold, interval_ms,
-                             system.unsolvability(obs), verdict))
+                             result.scores[(SHARED_LINK,)],
+                             bool(result.identified)))
         return rows
 
     rows = run_once(benchmark, sweep)
@@ -80,9 +80,9 @@ def test_ablation_normalization(benchmark, policing_outcome):
         sampled = pathset_performance_numbers(
             data, system.family, mode="sampled", rng=rng
         )
-        return (
-            system.unsolvability(expected),
-            system.unsolvability(sampled),
+        return tuple(
+            identify_non_neutral(net, obs).scores[(SHARED_LINK,)]
+            for obs in (expected, sampled)
         )
 
     exp_score, sam_score = run_once(benchmark, compare)
@@ -101,19 +101,20 @@ def test_ablation_normalization(benchmark, policing_outcome):
 
 
 def test_ablation_decider(benchmark, policing_outcome):
-    """Clustering-based decision vs a fixed threshold."""
-    net = policing_outcome.inference_network
-    obs = policing_outcome.observations
+    """Clustering-based decision vs a fixed threshold, on the run's
+    own scores."""
+    batch, skipped = build_slice_batch(
+        policing_outcome.inference_network, DEFAULT_MIN_PATHSETS
+    )
+    scores = policing_outcome.algorithm.scores
 
     def compare():
-        default = identify_non_neutral(net, obs)
-        fixed_low = identify_non_neutral(
-            net, obs, decider=threshold_decider(0.01)
+        return tuple(
+            identify_from_scores(batch, skipped, scores, decider)
+            for decider in (
+                None, threshold_decider(0.01), threshold_decider(10.0)
+            )
         )
-        fixed_high = identify_non_neutral(
-            net, obs, decider=threshold_decider(10.0)
-        )
-        return default, fixed_low, fixed_high
 
     default, fixed_low, fixed_high = run_once(benchmark, compare)
     heading("Ablation: decision rule")

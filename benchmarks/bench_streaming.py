@@ -109,11 +109,11 @@ def _run_incremental(net, data):
     for chunk in ReplayStream(data, chunk_intervals=STRIDE):
         stats.append(chunk)
         while next_end <= stats.num_intervals:
-            y_single, y_pair = stats.window_costs(
+            y_member, y_pair = stats.window_costs(
                 next_end - WINDOW, next_end
             )
             scores.append(
-                batch_unsolvability_arrays(stats.batch, y_single, y_pair)
+                batch_unsolvability_arrays(stats.batch, y_member, y_pair)
             )
             next_end += STRIDE
     return scores
@@ -134,11 +134,11 @@ def _run_recompute(net, data):
             ],
             data.interval_seconds,
         )
-        _, y_single, y_pair = batch_slice_observations(
+        _, y_member, y_pair = batch_slice_observations(
             window, batch, loss_threshold=SETTINGS.loss_threshold
         )
         scores.append(
-            batch_unsolvability_arrays(batch, y_single, y_pair)
+            batch_unsolvability_arrays(batch, y_member, y_pair)
         )
     return scores
 

@@ -19,10 +19,15 @@ the topology builders' specs; the packet runs (``packet-*``) go
 through ``get_substrate("packet")`` with explicit ``LinkSpec``
 values. Both routes exist unchanged on older commits, so the script
 runs there too. The ``infer-*`` entries digest inference on the
-records of two of those runs: the ``batch_slice_observations`` cost
-arrays in expected mode and in sampled mode with a fixed seed, and
-the ``infer_from_measurements`` scores and identified set, so an
-Algorithm 1/2 refactor is checked bit for bit as well. The
+records of two of those runs, in expected mode and in sampled mode
+with a fixed seed: the ``batch_slice_observations`` pair costs, the
+flat Equation-14 estimates ``batch_pair_estimates_arrays`` computes
+from that call's own outputs, and the ``infer_from_measurements``
+scores and identified set, so an Algorithm 1/2 refactor is checked
+bit for bit as well (the singleton costs enter through the
+estimates, whatever array carries them). ``fig10b-multi-isp-10s``
+digests ``run_topology_b``'s per-σ estimates and identified flags
+(Figure 10(b)) on a 10 s run. The
 ``monitor-*`` entries digest a ``NeutralityMonitor`` report on three
 synthesized record streams with a planted onset: the per-window
 scores, CUSUM flags, change points and identified sets, and the
@@ -45,14 +50,18 @@ import numpy as np
 
 from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.performance import LinkPerformance, NetworkPerformance
-from repro.core.slices import build_slice_batch
+from repro.core.slices import batch_pair_estimates_arrays, build_slice_batch
 from repro.exceptions import MeasurementError
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import (
     infer_from_measurements,
     measured_subnetwork,
 )
-from repro.experiments.topology_b import table3_workloads
+from repro.experiments.topology_b import (
+    TOPOLOGY_B_SETTINGS,
+    run_topology_b,
+    table3_workloads,
+)
 from repro.fluid import FluidBatchNetwork, FluidNetwork
 from repro.fluid.params import (
     AqmSpec,
@@ -155,17 +164,22 @@ def _one_shot(mechanism, **run_kwargs):
 
 def infer_digest(net, data):
     """SHA-256 over inference on one run's records: the Algorithm 2
-    cost arrays and the verdict, in both normalization modes (a
-    ``MeasurementError`` is digested by its message)."""
+    pair costs, the Equation-14 estimates and the verdict, in both
+    normalization modes (a ``MeasurementError`` is digested by its
+    message)."""
     h = hashlib.sha256()
     batch, _ = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
     for mode in ("expected", "sampled"):
         try:
-            _, y_single, y_pair = batch_slice_observations(
+            _, singles, y_pair = batch_slice_observations(
                 data, batch, mode=mode, rng=np.random.default_rng(SEED)
             )
-            _update(h, f"{mode}/y_single", y_single)
             _update(h, f"{mode}/y_pair", y_pair)
+            _update(
+                h,
+                f"{mode}/estimates",
+                batch_pair_estimates_arrays(batch, singles, y_pair),
+            )
             _, algorithm = infer_from_measurements(
                 net,
                 data,
@@ -460,6 +474,25 @@ def slices_digest(net):
     return h.hexdigest()
 
 
+def fig10b_digest(duration):
+    """SHA-256 over Figure 10(b): each examined σ of a topology-B run
+    with its identified flag and its c2 / other pair estimates. The
+    run has no warm-up: after a 10 s one, some σ group of a 10 s run
+    has no interval in which all its paths sent."""
+    settings = dataclasses.replace(
+        TOPOLOGY_B_SETTINGS.quick(duration), warmup_seconds=0.0
+    ).with_seed(SEED)
+    h = hashlib.sha256()
+    for seq in run_topology_b(settings).sequences:
+        h.update(
+            repr(
+                (seq.sigma, seq.identified, seq.c2_estimates,
+                 seq.other_estimates)
+            ).encode()
+        )
+    return h.hexdigest()
+
+
 RUNS = {
     "dumbbell-neutral": lambda: _one_shot(None),
     "dumbbell-policing": lambda: result_digest(_policing_run()[1]),
@@ -490,6 +523,7 @@ RUNS = {
     "infer-multi-isp-10s": lambda: infer_digest(
         _multi_isp_run()[0], _multi_isp_run()[1].measurements
     ),
+    "fig10b-multi-isp-10s": lambda: fig10b_digest(10.0),
     "monitor-federated-sliding": lambda: monitor_digest(
         *_federated_stream(), window=100, stride=25, chunk=25
     ),

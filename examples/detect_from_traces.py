@@ -12,9 +12,15 @@ Run:  python examples/detect_from_traces.py
 
 import numpy as np
 
-from repro.core import identify_non_neutral, network_from_path_specs
-from repro.core.algorithm import required_pathsets
-from repro.measurement import from_arrays, pathset_performance_numbers
+from repro.core import network_from_path_specs
+from repro.core.algorithm import DEFAULT_MIN_PATHSETS, identify_from_scores
+from repro.core.slices import (
+    batch_pair_estimates_arrays,
+    batch_unsolvability_arrays,
+    build_slice_batch,
+)
+from repro.measurement import from_arrays
+from repro.measurement.normalize import batch_slice_observations
 
 
 def synthesize_traces(rng, intervals=3000):
@@ -54,14 +60,22 @@ def main() -> None:
     print(f"loaded {data.num_intervals} intervals over "
           f"{len(data.path_ids)} paths")
 
-    # Normalize (Algorithm 2) and run Algorithm 1.
-    family = required_pathsets(net)
-    observations = pathset_performance_numbers(data, family)
-    result = identify_non_neutral(net, observations)
+    # Normalize each slice (Algorithm 2), then score and decide
+    # (Algorithm 1) from the per-slice cost arrays.
+    batch, skipped = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
+    _, y_member, y_pair = batch_slice_observations(data, batch)
+    scores = batch_unsolvability_arrays(batch, y_member, y_pair)
+    result = identify_from_scores(
+        batch, skipped, dict(zip(batch.sigmas, scores.tolist()))
+    )
 
     print("\nper-pair estimates of the hub's cost:")
-    system = result.systems[("hub",)]
-    for pair, est in sorted(system.pair_estimates(observations).items()):
+    g = batch.system_of[("hub",)]
+    lo, hi = batch.offsets[g], batch.offsets[g + 1]
+    estimates = batch_pair_estimates_arrays(batch, y_member, y_pair)
+    for pair, est in sorted(
+        zip(batch.system(g).pairs, estimates[lo:hi].tolist())
+    ):
         print(f"  {pair}: {est:+.4f}")
 
     print(f"\nunsolvability score: {result.scores[('hub',)]:.4f}")

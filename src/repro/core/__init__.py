@@ -91,8 +91,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "SIGMA_COLUMN",
         "SliceSystem",
         "SliceSystemBatch",
-        "batch_pair_estimates",
-        "batch_unsolvability",
+        "batch_pair_estimates_arrays",
+        "batch_unsolvability_arrays",
         "build_slice_batch",
         "build_slice_system",
         "pairs_for_sequence",

@@ -38,7 +38,7 @@ from repro.core.slices import (
     SliceSystem,
     SliceSystemBatch,
     SliceSystemsView,
-    batch_unsolvability,
+    _observation_arrays,
     batch_unsolvability_arrays,
     build_slice_batch,
 )
@@ -192,10 +192,14 @@ def identify_non_neutral(
 ) -> AlgorithmResult:
     """Algorithm 1 in its practical, score-based form (paper §6.2).
 
+    The mapping is converted once to the scorer's arrays, every σ
+    pricing a path by its one singleton value; records take
+    :func:`repro.experiments.runner.infer_from_measurements`.
+
     Args:
         net: The network graph.
-        observations: Measured performance numbers, keyed by pathset.
-            Must cover ``Φ_σ`` for every candidate σ (use
+        observations: Performance numbers keyed by pathset, hand-built
+            or exact. Must cover ``Φ_σ`` for every candidate σ (use
             :func:`required_pathsets` to know what to measure).
         decider: Classifies unsolvability scores; defaults to the
             2-cluster splitter of :mod:`repro.measurement.clustering`.
@@ -206,7 +210,9 @@ def identify_non_neutral(
         The :class:`AlgorithmResult`.
     """
     batch, skipped = build_slice_batch(net, min_pathsets)
-    score_array = batch_unsolvability(batch, observations)
+    score_array = batch_unsolvability_arrays(
+        batch, *_observation_arrays(batch, observations)
+    )
     scores: Dict[LinkSeq, float] = {
         sigma: float(score)
         for sigma, score in zip(batch.sigmas, score_array)
@@ -283,9 +289,8 @@ def identify_non_neutral_exact(
     y_single, y_pair_flat = equivalent.batch_pathset_costs(
         batch.index.path_ids, batch.pair_a, batch.pair_b
     )
-    score_array = batch_unsolvability_arrays(
-        batch, y_single, y_pair_flat
-    )
+    y_member = y_single[batch.member_rows]
+    score_array = batch_unsolvability_arrays(batch, y_member, y_pair_flat)
     scores: Dict[LinkSeq, float] = {
         sigma: float(score)
         for sigma, score in zip(batch.sigmas, score_array)
@@ -298,11 +303,7 @@ def identify_non_neutral_exact(
         # batch arrays.
         y = np.concatenate(
             (
-                y_single[
-                    batch.member_rows[
-                        batch.member_offsets[g]:batch.member_offsets[g + 1]
-                    ]
-                ],
+                y_member[batch.member_offsets[g]:batch.member_offsets[g + 1]],
                 y_pair_flat[batch.offsets[g]:batch.offsets[g + 1]],
             )
         )

@@ -27,12 +27,14 @@ The cold pass groups the pairs one column at a time, each column
 emitting its σ groups already in final order, and lays the systems
 out in bounded blocks of σ groups (:data:`COLD_BLOCK`); the dense
 ``P²`` pass survives only as a test oracle. All candidate systems
-are scored at once with
-one flat ``y_a + y_b − y_ab`` gather (:func:`batch_unsolvability`);
-:class:`SliceSystemBatch` materializes its per-σ :class:`SliceSystem`
-objects lazily so the ≥5k-path runs never build them. The pre-rewrite
-per-pair/per-dict implementation is frozen with the tests, in
-``tests/oracles/algorithm_reference.py``.
+are scored at once with one flat ``y_a + y_b − y_ab`` gather
+(:func:`batch_unsolvability_arrays`) over per-member costs: each σ's
+singletons are priced by its own family, as Algorithm 2 normalizes
+each slice on its own, so a path in several slices has one cost per
+slice. :class:`SliceSystemBatch` materializes its per-σ
+:class:`SliceSystem` objects lazily so the ≥5k-path runs never build
+them. The pre-rewrite per-pair/per-dict implementation is frozen with
+the tests, in ``tests/oracles/algorithm_reference.py``.
 """
 
 from __future__ import annotations
@@ -109,40 +111,6 @@ class SliceSystem:
                 )
             values.append(observations[ps])
         return np.array(values, dtype=float)
-
-    def pair_estimates(
-        self, observations: Mapping[PathSet, float]
-    ) -> Dict[Tuple[str, str], float]:
-        """Per-pair estimates of σ's cost (appendix Equation 14).
-
-        For each pair ``{p_i, p_j}`` in ``Φ_σ``:
-        ``x_σ = y_{p_i} + y_{p_j} − y_{p_i,p_j}``.
-        """
-        estimates: Dict[Tuple[str, str], float] = {}
-        for pa, pb in self.pairs:
-            y_a = observations[frozenset([pa])]
-            y_b = observations[frozenset([pb])]
-            y_ab = observations[frozenset([pa, pb])]
-            estimates[(pa, pb)] = y_a + y_b - y_ab
-        return estimates
-
-    def unsolvability(
-        self, observations: Mapping[PathSet, float]
-    ) -> float:
-        """The paper's unsolvability score: max − min pair estimate.
-
-        Estimates are clipped at 0 first: a performance number is a
-        nonnegative cost, so a negative estimate carries no evidence
-        about σ — it is sampling noise (or mild anti-correlation from
-        capacity coupling) and must not inflate the spread.
-        """
-        estimates = [
-            max(v, 0.0)
-            for v in self.pair_estimates(observations).values()
-        ]
-        if len(estimates) < 2:
-            return 0.0
-        return float(max(estimates) - min(estimates))
 
     def is_solvable_exact(
         self, observations: Mapping[PathSet, float], tol: float = 1e-9
@@ -477,7 +445,7 @@ class SliceSystemBatch:
 
     Built once per network, ``min_pathsets`` and method by
     :func:`build_slice_batch` and consumed by the batched scoring
-    (:func:`batch_unsolvability`) and the batched normalization
+    (:func:`batch_unsolvability_arrays`) and the batched normalization
     (:func:`repro.measurement.normalize.batch_slice_observations`):
     instead of walking per-system dicts, every pair of every candidate
     system lives in one flat ``(n_pairs,)`` index array, with
@@ -496,13 +464,16 @@ class SliceSystemBatch:
         sigma_masks: ``(n_systems, |L|)`` boolean link masks, aligned.
         pair_a / pair_b: Flat path-row arrays of all systems' pairs.
         offsets: ``(n_systems + 1,)`` boundaries into the pair arrays.
-        la / lb: Flat per-pair *local* member positions (within the
-            owning system's ``member_rows`` segment), aligned with
-            ``pair_a``/``pair_b``.
         member_rows: Flat member-path rows of all systems (each
             system's slice sorted ascending — its ``P_σ``).
         member_offsets: ``(n_systems + 1,)`` boundaries into
             ``member_rows``.
+        member_a / member_b: Each pair's positions in the flat
+            ``member_rows``, aligned with ``pair_a``/``pair_b``
+            (``member_rows[member_a] == pair_a``): the scorer gathers
+            a pair's singleton costs, which are per member, through
+            them. :attr:`la`/:attr:`lb` are the same positions local
+            to the owning system's segment.
         singletons: Singleton pathsets aligned with the registry rows
             (shared with :func:`_singleton_pathsets`).
     """
@@ -513,10 +484,10 @@ class SliceSystemBatch:
     pair_a: np.ndarray
     pair_b: np.ndarray
     offsets: np.ndarray
-    la: np.ndarray
-    lb: np.ndarray
     member_rows: np.ndarray
     member_offsets: np.ndarray
+    member_a: np.ndarray
+    member_b: np.ndarray
     singletons: Tuple[PathSet, ...]
 
     @property
@@ -549,6 +520,21 @@ class SliceSystemBatch:
         """How many per-σ systems have been built so far."""
         return len(self._memo)
 
+    @property
+    def la(self) -> np.ndarray:
+        """Each pair's *local* member position ``a`` (within its
+        system's ``member_rows`` segment), built on each read."""
+        return self.member_a - self._pair_member_base()
+
+    @property
+    def lb(self) -> np.ndarray:
+        """As :attr:`la`, for ``b``."""
+        return self.member_b - self._pair_member_base()
+
+    def _pair_member_base(self) -> np.ndarray:
+        """Each pair's system's first position in ``member_rows``."""
+        return np.repeat(self.member_offsets[:-1], np.diff(self.offsets))
+
     def _pair_list(self, g: int) -> List[Tuple[str, str]]:
         path_ids = self.index.path_ids
         lo, hi = self.offsets[g], self.offsets[g + 1]
@@ -570,13 +556,14 @@ class SliceSystemBatch:
         system = self._memo.get(g)
         if system is None:
             lo, hi = self.offsets[g], self.offsets[g + 1]
+            base = self.member_offsets[g]
             system = _make_system(
                 self.index,
                 self.sigmas[g],
                 self.sigma_masks[g],
                 self._member_rows(g),
-                self.la[lo:hi],
-                self.lb[lo:hi],
+                self.member_a[lo:hi] - base,
+                self.member_b[lo:hi] - base,
                 self._pair_list(g),
                 self.singletons,
             )
@@ -647,24 +634,27 @@ class SliceSystemsView(Mapping[LinkSeq, SliceSystem]):
 def _member_layout(
     groups: _PairGroups,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each group's member paths and each pair's local positions.
+    """Each group's member paths and each pair's member positions.
 
     Runs over blocks of whole groups of about :data:`COLD_BLOCK`
     pairs: within a block, the member rows of every group come from
-    one sorted unique over ``(group, row)`` keys, and a pair's local
-    positions are its keys' ranks within its group's members.
+    one sorted unique over ``(group, row)`` keys, and a pair's
+    positions are its keys' ranks among the block's members, offset
+    by the members of the blocks before.
 
     Returns:
-        ``(member_rows, member_counts, la, lb)`` — the members of each
-        group ascending, one count per group, and the local positions
-        aligned with ``groups.pair_a`` / ``pair_b``.
+        ``(member_rows, member_counts, member_a, member_b)`` — the
+        members of each group ascending, one count per group, and each
+        pair's positions in the flat ``member_rows``, aligned with
+        ``groups.pair_a`` / ``pair_b``.
     """
     offsets = groups.offsets
     num_paths = groups.index.num_paths
-    la = np.empty(groups.pair_a.size, dtype=np.intp)
-    lb = np.empty(groups.pair_b.size, dtype=np.intp)
+    member_a = np.empty(groups.pair_a.size, dtype=np.intp)
+    member_b = np.empty(groups.pair_b.size, dtype=np.intp)
     member_parts: List[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     member_counts = np.zeros(offsets.size - 1, dtype=np.intp)
+    done = 0  # members of the blocks before
     for g0, g1 in _block_bounds(offsets[:-1]):
         lo, hi = offsets[g0], offsets[g1]
         local_group = np.repeat(
@@ -677,11 +667,12 @@ def _member_layout(
         starts = np.searchsorted(
             members, np.arange(g1 - g0 + 1, dtype=np.intp) * num_paths
         )
-        la[lo:hi] = np.searchsorted(members, key_a) - starts[local_group]
-        lb[lo:hi] = np.searchsorted(members, key_b) - starts[local_group]
+        member_a[lo:hi] = np.searchsorted(members, key_a) + done
+        member_b[lo:hi] = np.searchsorted(members, key_b) + done
         member_parts.append(members % num_paths)
         member_counts[g0:g1] = np.diff(starts)
-    return np.concatenate(member_parts), member_counts, la, lb
+        done += members.size
+    return np.concatenate(member_parts), member_counts, member_a, member_b
 
 
 def build_slice_batch(
@@ -717,7 +708,7 @@ def build_slice_batch(
 
     groups = _pair_groups(net)
     index = net.path_index
-    member_rows, member_counts, la, lb = _member_layout(groups)
+    member_rows, member_counts, member_a, member_b = _member_layout(groups)
     pair_counts = np.diff(groups.offsets)
     kept = member_counts + pair_counts >= min_pathsets
     pair_a, pair_b = groups.pair_a, groups.pair_b
@@ -725,7 +716,12 @@ def build_slice_batch(
     if not kept.all():
         on_pair = np.repeat(kept, pair_counts)
         pair_a, pair_b = pair_a[on_pair], pair_b[on_pair]
-        la, lb = la[on_pair], lb[on_pair]
+        # A kept pair's members move down by the members of the
+        # dropped groups before its own.
+        dropped_before = np.cumsum(np.where(kept, 0, member_counts))
+        shift = np.repeat(dropped_before[kept], pair_counts[kept])
+        member_a = member_a[on_pair] - shift
+        member_b = member_b[on_pair] - shift
         member_rows = member_rows[np.repeat(kept, member_counts)]
         offsets = _offsets(pair_counts[kept])
         sigma_masks = sigma_masks[kept]
@@ -737,10 +733,10 @@ def build_slice_batch(
         pair_a=pair_a,
         pair_b=pair_b,
         offsets=offsets,
-        la=la,
-        lb=lb,
         member_rows=member_rows,
         member_offsets=_offsets(member_counts[kept]),
+        member_a=member_a,
+        member_b=member_b,
         singletons=_singleton_pathsets(net),
     )
     skipped = tuple(s for s, k in zip(groups.sigmas, keep_list) if not k)
@@ -799,28 +795,18 @@ def gather_sorted(
 def _observation_arrays(
     batch: SliceSystemBatch, observations: Mapping[PathSet, float]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Unpack a pathset→value mapping into gatherable arrays.
+    """Unpack a pathset→value mapping into the scorer's cost arrays.
 
-    Returns ``(y_single, y_pair_flat)``: a ``(|P|,)`` singleton vector
-    and the pair values aligned with ``batch.pair_a``/``pair_b`` (NaN
-    where unmeasured), ready for :func:`batch_pair_estimates_arrays`.
-    A :class:`~repro.measurement.normalize.PathsetObservations` over
-    the same registry hands over its arrays directly; any other
-    mapping takes one pass that collects pair values by scalar pair
-    key, then one sorted-key gather. Entries for paths outside the
-    index are ignored.
+    The one edge where a hand-built or exact mapping enters the
+    array route. A mapping has one value per singleton, so every σ
+    prices a member path alike. Returns ``(y_member, y_pair_flat)``:
+    singleton values aligned with ``batch.member_rows`` and pair
+    values aligned with ``batch.pair_a``/``pair_b``, NaN where
+    unmeasured: one pass collects pair values by scalar pair key, then
+    one sorted-key gather. Entries for paths outside the index are
+    ignored.
     """
-    from repro.measurement.normalize import PathsetObservations
-
     index = batch.index
-    if (
-        isinstance(observations, PathsetObservations)
-        and observations.index is index
-    ):
-        return (
-            observations.y_single,
-            observations.pair_values(batch.pair_a, batch.pair_b),
-        )
     pos = index.path_pos
     num_paths = index.num_paths
     y_single = np.full(num_paths, np.nan)
@@ -855,43 +841,36 @@ def _observation_arrays(
     y_pair_flat = gather_sorted(
         keys, values, pair_keys(batch.pair_a, batch.pair_b, num_paths)
     )
-    return y_single, y_pair_flat
-
-
-def batch_pair_estimates(
-    batch: SliceSystemBatch, observations: Mapping[PathSet, float]
-) -> np.ndarray:
-    """Equation 14 for *all* candidate systems at once.
-
-    Returns:
-        The flat ``(n_pairs,)`` array of ``y_a + y_b − y_ab``
-        estimates, aligned with ``batch.pair_a``/``pair_b`` and
-        segmented by ``batch.offsets``.
-
-    Raises:
-        SliceError: If any needed pathset was not measured.
-    """
-    return batch_pair_estimates_arrays(
-        batch, *_observation_arrays(batch, observations)
-    )
+    return y_single[batch.member_rows], y_pair_flat
 
 
 def batch_pair_estimates_arrays(
     batch: SliceSystemBatch,
-    y_single: np.ndarray,
+    y_member: np.ndarray,
     y_pair_flat: np.ndarray,
 ) -> np.ndarray:
-    """Equation 14 from pre-gathered arrays.
+    """Equation 14 for *all* candidate systems at once.
 
-    ``y_single`` is indexed by path row, ``y_pair_flat`` aligned with
-    ``batch.pair_a``/``pair_b``. NaN marks a missing observation.
+    ``y_member`` is aligned with ``batch.member_rows`` (each σ's own
+    singleton costs), ``y_pair_flat`` with ``batch.pair_a``/``pair_b``.
+    NaN marks a missing observation.
+
+    Returns:
+        The flat ``(n_pairs,)`` array of ``y_a + y_b − y_ab``
+        estimates, aligned with ``batch.pair_a``/``pair_b`` and
+        segmented by ``batch.offsets``: σ ``g``'s estimates are
+        ``[offsets[g], offsets[g + 1])``, in the order of its
+        :attr:`SliceSystem.pairs`.
+
+    Raises:
+        SliceError: If any needed pathset was not measured.
     """
-    return _pair_estimates(batch, y_single, y_pair_flat, 0, batch.num_pairs)
+    return _pair_estimates(batch, y_member, y_pair_flat, 0, batch.num_pairs)
 
 
 def _pair_estimates(
     batch: SliceSystemBatch,
-    y_single: np.ndarray,
+    y_member: np.ndarray,
     y_pair_flat: np.ndarray,
     lo: int,
     hi: int,
@@ -902,8 +881,8 @@ def _pair_estimates(
         SliceError: If any needed pathset was not measured.
     """
     estimates = (
-        y_single[batch.pair_a[lo:hi]]
-        + y_single[batch.pair_b[lo:hi]]
+        y_member[batch.member_a[lo:hi]]
+        + y_member[batch.member_b[lo:hi]]
         - y_pair_flat[lo:hi]
     )
     if np.isnan(estimates).any():
@@ -917,28 +896,19 @@ def _pair_estimates(
     return estimates
 
 
-def batch_unsolvability(
-    batch: SliceSystemBatch, observations: Mapping[PathSet, float]
+def batch_unsolvability_arrays(
+    batch: SliceSystemBatch,
+    y_member: np.ndarray,
+    y_pair_flat: np.ndarray,
 ) -> np.ndarray:
     """Unsolvability scores of all candidate systems in one pass.
 
-    Per-pair estimates are clipped at 0 (see
-    :meth:`SliceSystem.unsolvability`), then each system's score is
-    the max − min over its segment of the flat estimate array;
-    single-pair systems score 0.
-    """
-    return batch_unsolvability_arrays(
-        batch, *_observation_arrays(batch, observations)
-    )
-
-
-def batch_unsolvability_arrays(
-    batch: SliceSystemBatch,
-    y_single: np.ndarray,
-    y_pair_flat: np.ndarray,
-) -> np.ndarray:
-    """:func:`batch_unsolvability` from pre-gathered arrays (the
-    zero-dict route used by the experiment runner).
+    Per-pair estimates (:func:`batch_pair_estimates_arrays`) are
+    clipped at 0 first: a performance number is a nonnegative cost,
+    so a negative estimate carries no evidence about σ — it is
+    sampling noise (or mild anti-correlation from capacity coupling)
+    and must not inflate the spread. Each system's score is then the
+    max − min over its segment; single-pair systems score 0.
 
     Scored over blocks of whole systems (:func:`_block_bounds`), so
     no ``(n_pairs,)`` estimate array is held at once.
@@ -947,7 +917,7 @@ def batch_unsolvability_arrays(
     spread = np.zeros(batch.num_systems, dtype=float)
     for g0, g1 in _block_bounds(offsets[:-1]):
         lo, hi = int(offsets[g0]), int(offsets[g1])
-        clipped = _pair_estimates(batch, y_single, y_pair_flat, lo, hi)
+        clipped = _pair_estimates(batch, y_member, y_pair_flat, lo, hi)
         np.maximum(clipped, 0.0, out=clipped)
         starts = offsets[g0:g1] - lo
         spread[g0:g1] = np.maximum.reduceat(clipped, starts)

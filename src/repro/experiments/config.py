@@ -18,6 +18,12 @@ from repro.measurement.clustering import (
     DEFAULT_MIN_ABSOLUTE,
     DEFAULT_MIN_RATIO,
 )
+
+#: Topology B's decision fields, for every multi-ISP run: with nine
+#: examined systems there is a population to cluster over, so the
+#: decision leans on the 2-means split (looser ratio) and a higher
+#: absolute backstop than the single-system topology A.
+TOPOLOGY_B_DECIDERS = {"decider_min_ratio": 2.0, "decider_definite": 0.10}
 from repro.measurement.normalize import DEFAULT_LOSS_THRESHOLD
 
 

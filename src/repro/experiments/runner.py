@@ -12,8 +12,8 @@ argument, and every backend takes the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -49,8 +49,9 @@ class ExperimentOutcome:
         emulation: Raw substrate output (interval records, traces,
             ground truth) — see :class:`repro.substrate.base.
             SubstrateResult`.
-        observations: Normalized pathset performance numbers.
-        algorithm: Algorithm 1's result on those observations.
+        observations: Normalized pathset performance numbers (a
+            display-only view).
+        algorithm: Algorithm 1's result, scored from :attr:`costs`.
         path_congestion: Per-path raw congestion probability
             (Figure 8's bars).
         inference_network: The graph the algorithm saw (restricted to
@@ -58,6 +59,10 @@ class ExperimentOutcome:
         quality: §5 metrics versus ground truth, when ground truth
             (the set of differentiating links) was supplied.
         substrate: Name of the substrate that emulated this outcome.
+        costs: ``(y_member, y_pair_flat)``, the Algorithm 2 cost
+            arrays the verdict was scored from, over the inference
+            network's slice batch (see :func:`~repro.measurement.
+            normalize.batch_slice_observations`).
     """
 
     emulation: SubstrateResult
@@ -67,6 +72,7 @@ class ExperimentOutcome:
     inference_network: Network
     quality: Optional[QualityReport] = None
     substrate: str = "fluid"
+    costs: Tuple[np.ndarray, np.ndarray] = ()
 
     @property
     def verdict_non_neutral(self) -> bool:
@@ -123,6 +129,16 @@ def infer_from_measurements(
     Returns:
         ``(observations, algorithm_result)``.
     """
+    observations, _costs, algorithm = _infer(
+        net, measurements, settings, min_pathsets, rng, telemetry
+    )
+    return observations, algorithm
+
+
+def _infer(net, measurements, settings, min_pathsets, rng, telemetry):
+    """:func:`infer_from_measurements`, also returning the cost arrays
+    the verdict was scored from: ``(observations, (y_member,
+    y_pair_flat), algorithm_result)``."""
     tracer = (
         telemetry if telemetry is not None else _telemetry.get_tracer()
     )
@@ -132,7 +148,7 @@ def infer_from_measurements(
         with tracer.span("infer.slices"):
             batch, skipped = build_slice_batch(net, min_pathsets)
         with tracer.span("infer.normalize", sigmas=len(batch.sigmas)):
-            observations, y_single, y_pair_flat = batch_slice_observations(
+            observations, y_member, y_pair_flat = batch_slice_observations(
                 measurements,
                 batch,
                 loss_threshold=settings.loss_threshold,
@@ -141,7 +157,7 @@ def infer_from_measurements(
             )
         with tracer.span("infer.score"):
             score_array = batch_unsolvability_arrays(
-                batch, y_single, y_pair_flat
+                batch, y_member, y_pair_flat
             )
             scores: Dict[LinkSeq, float] = {
                 sigma: float(score)
@@ -156,7 +172,7 @@ def infer_from_measurements(
                 batch, skipped, scores, decider
             )
         infer_span.set(identified=len(algorithm.identified))
-    return observations, algorithm
+    return observations, (y_member, y_pair_flat), algorithm
 
 
 def outcome_from_emulation(
@@ -188,13 +204,13 @@ def outcome_from_emulation(
     # ("similarly sized traffic aggregates") at the cost of sampling
     # noise; "expected" mode (default) uses the expectation.
     norm_rng = np.random.default_rng(settings.seed + 7_919)
-    observations, algorithm = infer_from_measurements(
+    observations, costs, algorithm = _infer(
         inference_net,
         emulation.measurements,
-        settings=settings,
-        min_pathsets=min_pathsets,
-        rng=norm_rng,
-        telemetry=telemetry,
+        settings,
+        min_pathsets,
+        norm_rng,
+        telemetry,
     )
     path_congestion = {
         pid: path_congestion_probability(
@@ -215,6 +231,7 @@ def outcome_from_emulation(
         inference_network=inference_net,
         quality=quality,
         substrate=substrate,
+        costs=costs,
     )
 
 

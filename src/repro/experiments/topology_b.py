@@ -20,9 +20,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.network import LinkSeq
+from repro.core.slices import batch_pair_estimates_arrays, build_slice_batch
 from repro.exceptions import ConfigurationError
-from repro.experiments.config import EmulationSettings
+from repro.experiments.config import TOPOLOGY_B_DECIDERS, EmulationSettings
 from repro.experiments.runner import (
     ExperimentOutcome,
     outcome_from_emulation,
@@ -116,14 +118,10 @@ class TopologyBReport:
     queue_traces_mb: Dict[str, np.ndarray]
 
 
-#: Topology-B decision settings: with nine examined systems there is a
-#: population to cluster over, so the decision leans on the 2-means
-#: split (looser ratio) and a higher absolute backstop than the
-#: single-system topology-A experiments.
+#: Topology-B settings: 300 s runs decided by
+#: :data:`~repro.experiments.config.TOPOLOGY_B_DECIDERS`.
 TOPOLOGY_B_SETTINGS = EmulationSettings(
-    duration_seconds=300.0,
-    decider_min_ratio=2.0,
-    decider_definite=0.10,
+    duration_seconds=300.0, **TOPOLOGY_B_DECIDERS
 )
 
 
@@ -168,15 +166,27 @@ def _report_from_outcome(
 
     c2_paths = set(topo.light_paths)
     identified = set(outcome.algorithm.identified_raw)
+    # Each σ's estimates are its segment of the flat Equation-14
+    # array, priced by its own family's costs.
+    batch, _ = build_slice_batch(
+        outcome.inference_network, DEFAULT_MIN_PATHSETS
+    )
+    flat = batch_pair_estimates_arrays(batch, *outcome.costs).tolist()
+    path_ids = batch.index.path_ids
+    pair_ids = [
+        (path_ids[a], path_ids[b])
+        for a, b in zip(batch.pair_a.tolist(), batch.pair_b.tolist())
+    ]
     sequences: List[SequenceEstimates] = []
-    for sigma, system in sorted(outcome.algorithm.systems.items()):
-        estimates = system.pair_estimates(outcome.observations)
+    for g, sigma in enumerate(batch.sigmas):
+        lo, hi = batch.offsets[g], batch.offsets[g + 1]
+        estimates = sorted(zip(pair_ids[lo:hi], flat[lo:hi]))
         c2_est = tuple(
-            v for (pa, pb), v in sorted(estimates.items())
+            v for (pa, pb), v in estimates
             if pa in c2_paths and pb in c2_paths
         )
         other_est = tuple(
-            v for (pa, pb), v in sorted(estimates.items())
+            v for (pa, pb), v in estimates
             if not (pa in c2_paths and pb in c2_paths)
         )
         sequences.append(

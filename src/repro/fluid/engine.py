@@ -71,7 +71,7 @@ from repro.measurement.records import (
 #: Engine implementation tag; part of the sweep result-cache key so
 #: cached outcomes are invalidated when the emulation model changes.
 #: This tag names the numpy step program's arithmetic: bump it when a
-#: change alters outputs (``benchmarks/fluid_parity.py`` checks that a
+#: change alters outputs (``benchmarks/parity.py`` checks that a
 #: refactor does not).
 ENGINE_VERSION = "fluid-vec-2"
 

@@ -10,45 +10,40 @@ statistics a practitioner wants next to that number:
   disagreement the system exhibits);
 * a compact per-system diagnostic record.
 
-These feed the examples and the scaling bench; the default pipeline
-keeps the paper's raw-spread + clustering decision.
+They read Algorithm 2's per-member cost arrays, like the scorer;
+the default pipeline keeps the paper's raw-spread + clustering
+decision.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
-from repro.core.pathsets import PathSet
-from repro.core.slices import SliceSystem
+import numpy as np
+
+from repro.core.slices import SliceSystemBatch, batch_pair_estimates_arrays
 from repro.exceptions import MeasurementError
 
 
 def estimate_variance(
-    observations: Mapping[PathSet, float],
-    pair: Tuple[str, str],
+    y_a: np.ndarray,
+    y_b: np.ndarray,
+    y_ab: np.ndarray,
     num_intervals: int,
-) -> float:
-    """Delta-method variance of one pair's σ-cost estimate.
+) -> np.ndarray:
+    """Delta-method variance of pair σ-cost estimates, elementwise.
 
     With ``y = −log P̂`` and ``P̂`` a binomial proportion over ``T``
-    intervals, ``Var(y) ≈ (1 − P)/(P·T)``; the pair estimate sums
-    three such terms (ignoring their positive covariance, so this is
-    an upper-bound-flavoured scale, not an exact CI).
+    intervals, ``Var(y) ≈ (1 − P)/(P·T)``; the pair estimate
+    ``y_a + y_b − y_ab`` sums three such terms (ignoring their
+    positive covariance, so this is an upper-bound-flavoured scale,
+    not an exact CI).
     """
     if num_intervals <= 0:
         raise MeasurementError("num_intervals must be positive")
-    total = 0.0
-    for ps in (
-        frozenset([pair[0]]),
-        frozenset([pair[1]]),
-        frozenset(pair),
-    ):
-        y = observations[ps]
-        p = math.exp(-y)
-        total += (1.0 - p) / max(p * num_intervals, 1e-12)
-    return total
+    p = np.exp(-np.array([y_a, y_b, y_ab], dtype=float))
+    return ((1.0 - p) / np.maximum(p * num_intervals, 1e-12)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -72,29 +67,39 @@ class SystemDiagnostics:
 
 
 def diagnose_system(
-    system: SliceSystem,
-    observations: Mapping[PathSet, float],
+    batch: SliceSystemBatch,
+    g: int,
+    y_member: np.ndarray,
+    y_pair_flat: np.ndarray,
     num_intervals: int,
 ) -> SystemDiagnostics:
-    """Compute the full diagnostic record for one slice system."""
-    estimates = system.pair_estimates(observations)
-    if not estimates:
-        raise MeasurementError("system has no pairs")
-    ses = {
-        pair: math.sqrt(
-            estimate_variance(observations, pair, num_intervals)
+    """The full diagnostic record of system ``g`` of a slice batch.
+
+    ``y_member`` / ``y_pair_flat`` are Algorithm 2's cost arrays over
+    the batch (see :func:`~repro.measurement.normalize.
+    batch_slice_observations`); the estimates are σ's segment of
+    :func:`~repro.core.slices.batch_pair_estimates_arrays`.
+    """
+    lo, hi = batch.offsets[g], batch.offsets[g + 1]
+    estimates = batch_pair_estimates_arrays(batch, y_member, y_pair_flat)[
+        lo:hi
+    ]
+    ses = np.sqrt(
+        estimate_variance(
+            y_member[batch.member_a[lo:hi]],
+            y_member[batch.member_b[lo:hi]],
+            y_pair_flat[lo:hi],
+            num_intervals,
         )
-        for pair in estimates
-    }
-    values = [max(v, 0.0) for v in estimates.values()]
-    spread = max(values) - min(values) if len(values) > 1 else 0.0
-    pooled = math.sqrt(
-        sum(se * se for se in ses.values()) / len(ses)
     )
+    clipped = np.maximum(estimates, 0.0)
+    spread = float(clipped.max() - clipped.min()) if hi - lo > 1 else 0.0
+    pooled = float(np.sqrt(np.mean(ses * ses)))
+    pairs = batch.system(g).pairs
     return SystemDiagnostics(
-        sigma=system.sigma,
-        estimates=dict(estimates),
-        standard_errors=ses,
+        sigma=batch.sigmas[g],
+        estimates=dict(zip(pairs, estimates.tolist())),
+        standard_errors=dict(zip(pairs, ses.tolist())),
         spread=spread,
         normalized_spread=spread / max(pooled, 1e-12),
     )

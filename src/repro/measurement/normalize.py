@@ -33,9 +33,12 @@ congestion-free in ``k`` of ``T`` valid intervals costs
 pair counts from :func:`pair_joint_counts`.
 :func:`batch_slice_observations` runs a whole slice batch: one joint
 pass when every path sent in every interval (expected mode), else one
-loop over the σ groups, each over its own valid intervals. The
-pre-rewrite per-pathset loops are frozen with the tests, in
-``tests/oracles/algorithm_reference.py``.
+loop over the σ groups, each over its own valid intervals. Either way
+a singleton has one cost per σ group it belongs to, so the costs
+leave here as per-member arrays. The pre-rewrite per-pathset loops
+are frozen with the tests, in ``tests/oracles/algorithm_reference.py``
+(its merged mapping keeps one value per singleton); the per-family
+semantics are pinned by ``tests/oracles/family_reference.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.network import PathIndex
 from repro.core.pathsets import PathSet, PathSetFamily
 from repro.core.slices import gather_sorted, pair_keys, sorted_unique
 from repro.exceptions import MeasurementError
@@ -306,15 +308,20 @@ def pathset_performance_numbers(
 
 
 class PathsetObservations(Mapping[PathSet, float]):
-    """Read-only ``{pathset: y}`` view over Algorithm 2's cost arrays.
+    """Read-only ``{pathset: y}`` display view over a slice batch's
+    cost arrays.
 
-    What :func:`batch_slice_observations` returns: a mapping backed
-    by the arrays the pipeline computes anyway, so a verdict never
-    builds one frozenset per pathset (~905k of them at 5356 paths)
-    unless a caller reads them.
+    What :func:`batch_slice_observations` returns next to the arrays,
+    so no frozenset is built per pathset (~905k of them at 5356
+    paths) unless a caller reads them. No verdict reads it: a path in
+    several σ groups has one cost per group and a mapping holds one,
+    so a singleton shows the cost of the last group, in batch order,
+    that contains the path (all groups agree when every path sent in
+    every interval).
 
-    * Singletons are the ``used`` rows, valued by ``y_single`` (NaN on
-      every other row); lookups go through ``index.path_pos``.
+    * Singletons are the ``used`` rows (the batch's member paths),
+      valued by ``y_single`` (NaN on every other row); lookups go
+      through ``index.path_pos``.
     * Pairs are ``(pair_a[k], pair_b[k])``, valued by
       ``y_pair_flat[k]``; lookups search a lazily built sorted array
       of ``a·|P| + b`` keys.
@@ -333,19 +340,15 @@ class PathsetObservations(Mapping[PathSet, float]):
     )
 
     def __init__(
-        self,
-        index: PathIndex,
-        used: np.ndarray,
-        y_single: np.ndarray,
-        pair_a: np.ndarray,
-        pair_b: np.ndarray,
-        y_pair_flat: np.ndarray,
+        self, batch, y_member: np.ndarray, y_pair_flat: np.ndarray
     ) -> None:
-        self.index = index
-        self.used = used
-        self.y_single = y_single
-        self.pair_a = pair_a
-        self.pair_b = pair_b
+        self.index = batch.index
+        self.used = sorted_unique(batch.member_rows)
+        self.y_single = np.full(self.index.num_paths, np.nan)
+        # Repeated rows keep the last value assigned, the later group's.
+        self.y_single[batch.member_rows] = y_member
+        self.pair_a = batch.pair_a
+        self.pair_b = batch.pair_b
         self.y_pair_flat = y_pair_flat
         self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -356,18 +359,6 @@ class PathsetObservations(Mapping[PathSet, float]):
             order = np.argsort(keys)
             self._sorted = (keys[order], self.y_pair_flat[order])
         return self._sorted
-
-    def pair_values(
-        self, pair_a: np.ndarray, pair_b: np.ndarray
-    ) -> np.ndarray:
-        """Pair values gathered at rows ``(pair_a, pair_b)`` (NaN where
-        unmeasured) — the stored array itself for the same pairs."""
-        if pair_a is self.pair_a and pair_b is self.pair_b:
-            return self.y_pair_flat
-        return gather_sorted(
-            *self._sorted_pairs(),
-            pair_keys(pair_a, pair_b, self.index.num_paths),
-        )
 
     def __getitem__(self, pathset: PathSet) -> float:
         rows = (
@@ -449,12 +440,12 @@ def batch_slice_observations(
             arrays alone carry a verdict.
 
     Returns:
-        ``(observations, y_single, y_pair_flat)`` — a
-        :class:`PathsetObservations` view over the cost arrays (``{}``
-        for a batch without systems), plus the arrays themselves:
-        ``y_single`` indexed by path row (NaN for unmeasured paths),
-        ``y_pair_flat`` aligned with ``batch.pair_a``/``pair_b``.
-        Feed the arrays to
+        ``(observations, y_member, y_pair_flat)`` — a display-only
+        :class:`PathsetObservations` view (``{}`` for a batch without
+        systems), then the cost arrays that carry the verdict:
+        ``y_member`` aligned with ``batch.member_rows`` (each σ's own
+        singleton costs) and ``y_pair_flat`` aligned with
+        ``batch.pair_a``/``pair_b``. Feed the arrays to
         :func:`repro.core.slices.batch_unsolvability_arrays`.
 
     Raises:
@@ -466,18 +457,18 @@ def batch_slice_observations(
     num_paths = index.num_paths
 
     if batch.num_systems == 0:
-        return {}, np.full(num_paths, np.nan), np.zeros(0, dtype=float)
+        return {}, np.zeros(0, dtype=float), np.zeros(0, dtype=float)
 
-    used = sorted_unique(batch.member_rows)
     # Zero intervals take the group loop, which raises on their empty
     # valid sets (all_sent_positive is vacuously true for them).
     if mode == "sampled" or not (
         data.all_sent_positive and data.num_intervals
     ):
-        y_single, y_pair_flat = _group_costs(
+        y_member, y_pair_flat = _group_costs(
             data, batch, loss_threshold, mode, rng
         )
     else:
+        used = sorted_unique(batch.member_rows)
         status = (data.lost_matrix / data.sent_matrix) < loss_threshold
         table = cost_table(status.shape[1])
         path_ids = index.path_ids
@@ -489,6 +480,7 @@ def batch_slice_observations(
         joint[used] = status[data_rows]
         y_single = np.full(num_paths, np.nan)
         y_single[used] = table[joint[used].sum(axis=1)]
+        y_member = y_single[batch.member_rows]
         # Costs block by block: no (n_pairs,) count array next to them.
         words = _interval_words(joint)
         y_pair_flat = np.empty(batch.num_pairs)
@@ -501,13 +493,9 @@ def batch_slice_observations(
             y_pair_flat[lo:hi] = table[counts]
 
     if not materialize:
-        return {}, y_single, y_pair_flat
-    # Each sharing pair belongs to exactly one σ group, so the flat
-    # pair arrays enumerate every pair pathset once.
-    observations = PathsetObservations(
-        index, used, y_single, batch.pair_a, batch.pair_b, y_pair_flat
-    )
-    return observations, y_single, y_pair_flat
+        return {}, y_member, y_pair_flat
+    view = PathsetObservations(batch, y_member, y_pair_flat)
+    return view, y_member, y_pair_flat
 
 
 def _group_costs(
@@ -517,17 +505,17 @@ def _group_costs(
     mode: str,
     rng: Optional[np.random.Generator],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(y_single, y_pair_flat)`` σ group by σ group, each group over
+    """``(y_member, y_pair_flat)`` σ group by σ group, each group over
     its own valid intervals.
 
-    Groups run in batch order and each writes its members' singleton
-    costs, so a later group wins a path it shares with an earlier
-    one. Expected-mode status is computed once; sampled mode draws
-    through :func:`congestion_free_matrix` one group at a time, with
-    the paths in sorted-id order.
+    Each group prices its own member singletons: a path in several
+    groups gets one cost per group, as Algorithm 2 normalizes each
+    slice on its own. Expected-mode status is computed once; sampled
+    mode draws through :func:`congestion_free_matrix` one group at a
+    time in batch order, with the paths in sorted-id order.
     """
     path_ids = batch.index.path_ids
-    y_single = np.full(batch.index.num_paths, np.nan)
+    y_member = np.empty(batch.member_rows.size)
     y_pair_flat = np.empty(batch.num_pairs)
     if mode == "expected":
         has_traffic = data.sent_matrix > 0
@@ -535,9 +523,8 @@ def _group_costs(
             frac = data.lost_matrix / data.sent_matrix
         status_all = (frac < loss_threshold) & has_traffic
     for g in range(batch.num_systems):
-        members = batch.member_rows[
-            batch.member_offsets[g]:batch.member_offsets[g + 1]
-        ]
+        mlo, mhi = batch.member_offsets[g], batch.member_offsets[g + 1]
+        members = batch.member_rows[mlo:mhi]
         ids = [path_ids[r] for r in members.tolist()]
         rows = data.rows_of(ids)
         # Data rows are in sorted-id order, so this sorts the members.
@@ -556,12 +543,12 @@ def _group_costs(
             raise _no_valid_interval(sorted_ids)
         status = status[:, valid]
         table = cost_table(status.shape[1])
-        y_single[members] = table[status.sum(axis=1)]
+        y_member[mlo:mhi] = table[status.sum(axis=1)]
         lo, hi = batch.offsets[g], batch.offsets[g + 1]
-        y_pair_flat[lo:hi] = table[
-            pair_joint_counts(status, batch.la[lo:hi], batch.lb[lo:hi])
-        ]
-    return y_single, y_pair_flat
+        la = batch.member_a[lo:hi] - mlo
+        lb = batch.member_b[lo:hi] - mlo
+        y_pair_flat[lo:hi] = table[pair_joint_counts(status, la, lb)]
+    return y_member, y_pair_flat
 
 
 def path_congestion_probability(

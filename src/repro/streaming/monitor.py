@@ -353,10 +353,8 @@ class NeutralityMonitor:
                 to normalize — the caller decides how to degrade).
         """
         batch = self.stats.batch
-        y_single, y_pair_flat = self.stats.window_costs(lo, hi)
-        score_array = batch_unsolvability_arrays(
-            batch, y_single, y_pair_flat
-        )
+        y_member, y_pair_flat = self.stats.window_costs(lo, hi)
+        score_array = batch_unsolvability_arrays(batch, y_member, y_pair_flat)
         flagged = classify_score_array(
             score_array,
             min_absolute=self._min_absolute,

@@ -349,58 +349,49 @@ class SlidingWindowStats:
     ) -> Tuple[Mapping[PathSet, float], np.ndarray, np.ndarray]:
         """Algorithm 2 over the window ``[lo, hi)``.
 
-        Returns the same ``(observations, y_single, y_pair_flat)``
+        Returns the same ``(observations, y_member, y_pair_flat)``
         triple as :func:`~repro.measurement.normalize.
         batch_slice_observations` on the window's records —
         fp-identically, but from the incremental state instead of a
-        full recompute. The observations are a
+        full recompute. The observations are the display-only
         :class:`~repro.measurement.normalize.PathsetObservations`
-        view over the cost arrays, so the monitor, which reads only
-        the arrays, never builds a per-pathset object. Windows
-        containing an interval where some path sent nothing are
-        computed by the batch routine itself, whose per-group branch
-        gives each σ group its own valid intervals.
+        view; the monitor reads only the arrays
+        (:meth:`window_costs`). Windows containing an interval where
+        some path sent nothing are computed by the batch routine
+        itself, whose per-group branch gives each σ group its own
+        valid intervals.
         """
-        self._check_window(lo, hi)
-        batch = self.batch
-        if batch.num_systems == 0:
-            return (
-                {},
-                np.full(batch.index.num_paths, np.nan),
-                np.zeros(0, dtype=float),
-            )
-        if not self._columns(self._traffic, lo, hi).all():
-            return batch_slice_observations(
-                self.window_data(lo, hi),
-                batch,
-                loss_threshold=self.loss_threshold,
-            )
-        table = cost_table(hi - lo)
-        counts = self._counts(lo, hi)
-        num_used = self._used.size
-        y_single = np.full(batch.index.num_paths, np.nan)
-        y_single[self._used] = table[counts[:num_used]]
-        y_pair_flat = table[counts[num_used:]]
-        observations = PathsetObservations(
-            batch.index,
-            self._used,
-            y_single,
-            batch.pair_a,
-            batch.pair_b,
-            y_pair_flat,
-        )
-        return observations, y_single, y_pair_flat
+        costs = self.window_costs(lo, hi)
+        if self.batch.num_systems == 0:
+            return ({}, *costs)
+        return (PathsetObservations(self.batch, *costs), *costs)
 
     def window_costs(
         self, lo: int, hi: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Algorithm 2 cost arrays over the window ``[lo, hi)``.
 
-        ``(y_single, y_pair_flat)`` exactly as
+        ``(y_member, y_pair_flat)`` exactly as
         :func:`~repro.measurement.normalize.batch_slice_observations`
         would return for the window's records, gatherable by
         :func:`~repro.core.slices.batch_unsolvability_arrays` —
         the monitor's hot path.
         """
-        _, y_single, y_pair_flat = self.window_observations(lo, hi)
-        return y_single, y_pair_flat
+        self._check_window(lo, hi)
+        batch = self.batch
+        if batch.num_systems == 0:
+            return np.zeros(0, dtype=float), np.zeros(0, dtype=float)
+        if not self._columns(self._traffic, lo, hi).all():
+            _, y_member, y_pair_flat = batch_slice_observations(
+                self.window_data(lo, hi),
+                batch,
+                loss_threshold=self.loss_threshold,
+                materialize=False,
+            )
+            return y_member, y_pair_flat
+        table = cost_table(hi - lo)
+        counts = self._counts(lo, hi)
+        num_used = self._used.size
+        y_single = np.full(batch.index.num_paths, np.nan)
+        y_single[self._used] = table[counts[:num_used]]
+        return y_single[batch.member_rows], table[counts[num_used:]]

@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, Optional
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError
-from repro.experiments.config import EmulationSettings
+from repro.experiments.config import TOPOLOGY_B_DECIDERS, EmulationSettings
 from repro.fluid.params import (
     AqmSpec,
     PathWorkload,
@@ -138,7 +138,9 @@ class Scenario:
             topology B always carries its Table 3 mixes).
         capacity_mbps: Bottleneck capacity; access links get 10×.
         buffer_seconds: Bottleneck queue depth.
-        settings: Emulation/inference settings.
+        settings: Emulation/inference settings; a ``multi_isp``
+            scenario sets their decider fields to
+            :data:`~repro.experiments.config.TOPOLOGY_B_DECIDERS`.
     """
 
     name: str
@@ -158,6 +160,10 @@ class Scenario:
         if self.topology not in ("dumbbell", "multi_isp"):
             raise ConfigurationError(
                 f"unknown topology {self.topology!r}"
+            )
+        if self.topology == "multi_isp":
+            object.__setattr__(
+                self, "settings", replace(self.settings, **TOPOLOGY_B_DECIDERS)
             )
 
     def with_substrate(self, substrate: str) -> "Scenario":

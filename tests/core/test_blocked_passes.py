@@ -43,7 +43,8 @@ BLOCKS = (1, 2, 7, slices.COLD_BLOCK)
 GROUP_FIELDS = ("pair_a", "pair_b", "offsets", "sigma_masks")
 BATCH_FIELDS = (
     "pair_a", "pair_b", "offsets", "la", "lb",
-    "member_rows", "member_offsets", "sigma_masks",
+    "member_rows", "member_offsets", "member_a", "member_b",
+    "sigma_masks",
 )
 
 
@@ -164,14 +165,16 @@ def test_blocked_costs_and_scores_equal_full_array_oracle(block, pair_block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(slices, "COLD_BLOCK", block)
         patch.setattr(normalize, "PAIR_BLOCK", pair_block)
-        _, y_single, y_pair = normalize.batch_slice_observations(data, batch)
-        scores = batch_unsolvability_arrays(batch, y_single, y_pair)
+        _, y_member, y_pair = normalize.batch_slice_observations(data, batch)
+        scores = batch_unsolvability_arrays(batch, y_member, y_pair)
 
     status = (data.lost_matrix / data.sent_matrix) < 0.01
     rows = data.rows_of(net.path_index.path_ids)
     joint = status[rows[batch.pair_a]] & status[rows[batch.pair_b]]
     table = normalize.cost_table(status.shape[1])
     np.testing.assert_array_equal(y_pair, table[joint.sum(axis=1)])
+    y_single = table[status[rows].sum(axis=1)]
+    np.testing.assert_array_equal(y_member, y_single[batch.member_rows])
     clipped = np.maximum(
         y_single[batch.pair_a] + y_single[batch.pair_b] - y_pair, 0.0
     )

@@ -51,7 +51,8 @@ def _assert_batch_equal(patched, rebuilt):
     assert patched.sigmas == rebuilt.sigmas
     for field in (
         "pair_a", "pair_b", "offsets", "la", "lb",
-        "member_rows", "member_offsets", "sigma_masks",
+        "member_rows", "member_offsets", "member_a", "member_b",
+        "sigma_masks",
     ):
         np.testing.assert_array_equal(
             getattr(patched, field), getattr(rebuilt, field), field

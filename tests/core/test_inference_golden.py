@@ -188,7 +188,8 @@ class TestDenseSparseDifferential:
         assert batch.sigmas == want["sigmas"]
         for field in (
             "pair_a", "pair_b", "offsets", "la", "lb",
-            "member_rows", "member_offsets", "sigma_masks",
+            "member_rows", "member_offsets", "member_a", "member_b",
+            "sigma_masks",
         ):
             got = getattr(batch, field)
             assert got.dtype == want[field].dtype, field
@@ -206,16 +207,16 @@ class TestDenseSparseDifferential:
                 field: layout[field]
                 for field in (
                     "sigmas", "sigma_masks", "pair_a", "pair_b", "offsets",
-                    "la", "lb", "member_rows", "member_offsets",
+                    "member_rows", "member_offsets", "member_a", "member_b",
                 )
             },
         )
         results = []
         for candidate in (oracle, batch):
-            _, y_single, y_pair = batch_slice_observations(
+            _, y_member, y_pair = batch_slice_observations(
                 data, candidate, mode=mode, materialize=False
             )
-            scores = batch_unsolvability_arrays(candidate, y_single, y_pair)
+            scores = batch_unsolvability_arrays(candidate, y_member, y_pair)
             results.append((candidate.sigmas, scores))
         (sig_d, sc_d), (sig_s, sc_s) = results
         assert sig_d == sig_s

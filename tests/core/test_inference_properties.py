@@ -20,7 +20,9 @@ from oracles.algorithm_reference import (
 )
 from repro.core.network import Network, Path
 from repro.core.slices import (
-    batch_unsolvability,
+    _observation_arrays,
+    batch_pair_estimates_arrays,
+    batch_unsolvability_arrays,
     build_slice_batch,
     shared_sequences,
 )
@@ -81,9 +83,9 @@ def test_shared_sequences_path_relabeling_invariance(net, pyrandom):
 @_SETTINGS
 @given(random_networks(), st.integers(0, 2**31 - 1))
 def test_batch_scores_match_per_system_scores(net, seed):
-    """The flat-gather scores equal every system's own
-    ``unsolvability`` (and the frozen reference's), given random
-    observations."""
+    """The flat-gather scores and each σ's segment of the flat
+    estimates equal the frozen reference's per-system dict loops,
+    given random observations."""
     rng = np.random.default_rng(seed)
     batch, _ = build_slice_batch(net, min_pathsets=3)
     observations = {}
@@ -91,12 +93,14 @@ def test_batch_scores_match_per_system_scores(net, seed):
         for ps in system.family:
             if ps not in observations:
                 observations[ps] = float(rng.uniform(0.0, 1.0))
-    scores = batch_unsolvability(batch, observations)
+    arrays = _observation_arrays(batch, observations)
+    scores = batch_unsolvability_arrays(batch, *arrays)
+    estimates = batch_pair_estimates_arrays(batch, *arrays).tolist()
     assert scores.shape == (len(batch.sigmas),)
-    for sigma, system, score in zip(batch.sigmas, batch.systems, scores):
-        assert score == system.unsolvability(observations)
-        assert score == unsolvability_reference(system, observations)
-        assert system.pair_estimates(observations) == (
+    for g, system in enumerate(batch.systems):
+        assert scores[g] == unsolvability_reference(system, observations)
+        lo, hi = batch.offsets[g], batch.offsets[g + 1]
+        assert dict(zip(system.pairs, estimates[lo:hi])) == (
             pair_estimates_reference(system, observations)
         )
 

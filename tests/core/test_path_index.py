@@ -6,7 +6,8 @@ import pytest
 from repro.core.network import Network, Path, network_from_path_specs
 from repro.core.slices import (
     SliceSystemBatch,
-    batch_pair_estimates,
+    _observation_arrays,
+    batch_pair_estimates_arrays,
     build_slice_batch,
 )
 from repro.exceptions import (
@@ -103,7 +104,9 @@ class TestSliceBatch:
         net = figure4().network
         batch, _ = build_slice_batch(net, min_pathsets=5)
         with pytest.raises(SliceError):
-            batch_pair_estimates(batch, {})
+            batch_pair_estimates_arrays(
+                batch, *_observation_arrays(batch, {})
+            )
 
     def test_empty_network_has_no_systems(self):
         net = Network(["l1"], [Path("p1", ("l1",))])

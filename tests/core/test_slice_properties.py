@@ -6,6 +6,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.network import Network, Path
 from repro.core.slices import (
     SIGMA_COLUMN,
+    _observation_arrays,
+    batch_pair_estimates_arrays,
+    build_slice_batch,
     build_slice_system,
     shared_sequences,
 )
@@ -96,11 +99,18 @@ def test_pair_estimates_exact_for_neutral(net):
         lid: float(rng.uniform(0, 0.5)) for lid in net.link_ids
     }
     perf = neutral_performance(net, classes, values)
-    for sigma, pairs in shared_sequences(net).items():
-        system = build_slice_system(net, sigma, pairs)
-        obs = {
-            ps: perf.pathset_performance(ps) for ps in system.family
-        }
+    # Threshold 1 keeps every shared sequence.
+    batch, _ = build_slice_batch(net, 1)
+    assert batch.sigmas == tuple(shared_sequences(net))
+    obs = {
+        ps: perf.pathset_performance(ps)
+        for family in batch.families()
+        for ps in family
+    }
+    estimates = batch_pair_estimates_arrays(
+        batch, *_observation_arrays(batch, obs)
+    )
+    for g, sigma in enumerate(batch.sigmas):
         truth = sum(values[lid] for lid in sigma)
-        for est in system.pair_estimates(obs).values():
-            assert abs(est - truth) < 1e-9
+        lo, hi = batch.offsets[g], batch.offsets[g + 1]
+        assert np.all(np.abs(estimates[lo:hi] - truth) < 1e-9)

@@ -10,6 +10,10 @@ from repro.core.identifiability import (
 )
 from repro.core.slices import (
     SIGMA_COLUMN,
+    _observation_arrays,
+    batch_pair_estimates_arrays,
+    batch_unsolvability_arrays,
+    build_slice_batch,
     build_slice_system,
     pairs_for_sequence,
     shared_sequences,
@@ -76,6 +80,24 @@ class TestSliceConstruction:
             system.observation_vector({})
 
 
+def _sigma_scoring(net, perf, sigma):
+    """σ's Equation-14 estimates and unsolvability score, from the
+    exact observations of every candidate family."""
+    batch, _ = build_slice_batch(net, 5)
+    obs = {
+        ps: perf.pathset_performance(ps)
+        for family in batch.families()
+        for ps in family
+    }
+    arrays = _observation_arrays(batch, obs)
+    g = batch.system_of[sigma]
+    lo, hi = batch.offsets[g], batch.offsets[g + 1]
+    return (
+        batch_pair_estimates_arrays(batch, *arrays)[lo:hi],
+        batch_unsolvability_arrays(batch, *arrays)[g],
+    )
+
+
 class TestPairEstimates:
     def test_estimates_cancel_remainders(self):
         """x_σ = y_i + y_j − y_ij recovers σ's cost exactly for
@@ -88,11 +110,9 @@ class TestPairEstimates:
             fig.classes,
             {"l1": 0.25, "l2": 0.1, "l3": 0.05, "l6": 0.02},
         )
-        net = fig.network
-        system = build_slice_system(net, ("l1", "l2"))
-        obs = {ps: perf.pathset_performance(ps) for ps in system.family}
-        estimates = system.pair_estimates(obs)
-        for value in estimates.values():
+        estimates, _ = _sigma_scoring(fig.network, perf, ("l1", "l2"))
+        assert estimates.size
+        for value in estimates.tolist():
             assert value == pytest.approx(0.35, abs=1e-12)
 
     def test_unsolvability_zero_for_neutral(self):
@@ -100,18 +120,13 @@ class TestPairEstimates:
         from repro.core.performance import neutral_performance
 
         perf = neutral_performance(fig.network, fig.classes, {"l1": 0.3})
-        system = build_slice_system(fig.network, ("l1",))
-        obs = {ps: perf.pathset_performance(ps) for ps in system.family}
-        assert system.unsolvability(obs) == pytest.approx(0.0, abs=1e-12)
+        _, score = _sigma_scoring(fig.network, perf, ("l1",))
+        assert score == pytest.approx(0.0, abs=1e-12)
 
     def test_unsolvability_positive_for_violation(self):
         fig = figure4()
-        system = build_slice_system(fig.network, ("l1",))
-        obs = {
-            ps: fig.performance.pathset_performance(ps)
-            for ps in system.family
-        }
-        assert system.unsolvability(obs) > 0.1
+        _, score = _sigma_scoring(fig.network, fig.performance, ("l1",))
+        assert score > 0.1
 
 
 class TestIdentifiability:

@@ -199,6 +199,43 @@ class TestCli:
         assert "final verdict" in out
         assert "onset at interval 80" in out
 
+    def test_monitor_multi_isp_decides_with_topology_b_bars(
+        self, capsys, monkeypatch
+    ):
+        """``repro monitor --topology multi_isp`` decides, and runs its
+        CUSUM, with topology B's decider fields, as ``repro topo-b``
+        does; the dumbbell keeps topology A's."""
+        from repro.experiments.topology_b import TOPOLOGY_B_SETTINGS
+        from repro.streaming import fleet
+
+        monitors = []
+
+        class Recording(fleet.NeutralityMonitor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                monitors.append(self)
+
+        monkeypatch.setattr(fleet, "NeutralityMonitor", Recording)
+        argv = ["--mechanism", "none", "--duration", "4", "--warmup", "1",
+                "--window", "20", "--chunk", "10"]
+        for topology in ("multi_isp", "dumbbell"):
+            assert main(["monitor", "--topology", topology, *argv]) == 0
+        assert "final verdict" in capsys.readouterr().out
+        multi_isp, dumbbell = monitors
+        defaults = EmulationSettings()
+        for monitor, want in (
+            (multi_isp, TOPOLOGY_B_SETTINGS),
+            (dumbbell, defaults),
+        ):
+            assert monitor._definite == want.decider_definite
+            assert monitor._min_ratio == want.decider_min_ratio
+            assert monitor._min_absolute == want.decider_min_absolute
+            assert monitor._reference == want.decider_definite
+            assert monitor._threshold == want.decider_definite
+        assert TOPOLOGY_B_SETTINGS.decider_definite != (
+            defaults.decider_definite
+        )
+
     def test_fig8_invalid_value(self, capsys):
         code = main(
             ["fig8", "--set", "6", "--value", "33.0", "--duration", "30"]

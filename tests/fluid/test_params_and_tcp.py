@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -16,9 +17,11 @@ from repro.fluid.params import (
 )
 from repro.fluid.tcp import (
     CUBIC_BETA,
+    INITIAL_SSTHRESH,
     INITIAL_WINDOW,
     MAX_WINDOW,
     MIN_WINDOW,
+    TcpArrayState,
     TcpState,
 )
 from repro.workloads.profiles import class_workload
@@ -186,3 +189,202 @@ class TestDelayedLossReaction:
         # 60 lost of 100 sent over the window: severe => collapse.
         tcp.apply_pending(1.1, rtt=0.1)
         assert tcp.cwnd == MIN_WINDOW
+
+
+# ----------------------------------------------------------------------
+# TcpArrayState: the vectorized model the fluid engine steps
+# ----------------------------------------------------------------------
+
+RTT = 0.1
+
+
+def _array_state(*algorithms):
+    """A :class:`TcpArrayState` with one slot per algorithm name."""
+    return TcpArrayState(np.array([a == "cubic" for a in algorithms]))
+
+
+def _step(state, now, send, lost=None, rtt=RTT):
+    """One :meth:`TcpArrayState.advance` call the way the engine makes
+    it: ``delivered = send - lost``, and ``lost=None`` when no slot
+    lost anything."""
+    send = np.asarray(send, dtype=float)
+    if lost is not None:
+        lost = np.asarray(lost, dtype=float)
+    delivered = send if lost is None else send - lost
+    state.advance(
+        now, send, send > 0.0, lost, delivered, np.full(send.size, rtt)
+    )
+
+
+def _in_avoidance(state, cwnd):
+    """Put every slot in congestion avoidance at window ``cwnd``."""
+    state.cwnd[:] = cwnd
+    state.ssthresh[:] = 1.0
+
+
+class TestTcpArrayNewReno:
+    def test_slow_start_doubles(self):
+        state = _array_state("newreno", "newreno")
+        _step(state, 0.0, [INITIAL_WINDOW, 0.0])
+        assert state.cwnd.tolist() == [2 * INITIAL_WINDOW, INITIAL_WINDOW]
+
+    def test_halving_one_rtt_after_first_loss(self):
+        state = _array_state("newreno", "newreno")
+        _in_avoidance(state, 64.0)
+        _step(state, 1.0, [100.0, 100.0], lost=[1.0, 0.0])
+        assert state.pending_due.tolist() == [1.0 + RTT, np.inf]
+        before = state.cwnd.copy()
+        _step(state, 1.05, [100.0, 100.0])  # not yet due: no cut
+        assert (state.cwnd > before).all()
+        before = state.cwnd.copy()
+        _step(state, 1.0 + RTT, [100.0, 100.0])
+        assert state.cwnd[0] == pytest.approx(before[0] / 2.0)
+        assert state.ssthresh[0] == state.cwnd[0]
+        assert state.cwnd[1] > before[1]  # the loss-free slot grows
+        assert state.pending_due.tolist() == [np.inf, np.inf]
+        assert state.last_loss_time[0] == 1.0 + RTT
+
+    def test_loss_events_rate_limited_per_rtt(self):
+        """A reaction within one RTT of the last cut is the same
+        congestion event; one a full RTT later cuts again."""
+        state = _array_state("newreno")
+        _in_avoidance(state, 64.0)
+        state.last_loss_time[:] = 1.0
+        # A loss on a short RTT falls due 0.07 s after the last cut.
+        _step(state, 1.02, [100.0], lost=[1.0], rtt=RTT / 2)
+        _step(state, 1.02 + RTT / 2, [100.0])
+        assert state.cwnd[0] > 64.0
+        assert state.pending_due[0] == np.inf
+        assert state.last_loss_time[0] == 1.0
+        _step(state, 1.2, [100.0], lost=[1.0])
+        before = state.cwnd[0]
+        _step(state, 1.2 + RTT, [100.0])
+        assert state.cwnd[0] == pytest.approx(before / 2.0)
+
+    def test_severe_loss_collapses_to_min_window(self):
+        """Most of what was sent until the reaction lost: back to one
+        packet and slow start. The reaction step's own packets count
+        as sent, so it sends one."""
+        state = _array_state("newreno", "newreno")
+        _in_avoidance(state, 64.0)
+        _step(state, 1.0, [100.0, 100.0], lost=[60.0, 1.0])
+        before = state.cwnd.copy()
+        _step(state, 1.0 + RTT, [1.0, 1.0])
+        assert state.cwnd[0] == MIN_WINDOW
+        assert state.ssthresh[0] == before[0] / 2.0
+        assert state.cwnd[1] == before[1] / 2.0  # a normal cut
+
+    def test_congestion_avoidance_linear(self):
+        state = _array_state("newreno")
+        state.cwnd[:], state.ssthresh[:] = 10.0, 5.0
+        _step(state, 0.0, [10.0])
+        assert state.cwnd[0] == pytest.approx(11.0)
+
+    def test_window_capped(self):
+        state = _array_state("newreno", "newreno")
+        state.cwnd[:] = MAX_WINDOW
+        state.ssthresh[1] = 1.0  # one slot in slow start, one not
+        _step(state, 0.0, [MAX_WINDOW, MAX_WINDOW])
+        assert state.cwnd.tolist() == [MAX_WINDOW, MAX_WINDOW]
+
+
+class TestTcpArrayCubic:
+    def test_beta_reduction_on_loss(self):
+        state = _array_state("cubic", "newreno")
+        _in_avoidance(state, 100.0)
+        _step(state, 1.0, [100.0, 100.0], lost=[1.0, 1.0])
+        before = state.cwnd.copy()
+        _step(state, 1.0 + RTT, [100.0, 100.0])
+        assert state.cwnd[0] == pytest.approx(before[0] * CUBIC_BETA)
+        assert state.w_max[0] == before[0]
+        assert state.ssthresh[0] == state.cwnd[0]
+        assert state.epoch_start[0] == 1.0 + RTT
+        assert state.cwnd[1] == before[1] / 2.0  # NewReno halves
+
+    def test_concave_recovery_toward_wmax(self):
+        state = _array_state("cubic")
+        _in_avoidance(state, 100.0)
+        _step(state, 0.0, [100.0], lost=[1.0])
+        _step(state, RTT, [100.0])
+        w_max, w_after_cut = state.w_max[0], state.cwnd[0]
+        _step(state, 1.0 + RTT, [10.0])
+        # Concave: grown, but still below the window of the loss.
+        assert w_after_cut < state.cwnd[0] < w_max
+        _step(state, 60.0, [10.0])
+        assert state.cwnd[0] > w_max  # convex probing
+
+    def test_slow_start_exit_opens_an_epoch(self):
+        state = _array_state("cubic")
+        state.ssthresh[:] = 6.0
+        _step(state, 2.0, [INITIAL_WINDOW])
+        assert state.cwnd[0] == 2 * INITIAL_WINDOW
+        assert state.epoch_start[0] == 2.0
+        assert state.w_max[0] == 2 * INITIAL_WINDOW
+
+    def test_reset(self):
+        state = _array_state("cubic", "cubic")
+        _in_avoidance(state, 50.0)
+        state.w_max[:] = 80.0
+        _step(state, 0.0, [10.0, 10.0], lost=[1.0, 1.0])
+        assert state._num_pending == 2
+        state.reset(np.array([0]))
+        assert state.cwnd[0] == INITIAL_WINDOW
+        assert state.ssthresh[0] == INITIAL_SSTHRESH
+        assert state.w_max[0] == 0.0
+        assert np.isnan(state.epoch_start[0])
+        assert state.last_loss_time[0] == -np.inf
+        assert state.pending_due[0] == np.inf
+        assert state.pending_lost[0] == state.pending_sent[0] == 0.0
+        assert state._num_pending == 1
+        # The other slot keeps its state and its pending loss.
+        assert state.cwnd[1] > 50.0
+        assert state.w_max[1] == 80.0
+        assert state.pending_due[1] == RTT
+
+
+class TestTcpArrayDelayedLossReaction:
+    def test_pending_accumulates_while_sending(self):
+        """Losses and the packets sent until the reaction add up: two
+        drops of 30 within the RTT make 60 of 100 sent, a severe
+        event, though neither step alone is severe."""
+        state = _array_state("newreno")
+        _in_avoidance(state, 64.0)
+        _step(state, 1.0, [50.0], lost=[20.0])
+        _step(state, 1.05, [50.0], lost=[40.0])
+        assert state.pending_lost[0] == 60.0
+        assert state.pending_sent[0] == 100.0
+        assert state.pending_due[0] == 1.0 + RTT  # from the first loss
+        _step(state, 1.0 + RTT, [1.0])
+        assert state.cwnd[0] == MIN_WINDOW
+
+    def test_reaction_waits_for_a_sending_step(self):
+        state = _array_state("newreno")
+        _in_avoidance(state, 64.0)
+        _step(state, 1.0, [100.0], lost=[1.0])
+        _step(state, 1.5, [0.0])  # due but idle: nothing happens
+        assert state.pending_due[0] == 1.0 + RTT
+        _step(state, 1.6, [10.0])
+        assert state.pending_due[0] == np.inf
+        assert state.last_loss_time[0] == 1.6
+
+    def test_matches_scalar_model_on_one_slot(self):
+        """The same loss pattern through :class:`TcpState` and a
+        one-slot :class:`TcpArrayState`: equal windows each step."""
+        for algorithm in ("newreno", "cubic"):
+            scalar = TcpState(algorithm)
+            state = _array_state(algorithm)
+            for k in range(60):
+                now = 0.01 * k
+                send = min(scalar.cwnd, 40.0)
+                lost = 3.0 if k in (20, 21, 45) else 0.0
+                if lost:
+                    scalar.note_loss(now, lost, send, RTT)
+                cut = scalar.pending_ready(now) and scalar.apply_pending(
+                    now, RTT
+                )
+                if not cut:
+                    scalar.on_delivered(now, send - lost, RTT)
+                _step(state, now, [send], lost=[lost] if lost else None)
+                assert state.cwnd[0] == pytest.approx(scalar.cwnd), (
+                    algorithm, k,
+                )

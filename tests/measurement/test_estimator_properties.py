@@ -16,11 +16,12 @@ Executable invariants of the delta-method machinery in
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.network import Network, Path
-from repro.core.slices import build_slice_system, shared_sequences
+from repro.core.slices import build_slice_batch
 from repro.exceptions import MeasurementError
 from repro.measurement.estimator import diagnose_system, estimate_variance
 
@@ -28,8 +29,9 @@ from repro.measurement.estimator import diagnose_system, estimate_variance
 Y_VALUES = st.floats(min_value=0.0, max_value=5.3)
 
 
-def _dumbbell_system():
-    """The single-shared-link slice system of a 4-path dumbbell."""
+def _dumbbell_batch():
+    """The slice batch of a 4-path dumbbell: one system, the shared
+    link."""
     paths = [
         Path(f"p{i}", (f"a{i}", "shared", f"e{i}")) for i in range(1, 5)
     ]
@@ -38,27 +40,26 @@ def _dumbbell_system():
         + ["shared"]
         + [f"e{i}" for i in range(1, 5)]
     )
-    net = Network(links, paths)
-    ((sigma, pairs),) = shared_sequences(net).items()
-    return net, build_slice_system(net, sigma, pairs)
+    batch, _ = build_slice_batch(Network(links, paths), 5)
+    assert batch.num_systems == 1
+    return batch
 
 
-NET, SYSTEM = _dumbbell_system()
-PAIRS = sorted(SYSTEM.pair_estimates(
-    {ps: 0.0 for fam in [SYSTEM.family] for ps in fam}
-))
+BATCH = _dumbbell_batch()
+NUM_MEMBERS = BATCH.member_rows.size
+NUM_OBSERVATIONS = NUM_MEMBERS + BATCH.num_pairs
 
 
 def _observations(ys):
-    """Build the observation dict the system's pairs consume."""
-    obs = {}
-    values = iter(ys)
-    for ps in sorted(SYSTEM.family, key=sorted):
-        obs[ps] = next(values)
-    return obs
+    """``(y_member, y_pair_flat)`` from one flat draw."""
+    ys = np.asarray(ys, dtype=float)
+    return ys[:NUM_MEMBERS], ys[NUM_MEMBERS:]
 
 
-NUM_OBSERVATIONS = len(SYSTEM.family)
+def _pair_costs(ys):
+    """Each pair's ``(y_a, y_b, y_ab)``, as three arrays."""
+    y_member, y_pair = _observations(ys)
+    return y_member[BATCH.member_a], y_member[BATCH.member_b], y_pair
 
 
 class TestVarianceProperties:
@@ -70,11 +71,9 @@ class TestVarianceProperties:
     )
     @settings(max_examples=150)
     def test_nonnegative_and_finite(self, ys, intervals):
-        obs = _observations(ys)
-        for pair in PAIRS:
-            var = estimate_variance(obs, pair, intervals)
-            assert var >= 0.0
-            assert math.isfinite(var)
+        var = estimate_variance(*_pair_costs(ys), intervals)
+        assert (var >= 0.0).all()
+        assert np.isfinite(var).all()
 
     @given(
         ys=st.lists(
@@ -87,18 +86,18 @@ class TestVarianceProperties:
     def test_variance_scales_inversely_with_intervals(
         self, ys, intervals, factor
     ):
-        obs = _observations(ys)
-        for pair in PAIRS:
-            v1 = estimate_variance(obs, pair, intervals)
-            v2 = estimate_variance(obs, pair, intervals * factor)
+        costs = _pair_costs(ys)
+        for v1, v2 in zip(
+            estimate_variance(*costs, intervals).tolist(),
+            estimate_variance(*costs, intervals * factor).tolist(),
+        ):
             assert v2 <= v1 + 1e-12
             if v1 > 0:
                 assert v2 == pytest.approx(v1 / factor, rel=1e-9)
 
     def test_nonpositive_intervals_rejected(self):
-        obs = _observations([0.1] * NUM_OBSERVATIONS)
         with pytest.raises(MeasurementError):
-            estimate_variance(obs, PAIRS[0], 0)
+            estimate_variance(*_pair_costs([0.1] * NUM_OBSERVATIONS), 0)
 
 
 class TestDiagnosticsProperties:
@@ -110,8 +109,7 @@ class TestDiagnosticsProperties:
     )
     @settings(max_examples=100)
     def test_internally_consistent(self, ys, intervals):
-        obs = _observations(ys)
-        diag = diagnose_system(SYSTEM, obs, intervals)
+        diag = diagnose_system(BATCH, 0, *_observations(ys), intervals)
         clamped = [max(v, 0.0) for v in diag.estimates.values()]
         expected_spread = (
             max(clamped) - min(clamped) if len(clamped) > 1 else 0.0
@@ -119,10 +117,9 @@ class TestDiagnosticsProperties:
         assert diag.spread == pytest.approx(expected_spread)
         assert diag.spread >= 0.0
         assert diag.normalized_spread >= 0.0
-        for pair, se in diag.standard_errors.items():
-            assert se == pytest.approx(
-                math.sqrt(estimate_variance(obs, pair, intervals))
-            )
+        variances = estimate_variance(*_pair_costs(ys), intervals)
+        for se, var in zip(diag.standard_errors.values(), variances):
+            assert se == pytest.approx(math.sqrt(var))
 
     @given(
         ys=st.lists(
@@ -140,9 +137,9 @@ class TestDiagnosticsProperties:
         """With observations fixed, the raw spread is constant while
         the pooled SE shrinks as 1/√T — so the t-like statistic must
         scale exactly as √factor whenever the spread is nonzero."""
-        obs = _observations(ys)
-        d1 = diagnose_system(SYSTEM, obs, intervals)
-        d2 = diagnose_system(SYSTEM, obs, intervals * factor)
+        y_member, y_pair = _observations(ys)
+        d1 = diagnose_system(BATCH, 0, y_member, y_pair, intervals)
+        d2 = diagnose_system(BATCH, 0, y_member, y_pair, intervals * factor)
         assert d2.spread == pytest.approx(d1.spread)
         if d1.spread > 1e-9:
             assert d2.normalized_spread == pytest.approx(

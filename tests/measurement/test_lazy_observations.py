@@ -1,13 +1,15 @@
 """The lazy observation and system views against the eager structures.
 
-:func:`batch_slice_observations` returns a
-:class:`PathsetObservations` view over its cost arrays, and
-:class:`AlgorithmResult.systems` is a :class:`SliceSystemsView` over
-the slice batch. The oracles below are the eager code those views
-replaced, frozen here: the ``{frozenset: y}`` loop of the fast path
-and the dense ``(P, P)`` unpacking of a pathset dict. Every view must
-equal them as a mapping, iterate in the same order, and pickle to the
-same plain dict.
+:func:`batch_slice_observations` returns a display-only
+:class:`PathsetObservations` view next to its per-member cost arrays,
+and :class:`AlgorithmResult.systems` is a :class:`SliceSystemsView`
+over the slice batch. The oracles below are the eager code those
+views replaced, frozen here: the ``{frozenset: y}`` loop of the fast
+path and the dense ``(P, P)`` unpacking of a pathset dict. Every view
+must equal them as a mapping, iterate in the same order, and pickle
+to the same plain dict. Records with silent intervals give each σ
+its own singleton costs; their arrays are checked against the
+family-scoped reference (``tests/oracles/family_reference.py``).
 """
 
 import os
@@ -44,6 +46,11 @@ from repro.experiments.topology_b import (  # noqa: E402
 from oracles.algorithm_reference import (  # noqa: E402
     pathset_performance_numbers_reference,
 )
+from oracles.family_reference import (  # noqa: E402
+    family_observations_reference,
+    infer_family_reference,
+    member_costs_reference,
+)
 from repro.measurement.normalize import (  # noqa: E402
     PathsetObservations,
     batch_slice_observations,
@@ -62,6 +69,9 @@ from repro.topology.generators import (  # noqa: E402
 )
 
 CASES = build_cases()
+
+#: The golden suite's tolerance (``tests/core/test_inference_golden.py``).
+RELTOL = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -116,6 +126,19 @@ def dense_observation_arrays(batch, observations):
     return y_single, y_pair[batch.pair_a, batch.pair_b]
 
 
+def last_group_singletons(batch, y_member):
+    """The display rule, one group at a time: a path shows the cost
+    of the last σ group, in batch order, that contains it."""
+    y_single = np.full(batch.index.num_paths, np.nan)
+    for g in range(batch.num_systems):
+        lo, hi = batch.member_offsets[g], batch.member_offsets[g + 1]
+        for r, y in zip(
+            batch.member_rows[lo:hi].tolist(), y_member[lo:hi].tolist()
+        ):
+            y_single[r] = y
+    return y_single
+
+
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
@@ -150,10 +173,17 @@ def _assert_matches_oracle(obs, oracle):
 
 
 def _assert_dense_oracle(batch, observations):
-    y_single, y_pair_flat = _observation_arrays(batch, observations)
+    y_member, y_pair_flat = _observation_arrays(batch, observations)
     ref_single, ref_pair = dense_observation_arrays(batch, observations)
-    np.testing.assert_array_equal(y_single, ref_single)
+    np.testing.assert_array_equal(y_member, ref_single[batch.member_rows])
     np.testing.assert_array_equal(y_pair_flat, ref_pair)
+
+
+def _assert_family_oracle(batch, y_member, y_pair_flat, per_sigma):
+    """The per-member cost arrays equal each σ family's own values."""
+    want_member, want_pair = member_costs_reference(batch, per_sigma)
+    np.testing.assert_allclose(y_member, want_member, rtol=RELTOL, atol=0)
+    np.testing.assert_allclose(y_pair_flat, want_pair, rtol=RELTOL, atol=0)
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +196,16 @@ def test_golden_case_matches_eager_oracle(name):
     net, perf, mp, mode = CASES[name]
     data = case_records(name, net, perf)
     batch, _ = build_slice_batch(net, mp)
-    obs, y_single, y_pair_flat = batch_slice_observations(
+    obs, y_member, y_pair_flat = batch_slice_observations(
         data, batch, mode=mode, rng=np.random.default_rng(NORM_SEED)
     )
     if mode == "expected":
         _assert_matches_oracle(obs, eager_observations(data, batch))
     else:
         assert isinstance(obs, PathsetObservations)
-        np.testing.assert_array_equal(obs.y_single, y_single)
+        np.testing.assert_array_equal(
+            obs.y_single, last_group_singletons(batch, y_member)
+        )
         np.testing.assert_array_equal(obs.y_pair_flat, y_pair_flat)
     _assert_dense_oracle(batch, obs)
     _assert_dense_oracle(batch, dict(obs))
@@ -236,24 +268,30 @@ def topology_case(draw):
 def test_random_topologies_match_oracles(case):
     net, data, min_pathsets = case
     batch, _ = build_slice_batch(net, min_pathsets)
-    obs, y_single, y_pair_flat = batch_slice_observations(data, batch)
+    obs, y_member, y_pair_flat = batch_slice_observations(data, batch)
     if batch.num_systems == 0:
         assert obs == {}
         return
     _assert_matches_oracle(obs, eager_observations(data, batch))
-    np.testing.assert_array_equal(obs.y_single, y_single)
+    # With traffic everywhere every family prices a path alike.
+    np.testing.assert_array_equal(obs.y_single[batch.member_rows], y_member)
     np.testing.assert_array_equal(obs.y_pair_flat, y_pair_flat)
     _assert_dense_oracle(batch, dict(obs))
     assert pickle.loads(pickle.dumps(obs)) == dict(obs)
 
-    # A silent interval takes the per-group loop; its view unpacks to
-    # the same arrays through the dense oracle.
+    # A silent interval takes the per-group loop: each σ's costs are
+    # its own family's, and the view shows the last group's singleton.
     silent = _with_silent_interval(data, data.path_ids[0], 0)
-    per_group, pg_single, pg_pair = batch_slice_observations(silent, batch)
+    per_group, pg_member, pg_pair = batch_slice_observations(silent, batch)
     assert isinstance(per_group, PathsetObservations)
-    ref_single, ref_pair = dense_observation_arrays(batch, dict(per_group))
-    np.testing.assert_array_equal(pg_single, ref_single)
-    np.testing.assert_array_equal(pg_pair, ref_pair)
+    _assert_family_oracle(
+        batch, pg_member, pg_pair,
+        family_observations_reference(silent, batch),
+    )
+    np.testing.assert_array_equal(
+        per_group.y_single, last_group_singletons(batch, pg_member)
+    )
+    np.testing.assert_array_equal(per_group.y_pair_flat, pg_pair)
 
 
 # ----------------------------------------------------------------------
@@ -361,9 +399,9 @@ def test_foreign_batch_gathers_by_pair_key():
     wide, _ = build_slice_batch(net, 3)
     narrow, _ = build_slice_batch(net, 5)
     obs, _, _ = batch_slice_observations(data, wide)
-    y_single, y_pair = _observation_arrays(narrow, obs)
+    y_member, y_pair = _observation_arrays(narrow, obs)
     ref_single, ref_pair = dense_observation_arrays(narrow, dict(obs))
-    np.testing.assert_array_equal(y_single, ref_single)
+    np.testing.assert_array_equal(y_member, ref_single[narrow.member_rows])
     np.testing.assert_array_equal(y_pair, ref_pair)
 
 
@@ -375,7 +413,7 @@ def test_foreign_batch_gathers_by_pair_key():
 def reference_slice_observations(data, batch, mode="expected", rng=None):
     """The frozen per-pathset Algorithm 2 over every family of the
     batch, merged in batch order (a later family wins a shared
-    pathset)."""
+    pathset): the values the display view shows."""
     merged = {}
     for family in batch.families():
         merged.update(
@@ -387,30 +425,26 @@ def reference_slice_observations(data, batch, mode="expected", rng=None):
 
 
 def test_zero_traffic_route_on_federated_5x10():
-    """One silent interval sends fed 5×10 down the per-group loop; it
-    equals the frozen per-pathset oracle, and its arrays the dense
-    unpacking of the view."""
+    """One silent interval sends fed 5×10 down the per-group loop: its
+    cost arrays equal each family's frozen per-pathset values, and
+    its view the merged mapping with the later family winning."""
     net, perf, mp, _mode = CASES["fed5x10"]
     net = net.restricted_to_paths(net.path_ids)  # fresh caches
     data = case_records("fed5x10", net, perf, num_intervals=120)
     silent = _with_silent_interval(data, net.path_ids[7], 3)
     batch, _ = build_slice_batch(net, mp)
-    obs, y_single, y_pair_flat = batch_slice_observations(silent, batch)
+    obs, y_member, y_pair_flat = batch_slice_observations(silent, batch)
     assert batch.num_materialized == 0
-    oracle = reference_slice_observations(silent, batch)
-    assert obs == oracle
-    ref_single, ref_pair = dense_observation_arrays(batch, dict(obs))
-    np.testing.assert_array_equal(y_single, ref_single)
-    np.testing.assert_array_equal(y_pair_flat, ref_pair)
+    _assert_family_oracle(
+        batch, y_member, y_pair_flat,
+        family_observations_reference(silent, batch),
+    )
+    assert obs == reference_slice_observations(silent, batch)
 
 
 # ----------------------------------------------------------------------
 # Emulated records with silent intervals
 # ----------------------------------------------------------------------
-
-#: The golden suite's tolerance (``tests/core/test_inference_golden.py``).
-RELTOL = 1e-9
-
 
 @pytest.fixture(scope="module")
 def emulated_records():
@@ -432,9 +466,16 @@ def test_emulated_records_match_frozen_oracle(emulated_records, name, mode):
     assert not data.all_sent_positive
     batch, _ = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
     assert batch.num_systems > 0
-    obs, _, _ = batch_slice_observations(
+    obs, y_member, y_pair_flat = batch_slice_observations(
         data, batch, mode=mode, rng=np.random.default_rng(NORM_SEED)
     )
+    _assert_family_oracle(
+        batch, y_member, y_pair_flat,
+        family_observations_reference(
+            data, batch, mode=mode, rng=np.random.default_rng(NORM_SEED)
+        ),
+    )
+    # The display view: the merged mapping, a later family winning.
     oracle = reference_slice_observations(
         data, batch, mode=mode, rng=np.random.default_rng(NORM_SEED)
     )
@@ -442,3 +483,28 @@ def test_emulated_records_match_frozen_oracle(emulated_records, name, mode):
     assert set(obs) == set(oracle)
     for pathset, want in oracle.items():
         assert abs(obs[pathset] - want) <= RELTOL + RELTOL * abs(want)
+
+
+@pytest.mark.parametrize("mode", ["expected", "sampled"])
+@pytest.mark.parametrize("name", ["set6", "topo-b"])
+def test_emulated_verdict_matches_family_reference(
+    emulated_records, name, mode
+):
+    """Records → verdict scores each σ with its own family's costs:
+    the scores and verdict equal the family-scoped reference's."""
+    net, data = emulated_records[name]
+    _, ref = infer_family_reference(
+        net, data, mode=mode, rng=np.random.default_rng(NORM_SEED)
+    )
+    _, alg = infer_from_measurements(
+        net,
+        data,
+        settings=EmulationSettings(normalization_mode=mode),
+        rng=np.random.default_rng(NORM_SEED),
+    )
+    assert alg.identified == ref.identified
+    assert alg.neutral == ref.neutral
+    assert alg.skipped == ref.skipped
+    assert set(alg.scores) == set(ref.scores)
+    for sigma, want in ref.scores.items():
+        assert abs(alg.scores[sigma] - want) <= RELTOL + RELTOL * abs(want)

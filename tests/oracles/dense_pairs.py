@@ -52,8 +52,8 @@ def dense_slice_layout(groups: _PairGroups, min_pathsets: int) -> dict:
     Returns:
         ``{field: array}`` for the batch's ``pair_a``, ``pair_b``,
         ``offsets``, ``la``, ``lb``, ``member_rows``,
-        ``member_offsets`` and ``sigma_masks``, plus ``sigmas`` and
-        ``skipped`` tuples.
+        ``member_offsets``, ``member_a``, ``member_b`` and
+        ``sigma_masks``, plus ``sigmas`` and ``skipped`` tuples.
     """
     out = {name: [] for name in ("pair_a", "pair_b", "la", "lb", "member_rows")}
     pair_counts, member_counts, kept, skipped = [], [], [], []
@@ -84,6 +84,9 @@ def dense_slice_layout(groups: _PairGroups, min_pathsets: int) -> dict:
         layout[name] = np.concatenate(
             [np.zeros(1, dtype=np.intp), np.cumsum(counts, dtype=np.intp)]
         )
+    base = np.repeat(layout["member_offsets"][:-1], pair_counts)
+    layout["member_a"] = base + layout["la"]
+    layout["member_b"] = base + layout["lb"]
     layout["sigma_masks"] = groups.sigma_masks[kept]
     layout["sigmas"] = tuple(groups.sigmas[g] for g in kept)
     layout["skipped"] = tuple(skipped)

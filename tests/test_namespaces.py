@@ -44,7 +44,8 @@ FROZEN_ALL = {
         "PathSet", "PathSetFamily", "PerformanceClass", "QualityReport",
         "RoutingMatrix", "SIGMA_COLUMN", "SliceSystem", "SliceSystemBatch",
         "UnsolvableWitness", "VirtualLink", "VirtualLinkKind", "all_pairs",
-        "batch_pair_estimates", "batch_unsolvability", "build_equivalent",
+        "batch_pair_estimates_arrays", "batch_unsolvability_arrays",
+        "build_equivalent",
         "build_slice_batch", "build_slice_system", "check_observability",
         "check_structural_observability", "classes_from_mapping", "evaluate",
         "false_negative_rate", "false_positive_rate", "family",

@@ -115,9 +115,9 @@ def test_observation_arrays_gather_without_dense_matrix(scale_case):
     batch, _ = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
     eager = dict(lazy.items())
     dense_bytes = len(net.path_ids) ** 2 * 8
-    (y_single, y_pair_flat), peak = _traced_peak(
+    (y_member, y_pair_flat), peak = _traced_peak(
         lambda: _observation_arrays(batch, eager)
     )
     assert peak < dense_bytes / 4, f"peak {peak / 1e6:.1f} MB"
-    np.testing.assert_array_equal(y_single, lazy.y_single)
+    np.testing.assert_array_equal(y_member, lazy.y_single[batch.member_rows])
     np.testing.assert_array_equal(y_pair_flat, lazy.y_pair_flat)

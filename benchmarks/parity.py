@@ -35,8 +35,14 @@ full-stream final verdict. The ``slices-*`` entries digest the cold
 ``build_slice_batch`` arrays (σ order, pairs, member layout, σ masks
 and the skipped sequences) of four fresh networks: the 8×13
 federated topology, a 2000-spoke star, a 300-hop chain of 400 paths
-and a random mesh. The whole list runs in well under a minute on one
-core.
+and a random mesh. The ``run-*`` entries digest whole experiment
+runs through the family entry points — every emulation array, the
+scores and the identified set of each point: Table 2 sets 4 and 6
+through an inline ``SweepRunner`` (set 4 point by point, set 6 as one
+scenario batch), topology B through ``run_topology_b_point`` and
+``run_topology_b_rate_batch``, and two plane points of
+``PlanePointFactory``. The whole list runs in well under a minute on
+one core.
 """
 
 import argparse
@@ -52,14 +58,19 @@ from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.performance import LinkPerformance, NetworkPerformance
 from repro.core.slices import batch_pair_estimates_arrays, build_slice_batch
 from repro.exceptions import MeasurementError
+from repro.experiments import adaptive
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import (
     infer_from_measurements,
     measured_subnetwork,
 )
+from repro.experiments.sweep import SweepRunner
+from repro.experiments.topology_a import sweep_points
 from repro.experiments.topology_b import (
     TOPOLOGY_B_SETTINGS,
     run_topology_b,
+    run_topology_b_point,
+    run_topology_b_rate_batch,
     table3_workloads,
 )
 from repro.fluid import FluidBatchNetwork, FluidNetwork
@@ -474,16 +485,20 @@ def slices_digest(net):
     return h.hexdigest()
 
 
-def fig10b_digest(duration):
-    """SHA-256 over Figure 10(b): each examined σ of a topology-B run
-    with its identified flag and its c2 / other pair estimates. The
-    run has no warm-up: after a 10 s one, some σ group of a 10 s run
-    has no interval in which all its paths sent."""
-    settings = dataclasses.replace(
+def _topology_b_settings(duration):
+    """Topology-B settings without warm-up: after a 10 s one, some σ
+    group of a 10 s run has no interval in which all its paths sent,
+    and commits before that σ was left unexamined fail the run."""
+    return dataclasses.replace(
         TOPOLOGY_B_SETTINGS.quick(duration), warmup_seconds=0.0
     ).with_seed(SEED)
+
+
+def fig10b_digest(duration):
+    """SHA-256 over Figure 10(b): each examined σ of a topology-B run
+    with its identified flag and its c2 / other pair estimates."""
     h = hashlib.sha256()
-    for seq in run_topology_b(settings).sequences:
+    for seq in run_topology_b(_topology_b_settings(duration)).sequences:
         h.update(
             repr(
                 (seq.sigma, seq.identified, seq.c2_estimates,
@@ -491,6 +506,66 @@ def fig10b_digest(duration):
             ).encode()
         )
     return h.hexdigest()
+
+
+def outcomes_digest(outcomes):
+    """SHA-256 over experiment outcomes, in order: every emulation
+    array, then the scores and the identified set of each."""
+    h = hashlib.sha256()
+    for outcome in outcomes:
+        h.update(result_digest(outcome.emulation).encode())
+        h.update(repr(sorted(outcome.algorithm.scores.items())).encode())
+        h.update(repr(outcome.algorithm.identified).encode())
+    return h.hexdigest()
+
+
+def run_sweep_table2():
+    """Table 2 sets 4 and 6 through an inline sweep runner: set 4's
+    points one by one (its 1 Mb point has the most flow slots), set
+    6's four rates as one scenario batch."""
+    settings = EmulationSettings(duration_seconds=DURATION, seed=SEED)
+    with SweepRunner.for_settings(settings) as runner:
+        results = runner.run(sweep_points((4, 6), settings))
+    return outcomes_digest(results[key] for key in sorted(results))
+
+
+def run_topology_b_rates():
+    """One topology-B point at rate 0.15, then rates 0.1 and 0.2 as
+    one rate batch."""
+    settings = _topology_b_settings(10.0)
+    reports = [run_topology_b_point(settings, 0.15, SEED)]
+    reports += run_topology_b_rate_batch(
+        [SEED, SEED + 1],
+        [{"settings": settings, "policing_rate": r} for r in (0.1, 0.2)],
+    )
+    return outcomes_digest(report.outcome for report in reports)
+
+
+def run_plane_points():
+    """Two points of the policing-rate × capacity plane through an
+    inline sweep runner (one scenario batch). A plane point keeps only
+    a summary, so each member's outcome is captured on its way into
+    ``adaptive._plane_result``."""
+    settings = EmulationSettings(duration_seconds=DURATION, seed=SEED)
+    factory = adaptive.PlanePointFactory(settings=settings)
+    points = [
+        factory({adaptive.PLANE_RATE_AXIS: r, adaptive.PLANE_NOISE_AXIS: c})
+        for r, c in ((0.1, 60.0), (0.2, 100.0))
+    ]
+    captured = []
+    plane_result = adaptive._plane_result
+
+    def capture(outcome):
+        captured.append(outcome)
+        return plane_result(outcome)
+
+    adaptive._plane_result = capture
+    try:
+        with SweepRunner.for_settings(settings) as runner:
+            runner.run(points)
+    finally:
+        adaptive._plane_result = plane_result
+    return outcomes_digest(captured)
 
 
 RUNS = {
@@ -543,6 +618,9 @@ RUNS = {
             np.random.default_rng(SEED), num_stubs=12, extra_edges=6
         )
     ),
+    "run-sweep-table2-sets-4-6": run_sweep_table2,
+    "run-topology-b-rates": run_topology_b_rates,
+    "run-plane-points": run_plane_points,
 }
 
 

@@ -27,6 +27,7 @@ The pipeline, exactly as in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +63,9 @@ class AlgorithmResult:
         identified: Σn̄ after redundancy pruning — the output.
         identified_raw: Σn̄ before pruning.
         neutral: Σn — examined sequences whose system was solvable.
-        skipped: Sequences with too few pathsets (non-identifiable).
+        skipped: Sequences with too few pathsets (non-identifiable),
+            then those Algorithm 2 could not normalize (no interval
+            in which all their paths sent).
         scores: Unsolvability score per examined sequence (scored
             mode) or residual-based indicator (exact mode).
         systems: The :class:`SliceSystem` per examined sequence — a
@@ -120,12 +123,23 @@ def redundant_rows(
 
 
 def prune_identified(
-    batch: SliceSystemBatch, rows: Sequence[int]
+    batch: SliceSystemBatch,
+    rows: Sequence[int],
+    examined: Optional[np.ndarray] = None,
 ) -> Tuple[LinkSeq, ...]:
     """The non-redundant ``batch.sigmas[rows]``, in ``rows`` order,
-    from the batch's cached σ incidence (:func:`redundant_rows`)."""
+    from the batch's cached σ incidence (:func:`redundant_rows`).
+
+    A decomposition uses only the ``examined`` σ (a boolean mask
+    over the batch; ``None``: every σ).
+    """
     rows = np.asarray(rows, dtype=np.intp)
-    drop = redundant_rows(*batch.sigma_incidence, rows).tolist()
+    incidence, sizes = batch.sigma_incidence
+    positions = rows
+    if examined is not None and not examined.all():
+        incidence, sizes = incidence[examined], sizes[examined]
+        positions = (np.cumsum(examined) - 1)[rows]
+    drop = redundant_rows(incidence, sizes, positions).tolist()
     sigmas = batch.sigmas
     return tuple(
         sigmas[r] for r, d in zip(rows.tolist(), drop) if not d
@@ -232,12 +246,11 @@ def identify_from_scores(
 ) -> AlgorithmResult:
     """Lines 13+ of Algorithm 1: decide and prune from scores.
 
-    Shared tail of :func:`identify_non_neutral` and the runner's
-    array route (:func:`repro.experiments.runner.
-    infer_from_measurements`), which computes the scores without a
-    pathset dict round-trip. The result's ``systems`` is a lazy view
-    over the batch (no System 4 is built unless read); with
-    ``include_systems=False`` it is left empty.
+    The tail of :func:`identify_non_neutral`, for any
+    :data:`Decider` (records take :func:`identify_from_score_array`).
+    The result's ``systems`` is a lazy view over the batch (no System
+    4 is built unless read); with ``include_systems=False`` it is
+    left empty.
     """
     if decider is None:
         from repro.measurement.clustering import cluster_decider
@@ -262,6 +275,37 @@ def identify_from_scores(
         skipped=tuple(skipped),
         scores=dict(scores),
         systems=SliceSystemsView(batch) if include_systems else {},
+    )
+
+
+def identify_from_score_array(
+    batch: SliceSystemBatch,
+    skipped: Sequence[LinkSeq],
+    score_array: np.ndarray,
+    classify: Callable[[np.ndarray], np.ndarray],
+    systems: Optional[Mapping[LinkSeq, SliceSystem]] = None,
+) -> AlgorithmResult:
+    """Lines 13+ of Algorithm 1 on the batch's score array (offline
+    and in the monitor); ``classify`` flags the examined scores.
+
+    A NaN score marks a σ Algorithm 2 could not normalize (no
+    interval in which all its paths sent): it is not examined, so it
+    joins ``skipped``, has no score and is no part of a pruning
+    decomposition.
+    """
+    examined = ~np.isnan(score_array)
+    flagged = np.zeros(score_array.size, dtype=bool)
+    flagged[examined] = classify(score_array[examined])
+    sigmas = batch.sigmas
+    return AlgorithmResult(
+        identified=prune_identified(batch, np.flatnonzero(flagged), examined),
+        identified_raw=tuple(compress(sigmas, flagged.tolist())),
+        neutral=tuple(compress(sigmas, (examined & ~flagged).tolist())),
+        skipped=tuple(skipped) + tuple(compress(sigmas, (~examined).tolist())),
+        scores=dict(
+            compress(zip(sigmas, score_array.tolist()), examined.tolist())
+        ),
+        systems=SliceSystemsView(batch) if systems is None else systems,
     )
 
 

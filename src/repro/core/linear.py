@@ -124,20 +124,6 @@ def solve_least_squares(
     return LeastSquaresSolution(np.asarray(x, dtype=float), float(rnorm), unique)
 
 
-def column_in_span(
-    a: np.ndarray, column: np.ndarray, tol: float = 1e-9
-) -> bool:
-    """Whether ``column`` lies in the column space of ``A``.
-
-    Used by the observability oracle: a virtual link's column that is
-    outside the span of the real routing matrix cannot be explained by
-    any neutral assignment.
-    """
-    mat = _as_matrix(a)
-    vec = _as_vector(column, mat.shape[0])
-    return is_solvable(mat, vec, tol=tol)
-
-
 def nullspace_dimension(a: np.ndarray, tol: float = 1e-9) -> int:
     """Dimension of the null space of ``A`` (identifiability slack)."""
     mat = _as_matrix(a)

@@ -801,10 +801,12 @@ def _observation_arrays(
     array route. A mapping has one value per singleton, so every σ
     prices a member path alike. Returns ``(y_member, y_pair_flat)``:
     singleton values aligned with ``batch.member_rows`` and pair
-    values aligned with ``batch.pair_a``/``pair_b``, NaN where
-    unmeasured: one pass collects pair values by scalar pair key, then
-    one sorted-key gather. Entries for paths outside the index are
-    ignored.
+    values aligned with ``batch.pair_a``/``pair_b``: one pass
+    collects pair values by scalar pair key, then one sorted-key
+    gather. Entries for paths outside the index are ignored.
+
+    Raises:
+        SliceError: If a pathset some σ needs is not in the mapping.
     """
     index = batch.index
     pos = index.path_pos
@@ -841,7 +843,16 @@ def _observation_arrays(
     y_pair_flat = gather_sorted(
         keys, values, pair_keys(batch.pair_a, batch.pair_b, num_paths)
     )
-    return y_single[batch.member_rows], y_pair_flat
+    y_member = y_single[batch.member_rows]
+    for costs, rows in (
+        (y_member, [batch.member_rows]),
+        (y_pair_flat, [batch.pair_a, batch.pair_b]),
+    ):
+        missing = np.flatnonzero(np.isnan(costs))
+        if missing.size:
+            paths = sorted(index.path_ids[r[missing[0]]] for r in rows)
+            raise SliceError(f"missing observation for pathset {paths}")
+    return y_member, y_pair_flat
 
 
 def batch_pair_estimates_arrays(
@@ -853,7 +864,8 @@ def batch_pair_estimates_arrays(
 
     ``y_member`` is aligned with ``batch.member_rows`` (each σ's own
     singleton costs), ``y_pair_flat`` with ``batch.pair_a``/``pair_b``.
-    NaN marks a missing observation.
+    NaN costs mark a σ that Algorithm 2 could not normalize (no
+    interval in which all its paths sent); its estimates are NaN.
 
     Returns:
         The flat ``(n_pairs,)`` array of ``y_a + y_b − y_ab``
@@ -861,9 +873,6 @@ def batch_pair_estimates_arrays(
         segmented by ``batch.offsets``: σ ``g``'s estimates are
         ``[offsets[g], offsets[g + 1])``, in the order of its
         :attr:`SliceSystem.pairs`.
-
-    Raises:
-        SliceError: If any needed pathset was not measured.
     """
     return _pair_estimates(batch, y_member, y_pair_flat, 0, batch.num_pairs)
 
@@ -875,25 +884,12 @@ def _pair_estimates(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    """Equation 14 over the flat pairs ``[lo, hi)``.
-
-    Raises:
-        SliceError: If any needed pathset was not measured.
-    """
-    estimates = (
+    """Equation 14 over the flat pairs ``[lo, hi)``."""
+    return (
         y_member[batch.member_a[lo:hi]]
         + y_member[batch.member_b[lo:hi]]
         - y_pair_flat[lo:hi]
     )
-    if np.isnan(estimates).any():
-        bad = lo + int(np.flatnonzero(np.isnan(estimates))[0])
-        pa = batch.index.path_ids[batch.pair_a[bad]]
-        pb = batch.index.path_ids[batch.pair_b[bad]]
-        raise SliceError(
-            f"missing observation for pair {{{pa},{pb}}} or a member "
-            "singleton"
-        )
-    return estimates
 
 
 def batch_unsolvability_arrays(
@@ -908,7 +904,8 @@ def batch_unsolvability_arrays(
     so a negative estimate carries no evidence about σ — it is
     sampling noise (or mild anti-correlation from capacity coupling)
     and must not inflate the spread. Each system's score is then the
-    max − min over its segment; single-pair systems score 0.
+    max − min over its segment; single-pair systems score 0. A σ with
+    NaN costs (not normalized, so not examined) scores NaN.
 
     Scored over blocks of whole systems (:func:`_block_bounds`), so
     no ``(n_pairs,)`` estimate array is held at once.
@@ -922,7 +919,9 @@ def batch_unsolvability_arrays(
         starts = offsets[g0:g1] - lo
         spread[g0:g1] = np.maximum.reduceat(clipped, starts)
         spread[g0:g1] -= np.minimum.reduceat(clipped, starts)
-    return np.where(np.diff(offsets) >= 2, spread, 0.0)
+    # spread * 0.0 is 0 for a single-pair system, NaN for an
+    # unexamined one.
+    return np.where(np.diff(offsets) >= 2, spread, spread * 0.0)
 
 
 def slice_pathsets(net: Network, sigma: LinkSeq) -> PathSetFamily:

@@ -60,14 +60,11 @@ from typing import (
 from repro import telemetry
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
-from repro.experiments.runner import outcome_from_emulation
+from repro.experiments.runner import run_scenarios
 from repro.experiments.sweep import SweepPoint, SweepRunner
 from repro.fluid.params import LinkSpec, PolicerSpec
-from repro.substrate.batch import (
-    ScenarioBatch,
-    run_scenario_batch,
-    substrate_supports_batch,
-)
+from repro.substrate.batch import substrate_supports_batch
+from repro.substrate.scenario import CompiledScenario
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
 from repro.workloads.profiles import class_workload
 
@@ -628,9 +625,14 @@ def plane_label(result: PlanePointResult) -> int:
     return bisect_right((PLANE_SCORE_THRESHOLD,), result.truth_score)
 
 
-def _plane_link_specs(
-    policing_rate: float, capacity_mbps: float
-) -> Dict[str, LinkSpec]:
+def compile_plane_point(
+    settings: EmulationSettings,
+    policing_rate: float,
+    capacity_mbps: float,
+    substrate: str = "fluid",
+) -> CompiledScenario:
+    """One plane point as a scenario: the dumbbell with its shared
+    link policed at ``policing_rate`` and sized ``capacity_mbps``."""
     topo = build_dumbbell()
     specs = dict(topo.link_specs)
     specs[SHARED_LINK] = LinkSpec(
@@ -642,7 +644,17 @@ def _plane_link_specs(
             burst_seconds=PLANE_BURST_SECONDS,
         ),
     )
-    return specs
+    return CompiledScenario(
+        network=topo.network,
+        classes=topo.classes,
+        link_specs=specs,
+        workloads=class_workload(
+            topo.network.path_ids, mean_size_mb=PLANE_MEAN_SIZE_MB
+        ),
+        settings=settings,
+        substrate=substrate,
+        ground_truth_links=frozenset((SHARED_LINK,)),
+    )
 
 
 def _plane_result(outcome) -> PlanePointResult:
@@ -668,68 +680,27 @@ def run_plane_point(
     capacity_mbps: float,
     substrate: str = "fluid",
 ) -> PlanePointResult:
-    """One plane point (module-level, pool-picklable): a one-member
-    :func:`run_plane_batch`."""
-    return run_plane_batch(
-        [seed],
-        [
-            {
-                "settings": settings,
-                "policing_rate": policing_rate,
-                "capacity_mbps": capacity_mbps,
-                "substrate": substrate,
-            }
-        ],
-    )[0]
+    """One plane point (module-level, pool-picklable)."""
+    member = compile_plane_point(
+        settings.with_seed(seed), policing_rate, capacity_mbps, substrate
+    )
+    return _plane_result(*run_scenarios([member]))
 
 
 def run_plane_batch(seeds, kwargs_list) -> List[PlanePointResult]:
     """Batched plane executor: the wave's worlds differ only in the
-    shared link's rate and capacity, so they advance as one lockstep
-    scenario batch."""
-    first = kwargs_list[0]
-    varying = {"policing_rate", "capacity_mbps"}
-    for kw in kwargs_list[1:]:
-        if {
-            k: v for k, v in kw.items() if k not in varying
-        } != {
-            k: v for k, v in first.items() if k not in varying
-        }:
-            # Guard against an incomplete batch_group key upstream.
-            raise ConfigurationError(
-                "batched plane points must share settings and "
-                "substrate"
-            )
-    settings = first["settings"]
-    substrate = first["substrate"]
-    topo = build_dumbbell()
-    workloads = class_workload(
-        topo.network.path_ids, mean_size_mb=PLANE_MEAN_SIZE_MB
-    )
-    batch = ScenarioBatch.compile(
-        topo.network,
-        topo.classes,
-        workloads,
-        [
-            _plane_link_specs(kw["policing_rate"], kw["capacity_mbps"])
-            for kw in kwargs_list
-        ],
-        seeds,
-    )
-    emulations = run_scenario_batch(batch, settings, substrate)
-    out = []
-    for seed, emulation in zip(seeds, emulations):
-        outcome = outcome_from_emulation(
-            topo.network,
-            topo.classes,
-            workloads,
-            emulation,
-            settings=settings.with_seed(seed),
-            ground_truth_links={SHARED_LINK},
-            substrate=substrate,
+    shared link's rate and capacity, so they run as one batch of
+    :func:`~repro.experiments.runner.run_scenarios`."""
+    members = [
+        compile_plane_point(
+            kw["settings"].with_seed(seed),
+            kw["policing_rate"],
+            kw["capacity_mbps"],
+            kw["substrate"],
         )
-        out.append(_plane_result(outcome))
-    return out
+        for seed, kw in zip(seeds, kwargs_list)
+    ]
+    return [_plane_result(outcome) for outcome in run_scenarios(members)]
 
 
 @dataclass(frozen=True)

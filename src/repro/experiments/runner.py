@@ -12,8 +12,8 @@ argument, and every backend takes the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,23 +21,25 @@ from repro import telemetry as _telemetry
 from repro.core.algorithm import (
     DEFAULT_MIN_PATHSETS,
     AlgorithmResult,
-    identify_from_scores,
+    identify_from_score_array,
 )
 from repro.core.classes import ClassAssignment
 from repro.core.metrics import QualityReport, evaluate
-from repro.core.network import LinkSeq, Network
+from repro.core.network import Network
 from repro.core.pathsets import PathSet
 from repro.core.slices import build_slice_batch, batch_unsolvability_arrays
+from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
 from repro.fluid.params import PathWorkload
-from repro.measurement.clustering import make_cluster_decider
+from repro.measurement.clustering import classify_score_array
 from repro.measurement.normalize import (
     batch_slice_observations,
     path_congestion_probability,
 )
 from repro.measurement.records import MeasurementData
 from repro.substrate.base import SubstrateResult
-from repro.substrate.registry import get_substrate
+from repro.substrate.batch import ScenarioBatch, run_scenario_batch
+from repro.substrate.scenario import CompiledScenario
 from repro.substrate.spec import LinkSpec
 
 
@@ -156,20 +158,16 @@ def _infer(net, measurements, settings, min_pathsets, rng, telemetry):
                 rng=rng,
             )
         with tracer.span("infer.score"):
-            score_array = batch_unsolvability_arrays(
-                batch, y_member, y_pair_flat
-            )
-            scores: Dict[LinkSeq, float] = {
-                sigma: float(score)
-                for sigma, score in zip(batch.sigmas, score_array)
-            }
-            decider = make_cluster_decider(
-                min_absolute=settings.decider_min_absolute,
-                min_ratio=settings.decider_min_ratio,
-                definite=settings.decider_definite,
-            )
-            algorithm = identify_from_scores(
-                batch, skipped, scores, decider
+            algorithm = identify_from_score_array(
+                batch,
+                skipped,
+                batch_unsolvability_arrays(batch, y_member, y_pair_flat),
+                lambda scores: classify_score_array(
+                    scores,
+                    settings.decider_min_absolute,
+                    settings.decider_min_ratio,
+                    settings.decider_definite,
+                ),
             )
         infer_span.set(identified=len(algorithm.identified))
     return observations, (y_member, y_pair_flat), algorithm
@@ -188,11 +186,9 @@ def outcome_from_emulation(
 ) -> ExperimentOutcome:
     """The measure → infer → score tail of one experiment.
 
-    Everything :func:`run_experiment` does after the substrate has
-    produced its records — shared with the scenario-batched sweep
-    path, so a batched point's :class:`ExperimentOutcome` is built by
-    exactly the code the single-run path uses (``settings.seed`` must
-    be the seed the emulation ran with: it also seeds Algorithm 2's
+    Everything :func:`run_scenarios` does for one member after the
+    substrate has produced its records (``settings.seed`` must be the
+    seed the emulation ran with: it also seeds Algorithm 2's
     sampled-mode normalization RNG).
     """
     inference_net = measured_subnetwork(net, workloads)
@@ -246,7 +242,7 @@ def run_experiment(
     substrate: str = "fluid",
     telemetry: Optional["_telemetry.Tracer"] = None,
 ) -> ExperimentOutcome:
-    """Run one full experiment.
+    """Run one full experiment: a one-member :func:`run_scenarios`.
 
     Args:
         net: The network graph (including background paths).
@@ -266,30 +262,87 @@ def run_experiment(
     Returns:
         The :class:`ExperimentOutcome`.
     """
+    member = CompiledScenario(
+        net, classes, link_specs, workloads, settings, substrate,
+        ground_truth_links,
+    )
+    [outcome] = run_scenarios([member], min_pathsets, telemetry)
+    return outcome
+
+
+def run_scenarios(
+    members: Sequence[CompiledScenario],
+    min_pathsets: int = DEFAULT_MIN_PATHSETS,
+    telemetry: Optional["_telemetry.Tracer"] = None,
+) -> List[ExperimentOutcome]:
+    """The one emulate → measure → infer → score loop, for link-spec
+    variants of one experiment (DESIGN.md S19).
+
+    The members run as one :class:`~repro.substrate.batch.
+    ScenarioBatch`, each at its own settings' seed, and each outcome
+    is finished by :func:`outcome_from_emulation`.
+
+    Raises:
+        ConfigurationError: With no member, or when members differ in
+            network, classes, workloads, settings (seed aside) or
+            substrate.
+    """
+    if not members:
+        raise ConfigurationError("run_scenarios needs at least one scenario")
+
+    def shared(member: CompiledScenario) -> Dict[str, object]:
+        net = member.network
+        return {
+            "network": [tuple(m.values()) for m in (
+                net.links, net.paths, net.nodes
+            )],
+            "classes": member.classes.classes,
+            "workloads": dict(member.workloads),
+            "settings": replace(member.settings, seed=0),
+            "substrate": member.substrate,
+        }
+
+    first = members[0]
+    inputs = shared(first)
+    for i, member in enumerate(members[1:], start=1):
+        differ = [k for k, v in shared(member).items() if v != inputs[k]]
+        if differ:
+            raise ConfigurationError(
+                "scenarios run as one batch must share network, "
+                "classes, workloads, settings (seed aside) and "
+                f"substrate; member {i} differs in {', '.join(differ)}"
+            )
     tracer = (
         telemetry if telemetry is not None else _telemetry.get_tracer()
     )
     with tracer.span(
-        "experiment.run", substrate=substrate,
-        paths=len(net.path_ids), seed=settings.seed,
+        "experiment.run", substrate=first.substrate,
+        paths=len(first.network.path_ids), seed=first.settings.seed,
+        scenarios=len(members),
     ):
-        backend = get_substrate(substrate)
-        with tracer.span("experiment.emulate", substrate=substrate):
-            emulation = backend.run(
-                net,
-                classes,
-                link_specs,
-                workloads,
-                settings,
+        with tracer.span("experiment.emulate", substrate=first.substrate):
+            emulations = run_scenario_batch(
+                ScenarioBatch.compile(
+                    first.network,
+                    first.classes,
+                    first.workloads,
+                    [member.link_specs for member in members],
+                    [member.settings.seed for member in members],
+                ),
+                first.settings,
+                first.substrate,
             )
-        return outcome_from_emulation(
-            net,
-            classes,
-            workloads,
-            emulation,
-            settings=settings,
-            ground_truth_links=ground_truth_links,
-            min_pathsets=min_pathsets,
-            substrate=substrate,
-            telemetry=telemetry,
-        )
+        return [
+            outcome_from_emulation(
+                member.network,
+                member.classes,
+                member.workloads,
+                emulation,
+                settings=member.settings,
+                ground_truth_links=member.ground_truth_links,
+                min_pathsets=min_pathsets,
+                substrate=member.substrate,
+                telemetry=telemetry,
+            )
+            for member, emulation in zip(members, emulations)
+        ]

@@ -18,20 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
-from repro.experiments.runner import (
-    ExperimentOutcome,
-    outcome_from_emulation,
-    run_experiment,
-)
+from repro.experiments.runner import ExperimentOutcome, run_scenarios
 from repro.experiments.sweep import SweepPoint, SweepRunner
-from repro.substrate.batch import (
-    ScenarioBatch,
-    run_scenario_batch,
-    substrate_supports_batch,
-)
 from repro.fluid.params import PathWorkload
+from repro.substrate.batch import substrate_supports_batch
+from repro.substrate.scenario import CompiledScenario
 from repro.topology.dumbbell import (
     CLASS1_PATHS,
     CLASS2_PATHS,
@@ -152,6 +144,31 @@ def experiment_values(set_number: int) -> Tuple:
     return TABLE2_SETS[set_number][2]
 
 
+def compile_topology_a(
+    set_number: int,
+    value: object,
+    settings: EmulationSettings = EmulationSettings(),
+    substrate: str = "fluid",
+) -> CompiledScenario:
+    """One Table 2 experiment as a scenario: the dumbbell with the
+    set's mechanism and rate on the shared link, and its workloads."""
+    exp = build_experiment(set_number, value)
+    topo = build_dumbbell(
+        mechanism=exp.mechanism, rate_fraction=exp.rate_fraction
+    )
+    return CompiledScenario(
+        network=topo.network,
+        classes=topo.classes,
+        link_specs=topo.link_specs,
+        workloads=exp.workloads,
+        settings=settings,
+        substrate=substrate,
+        ground_truth_links=frozenset(
+            (SHARED_LINK,) if exp.expect_non_neutral else ()
+        ),
+    )
+
+
 def run_topology_a(
     set_number: int,
     value: object,
@@ -166,20 +183,10 @@ def run_topology_a(
     ``verdict_non_neutral`` the algorithm's decision.
     ``substrate`` picks the emulation backend (fluid or packet).
     """
-    exp = build_experiment(set_number, value)
-    topo = build_dumbbell(
-        mechanism=exp.mechanism, rate_fraction=exp.rate_fraction
+    [outcome] = run_scenarios(
+        [compile_topology_a(set_number, value, settings, substrate)]
     )
-    truth = {SHARED_LINK} if exp.expect_non_neutral else set()
-    return run_experiment(
-        topo.network,
-        topo.classes,
-        topo.link_specs,
-        exp.workloads,
-        settings=settings,
-        ground_truth_links=truth,
-        substrate=substrate,
-    )
+    return outcome
 
 
 def _sweep_point(
@@ -205,61 +212,21 @@ def _sweep_point_batch(seeds, kwargs_list) -> List[ExperimentOutcome]:
 
     The grouped points (one set, one substrate, shared settings)
     differ only in the shared link's policing/shaping rate — the same
-    topology and workloads — so their emulations run as one scenario
-    batch; each member's outcome is then finished by exactly the
-    single-run tail (:func:`~repro.experiments.runner.
-    outcome_from_emulation`), making batched results bit-identical to
-    ``func``'s.
+    topology and workloads — so they run as one batch of
+    :func:`~repro.experiments.runner.run_scenarios`, bit-identical to
+    ``func``'s results.
     """
-    first = kwargs_list[0]
-    for kw in kwargs_list[1:]:
-        # Guard against an incomplete batch_group key upstream: a
-        # member emulated under another member's set/settings would
-        # cache a wrong result under its own (correct) digest.
-        if any(
-            kw.get(field) != first.get(field)
-            for field in ("set_number", "settings", "substrate")
-        ):
-            raise ConfigurationError(
-                "batched topology-A points must share set_number, "
-                "settings, and substrate"
+    return run_scenarios(
+        [
+            compile_topology_a(
+                kw["set_number"],
+                kw["value"],
+                kw["settings"].with_seed(seed),
+                kw.get("substrate", "fluid"),
             )
-    experiments = [
-        build_experiment(kw["set_number"], kw["value"])
-        for kw in kwargs_list
-    ]
-    topos = [
-        build_dumbbell(
-            mechanism=exp.mechanism, rate_fraction=exp.rate_fraction
-        )
-        for exp in experiments
-    ]
-    settings = kwargs_list[0]["settings"]
-    substrate = kwargs_list[0].get("substrate", "fluid")
-    shared = topos[0]
-    batch = ScenarioBatch.compile(
-        shared.network,
-        shared.classes,
-        experiments[0].workloads,
-        [topo.link_specs for topo in topos],
-        seeds,
+            for seed, kw in zip(seeds, kwargs_list)
+        ]
     )
-    emulations = run_scenario_batch(batch, settings, substrate)
-    outcomes = []
-    for exp, seed, emulation in zip(experiments, seeds, emulations):
-        truth = {SHARED_LINK} if exp.expect_non_neutral else set()
-        outcomes.append(
-            outcome_from_emulation(
-                shared.network,
-                shared.classes,
-                exp.workloads,
-                emulation,
-                settings=settings.with_seed(seed),
-                ground_truth_links=truth,
-                substrate=substrate,
-            )
-        )
-    return outcomes
 
 
 def sweep_points(

@@ -23,15 +23,10 @@ import numpy as np
 from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.network import LinkSeq
 from repro.core.slices import batch_pair_estimates_arrays, build_slice_batch
-from repro.exceptions import ConfigurationError
 from repro.experiments.config import TOPOLOGY_B_DECIDERS, EmulationSettings
-from repro.experiments.runner import (
-    ExperimentOutcome,
-    outcome_from_emulation,
-    run_experiment,
-)
-from repro.substrate.batch import ScenarioBatch, run_scenario_batch
+from repro.experiments.runner import ExperimentOutcome, run_scenarios
 from repro.fluid.params import MSS_BITS, PathWorkload
+from repro.substrate.scenario import CompiledScenario
 from repro.topology.multi_isp import (
     NEUTRAL_BUSY_LINK,
     POLICED_LINKS,
@@ -107,7 +102,8 @@ class TopologyBReport:
         outcome: The raw experiment outcome.
         ground_truth: ``{link: (p_congestion_c1, p_congestion_c2)}``
             — Figure 10(a).
-        sequences: Figure 10(b) rows, in algorithm order.
+        sequences: Figure 10(b) rows of the examined sequences, in
+            algorithm order.
         queue_traces_mb: ``{link: occupancy in Mb per interval}`` for
             l13 and l14 — Figure 11.
     """
@@ -125,33 +121,43 @@ TOPOLOGY_B_SETTINGS = EmulationSettings(
 )
 
 
+def compile_topology_b(
+    settings: EmulationSettings = TOPOLOGY_B_SETTINGS,
+    policing_rate: float = 0.15,
+    substrate: str = "fluid",
+) -> CompiledScenario:
+    """Topology B as one scenario, for every topology-B run (a
+    ``multi_isp`` :class:`~repro.substrate.scenario.Scenario` too):
+    the multi-ISP network policed at ``policing_rate`` on l5, l14 and
+    l20, with Table 3's traffic. Only the link specs vary with the
+    rate."""
+    topo = build_multi_isp(policing_rate=policing_rate)
+    return CompiledScenario(
+        network=topo.network,
+        classes=topo.classes,
+        link_specs=topo.link_specs,
+        workloads=table3_workloads(topo),
+        settings=settings,
+        substrate=substrate,
+        ground_truth_links=frozenset(POLICED_LINKS),
+    )
+
+
 def run_topology_b(
     settings: EmulationSettings = TOPOLOGY_B_SETTINGS,
     policing_rate: float = 0.15,
     substrate: str = "fluid",
 ) -> TopologyBReport:
     """Run the full topology-B experiment and collect figure data."""
-    topo = build_multi_isp(policing_rate=policing_rate)
-    workloads = table3_workloads(topo)
-    outcome = run_experiment(
-        topo.network,
-        topo.classes,
-        topo.link_specs,
-        workloads,
-        settings=settings,
-        ground_truth_links=POLICED_LINKS,
-        substrate=substrate,
-    )
-    return _report_from_outcome(topo, outcome, settings)
+    member = compile_topology_b(settings, policing_rate, substrate)
+    return _report_from_outcome(member, *run_scenarios([member]))
 
 
 def _report_from_outcome(
-    topo: MultiIspTopology,
-    outcome: ExperimentOutcome,
-    settings: EmulationSettings,
+    compiled: CompiledScenario, outcome: ExperimentOutcome
 ) -> TopologyBReport:
-    """Assemble the Figures 10/11 report from one outcome (shared by
-    the single-run and scenario-batched paths)."""
+    """Assemble the Figures 10/11 report from one member's outcome."""
+    settings = compiled.settings
     ground_truth = {
         lid: (
             outcome.emulation.link_congestion_probability(
@@ -161,10 +167,11 @@ def _report_from_outcome(
                 lid, "c2", settings.loss_threshold
             ),
         )
-        for lid in topo.network.link_ids
+        for lid in compiled.network.link_ids
     }
 
-    c2_paths = set(topo.light_paths)
+    # Class c2 is topology B's light paths.
+    c2_paths = compiled.classes.by_name("c2").paths
     identified = set(outcome.algorithm.identified_raw)
     # Each σ's estimates are its segment of the flat Equation-14
     # array, priced by its own family's costs.
@@ -179,6 +186,8 @@ def _report_from_outcome(
     ]
     sequences: List[SequenceEstimates] = []
     for g, sigma in enumerate(batch.sigmas):
+        if sigma not in outcome.algorithm.scores:
+            continue  # not examined: no valid interval, NaN estimates
         lo, hi = batch.offsets[g], batch.offsets[g + 1]
         estimates = sorted(zip(pair_ids[lo:hi], flat[lo:hi]))
         c2_est = tuple(
@@ -227,54 +236,18 @@ def run_topology_b_point(
 def run_topology_b_rate_batch(
     seeds, kwargs_list
 ) -> List[TopologyBReport]:
-    """Batched executor for topology-B points.
-
-    Members share settings and substrate and may differ in
-    ``policing_rate`` and seed: the multi-ISP builder varies only
-    link specs with the rate, so a sweep's points (rates, or seeds of
-    one rate) advance as one lockstep scenario batch over a shared
-    topology/workload; each member's report is then assembled by the
-    single-run tail.
-    """
-    first = kwargs_list[0]
-    for kw in kwargs_list[1:]:
-        if {
-            k: v for k, v in kw.items() if k != "policing_rate"
-        } != {k: v for k, v in first.items() if k != "policing_rate"}:
-            # Guard against an incomplete batch_group key upstream.
-            raise ConfigurationError(
-                "rate-batched topology-B points must share settings "
-                "and substrate"
-            )
-    settings = first["settings"]
-    substrate = first.get("substrate", "fluid")
-    topo = build_multi_isp()
-    workloads = table3_workloads(topo)
-    batch = ScenarioBatch.compile(
-        topo.network,
-        topo.classes,
-        workloads,
-        [
-            build_multi_isp(
-                policing_rate=kw["policing_rate"]
-            ).link_specs
-            for kw in kwargs_list
-        ],
-        seeds,
-    )
-    emulations = run_scenario_batch(batch, settings, substrate)
-    reports = []
-    for seed, emulation in zip(seeds, emulations):
-        outcome = outcome_from_emulation(
-            topo.network,
-            topo.classes,
-            workloads,
-            emulation,
-            settings=settings.with_seed(seed),
-            ground_truth_links=POLICED_LINKS,
-            substrate=substrate,
+    """Batched executor for topology-B points: points that share
+    settings and substrate (rates, or seeds of one rate) run as one
+    batch of :func:`run_scenarios`."""
+    members = [
+        compile_topology_b(
+            kw["settings"].with_seed(seed),
+            kw["policing_rate"],
+            kw.get("substrate", "fluid"),
         )
-        reports.append(
-            _report_from_outcome(topo, outcome, settings.with_seed(seed))
-        )
-    return reports
+        for seed, kw in zip(seeds, kwargs_list)
+    ]
+    return [
+        _report_from_outcome(member, outcome)
+        for member, outcome in zip(members, run_scenarios(members))
+    ]

@@ -254,13 +254,6 @@ def _family_values(
     return cost_table(status_valid.shape[1])[counts]
 
 
-def _no_valid_interval(paths: Tuple[str, ...]) -> MeasurementError:
-    return MeasurementError(
-        "no interval has traffic on every involved path; cannot "
-        "normalize (paths: %s)" % (paths,)
-    )
-
-
 def pathset_performance_numbers(
     data: MeasurementData,
     family: PathSetFamily,
@@ -301,7 +294,10 @@ def pathset_performance_numbers(
         data, paths, loss_threshold, mode, rng
     )
     if not valid.any():
-        raise _no_valid_interval(paths)
+        raise MeasurementError(
+            "no interval has traffic on every involved path; cannot "
+            "normalize (paths: %s)" % (paths,)
+        )
     index = {pid: i for i, pid in enumerate(paths)}
     values = _family_values(status[:, valid].astype(bool), family, index)
     return {ps: float(values[f]) for f, ps in enumerate(family)}
@@ -316,8 +312,9 @@ class PathsetObservations(Mapping[PathSet, float]):
     paths) unless a caller reads them. No verdict reads it: a path in
     several σ groups has one cost per group and a mapping holds one,
     so a singleton shows the cost of the last group, in batch order,
-    that contains the path (all groups agree when every path sent in
-    every interval).
+    that contains the path and was normalized (all groups agree when
+    every path sent in every interval). Pathsets only unexamined
+    groups hold are absent.
 
     * Singletons are the ``used`` rows (the batch's member paths),
       valued by ``y_single`` (NaN on every other row); lookups go
@@ -343,12 +340,22 @@ class PathsetObservations(Mapping[PathSet, float]):
         self, batch, y_member: np.ndarray, y_pair_flat: np.ndarray
     ) -> None:
         self.index = batch.index
-        self.used = sorted_unique(batch.member_rows)
+        member_rows, pair_a, pair_b = (
+            batch.member_rows, batch.pair_a, batch.pair_b
+        )
+        if np.isnan(y_member).any():
+            # Unexamined σ groups (NaN costs) measured nothing.
+            kept = ~np.isnan(y_member)
+            member_rows, y_member = member_rows[kept], y_member[kept]
+            kept = ~np.isnan(y_pair_flat)
+            pair_a, pair_b = pair_a[kept], pair_b[kept]
+            y_pair_flat = y_pair_flat[kept]
+        self.used = sorted_unique(member_rows)
         self.y_single = np.full(self.index.num_paths, np.nan)
         # Repeated rows keep the last value assigned, the later group's.
-        self.y_single[batch.member_rows] = y_member
-        self.pair_a = batch.pair_a
-        self.pair_b = batch.pair_b
+        self.y_single[member_rows] = y_member
+        self.pair_a = pair_a
+        self.pair_b = pair_b
         self.y_pair_flat = y_pair_flat
         self._sorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -446,11 +453,12 @@ def batch_slice_observations(
         ``y_member`` aligned with ``batch.member_rows`` (each σ's own
         singleton costs) and ``y_pair_flat`` aligned with
         ``batch.pair_a``/``pair_b``. Feed the arrays to
-        :func:`repro.core.slices.batch_unsolvability_arrays`.
+        :func:`repro.core.slices.batch_unsolvability_arrays`. A σ
+        group with no valid interval cannot be normalized: its costs
+        are NaN, and the verdict leaves it unexamined.
 
     Raises:
-        MeasurementError: When a σ group has no valid interval, which
-            includes records with zero intervals.
+        MeasurementError: On records with zero intervals.
     """
     _check_args(loss_threshold, mode, rng)
     index = batch.index
@@ -458,12 +466,10 @@ def batch_slice_observations(
 
     if batch.num_systems == 0:
         return {}, np.zeros(0, dtype=float), np.zeros(0, dtype=float)
+    if data.num_intervals == 0:
+        raise MeasurementError("no interval in the records; cannot normalize")
 
-    # Zero intervals take the group loop, which raises on their empty
-    # valid sets (all_sent_positive is vacuously true for them).
-    if mode == "sampled" or not (
-        data.all_sent_positive and data.num_intervals
-    ):
+    if mode == "sampled" or not data.all_sent_positive:
         y_member, y_pair_flat = _group_costs(
             data, batch, loss_threshold, mode, rng
         )
@@ -510,13 +516,14 @@ def _group_costs(
 
     Each group prices its own member singletons: a path in several
     groups gets one cost per group, as Algorithm 2 normalizes each
-    slice on its own. Expected-mode status is computed once; sampled
-    mode draws through :func:`congestion_free_matrix` one group at a
-    time in batch order, with the paths in sorted-id order.
+    slice on its own. A group without a valid interval keeps NaN
+    costs. Expected-mode status is computed once; sampled mode draws
+    through :func:`congestion_free_matrix` one group at a time in
+    batch order, with the paths in sorted-id order.
     """
     path_ids = batch.index.path_ids
-    y_member = np.empty(batch.member_rows.size)
-    y_pair_flat = np.empty(batch.num_pairs)
+    y_member = np.full(batch.member_rows.size, np.nan)
+    y_pair_flat = np.full(batch.num_pairs, np.nan)
     if mode == "expected":
         has_traffic = data.sent_matrix > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -540,7 +547,7 @@ def _group_costs(
             status = np.empty(drawn.shape, dtype=bool)
             status[order] = drawn
         if not valid.any():
-            raise _no_valid_interval(sorted_ids)
+            continue
         status = status[:, valid]
         table = cost_table(status.shape[1])
         y_member[mlo:mhi] = table[status.sum(axis=1)]

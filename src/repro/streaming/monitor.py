@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +46,7 @@ from repro import telemetry
 from repro.core.algorithm import (
     DEFAULT_MIN_PATHSETS,
     AlgorithmResult,
-    prune_identified,
+    identify_from_score_array,
 )
 from repro.core.network import LinkSeq, Network
 from repro.core.slices import SliceSystemsView, batch_unsolvability_arrays
@@ -80,9 +79,11 @@ class WindowVerdict:
     start_interval: int
     end_interval: int
     scores: Dict[LinkSeq, float]
-    #: ``None`` marks an *uninformative* window: no interval had
-    #: traffic on every path of some slice family, so nothing could
-    #: be normalized. Change-point states carry over unchanged.
+    #: ``None`` marks an *uninformative* window: no slice family had
+    #: an interval with traffic on all its paths, so nothing could be
+    #: normalized. Change-point states carry over unchanged. (In an
+    #: informative window such a family is skipped: NaN in the
+    #: report's score row, which resets its CUSUM statistic.)
     result: Optional[AlgorithmResult]
 
     @property
@@ -124,7 +125,8 @@ class MonitorReport:
         change_points: CUSUM flips, in detection order.
         sigmas: Examined sequences (column order of the timelines).
         window_ends: ``(W,)`` end interval per window.
-        scores: ``(W, |sigmas|)`` per-window unsolvability scores.
+        scores: ``(W, |sigmas|)`` per-window unsolvability scores,
+            NaN where a sequence was not examined.
         flagged: ``(W, |sigmas|)`` CUSUM state after each window.
         final: Algorithm 1 on the *whole* stream — identical to the
             one-shot :func:`~repro.experiments.runner.
@@ -343,32 +345,33 @@ class NeutralityMonitor:
         """Run windowed Algorithm 2 + Algorithm 1 over ``[lo, hi)``
         (without recording a timeline entry).
 
-        The same decide + prune tail as
-        :func:`~repro.core.algorithm.identify_from_scores`, on the
-        score array. Returns that ``(|sigmas|,)`` array and the result.
+        The offline decide + prune tail,
+        :func:`~repro.core.algorithm.identify_from_score_array`.
+        Returns the ``(|sigmas|,)`` score array and the result; a
+        slice family with no interval in which all its paths sent
+        scores NaN there and is skipped in the result.
 
         Raises:
-            MeasurementError: When the window has no interval with
-                traffic on every path of some slice family (nothing
-                to normalize — the caller decides how to degrade).
+            MeasurementError: When no slice family of the window can
+                be normalized (nothing to decide — the caller decides
+                how to degrade).
         """
         batch = self.stats.batch
         y_member, y_pair_flat = self.stats.window_costs(lo, hi)
         score_array = batch_unsolvability_arrays(batch, y_member, y_pair_flat)
-        flagged = classify_score_array(
+        if score_array.size and np.isnan(score_array).all():
+            raise MeasurementError(
+                "no slice family has an interval in which all its "
+                "paths sent"
+            )
+        result = identify_from_score_array(
+            batch,
+            self.stats.skipped,
             score_array,
-            min_absolute=self._min_absolute,
-            min_ratio=self._min_ratio,
-            definite=self._definite,
-        )
-        sigmas = batch.sigmas
-        result = AlgorithmResult(
-            identified=prune_identified(batch, np.flatnonzero(flagged)),
-            identified_raw=tuple(compress(sigmas, flagged.tolist())),
-            neutral=tuple(compress(sigmas, (~flagged).tolist())),
-            skipped=tuple(self.stats.skipped),
-            scores=dict(zip(sigmas, score_array.tolist())),
-            systems=self._systems,
+            lambda scores: classify_score_array(
+                scores, self._min_absolute, self._min_ratio, self._definite
+            ),
+            self._systems,
         )
         return score_array, result
 
@@ -399,9 +402,9 @@ class NeutralityMonitor:
         try:
             scores, result = self.evaluate_window(lo, end)
         except MeasurementError:
-            # No informative interval in the window (some slice path
-            # never saw traffic): emit a no-information verdict, keep
-            # every CUSUM state untouched.
+            # No slice family can be normalized in the window: emit a
+            # no-information verdict, keep every CUSUM state
+            # untouched.
             return self._emit_uninformative(lo, end)
         idx = len(self.windows)
         verdict = WindowVerdict(

@@ -3,9 +3,10 @@
 A :class:`ScenarioBatch` is the substrate-level description of a
 "many-worlds" run: one topology, one class assignment, one workload —
 and ``B`` per-variant link-spec mappings with per-variant seeds. It is
-the compile step between sweep-shaped callers
-(:class:`repro.experiments.sweep.SweepRunner` groups, the grid
-benches) and a substrate's batched entry point: variant specs
+the compile step between
+:func:`repro.experiments.runner.run_scenarios` (every experiment
+family's runs and sweep batches) and a substrate's batched entry
+point: variant specs
 are type-checked once (:func:`repro.substrate.spec.normalize_specs`),
 validated for batchability (equal lengths, shared everything else), and handed to
 :meth:`EmulationSubstrate.run_batch` when the backend advertises the

@@ -18,7 +18,7 @@ work-conserving weighted per-class service.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Optional
+from typing import FrozenSet, Mapping, Optional
 
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
@@ -172,25 +172,29 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CompiledScenario:
-    """A scenario lowered to runnable objects.
+    """A scenario lowered to runnable objects: one member of
+    :func:`repro.experiments.runner.run_scenarios`.
 
     Attributes:
-        scenario: The source description.
         network: The graph.
         classes: The class assignment.
         link_specs: Per-link specs, ready for any substrate or
-            engine (or :func:`repro.experiments.runner.
-            run_experiment`).
+            engine.
         workloads: Per-path traffic.
-        ground_truth_links: Links that actually differentiate.
+        settings: Emulation/inference settings, deciders included;
+            their seed is the member's emulation seed.
+        substrate: Registered substrate name.
+        ground_truth_links: Links that actually differentiate, for
+            quality scoring; ``None`` skips scoring.
     """
 
-    scenario: Scenario
     network: Network
     classes: ClassAssignment
-    link_specs: Dict[str, LinkSpec]
-    workloads: Dict[str, PathWorkload]
-    ground_truth_links: FrozenSet[str]
+    link_specs: Mapping[str, LinkSpec]
+    workloads: Mapping[str, PathWorkload]
+    settings: EmulationSettings
+    substrate: str = "fluid"
+    ground_truth_links: Optional[FrozenSet[str]] = None
 
 
 def compile_scenario(scenario: Scenario) -> CompiledScenario:
@@ -223,42 +227,40 @@ def _compile_dumbbell(scenario: Scenario) -> CompiledScenario:
         flows_per_path=scenario.flows_per_path,
     )
     return CompiledScenario(
-        scenario=scenario,
         network=topo.network,
         classes=topo.classes,
         link_specs=specs,
         workloads=workloads,
+        settings=scenario.settings,
+        substrate=scenario.substrate,
         ground_truth_links=truth,
     )
 
 
 def _compile_multi_isp(scenario: Scenario) -> CompiledScenario:
-    from repro.topology.multi_isp import POLICED_LINKS, build_multi_isp
-    from repro.experiments.topology_b import table3_workloads
+    from repro.topology.multi_isp import POLICED_LINKS
+    from repro.experiments.topology_b import compile_topology_b
 
-    rate = (
-        scenario.policy.rate_fraction
-        if scenario.policy is not None
-        else 0.15
+    policy = scenario.policy
+    compiled = compile_topology_b(
+        scenario.settings,
+        policy.rate_fraction if policy is not None else 0.15,
+        scenario.substrate,
     )
-    topo = build_multi_isp(policing_rate=rate)
-    specs = dict(topo.link_specs)
-    truth: FrozenSet[str] = frozenset()
-    if scenario.policy is None:
-        # Neutral variant: strip the built-in policers.
-        for lid in POLICED_LINKS:
-            specs[lid] = replace(specs[lid], policer=None)
-    else:
-        for lid in POLICED_LINKS:
-            specs[lid] = scenario.policy.apply_to(specs[lid])
-        truth = frozenset(POLICED_LINKS)
-    return CompiledScenario(
-        scenario=scenario,
-        network=topo.network,
-        classes=topo.classes,
+    specs = dict(compiled.link_specs)
+    for lid in POLICED_LINKS:
+        # The neutral variant strips the built-in policers.
+        specs[lid] = (
+            replace(specs[lid], policer=None)
+            if policy is None
+            else policy.apply_to(specs[lid])
+        )
+    return replace(
+        compiled,
         link_specs=specs,
-        workloads=table3_workloads(topo),
-        ground_truth_links=truth,
+        ground_truth_links=(
+            frozenset() if policy is None else compiled.ground_truth_links
+        ),
     )
 
 
@@ -269,15 +271,7 @@ def run_scenario(scenario: Scenario):
     (emulation on the scenario's substrate, then the full Algorithm
     2 → Algorithm 1 inference and §5 quality scoring).
     """
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.runner import run_scenarios
 
-    compiled = compile_scenario(scenario)
-    return run_experiment(
-        compiled.network,
-        compiled.classes,
-        compiled.link_specs,
-        compiled.workloads,
-        settings=scenario.settings,
-        ground_truth_links=compiled.ground_truth_links,
-        substrate=scenario.substrate,
-    )
+    [outcome] = run_scenarios([compile_scenario(scenario)])
+    return outcome

@@ -114,3 +114,19 @@ def test_identified_outside_examined_raises():
         remove_redundant([("l1", "l3")], examined)
     with pytest.raises(ReproError):
         remove_redundant([("l1",), ("l9",)], examined)
+
+
+@_SETTINGS
+@given(st.integers(0, 40), st.integers(0, 2**31))
+def test_examined_mask_limits_decompositions(mesh_seed, seed):
+    """With some σ unexamined, a decomposition may use only examined
+    ones: the result equals the reference over the examined σ."""
+    batch = _batch("mesh", mesh_seed)
+    rng = np.random.default_rng(seed)
+    examined = rng.random(batch.num_systems) < 0.7
+    rows = _random_rows(batch, rng)
+    rows = rows[examined[rows]]
+    identified = tuple(batch.sigmas[g] for g in rows.tolist())
+    kept = tuple(s for s, e in zip(batch.sigmas, examined.tolist()) if e)
+    expected = remove_redundant_reference(identified, kept)
+    assert prune_identified(batch, rows, examined) == expected

@@ -628,20 +628,6 @@ class TestPlaneExecutors:
         assert pickle.dumps(point) == pickle.dumps(batched)
         assert point.identified  # a real emulation, policing seen
 
-    def test_batch_rejects_mixed_settings(self):
-        """Batched points may differ only in rate and capacity."""
-        base = {
-            "settings": PLANE_SETTINGS,
-            "policing_rate": 0.1,
-            "capacity_mbps": 80.0,
-            "substrate": "fluid",
-        }
-        other = dict(base, settings=PLANE_SETTINGS.with_seed(4))
-        with pytest.raises(ConfigurationError, match="must share"):
-            run_plane_batch([1, 2], [base, other])
-        with pytest.raises(ConfigurationError, match="must share"):
-            run_plane_batch([1, 2], [base, dict(base, substrate="packet")])
-
 
 class TestRealPlane:
     """One short real emulation pass: the adaptive plane run agrees

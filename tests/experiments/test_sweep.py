@@ -375,9 +375,11 @@ class TestBatching:
         members whose shared kwargs disagree (an incomplete
         batch_group upstream must fail loudly, not emulate a member
         under another member's settings); the runner then recovers
-        every point singly with correct results."""
+        every point singly with correct results. Members may differ
+        in seed (each runs at its own), so the settings differ in
+        duration."""
         other = EmulationSettings(
-            duration_seconds=30.0, warmup_seconds=5.0, seed=9
+            duration_seconds=25.0, warmup_seconds=5.0, seed=9
         )
         from repro.experiments.topology_a import (
             _sweep_point,

@@ -26,10 +26,11 @@ covered by the streaming test suite).
 Gates: ≥ 5× amortized speedup of the incremental window updates over
 the per-window full recompute.
 
-A second section emulates a mid-run policing onset on the dumbbell
-(fluid substrate, segment mode) and prints the detection-latency
-table quoted in EXPERIMENTS.md: intervals until the switch is
-flagged, per window length.
+A second section monitors a mid-run policing onset on the dumbbell
+(fluid substrate, segment mode, one ``monitor_scenario`` run per
+window length) and prints the detection-latency table quoted in
+EXPERIMENTS.md: intervals until the switch is flagged, per window
+length.
 """
 
 import gc
@@ -45,18 +46,13 @@ from repro.core.slices import (
     build_slice_batch,
 )
 from repro.experiments.config import EmulationSettings
-from repro.experiments.runner import measured_subnetwork
 from repro.measurement.normalize import batch_slice_observations
 from repro.measurement.records import MeasurementData, PathRecord
 from repro.measurement.synthetic import synthesize_records
-from repro.streaming.monitor import NeutralityMonitor
-from repro.streaming.stream import EmulationStream, ReplayStream
+from repro.streaming.monitor import monitor_scenario
+from repro.streaming.stream import ReplayStream
 from repro.streaming.window import SlidingWindowStats
-from repro.substrate.scenario import (
-    DifferentiationPolicy,
-    Scenario,
-    compile_scenario,
-)
+from repro.substrate.scenario import DifferentiationPolicy, Scenario
 from repro.topology.generators import (
     random_mesh_network,
     random_two_class_performance,
@@ -203,37 +199,16 @@ def test_onset_detection_latency_table(benchmark):
     )
 
     def _measure():
-        compiled_on = compile_scenario(scenario)
-        from dataclasses import replace
-
-        compiled_off = compile_scenario(replace(scenario, policy=None))
-        stream = EmulationStream(
-            compiled_on.network,
-            compiled_on.classes,
-            compiled_off.link_specs,
-            compiled_on.workloads,
-            settings=settings,
-            chunk_intervals=25,
-            switches={onset: compiled_on.link_specs},
-        )
-        list(stream)  # emulate once, in segment mode
-        records = stream.result().measurements
-        inference_net = measured_subnetwork(
-            compiled_on.network, compiled_on.workloads
-        )
         rows = []
         for window in (50, 100, 150):
-            monitor = NeutralityMonitor(
-                inference_net,
-                settings=settings,
+            report, _ = monitor_scenario(
+                scenario,
+                chunk_intervals=25,
                 window_intervals=window,
                 stride=25,
+                onset_interval=onset,
             )
-            report = monitor.run(
-                ReplayStream(records, chunk_intervals=50)
-            )
-            delay = report.detection_delay(("l5",), onset)
-            rows.append((window, delay))
+            rows.append((window, report.detection_delay(("l5",), onset)))
         return rows
 
     rows = run_once(benchmark, _measure)

@@ -31,11 +31,14 @@ digests ``run_topology_b``'s per-σ estimates and identified flags
 ``monitor-*`` entries digest a ``NeutralityMonitor`` report on three
 synthesized record streams with a planted onset: the per-window
 scores, CUSUM flags, change points and identified sets, and the
-full-stream final verdict. The ``slices-*`` entries digest the cold
-``build_slice_batch`` arrays (σ order, pairs, member layout, σ masks
-and the skipped sequences) of four fresh networks: the 8×13
-federated topology, a 2000-spoke star, a 300-hop chain of 400 paths
-and a random mesh. The ``run-*`` entries digest whole experiment
+full-stream final verdict. The ``monitor-cli-*`` entries digest the
+stdout of two ``repro monitor`` runs (a dumbbell policing onset and a
+neutral multi-ISP stream), which checks the command's whole route
+from the scenario to the printed timeline. The ``slices-*`` entries
+digest the cold ``build_slice_batch`` arrays (σ order, pairs, member
+layout, σ masks and the skipped sequences) of four fresh networks:
+the 8×13 federated topology, a 2000-spoke star, a 300-hop chain of
+400 paths and a random mesh. The ``run-*`` entries digest whole experiment
 runs through the family entry points — every emulation array, the
 scores and the identified set of each point: Table 2 sets 4 and 6
 through an inline ``SweepRunner`` (set 4 point by point, set 6 as one
@@ -46,14 +49,17 @@ one core.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import sys
 
 import numpy as np
 
+from repro import cli
 from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.performance import LinkPerformance, NetworkPerformance
 from repro.core.slices import batch_pair_estimates_arrays, build_slice_batch
@@ -467,6 +473,17 @@ def monitor_digest(net, data, window, stride, chunk):
     return h.hexdigest()
 
 
+def cli_digest(*argv):
+    """SHA-256 over the stdout of one ``repro`` command, which must
+    exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"repro {' '.join(argv)} exited {code}")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 #: The flat arrays of a :class:`SliceSystemBatch`.
 BATCH_FIELDS = (
     "pair_a", "pair_b", "offsets", "la", "lb",
@@ -607,6 +624,14 @@ RUNS = {
     ),
     "monitor-mesh-holes": lambda: monitor_digest(
         *_mesh_stream(), window=100, stride=25, chunk=40
+    ),
+    "monitor-cli-dumbbell-onset": lambda: cli_digest(
+        "monitor", "--duration", "20", "--warmup", "2", "--onset", "8",
+        "--chunk", "25", "--window", "50", "--seed", "3",
+    ),
+    "monitor-cli-multi-isp-neutral": lambda: cli_digest(
+        "monitor", "--topology", "multi_isp", "--mechanism", "none",
+        "--duration", "30", "--warmup", "2", "--seed", "4",
     ),
     "slices-federated-8x13": lambda: slices_digest(
         build_federated_multi_isp(8, 13).network

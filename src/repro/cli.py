@@ -323,7 +323,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.analysis.stats import format_table
-    from repro.streaming.fleet import MonitorTask, run_monitor_task
+    from repro.streaming.monitor import monitor_scenario
     from repro.substrate.registry import get_substrate
     from repro.substrate.scenario import DifferentiationPolicy, Scenario
 
@@ -355,32 +355,30 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         policy=policy,
         settings=settings,
     )
-    task = MonitorTask(
-        name=scenario.name,
-        scenario=scenario,
-        chunk_intervals=args.chunk,
-        window_intervals=args.window,
-        stride=args.stride,
-        onset_interval=onset,
-    )
     print(
         f"Monitoring {args.topology}/{args.mechanism} on "
         f"{args.substrate} ({args.duration:.0f} s, window "
         f"{args.window} intervals)..."
     )
-    outcome = run_monitor_task(args.seed, task)
+    report, compiled = monitor_scenario(
+        scenario,
+        chunk_intervals=args.chunk,
+        window_intervals=args.window,
+        stride=args.stride,
+        onset_interval=onset,
+    )
 
     def fmt_sigma(sigma):
         return "<" + ",".join(sigma) + ">"
 
     rows = []
-    for w, end in enumerate(outcome.window_ends.tolist()):
+    for w, end in enumerate(report.window_ends.tolist()):
         # NaN marks an uninformative score; an all-NaN row prints "-".
-        informative = outcome.scores[w][~np.isnan(outcome.scores[w])]
+        informative = report.scores[w][~np.isnan(report.scores[w])]
         flagged = [
             fmt_sigma(s)
-            for k, s in enumerate(outcome.sigmas)
-            if outcome.flagged[w, k]
+            for k, s in enumerate(report.sigmas)
+            if report.flagged[w, k]
         ]
         rows.append(
             (
@@ -395,32 +393,36 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             ["window", "t (s)", "max score", "flagged sequences"], rows
         )
     )
-    for cp in outcome.change_points:
+    for cp in report.change_points:
         print(
             f"change point: {cp.kind} of {fmt_sigma(cp.sigma)} detected "
             f"at interval {cp.interval} (estimate: {cp.estimate_interval})"
         )
-    verdict = (
-        "; ".join(fmt_sigma(s) for s in outcome.final_identified) or "-"
-    )
+    identified = report.final.identified if report.final else ()
+    verdict = "; ".join(fmt_sigma(s) for s in identified) or "-"
     print(f"final verdict (full stream): {verdict}")
-    delay = outcome.detection_delay_intervals
-    if outcome.onset_interval is not None:
+    if onset is not None:
+        # A flag turns on only at an onset change point, so the first
+        # truth onset is the first window that flags a truth sequence.
+        truth = compiled.ground_truth_links
+        delays = [
+            report.detection_delay(sigma, onset)
+            for sigma in report.sigmas
+            if set(sigma) & truth
+        ]
+        delay = min((d for d in delays if d is not None), default=None)
         if delay is not None and delay < 0:
             print(
-                f"onset at interval {outcome.onset_interval}: flagged "
+                f"onset at interval {onset}: flagged "
                 f"{-delay} intervals before onset"
             )
         elif delay is not None:
             print(
-                f"onset at interval {outcome.onset_interval} detected "
-                f"after {delay} intervals"
+                f"onset at interval {onset} detected after {delay} "
+                "intervals"
             )
         else:
-            print(
-                f"onset at interval {outcome.onset_interval} was NOT "
-                "detected"
-            )
+            print(f"onset at interval {onset} was NOT detected")
     return 0
 
 

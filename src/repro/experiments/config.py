@@ -10,6 +10,7 @@ Table 1 parameter space is encoded in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from repro.exceptions import ConfigurationError
@@ -40,7 +41,7 @@ class EmulationSettings:
         interval_seconds: Measurement interval (Table 1: 100 ms).
         loss_threshold: Congestion threshold on per-interval loss
             fraction (Table 1: 1 %).
-        seed: Emulation RNG seed.
+        seed: Emulation RNG seed, a non-negative integer.
         decider_min_absolute: Clustering safeguard (see
             :mod:`repro.measurement.clustering`).
         decider_min_ratio: Clustering safeguard.
@@ -71,6 +72,14 @@ class EmulationSettings:
             raise ConfigurationError(
                 "warmup_seconds must be finite and non-negative, got "
                 f"{self.warmup_seconds}"
+            )
+        if not (
+            isinstance(self.seed, numbers.Integral)
+            and not isinstance(self.seed, bool)
+            and self.seed >= 0
+        ):
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
             )
         if not 0 < self.loss_threshold < 1:
             raise ConfigurationError("loss threshold must be in (0,1)")

@@ -2,7 +2,7 @@
 
 The offline pipeline emulates a whole experiment and infers once over
 the full record matrix. This package turns that into an *online*
-monitor in four layers:
+monitor in three layers:
 
 * :mod:`repro.streaming.stream` — record streams: replay a stored
   :class:`~repro.measurement.records.MeasurementData` in chunks, or
@@ -19,10 +19,10 @@ monitor in four layers:
   :class:`~repro.streaming.monitor.NeutralityMonitor`: a rolling
   :class:`~repro.core.algorithm.AlgorithmResult` per window plus a
   CUSUM change-point detector that timestamps when each pathset
-  family flips neutral ↔ non-neutral.
-* :mod:`repro.streaming.fleet` — monitoring tasks: one declarative
-  scenario driven through a stream into the monitor and condensed
-  into a picklable verdict timeline (what ``repro monitor`` runs).
+  family flips neutral ↔ non-neutral — and
+  :func:`~repro.streaming.monitor.monitor_scenario`, which drives one
+  declarative scenario's emulation stream into a monitor (what
+  ``repro monitor`` runs).
 
 See DESIGN.md S18 for window semantics and cache-reuse rules.
 """
@@ -30,17 +30,13 @@ See DESIGN.md S18 for window semantics and cache-reuse rules.
 from repro._namespace import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "fleet": (
-        "MonitorOutcome",
-        "MonitorTask",
-        "run_monitor_task",
-    ),
     "monitor": (
         "ChangePoint",
         "MonitorReport",
         "NeutralityMonitor",
         "WindowVerdict",
+        "monitor_scenario",
     ),
-    "stream": ("EmulationStream", "RecordStream", "ReplayStream"),
+    "stream": ("EmulationStream", "ReplayStream"),
     "window": ("SlidingWindowStats",),
 })

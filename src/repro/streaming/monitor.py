@@ -32,13 +32,17 @@ window live in three arrays, updated together once per window
 For retrospective localization over a finished score series,
 :func:`two_means_change_point` applies the paper's two-means split to
 the per-window scores of one sequence.
+
+:func:`monitor_scenario` runs one declarative scenario end to end:
+its emulation stream, optionally switching the policy on mid-run,
+into a monitor (what ``repro monitor`` runs).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +62,10 @@ from repro.measurement.clustering import (
 )
 from repro.measurement.records import RecordChunk
 from repro.streaming.window import SlidingWindowStats
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only: the scenario
+    # layer loads on the first monitor_scenario call (DESIGN.md S25).
+    from repro.substrate.scenario import CompiledScenario, Scenario
 
 #: Default verdict cadence (intervals) when neither a window length
 #: nor a stride is configured.
@@ -501,3 +509,75 @@ class NeutralityMonitor:
             final=final,
             interval_seconds=self.interval_seconds,
         )
+
+
+def monitor_scenario(
+    scenario: Scenario,
+    *,
+    chunk_intervals: int,
+    window_intervals: Optional[int],
+    stride: Optional[int] = None,
+    onset_interval: Optional[int] = None,
+) -> Tuple[MonitorReport, CompiledScenario]:
+    """Monitor one declarative scenario end to end.
+
+    Compiles ``scenario``, drives its substrate in segment mode
+    through an :class:`~repro.streaming.stream.EmulationStream` and
+    feeds the chunks to a :class:`NeutralityMonitor` over the
+    measured paths.
+    The scenario's settings carry the only seed. With
+    ``onset_interval`` set, the stream starts under the scenario's
+    policy-free twin and switches the policy on at that interval.
+    ``stride`` defaults to ``chunk_intervals``. This is what
+    ``repro monitor`` runs.
+
+    Returns:
+        ``(report, compiled)``: the :class:`MonitorReport` and the
+        compiled scenario (its ``ground_truth_links`` are the links
+        that differentiate while the policy is on).
+
+    Raises:
+        ConfigurationError: For an onset without a policy, or one
+            outside the stream.
+    """
+    from repro.experiments.runner import measured_subnetwork
+    from repro.streaming.stream import EmulationStream
+    from repro.substrate.scenario import compile_scenario
+
+    if onset_interval is not None and scenario.policy is None:
+        raise ConfigurationError(
+            f"scenario {scenario.name!r} schedules a policy onset but "
+            "has no differentiation policy"
+        )
+    with telemetry.span(
+        "monitor.task", name=scenario.name,
+        substrate=scenario.substrate, seed=scenario.settings.seed,
+    ):
+        compiled = compile_scenario(scenario)
+        start_specs = compiled.link_specs
+        switches = {}
+        if onset_interval is not None:
+            start_specs = compile_scenario(
+                replace(scenario, policy=None)
+            ).link_specs
+            switches[onset_interval] = compiled.link_specs
+        stream = EmulationStream(
+            compiled.network,
+            compiled.classes,
+            start_specs,
+            compiled.workloads,
+            settings=compiled.settings,
+            substrate=compiled.substrate,
+            chunk_intervals=chunk_intervals,
+            switches=switches,
+            # The monitor consumes only the chunks; dropping the
+            # ground-truth history keeps long runs' memory bounded.
+            keep_ground_truth=False,
+        )
+        monitor = NeutralityMonitor(
+            measured_subnetwork(compiled.network, compiled.workloads),
+            settings=compiled.settings,
+            window_intervals=window_intervals,
+            stride=stride if stride is not None else chunk_intervals,
+        )
+        return monitor.run(stream), compiled

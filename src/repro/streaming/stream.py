@@ -17,7 +17,7 @@ contiguous intervals ``0, 1, 2, …`` for a fixed path set, plus an
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Protocol, runtime_checkable
+from typing import Dict, Iterator, Mapping, Optional
 
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
@@ -28,16 +28,6 @@ from repro.measurement.records import MeasurementData, RecordChunk
 from repro.substrate.base import SubstrateResult, SubstrateSession
 from repro.substrate.registry import get_substrate
 from repro.substrate.spec import LinkSpec
-
-
-@runtime_checkable
-class RecordStream(Protocol):
-    """Structural contract of a record stream."""
-
-    interval_seconds: float
-
-    def __iter__(self) -> Iterator[RecordChunk]:
-        ...
 
 
 class ReplayStream:
@@ -88,12 +78,10 @@ class EmulationStream:
         link_specs: Initial per-link
             :class:`~repro.substrate.spec.LinkSpec` values.
         workloads: Per-path traffic.
-        settings: Emulation settings; ``duration_seconds`` fixes the
-            stream length unless ``total_intervals`` overrides it.
+        settings: Emulation settings; the stream covers
+            ``duration_seconds / interval_seconds`` intervals.
         substrate: Registered substrate name.
         chunk_intervals: Intervals emulated (and yielded) per chunk.
-        total_intervals: Stream length; defaults to
-            ``duration_seconds / interval_seconds``.
         switches: ``{interval: link_specs}`` — at each boundary, the
             emulation continues from carried state under the new
             specs (the mid-run policy onset/offset hook). Interval 0
@@ -113,7 +101,6 @@ class EmulationStream:
         settings: EmulationSettings = EmulationSettings(),
         substrate: str = "fluid",
         chunk_intervals: int = 50,
-        total_intervals: Optional[int] = None,
         switches: Optional[Mapping[int, Mapping[str, LinkSpec]]] = None,
         keep_ground_truth: bool = True,
     ) -> None:
@@ -121,14 +108,13 @@ class EmulationStream:
             raise ConfigurationError(
                 f"chunk_intervals must be >= 1, got {chunk_intervals}"
             )
-        if total_intervals is None:
-            total_intervals = int(
-                round(settings.duration_seconds / settings.interval_seconds)
-            )
+        total_intervals = int(
+            round(settings.duration_seconds / settings.interval_seconds)
+        )
         if total_intervals < 1:
             raise ConfigurationError("stream shorter than one interval")
         self._chunk = int(chunk_intervals)
-        self.total_intervals = int(total_intervals)
+        self.total_intervals = total_intervals
         self.interval_seconds = settings.interval_seconds
         self._switches: Dict[int, Mapping[str, LinkSpec]] = dict(
             switches or {}

@@ -56,18 +56,16 @@ incremental to maintain. The monitor therefore requires
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.network import Network
-from repro.core.pathsets import PathSet
 from repro.core.slices import build_slice_batch, sorted_unique
 from repro.exceptions import MeasurementError
 from repro.measurement.normalize import (
     DEFAULT_LOSS_THRESHOLD,
-    PathsetObservations,
     batch_slice_observations,
     cost_table,
     pair_joint_counts,
@@ -344,28 +342,6 @@ class SlidingWindowStats:
             counts += gained
         self._prefix = (0, hi, counts)
 
-    def window_observations(
-        self, lo: int, hi: int
-    ) -> Tuple[Mapping[PathSet, float], np.ndarray, np.ndarray]:
-        """Algorithm 2 over the window ``[lo, hi)``.
-
-        Returns the same ``(observations, y_member, y_pair_flat)``
-        triple as :func:`~repro.measurement.normalize.
-        batch_slice_observations` on the window's records —
-        fp-identically, but from the incremental state instead of a
-        full recompute. The observations are the display-only
-        :class:`~repro.measurement.normalize.PathsetObservations`
-        view; the monitor reads only the arrays
-        (:meth:`window_costs`). Windows containing an interval where
-        some path sent nothing are computed by the batch routine
-        itself, whose per-group branch gives each σ group its own
-        valid intervals.
-        """
-        costs = self.window_costs(lo, hi)
-        if self.batch.num_systems == 0:
-            return ({}, *costs)
-        return (PathsetObservations(self.batch, *costs), *costs)
-
     def window_costs(
         self, lo: int, hi: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -373,9 +349,13 @@ class SlidingWindowStats:
 
         ``(y_member, y_pair_flat)`` exactly as
         :func:`~repro.measurement.normalize.batch_slice_observations`
-        would return for the window's records, gatherable by
-        :func:`~repro.core.slices.batch_unsolvability_arrays` —
-        the monitor's hot path.
+        would return for the window's records — fp-identically, but
+        from the incremental state — gatherable by
+        :func:`~repro.core.slices.batch_unsolvability_arrays`: the
+        monitor's hot path. A window containing an interval where
+        some path sent nothing is computed by the batch routine
+        itself, whose per-group branch gives each σ group its own
+        valid intervals.
         """
         self._check_window(lo, hi)
         batch = self.batch

@@ -44,6 +44,19 @@ class TestSettings:
         with pytest.raises(ConfigurationError, match=field):
             EmulationSettings(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3", True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            EmulationSettings(seed=seed)
+        with pytest.raises(ConfigurationError, match="seed"):
+            EmulationSettings().with_seed(seed)
+
+    def test_zero_and_numpy_integer_seeds_accepted(self):
+        import numpy as np
+
+        assert EmulationSettings(seed=0).seed == 0
+        assert EmulationSettings(seed=np.int64(7)).seed == 7
+
     def test_zero_warmup_accepted(self):
         assert EmulationSettings(warmup_seconds=0.0).warmup_seconds == 0.0
 

@@ -76,6 +76,10 @@ class TestCli:
             ["monitor", "--duration", "10", "--onset", "nan"],
             ["monitor", "--duration", "10", "--onset", "inf"],
             ["monitor", "--warmup", "-1"],
+            ["fig8", "--set", "6", "--duration", "10", "--seed", "-1"],
+            ["topo-b", "--duration", "10", "--seed", "-1"],
+            ["sweep", "--sets", "6", "--duration", "10", "--seed", "-1"],
+            ["monitor", "--duration", "10", "--seed", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -206,21 +210,24 @@ class TestCli:
         CUSUM, with topology B's decider fields, as ``repro topo-b``
         does; the dumbbell keeps topology A's."""
         from repro.experiments.topology_b import TOPOLOGY_B_SETTINGS
-        from repro.streaming import fleet
+        from repro.streaming import monitor as monitor_module
 
         monitors = []
 
-        class Recording(fleet.NeutralityMonitor):
+        class Recording(monitor_module.NeutralityMonitor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 monitors.append(self)
 
-        monkeypatch.setattr(fleet, "NeutralityMonitor", Recording)
+        monkeypatch.setattr(monitor_module, "NeutralityMonitor", Recording)
         argv = ["--mechanism", "none", "--duration", "4", "--warmup", "1",
                 "--window", "20", "--chunk", "10"]
         for topology in ("multi_isp", "dumbbell"):
             assert main(["monitor", "--topology", topology, *argv]) == 0
-        assert "final verdict" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "final verdict" in out
+        # Without --onset there is nothing to time a delay from.
+        assert "onset at interval" not in out
         multi_isp, dumbbell = monitors
         defaults = EmulationSettings()
         for monitor, want in (
@@ -523,7 +530,6 @@ LOAD_ON_FIRST_USE = (
     "repro.fluid.batch",
     "repro.emulator.core",
     "repro.telemetry.manifest",
-    "repro.streaming.fleet",
 )
 
 
@@ -557,28 +563,34 @@ def test_entry_point_import_budget(entry):
     assert json.loads(out.stdout) == []
 
 
-def _monitor_outcome(delay, onset=400):
-    """A hand-built monitor outcome: window 0 is uninformative (an
-    all-NaN score row), window 1 flags ``<l1>``."""
+def _monitor_run(delay, onset=400):
+    """A hand-built ``monitor_scenario`` result: window 0 is
+    uninformative (an all-NaN score row), window 1 flags ``<l1>``,
+    and ``<l1>``'s onset change point (when ``delay`` is set) lies
+    ``delay`` intervals after ``onset``."""
+    import types
+
     import numpy as np
 
-    from repro.streaming.fleet import MonitorOutcome
+    from repro.streaming.monitor import ChangePoint, MonitorReport
 
-    return MonitorOutcome(
-        name="monitor-multi_isp",
-        substrate="fluid",
+    change_points = ()
+    if delay is not None:
+        change_points = (
+            ChangePoint(("l1",), "onset", 1, onset + delay, onset + delay),
+        )
+    report = MonitorReport(
+        windows=(),
+        change_points=change_points,
         sigmas=(("l1",), ("l2",)),
         window_ends=np.array([100, 200]),
         scores=np.array([[np.nan, np.nan], [0.5, 0.125]]),
         flagged=np.array([[False, False], [True, False]]),
-        change_points=(),
-        final_identified=(("l1",),),
-        final_neutral=(("l2",),),
-        ground_truth_links=frozenset({"l1"}),
-        onset_interval=onset,
-        detection_delay_intervals=delay,
-        num_intervals=300,
+        final=None,
+        interval_seconds=0.1,
     )
+    compiled = types.SimpleNamespace(ground_truth_links=frozenset({"l1"}))
+    return report, compiled
 
 
 class TestUndefinedValuesRenderAsDash:
@@ -598,20 +610,48 @@ class TestUndefinedValuesRenderAsDash:
     )
     def test_monitor_detection_line(self, capsys, monkeypatch, delay, line):
         monkeypatch.setattr(
-            "repro.streaming.fleet.run_monitor_task",
-            lambda seed, task: _monitor_outcome(delay),
+            "repro.streaming.monitor.monitor_scenario",
+            lambda scenario, **kwargs: _monitor_run(delay),
         )
         assert main(self.MONITOR_ARGV) == 0
         out = capsys.readouterr().out
         assert line in out
         assert "after -" not in out
 
+    def test_monitor_delay_times_the_first_truth_onset(
+        self, capsys, monkeypatch
+    ):
+        """The delay line times the earliest onset of a sequence
+        through a ground-truth link; an earlier onset elsewhere and a
+        later re-onset of the truth sequence do not count."""
+        import dataclasses
+
+        from repro.streaming.monitor import ChangePoint
+
+        report, compiled = _monitor_run(50)
+        report = dataclasses.replace(
+            report,
+            change_points=(
+                ChangePoint(("l2",), "onset", 0, 420, 410),
+                *report.change_points,
+                ChangePoint(("l1",), "offset", 2, 500, 480),
+                ChangePoint(("l1",), "onset", 3, 600, 580),
+            ),
+        )
+        monkeypatch.setattr(
+            "repro.streaming.monitor.monitor_scenario",
+            lambda scenario, **kwargs: (report, compiled),
+        )
+        assert main(self.MONITOR_ARGV) == 0
+        out = capsys.readouterr().out
+        assert "onset at interval 400 detected after 50 intervals" in out
+
     def test_monitor_max_score_of_uninformative_window(
         self, capsys, monkeypatch
     ):
         monkeypatch.setattr(
-            "repro.streaming.fleet.run_monitor_task",
-            lambda seed, task: _monitor_outcome(-375),
+            "repro.streaming.monitor.monitor_scenario",
+            lambda scenario, **kwargs: _monitor_run(-375),
         )
         assert main(self.MONITOR_ARGV) == 0
         out = capsys.readouterr().out

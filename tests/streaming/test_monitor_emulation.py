@@ -13,8 +13,7 @@ import pytest
 
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import infer_from_measurements
-from repro.streaming.fleet import MonitorTask, run_monitor_task
-from repro.streaming.monitor import NeutralityMonitor
+from repro.streaming.monitor import NeutralityMonitor, monitor_scenario
 from repro.streaming.stream import EmulationStream, ReplayStream
 from repro.substrate.scenario import (
     DifferentiationPolicy,
@@ -52,51 +51,49 @@ def _scenario(substrate):
 
 @pytest.fixture(scope="module", params=["fluid", "packet"])
 def outcome(request):
-    task = MonitorTask(
-        name=f"onset-{request.param}",
-        scenario=_scenario(request.param),
+    report, compiled = monitor_scenario(
+        _scenario(request.param),
         chunk_intervals=STRIDE,
         window_intervals=WINDOW,
         stride=STRIDE,
         onset_interval=ONSET,
     )
-    return request.param, task, run_monitor_task(SETTINGS.seed, task)
+    return request.param, report, compiled
 
 
 class TestOnsetAcceptance:
     def test_truth_family_flagged_after_onset_only(self, outcome):
-        substrate, task, out = outcome
-        assert SIGMA in out.sigmas
-        col = out.sigmas.index(SIGMA)
-        flagged_ends = out.window_ends[out.flagged[:, col]]
+        substrate, report, _ = outcome
+        assert SIGMA in report.sigmas
+        col = report.sigmas.index(SIGMA)
+        flagged_ends = report.window_ends[report.flagged[:, col]]
         assert flagged_ends.size, f"{substrate}: onset never flagged"
         assert int(flagged_ends.min()) > ONSET, (
             f"{substrate}: flagged before the policy switched on"
         )
 
     def test_detection_delay_bounded(self, outcome):
-        substrate, task, out = outcome
-        assert out.detection_delay_intervals is not None
-        assert 0 < out.detection_delay_intervals <= MAX_DELAY, (
-            f"{substrate}: detection delay "
-            f"{out.detection_delay_intervals} intervals "
+        substrate, report, compiled = outcome
+        delay = report.detection_delay(SIGMA, ONSET)
+        assert delay is not None
+        assert 0 < delay <= MAX_DELAY, (
+            f"{substrate}: detection delay {delay} intervals "
             f"exceeds the {MAX_DELAY}-interval bound"
         )
-        assert out.ground_truth_links == frozenset({SHARED_LINK})
-        assert out.truth_sigmas() == (SIGMA,)
+        assert compiled.ground_truth_links == frozenset({SHARED_LINK})
+        truth = [s for s in report.sigmas if SHARED_LINK in s]
+        assert truth == [SIGMA]
 
     def test_final_verdict_matches_one_shot(self, outcome):
         """Replay the same emulated stream and compare the monitor's
         full-stream verdict to the offline records→verdict pipeline
         (exact equality, including scores)."""
-        substrate, task, out = outcome
+        substrate, out, _ = outcome
         from dataclasses import replace
 
         from repro.experiments.runner import measured_subnetwork
 
-        scenario = replace(
-            task.scenario, settings=SETTINGS.with_seed(SETTINGS.seed)
-        )
+        scenario = _scenario(substrate)
         compiled_on = compile_scenario(scenario)
         compiled_off = compile_scenario(replace(scenario, policy=None))
         stream = EmulationStream(
@@ -130,9 +127,13 @@ class TestOnsetAcceptance:
         for sigma, score in one_shot.scores.items():
             assert report.final.scores[sigma] == score
         # The full-stream verdict sees the violation (half the stream
-        # is policed), matching the fleet outcome.
-        assert report.final.identified == out.final_identified
+        # is policed), and a stream that keeps its ground truth gives
+        # monitor_scenario's timeline.
         assert SIGMA in report.final.identified
+        np.testing.assert_array_equal(out.scores, report.scores)
+        np.testing.assert_array_equal(out.flagged, report.flagged)
+        assert out.change_points == report.change_points
+        assert out.final.identified == report.final.identified
 
         # Cross-check: a monitor replaying the emitted records gets
         # the identical timeline (stream source is irrelevant).

@@ -95,23 +95,18 @@ def test_incremental_equals_batch_recompute(case):
     )
     batch, _ = build_slice_batch(net, 5)
     try:
-        ref_obs, ref_single, ref_pair = batch_slice_observations(
-            window, batch
-        )
+        _, ref_single, ref_pair = batch_slice_observations(window, batch)
     except MeasurementError:
         # Un-normalizable window (a path with no traffic in any
         # window interval): the incremental route must refuse too.
         with pytest.raises(MeasurementError):
-            stats.window_observations(lo, hi)
+            stats.window_costs(lo, hi)
         return
-    inc_obs, inc_single, inc_pair = stats.window_observations(lo, hi)
+    inc_single, inc_pair = stats.window_costs(lo, hi)
 
     # fp-identical costs — not approx-equal.
     np.testing.assert_array_equal(inc_single, ref_single)
     np.testing.assert_array_equal(inc_pair, ref_pair)
-    assert set(inc_obs) == set(ref_obs)
-    for ps, value in ref_obs.items():
-        assert inc_obs[ps] == value
 
     # Identical statuses on the fast path (the indicator the batch
     # route derives from the stacked matrices).
@@ -138,12 +133,12 @@ def test_window_results_stable_under_append(case):
     stats = SlidingWindowStats(net)
     stats.append_arrays(sent[:, :hi], lost[:, :hi], path_ids)
     try:
-        _, before_single, before_pair = stats.window_observations(lo, hi)
+        before_single, before_pair = stats.window_costs(lo, hi)
     except MeasurementError:
         return  # un-normalizable window; nothing to compare
 
     stats.append_arrays(sent[:, hi:], lost[:, hi:], path_ids)
-    _, after_single, after_pair = stats.window_observations(lo, hi)
+    after_single, after_pair = stats.window_costs(lo, hi)
     np.testing.assert_array_equal(before_single, after_single)
     np.testing.assert_array_equal(before_pair, after_pair)
 
@@ -197,9 +192,9 @@ class TestValidation:
             tuple(f"p{i}" for i in range(4)),
         )
         with pytest.raises(MeasurementError):
-            stats.window_observations(4, 4)
+            stats.window_costs(4, 4)
         with pytest.raises(MeasurementError):
-            stats.window_observations(0, 9)
+            stats.window_costs(0, 9)
 
     def test_window_across_many_chunks_preserves_state(self):
         """A window that starts and ends inside appended chunks and
@@ -222,7 +217,7 @@ class TestValidation:
         )
         batch, _ = build_slice_batch(net, 5)
         _, ref_single, ref_pair = batch_slice_observations(window, batch)
-        _, inc_single, inc_pair = stats.window_observations(100, 650)
+        inc_single, inc_pair = stats.window_costs(100, 650)
         np.testing.assert_array_equal(inc_single, ref_single)
         np.testing.assert_array_equal(inc_pair, ref_pair)
 

@@ -70,7 +70,7 @@ class TestSpans:
 
     def test_name_may_appear_as_an_attribute(self):
         # The span's own name parameter is positional-only, so hot
-        # paths can attach a `name=` attr (`run_monitor_task` does).
+        # paths can attach a `name=` attr (`monitor_scenario` does).
         telemetry.configure(enabled=True)
         with telemetry.span("monitor.task", name="probe-3"):
             pass

@@ -100,9 +100,9 @@ FROZEN_ALL = {
         "synthesize_records", "threshold_decider", "two_means_split",
     ),
     "repro.streaming": (
-        "ChangePoint", "EmulationStream", "MonitorOutcome", "MonitorReport",
-        "MonitorTask", "NeutralityMonitor", "RecordStream", "ReplayStream",
-        "SlidingWindowStats", "WindowVerdict", "run_monitor_task",
+        "ChangePoint", "EmulationStream", "MonitorReport", "NeutralityMonitor",
+        "ReplayStream", "SlidingWindowStats", "WindowVerdict",
+        "monitor_scenario",
     ),
     "repro.substrate": (
         "CompiledScenario", "DEFAULT_DELAY_SECONDS", "DifferentiationPolicy",

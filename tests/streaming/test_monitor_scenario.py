@@ -104,6 +104,27 @@ class TestMonitorScenario:
         assert kwargs["keep_ground_truth"] is False
         assert kwargs["settings"] == compiled.settings == QUICK
 
+    def test_policed_from_the_start(self, monkeypatch):
+        """Without an onset a policed scenario streams under its own
+        specs from the first interval, with no switch, and the monitor
+        identifies the policed link."""
+        streams = []
+
+        class Recording(stream_module.EmulationStream):
+            def __init__(self, net, classes, link_specs, workloads, **kw):
+                super().__init__(net, classes, link_specs, workloads, **kw)
+                streams.append((link_specs, kw))
+
+        monkeypatch.setattr(stream_module, "EmulationStream", Recording)
+        report, compiled = monitor_scenario(POLICED, **GEOMETRY)
+        [(start, kwargs)] = streams
+        assert start is compiled.link_specs
+        assert start["l5"].policer is not None
+        assert kwargs["switches"] == {}
+        assert compiled.ground_truth_links == frozenset({"l5"})
+        assert report.final.identified
+        assert not report.final.neutral
+
     def test_first_truth_onset_is_first_truth_flag(self):
         """``detection_delay`` over the truth sequences gives the end
         of the first window that flags one of them, minus the onset:

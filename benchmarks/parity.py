@@ -44,8 +44,13 @@ scores and the identified set of each point: Table 2 sets 4 and 6
 through an inline ``SweepRunner`` (set 4 point by point, set 6 as one
 scenario batch), topology B through ``run_topology_b_point`` and
 ``run_topology_b_rate_batch``, and two plane points of
-``PlanePointFactory``. The whole list runs in well under a minute on
-one core.
+``PlanePointFactory``. The ``decide-*`` entries digest Algorithm 1's
+decide + prune tail (identified, unpruned, neutral and skipped
+sequences, and the scores) on each route into it:
+``identify_non_neutral`` and ``identify_non_neutral_exact`` on the
+exact observations of the theory figures, and ``identify_from_scores``
+with a cluster and a threshold decider on the scores of a synthesized
+run. The whole list runs in well under a minute on one core.
 """
 
 import argparse
@@ -60,9 +65,19 @@ import sys
 import numpy as np
 
 from repro import cli
-from repro.core.algorithm import DEFAULT_MIN_PATHSETS
+from repro.core.algorithm import (
+    DEFAULT_MIN_PATHSETS,
+    identify_from_scores,
+    identify_non_neutral,
+    identify_non_neutral_exact,
+    required_pathsets,
+)
 from repro.core.performance import LinkPerformance, NetworkPerformance
-from repro.core.slices import batch_pair_estimates_arrays, build_slice_batch
+from repro.core.slices import (
+    batch_pair_estimates_arrays,
+    batch_unsolvability_arrays,
+    build_slice_batch,
+)
 from repro.exceptions import MeasurementError
 from repro.experiments import adaptive
 from repro.experiments.config import EmulationSettings
@@ -88,6 +103,10 @@ from repro.fluid.params import (
     ShaperSpec,
     WeightedShaperSpec,
 )
+from repro.measurement.clustering import (
+    make_cluster_decider,
+    threshold_decider,
+)
 from repro.measurement.normalize import batch_slice_observations
 from repro.measurement.records import MeasurementData, PathRecord
 from repro.measurement.synthetic import synthesize_records
@@ -96,6 +115,7 @@ from repro.streaming.stream import ReplayStream
 from repro.substrate.registry import get_substrate
 from repro.substrate.spec import LinkSpec
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
+from repro.topology.figures import ALL_FIGURES
 from repro.topology.generators import (
     chain_network,
     random_mesh_network,
@@ -525,6 +545,62 @@ def fig10b_digest(duration):
     return h.hexdigest()
 
 
+def _digest_verdicts(results):
+    h = hashlib.sha256()
+    for result in results:
+        h.update(_verdict_repr(result).encode())
+    return h.hexdigest()
+
+
+def decide_theory_digest(exact):
+    """SHA-256 over Algorithm 1 on each theory figure's exact
+    observations: the rank test (``exact``) or the scored route on
+    the exact pathset values."""
+    results = []
+    for _, builder in sorted(ALL_FIGURES.items()):
+        perf = builder().performance
+        if exact:
+            results.append(identify_non_neutral_exact(perf))
+        else:
+            obs = {
+                ps: perf.pathset_performance(ps)
+                for ps in required_pathsets(perf.network)
+            }
+            results.append(identify_non_neutral(perf.network, obs))
+    return _digest_verdicts(results)
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesized_scores():
+    """A random mesh with four planted violations, 600 synthesized
+    intervals: its slice batch and every σ's (finite) score."""
+    net = random_mesh_network(
+        np.random.default_rng(SEED), num_stubs=10, extra_edges=3
+    )
+    perf, _ = random_two_class_performance(
+        np.random.default_rng(SEED), net, num_violations=4
+    )
+    data = synthesize_records(
+        perf, np.random.default_rng(SEED + 1), num_intervals=600
+    )
+    batch, skipped = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
+    _, y_member, y_pair = batch_slice_observations(data, batch)
+    scores = batch_unsolvability_arrays(batch, y_member, y_pair)
+    if not np.isfinite(scores).all():
+        raise RuntimeError("synthesized scores must all be finite")
+    return batch, skipped, dict(zip(batch.sigmas, scores.tolist()))
+
+
+def decide_scores_digest(*deciders):
+    """SHA-256 over ``identify_from_scores`` on the synthesized
+    scores, once per decider."""
+    batch, skipped, scores = _synthesized_scores()
+    return _digest_verdicts(
+        identify_from_scores(batch, skipped, scores, decider)
+        for decider in deciders
+    )
+
+
 def outcomes_digest(outcomes):
     """SHA-256 over experiment outcomes, in order: every emulation
     array, then the scores and the identified set of each."""
@@ -646,6 +722,15 @@ RUNS = {
     "run-sweep-table2-sets-4-6": run_sweep_table2,
     "run-topology-b-rates": run_topology_b_rates,
     "run-plane-points": run_plane_points,
+    "decide-theory-scored": lambda: decide_theory_digest(exact=False),
+    "decide-theory-exact": lambda: decide_theory_digest(exact=True),
+    "decide-synth-cluster": lambda: decide_scores_digest(
+        make_cluster_decider(),
+        make_cluster_decider(min_absolute=0.02, min_ratio=2.0, definite=0.10),
+    ),
+    "decide-synth-threshold": lambda: decide_scores_digest(
+        threshold_decider(0.01), threshold_decider(0.03)
+    ),
 }
 
 

@@ -13,7 +13,10 @@ Run:  python examples/detect_from_traces.py
 import numpy as np
 
 from repro.core import network_from_path_specs
-from repro.core.algorithm import DEFAULT_MIN_PATHSETS, identify_from_scores
+from repro.core.algorithm import (
+    DEFAULT_MIN_PATHSETS,
+    identify_from_score_array,
+)
 from repro.core.slices import (
     batch_pair_estimates_arrays,
     batch_unsolvability_arrays,
@@ -64,9 +67,8 @@ def main() -> None:
     # (Algorithm 1) from the per-slice cost arrays.
     batch, skipped = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
     _, y_member, y_pair = batch_slice_observations(data, batch)
-    scores = batch_unsolvability_arrays(batch, y_member, y_pair)
-    result = identify_from_scores(
-        batch, skipped, dict(zip(batch.sigmas, scores.tolist()))
+    result = identify_from_score_array(
+        batch, skipped, batch_unsolvability_arrays(batch, y_member, y_pair)
     )
 
     print("\nper-pair estimates of the hub's cost:")

@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "AlgorithmResult",
         "identify_non_neutral",
         "identify_non_neutral_exact",
-        "remove_redundant",
         "required_pathsets",
     ),
     "classes": (

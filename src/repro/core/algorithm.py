@@ -16,6 +16,9 @@ The pipeline, exactly as in the paper:
      :mod:`repro.measurement.clustering`) separate solvable from
      unsolvable systems.
 
+   Both modes end in one decide + prune tail,
+   :func:`identify_from_score_array`.
+
 4. Prune redundant sequences from the identified set Σn̄: σ is
    redundant when it is the union of other examined sequences, at
    least one of which was itself identified — keeping it adds no
@@ -43,10 +46,6 @@ from repro.core.slices import (
     batch_unsolvability_arrays,
     build_slice_batch,
 )
-from repro.exceptions import TheoryError
-
-#: A decider maps {σ: unsolvability score} to {σ: is_unsolvable}.
-Decider = Callable[[Mapping[LinkSeq, float]], Mapping[LinkSeq, bool]]
 
 #: Algorithm 1's minimum pathset count (2 path pairs + 3 singletons…
 #: the paper states "at least 2 path pairs (equivalent to at least 5
@@ -93,7 +92,7 @@ def redundant_rows(
     incidence: np.ndarray, sizes: np.ndarray, rows: Sequence[int]
 ) -> np.ndarray:
     """Which identified sequences are redundant, by the rule of
-    :func:`remove_redundant`.
+    :func:`prune_identified`.
 
     Only proper subsets of σ can be in its decomposition, so σ is
     redundant iff its proper subsets cover every link of σ and one of
@@ -127,11 +126,18 @@ def prune_identified(
     rows: Sequence[int],
     examined: Optional[np.ndarray] = None,
 ) -> Tuple[LinkSeq, ...]:
-    """The non-redundant ``batch.sigmas[rows]``, in ``rows`` order,
-    from the batch's cached σ incidence (:func:`redundant_rows`).
+    """Prune redundant sequences from Σn̄ = ``batch.sigmas[rows]``
+    (paper §5); the rest stay in ``rows`` order.
 
-    A decomposition uses only the ``examined`` σ (a boolean mask
-    over the batch; ``None``: every σ).
+    σ ∈ Σn̄ is redundant iff there exist examined sequences
+    ``{σ_i} ⊆ (Σn ∪ Σn̄) ∖ {σ}`` whose union equals σ with at least
+    one σ_i ∈ Σn̄. Redundancy is evaluated against the *original*
+    sets, in one pass: if σ_b in σ_a's decomposition is itself
+    redundant, σ_b's own decomposition substitutes transitively, so
+    iterating cannot remove more. The test is :func:`redundant_rows`
+    over the batch's cached σ incidence; a decomposition uses only
+    the ``examined`` σ (a boolean mask over the batch; ``None``:
+    every σ).
     """
     rows = np.asarray(rows, dtype=np.intp)
     incidence, sizes = batch.sigma_incidence
@@ -146,63 +152,11 @@ def prune_identified(
     )
 
 
-def remove_redundant(
-    identified: Sequence[LinkSeq],
-    examined: Sequence[LinkSeq],
-) -> Tuple[LinkSeq, ...]:
-    """Prune redundant sequences from Σn̄ ⊆ ``examined`` (paper §5).
-
-    σ ∈ Σn̄ is redundant iff there exist sequences
-    ``{σ_i} ⊆ (Σn ∪ Σn̄) ∖ {σ}`` whose union equals σ with at least
-    one σ_i ∈ Σn̄. Redundancy is evaluated against the *original*
-    sets, in one pass: if σ_b in σ_a's decomposition is itself
-    redundant, σ_b's own decomposition substitutes transitively, so
-    iterating cannot remove more.
-
-    The test is :func:`redundant_rows` over an incidence built from
-    ``examined``; Algorithm 1 itself prunes from its slice batch's
-    cached incidence (:func:`prune_identified`).
-
-    Raises:
-        TheoryError: When an identified sequence was not examined.
-    """
-    identified = tuple(identified)
-    examined = tuple(dict.fromkeys(examined))
-    if not identified:
-        return ()
-    row_of = {sigma: k for k, sigma in enumerate(examined)}
-    missing = [sigma for sigma in identified if sigma not in row_of]
-    if missing:
-        raise TheoryError(
-            f"identified sequences {missing} are not among the examined"
-        )
-    link_pos: Dict[str, int] = {}
-    cols = [
-        link_pos.setdefault(lid, len(link_pos))
-        for sigma in examined
-        for lid in sigma
-    ]
-    incidence = np.zeros((len(examined), len(link_pos)), dtype=np.float32)
-    incidence[
-        np.repeat(np.arange(len(examined)), [len(s) for s in examined]),
-        cols,
-    ] = 1.0
-    drop = redundant_rows(
-        incidence,
-        incidence.sum(axis=1),
-        [row_of[sigma] for sigma in identified],
-    ).tolist()
-    return tuple(
-        sigma for sigma, d in zip(identified, drop) if not d
-    )
-
-
 def identify_non_neutral(
     net: Network,
     observations: Mapping[PathSet, float],
-    decider: Optional[Decider] = None,
+    decider: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     min_pathsets: int = DEFAULT_MIN_PATHSETS,
-    prune_redundant: bool = True,
 ) -> AlgorithmResult:
     """Algorithm 1 in its practical, score-based form (paper §6.2).
 
@@ -215,10 +169,9 @@ def identify_non_neutral(
         observations: Performance numbers keyed by pathset, hand-built
             or exact. Must cover ``Φ_σ`` for every candidate σ (use
             :func:`required_pathsets` to know what to measure).
-        decider: Classifies unsolvability scores; defaults to the
-            2-cluster splitter of :mod:`repro.measurement.clustering`.
+        decider: Flags the examined scores (see
+            :func:`identify_from_score_array`).
         min_pathsets: Line 10's threshold.
-        prune_redundant: Apply the §5 redundancy pruning.
 
     Returns:
         The :class:`AlgorithmResult`.
@@ -227,54 +180,26 @@ def identify_non_neutral(
     score_array = batch_unsolvability_arrays(
         batch, *_observation_arrays(batch, observations)
     )
-    scores: Dict[LinkSeq, float] = {
-        sigma: float(score)
-        for sigma, score in zip(batch.sigmas, score_array)
-    }
-    return identify_from_scores(
-        batch, skipped, scores, decider, prune_redundant
-    )
+    return identify_from_score_array(batch, skipped, score_array, decider)
 
 
 def identify_from_scores(
-    batch,
-    skipped: Tuple[LinkSeq, ...],
+    batch: SliceSystemBatch,
+    skipped: Sequence[LinkSeq],
     scores: Mapping[LinkSeq, float],
-    decider: Optional[Decider] = None,
-    prune_redundant: bool = True,
+    decider: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     include_systems: bool = True,
 ) -> AlgorithmResult:
-    """Lines 13+ of Algorithm 1: decide and prune from scores.
-
-    The tail of :func:`identify_non_neutral`, for any
-    :data:`Decider` (records take :func:`identify_from_score_array`).
-    The result's ``systems`` is a lazy view over the batch (no System
-    4 is built unless read); with ``include_systems=False`` it is
-    left empty.
+    """:func:`identify_from_score_array` on a ``{σ: score}`` mapping,
+    taken in batch order: a σ with no score (or a NaN one) is not
+    examined. With ``include_systems=False`` the result's ``systems``
+    is left empty.
     """
-    if decider is None:
-        from repro.measurement.clustering import cluster_decider
-
-        decider = cluster_decider
-    verdict = decider(scores)
-    rows = [
-        g for g, sigma in enumerate(batch.sigmas)
-        if verdict.get(sigma, False)
-    ]
-    identified_raw = tuple(batch.sigmas[g] for g in rows)
-    neutral = tuple(
-        sigma for sigma in batch.sigmas if not verdict.get(sigma, False)
+    score_array = np.array(
+        [scores.get(sigma, np.nan) for sigma in batch.sigmas], dtype=float
     )
-    identified = (
-        prune_identified(batch, rows) if prune_redundant else identified_raw
-    )
-    return AlgorithmResult(
-        identified=identified,
-        identified_raw=identified_raw,
-        neutral=neutral,
-        skipped=tuple(skipped),
-        scores=dict(scores),
-        systems=SliceSystemsView(batch) if include_systems else {},
+    return identify_from_score_array(
+        batch, skipped, score_array, decider, None if include_systems else {}
     )
 
 
@@ -282,17 +207,26 @@ def identify_from_score_array(
     batch: SliceSystemBatch,
     skipped: Sequence[LinkSeq],
     score_array: np.ndarray,
-    classify: Callable[[np.ndarray], np.ndarray],
+    classify: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     systems: Optional[Mapping[LinkSeq, SliceSystem]] = None,
 ) -> AlgorithmResult:
-    """Lines 13+ of Algorithm 1 on the batch's score array (offline
-    and in the monitor); ``classify`` flags the examined scores.
+    """Lines 13+ of Algorithm 1: decide and prune from the batch's
+    score array — the one tail of every route (offline, exact and in
+    the monitor).
 
-    A NaN score marks a σ Algorithm 2 could not normalize (no
-    interval in which all its paths sent): it is not examined, so it
-    joins ``skipped``, has no score and is no part of a pruning
-    decomposition.
+    ``classify`` flags the examined scores, an array in, a boolean
+    array out; it defaults to the §6.2 cluster decision,
+    :func:`~repro.measurement.clustering.classify_score_array`. A NaN
+    score marks a σ Algorithm 2 could not normalize (no interval in
+    which all its paths sent): it is not examined, so it joins
+    ``skipped``, has no score and is no part of a pruning
+    decomposition. ``systems`` defaults to a lazy view over the batch
+    (no System 4 is built unless read).
     """
+    if classify is None:
+        from repro.measurement.clustering import classify_score_array
+
+        classify = classify_score_array
     examined = ~np.isnan(score_array)
     flagged = np.zeros(score_array.size, dtype=bool)
     flagged[examined] = classify(score_array[examined])
@@ -313,13 +247,14 @@ def identify_non_neutral_exact(
     perf: NetworkPerformance,
     min_pathsets: int = DEFAULT_MIN_PATHSETS,
     tol: float = 1e-9,
-    prune_redundant: bool = True,
 ) -> AlgorithmResult:
     """Algorithm 1 with exact observations and the rank-based test.
 
     This is the algorithm as stated in §5, before measurement noise
     enters: with exact observations it suffers zero false positives
-    and misses exactly the non-identifiable violations.
+    and misses exactly the non-identifiable violations. The rank
+    test's flags replace the score decider in
+    :func:`identify_from_score_array`.
     """
     from repro.core.equivalent import build_equivalent  # local: avoid cycle
     from repro.core.linear import is_solvable
@@ -335,13 +270,8 @@ def identify_non_neutral_exact(
     )
     y_member = y_single[batch.member_rows]
     score_array = batch_unsolvability_arrays(batch, y_member, y_pair_flat)
-    scores: Dict[LinkSeq, float] = {
-        sigma: float(score)
-        for sigma, score in zip(batch.sigmas, score_array)
-    }
-    rows: List[int] = []
-    neutral: List[LinkSeq] = []
-    for g, (sigma, system) in enumerate(zip(batch.sigmas, batch.systems)):
+    unsolvable = np.zeros(batch.num_systems, dtype=bool)
+    for g, system in enumerate(batch.systems):
         # The system's observation vector in family order: member
         # singletons, then pairs — sliced straight from the flat
         # batch arrays.
@@ -351,21 +281,10 @@ def identify_non_neutral_exact(
                 y_pair_flat[batch.offsets[g]:batch.offsets[g + 1]],
             )
         )
-        if is_solvable(system.matrix, y, tol=tol):
-            neutral.append(sigma)
-        else:
-            rows.append(g)
-    identified_raw = tuple(batch.sigmas[g] for g in rows)
-    identified = (
-        prune_identified(batch, rows) if prune_redundant else identified_raw
-    )
-    return AlgorithmResult(
-        identified=identified,
-        identified_raw=identified_raw,
-        neutral=tuple(neutral),
-        skipped=skipped,
-        scores=scores,
-        systems=SliceSystemsView(batch),
+        unsolvable[g] = not is_solvable(system.matrix, y, tol=tol)
+    examined = ~np.isnan(score_array)
+    return identify_from_score_array(
+        batch, skipped, score_array, lambda _: unsolvable[examined]
     )
 
 

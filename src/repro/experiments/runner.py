@@ -31,7 +31,7 @@ from repro.core.slices import build_slice_batch, batch_unsolvability_arrays
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
 from repro.fluid.params import PathWorkload
-from repro.measurement.clustering import classify_score_array
+from repro.measurement.clustering import make_cluster_decider
 from repro.measurement.normalize import (
     batch_slice_observations,
     path_congestion_probability,
@@ -162,8 +162,7 @@ def _infer(net, measurements, settings, min_pathsets, rng, telemetry):
                 batch,
                 skipped,
                 batch_unsolvability_arrays(batch, y_member, y_pair_flat),
-                lambda scores: classify_score_array(
-                    scores,
+                make_cluster_decider(
                     settings.decider_min_absolute,
                     settings.decider_min_ratio,
                     settings.decider_definite,

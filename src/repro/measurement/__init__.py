@@ -14,8 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "DEFAULT_MIN_RATIO",
         "ClusterSplit",
         "classify_score_array",
-        "classify_scores",
-        "cluster_decider",
         "make_cluster_decider",
         "threshold_decider",
         "two_means_split",

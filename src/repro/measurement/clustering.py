@@ -18,15 +18,14 @@ plus the safeguards a practical deployment needs:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, TypeVar
+from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.exceptions import MeasurementError
-
-K = TypeVar("K")
 
 #: Scores below this can never indicate non-neutrality (cost units:
 #: −log P; 0.02 ≈ a 2-percentage-point congestion-probability gap).
@@ -153,51 +152,23 @@ def classify_score_array(
     return (scores > split.threshold) | (scores >= definite)
 
 
-def classify_scores(
-    scores: Mapping[K, float],
-    min_absolute: float = DEFAULT_MIN_ABSOLUTE,
-    min_ratio: float = DEFAULT_MIN_RATIO,
-    definite: float = DEFAULT_DEFINITE,
-) -> Dict[K, bool]:
-    """:func:`classify_score_array` over a ``{key: score}`` mapping."""
-    flags = classify_score_array(
-        np.fromiter(scores.values(), dtype=float, count=len(scores)),
-        min_absolute=min_absolute,
-        min_ratio=min_ratio,
-        definite=definite,
-    )
-    return dict(zip(scores, flags.tolist()))
-
-
-def cluster_decider(scores: Mapping[K, float]) -> Dict[K, bool]:
-    """Default decider for Algorithm 1 (library defaults)."""
-    return classify_scores(scores)
-
-
 def make_cluster_decider(
     min_absolute: float = DEFAULT_MIN_ABSOLUTE,
     min_ratio: float = DEFAULT_MIN_RATIO,
     definite: float = DEFAULT_DEFINITE,
-) -> Callable[[Mapping[K, float]], Dict[K, bool]]:
-    """A decider with custom safeguards (for experiment tuning)."""
-
-    def decider(scores: Mapping[K, float]) -> Dict[K, bool]:
-        return classify_scores(
-            scores,
-            min_absolute=min_absolute,
-            min_ratio=min_ratio,
-            definite=definite,
-        )
-
-    return decider
+) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`classify_score_array` with custom safeguards (experiment
+    settings, tuning)."""
+    return functools.partial(
+        classify_score_array,
+        min_absolute=min_absolute,
+        min_ratio=min_ratio,
+        definite=definite,
+    )
 
 
 def threshold_decider(
     threshold: float,
-) -> Callable[[Mapping[K, float]], Dict[K, bool]]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """A fixed-threshold decider — the ablation baseline to clustering."""
-
-    def decider(scores: Mapping[K, float]) -> Dict[K, bool]:
-        return {key: value > threshold for key, value in scores.items()}
-
-    return decider
+    return lambda scores: np.asarray(scores, dtype=float) > threshold

@@ -5,7 +5,8 @@ and, every ``stride`` intervals, runs the full windowed inference —
 Algorithm 2 over the window via
 :class:`~repro.streaming.window.SlidingWindowStats`, then the
 score-based Algorithm 1 (:func:`~repro.core.algorithm.
-identify_from_scores` with the standard cluster decider) — emitting
+identify_from_score_array`, the decide + prune tail of every route,
+with the settings' cluster decider) — emitting
 one :class:`WindowVerdict` per window.
 
 On top of the per-window verdicts, a per-sequence **CUSUM** detector
@@ -57,7 +58,7 @@ from repro.core.slices import SliceSystemsView, batch_unsolvability_arrays
 from repro.exceptions import ConfigurationError, MeasurementError
 from repro.experiments.config import EmulationSettings
 from repro.measurement.clustering import (
-    classify_score_array,
+    make_cluster_decider,
     two_means_split,
 )
 from repro.measurement.records import RecordChunk
@@ -376,8 +377,8 @@ class NeutralityMonitor:
             batch,
             self.stats.skipped,
             score_array,
-            lambda scores: classify_score_array(
-                scores, self._min_absolute, self._min_ratio, self._definite
+            make_cluster_decider(
+                self._min_absolute, self._min_ratio, self._definite
             ),
             self._systems,
         )

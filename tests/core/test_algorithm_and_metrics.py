@@ -2,12 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.algorithm import (
     identify_non_neutral,
     identify_non_neutral_exact,
-    remove_redundant,
     required_pathsets,
 )
 from repro.core.metrics import (
@@ -18,6 +18,7 @@ from repro.core.metrics import (
 )
 from repro.core.performance import neutral_performance
 from repro.topology.figures import figure4, figure6
+from sequence_batches import prune
 
 
 class TestAlgorithmExact:
@@ -83,7 +84,7 @@ class TestAlgorithmScored:
         ).systems.values():
             for ps in system.family:
                 obs[ps] = fig.performance.pathset_performance(ps)
-        everything_neutral = lambda scores: {s: False for s in scores}
+        everything_neutral = lambda scores: np.zeros(scores.size, dtype=bool)
         result = identify_non_neutral(
             fig.network, obs, decider=everything_neutral
         )
@@ -102,7 +103,7 @@ class TestRedundancyPruning:
         """⟨l1,l2,l3⟩ is redundant given ⟨l1,l2⟩ and ⟨l2,l3⟩."""
         identified = [("l1", "l2"), ("l2", "l3"), ("l1", "l2", "l3")]
         examined = list(identified)
-        kept = remove_redundant(identified, examined)
+        kept = prune(identified, examined)
         assert set(kept) == {("l1", "l2"), ("l2", "l3")}
 
     def test_needs_an_identified_member(self):
@@ -110,18 +111,18 @@ class TestRedundancyPruning:
         sequence redundant."""
         identified = [("l1", "l2", "l3")]
         examined = [("l1", "l2"), ("l2", "l3"), ("l1", "l2", "l3")]
-        kept = remove_redundant(identified, examined)
+        kept = prune(identified, examined)
         assert kept == (("l1", "l2", "l3"),)
 
     def test_union_must_be_exact(self):
         identified = [("l1", "l2"), ("l1", "l2", "l3", "l4")]
         examined = list(identified)
-        kept = remove_redundant(identified, examined)
+        kept = prune(identified, examined)
         assert set(kept) == set(identified)
 
     def test_sequence_not_redundant_by_itself(self):
         identified = [("l1", "l2")]
-        kept = remove_redundant(identified, identified)
+        kept = prune(identified, identified)
         assert kept == (("l1", "l2"),)
 
 

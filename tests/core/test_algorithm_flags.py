@@ -1,23 +1,39 @@
 """Edge-case tests for Algorithm 1's flags and bookkeeping."""
 
+import numpy as np
 import pytest
 
+from oracles.algorithm_reference import remove_redundant_reference
 from repro.core.algorithm import (
+    identify_from_scores,
     identify_non_neutral,
     identify_non_neutral_exact,
 )
 from repro.core.observability import check_structural_observability
+from repro.core.slices import build_slice_batch
+from repro.measurement.clustering import threshold_decider
 from repro.topology.figures import figure4
+from repro.topology.generators import random_mesh_network
 
 
-def test_prune_disabled_keeps_raw(monkeypatch):
-    fig = figure4()
-    pruned = identify_non_neutral_exact(fig.performance)
-    raw = identify_non_neutral_exact(
-        fig.performance, prune_redundant=False
+def test_identified_raw_keeps_the_pruned_sequences():
+    """``identified_raw`` is Σn̄ before the §5 pruning: with every σ
+    of a mesh flagged, it is the whole batch, and ``identified`` is
+    what the frozen set-union loop keeps of it."""
+    net = random_mesh_network(
+        np.random.default_rng(2), num_stubs=6, extra_edges=3
     )
-    assert set(raw.identified) == set(raw.identified_raw)
-    assert set(pruned.identified) <= set(raw.identified)
+    batch, skipped = build_slice_batch(net, 5)
+    result = identify_from_scores(
+        batch, skipped, dict.fromkeys(batch.sigmas, 1.0),
+        threshold_decider(0.5),
+    )
+    assert result.identified_raw == batch.sigmas
+    assert result.neutral == ()
+    assert set(result.identified) < set(result.identified_raw)
+    assert result.identified == remove_redundant_reference(
+        batch.sigmas, batch.sigmas
+    )
 
 
 def test_min_pathsets_threshold_gates_candidates():

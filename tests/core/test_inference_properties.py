@@ -10,7 +10,6 @@ pruning) must permute the output, never change it.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.algorithm import remove_redundant
 from oracles.algorithm_reference import (
     pair_estimates_reference,
     remove_redundant_reference,
@@ -27,6 +26,7 @@ from repro.core.slices import (
     shared_sequences,
 )
 from repro.measurement.clustering import two_means_split
+from sequence_batches import prune
 
 _SETTINGS = settings(
     max_examples=60,
@@ -136,16 +136,16 @@ def sequence_families(draw):
 
 @_SETTINGS
 @given(sequence_families())
-def test_remove_redundant_matches_reference(pool):
+def test_prune_matches_reference(pool):
     identified, examined = pool
-    assert remove_redundant(identified, examined) == (
+    assert prune(identified, examined) == (
         remove_redundant_reference(identified, examined)
     )
 
 
 @_SETTINGS
 @given(sequence_families(), st.randoms(use_true_random=False))
-def test_remove_redundant_link_relabeling_invariance(pool, pyrandom):
+def test_prune_link_relabeling_invariance(pool, pyrandom):
     """Renaming links maps the pruned set through the same renaming."""
     identified, examined = pool
     universe = sorted({lid for seq in examined for lid in seq})
@@ -156,8 +156,8 @@ def test_remove_redundant_link_relabeling_invariance(pool, pyrandom):
     def map_seq(seq):
         return tuple(sorted(rename[lid] for lid in seq))
 
-    base = remove_redundant(identified, examined)
-    mapped = remove_redundant(
+    base = prune(identified, examined)
+    mapped = prune(
         [map_seq(s) for s in identified], [map_seq(s) for s in examined]
     )
     assert sorted(mapped) == sorted(map_seq(s) for s in base)
@@ -168,7 +168,7 @@ def test_remove_redundant_link_relabeling_invariance(pool, pyrandom):
     st.integers(0, 2**31),
     st.sampled_from([63, 64, 65, 130, 200]),
 )
-def test_remove_redundant_matches_reference_across_words(seed, links):
+def test_prune_matches_reference_across_words(seed, links):
     """Universes wider than one 64-link word, with planted unions so
     some identified sequences are redundant, and planted extensions
     (a sequence plus one more link) whose candidates leave that link
@@ -189,7 +189,7 @@ def test_remove_redundant_matches_reference_across_words(seed, links):
     ]
     examined = list(dict.fromkeys(base + unions + extended))
     identified = [seq for seq in examined if rng.random() < 0.5]
-    assert remove_redundant(identified, examined) == (
+    assert prune(identified, examined) == (
         remove_redundant_reference(identified, examined)
     )
 

@@ -6,8 +6,7 @@ the batch's σ × link incidence. On random identified subsets of real
 batches — the 5×10 federated topology (85 links, wider than one
 64-bit word), random meshes, and a mesh over more than 64 links — it
 must keep exactly what the frozen set-union loop
-(``remove_redundant_reference``) keeps, and so must
-:func:`~repro.core.algorithm.remove_redundant`.
+(``remove_redundant_reference``) keeps.
 """
 
 import functools
@@ -17,9 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles.algorithm_reference import remove_redundant_reference
-from repro.core.algorithm import prune_identified, remove_redundant
+from repro.core.algorithm import prune_identified
 from repro.core.slices import build_slice_batch
-from repro.exceptions import ReproError
 from repro.topology.generators import random_mesh_network
 from repro.topology.multi_isp import build_federated_multi_isp
 
@@ -61,7 +59,6 @@ def _check(batch, rows):
     identified = tuple(batch.sigmas[g] for g in rows.tolist())
     expected = remove_redundant_reference(identified, batch.sigmas)
     assert prune_identified(batch, rows) == expected
-    assert remove_redundant(identified, batch.sigmas) == expected
     return len(identified) - len(expected)
 
 
@@ -103,17 +100,6 @@ def test_closed_subsets_get_pruned(kind):
 def test_empty_identified_set():
     batch = _batch("federated")
     assert prune_identified(batch, np.zeros(0, dtype=np.intp)) == ()
-    assert remove_redundant((), batch.sigmas) == ()
-
-
-def test_identified_outside_examined_raises():
-    """Algorithm 1 only prunes examined sequences; anything else is a
-    caller error, not a silent answer."""
-    examined = [("l1",), ("l2",), ("l1", "l2")]
-    with pytest.raises(ReproError):
-        remove_redundant([("l1", "l3")], examined)
-    with pytest.raises(ReproError):
-        remove_redundant([("l1",), ("l9",)], examined)
 
 
 @_SETTINGS

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from repro.exceptions import MeasurementError
 from repro.measurement.clustering import (
     classify_score_array,
-    classify_scores,
-    cluster_decider,
     make_cluster_decider,
     threshold_decider,
     two_means_split,
@@ -80,33 +78,33 @@ class TestTwoMeansSplit:
         assert cost(chosen_k) == pytest.approx(best, abs=1e-9)
 
 
-class TestClassifyScores:
+class TestClassifyScoreArray:
     def test_separated_population(self):
-        scores = {"a": 0.01, "b": 0.02, "c": 0.5}
-        verdict = classify_scores(scores)
-        assert verdict == {"a": False, "b": False, "c": True}
+        flags = classify_score_array(np.array([0.01, 0.02, 0.5]))
+        assert flags.tolist() == [False, False, True]
 
     def test_all_low_scores_solvable(self):
-        scores = {"a": 0.005, "b": 0.007, "c": 0.006}
-        assert not any(classify_scores(scores).values())
+        flags = classify_score_array(np.array([0.005, 0.007, 0.006]))
+        assert not flags.any()
 
     def test_definite_overrides_missing_population(self):
         # A single huge score is unsolvable even with nothing to
         # cluster against.
-        assert classify_scores({"a": 0.5}) == {"a": True}
-        assert classify_scores({"a": 0.01}) == {"a": False}
+        assert classify_score_array(np.array([0.5])).tolist() == [True]
+        assert classify_score_array(np.array([0.01])).tolist() == [False]
 
     def test_empty(self):
-        assert classify_scores({}) == {}
+        flags = classify_score_array(np.zeros(0))
+        assert flags.dtype == bool and flags.size == 0
 
     @given(
         st.lists(st.floats(0.0, 2.0), max_size=30),
         st.floats(0.01, 0.5),
     )
     def test_array_form_matches_the_per_score_rule(self, values, definite):
-        """The array form and the mapping form decide each score by
-        the §6.2 rule written per score: one split, then the high
-        cluster of a separated split or the ``definite`` bar."""
+        """Each score is decided by the §6.2 rule written per score:
+        one split, then the high cluster of a separated split or the
+        ``definite`` bar."""
         flags = classify_score_array(np.array(values), definite=definite)
         expected = []
         if values:
@@ -116,18 +114,14 @@ class TestClassifyScores:
                 for v in values
             ]
         assert flags.tolist() == expected
-        assert classify_scores(
-            dict(enumerate(values)), definite=definite
-        ) == dict(enumerate(expected))
+        decider = make_cluster_decider(definite=definite)
+        assert decider(np.array(values)).tolist() == expected
 
     def test_make_cluster_decider_custom_definite(self):
         decider = make_cluster_decider(definite=0.2)
-        assert decider({"a": 0.15}) == {"a": False}
-        assert decider({"a": 0.25}) == {"a": True}
+        assert decider(np.array([0.15])).tolist() == [False]
+        assert decider(np.array([0.25])).tolist() == [True]
 
     def test_threshold_decider(self):
         decider = threshold_decider(0.1)
-        assert decider({"a": 0.05, "b": 0.2}) == {"a": False, "b": True}
-
-    def test_cluster_decider_is_default(self):
-        assert cluster_decider({"a": 0.5}) == {"a": True}
+        assert decider(np.array([0.05, 0.2])).tolist() == [False, True]

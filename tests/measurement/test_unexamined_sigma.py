@@ -1,14 +1,15 @@
 """A σ whose slice family has no interval in which all its paths sent
 cannot be normalized (Algorithm 2). It is left unexamined — NaN
 costs, no score, listed in ``skipped`` — while every other σ is
-decided as usual, offline and in the monitor. Records with zero
-intervals still raise."""
+decided as usual, offline, in the monitor and from a score mapping.
+Records with zero intervals still raise."""
 
 import math
 
 import numpy as np
 import pytest
 
+from repro.core.algorithm import identify_from_scores
 from repro.core.network import network_from_path_specs
 from repro.core.slices import (
     batch_pair_estimates_arrays,
@@ -19,6 +20,10 @@ from repro.exceptions import MeasurementError
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import infer_from_measurements
 from repro.experiments.topology_b import TOPOLOGY_B_SETTINGS, run_topology_b
+from repro.measurement.clustering import (
+    make_cluster_decider,
+    threshold_decider,
+)
 from repro.measurement.normalize import batch_slice_observations
 from repro.measurement.records import MeasurementData, PathRecord
 from repro.streaming.monitor import NeutralityMonitor
@@ -44,7 +49,7 @@ def _records(silent_from=0):
     records = []
     for pid in ("p1", "p2", "p3", "p4", "q1", "q2", "q3", "q4"):
         sent = np.full(INTERVALS, 100, dtype=np.int64)
-        lost = rng.binomial(100, 0.01, INTERVALS).astype(np.int64)
+        lost = rng.binomial(100, 0.0005, INTERVALS).astype(np.int64)
         if pid in ("p1", "p2"):
             parity = 1 if pid == "p1" else 0
             silent = np.arange(INTERVALS) % 2 == parity
@@ -138,3 +143,68 @@ def test_short_topology_b_run_returns_a_report(seed):
     assert all(math.isfinite(v) for v in algorithm.scores.values())
     assert set(algorithm.skipped).isdisjoint(algorithm.scores)
     assert [seq.sigma for seq in report.sequences] == list(algorithm.scores)
+
+
+def _star():
+    """Six paths through one hub; p1–p4 also share ``core``. So σ
+    ⟨hub, core⟩ has the pairs among p1–p4, and σ ⟨hub⟩ every pair
+    with p5 or p6."""
+    specs = {f"p{i}": ["hub", "core", f"s{i}"] for i in range(1, 5)}
+    specs.update({f"p{i}": ["hub", f"s{i}"] for i in (5, 6)})
+    return network_from_path_specs(specs)
+
+
+def _star_records():
+    """p6 never sends: ⟨hub⟩ has no interval in which all its paths
+    sent. The others lose rarely, so ⟨hub, core⟩ scores below every
+    decider's bar here (threshold 0.01 included)."""
+    rng = np.random.default_rng(9)
+    records = []
+    for i in range(1, 7):
+        sent = np.full(INTERVALS, 0 if i == 6 else 100, dtype=np.int64)
+        lost = np.minimum(rng.binomial(100, 0.0005, INTERVALS), sent)
+        records.append(PathRecord(f"p{i}", sent, lost))
+    return MeasurementData(records, 0.1)
+
+
+def _verdict(result):
+    return (
+        result.identified,
+        result.identified_raw,
+        result.neutral,
+        result.skipped,
+        result.scores,
+    )
+
+
+@pytest.mark.parametrize(
+    "decider",
+    [
+        None,
+        make_cluster_decider(min_absolute=0.02, min_ratio=3.0, definite=0.045),
+        threshold_decider(0.01),
+    ],
+    ids=["default", "cluster", "threshold"],
+)
+def test_score_mapping_leaves_a_silent_family_unexamined(decider):
+    """``identify_from_scores`` skips a σ whose score is NaN or absent,
+    and then decides exactly as ``infer_from_measurements``."""
+    net, data = _star(), _star_records()
+    _, expected = infer_from_measurements(net, data, min_pathsets=5)
+    assert expected.skipped == (("hub",),)
+    assert list(expected.scores) == [("core", "hub")]
+    batch, skipped = build_slice_batch(net, 5)
+    _, y_member, y_pair = batch_slice_observations(data, batch)
+    scores = dict(
+        zip(
+            batch.sigmas,
+            batch_unsolvability_arrays(batch, y_member, y_pair).tolist(),
+        )
+    )
+    assert math.isnan(scores[("hub",)])
+    live = {s: v for s, v in scores.items() if not math.isnan(v)}
+    for mapping in (scores, live):
+        result = identify_from_scores(batch, skipped, mapping, decider)
+        assert ("hub",) in result.skipped
+        assert ("hub",) not in result.scores
+        assert _verdict(result) == _verdict(expected)

@@ -22,7 +22,9 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 # minus the names deleted since: ``repro.telemetry.count_rng``; the
 # adaptive calibration, the three refinable labelings and the
 # topology-B frontier/sweep runners of ``repro.experiments``;
-# ``repro.fluid.uniform_workload``; ``repro.streaming.MonitorFleet``.
+# ``repro.fluid.uniform_workload``; ``repro.streaming.MonitorFleet``;
+# ``repro.core.remove_redundant`` and the mapping deciders
+# ``repro.measurement.classify_scores`` / ``cluster_decider``.
 FROZEN_ALL = {
     "repro": (
         "AlgorithmResult", "ClassAssignment", "Network", "NetworkPerformance",
@@ -56,7 +58,7 @@ FROZEN_ALL = {
         "network_from_path_specs", "neutral_performance",
         "pairs_for_sequence", "pathset", "perf_from_probability",
         "performance_with_violations", "power_family",
-        "probability_from_perf", "remove_redundant", "required_pathsets",
+        "probability_from_perf", "required_pathsets",
         "residual", "routing_matrix", "satisfies_lemma3", "shared_sequences",
         "single_class", "singletons", "singletons_and_pairs",
         "slice_pathsets", "solve_least_squares", "structural_equivalent",
@@ -92,10 +94,10 @@ FROZEN_ALL = {
         "ClusterSplit", "DEFAULT_DEFINITE", "DEFAULT_LOSS_THRESHOLD",
         "DEFAULT_MIN_ABSOLUTE", "DEFAULT_MIN_RATIO", "MeasurementData",
         "PathRecord", "RecordChunk", "SystemDiagnostics",
-        "classify_score_array", "classify_scores", "cluster_decider",
-        "congestion_free_matrix", "diagnose_system", "estimate_variance",
-        "from_arrays", "latency_congestion_probability", "latency_indicators",
-        "latency_performance_numbers", "make_cluster_decider",
+        "classify_score_array", "congestion_free_matrix", "diagnose_system",
+        "estimate_variance", "from_arrays", "latency_congestion_probability",
+        "latency_indicators", "latency_performance_numbers",
+        "make_cluster_decider",
         "path_congestion_probability", "pathset_performance_numbers",
         "synthesize_records", "threshold_decider", "two_means_split",
     ),

@@ -41,8 +41,12 @@ the 8×13 federated topology, a 2000-spoke star, a 300-hop chain of
 400 paths and a random mesh. The ``run-*`` entries digest whole experiment
 runs through the family entry points — every emulation array, the
 scores and the identified set of each point: Table 2 sets 4 and 6
-through an inline ``SweepRunner`` (set 4 point by point, set 6 as one
-scenario batch), topology B through ``run_topology_b_point`` and
+through an inline ``SweepRunner`` (set 4's 10 Mb point and set 6 as
+one scenario batch, the other set-4 points one by one), Table 2 sets
+2–9 at short points through an inline ``SweepRunner`` (a parent
+commit that batched fewer points runs the rest singly, so comparing
+against it checks the batches against single runs), topology B
+through ``run_topology_b_point`` and
 ``run_topology_b_rate_batch``, and two plane points of
 ``PlanePointFactory``. The ``decide-*`` entries digest Algorithm 1's
 decide + prune tail (identified, unpruned, neutral and skipped
@@ -612,14 +616,32 @@ def outcomes_digest(outcomes):
     return h.hexdigest()
 
 
+def _sweep_digest(set_numbers, settings):
+    with SweepRunner.for_settings(settings) as runner:
+        results = runner.run(sweep_points(set_numbers, settings))
+    return outcomes_digest(results[key] for key in sorted(results))
+
+
 def run_sweep_table2():
     """Table 2 sets 4 and 6 through an inline sweep runner: set 4's
-    points one by one (its 1 Mb point has the most flow slots), set
-    6's four rates as one scenario batch."""
-    settings = EmulationSettings(duration_seconds=DURATION, seed=SEED)
-    with SweepRunner.for_settings(settings) as runner:
-        results = runner.run(sweep_points((4, 6), settings))
-    return outcomes_digest(results[key] for key in sorted(results))
+    10 Mb point and set 6's four rates as one scenario batch, set 4's
+    other points one by one (its 1 Mb point has the most flow
+    slots)."""
+    return _sweep_digest(
+        (4, 6), EmulationSettings(duration_seconds=DURATION, seed=SEED)
+    )
+
+
+def run_table2_sets_2_9():
+    """Table 2 sets 2–9 at 4 s points through an inline sweep runner:
+    26 of the 30 points run in scenario batches that mix sets and
+    mechanisms (one of 14, six pairs), the other four singly."""
+    return _sweep_digest(
+        range(2, 10),
+        EmulationSettings(
+            duration_seconds=4.0, warmup_seconds=1.0, seed=SEED
+        ),
+    )
 
 
 def run_topology_b_rates():
@@ -720,6 +742,7 @@ RUNS = {
         )
     ),
     "run-sweep-table2-sets-4-6": run_sweep_table2,
+    "run-table2-sets-2-9": run_table2_sets_2_9,
     "run-topology-b-rates": run_topology_b_rates,
     "run-plane-points": run_plane_points,
     "decide-theory-scored": lambda: decide_theory_digest(exact=False),

@@ -9,8 +9,9 @@ Commands:
 * ``topo-b [--seed S]`` — the topology-B experiment with reports.
 * ``sweep [--sets 1,2,…] --workers N [--cache DIR]
   [--batch-size B]`` — the Table 2 sweep fanned over a process pool
-  with result caching; compatible points (rate-varying sets on a
-  batch-capable substrate) run as lockstep scenario batches. With
+  with result caching; points that compile to a shared scenario
+  (same network, classes, workloads and settings, in any set) run as
+  lockstep scenario batches on a batch-capable substrate. With
   ``--adaptive [--budget N] [--resolution R]`` the command instead
   localizes the policing-rate detection frontier by recursive
   refinement (see :mod:`repro.experiments.adaptive`), spending a

@@ -60,7 +60,7 @@ from typing import (
 from repro import telemetry
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
-from repro.experiments.runner import run_scenarios
+from repro.experiments.runner import batch_key, run_scenarios
 from repro.experiments.sweep import SweepPoint, SweepRunner
 from repro.fluid.params import LinkSpec, PolicerSpec
 from repro.substrate.batch import substrate_supports_batch
@@ -731,7 +731,9 @@ class PlanePointFactory:
             substrate=self.substrate,
             batch_func=run_plane_batch if batchable else None,
             batch_group=(
-                f"plane/{self.substrate}/{self.settings.fingerprint()}"
+                batch_key(compile_plane_point(
+                    self.settings, substrate=self.substrate, **values
+                ))
                 if batchable
                 else None
             ),

@@ -12,6 +12,7 @@ argument, and every backend takes the same
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -269,6 +270,35 @@ def run_experiment(
     return outcome
 
 
+def _shared_inputs(member: CompiledScenario) -> Dict[str, str]:
+    """The inputs that members of one batch must share, each as a
+    canonical text that is the same in every process: class paths
+    sorted, workloads by path id, the settings with the seed aside."""
+    net = member.network
+    return {
+        "network": repr([
+            tuple(m.values()) for m in (net.links, net.paths, net.nodes)
+        ]),
+        "classes": repr([(c.name, sorted(c.paths)) for c in member.classes]),
+        "workloads": repr(sorted(member.workloads.items())),
+        "settings": repr(replace(member.settings, seed=0)),
+        "substrate": member.substrate,
+    }
+
+
+def batch_key(member: CompiledScenario) -> str:
+    """The batch-compatibility key of a member: scenarios with equal
+    keys may run as one :func:`run_scenarios` batch.
+
+    A SHA-256 over exactly the inputs :func:`run_scenarios` checks,
+    so it is stable across processes and Python hash seeds; sweeps
+    use it as their points' ``batch_group``.
+    """
+    return hashlib.sha256(
+        "\x1f".join(_shared_inputs(member).values()).encode()
+    ).hexdigest()
+
+
 def run_scenarios(
     members: Sequence[CompiledScenario],
     min_pathsets: int = DEFAULT_MIN_PATHSETS,
@@ -288,23 +318,12 @@ def run_scenarios(
     """
     if not members:
         raise ConfigurationError("run_scenarios needs at least one scenario")
-
-    def shared(member: CompiledScenario) -> Dict[str, object]:
-        net = member.network
-        return {
-            "network": [tuple(m.values()) for m in (
-                net.links, net.paths, net.nodes
-            )],
-            "classes": member.classes.classes,
-            "workloads": dict(member.workloads),
-            "settings": replace(member.settings, seed=0),
-            "substrate": member.substrate,
-        }
-
     first = members[0]
-    inputs = shared(first)
+    inputs = _shared_inputs(first)
     for i, member in enumerate(members[1:], start=1):
-        differ = [k for k, v in shared(member).items() if v != inputs[k]]
+        differ = [
+            k for k, v in _shared_inputs(member).items() if v != inputs[k]
+        ]
         if differ:
             raise ConfigurationError(
                 "scenarios run as one batch must share network, "

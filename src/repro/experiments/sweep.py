@@ -36,8 +36,10 @@ kwargs and must be pure given those arguments.
 
 **Scenario batching.** Points may additionally carry a
 ``batch_func`` and a ``batch_group``: points sharing both (same
-module-level batch callable, same compatibility group — typically
-"same topology/workload/duration/substrate") are *grouped* and
+module-level batch callable, same compatibility group — the
+:func:`~repro.experiments.runner.batch_key` of the point's compiled
+scenario, so "same network, classes, workloads, settings and
+substrate"; Table 2 groups points across sets) are *grouped* and
 dispatched to workers as one task each, executed as
 ``batch_func(seeds=[...], kwargs_list=[...]) -> [result, ...]``. The
 contract is that ``batch_func`` returns, per member, **exactly** the
@@ -98,9 +100,11 @@ class SweepPoint:
             [result, ...]``, returning per member exactly what
             ``func(seed=s, **kwargs)`` would. Points sharing
             ``(batch_func, batch_group)`` may run as one task.
-        batch_group: Compatibility key for grouping (same topology /
-            workloads / duration / substrate). ``None`` disables
-            batching for the point. Neither batching field enters
+        batch_group: Compatibility key for grouping: the
+            :func:`~repro.experiments.runner.batch_key` of the point's
+            compiled scenario (same network, classes, workloads,
+            settings and substrate). ``None`` disables batching for
+            the point. Neither batching field enters
             the cache digest — a point's result is the same either
             way, so cached entries stay interchangeable.
     """

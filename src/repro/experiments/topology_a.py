@@ -15,11 +15,16 @@ shaping-rate-50 % case, whose *observations* look neutral).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.config import EmulationSettings
-from repro.experiments.runner import ExperimentOutcome, run_scenarios
+from repro.experiments.runner import (
+    ExperimentOutcome,
+    batch_key,
+    run_scenarios,
+)
 from repro.experiments.sweep import SweepPoint, SweepRunner
 from repro.fluid.params import PathWorkload
 from repro.substrate.batch import substrate_supports_batch
@@ -208,11 +213,12 @@ def _sweep_point(
 
 
 def _sweep_point_batch(seeds, kwargs_list) -> List[ExperimentOutcome]:
-    """Batched executor for rate-varying Table 2 points.
+    """Batched executor for Table 2 points that share a batch key.
 
-    The grouped points (one set, one substrate, shared settings)
-    differ only in the shared link's policing/shaping rate — the same
-    topology and workloads — so they run as one batch of
+    The grouped points (any sets, one substrate, shared settings)
+    compile to scenarios that share network, classes, workloads and
+    settings and differ only in the shared link's specs (neutral,
+    policed or shaped, at any rate), so they run as one batch of
     :func:`~repro.experiments.runner.run_scenarios`, bit-identical to
     ``func``'s results.
     """
@@ -237,10 +243,13 @@ def sweep_points(
 ) -> List[SweepPoint]:
     """Sweep points covering the given Table 2 sets (all values).
 
-    Points of a *rate-varying* set (6 and 9: same topology, same
-    workloads, only the mechanism rate changes) carry the scenario
-    batch hooks, so a batch-capable substrate emulates the whole set
-    in one lockstep program when the sweep runner groups them.
+    Every point is compiled with :func:`compile_topology_a` and keyed
+    by :func:`~repro.experiments.runner.batch_key`. On a
+    batch-capable substrate, points whose key another point shares
+    (same network, classes, workloads and settings, in any set) carry
+    the scenario batch hooks with the key as their ``batch_group``,
+    so the sweep runner emulates each group in one lockstep program.
+    A point alone in its group carries neither hook.
 
     Args:
         set_numbers: Table 2 set numbers to cover.
@@ -253,32 +262,38 @@ def sweep_points(
         substrate: Emulation backend for every point (part of each
             point's cache digest).
     """
+    grid = [
+        (set_number, value)
+        for set_number in set_numbers
+        for value in experiment_values(set_number)
+    ]
+    groups = [
+        batch_key(compile_topology_a(set_number, value, settings, substrate))
+        if substrate_supports_batch(substrate)
+        else None
+        for set_number, value in grid
+    ]
+    sizes = Counter(groups)
     points = []
-    for set_number in set_numbers:
-        rate_varies = TABLE2_SETS[set_number][4]
-        batchable = rate_varies and substrate_supports_batch(substrate)
-        for value in experiment_values(set_number):
-            points.append(
-                SweepPoint(
-                    key=f"topoA/set{set_number}/{value}",
-                    func=_sweep_point,
-                    kwargs={
-                        "set_number": set_number,
-                        "value": value,
-                        "settings": settings,
-                        "substrate": substrate,
-                    },
-                    seed=None if derive_seeds else settings.seed,
-                    substrate=substrate,
-                    batch_func=_sweep_point_batch if batchable else None,
-                    batch_group=(
-                        f"topoA/set{set_number}/{substrate}/"
-                        f"{settings.fingerprint()}"
-                        if batchable
-                        else None
-                    ),
-                )
+    for (set_number, value), group in zip(grid, groups):
+        if sizes[group] < 2:
+            group = None
+        points.append(
+            SweepPoint(
+                key=f"topoA/set{set_number}/{value}",
+                func=_sweep_point,
+                kwargs={
+                    "set_number": set_number,
+                    "value": value,
+                    "settings": settings,
+                    "substrate": substrate,
+                },
+                seed=None if derive_seeds else settings.seed,
+                substrate=substrate,
+                batch_func=_sweep_point_batch if group is not None else None,
+                batch_group=group,
             )
+        )
     return points
 
 
@@ -293,9 +308,10 @@ def run_full_set(
     """Run all experiments of one Table 2 set.
 
     With ``workers > 1`` the set's values run on a process pool; with
-    a ``cache_dir`` finished points are memoized on disk. Rate-
-    varying sets additionally run as one scenario batch on batch-
-    capable substrates (``batch_size=1`` disables). Results are
+    a ``cache_dir`` finished points are memoized on disk. Values that
+    compile to a shared scenario (all of sets 6 and 9) additionally
+    run as one scenario batch on batch-capable substrates
+    (``batch_size=1`` disables). Results are
     identical for any worker count or batch width, and identical to
     the seed sequential runner: every point runs at ``settings.seed``
     (the Figure 8 benches assert claims about those exact

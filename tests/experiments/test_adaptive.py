@@ -33,6 +33,7 @@ from repro.experiments.adaptive import (
     PlanePointResult,
     _pow2_divisor,
     cell_bounds,
+    compile_plane_point,
     plane_axes,
     plane_label,
     run_plane_batch,
@@ -40,6 +41,7 @@ from repro.experiments.adaptive import (
     run_plane_point,
 )
 from repro.experiments.config import EmulationSettings
+from repro.experiments.runner import batch_key
 from repro.experiments.sweep import SweepPoint, SweepRunner
 
 #: Synthetic x lattice: 17 values, a 16-step span (2^4-refinable).
@@ -501,9 +503,14 @@ class TestPlaneFactory:
         assert point.key == "plane/capacity_mbps=60/policing_rate=0.08"
         assert point.substrate == "fluid"
         assert point.batch_func is run_plane_batch
-        assert point.batch_group == (
-            f"plane/fluid/{PLANE_SETTINGS.fingerprint()}"
+        assert point.batch_group == batch_key(
+            compile_plane_point(PLANE_SETTINGS, 0.08, 60.0)
         )
+        # Every plane point compiles to the same shared inputs (only
+        # the shared link's specs differ), so the whole plane is one
+        # group.
+        other = factory({"policing_rate": 0.2, "capacity_mbps": 100.0})
+        assert other.batch_group == point.batch_group
 
     def test_packet_substrate_is_batchless(self):
         factory = PlanePointFactory(

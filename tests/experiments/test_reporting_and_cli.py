@@ -135,7 +135,7 @@ class TestCli:
         )
         assert code == 0
         out = capsys.readouterr().out
-        # Set 6 is rate-varying: its 4 points form one batch.
+        # Set 6's four rates share one scenario: one batch.
         assert "batching: 1 batch(es) covering 4 point(s)" in out
 
     def test_sweep_batch_size_one_disables(self, capsys):

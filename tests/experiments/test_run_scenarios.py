@@ -11,6 +11,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.adaptive import compile_plane_point, run_plane_batch
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import (
+    batch_key,
     outcome_from_emulation,
     run_experiment,
     run_scenarios,
@@ -88,12 +89,16 @@ DIFFERENCES = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_members_must_share_inputs(family, difference):
     """Members built by any family's builder that differ in settings
-    (seed aside), substrate or workloads are refused before anything
-    is emulated; the batch adapters refuse kwargs that do."""
+    (seed aside), substrate or workloads have different batch keys
+    and are refused before anything is emulated; the batch adapters
+    refuse kwargs that do."""
     build, adapter, kwargs, values = FAMILIES[family]
     first, second = build(1, values[0]), build(2, values[1])
+    assert batch_key(first) == batch_key(second)
+    departed = DIFFERENCES[difference](second)
+    assert batch_key(first) != batch_key(departed)
     with pytest.raises(ConfigurationError, match="must share") as err:
-        run_scenarios([first, DIFFERENCES[difference](second)])
+        run_scenarios([first, departed])
     assert f"differs in {difference}" in str(err.value)
     if difference == "workloads":
         return

@@ -8,18 +8,29 @@ The load-bearing properties:
 * per-point seed derivation is stable and key-sensitive.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
+from repro.experiments.runner import batch_key
 from repro.experiments.sweep import (
     SweepExecutor,
     SweepPoint,
     SweepRunner,
     derive_seed,
 )
-from repro.experiments.topology_a import run_full_set, sweep_points
+from repro.experiments.topology_a import (
+    _sweep_point_batch,
+    compile_topology_a,
+    run_full_set,
+    sweep_points,
+)
 
 QUICK = EmulationSettings(duration_seconds=30.0, warmup_seconds=5.0)
 
@@ -561,8 +572,9 @@ class TestTopologyAWiring:
     def test_rate_varying_sets_carry_batch_hooks(self):
         """Sets 6/9 share topology+workloads across values (only the
         mechanism rate changes), so they batch on the fluid
-        substrate; workload-varying sets and batchless substrates
-        must not."""
+        substrate; the values of a workload-varying set share no
+        scenario among themselves, and batchless substrates must not
+        batch."""
         for set_number in (6, 9):
             pts = sweep_points([set_number], QUICK)
             assert all(p.batch_func is not None for p in pts)
@@ -573,33 +585,107 @@ class TestTopologyAWiring:
                 for p in sweep_points([set_number], QUICK)
             )
         assert all(
-            p.batch_func is None
-            for p in sweep_points([6], QUICK, substrate="packet")
+            p.batch_func is None and p.batch_group is None
+            for p in sweep_points(range(1, 10), QUICK, substrate="packet")
         )
 
+    def test_table2_batch_groups_are_derived_from_scenarios(self):
+        """Every point that shares its compiled scenario with another
+        point batches, across sets: 27 of Table 2's 34 points, in
+        groups of 14, 3 and five pairs. A point alone in its group
+        carries neither batch field."""
+        pts = sweep_points(range(1, 10), QUICK)
+        groups = {}
+        for p in pts:
+            if p.batch_group is not None:
+                assert p.batch_func is _sweep_point_batch
+                assert p.batch_group == batch_key(compile_topology_a(
+                    p.kwargs["set_number"], p.kwargs["value"], QUICK
+                ))
+                groups.setdefault(p.batch_group, []).append(p.key)
+        assert sorted(map(len, groups.values()), reverse=True) == [
+            14, 3, 2, 2, 2, 2, 2,
+        ]
+        alone = [p for p in pts if p.batch_group is None]
+        assert len(alone) == 7
+        assert all(p.batch_func is None for p in alone)
+        assert sorted(p.key for p in alone) == sorted(
+            [f"topoA/set1/{v}" for v in (10.0, 40.0, 10000.0)]
+            + [f"topoA/set2/{v}" for v in (80.0, 120.0, 200.0)]
+            + ["topoA/set3/newreno"]
+        )
+
+    def test_sets_4_and_6_batch_set4_10_with_set6(self):
+        """Set 4's 10 Mb point runs the default workloads, so it joins
+        set 6's batch; set 4's other values stay single."""
+        pts = sweep_points((4, 6), QUICK)
+        batched = [p.key for p in pts if p.batch_func is not None]
+        assert batched == ["topoA/set4/10.0"] + [
+            f"topoA/set6/{v}" for v in (50.0, 40.0, 30.0, 20.0)
+        ]
+        assert len({p.batch_group for p in pts if p.batch_func}) == 1
+
+    def test_batch_groups_are_stable_across_processes(self):
+        """The key is a digest of canonical texts: two interpreters
+        with different string-hash seeds derive the same groups."""
+        script = (
+            "from repro.experiments.config import EmulationSettings\n"
+            "from repro.experiments.topology_a import sweep_points\n"
+            "s = EmulationSettings(duration_seconds=30.0,"
+            " warmup_seconds=5.0)\n"
+            "print([p.batch_group for p in sweep_points(range(1, 10), s)])"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            )
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert outputs == {
+            repr([p.batch_group for p in sweep_points(range(1, 10), QUICK)])
+            + "\n"
+        }
+
     def test_batched_set6_matches_unbatched(self):
-        """The real scenario-batched pipeline: one Table 2 rate grid
-        emulated as a batch must reproduce the one-at-a-time sweep
-        outcome for outcome, bit for bit."""
+        """The real scenario-batched pipeline: one Table 2 rate grid,
+        and a cross-set sweep whose batches mix neutral, policed and
+        shaped scenarios, emulated in batches must reproduce the
+        one-at-a-time sweep outcome for outcome, bit for bit."""
         quick = EmulationSettings(
             duration_seconds=20.0, warmup_seconds=2.0
         )
-        plain = run_full_set(6, quick, batch_size=1)
-        runner_checked = run_full_set(6, quick)
-        for (va, a), (vb, b) in zip(plain, runner_checked):
-            assert va == vb
-            assert a.verdict_non_neutral == b.verdict_non_neutral
-            assert a.path_congestion == b.path_congestion
-            assert a.observations == b.observations
-            for pid in a.emulation.measurements.path_ids:
-                np.testing.assert_array_equal(
-                    a.emulation.measurements.record(pid).sent,
-                    b.emulation.measurements.record(pid).sent,
-                )
-                np.testing.assert_array_equal(
-                    a.emulation.measurements.record(pid).lost,
-                    b.emulation.measurements.record(pid).lost,
-                )
+
+        def sweep(sets, batch_size):
+            runner = SweepRunner.for_settings(quick, batch_size=batch_size)
+            results = runner.run(
+                sweep_points(sets, quick, derive_seeds=False)
+            )
+            return runner.stats.batched_points, results
+
+        for sets, batched_points in (((6,), 4), ((2, 4, 7), 9)):
+            _, plain = sweep(sets, 1)
+            count, runner_checked = sweep(sets, None)
+            assert count == batched_points
+            assert list(plain) == list(runner_checked)
+            for key, a in plain.items():
+                b = runner_checked[key]
+                assert a.verdict_non_neutral == b.verdict_non_neutral
+                assert a.path_congestion == b.path_congestion
+                assert a.observations == b.observations
+                for pid in a.emulation.measurements.path_ids:
+                    np.testing.assert_array_equal(
+                        a.emulation.measurements.record(pid).sent,
+                        b.emulation.measurements.record(pid).sent,
+                    )
+                    np.testing.assert_array_equal(
+                        a.emulation.measurements.record(pid).lost,
+                        b.emulation.measurements.record(pid).lost,
+                    )
 
     def test_batched_cache_interchangeable_with_singles(self, tmp_path):
         """A batched Table 2 sweep fills the same per-point cache

@@ -18,9 +18,11 @@ from _emit import emit
 from conftest import BENCH_CACHE, BENCH_WORKERS, heading, run_once
 
 from repro.analysis.stats import boxplot_summary, format_table, series_summary
+from repro.experiments.runner import batch_key
 from repro.experiments.sweep import SweepPoint, SweepRunner
 from repro.experiments.topology_b import (
     TOPOLOGY_B_SETTINGS,
+    compile_topology_b,
     run_topology_b_point,
     run_topology_b_rate_batch,
 )
@@ -35,6 +37,7 @@ def reports():
     # explicit seeds (the figure is pinned to these realizations —
     # the scenario batch emulates the same three, fp-identically),
     # while workers/cache come from the harness environment.
+    group = batch_key(compile_topology_b(TOPOLOGY_B_SETTINGS, 0.15))
     points = [
         SweepPoint(
             key=f"topoB/fig10/seed{seed}",
@@ -45,7 +48,7 @@ def reports():
             },
             seed=seed,
             batch_func=run_topology_b_rate_batch,
-            batch_group="topoB/fig10",
+            batch_group=group,
         )
         for seed in SEEDS
     ]

@@ -47,8 +47,7 @@ one scenario batch, the other set-4 points one by one), Table 2 sets
 commit that batched fewer points runs the rest singly, so comparing
 against it checks the batches against single runs), topology B
 through ``run_topology_b_point`` and
-``run_topology_b_rate_batch``, and two plane points of
-``PlanePointFactory``. The ``decide-*`` entries digest Algorithm 1's
+``run_topology_b_rate_batch``. The ``decide-*`` entries digest Algorithm 1's
 decide + prune tail (identified, unpruned, neutral and skipped
 sequences, and the scores) on each route into it:
 ``identify_non_neutral`` and ``identify_non_neutral_exact`` on the
@@ -83,7 +82,6 @@ from repro.core.slices import (
     build_slice_batch,
 )
 from repro.exceptions import MeasurementError
-from repro.experiments import adaptive
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import (
     infer_from_measurements,
@@ -656,33 +654,6 @@ def run_topology_b_rates():
     return outcomes_digest(report.outcome for report in reports)
 
 
-def run_plane_points():
-    """Two points of the policing-rate × capacity plane through an
-    inline sweep runner (one scenario batch). A plane point keeps only
-    a summary, so each member's outcome is captured on its way into
-    ``adaptive._plane_result``."""
-    settings = EmulationSettings(duration_seconds=DURATION, seed=SEED)
-    factory = adaptive.PlanePointFactory(settings=settings)
-    points = [
-        factory({adaptive.PLANE_RATE_AXIS: r, adaptive.PLANE_NOISE_AXIS: c})
-        for r, c in ((0.1, 60.0), (0.2, 100.0))
-    ]
-    captured = []
-    plane_result = adaptive._plane_result
-
-    def capture(outcome):
-        captured.append(outcome)
-        return plane_result(outcome)
-
-    adaptive._plane_result = capture
-    try:
-        with SweepRunner.for_settings(settings) as runner:
-            runner.run(points)
-    finally:
-        adaptive._plane_result = plane_result
-    return outcomes_digest(captured)
-
-
 RUNS = {
     "dumbbell-neutral": lambda: _one_shot(None),
     "dumbbell-policing": lambda: result_digest(_policing_run()[1]),
@@ -744,7 +715,6 @@ RUNS = {
     "run-sweep-table2-sets-4-6": run_sweep_table2,
     "run-table2-sets-2-9": run_table2_sets_2_9,
     "run-topology-b-rates": run_topology_b_rates,
-    "run-plane-points": run_plane_points,
     "decide-theory-scored": lambda: decide_theory_digest(exact=False),
     "decide-theory-exact": lambda: decide_theory_digest(exact=True),
     "decide-synth-cluster": lambda: decide_scores_digest(

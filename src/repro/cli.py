@@ -11,11 +11,7 @@ Commands:
   [--batch-size B]`` — the Table 2 sweep fanned over a process pool
   with result caching; points that compile to a shared scenario
   (same network, classes, workloads and settings, in any set) run as
-  lockstep scenario batches on a batch-capable substrate. With
-  ``--adaptive [--budget N] [--resolution R]`` the command instead
-  localizes the policing-rate detection frontier by recursive
-  refinement (see :mod:`repro.experiments.adaptive`), spending a
-  fraction of the dense grid's scenario budget.
+  lockstep scenario batches on a batch-capable substrate.
 * ``monitor`` — the streaming neutrality monitor: emulate in segment
   mode, emit rolling windowed verdicts, and timestamp
   differentiation onset/offset change points (``--onset T`` switches
@@ -233,38 +229,6 @@ def _cmd_topo_b(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_adaptive(args: argparse.Namespace) -> int:
-    from repro.experiments.adaptive import run_plane_frontier
-    from repro.experiments.reporting import render_adaptive_frontier
-
-    if args.resolution < 2:
-        print("--resolution must be >= 2", file=sys.stderr)
-        return 2
-    if args.budget is not None and args.budget < 1:
-        print("--budget must be >= 1", file=sys.stderr)
-        return 2
-    settings = EmulationSettings(
-        duration_seconds=args.duration, seed=args.seed
-    )
-    print(
-        f"Adaptive frontier search: {args.resolution} rate steps "
-        f"x 5 noise levels over {args.workers} worker(s)"
-        + (f", budget {args.budget}" if args.budget else "")
-        + "..."
-    )
-    result = run_plane_frontier(
-        settings,
-        rate_points=args.resolution + 1,
-        budget=args.budget,
-        workers=args.workers,
-        cache_dir=args.cache,
-        batch_size=args.batch_size,
-        substrate=args.substrate,
-    )
-    print(render_adaptive_frontier(result))
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import render_sweep_summary
     from repro.experiments.sweep import SweepRunner
@@ -275,11 +239,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.batch_size is not None and args.batch_size < 1:
         print("--batch-size must be >= 1", file=sys.stderr)
-        return 2
-    if args.adaptive:
-        return _cmd_sweep_adaptive(args)
-    if args.budget is not None:
-        print("--budget requires --adaptive", file=sys.stderr)
         return 2
     try:
         set_numbers = sorted(
@@ -496,26 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="max points per scenario batch (default: auto; "
         "1 disables batching)",
-    )
-    sweep.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="adaptively localize the policing-rate detection "
-        "frontier instead of enumerating the Table 2 grid",
-    )
-    sweep.add_argument(
-        "--resolution",
-        type=int,
-        default=32,
-        help="adaptive mode: rate-axis steps of the dense grid the "
-        "frontier is localized against (default: 32)",
-    )
-    sweep.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="adaptive mode: max scenarios dispatched, cache hits "
-        "included (default: unbounded)",
     )
     sweep.add_argument("--duration", type=float, default=120.0)
     sweep.add_argument("--seed", type=int, default=1)

@@ -16,7 +16,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "sweep_points",
     ),
     "reporting": (
-        "render_adaptive_frontier",
         "render_ground_truth",
         "render_path_congestion",
         "render_queue_traces",
@@ -31,16 +30,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "run_topology_b",
         "run_topology_b_point",
         "table3_workloads",
-    ),
-    "adaptive": (
-        "AdaptiveResult",
-        "AdaptiveSweep",
-        "Cell",
-        "GridAxis",
-        "PlanePointFactory",
-        "PlanePointResult",
-        "cell_bounds",
-        "plane_axes",
-        "run_plane_frontier",
     ),
 })

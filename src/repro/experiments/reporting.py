@@ -118,29 +118,6 @@ def render_sweep_summary(
     return table
 
 
-def render_adaptive_frontier(result) -> str:
-    """Frontier table of an :class:`~repro.experiments.adaptive.
-    AdaptiveResult`: one row per grid-step cell the boundary was
-    localized to (refined axes show the bracketing interval, scan
-    axes the level), plus the driver's summary lines."""
-    headers = [ax.name for ax in result.axes]
-    rows = []
-    for bounds in result.frontier_bounds():
-        row = []
-        for ax in result.axes:
-            lo, hi = bounds[ax.name]
-            row.append(
-                f"{lo:.6g}" if lo == hi else f"{lo:.6g}..{hi:.6g}"
-            )
-        rows.append(tuple(row))
-    table = (
-        format_table(headers, rows)
-        if rows
-        else "(no frontier cells — the lattice is label-uniform)"
-    )
-    return table + "\n" + result.summary()
-
-
 def render_ground_truth(report: TopologyBReport) -> str:
     """Figure 10(a)-style table."""
     rows = []

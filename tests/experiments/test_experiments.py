@@ -171,9 +171,11 @@ class TestTopologyBBatchedSweep:
         import numpy as np
         from dataclasses import replace
 
+        from repro.experiments.runner import batch_key
         from repro.experiments.sweep import SweepPoint, SweepRunner
         from repro.experiments.topology_b import (
             TOPOLOGY_B_SETTINGS,
+            compile_topology_b,
             run_topology_b_point,
             run_topology_b_rate_batch,
         )
@@ -189,7 +191,7 @@ class TestTopologyBBatchedSweep:
                 func=run_topology_b_point,
                 kwargs={"settings": quick, "policing_rate": rate},
                 batch_func=run_topology_b_rate_batch,
-                batch_group="topoB/test",
+                batch_group=batch_key(compile_topology_b(quick, rate)),
             )
             for rep, rate in enumerate((0.15, 0.25))
         ]

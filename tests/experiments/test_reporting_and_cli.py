@@ -256,136 +256,38 @@ class TestCli:
         assert "s wall" in out
         assert "ms/point executed" in out
 
-    def test_sweep_adaptive_parses(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["sweep", "--adaptive", "--resolution", "8",
-             "--budget", "20"]
-        )
-        assert args.adaptive
-        assert args.resolution == 8
-        assert args.budget == 20
-
-    def test_sweep_adaptive_runs(self, capsys, tmp_path):
-        code = main(
-            [
-                "sweep",
-                "--adaptive",
-                "--resolution", "4",
-                "--duration", "10",
-                "--seed", "3",
-                "--cache", str(tmp_path / "cache"),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "adaptive sweep:" in out
-        assert "frontier" in out
-        assert "policing_rate" in out
-
-    def test_sweep_adaptive_budget_runs_out_mid_refinement(self, capsys):
-        """A budget that covers the coarse pass but not the whole
-        refinement still exits 0, with the frontier marked partial."""
-        with pytest.warns(RuntimeWarning, match="partial"):
-            code = main(
-                [
-                    "sweep",
-                    "--adaptive",
-                    "--resolution", "8",
-                    "--duration", "6",
-                    "--budget", "22",
-                ]
-            )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "budget 22/22" in out
-        assert "frontier is PARTIAL" in out
-
-    #: ``sweep --adaptive --resolution 8 --duration 6 --seed 3``: the
-    #: frontier table and summary lines (timings aside).
-    ADAPTIVE_TABLE = (
-        "policing_rate  capacity_mbps\n"
-        "-------------  -------------\n"
-        "0.055..0.09    80\n"
-        "0.055..0.09    100\n"
-        "0.055..0.09    120\n"
-        "0.09..0.125    40\n"
-        "0.09..0.125    60\n"
-        "adaptive sweep: 25/45 lattice points (55.6% of dense), "
-        "4 wave(s)\n"
-        "frontier: 5 cell(s) at grid-step resolution\n"
+    @pytest.mark.parametrize(
+        "flags",
+        [["--adaptive"], ["--resolution", "8"], ["--budget", "5"]],
+        ids=lambda flags: " ".join(flags),
     )
-    ADAPTIVE_ARGS = [
-        "sweep", "--adaptive", "--resolution", "8",
-        "--duration", "6", "--seed", "3",
-    ]
+    def test_removed_sweep_flags_are_usage_errors(self, flags):
+        """``sweep`` has one mode, the Table 2 grid: it knows no
+        ``--adaptive``, ``--resolution`` or ``--budget``, and each exits
+        2 with one argparse usage error and no traceback."""
+        import os
+        import subprocess
+        import sys
 
-    def test_sweep_adaptive_output_is_stable(self, capsys):
-        assert main(self.ADAPTIVE_ARGS) == 0
-        out = capsys.readouterr().out
-        assert self.ADAPTIVE_TABLE in out
-        assert "cache: 0 hits, 25 misses;" in out
+        import repro
 
-    def test_sweep_adaptive_partial_output_is_stable(self, capsys):
-        with pytest.warns(RuntimeWarning, match="3 disagreeing"):
-            code = main(self.ADAPTIVE_ARGS + ["--budget", "22"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert (
-            "policing_rate  capacity_mbps\n"
-            "-------------  -------------\n"
-            "0.055..0.09    80\n"
-            "0.055..0.09    100\n"
-            "adaptive sweep: 22/45 lattice points (48.9% of dense), "
-            "4 wave(s), budget 22/22\n"
-            "frontier: 2 cell(s) at grid-step resolution\n"
-            "budget exhausted: 3 disagreeing cell(s) dropped before "
-            "full refinement — frontier is PARTIAL\n"
-            "cache: 0 hits, 22 misses;"
-        ) in out
-
-    def test_sweep_adaptive_rerun_replays_from_cache(
-        self, capsys, tmp_path
-    ):
-        """A second run over the same cache evaluates nothing and
-        prints the same frontier."""
-        args = self.ADAPTIVE_ARGS + ["--cache", str(tmp_path / "c")]
-        assert main(args) == 0
-        assert "cache: 0 hits, 25 misses;" in capsys.readouterr().out
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert self.ADAPTIVE_TABLE in out
-        assert "cache: 25 hits, 0 misses;" in out
-
-    def test_sweep_budget_requires_adaptive(self, capsys):
-        code = main(["sweep", "--sets", "6", "--budget", "10"])
-        assert code == 2
-        assert "--budget requires --adaptive" in capsys.readouterr().err
-
-    def test_sweep_adaptive_bad_resolution(self, capsys):
-        code = main(["sweep", "--adaptive", "--resolution", "1"])
-        assert code == 2
-        assert "--resolution" in capsys.readouterr().err
-
-    def test_sweep_adaptive_bad_budget(self, capsys):
-        code = main(["sweep", "--adaptive", "--budget", "0"])
-        assert code == 2
-        assert "--budget" in capsys.readouterr().err
-
-    def test_sweep_adaptive_budget_below_coarse_pass(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--adaptive",
-                "--resolution", "4",
-                "--duration", "10",
-                "--budget", "5",
-            ]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", *flags],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "coarse pass" in err
-        assert "Traceback" not in err
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        errors = [
+            line for line in proc.stderr.splitlines() if "error:" in line
+        ]
+        assert errors == [
+            f"repro: error: unrecognized arguments: {' '.join(flags)}"
+        ]
+        assert proc.stderr.startswith("usage: repro")
+        assert "Traceback" not in proc.stderr
 
 
 class TestTelemetryCli:
@@ -525,7 +427,6 @@ class TestTelemetryCli:
 LOAD_ON_FIRST_USE = (
     "scipy",
     "subprocess",
-    "repro.experiments.adaptive",
     "repro.experiments.sweep",
     "repro.fluid.batch",
     "repro.emulator.core",

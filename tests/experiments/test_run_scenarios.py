@@ -8,7 +8,6 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.adaptive import compile_plane_point, run_plane_batch
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import (
     batch_key,
@@ -49,17 +48,6 @@ FAMILIES = {
         lambda seed, rate: compile_topology_b(TOPO_B.with_seed(seed), rate),
         run_topology_b_rate_batch,
         lambda rate: {"settings": TOPO_B, "policing_rate": rate},
-        (0.1, 0.2),
-    ),
-    "plane": (
-        lambda seed, rate: compile_plane_point(
-            SETTINGS.with_seed(seed), rate, 80.0
-        ),
-        run_plane_batch,
-        lambda rate: {
-            "settings": SETTINGS, "policing_rate": rate,
-            "capacity_mbps": 80.0, "substrate": "fluid",
-        },
         (0.1, 0.2),
     ),
 }

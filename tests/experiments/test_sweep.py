@@ -20,7 +20,6 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import batch_key
 from repro.experiments.sweep import (
-    SweepExecutor,
     SweepPoint,
     SweepRunner,
     derive_seed,
@@ -714,13 +713,14 @@ class TestPersistentPool:
             second = runner.run(_points())
             assert runner.stats.pool_reused is True
             assert runner.stats.pool_setup_seconds == 0.0
-            assert runner.executor.pools_created == 1
-            assert runner.executor.reuses == 1
         assert first == second
+        runner.close()  # idempotent after the context manager's close
         # Closed: the next run builds a fresh pool.
         third = runner.run(_points())
-        assert runner.executor.pools_created == 2
+        assert runner.stats.pool_reused is False
+        assert runner.stats.pool_setup_seconds > 0.0
         assert third == first
+        runner.close()
 
     def test_results_identical_to_inline(self):
         seq = SweepRunner(base_seed=5, workers=1).run(_points())
@@ -733,9 +733,9 @@ class TestPersistentPool:
     def test_inline_runner_never_builds_a_pool(self):
         runner = SweepRunner(base_seed=5, workers=1)
         runner.run(_points((1.0,)))
-        assert runner.executor is None
         assert runner.stats.workers == 1
         assert runner.stats.pool_reused is False
+        assert runner.stats.pool_setup_seconds == 0.0
         runner.close()  # no-op, must not raise
 
     def test_batch_retry_keeps_pool_warm(self):
@@ -751,7 +751,6 @@ class TestPersistentPool:
             assert got == expected
             runner.run(_points())
             assert runner.stats.pool_reused is True
-            assert runner.executor.pools_created == 1
 
     def test_summary_renders_pool_line(self):
         from repro.experiments.reporting import render_sweep_summary
@@ -761,32 +760,3 @@ class TestPersistentPool:
             runner.run(_points())
             summary = render_sweep_summary({}, runner.stats)
         assert "parallel: 2 workers, warm pool reused" in summary
-
-
-class TestSweepExecutor:
-    """The warm pool itself, without a runner around it."""
-
-    def test_pool_is_created_once_then_reused(self):
-        with SweepExecutor(2) as executor:
-            pool, created = executor.ensure_pool()
-            assert created is True
-            assert executor.last_setup_seconds > 0.0
-            again, created = executor.ensure_pool()
-            assert again is pool and created is False
-            assert executor.pools_created == 1
-            assert executor.reuses == 1
-            assert pool.apply(abs, (-3,)) == 3
-
-    def test_close_is_idempotent_and_reopens(self):
-        executor = SweepExecutor(2)
-        executor.ensure_pool()
-        executor.close()
-        executor.close()
-        _, created = executor.ensure_pool()
-        assert created is True
-        assert executor.pools_created == 2
-        executor.close()
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(0)

@@ -143,9 +143,10 @@ class TestScenarioBatch:
 
 class TestSingleVariant:
     def test_one_variant_batch_equals_run(self):
-        """A one-variant batch (the tail of an adaptive refinement
-        wave) goes through the same program as a plain run: its
-        result equals ``run`` with the variant's specs and seed."""
+        """A one-variant batch (what every one-member
+        ``run_scenarios`` call compiles) goes through the same program
+        as a plain run: its result equals ``run`` with the variant's
+        specs and seed."""
         topo, workloads, variant = _fixture()
         backend = get_substrate("fluid")
         single = ScenarioBatch.compile(

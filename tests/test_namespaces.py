@@ -20,8 +20,12 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 # Each package's ``__all__`` as it stood with eager re-exports (sorted),
 # minus the names deleted since: ``repro.telemetry.count_rng``; the
-# adaptive calibration, the three refinable labelings and the
-# topology-B frontier/sweep runners of ``repro.experiments``;
+# adaptive calibration, the three refinable labelings, the
+# topology-B frontier/sweep runners and the adaptive plane search
+# (``AdaptiveResult``, ``AdaptiveSweep``, ``Cell``, ``GridAxis``,
+# ``PlanePointFactory``, ``PlanePointResult``, ``cell_bounds``,
+# ``plane_axes``, ``render_adaptive_frontier``, ``run_plane_frontier``)
+# of ``repro.experiments``;
 # ``repro.fluid.uniform_workload``; ``repro.streaming.MonitorFleet``;
 # ``repro.core.remove_redundant`` and the mapping deciders
 # ``repro.measurement.classify_scores`` / ``cluster_decider``.
@@ -69,17 +73,14 @@ FROZEN_ALL = {
         "PacketResult", "greedy_admission",
     ),
     "repro.experiments": (
-        "AdaptiveResult", "AdaptiveSweep", "Cell", "EmulationSettings",
-        "ExperimentOutcome", "GridAxis", "PlanePointFactory",
-        "PlanePointResult", "SequenceEstimates", "SweepPoint", "SweepRunner",
-        "SweepStats", "TABLE2_SETS", "TOPOLOGY_B_SETTINGS",
-        "TopologyAExperiment", "TopologyBReport", "build_experiment",
-        "cell_bounds", "derive_seed", "experiment_values",
-        "measured_subnetwork", "plane_axes", "render_adaptive_frontier",
-        "render_ground_truth", "render_path_congestion",
-        "render_queue_traces", "render_sequences", "render_sweep_summary",
-        "render_verdict", "run_experiment", "run_full_set",
-        "run_plane_frontier", "run_topology_a", "run_topology_b",
+        "EmulationSettings", "ExperimentOutcome", "SequenceEstimates",
+        "SweepPoint", "SweepRunner", "SweepStats", "TABLE2_SETS",
+        "TOPOLOGY_B_SETTINGS", "TopologyAExperiment", "TopologyBReport",
+        "build_experiment", "derive_seed", "experiment_values",
+        "measured_subnetwork", "render_ground_truth",
+        "render_path_congestion", "render_queue_traces", "render_sequences",
+        "render_sweep_summary", "render_verdict", "run_experiment",
+        "run_full_set", "run_topology_a", "run_topology_b",
         "run_topology_b_point", "sweep_points", "table3_workloads",
     ),
     "repro.fluid": (

@@ -156,3 +156,38 @@ class TestMetrics:
         report = evaluate(result, {"l1", "l2"}, fig.network.link_ids)
         assert report.missed_links == frozenset()
         assert report.false_positive_links == frozenset()
+
+
+@pytest.mark.parametrize(
+    "identified, truth",
+    [
+        ((), {"l1"}),
+        ((("l1",), ("l1", "l2")), {"l1"}),
+        ((("l2", "l3"),), {"l1"}),
+        ((("l1", "l3"), ("l2",)), set()),
+        ((("l1",), ("l2", "l3")), {"l1", "l2", "l3"}),
+    ],
+    ids=["nothing-found", "covered", "pure-neutral", "no-truth", "all-bad"],
+)
+def test_evaluate_agrees_with_the_standalone_metrics(identified, truth):
+    """``evaluate`` computes the three rates inline; they must equal
+    the standalone definitions for every shape of output."""
+    from repro.core.algorithm import AlgorithmResult
+
+    links = {"l1", "l2", "l3", "l4"}
+    result = AlgorithmResult(
+        identified=identified, identified_raw=identified,
+        neutral=(), skipped=(),
+    )
+    report = evaluate(result, truth, links)
+    assert report.false_negative_rate == false_negative_rate(
+        identified, truth
+    )
+    assert report.false_positive_rate == false_positive_rate(
+        identified, links - truth, truth
+    )
+    if identified:
+        assert report.granularity == granularity(identified)
+    else:
+        assert math.isnan(report.granularity)
+    assert report.missed_links == frozenset(truth) - result.identified_links

@@ -120,3 +120,50 @@ class TestSolvability:
         a = np.array([[1.0, 1.0]])
         assert nullspace_dimension(a) == 1
         assert nullspace_dimension(np.eye(3)) == 0
+
+
+class TestLinearEdgeCases:
+    """The degenerate systems the algorithm layer can hand down: no
+    links (an empty routing matrix), rank deficiency, and observations
+    consistent only up to round-off."""
+
+    @pytest.mark.parametrize(
+        "y, solvable", [([0.0, 0.0], True), ([0.0, 1e-3], False)]
+    )
+    def test_empty_system_is_solvable_only_for_zero(self, y, solvable):
+        assert is_solvable(np.zeros((2, 0)), y) is solvable
+
+    def test_empty_system_residual_is_observation_norm(self):
+        assert residual(np.zeros((2, 0)), [3.0, 4.0]) == pytest.approx(5.0)
+
+    def test_empty_system_cannot_be_solved(self):
+        with pytest.raises(TheoryError, match="empty"):
+            solve_least_squares(np.zeros((2, 0)), [0.0, 0.0])
+
+    def test_empty_system_has_no_nullspace(self):
+        assert nullspace_dimension(np.zeros((2, 0))) == 0
+
+    def test_round_off_stays_solvable(self):
+        a = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        y = a @ np.array([0.3, 0.7]) + np.array([0.0, 1e-13, 0.0])
+        assert is_solvable(a, y)
+        assert not is_solvable(a, y, tol=1e-15)
+
+    def test_rank_deficient_solution_is_not_unique(self):
+        # Two links always traversed together: only their sum is pinned.
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        sol = solve_least_squares(a, [2.0, 2.0])
+        assert not sol.unique
+        assert sol.x.sum() == pytest.approx(2.0)
+        assert sol.residual_norm == pytest.approx(0.0, abs=1e-12)
+        assert nullspace_dimension(a) == 1
+
+    def test_nonnegative_clamps_and_reports_residual(self):
+        sol = solve_least_squares(np.eye(2), [-1.0, 2.0], nonnegative=True)
+        np.testing.assert_allclose(sol.x, [0.0, 2.0])
+        assert sol.residual_norm == pytest.approx(1.0)
+        assert sol.unique
+
+    def test_observation_column_vector_is_accepted(self):
+        a = np.array([[1.0], [2.0]])
+        assert is_solvable(a, np.array([[1.0], [2.0]]))

@@ -28,6 +28,108 @@ class TestReporting:
         assert "quality" in text
 
 
+def _summary_outcome(identified, quality=None):
+    """Just what ``render_sweep_summary`` reads of an outcome."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(
+        algorithm=SimpleNamespace(identified=identified),
+        quality=quality,
+        verdict_non_neutral=bool(identified),
+    )
+
+
+class TestSweepSummary:
+    def test_rows_show_verdict_identified_sets_and_quality(self):
+        from repro.core.metrics import QualityReport
+        from repro.experiments.reporting import render_sweep_summary
+
+        quality = QualityReport(0.5, 0.25, 1.0, frozenset(), frozenset())
+        text = render_sweep_summary(
+            {
+                "a/1": _summary_outcome((("l5",), ("l1", "l2")), quality),
+                "a/2": _summary_outcome(()),
+            }
+        )
+        header, _, first, second = text.splitlines()
+        assert header.split() == ["point", "verdict", "identified", "quality"]
+        assert first.split() == [
+            "a/1", "NON-NEUTRAL", "<l5>;", "<l1,l2>", "FN", "50%", "FP", "25%"
+        ]
+        assert second.split() == ["a/2", "neutral", "-"]
+
+    def test_no_stats_no_footer(self):
+        from repro.experiments.reporting import render_sweep_summary
+
+        text = render_sweep_summary({"a": _summary_outcome(())})
+        assert "cache:" not in text and "timing:" not in text
+
+    def test_inline_stats_footer(self):
+        from repro.experiments.reporting import render_sweep_summary
+        from repro.experiments.sweep import SweepStats
+
+        stats = SweepStats(
+            cache_hits=1, cache_misses=2, executed=2,
+            point_seconds={"a": 0.5, "b": 1.5}, wall_seconds=2.25,
+        )
+        footer = render_sweep_summary({}, stats).splitlines()[2:]
+        assert footer == [
+            "cache: 1 hits, 2 misses, 2 executed",
+            "timing: 2.25 s wall, 2.00 s compute (1000 ms/point executed)",
+        ]
+
+    def test_all_hits_skip_the_compute_clause(self):
+        from repro.experiments.reporting import render_sweep_summary
+        from repro.experiments.sweep import SweepStats
+
+        stats = SweepStats(cache_hits=3, wall_seconds=0.01)
+        text = render_sweep_summary({}, stats)
+        assert text.endswith("timing: 0.01 s wall")
+
+    def test_fresh_pool_line_reports_setup_time(self):
+        from repro.experiments.reporting import render_sweep_summary
+        from repro.experiments.sweep import SweepStats
+
+        stats = SweepStats(workers=3, pool_setup_seconds=0.0123)
+        text = render_sweep_summary({}, stats)
+        assert text.endswith("parallel: 3 workers, pool created (0.01 s)")
+
+
+class TestTopologyBTables:
+    def test_ground_truth_rows_follow_link_number_and_mark_policers(self):
+        from types import SimpleNamespace
+
+        from repro.experiments.reporting import render_ground_truth
+
+        report = SimpleNamespace(
+            ground_truth={
+                "l14": (0.1, 0.3), "l2": (0.05, 0.05), "l5": (0.0, 0.2),
+            }
+        )
+        rows = render_ground_truth(report).splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["l2", "l5*", "l14*"]
+        assert rows[2].split()[1:] == ["10.00%", "30.00%", "+20.00%"]
+        assert rows[0].split()[-1] == "+0.00%"
+
+    def test_queue_traces_summarize_each_link(self):
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from repro.experiments.reporting import render_queue_traces
+
+        report = SimpleNamespace(
+            queue_traces_mb={
+                "l14": np.array([0.0, 2.0, 4.0]), "l13": np.zeros(4),
+            }
+        )
+        rows = render_queue_traces(report).splitlines()[2:]
+        assert [row.split() for row in rows] == [
+            ["l13", "0.00", "0.00", "0.00"],
+            ["l14", "2.00", "3.80", "4.00"],
+        ]
+
+
 class TestCli:
     def test_parser_commands(self):
         parser = build_parser()
@@ -255,6 +357,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "s wall" in out
         assert "ms/point executed" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["--workers", "0"], "--workers must be >= 1", id="workers-0"
+            ),
+            pytest.param(
+                ["--sets", "4,x"], "bad --sets value '4,x'", id="sets-not-int"
+            ),
+            pytest.param(
+                ["--sets", "0"], "--sets takes a comma list", id="sets-below"
+            ),
+            pytest.param(
+                ["--sets", "6,10"], "--sets takes a comma list",
+                id="sets-above",
+            ),
+            pytest.param(
+                ["--sets", " , "], "--sets takes a comma list", id="sets-empty"
+            ),
+        ],
+    )
+    def test_sweep_bad_arguments_exit_before_emulating(
+        self, capsys, argv, message
+    ):
+        assert main(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "Sweeping" not in captured.out
 
     @pytest.mark.parametrize(
         "flags",

@@ -760,3 +760,67 @@ class TestPersistentPool:
             runner.run(_points())
             summary = render_sweep_summary({}, runner.stats)
         assert "parallel: 2 workers, warm pool reused" in summary
+
+
+def _worker_pids():
+    import multiprocessing as mp
+
+    return {proc.pid for proc in mp.active_children()}
+
+
+class TestPoolLifetime:
+    """Which worker processes a parallel runner owns, and when they
+    end: the same workers serve every warm run, close() and dropping
+    the runner both terminate them, and a reopened pool is new. Each
+    run has two points: a lone point runs inline."""
+
+    def test_warm_runs_share_one_set_of_workers(self):
+        before = _worker_pids()
+        with SweepRunner(base_seed=5, workers=2) as runner:
+            runner.run(_points((1.0, 2.0)))
+            workers = _worker_pids() - before
+            assert len(workers) == 2
+            runner.run(_points((5.0, 0.5)))
+            assert _worker_pids() - before == workers
+
+    def test_close_terminates_the_workers(self):
+        before = _worker_pids()
+        runner = SweepRunner(base_seed=5, workers=2)
+        runner.run(_points((1.0, 2.0)))
+        workers = _worker_pids() - before
+        runner.close()
+        assert not workers & _worker_pids()
+
+    def test_dropped_runner_terminates_its_workers(self):
+        import gc
+
+        before = _worker_pids()
+        runner = SweepRunner(base_seed=5, workers=2)
+        runner.run(_points((1.0, 2.0)))
+        workers = _worker_pids() - before
+        assert workers
+        del runner
+        gc.collect()
+        assert not workers & _worker_pids()
+
+    def test_reopened_pool_has_new_workers(self):
+        before = _worker_pids()
+        runner = SweepRunner(base_seed=5, workers=2)
+        runner.run(_points((1.0, 2.0)))
+        first = _worker_pids() - before
+        runner.close()
+        runner.run(_points((1.0, 2.0)))
+        second = _worker_pids() - before
+        runner.close()
+        assert len(second) == 2
+        assert not first & second
+
+
+def test_for_settings_binds_seed_and_fingerprint():
+    settings = QUICK.with_seed(11)
+    runner = SweepRunner.for_settings(settings, workers=1, batch_size=3)
+    assert runner.base_seed == 11
+    assert runner.cache_salt == settings.fingerprint()
+    assert runner.batch_size == 3
+    other = SweepRunner.for_settings(settings.quick(20.0))
+    assert other.cache_salt != runner.cache_salt

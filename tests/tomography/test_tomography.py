@@ -101,3 +101,70 @@ class TestLsqTomography:
         # p1 must match its observation.
         total = result.link_costs["l0"] + result.link_costs["l1"]
         assert total == pytest.approx(-np.log(0.6), rel=0.05)
+
+
+class TestPathStatesEdges:
+    def test_silent_interval_counts_as_good(self):
+        records = [
+            PathRecord(
+                "p1",
+                np.array([0, 100], dtype=np.int64),
+                np.array([0, 50], dtype=np.int64),
+            )
+        ]
+        states, _ = path_states(MeasurementData(records), ["p1"])
+        np.testing.assert_array_equal(states[0], [True, False])
+
+    def test_threshold_is_inclusive(self):
+        data = _data({"p1": [0.04, 0.05, 0.06]})
+        states, _ = path_states(data, ["p1"], loss_threshold=0.05)
+        np.testing.assert_array_equal(states[0], [True, False, False])
+
+    def test_ids_are_sorted(self):
+        data = _data({"p2": [0.0], "p1": [0.1]})
+        states, ids = path_states(data, ["p2", "p1"])
+        assert ids == ("p1", "p2")
+        np.testing.assert_array_equal(states[:, 0], [False, True])
+
+
+class TestBooleanTomographyEdges:
+    def test_no_monitored_paths_is_an_error(self):
+        from repro.exceptions import MeasurementError
+
+        data = _data({"elsewhere": [0.0, 0.1]})
+        with pytest.raises(MeasurementError, match="no monitored"):
+            boolean_tomography(_net(), data)
+
+    def test_counts_and_probabilities_agree(self):
+        data = _data(
+            {
+                "p1": [0.05, 0.05, 0.0, 0.0],
+                "p2": [0.05, 0.0, 0.0, 0.0],
+                "p3": [0.05, 0.0, 0.0, 0.05],
+            }
+        )
+        result = boolean_tomography(_net(), data)
+        assert result.intervals == 4
+        # t0: one shared cause; t1, t3: each path's private link.
+        assert result.blamed_counts == {
+            "l0": 1, "l1": 1, "l2": 0, "l3": 1
+        }
+        for lid, count in result.blamed_counts.items():
+            assert result.link_congestion[lid] == count / 4
+
+    def test_fully_exonerated_bad_path_blames_nothing(self):
+        net = _net()
+        blamed = smallest_explanation(
+            net, good_paths={"p1", "p2"}, bad_paths={"p1"}
+        )
+        assert blamed == frozenset()
+
+
+def test_lsq_reports_non_unique_costs_on_an_underdetermined_net():
+    """Three paths, four links: the shared link's cost cannot be told
+    apart from the private ones', so the fit is not unique."""
+    data = _data({p: [0.05, 0.0] for p in ("p1", "p2", "p3")})
+    result = lsq_tomography(_net(), data)
+    assert not result.unique
+    assert set(result.link_costs) == {"l0", "l1", "l2", "l3"}
+    assert all(cost >= 0.0 for cost in result.link_costs.values())

@@ -58,3 +58,38 @@ def test_group_workload_fixed_sizes():
 def test_group_workload_measured_flag():
     assert not group_workload(TABLE3["white"]).measured
     assert group_workload(TABLE3["light"]).measured
+
+
+@pytest.mark.parametrize(
+    "size_mb, slots",
+    [(1.99, 70), (2.0, 30), (5.0, 30), (9.99, 30), (10.0, 15)],
+)
+def test_slots_for_size_band_edges(size_mb, slots):
+    """Below 2 Mb the 70-slot band, below 10 Mb a 30-slot middle band,
+    from the 10 Mb default up Table 1's default parallelism."""
+    assert slots_for_size(size_mb) == slots
+
+
+def test_class_workload_carries_every_knob():
+    wl = class_workload(
+        ["p1"], mean_size_mb=1.0, rtt_ms=200.0,
+        congestion_control="newreno", mean_gap_seconds=3.0, measured=False,
+    )["p1"]
+    assert wl.rtt_seconds == pytest.approx(0.2)
+    assert wl.congestion_control == "newreno"
+    assert not wl.measured
+    assert len(wl.slots) == 70
+    assert {(s.mean_size_mb, s.mean_gap_seconds) for s in wl.slots} == {
+        (1.0, 3.0)
+    }
+
+
+def test_group_workload_one_copy_is_the_table3_row():
+    wl = group_workload(
+        TABLE3["white"], rtt_ms=120.0, mean_gap_seconds=4.0
+    )
+    assert tuple(s.mean_size_mb for s in wl.slots) == (
+        TABLE3["white"].flow_sizes_mb
+    )
+    assert all(s.mean_gap_seconds == 4.0 for s in wl.slots)
+    assert wl.rtt_seconds == pytest.approx(0.12)

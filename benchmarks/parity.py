@@ -265,15 +265,6 @@ def run_two_families():
     return result_digest(sim.run(DURATION))
 
 
-def run_no_jitter():
-    topo, wl = _dumbbell("policing")
-    sim = FluidNetwork(
-        topo.network, topo.classes, topo.link_specs, wl, seed=SEED,
-        send_jitter_cv=0.0,
-    )
-    return result_digest(sim.run(10.0))
-
-
 def run_segmented_swap():
     """Neutral → policing → policing at a higher rate (a deep token
     bucket, so the drained one carries over) → shaping → neutral,
@@ -308,7 +299,7 @@ def run_streaming_chunks():
 
 
 def run_batch_mixed():
-    """A B=4 batch: mixed families, durations and a per-world swap."""
+    """A B=4 batch: mixed families and a swap of every world."""
     topo, wl = _dumbbell(None)
     spec_sets = [
         _shared_link_specs(policer=PolicerSpec("c2", 0.25)),
@@ -319,11 +310,9 @@ def run_batch_mixed():
     sim = FluidBatchNetwork(
         topo.network, topo.classes, spec_sets, wl, [SEED, 12, 13, 14]
     )
-    session = sim.session(
-        warmup_seconds=1.0, interval_limits=[100, 60, 100, 80]
-    )
+    session = sim.session(warmup_seconds=1.0)
     session.advance(30)
-    session.set_link_specs(spec_sets[1], scenario=3)
+    session.set_link_specs(spec_sets[1])
     session.advance(70)
     return ":".join(result_digest(r) for r in session.results())
 
@@ -663,7 +652,6 @@ RUNS = {
     "dumbbell-policing-warmup": lambda: _one_shot(
         "policing", warmup_seconds=2.5
     ),
-    "dumbbell-policing-no-jitter": run_no_jitter,
     "dumbbell-policer-and-aqm": run_two_families,
     "multi-isp-10s": lambda: result_digest(_multi_isp_run()[1]),
     "segmented-swap": run_segmented_swap,

@@ -3,9 +3,10 @@
 A per-packet analogue of the paper's LINE emulator, promoted to a
 first-class evaluation substrate. Every packet is individually
 timestamped, policed, queued, early-dropped, or tail-dropped — but
-the bookkeeping is *batched*: time advances in quanta (a fraction of
-the smallest RTT), and within a quantum each link serializes its
-whole sorted arrival batch with closed-form numpy scans instead of
+the bookkeeping is *batched*: time advances in quanta (a third of
+the smallest path RTT, clamped to [2 ms, 25 ms] — derived, never
+passed in), and within a quantum each link serializes its whole
+sorted arrival batch with closed-form numpy scans instead of
 per-packet heap events:
 
 * **FIFO serialization** is the classic Lindley recurrence
@@ -310,10 +311,11 @@ class PacketNetwork:
             (parallel slots, Pareto or fixed sizes, exponential
             gaps, per-path ``measured`` flag). Exactly one of
             ``flow_plan`` / ``workloads`` must be given.
-        quantum_seconds: Batch quantum; ``None`` picks a fraction of
-            the smallest path RTT (clamped to [2 ms, 25 ms]) and
-            rounds so a whole number of quanta tile each interval.
-        max_packets: Runaway backstop on total transmissions.
+
+    The batch quantum is a third of the smallest path RTT (clamped to
+    [2 ms, 25 ms]), rounded so a whole number of quanta tile each
+    interval; a run stops with :class:`~repro.exceptions.
+    EmulationError` past :data:`DEFAULT_MAX_PACKETS` transmissions.
     """
 
     def __init__(
@@ -324,8 +326,6 @@ class PacketNetwork:
         flow_plan: Mapping[str, List[int]] = None,
         seed: int = 0,
         workloads: Mapping[str, PathWorkload] = None,
-        quantum_seconds: Optional[float] = None,
-        max_packets: int = DEFAULT_MAX_PACKETS,
     ) -> None:
         self._net = net
         self._classes = classes
@@ -355,8 +355,6 @@ class PacketNetwork:
         )
         self._workloads = dict(workloads) if workloads is not None else None
         self._seed = seed
-        self._quantum = quantum_seconds
-        self._max_packets = int(max_packets)
 
     # ------------------------------------------------------------------
 
@@ -502,14 +500,11 @@ class PacketNetwork:
         f_completed = np.zeros(nf, dtype=np.int64)
 
         # --- time discretization ---------------------------------------
-        if self._quantum is not None:
-            quantum_target = float(self._quantum)
-        else:
-            quantum_target = min(
-                max(float(full_rtt.min()) / 3.0, _QUANTUM_MIN),
-                _QUANTUM_MAX,
-            )
-        quantum_target = min(quantum_target, interval_seconds)
+        quantum_target = min(
+            max(float(full_rtt.min()) / 3.0, _QUANTUM_MIN),
+            _QUANTUM_MAX,
+            interval_seconds,
+        )
         qpi = max(1, int(round(interval_seconds / quantum_target)))
         dt = interval_seconds / qpi
         warm_quanta = warm_intervals * qpi
@@ -632,7 +627,7 @@ class PacketNetwork:
             parts_h: List[np.ndarray] = []
             if total:
                 emitted_total += total
-                if emitted_total > self._max_packets:
+                if emitted_total > DEFAULT_MAX_PACKETS:
                     raise EmulationError("packet budget exceeded")
                 senders = (window > 0).nonzero()[0]
                 counts = window[senders]

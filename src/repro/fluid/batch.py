@@ -41,11 +41,9 @@ and the ``bench_batch.py`` gate). Three rules make that possible:
   accumulations (per-path smooth-loss fractions, burst volumes) are
   updated row by row through per-scenario views, in the order above.
 
-Scenarios may have different durations: a world that reaches its own
-interval limit is removed from the *active mask* — its slots stop
-offering traffic and its RNG is never touched again, which is
-exactly the state of its finished single run. The batch keeps
-stepping until every world is done.
+Every world runs for the same duration, and a session's link-spec
+swap applies to every world at once (the paper's runs emulate all
+their worlds for one span and switch one policy for all of them).
 """
 
 from __future__ import annotations
@@ -169,8 +167,6 @@ class FluidBatchNetwork:
         workloads: The shared per-path traffic description.
         seeds: One emulation seed per scenario; scenario ``b``
             consumes the same RNG stream its single run would.
-        send_jitter_cv: Per-flow send-jitter coefficient of
-            variation (shared).
     """
 
     def __init__(
@@ -180,7 +176,6 @@ class FluidBatchNetwork:
         spec_sets: Sequence[Mapping[str, LinkSpec]],
         workloads: Mapping[str, PathWorkload],
         seeds: Sequence[int],
-        send_jitter_cv: float = DEFAULT_SEND_JITTER_CV,
     ) -> None:
         if not len(spec_sets):
             raise ConfigurationError(
@@ -195,14 +190,7 @@ class FluidBatchNetwork:
         # the scenario's current specs and RNG for the program.
         self._init_worlds(
             [
-                FluidNetwork(
-                    net,
-                    classes,
-                    specs,
-                    workloads,
-                    seed=seed,
-                    send_jitter_cv=send_jitter_cv,
-                )
+                FluidNetwork(net, classes, specs, workloads, seed=seed)
                 for specs, seed in zip(spec_sets, seeds)
             ]
         )
@@ -211,8 +199,8 @@ class FluidBatchNetwork:
     def _of_worlds(cls, worlds: Sequence[FluidNetwork]) -> "FluidBatchNetwork":
         """A batch over existing :class:`FluidNetwork` instances.
 
-        The worlds must share the first one's network, classes,
-        workloads and jitter; each keeps its own specs and RNG (which
+        The worlds must share the first one's network, classes and
+        workloads; each keeps its own specs and RNG (which
         the batch consumes). ``FluidNetwork.session`` runs through
         this at ``B = 1``.
         """
@@ -226,7 +214,6 @@ class FluidBatchNetwork:
         self._net = first._net
         self._classes = first._classes
         self._workloads = first._workloads
-        self._send_jitter_cv = first._send_jitter_cv
 
     @property
     def num_scenarios(self) -> int:
@@ -234,40 +221,24 @@ class FluidBatchNetwork:
 
     def run(
         self,
-        duration_seconds,
+        duration_seconds: float,
         dt: float = DEFAULT_DT,
         interval_seconds: float = DEFAULT_INTERVAL,
         warmup_seconds: float = 0.0,
     ) -> List[FluidResult]:
-        """Run every scenario to completion in one lockstep program.
-
-        ``duration_seconds`` may be a scalar (all scenarios run the
-        same span) or one value per scenario; shorter worlds leave
-        the active mask early.
-        """
-        try:
-            durations = np.broadcast_to(
-                np.asarray(duration_seconds, dtype=float),
-                (self.num_scenarios,),
-            )
-        except ValueError:
-            raise ConfigurationError(
-                f"duration_seconds must be a scalar or one value per "
-                f"scenario ({self.num_scenarios})"
-            ) from None
-        if not (np.isfinite(durations) & (durations > 0)).all():
+        """Run every scenario for ``duration_seconds`` in one lockstep
+        program (the arguments of :meth:`FluidNetwork.run`)."""
+        if not (np.isfinite(duration_seconds) and duration_seconds > 0):
             raise EmulationError("duration must be positive")
-        _step_counts(dt, interval_seconds, warmup_seconds)  # validates
-        limits = [int(round(d / interval_seconds)) for d in durations]
-        if min(limits) < 1:
-            raise EmulationError("duration shorter than one interval")
         session = self.session(
             dt=dt,
             interval_seconds=interval_seconds,
             warmup_seconds=warmup_seconds,
-            interval_limits=limits,
         )
-        session.advance(max(limits))
+        num_intervals = int(round(duration_seconds / interval_seconds))
+        if num_intervals < 1:
+            raise EmulationError("duration shorter than one interval")
+        session.advance(num_intervals)
         return session.results()
 
     def session(
@@ -276,23 +247,16 @@ class FluidBatchNetwork:
         interval_seconds: float = DEFAULT_INTERVAL,
         warmup_seconds: float = 0.0,
         keep_ground_truth: bool = True,
-        interval_limits: Optional[Sequence[int]] = None,
     ) -> "FluidBatchSession":
         """Open a resumable batched session (streaming mode).
 
-        The session advances every active scenario N measurement
-        intervals at a time and accepts per-scenario link-spec swaps
-        at interval boundaries (the many-worlds counterpart of
-        :meth:`FluidNetwork.session`). ``interval_limits`` bounds
-        each scenario's lifetime; ``None`` entries run unbounded.
+        The session advances every scenario N measurement intervals
+        at a time and accepts link-spec swaps for every scenario at
+        interval boundaries (the many-worlds counterpart of
+        :meth:`FluidNetwork.session`).
         """
         return FluidBatchSession(
-            self,
-            dt,
-            interval_seconds,
-            warmup_seconds,
-            keep_ground_truth,
-            interval_limits,
+            self, dt, interval_seconds, warmup_seconds, keep_ground_truth
         )
 
     # ------------------------------------------------------------------
@@ -310,12 +274,11 @@ class FluidBatchNetwork:
 
         Each yield hands the session the interval's ``(B, …)``
         per-path sent / lost / RTT columns and per-link ground-truth
-        columns; rows of inactive scenarios carry unused values. The
-        loop is open-ended: the consumer stops pulling when its run
-        (or stream segment) is complete. Pending link-spec swaps
-        (``session._pending``) are applied exactly at interval
-        boundaries and consume no randomness, so a segmented run with
-        no swaps is bit-identical to a one-shot run.
+        columns. The loop is open-ended: the consumer stops pulling
+        when its run (or stream segment) is complete. A pending
+        link-spec swap (``session._pending``) is applied exactly at an
+        interval boundary and consumes no randomness, so a segmented
+        run with no swaps is bit-identical to a one-shot run.
         """
         worlds = self._worlds
         rngs = [w._rng for w in worlds]
@@ -539,8 +502,7 @@ class FluidBatchNetwork:
         srtt_gain = min(dt / SRTT_TIME_CONSTANT, 1.0)
         jitter_block = np.empty((_JITTER_BLOCK_STEPS, num_slots))
         jitter_pos = _JITTER_BLOCK_STEPS
-        jitter_cv = self._send_jitter_cv
-        jitter_shape = 1.0 / (jitter_cv * jitter_cv) if jitter_cv > 0 else 0.0
+        jitter_shape = 1.0 / (DEFAULT_SEND_JITTER_CV * DEFAULT_SEND_JITTER_CV)
         # Earliest pending flow start among idle slots, so quiet steps
         # skip the start scan with one float comparison.
         next_start_min = float(slots.next_start.min())
@@ -562,26 +524,6 @@ class FluidBatchNetwork:
                 burst_dirty = True
             return buf
 
-        # --- active mask -----------------------------------------------
-        # A scenario retires once its last measured interval closes
-        # (where its single run ends): retire_at maps an interval count
-        # to the scenarios whose limit it is.
-        retire_at: Dict[int, List[int]] = {}
-        for b, lim in enumerate(session._limits):
-            if lim is not None:
-                retire_at.setdefault(lim, []).append(b)
-        act_idx = list(range(num_scenarios))
-
-        def deactivate(b: int) -> None:
-            """Freeze a finished world: no sends, no events, no RNG."""
-            lo = b * slots_per_scenario
-            seg_idx = np.arange(lo, lo + slots_per_scenario)
-            slots.remaining[seg_idx] = 0.0
-            slots.next_start[seg_idx] = np.inf
-            tcp.reset(seg_idx)
-            act_idx.remove(b)
-
-        intervals_emitted = 0
         step = 0
         while True:
             if session._pending is not None and (
@@ -591,9 +533,8 @@ class FluidBatchNetwork:
                     and (step - warmup_steps) % steps_per_interval == 0
                 )
             ):
-                for world, specs in zip(worlds, session._pending):
-                    if specs is not None:
-                        world._link_specs = specs
+                for world in worlds:
+                    world._link_specs = session._pending
                 old_dual = dual_shares
                 (
                     inv_capacity, cap_dt, buffers, tokens,
@@ -609,8 +550,6 @@ class FluidBatchNetwork:
                 # starts one hands its droptail backlog to the
                 # virtual queues split by their service shares — no
                 # buffered traffic is stranded or double-served.
-                # Unswapped scenarios keep their rows, so nothing of
-                # theirs moves.
                 for r in old_dual:
                     if r not in dual_shares:
                         queue[r] += shaper_tq[r] + shaper_oq[r]
@@ -628,20 +567,17 @@ class FluidBatchNetwork:
             # 0. Per-flow send jitter, drawn in per-scenario blocks,
             #    pre-scaled by dt.
             if jitter_pos == _JITTER_BLOCK_STEPS:
-                for b in act_idx:
+                for b, rng in enumerate(rngs):
                     seg = slice(
                         b * slots_per_scenario, (b + 1) * slots_per_scenario
                     )
-                    if jitter_cv > 0:
-                        blk = rngs[b].gamma(
-                            jitter_shape,
-                            1.0 / jitter_shape,
-                            size=(_JITTER_BLOCK_STEPS, slots_per_scenario),
-                        )
-                        blk *= dt
-                        jitter_block[:, seg] = blk
-                    else:
-                        jitter_block[:, seg] = dt
+                    blk = rng.gamma(
+                        jitter_shape,
+                        1.0 / jitter_shape,
+                        size=(_JITTER_BLOCK_STEPS, slots_per_scenario),
+                    )
+                    blk *= dt
+                    jitter_block[:, seg] = blk
                 jitter_pos = 0
             jit_dt = jitter_block[jitter_pos]
             jitter_pos += 1
@@ -871,8 +807,7 @@ class FluidBatchNetwork:
                 link_arr_acc += arrivals
 
                 # 7. Close the interval: hand the session this
-                #    interval's columns, reset the accumulators, then
-                #    retire worlds at their limit.
+                #    interval's columns and reset the accumulators.
                 if (step - warmup_steps + 1) % steps_per_interval == 0:
                     yield (
                         np.bincount(
@@ -901,9 +836,6 @@ class FluidBatchNetwork:
                     rtt_acc[:] = 0.0
                     link_arr_acc[:] = 0.0
                     link_drop_acc[:] = 0.0
-                    intervals_emitted += 1
-                    for b in retire_at.pop(intervals_emitted, ()):
-                        deactivate(b)
             step += 1
 
 
@@ -913,13 +845,12 @@ class FluidBatchSession:
 
     Created by :meth:`FluidBatchNetwork.session`. Each
     :meth:`advance` returns one
-    :class:`~repro.measurement.records.RecordChunk` per scenario
-    (``None`` once a scenario has exhausted its interval limit);
+    :class:`~repro.measurement.records.RecordChunk` per scenario;
     scenario ``b``'s chunk stream is bit-identical to the chunks of a
     single :class:`~repro.fluid.engine.FluidSession` run with its
     specs and seed. Between segments, :meth:`set_link_specs` swaps
-    specs for one scenario or all of them, effective at the next
-    interval boundary — per-world differentiation onset/offset.
+    every scenario's specs, effective at the next interval boundary —
+    differentiation onset/offset.
     """
 
     def __init__(
@@ -929,34 +860,15 @@ class FluidBatchSession:
         interval_seconds: float,
         warmup_seconds: float,
         keep_ground_truth: bool = True,
-        interval_limits: Optional[Sequence[int]] = None,
     ) -> None:
         steps_per_interval, warmup_steps = _step_counts(
             dt, interval_seconds, warmup_seconds
         )
-        num = sim.num_scenarios
-        if interval_limits is None:
-            limits: List[Optional[int]] = [None] * num
-        else:
-            if len(interval_limits) != num:
-                raise ConfigurationError(
-                    f"{len(interval_limits)} interval limits for "
-                    f"{num} scenarios"
-                )
-            limits = [
-                None if lim is None else int(lim)
-                for lim in interval_limits
-            ]
-            if any(lim is not None and lim < 1 for lim in limits):
-                raise EmulationError(
-                    "interval limits must be >= 1 (or None)"
-                )
         self._sim = sim
         self.interval_seconds = float(interval_seconds)
         self._steps_per_interval = steps_per_interval
         self._keep_history = bool(keep_ground_truth)
-        self._limits = limits
-        self._pending: Optional[List[Optional[Dict[str, LinkSpec]]]] = None
+        self._pending: Optional[Dict[str, LinkSpec]] = None
         self._gen = sim._interval_loop(
             self, dt, steps_per_interval, warmup_steps
         )
@@ -1023,74 +935,35 @@ class FluidBatchSession:
         self._slots = slots
         self._spath = spath
 
-    def _limit_of(self, b: int) -> float:
-        lim = self._limits[b]
-        return np.inf if lim is None else lim
-
-    def scenario_intervals_done(self, b: int) -> int:
-        """Intervals scenario ``b`` has emulated (≤ its limit)."""
-        return int(min(self.intervals_done, self._limit_of(b)))
-
     def set_link_specs(
-        self,
-        link_specs: Mapping[str, LinkSpec] = None,
-        scenario: Optional[int] = None,
+        self, link_specs: Mapping[str, LinkSpec] = None
     ) -> None:
-        """Swap link specs at the next interval boundary.
+        """Swap every scenario's link specs at the next interval
+        boundary.
 
-        ``scenario=None`` applies the mapping to every scenario;
-        otherwise only the given world swaps (the others' mechanism
-        state — token buckets, virtual queues — carries over
-        untouched, so their streams stay bit-identical to unswapped
-        single runs). The mapping is validated and completed exactly
-        like the constructor's (unspecified links revert to
-        defaults). Queues and in-flight flow state carry over; token
-        buckets persist for links that stay policed and start full
-        for newly policed links.
+        The mapping is validated and completed exactly like the
+        constructor's (unspecified links revert to defaults). Queues
+        and in-flight flow state carry over; token buckets persist
+        for links that stay policed and start full for newly policed
+        links.
         """
-        worlds = self._sim._worlds
-        if scenario is not None and (
-            isinstance(scenario, bool)
-            or not isinstance(scenario, (int, np.integer))
-            or not 0 <= scenario < len(worlds)
-        ):
-            raise ConfigurationError(
-                f"scenario must be an index in [0, {len(worlds)}), "
-                f"got {scenario!r}"
-            )
-        completed = complete_link_specs(
+        self._pending = complete_link_specs(
             self._sim._net, self._sim._classes, link_specs
         )
-        if scenario is None:
-            self._pending = [completed] * len(worlds)
-        else:
-            if self._pending is None:
-                self._pending = [None] * len(worlds)
-            self._pending[scenario] = completed
         if self._tel:
             self._tel_swaps.inc()
 
-    def advance(self, num_intervals: int) -> List[Optional[RecordChunk]]:
-        """Emulate up to ``num_intervals`` more intervals per world.
-
-        Scenarios short of their limit advance by
-        ``min(num_intervals, remaining)``; finished scenarios return
-        ``None``. Raises once every scenario is done.
-        """
+    def advance(self, num_intervals: int) -> List[RecordChunk]:
+        """Emulate ``num_intervals`` more intervals in every world;
+        one chunk per scenario, in scenario order."""
         if num_intervals < 1:
             raise EmulationError("must advance by at least one interval")
+        num_intervals = int(num_intervals)
         start = self.intervals_done
-        remaining = [
-            self._limit_of(b) - start for b in range(self.num_scenarios)
-        ]
-        max_remaining = max(remaining)
-        if max_remaining <= 0:
-            raise EmulationError("every scenario has finished")
-        pulls = int(min(num_intervals, max_remaining))
         tel_span = (
             telemetry.span(
                 "engine.advance", substrate="fluid",
-                intervals=pulls, start=start,
+                intervals=num_intervals, start=start,
                 scenarios=self.num_scenarios,
             )
             if self._tel
@@ -1099,7 +972,7 @@ class FluidBatchSession:
         new_sent: List[np.ndarray] = []
         new_lost: List[np.ndarray] = []
         with tel_span:
-            for _ in range(pulls):
+            for _ in range(num_intervals):
                 sent, lost, rtt, arr, drop, occ = next(self._gen)
                 new_sent.append(sent)
                 new_lost.append(lost)
@@ -1110,33 +983,26 @@ class FluidBatchSession:
                     self._arr_cols.append(arr)
                     self._drop_cols.append(drop)
                     self._occ_cols.append(occ)
-        self.intervals_done = start + pulls
+        self.intervals_done = start + num_intervals
         if self._tel:
-            self._tel_intervals.inc(pulls * self.num_scenarios)
-            self._tel_steps.inc(pulls * self._steps_per_interval)
-        chunks: List[Optional[RecordChunk]] = []
-        for b in range(self.num_scenarios):
-            span = int(min(max(remaining[b], 0), pulls))
-            if span <= 0:
-                chunks.append(None)
-                continue
-            chunks.append(
-                chunk_from_columns(
-                    self._measured_ids,
-                    [col[b] for col in new_sent[:span]],
-                    [col[b] for col in new_lost[:span]],
-                    self._measured_rows,
-                    self.interval_seconds,
-                    start,
-                )
+            self._tel_intervals.inc(num_intervals * self.num_scenarios)
+            self._tel_steps.inc(num_intervals * self._steps_per_interval)
+        return [
+            chunk_from_columns(
+                self._measured_ids,
+                [col[b] for col in new_sent],
+                [col[b] for col in new_lost],
+                self._measured_rows,
+                self.interval_seconds,
+                start,
             )
-        return chunks
+            for b in range(self.num_scenarios)
+        ]
 
     def result(self, scenario: int) -> FluidResult:
         """Package one scenario's emulated span as a
         :class:`FluidResult` — identical to its single run's."""
-        span = self.scenario_intervals_done(scenario)
-        if span == 0:
+        if self.intervals_done == 0:
             raise EmulationError("no intervals emulated yet")
         if not self._keep_history:
             raise EmulationError(
@@ -1156,18 +1022,12 @@ class FluidBatchSession:
             list(sim._net.link_ids),
             sim._classes.names,
             sim._workloads,
-            np.stack(
-                [col[b] for col in self._sent_cols[:span]], axis=1
-            ),
-            np.stack(
-                [col[b] for col in self._lost_cols[:span]], axis=1
-            ),
-            np.stack([col[b] for col in self._rtt_cols[:span]], axis=1),
-            np.stack([col[b] for col in self._arr_cols[:span]], axis=2),
-            np.stack(
-                [col[b] for col in self._drop_cols[:span]], axis=2
-            ),
-            np.stack([col[b] for col in self._occ_cols[:span]], axis=1),
+            np.stack([col[b] for col in self._sent_cols], axis=1),
+            np.stack([col[b] for col in self._lost_cols], axis=1),
+            np.stack([col[b] for col in self._rtt_cols], axis=1),
+            np.stack([col[b] for col in self._arr_cols], axis=2),
+            np.stack([col[b] for col in self._drop_cols], axis=2),
+            np.stack([col[b] for col in self._occ_cols], axis=1),
             flows_by_path,
             self.interval_seconds,
         )

@@ -12,7 +12,8 @@ and 11.
 This module is the single-scenario front end: :class:`FluidNetwork`
 validates one scenario and owns its specs and RNG, and its run and
 session advance the one fluid step program
-(:mod:`repro.fluid.batch`) at ``B = 1``. The program is batched numpy
+(:mod:`repro.fluid.batch`) at ``B = 1``; a session's spec swap is the
+batch session's swap of its one world. The program is batched numpy
 over flow/link/path arrays: per-slot offers, per-link service, drop
 attribution, and TCP window updates all advance every object at once
 (see :class:`~repro.fluid.tcp.TcpArrayState` and
@@ -40,9 +41,11 @@ Loss-attribution model (important for fidelity):
   step (a droptail burst is a contiguous packet run) — keeping flow
   sawtooths desynchronized, which sets a realistic loss-event
   frequency.
-* **Per-flow send jitter** (gamma, cv 0.5) restores the sub-step
-  burstiness a fluid model otherwise averages away; without it a
-  full queue sheds only the aggregate window-growth rate.
+* **Per-flow send jitter** (gamma, cv 0.5 —
+  :data:`DEFAULT_SEND_JITTER_CV`, the only value the engine runs)
+  restores the sub-step burstiness a fluid model otherwise averages
+  away; without it a full queue sheds only the aggregate
+  window-growth rate.
 
 Other approximations (all second-order for the reproduced
 quantities): within one step, traffic dropped upstream still counts
@@ -82,7 +85,7 @@ DEFAULT_DT = 0.01
 #: Default measurement interval (seconds) — Table 1's bold value.
 DEFAULT_INTERVAL = 0.1
 
-#: Default coefficient of variation of per-flow send jitter. Packet
+#: Coefficient of variation of per-flow send jitter. Packet
 #: transmission is bursty at sub-step timescales (back-to-back window
 #: bursts, ACK compression); a fluid model without this variance
 #: reaches a noiseless equilibrium in which a full droptail queue
@@ -235,11 +238,7 @@ class FluidNetwork:
         link_specs: Mapping[str, LinkSpec] = None,
         workloads: Mapping[str, PathWorkload] = None,
         seed: int = 0,
-        send_jitter_cv: float = DEFAULT_SEND_JITTER_CV,
     ) -> None:
-        if send_jitter_cv < 0:
-            raise ConfigurationError("send_jitter_cv must be >= 0")
-        self._send_jitter_cv = send_jitter_cv
         self._net = net
         self._classes = classes
         self._link_specs = complete_link_specs(net, classes, link_specs)
@@ -361,7 +360,7 @@ class FluidSession:
         for links that stay policed and start full for newly policed
         links.
         """
-        self._batch.set_link_specs(link_specs, scenario=0)
+        self._batch.set_link_specs(link_specs)
 
     def advance(self, num_intervals: int) -> RecordChunk:
         """Emulate ``num_intervals`` more measurement intervals.

@@ -4,15 +4,17 @@ The measurement platform divides time into intervals and records, for
 each monitored path ``p`` and interval ``t``, how many packets were
 sent (``M[t][p]``) and how many of those were lost (``L[t][p]``) —
 exactly the inputs of the paper's Algorithm 2. Both emulators emit
-:class:`MeasurementData`; the normalization layer consumes it.
+:class:`MeasurementData`; the normalization layer consumes it. A
+:class:`MeasurementData` has no method that grows or changes it once
+built (its stacked matrices are cached read-only); a stream grows as
+a sequence of :class:`RecordChunk` objects instead.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -108,6 +110,7 @@ class RecordChunk:
     start_interval: int = 0
 
     def __post_init__(self) -> None:
+        _checked_interval(self.interval_seconds)
         if self.sent.shape != self.lost.shape or self.sent.ndim != 2:
             raise MeasurementError(
                 f"chunk matrices must be 2-D and aligned, got "
@@ -127,22 +130,6 @@ class RecordChunk:
     def end_interval(self) -> int:
         """One past the chunk's last absolute interval index."""
         return self.start_interval + self.num_intervals
-
-    def sent_by_path(self) -> Dict[str, np.ndarray]:
-        return {pid: self.sent[i] for i, pid in enumerate(self.path_ids)}
-
-    def lost_by_path(self) -> Dict[str, np.ndarray]:
-        return {pid: self.lost[i] for i, pid in enumerate(self.path_ids)}
-
-    def to_measurement_data(self) -> "MeasurementData":
-        """The chunk alone as a :class:`MeasurementData`."""
-        return MeasurementData(
-            [
-                PathRecord(pid, self.sent[i], self.lost[i])
-                for i, pid in enumerate(self.path_ids)
-            ],
-            self.interval_seconds,
-        )
 
 
 @dataclass
@@ -296,7 +283,7 @@ class MeasurementData:
         The fast-path guard of :func:`repro.measurement.normalize.
         batch_slice_observations` — cached alongside the stacked
         matrices instead of re-scanning ``(|P|, T)`` on every inference
-        call, and invalidated with them on :meth:`append_intervals`.
+        call.
         """
         if self._all_sent_positive is None:
             self._all_sent_positive = bool((self.sent_matrix > 0).all())
@@ -341,132 +328,6 @@ class MeasurementData:
 
     def __contains__(self, path_id: str) -> bool:
         return path_id in self._records
-
-    def subset(self, path_ids: Iterable[str]) -> "MeasurementData":
-        """Records restricted to the given paths."""
-        return MeasurementData(
-            [self.record(pid) for pid in path_ids], self.interval_seconds
-        )
-
-    def append_intervals(
-        self,
-        sent: Mapping[str, np.ndarray],
-        lost: Mapping[str, np.ndarray],
-    ) -> None:
-        """Extend every path's records by new intervals, in place.
-
-        This is the *only* sanctioned way to grow a
-        :class:`MeasurementData`: it validates the extension (same
-        path set, equal added lengths, counters consistent) and
-        drops the cached stacked matrices, which would otherwise
-        serve stale pre-append views to the normalization layer.
-
-        Args:
-            sent: ``{path_id: new sent counters}`` covering exactly
-                this data's paths.
-            lost: Same shape, the matching lost counters.
-
-        Raises:
-            MeasurementError: On a path-set mismatch, ragged added
-                lengths, or invalid counters.
-        """
-        if set(sent) != set(self._records) or set(lost) != set(sent):
-            raise MeasurementError(
-                "appended intervals must cover exactly the recorded "
-                f"paths {sorted(self._records)}"
-            )
-        added = {
-            pid: np.asarray(sent[pid]).shape for pid in self._records
-        }
-        if len(set(added.values())) != 1:
-            raise MeasurementError(
-                f"appended interval counts differ across paths: {added}"
-            )
-        extended = {
-            pid: PathRecord(
-                pid,
-                np.concatenate([rec.sent, np.asarray(sent[pid])]),
-                np.concatenate([rec.lost, np.asarray(lost[pid])]),
-            )
-            for pid, rec in self._records.items()
-        }
-        # All-or-nothing: only commit once every record validated.
-        self._records = extended
-        self._num_intervals = next(iter(extended.values())).num_intervals
-        self._row_of = None
-        self._sent_matrix = None
-        self._lost_matrix = None
-        self._all_sent_positive = None
-
-    def append_chunk(self, chunk: RecordChunk) -> None:
-        """Append a :class:`RecordChunk` (streaming convenience)."""
-        self.append_intervals(chunk.sent_by_path(), chunk.lost_by_path())
-
-    @staticmethod
-    def _checkpoint_path(path: str) -> str:
-        """Normalize to the ``.npz`` suffix ``np.savez`` enforces, so
-        the same path string round-trips through save → load."""
-        path = str(path)
-        return path if path.endswith(".npz") else path + ".npz"
-
-    def save(self, path: str) -> None:
-        """Checkpoint to a compressed ``.npz`` file.
-
-        Stores the stacked counters, the path ids, and the interval
-        length — everything :meth:`load` needs to reconstruct an
-        identical object, so long monitoring runs can checkpoint and
-        replay their record streams. A missing ``.npz`` suffix is
-        added (numpy enforces it on write; normalizing here keeps
-        ``load(path)`` working with the identical string).
-        """
-        np.savez_compressed(
-            self._checkpoint_path(path),
-            path_ids=np.array(self.path_ids, dtype=np.str_),
-            sent=self.sent_matrix,
-            lost=self.lost_matrix,
-            interval_seconds=np.array(self.interval_seconds),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "MeasurementData":
-        """Reload a checkpoint written by :meth:`save`.
-
-        Raises:
-            MeasurementError: On an unreadable file, missing fields,
-                counter matrices that are not 2-D with one row per path
-                id, or an interval that is not a finite positive scalar.
-        """
-        try:
-            with np.load(cls._checkpoint_path(path)) as payload:
-                path_ids = [str(pid) for pid in payload["path_ids"]]
-                sent = payload["sent"]
-                lost = payload["lost"]
-                interval_seconds = payload["interval_seconds"]
-            for name, counters in (("sent", sent), ("lost", lost)):
-                if counters.ndim != 2 or counters.shape[0] != len(path_ids):
-                    raise ValueError(
-                        f"{name} has shape {counters.shape}, expected one "
-                        f"row per path id ({len(path_ids)})"
-                    )
-            if interval_seconds.shape != ():
-                raise ValueError(
-                    "interval_seconds must be a scalar, got shape "
-                    f"{interval_seconds.shape}"
-                )
-            interval_seconds = float(interval_seconds)
-        except (
-            OSError, KeyError, ValueError, TypeError, zipfile.BadZipFile
-        ) as exc:
-            raise MeasurementError(
-                f"cannot load measurement data from {path!r}: {exc}"
-            ) from exc
-        return cls(
-            [
-                PathRecord(pid, sent[i], lost[i])
-                for i, pid in enumerate(path_ids)
-            ],
-            interval_seconds,
-        )
 
     def rebinned(self, factor: int) -> "MeasurementData":
         """Merge every ``factor`` consecutive intervals into one.

@@ -7,7 +7,7 @@ contiguous intervals ``0, 1, 2, …`` for a fixed path set, plus an
 
 * :class:`ReplayStream` — slices a stored
   :class:`~repro.measurement.records.MeasurementData` into chunks
-  (replaying a checkpointed monitoring run, feeding goldens, tests).
+  (replaying a stored run, feeding goldens, tests).
 * :class:`EmulationStream` — drives a registered emulation substrate
   in *segment mode*: emulate ``chunk_intervals`` measurement
   intervals, yield their records, continue from carried engine

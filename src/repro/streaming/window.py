@@ -55,6 +55,7 @@ incremental to maintain. The monitor therefore requires
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -158,7 +159,13 @@ class SlidingWindowStats:
         self._rows_b = np.concatenate([singles, perm[self.batch.pair_b]])
 
     def append(self, chunk: RecordChunk) -> None:
-        """Append a stream chunk (must be the next contiguous one)."""
+        """Append a stream chunk (must be the next contiguous one, at
+        the stream's interval length)."""
+        if not math.isclose(chunk.interval_seconds, self.interval_seconds):
+            raise MeasurementError(
+                f"chunk interval {chunk.interval_seconds!r} s differs "
+                f"from the stream's {self.interval_seconds!r} s"
+            )
         if chunk.start_interval != self.num_intervals:
             raise MeasurementError(
                 f"non-contiguous chunk: starts at {chunk.start_interval}, "

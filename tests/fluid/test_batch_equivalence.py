@@ -7,8 +7,8 @@ FluidNetwork` produces with that scenario's specs and seed — same
 records, same ground truth, same RTT traces, same queue occupancy.
 These tests pin that contract over random topologies, random
 mechanism mixes (policing / shaping / AQM / weighted / neutral),
-heterogeneous per-scenario durations (the active mask), and mid-run
-per-scenario spec swaps through the session path.
+random durations, and a mid-run spec swap of every world through the
+session path.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.classes import two_classes
-from repro.exceptions import ConfigurationError, EmulationError
+from repro.exceptions import ConfigurationError
 from repro.fluid.batch import FluidBatchNetwork
 from repro.fluid.engine import FluidNetwork
 from repro.fluid.params import (
@@ -149,7 +149,7 @@ def _workloads(draw, net):
 )
 @given(data=st.data())
 def test_batched_slices_match_single_runs(data):
-    """Random topologies/specs/durations: batch[b] == single run b."""
+    """Random topologies/specs/duration: batch[b] == single run b."""
     draw = data.draw
     net, classes = _topology(draw)
     workloads = _workloads(draw, net)
@@ -160,22 +160,19 @@ def test_batched_slices_match_single_runs(data):
     seeds = [
         draw(st.integers(0, 2**20)) for _ in range(num_scenarios)
     ]
-    durations = [
-        draw(st.sampled_from([2.0, 3.0, 4.0]))
-        for _ in range(num_scenarios)
-    ]
+    duration = draw(st.sampled_from([2.0, 3.0, 4.0]))
     warmup = draw(st.sampled_from([0.0, 0.5]))
 
     batched = FluidBatchNetwork(
         net, classes, spec_sets, workloads, seeds
     ).run(
-        durations, dt=DT, interval_seconds=INTERVAL, warmup_seconds=warmup,
+        duration, dt=DT, interval_seconds=INTERVAL, warmup_seconds=warmup,
     )
     for b in range(num_scenarios):
         single = FluidNetwork(
             net, classes, spec_sets[b], workloads, seed=seeds[b]
         ).run(
-            duration_seconds=durations[b],
+            duration_seconds=duration,
             dt=DT,
             interval_seconds=INTERVAL,
             warmup_seconds=warmup,
@@ -190,12 +187,12 @@ def test_batched_slices_match_single_runs(data):
 )
 @given(data=st.data())
 def test_session_segment_swaps_match_single_sessions(data):
-    """Per-scenario mid-run spec swaps through the session path.
+    """A mid-run spec swap of every world through the session path.
 
     Each scenario advances in the same segmentation in batch and
-    single form; a random subset of scenarios swaps to a second spec
-    set at a random chunk boundary. Chunks and packaged results must
-    be bit-identical.
+    single form; at a random chunk boundary the batch swaps every
+    world to one drawn spec set, and each single session swaps to the
+    same set. Chunks and packaged results must be bit-identical.
     """
     draw = data.draw
     net, classes = _topology(draw)
@@ -204,12 +201,7 @@ def test_session_segment_swaps_match_single_sessions(data):
     spec_sets = [
         _spec_set(draw, net, classes) for _ in range(num_scenarios)
     ]
-    swap_sets = [
-        _spec_set(draw, net, classes) for _ in range(num_scenarios)
-    ]
-    swappers = [
-        draw(st.booleans()) for _ in range(num_scenarios)
-    ]
+    swap_set = _spec_set(draw, net, classes)
     seeds = [
         draw(st.integers(0, 2**20)) for _ in range(num_scenarios)
     ]
@@ -246,10 +238,9 @@ def test_session_segment_swaps_match_single_sessions(data):
             )
             assert chunk.start_interval == batch_chunks[b].start_interval
         if i == swap_after:
-            for b in range(num_scenarios):
-                if swappers[b]:
-                    batch_sess.set_link_specs(swap_sets[b], scenario=b)
-                    single_sessions[b].set_link_specs(swap_sets[b])
+            batch_sess.set_link_specs(swap_set)
+            for sess in single_sessions:
+                sess.set_link_specs(swap_set)
     for b in range(num_scenarios):
         _assert_results_identical(
             single_sessions[b].result(),
@@ -301,65 +292,6 @@ def test_all_mechanism_families_in_one_batch():
         _assert_results_identical(single, batched[b], label=f"mech b={b}")
 
 
-def test_heterogeneous_durations_active_mask():
-    """Worlds retire at their own limits; survivors keep going."""
-    net = star_network(3)
-    classes = two_classes(net, ["p1"])
-    wl = {
-        pid: PathWorkload(
-            slots=(FlowSlotSpec(mean_size_mb=4.0, mean_gap_seconds=1.0),)
-            * 2,
-            rtt_seconds=0.04,
-        )
-        for pid in net.path_ids
-    }
-    specs = {
-        "hub": LinkSpec(
-            capacity_mbps=40.0,
-            buffer_seconds=0.1,
-            policer=PolicerSpec("c2", 0.3),
-        )
-    }
-    spec_sets = [specs, specs, specs]
-    seeds = [11, 12, 13]
-    durations = [2.0, 5.0, 3.0]
-    batched = FluidBatchNetwork(net, classes, spec_sets, wl, seeds).run(
-        durations, warmup_seconds=0.5
-    )
-    for b in range(3):
-        assert batched[b].measurements.num_intervals == int(
-            round(durations[b] / INTERVAL)
-        )
-        single = FluidNetwork(
-            net, classes, spec_sets[b], wl, seed=seeds[b]
-        ).run(duration_seconds=durations[b], warmup_seconds=0.5)
-        _assert_results_identical(single, batched[b], label=f"dur b={b}")
-
-
-def test_session_chunks_after_limit_are_none():
-    net = star_network(2)
-    classes = two_classes(net, ["p1"])
-    wl = {
-        pid: PathWorkload(
-            slots=(FlowSlotSpec(mean_size_mb=2.0),), rtt_seconds=0.04
-        )
-        for pid in net.path_ids
-    }
-    sim = FluidBatchNetwork(
-        net, classes, [{}, {}], wl, [1, 2]
-    )
-    sess = sim.session(interval_limits=[5, 12])
-    first = sess.advance(5)
-    assert all(c is not None and c.num_intervals == 5 for c in first)
-    second = sess.advance(7)
-    assert second[0] is None
-    assert second[1] is not None and second[1].num_intervals == 7
-    assert sess.scenario_intervals_done(0) == 5
-    assert sess.scenario_intervals_done(1) == 12
-    with pytest.raises(EmulationError):
-        sess.advance(1)
-
-
 class TestValidation:
     def _net(self):
         net = star_network(2)
@@ -381,12 +313,6 @@ class TestValidation:
         net, classes, wl = self._net()
         with pytest.raises(ConfigurationError):
             FluidBatchNetwork(net, classes, [], wl, [])
-
-    def test_bad_duration_vector(self):
-        net, classes, wl = self._net()
-        sim = FluidBatchNetwork(net, classes, [{}, {}], wl, [1, 2])
-        with pytest.raises(ConfigurationError):
-            sim.run([1.0, 2.0, 3.0])
 
     def test_unknown_link_rejected_per_scenario(self):
         net, classes, wl = self._net()

@@ -107,25 +107,6 @@ class TestSessionInputs:
         with pytest.raises(EmulationError):
             sim.session(warmup_seconds=float("nan"))
 
-    def _batch_session(self):
-        from repro.fluid.batch import FluidBatchNetwork
-
-        topo, wl, _ = self._sim()
-        return FluidBatchNetwork(
-            topo.network, topo.classes, [{}, {}], wl, [1, 2]
-        ).session()
-
-    def test_swap_scenario_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self._batch_session().set_link_specs({}, scenario=5)
-
-    def test_swap_negative_scenario_rejected(self):
-        # Python's negative indexing would swap the last world.
-        session = self._batch_session()
-        with pytest.raises(ConfigurationError):
-            session.set_link_specs({}, scenario=-1)
-        assert session._pending is None
-
 
 class TestStructure:
     def test_result_shapes(self):

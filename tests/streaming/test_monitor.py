@@ -156,7 +156,6 @@ class TestOnsetDetection:
         net, data = _onset_data()
         tail_net, tail = _onset_data(seed=12)
         # Append a fresh neutral span after the violated one.
-        clean_span = tail.subset(data.path_ids)
         records = []
         for pid in data.path_ids:
             records.append(
@@ -165,13 +164,13 @@ class TestOnsetDetection:
                     np.concatenate(
                         [
                             data.record(pid).sent,
-                            clean_span.record(pid).sent[:ONSET],
+                            tail.record(pid).sent[:ONSET],
                         ]
                     ),
                     np.concatenate(
                         [
                             data.record(pid).lost,
-                            clean_span.record(pid).lost[:ONSET],
+                            tail.record(pid).lost[:ONSET],
                         ]
                     ),
                 )
@@ -208,6 +207,17 @@ class TestMonitorConfig:
             NeutralityMonitor(net, SETTINGS, window_intervals=0)
         with pytest.raises(ConfigurationError):
             NeutralityMonitor(net, SETTINGS, stride=0)
+
+    def test_mismatched_interval_rejected(self):
+        """0.5 s records fed to a 0.1 s monitor are refused before any
+        window is emitted, not reported on a 0.1 s timeline."""
+        net, data = _onset_data()
+        coarse = data.rebinned(5)
+        monitor = NeutralityMonitor(net, SETTINGS, stride=10)
+        with pytest.raises(MeasurementError, match="interval"):
+            monitor.run(ReplayStream(coarse, chunk_intervals=20))
+        assert monitor.stats.num_intervals == 0
+        assert monitor.windows == []
 
     def test_growing_window_mode(self):
         net, data = _onset_data()

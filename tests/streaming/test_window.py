@@ -157,6 +157,30 @@ class TestValidation:
         with pytest.raises(MeasurementError):
             stats.append(chunk)
 
+    @pytest.mark.parametrize(
+        "stream_s, chunk_s, accepted",
+        [(0.1, 0.5, False), (0.5, 0.1, False), (0.3, 0.1 * 3, True)],
+    )
+    def test_chunk_interval_must_match_the_stream(
+        self, stream_s, chunk_s, accepted
+    ):
+        """A chunk at another interval length is refused whole; one
+        that differs only by round-off (0.1·3 vs 0.3) is appended."""
+        stats = SlidingWindowStats(_star_network(4), interval_seconds=stream_s)
+        chunk = RecordChunk(
+            path_ids=tuple(f"p{i}" for i in range(4)),
+            sent=np.ones((4, 5), dtype=np.int64),
+            lost=np.zeros((4, 5), dtype=np.int64),
+            interval_seconds=chunk_s,
+        )
+        if accepted:
+            stats.append(chunk)
+            assert stats.num_intervals == 5
+        else:
+            with pytest.raises(MeasurementError, match="interval"):
+                stats.append(chunk)
+            assert stats.num_intervals == 0
+
     def test_path_set_change_rejected(self):
         net = _star_network(4)
         stats = SlidingWindowStats(net)

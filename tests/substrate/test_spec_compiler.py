@@ -244,7 +244,7 @@ class TestBothEnginesReject:
             topo.network, topo.classes, [specs], wl, [1]
         ).session()
         with pytest.raises(ConfigurationError):
-            session.set_link_specs(_bad_specs(specs, case), scenario=0)
+            session.set_link_specs(_bad_specs(specs, case))
 
     @pytest.mark.parametrize("substrate", ["fluid", "packet"])
     def test_sessions_are_the_engines_own(self, dumbbell, substrate):

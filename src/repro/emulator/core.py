@@ -293,6 +293,19 @@ def _serve_fifo(
     return admit, dep, float(dep[-1])
 
 
+def _check_timing(interval_seconds: float, warmup_seconds: float) -> None:
+    """Reject a session's timing with the fluid engine's rules: a
+    finite positive interval and a finite non-negative warmup."""
+    if not (np.isfinite(interval_seconds) and interval_seconds > 0):
+        raise EmulationError(
+            f"interval must be finite and positive, got {interval_seconds}"
+        )
+    if not (np.isfinite(warmup_seconds) and warmup_seconds >= 0):
+        raise EmulationError(
+            f"warmup_seconds must be finite and >= 0, got {warmup_seconds}"
+        )
+
+
 class PacketNetwork:
     """A runnable packet-level emulation.
 
@@ -369,10 +382,9 @@ class PacketNetwork:
         Equivalent to opening a :meth:`session` and advancing it by
         every interval at once — same arithmetic, same RNG stream.
         """
-        if duration_seconds <= 0:
+        if not (np.isfinite(duration_seconds) and duration_seconds > 0):
             raise EmulationError("duration must be positive")
-        if interval_seconds <= 0:
-            raise EmulationError("interval must be positive")
+        _check_timing(interval_seconds, warmup_seconds)
         num_intervals = int(round(duration_seconds / interval_seconds))
         if num_intervals < 1:
             raise EmulationError("duration shorter than one interval")
@@ -399,8 +411,7 @@ class PacketNetwork:
         emitted intervals). One session per :class:`PacketNetwork`
         instance.
         """
-        if interval_seconds <= 0:
-            raise EmulationError("interval must be positive")
+        _check_timing(interval_seconds, warmup_seconds)
         return PacketSession(
             self, interval_seconds, warmup_seconds, keep_ground_truth
         )

@@ -228,6 +228,11 @@ class FluidBatchNetwork:
     ) -> List[FluidResult]:
         """Run every scenario for ``duration_seconds`` in one lockstep
         program (the arguments of :meth:`FluidNetwork.run`)."""
+        if np.ndim(duration_seconds) != 0:
+            raise EmulationError(
+                "duration_seconds must be one number (every world runs "
+                f"for the same duration), got {duration_seconds!r}"
+            )
         if not (np.isfinite(duration_seconds) and duration_seconds > 0):
             raise EmulationError("duration must be positive")
         session = self.session(

@@ -8,6 +8,7 @@ from repro.measurement.records import (
     MeasurementData,
     PathRecord,
     RecordChunk,
+    checked_counter_rows,
     chunk_from_columns,
     from_arrays,
 )
@@ -78,6 +79,18 @@ class TestMeasurementData:
         np.testing.assert_array_equal(rec.lost, [3, 7])
         assert binned.interval_seconds == pytest.approx(0.2)
 
+    def test_rebinned_leaves_the_original_unchanged(self):
+        data = MeasurementData(
+            [_record(sent=(10, 20, 30, 40), lost=(1, 2, 3, 4))],
+            interval_seconds=0.1,
+        )
+        before = data.sent_matrix.copy()
+        binned = data.rebinned(2)
+        assert binned is not data
+        assert data.num_intervals == 4
+        assert data.interval_seconds == 0.1
+        np.testing.assert_array_equal(data.sent_matrix, before)
+
     def test_rebinned_drops_tail(self):
         data = MeasurementData([_record()])  # 3 intervals
         assert data.rebinned(2).num_intervals == 1
@@ -123,6 +136,35 @@ class TestAllSentPositive:
     def test_false_on_silent_interval(self):
         data = self._data(p1_sent=(10, 0, 30))
         assert data.all_sent_positive is False
+
+
+#: Stacked ``(paths, intervals)`` counters that break a record check,
+#: with the path the error must name.
+_BAD_STACKED_COUNTERS = [
+    ([[3, 2], [4, 4]], [[0, -1], [0, 0]], "p1"),  # negative lost
+    ([[3, 2], [4, -4]], [[0, 0], [0, -4]], "p2"),  # negative sent
+    ([[3, 2], [4, 4]], [[0, 0], [5, 0]], "p2"),  # lost > sent
+    ([[3.0, np.nan], [4.0, 4.0]], [[0, 0], [0, 0]], "p1"),  # NaN sent
+]
+
+
+class TestCheckedCounterRows:
+    """The one check a stream applies to a stacked chunk's counters."""
+
+    @pytest.mark.parametrize("sent, lost, path", _BAD_STACKED_COUNTERS)
+    def test_names_the_first_offending_path(self, sent, lost, path):
+        with pytest.raises(MeasurementError, match=repr(path)):
+            checked_counter_rows(("p1", "p2"), np.array(sent), np.array(lost))
+
+    def test_returns_fresh_int64_copies(self):
+        sent = np.array([[3.0, 2.0], [4.0, 4.0]])
+        lost = np.array([[0, 1], [2, 0]], dtype=np.int32)
+        sent64, lost64 = checked_counter_rows(("p1", "p2"), sent, lost)
+        assert sent64.dtype == lost64.dtype == np.int64
+        np.testing.assert_array_equal(sent64, sent)
+        np.testing.assert_array_equal(lost64, lost)
+        assert not np.shares_memory(sent64, sent)
+        assert not np.shares_memory(lost64, lost)
 
 
 def _chunk(sent, lost, interval_seconds=0.1):

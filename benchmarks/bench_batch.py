@@ -27,6 +27,7 @@ table (sequential vs process-parallel vs batched).
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,16 +324,19 @@ def test_batched_sweep_cache_and_verdicts(tmp_path):
     assert batched_runner.stats.batches >= 1
     assert batched_runner.stats.batched_points == len(grid)
 
-    replay_runner = SweepRunner.for_settings(
-        quick, cache_dir=cache, batch_size=1
-    )
-    replayed = replay_runner.run(points())
+    # The same points without batch hooks run one by one.
+    unbatched = [
+        replace(p, batch_func=None, batch_group=None) for p in points()
+    ]
+    replay_runner = SweepRunner.for_settings(quick, cache_dir=cache)
+    replayed = replay_runner.run(unbatched)
     # Digests are identical batched or not: 100% cache hits.
     assert replay_runner.stats.cache_hits == len(grid)
     assert replay_runner.stats.executed == 0
 
-    fresh_runner = SweepRunner.for_settings(quick, batch_size=1)
-    fresh = fresh_runner.run(points())
+    fresh_runner = SweepRunner.for_settings(quick)
+    fresh = fresh_runner.run(unbatched)
+    assert fresh_runner.stats.batches == 0
     for key in batched:
         assert (
             batched[key].verdict_non_neutral

@@ -5,13 +5,15 @@ Commands:
 * ``info`` — the numpy version, the substrate registry with
   cache-version tags, and the telemetry settings.
 * ``theory`` — the paper's worked examples, analytically (instant).
-* ``fig8 --set N [--value V]`` — one topology-A experiment (set 1–9).
+* ``fig8 --set N [--value V]`` — one topology-A experiment (set 1–9),
+  or the whole set; a set's values that share a scenario run as one
+  batch.
 * ``topo-b [--seed S]`` — the topology-B experiment with reports.
-* ``sweep [--sets 1,2,…] --workers N [--cache DIR]
-  [--batch-size B]`` — the Table 2 sweep fanned over a process pool
-  with result caching; points that compile to a shared scenario
-  (same network, classes, workloads and settings, in any set) run as
-  lockstep scenario batches on a batch-capable substrate.
+* ``sweep [--sets 1,2,…] --workers N [--cache DIR]`` — the Table 2
+  sweep fanned over a process pool with result caching; points that
+  compile to a shared scenario (same network, classes, workloads and
+  settings, in any set) run as lockstep scenario batches on a
+  batch-capable substrate.
 * ``monitor`` — the streaming neutrality monitor: emulate in segment
   mode, emit rolling windowed verdicts, and timestamp
   differentiation onset/offset change points (``--onset T`` switches
@@ -176,27 +178,34 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
     )
     from repro.experiments.topology_a import (
         experiment_values,
+        run_full_set,
         run_topology_a,
     )
 
     values = experiment_values(args.set)
-    chosen = [args.value] if args.value is not None else list(values)
     settings = EmulationSettings(
         duration_seconds=args.duration, seed=args.seed
     )
-    for value in chosen:
-        if args.set != 3:
-            value = float(value)
+    if args.value is None:
+        runs = run_full_set(args.set, settings, substrate=args.substrate)
+    else:
+        try:
+            value = float(args.value) if args.set != 3 else args.value
+        except ValueError:
+            value = None  # not a number: no value of the set matches
         if value not in values:
             print(
                 f"set {args.set} accepts values {values}",
                 file=sys.stderr,
             )
             return 2
+        runs = [
+            (value, run_topology_a(
+                args.set, value, settings, substrate=args.substrate
+            ))
+        ]
+    for value, outcome in runs:
         print(f"\n=== set {args.set}, value {value} ===")
-        outcome = run_topology_a(
-            args.set, value, settings, substrate=args.substrate
-        )
         print(render_path_congestion(outcome))
         print(render_verdict(outcome))
     return 0
@@ -215,7 +224,7 @@ def _cmd_topo_b(args: argparse.Namespace) -> int:
     )
 
     settings = TOPOLOGY_B_SETTINGS.with_seed(args.seed)
-    if args.duration:
+    if args.duration is not None:
         settings = settings.quick(args.duration)
     print("Running topology B (this takes a minute or two)...")
     report = run_topology_b(settings, substrate=args.substrate)
@@ -237,9 +246,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    if args.batch_size is not None and args.batch_size < 1:
-        print("--batch-size must be >= 1", file=sys.stderr)
-        return 2
     try:
         set_numbers = sorted(
             {int(s) for s in args.sets.split(",") if s.strip()}
@@ -256,10 +262,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     points = sweep_points(set_numbers, settings, substrate=args.substrate)
     runner = SweepRunner.for_settings(
-        settings,
-        workers=args.workers,
-        cache_dir=args.cache,
-        batch_size=args.batch_size,
+        settings, workers=args.workers, cache_dir=args.cache
     )
     print(
         f"Sweeping {len(points)} points over {args.workers} worker(s)..."
@@ -448,13 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         help="result-cache directory (default: no caching)",
-    )
-    sweep.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="max points per scenario batch (default: auto; "
-        "1 disables batching)",
     )
     sweep.add_argument("--duration", type=float, default=120.0)
     sweep.add_argument("--seed", type=int, default=1)

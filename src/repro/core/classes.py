@@ -111,22 +111,6 @@ class ClassAssignment:
                 f"path {path_id!r} belongs to no class"
             ) from None
 
-    def pathset_class(self, path_ids: Iterable[str]) -> str:
-        """The single class containing all given paths, or ``""``.
-
-        Lemma 3 distinguishes pathsets *entirely within* one class from
-        mixed pathsets; this helper returns the class name in the
-        former case and the empty string in the latter.
-        """
-        names = {self.class_of(pid) for pid in path_ids}
-        if len(names) == 1:
-            return next(iter(names))
-        return ""
-
-    def is_single_class(self) -> bool:
-        """True when ``|C| == 1`` (every link trivially neutral)."""
-        return len(self._classes) == 1
-
 
 def single_class(net: Network, name: str = "c1") -> ClassAssignment:
     """The trivial assignment putting every path in one class."""

@@ -126,12 +126,6 @@ class EquivalentNeutralNetwork:
             if vl.kind == VirtualLinkKind.REGULATION
         )
 
-    def links_for_origin(self, link_id: str) -> Tuple[VirtualLink, ...]:
-        """The virtual links modelling one original link."""
-        return tuple(
-            vl for vl in self._virtual.values() if vl.origin == link_id
-        )
-
     # ------------------------------------------------------------------
     # Observations
     # ------------------------------------------------------------------

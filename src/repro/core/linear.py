@@ -122,12 +122,3 @@ def solve_least_squares(
     scale = max(1.0, float(np.abs(mat).max()))
     unique = np.linalg.matrix_rank(mat, tol=tol * scale) == mat.shape[1]
     return LeastSquaresSolution(np.asarray(x, dtype=float), float(rnorm), unique)
-
-
-def nullspace_dimension(a: np.ndarray, tol: float = 1e-9) -> int:
-    """Dimension of the null space of ``A`` (identifiability slack)."""
-    mat = _as_matrix(a)
-    if mat.size == 0:
-        return 0
-    scale = max(1.0, float(np.abs(mat).max()))
-    return int(mat.shape[1] - np.linalg.matrix_rank(mat, tol=tol * scale))

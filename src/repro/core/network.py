@@ -88,10 +88,6 @@ class Node:
         if self.kind not in (NodeKind.HOST, NodeKind.RELAY):
             raise ModelError(f"invalid node kind: {self.kind!r}")
 
-    @property
-    def is_host(self) -> bool:
-        return self.kind == NodeKind.HOST
-
 
 @dataclass(frozen=True)
 class Link:
@@ -413,14 +409,6 @@ class Network:
             result = result | self.links_of(path_id)
         return result
 
-    def shared_links(self, path_a: str, path_b: str) -> LinkSeq:
-        """The link sequence shared by a path pair.
-
-        This is the ``σ = Links(p_i) ∩ Links(p_j)`` of Algorithm 1,
-        normalized to a canonical :data:`LinkSeq`.
-        """
-        return make_linkseq(self.links_of(path_a) & self.links_of(path_b))
-
     def distinguishable(self, link_a: str, link_b: str) -> bool:
         """Whether two links are distinguishable.
 
@@ -439,14 +427,6 @@ class Network:
         for i, pa in enumerate(ids):
             for pb in ids[i + 1 :]:
                 yield (pa, pb)
-
-    def unused_links(self) -> FrozenSet[str]:
-        """Links traversed by no path (invisible to any observation)."""
-        return frozenset(
-            link_id
-            for link_id, incident in self._paths_through.items()
-            if not incident
-        )
 
     def restricted_to_paths(self, path_ids: Iterable[str]) -> "Network":
         """A sub-network containing only the given paths.
@@ -482,23 +462,6 @@ class Network:
             list(self._paths.values()) + list(paths),
             self._nodes.values(),
         )
-
-    def without_paths(self, path_ids: Iterable[str]) -> "Network":
-        """A new network with the given measured paths removed.
-
-        Unlike :meth:`restricted_to_paths` the link universe is kept
-        (a departing vantage point does not decommission links). The
-        result is a fresh network, like :meth:`with_paths`.
-
-        Raises:
-            UnknownPathError: On an id that is not a path.
-        """
-        drop = set(path_ids)
-        for pid in drop:
-            if pid not in self._paths:
-                raise UnknownPathError(pid)
-        kept = [p for pid, p in self._paths.items() if pid not in drop]
-        return Network(self._links.values(), kept, self._nodes.values())
 
     def __getstate__(self) -> Dict[str, object]:
         """Drop derived caches when pickling (sweep results embed the

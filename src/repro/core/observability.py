@@ -138,15 +138,13 @@ class UnsolvableWitness:
 
 def find_unsolvable_family(
     perf: NetworkPerformance,
-    max_pathset_size: int = 0,
     tol: float = 1e-9,
 ) -> Optional[UnsolvableWitness]:
     """Search for a pathset family making System 3 unsolvable.
 
-    Builds exact observations for the power family (up to
-    ``max_pathset_size``; 0 = all sizes) and tests solvability of the
-    single big system — if any sub-family is inconsistent, the full
-    family is too, so one test suffices.
+    Builds exact observations for the whole power family and tests
+    solvability of the single big system — if any sub-family is
+    inconsistent, the full family is too, so one test suffices.
 
     Returns:
         A witness, or ``None`` if System 3 is solvable for the whole
@@ -156,7 +154,7 @@ def find_unsolvable_family(
         Exponential in the number of paths; use on small networks.
     """
     net = perf.network
-    fam = power_family(net, max_pathset_size)
+    fam = power_family(net)
     if not fam:
         return None
     rm = routing_matrix(net, fam)

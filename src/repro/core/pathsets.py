@@ -11,7 +11,7 @@ families as ordered tuples so that matrix rows are reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from repro.core.network import Network
 
@@ -65,29 +65,19 @@ def singletons_and_pairs(net: Network) -> PathSetFamily:
     return singletons(net) + all_pairs(net)
 
 
-def power_family(net: Network, max_size: int = 0) -> PathSetFamily:
-    """All non-empty pathsets of size up to ``max_size``.
+def power_family(net: Network) -> PathSetFamily:
+    """All non-empty pathsets: the power set 𝒫* minus the empty set.
 
-    ``max_size <= 0`` means the full power set 𝒫* (minus the empty
-    set). The full power set is exponential in |P|; it is used by the
-    exact observability oracle on the small theory networks, never on
-    emulated topologies.
+    It is exponential in |P|; it is used by the exact observability
+    oracle on the small theory networks, never on emulated
+    topologies.
     """
     ids = net.path_ids
-    top = len(ids) if max_size <= 0 else min(max_size, len(ids))
     out: List[PathSet] = []
-    for size in range(1, top + 1):
+    for size in range(1, len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             out.append(frozenset(combo))
     return tuple(out)
-
-
-def iter_subsets(ps: PathSet) -> Iterator[PathSet]:
-    """All non-empty proper subsets of a pathset (helper for proofs)."""
-    items: Sequence[str] = sorted(ps)
-    for size in range(1, len(items)):
-        for combo in itertools.combinations(items, size):
-            yield frozenset(combo)
 
 
 def format_pathset(ps: PathSet) -> str:

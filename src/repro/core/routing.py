@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.core.network import Network
-from repro.core.pathsets import PathSet, PathSetFamily, format_pathset
+from repro.core.pathsets import PathSetFamily, format_pathset
 
 
 @dataclass(frozen=True)
@@ -36,21 +36,10 @@ class RoutingMatrix:
     def shape(self) -> Tuple[int, int]:
         return self.matrix.shape
 
-    def row_for(self, ps: PathSet) -> np.ndarray:
-        """The row of a given pathset."""
-        return self.matrix[self.rows.index(ps)]
-
-    def column_for(self, link_id: str) -> np.ndarray:
-        """The column of a given link."""
-        return self.matrix[:, self.columns.index(link_id)]
-
     def rank(self, tol: float = 1e-9) -> int:
         if self.matrix.size == 0:
             return 0
         return int(np.linalg.matrix_rank(self.matrix, tol=tol))
-
-    def has_full_column_rank(self, tol: float = 1e-9) -> bool:
-        return self.rank(tol) == self.matrix.shape[1]
 
     def format(self) -> str:
         """Render the matrix like the paper's figures (rows = pathsets)."""

@@ -4,7 +4,7 @@ from repro._namespace import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "config": ("EmulationSettings",),
-    "runner": ("ExperimentOutcome", "measured_subnetwork", "run_experiment"),
+    "runner": ("ExperimentOutcome", "measured_subnetwork"),
     "sweep": ("SweepPoint", "SweepRunner", "SweepStats", "derive_seed"),
     "topology_a": (
         "TABLE2_SETS",

@@ -41,7 +41,6 @@ from repro.measurement.records import MeasurementData
 from repro.substrate.base import SubstrateResult
 from repro.substrate.batch import ScenarioBatch, run_scenario_batch
 from repro.substrate.scenario import CompiledScenario
-from repro.substrate.spec import LinkSpec
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ def infer_from_measurements(
     settings: EmulationSettings = EmulationSettings(),
     min_pathsets: int = DEFAULT_MIN_PATHSETS,
     rng: Optional[np.random.Generator] = None,
-    telemetry: Optional["_telemetry.Tracer"] = None,
 ) -> Tuple[Mapping[PathSet, float], AlgorithmResult]:
     """Records → verdict: the batched inference pipeline.
 
@@ -126,25 +124,21 @@ def infer_from_measurements(
         settings: Thresholds, normalization mode, and decider knobs.
         min_pathsets: Algorithm 1's line-10 threshold.
         rng: Normalization generator (``mode="sampled"`` only).
-        telemetry: Tracer receiving the pipeline spans; ``None`` uses
-            the module default (a no-op unless opted in).
 
     Returns:
         ``(observations, algorithm_result)``.
     """
     observations, _costs, algorithm = _infer(
-        net, measurements, settings, min_pathsets, rng, telemetry
+        net, measurements, settings, min_pathsets, rng
     )
     return observations, algorithm
 
 
-def _infer(net, measurements, settings, min_pathsets, rng, telemetry):
+def _infer(net, measurements, settings, min_pathsets, rng):
     """:func:`infer_from_measurements`, also returning the cost arrays
     the verdict was scored from: ``(observations, (y_member,
     y_pair_flat), algorithm_result)``."""
-    tracer = (
-        telemetry if telemetry is not None else _telemetry.get_tracer()
-    )
+    tracer = _telemetry.get_tracer()
     with tracer.span(
         "infer", paths=len(net.path_ids), mode=settings.normalization_mode
     ) as infer_span:
@@ -182,7 +176,6 @@ def outcome_from_emulation(
     ground_truth_links: Iterable[str] = None,
     min_pathsets: int = DEFAULT_MIN_PATHSETS,
     substrate: str = "fluid",
-    telemetry: Optional["_telemetry.Tracer"] = None,
 ) -> ExperimentOutcome:
     """The measure → infer → score tail of one experiment.
 
@@ -206,7 +199,6 @@ def outcome_from_emulation(
         settings,
         min_pathsets,
         norm_rng,
-        telemetry,
     )
     path_congestion = {
         pid: path_congestion_probability(
@@ -229,45 +221,6 @@ def outcome_from_emulation(
         substrate=substrate,
         costs=costs,
     )
-
-
-def run_experiment(
-    net: Network,
-    classes: ClassAssignment,
-    link_specs: Mapping[str, LinkSpec],
-    workloads: Mapping[str, PathWorkload],
-    settings: EmulationSettings = EmulationSettings(),
-    ground_truth_links: Iterable[str] = None,
-    min_pathsets: int = DEFAULT_MIN_PATHSETS,
-    substrate: str = "fluid",
-    telemetry: Optional["_telemetry.Tracer"] = None,
-) -> ExperimentOutcome:
-    """Run one full experiment: a one-member :func:`run_scenarios`.
-
-    Args:
-        net: The network graph (including background paths).
-        classes: Class assignment used by differentiating links.
-        link_specs: Per-link :class:`~repro.substrate.spec.LinkSpec`
-            values.
-        workloads: Per-path traffic.
-        settings: Emulation/inference settings.
-        ground_truth_links: Links that actually differentiate, for
-            quality scoring; omit to skip scoring.
-        min_pathsets: Algorithm 1's line-10 threshold.
-        substrate: Name of the emulation substrate to run on.
-        telemetry: Tracer receiving the experiment/inference spans;
-            ``None`` uses the module default (a no-op unless opted
-            in).
-
-    Returns:
-        The :class:`ExperimentOutcome`.
-    """
-    member = CompiledScenario(
-        net, classes, link_specs, workloads, settings, substrate,
-        ground_truth_links,
-    )
-    [outcome] = run_scenarios([member], min_pathsets, telemetry)
-    return outcome
 
 
 def _shared_inputs(member: CompiledScenario) -> Dict[str, str]:
@@ -302,7 +255,6 @@ def batch_key(member: CompiledScenario) -> str:
 def run_scenarios(
     members: Sequence[CompiledScenario],
     min_pathsets: int = DEFAULT_MIN_PATHSETS,
-    telemetry: Optional["_telemetry.Tracer"] = None,
 ) -> List[ExperimentOutcome]:
     """The one emulate → measure → infer → score loop, for link-spec
     variants of one experiment (DESIGN.md S19).
@@ -330,9 +282,7 @@ def run_scenarios(
                 "classes, workloads, settings (seed aside) and "
                 f"substrate; member {i} differs in {', '.join(differ)}"
             )
-    tracer = (
-        telemetry if telemetry is not None else _telemetry.get_tracer()
-    )
+    tracer = _telemetry.get_tracer()
     with tracer.span(
         "experiment.run", substrate=first.substrate,
         paths=len(first.network.path_ids), seed=first.settings.seed,
@@ -360,7 +310,6 @@ def run_scenarios(
                 ground_truth_links=member.ground_truth_links,
                 min_pathsets=min_pathsets,
                 substrate=member.substrate,
-                telemetry=telemetry,
             )
             for member, emulation in zip(members, emulations)
         ]

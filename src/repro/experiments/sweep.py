@@ -130,7 +130,7 @@ class SweepPoint:
         return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
-#: Auto batch width: wide enough to amortize the per-step numpy
+#: Batch width: wide enough to amortize the per-step numpy
 #: program over many scenarios, small enough that one worker's batch
 #: state (B× engine arrays + collected columns) stays modest.
 DEFAULT_BATCH_SIZE = 32
@@ -249,10 +249,10 @@ class SweepRunner:
             caching.
         cache_salt: Extra cache-key component (e.g. a settings
             fingerprint not captured in point kwargs).
-        batch_size: Maximum points per scenario batch. ``None``
-            (auto) uses :data:`DEFAULT_BATCH_SIZE`; ``1`` disables
-            batching entirely (every point runs via its own
-            ``func``). Results are identical for any value.
+
+    Batches hold at most :data:`DEFAULT_BATCH_SIZE` points; a point
+    without batch hooks runs through its own ``func``, and results
+    are the same either way.
 
     A parallel runner creates its worker pool on the first parallel
     :meth:`run` and keeps it warm across later calls; :meth:`close`
@@ -273,17 +273,13 @@ class SweepRunner:
         workers: int = 1,
         cache_dir: Optional[str] = None,
         cache_salt: str = "",
-        batch_size: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         self.base_seed = base_seed
         self.workers = workers
         self.cache_dir = cache_dir
         self.cache_salt = cache_salt
-        self.batch_size = batch_size
         self.stats = SweepStats()
         self._pool = None
         self._finalizer = None
@@ -323,7 +319,6 @@ class SweepRunner:
         settings,
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        batch_size: Optional[int] = None,
     ) -> "SweepRunner":
         """Runner bound to an :class:`~repro.experiments.config.
         EmulationSettings`: its seed becomes the base seed and its
@@ -334,7 +329,6 @@ class SweepRunner:
             workers=workers,
             cache_dir=cache_dir,
             cache_salt=settings.fingerprint(),
-            batch_size=batch_size,
         )
 
     # ------------------------------------------------------------------
@@ -385,42 +379,31 @@ class SweepRunner:
         """Group batchable pending points; single tasks for the rest.
 
         Points sharing ``(batch_func, batch_group)`` form scenario
-        batches of at most ``batch_size`` members (submission order
-        preserved); a "group" of one falls back to a single task —
-        a one-world batch has no amortization to offer.
+        batches of at most :data:`DEFAULT_BATCH_SIZE` members
+        (submission order preserved); a "group" of one falls back to a
+        single task — a one-world batch has no amortization to offer.
         """
-        cap = (
-            self.batch_size
-            if self.batch_size is not None
-            else DEFAULT_BATCH_SIZE
-        )
         groups: Dict[Tuple[str, str], List[Tuple[SweepPoint, int, str]]] = {}
         singles: List[Tuple[SweepPoint, int, str]] = []
-        if cap > 1:
-            for entry in pending:
-                point = entry[0]
-                if (
-                    point.batch_func is not None
-                    and point.batch_group is not None
-                ):
-                    func_id = (
-                        f"{point.batch_func.__module__}."
-                        f"{point.batch_func.__qualname__}"
-                    )
-                    groups.setdefault(
-                        (func_id, point.batch_group), []
-                    ).append(entry)
-                else:
-                    singles.append(entry)
-        else:
-            singles = list(pending)
+        for entry in pending:
+            point = entry[0]
+            if point.batch_func is not None and point.batch_group is not None:
+                func_id = (
+                    f"{point.batch_func.__module__}."
+                    f"{point.batch_func.__qualname__}"
+                )
+                groups.setdefault((func_id, point.batch_group), []).append(
+                    entry
+                )
+            else:
+                singles.append(entry)
         tasks: List[Tuple] = []
         for members in groups.values():
             if len(members) == 1:
                 singles.append(members[0])
                 continue
-            for lo in range(0, len(members), cap):
-                chunk = members[lo : lo + cap]
+            for lo in range(0, len(members), DEFAULT_BATCH_SIZE):
+                chunk = members[lo : lo + DEFAULT_BATCH_SIZE]
                 if len(chunk) == 1:
                     singles.append(chunk[0])
                     continue

@@ -303,26 +303,22 @@ def run_full_set(
     workers: int = 1,
     cache_dir: str = None,
     substrate: str = "fluid",
-    batch_size: int = None,
 ) -> List[Tuple[object, ExperimentOutcome]]:
-    """Run all experiments of one Table 2 set.
+    """Run all experiments of one Table 2 set (``repro fig8`` without
+    ``--value``).
 
     With ``workers > 1`` the set's values run on a process pool; with
     a ``cache_dir`` finished points are memoized on disk. Values that
     compile to a shared scenario (all of sets 6 and 9) additionally
-    run as one scenario batch on batch-capable substrates
-    (``batch_size=1`` disables). Results are
-    identical for any worker count or batch width, and identical to
-    the seed sequential runner: every point runs at ``settings.seed``
-    (the Figure 8 benches assert claims about those exact
-    realizations — use :func:`sweep_points` directly for
-    independently-seeded points).
+    run as one scenario batch on batch-capable substrates. Results
+    are identical for any worker count, batched or not, and
+    identical to :func:`run_topology_a` at each value: every point
+    runs at ``settings.seed`` (the Figure 8 benches assert claims
+    about those exact realizations — use :func:`sweep_points`
+    directly for independently-seeded points).
     """
     runner = SweepRunner.for_settings(
-        settings,
-        workers=workers,
-        cache_dir=cache_dir,
-        batch_size=batch_size,
+        settings, workers=workers, cache_dir=cache_dir
     )
     results = runner.run(
         sweep_points(

@@ -251,9 +251,9 @@ class NeutralityMonitor:
             length, i.e. tumbling windows; or
             :data:`DEFAULT_STRIDE` for growing windows).
         min_pathsets: Algorithm 1's line-10 threshold.
-        cusum_reference: CUSUM drift reference (default: the
-            decider's ``definite`` bar).
-        cusum_threshold: CUSUM firing threshold (default: same bar).
+
+    The CUSUM drift reference and firing threshold are both the
+    decider's ``definite`` bar.
     """
 
     def __init__(
@@ -263,8 +263,6 @@ class NeutralityMonitor:
         window_intervals: Optional[int] = None,
         stride: Optional[int] = None,
         min_pathsets: int = DEFAULT_MIN_PATHSETS,
-        cusum_reference: Optional[float] = None,
-        cusum_threshold: Optional[float] = None,
     ) -> None:
         if settings.normalization_mode != "expected":
             raise ConfigurationError(
@@ -294,16 +292,6 @@ class NeutralityMonitor:
             raise ConfigurationError(
                 f"stride must be >= 1, got {self.stride}"
             )
-        self._reference = float(
-            cusum_reference
-            if cusum_reference is not None
-            else settings.decider_definite
-        )
-        self._threshold = float(
-            cusum_threshold
-            if cusum_threshold is not None
-            else settings.decider_definite
-        )
         self.windows: List[WindowVerdict] = []
         self.change_points: List[ChangePoint] = []
         num_sigmas = self.stats.batch.num_systems
@@ -431,8 +419,8 @@ class NeutralityMonitor:
             self._last_zero,
             scores,
             idx,
-            self._reference,
-            self._threshold,
+            self._definite,
+            self._definite,
         )
         sigmas = self.stats.batch.sigmas
         for k, estimate in zip(fired.tolist(), estimates.tolist()):

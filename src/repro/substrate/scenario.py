@@ -166,10 +166,6 @@ class Scenario:
                 self, "settings", replace(self.settings, **TOPOLOGY_B_DECIDERS)
             )
 
-    def with_substrate(self, substrate: str) -> "Scenario":
-        return replace(self, substrate=substrate)
-
-
 @dataclass(frozen=True)
 class CompiledScenario:
     """A scenario lowered to runnable objects: one member of

@@ -248,17 +248,13 @@ def build_federated_multi_isp(
 
 def build_multi_isp(
     policing_rate: float = 0.3,
-    backbone_capacity_mbps: float = 100.0,
-    access_capacity_mbps: float = 1000.0,
     policed: Tuple[str, ...] = POLICED_LINKS,
 ) -> MultiIspTopology:
-    """Build topology B.
+    """Build topology B: backbone and ingress links at the paper's
+    100 Mbps bottleneck capacity, host access links at 1000 Mbps.
 
     Args:
         policing_rate: Rate fraction of the three policers.
-        backbone_capacity_mbps: Capacity of backbone and ingress
-            links (the paper's 100 Mbps bottlenecks).
-        access_capacity_mbps: Capacity of host access links.
         policed: Which links police class c2 (default: the paper's
             three; pass ``()`` for an all-neutral variant).
 
@@ -280,10 +276,7 @@ def build_multi_isp(
     access_links = set(ACCESS.values()) | set(WHITE_ACCESS.values())
     specs: Dict[str, LinkSpec] = {}
     for lid in link_ids:
-        capacity = (
-            access_capacity_mbps if lid in access_links
-            else backbone_capacity_mbps
-        )
+        capacity = 1000.0 if lid in access_links else 100.0
         policer = (
             PolicerSpec(target_class="c2", rate_fraction=policing_rate)
             if lid in policed

@@ -85,14 +85,8 @@ class TestClassAssignment:
         assert classes.class_of("p2") == "c2"
         assert classes.class_of("p1") == "c1"
 
-    def test_pathset_class(self, net):
-        classes = two_classes(net, ["p2", "p3"])
-        assert classes.pathset_class(["p2", "p3"]) == "c2"
-        assert classes.pathset_class(["p1", "p2"]) == ""
-
     def test_single_class(self, net):
         classes = single_class(net)
-        assert classes.is_single_class()
         assert len(classes) == 1
 
     def test_two_classes_rejects_all_paths(self, net):

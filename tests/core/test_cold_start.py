@@ -118,4 +118,3 @@ def test_paths_through_federated():
 def test_paths_through_unused_link_is_empty():
     net = Network(["a", "b", "idle"], [Path("p", ("a", "b"))])
     assert net.paths_through("idle") == frozenset()
-    assert net.unused_links() == frozenset({"idle"})

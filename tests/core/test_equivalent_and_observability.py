@@ -18,12 +18,18 @@ from repro.core.pathsets import power_family, singletons_and_pairs
 from repro.topology.figures import figure1, figure2, figure4, figure5
 
 
+def _by_origin(eq, link_id):
+    """The virtual links modelling one original link."""
+    return tuple(
+        vl for vl in eq.virtual_links.values() if vl.origin == link_id
+    )
+
 class TestEquivalentConstruction:
     def test_figure3_structure(self):
         """Fig 1's equivalent: l1 -> l1+(c1), l1+(c2); others neutral."""
         fig = figure1()
         eq = build_equivalent(fig.performance)
-        by_origin = eq.links_for_origin("l1")
+        by_origin = _by_origin(eq, "l1")
         kinds = sorted(vl.kind for vl in by_origin)
         assert kinds == [VirtualLinkKind.COMMON, VirtualLinkKind.REGULATION]
         common = next(
@@ -41,7 +47,7 @@ class TestEquivalentConstruction:
     def test_neutral_links_map_to_themselves(self):
         fig = figure1()
         eq = build_equivalent(fig.performance)
-        (vl,) = eq.links_for_origin("l3")
+        (vl,) = _by_origin(eq, "l3")
         assert vl.kind == VirtualLinkKind.NEUTRAL
         assert vl.cost == pytest.approx(0.03)
         assert vl.paths == {"p2", "p3"}

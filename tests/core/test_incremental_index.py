@@ -1,9 +1,9 @@
 """Path add/remove: the derived network ≡ a cold rebuild.
 
-:meth:`Network.with_paths` / :meth:`Network.without_paths` return a
-fresh network that keeps the link universe (DESIGN.md S20); its
-:class:`PathIndex`, pair groups and slice batches are built on first
-use. This suite locks that contract: after any add/remove, starting
+:meth:`Network.with_paths` returns a fresh network that keeps the link
+universe (DESIGN.md S20) and :meth:`Network.restricted_to_paths` one
+that keeps only the links its paths use; their :class:`PathIndex`,
+pair groups and slice batches are built on first use. This suite locks that contract: after any add/remove, starting
 from a network whose caches are warm, the index, pair-group arrays and
 slice batches must be *identical* — not just equivalent — to the ones
 a network built from scratch over the same links and paths yields,
@@ -100,15 +100,15 @@ class TestDeterministic:
 
     def test_remove_patches_index(self):
         net = _warm(self._net())
-        shrunk = net.without_paths(["p1", "p3"])
-        # Link universe is kept even when a link loses all paths.
-        assert shrunk.link_ids == net.link_ids
+        shrunk = net.restricted_to_paths(["p0", "p2"])
+        # l3 lost its only path, so the restriction drops it.
+        assert shrunk.link_ids == ("l0", "l1", "l2")
         _check_against_rebuild(shrunk)
 
     def test_add_then_remove_round_trip(self):
         net = _warm(self._net())
         grown = net.with_paths([Path("p4", ("l2", "l3"))])
-        back = grown.without_paths(["p4"])
+        back = grown.restricted_to_paths(net.path_ids)
         _check_against_rebuild(back)
         _assert_groups_equal(_pair_groups(back), _pair_groups(net))
 
@@ -124,15 +124,15 @@ class TestDeterministic:
 
     def test_remove_unknown_path_rejected(self):
         with pytest.raises(UnknownPathError):
-            self._net().without_paths(["ghost"])
+            self._net().restricted_to_paths(["ghost"])
 
     def test_federated_vantage_churn(self):
         """A realistic churn on the multi-ISP topology: one vantage
         host's paths leave, two fresh paths join."""
         fed = build_federated_multi_isp(2, 4)
         net = _warm(fed.network, min_pathsets=5)
-        leaving = sorted(net.path_ids)[:4]
-        shrunk = net.without_paths(leaving)
+        staying = sorted(net.path_ids)[4:]
+        shrunk = net.restricted_to_paths(staying)
         _check_against_rebuild(shrunk, min_pathsets=5)
         template = net.path(sorted(net.path_ids)[-1])
         grown = shrunk.with_paths(
@@ -175,8 +175,10 @@ def test_random_churn_equals_rebuild(case):
     net = _warm(Network(links, paths))
     grown = net.with_paths(added)
     _check_against_rebuild(grown)
-    shrunk = grown.without_paths(removed)
+    shrunk = grown.restricted_to_paths(
+        [pid for pid in grown.path_ids if pid not in removed]
+    )
     _check_against_rebuild(shrunk)
     # And patching a patched network (second generation) stays exact.
-    again = shrunk.with_paths([Path("z0", tuple(links[:1]))])
+    again = shrunk.with_paths([Path("z0", shrunk.link_ids[:1])])
     _check_against_rebuild(again)

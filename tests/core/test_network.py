@@ -11,6 +11,7 @@ from repro.core.network import (
     make_linkseq,
     network_from_path_specs,
 )
+from repro.core.slices import shared_sequences
 from repro.exceptions import (
     InvalidPathError,
     ModelError,
@@ -58,14 +59,14 @@ class TestConstruction:
             [Link("l1", "a", "b")], [Path("p1", ("l1",))]
         )
         assert set(net.nodes) == {"a", "b"}
-        assert not net.node("a").is_host
+        assert net.node("a").kind == NodeKind.RELAY
 
     def test_invalid_node_kind_rejected(self):
         with pytest.raises(ModelError):
             Node("x", "router")
 
     def test_host_node(self):
-        assert Node("h", NodeKind.HOST).is_host
+        assert Node("h", NodeKind.HOST).kind == NodeKind.HOST
 
 
 class TestHelpers:
@@ -94,10 +95,12 @@ class TestHelpers:
             "l1", "l2", "l3", "l4",
         }
 
-    def test_shared_links(self, fig1_net):
-        assert fig1_net.shared_links("p1", "p2") == ("l1",)
-        assert fig1_net.shared_links("p2", "p3") == ("l3",)
-        assert fig1_net.shared_links("p1", "p3") == ()
+    def test_shared_sequences(self, fig1_net):
+        # p1 and p3 share no link, so no bucket holds them.
+        assert shared_sequences(fig1_net) == {
+            ("l1",): [("p1", "p2")],
+            ("l3",): [("p2", "p3")],
+        }
 
     def test_distinguishable(self, fig1_net):
         assert fig1_net.distinguishable("l1", "l2")
@@ -111,9 +114,9 @@ class TestHelpers:
     def test_path_pairs_count(self, fig1_net):
         assert len(list(fig1_net.path_pairs())) == 3
 
-    def test_unused_links(self):
+    def test_unused_link_carries_no_path(self):
         net = Network(["l1", "l2"], [Path("p1", ("l1",))])
-        assert net.unused_links() == {"l2"}
+        assert net.paths_through("l2") == frozenset()
 
     def test_contains_and_len(self, fig1_net):
         assert "l1" in fig1_net

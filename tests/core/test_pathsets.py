@@ -4,7 +4,6 @@ from repro.core.pathsets import (
     all_pairs,
     family,
     format_pathset,
-    iter_subsets,
     pathset,
     power_family,
     singletons,
@@ -46,17 +45,6 @@ def test_singletons_and_pairs():
 def test_power_family_full():
     fam = power_family(_net())
     assert len(fam) == 2**3 - 1
-
-
-def test_power_family_capped():
-    fam = power_family(_net(), max_size=2)
-    assert len(fam) == 3 + 3
-    assert all(len(ps) <= 2 for ps in fam)
-
-
-def test_iter_subsets():
-    subsets = set(iter_subsets(frozenset({"a", "b", "c"})))
-    assert len(subsets) == 6  # all non-empty proper subsets
 
 
 def test_format_pathset_sorted():

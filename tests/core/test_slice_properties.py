@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.network import Network, Path
+from repro.core.network import Network, Path, make_linkseq
 from repro.core.slices import (
     SIGMA_COLUMN,
     _observation_arrays,
@@ -44,7 +44,8 @@ def test_buckets_partition_sharing_pairs(net):
     seen = set()
     for sigma, pairs in buckets.items():
         for pair in pairs:
-            assert net.shared_links(*pair) == sigma
+            a, b = pair
+            assert make_linkseq(net.links_of(a) & net.links_of(b)) == sigma
             assert pair not in seen
             seen.add(pair)
     expected = {

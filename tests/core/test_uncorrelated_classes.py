@@ -22,10 +22,16 @@ def fig():
     return figure5()
 
 
+def _by_origin(eq, link_id):
+    """The virtual links modelling one original link."""
+    return tuple(
+        vl for vl in eq.virtual_links.values() if vl.origin == link_id
+    )
+
 class TestTypeBEquivalent:
     def test_parallel_virtual_links(self, fig):
         eq = build_equivalent(fig.performance, uncorrelated_links=["l1"])
-        by_origin = eq.links_for_origin("l1")
+        by_origin = _by_origin(eq, "l1")
         assert len(by_origin) == 2
         assert all(
             vl.kind == VirtualLinkKind.REGULATION for vl in by_origin
@@ -45,7 +51,7 @@ class TestTypeBEquivalent:
         eq = build_equivalent(
             fig.performance, uncorrelated_links=["l2"]
         )  # l2 is neutral: flag is a no-op
-        (vl,) = eq.links_for_origin("l2")
+        (vl,) = _by_origin(eq, "l2")
         assert vl.kind == VirtualLinkKind.NEUTRAL
 
     def test_observation_difference_only_on_cross_class_pathsets(

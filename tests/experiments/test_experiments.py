@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import EmulationSettings
-from repro.experiments.runner import measured_subnetwork, run_experiment
+from repro.experiments.runner import measured_subnetwork, run_scenarios
 from repro.experiments.topology_a import (
     TABLE2_SETS,
     build_experiment,
@@ -12,6 +12,7 @@ from repro.experiments.topology_a import (
     run_topology_a,
 )
 from repro.fluid.params import PathWorkload
+from repro.substrate.scenario import CompiledScenario
 from repro.topology.dumbbell import SHARED_LINK, build_dumbbell
 
 QUICK = EmulationSettings(duration_seconds=60.0, warmup_seconds=5.0)
@@ -151,15 +152,15 @@ class TestRunner:
             )
             for pid in topo.network.path_ids
         }
-        out = run_experiment(
-            topo.network,
-            topo.classes,
-            topo.link_specs,
-            wl,
-            settings=EmulationSettings(
-                duration_seconds=15.0, warmup_seconds=2.0
-            ),
-        )
+        [out] = run_scenarios([
+            CompiledScenario(
+                topo.network,
+                topo.classes,
+                topo.link_specs,
+                wl,
+                EmulationSettings(duration_seconds=15.0, warmup_seconds=2.0),
+            )
+        ])
         assert out.quality is None
 
 
@@ -167,7 +168,8 @@ class TestTopologyBBatchedSweep:
     def test_batched_points_match_unbatched(self):
         """Topology-B sweep points that differ only in rate and seed
         run as one scenario batch — which must reproduce the
-        one-at-a-time (``batch_size=1``) sweep report for report."""
+        one-at-a-time sweep (the same points without batch hooks)
+        report for report."""
         import numpy as np
         from dataclasses import replace
 
@@ -195,8 +197,10 @@ class TestTopologyBBatchedSweep:
             )
             for rep, rate in enumerate((0.15, 0.25))
         ]
-        plain_runner = SweepRunner.for_settings(quick, batch_size=1)
-        plain = plain_runner.run(points)
+        plain_runner = SweepRunner.for_settings(quick)
+        plain = plain_runner.run([
+            replace(p, batch_func=None, batch_group=None) for p in points
+        ])
         batched_runner = SweepRunner.for_settings(quick)
         batched = batched_runner.run(points)
         assert plain_runner.stats.batches == 0

@@ -240,25 +240,75 @@ class TestCli:
         # Set 6's four rates share one scenario: one batch.
         assert "batching: 1 batch(es) covering 4 point(s)" in out
 
-    def test_sweep_batch_size_one_disables(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--sets", "6",
-                "--duration", "15",
-                "--batch-size", "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "batching: 0 batch(es)" in out
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["fig8", "--set", "4", "--value", "abc"],
+                "set 4 accepts values", id="fig8-value-not-a-number",
+            ),
+            pytest.param(
+                ["fig8", "--set", "3", "--value", "bbr"],
+                "set 3 accepts values", id="fig8-value-not-in-set",
+            ),
+            pytest.param(
+                ["topo-b", "--duration", "0"], "error: duration_seconds",
+                id="topo-b-duration-0",
+            ),
+            pytest.param(
+                ["topo-b", "--duration", "-5"], "error: duration_seconds",
+                id="topo-b-duration-negative",
+            ),
+        ],
+    )
+    def test_malformed_input_exits_2_before_emulating(
+        self, capsys, monkeypatch, argv, message
+    ):
+        """A value that does not parse, or a duration that is not
+        positive, is one stderr line and exit 2, and nothing runs."""
+        import repro.experiments.topology_a as topology_a
+        import repro.experiments.topology_b as topology_b
 
-    def test_sweep_bad_batch_size(self, capsys):
-        code = main(
-            ["sweep", "--sets", "6", "--batch-size", "0"]
-        )
-        assert code == 2
-        assert "--batch-size" in capsys.readouterr().err
+        def emulated(*args, **kwargs):
+            raise AssertionError("emulated")
+
+        monkeypatch.setattr(topology_a, "run_scenarios", emulated)
+        monkeypatch.setattr(topology_b, "run_scenarios", emulated)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--window", "window_intervals"), ("--chunk", "chunk_intervals"),
+         ("--stride", "stride")],
+    )
+    def test_monitor_bad_shape_exits_2_before_emulating(
+        self, capsys, monkeypatch, flag, field
+    ):
+        from repro.streaming.monitor import NeutralityMonitor
+
+        def emulated(*args, **kwargs):
+            raise AssertionError("emulated")
+
+        monkeypatch.setattr(NeutralityMonitor, "run", emulated)
+        assert main(["monitor", "--duration", "10", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field} must be >= 1, got 0\n"
+        assert "final verdict" not in captured.out
+
+    def test_fig8_whole_set_prints_each_value_as_alone(self, capsys):
+        """``fig8`` without ``--value`` runs the set as one batch and
+        prints, byte for byte, what ``--value`` prints per value."""
+        argv = ["fig8", "--set", "6", "--duration", "10", "--seed", "2"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        alone = []
+        for value in ("50.0", "40.0", "30.0", "20.0"):
+            assert main([*argv, "--value", value]) == 0
+            alone.append(capsys.readouterr().out)
+        assert whole == "".join(alone)
 
     def test_unknown_substrate_reports_clean_error(self, capsys):
         code = main(
@@ -339,8 +389,7 @@ class TestCli:
             assert monitor._definite == want.decider_definite
             assert monitor._min_ratio == want.decider_min_ratio
             assert monitor._min_absolute == want.decider_min_absolute
-            assert monitor._reference == want.decider_definite
-            assert monitor._threshold == want.decider_definite
+            assert monitor._definite == want.decider_definite
         assert TOPOLOGY_B_SETTINGS.decider_definite != (
             defaults.decider_definite
         )
@@ -389,13 +438,17 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--adaptive"], ["--resolution", "8"], ["--budget", "5"]],
+        [
+            ["--adaptive"], ["--resolution", "8"], ["--budget", "5"],
+            ["--batch-size", "1"],
+        ],
         ids=lambda flags: " ".join(flags),
     )
     def test_removed_sweep_flags_are_usage_errors(self, flags):
-        """``sweep`` has one mode, the Table 2 grid: it knows no
-        ``--adaptive``, ``--resolution`` or ``--budget``, and each exits
-        2 with one argparse usage error and no traceback."""
+        """``sweep`` has one mode, the Table 2 grid, and one batch
+        width: it knows no ``--adaptive``, ``--resolution``,
+        ``--budget`` or ``--batch-size``, and each exits 2 with one
+        argparse usage error and no traceback."""
         import os
         import subprocess
         import sys

@@ -1,6 +1,6 @@
 """The one batch executor, ``run_scenarios``, under every experiment
-family: its shared-input guard, and its one-member call against
-``run_experiment`` and the plain emulate-then-finish composition."""
+family: its shared-input guard, and its one-member call against the
+plain emulate-then-finish composition."""
 
 import pickle
 from dataclasses import fields, replace
@@ -12,7 +12,6 @@ from repro.experiments.config import EmulationSettings
 from repro.experiments.runner import (
     batch_key,
     outcome_from_emulation,
-    run_experiment,
     run_scenarios,
 )
 from repro.experiments.topology_a import (
@@ -124,24 +123,15 @@ def test_no_member_is_refused():
 
 
 @pytest.mark.parametrize("substrate", ["fluid", "packet"])
-def test_one_member_call_equals_run_experiment(substrate):
-    """A one-member ``run_scenarios`` call, ``run_experiment`` and the
-    plain composition ``backend.run`` → ``outcome_from_emulation``
-    give the same outcome, bit for bit."""
+def test_one_member_call_equals_composition(substrate):
+    """A one-member ``run_scenarios`` call and the plain composition
+    ``backend.run`` → ``outcome_from_emulation`` give the same
+    outcome, bit for bit."""
     member = replace(
         compile_topology_a(6, 30.0, SETTINGS.with_seed(7)),
         substrate=substrate,
     )
     [executed] = run_scenarios([member])
-    experiment = run_experiment(
-        member.network,
-        member.classes,
-        member.link_specs,
-        member.workloads,
-        settings=member.settings,
-        ground_truth_links=member.ground_truth_links,
-        substrate=substrate,
-    )
     emulation = get_substrate(substrate).run(
         member.network,
         member.classes,
@@ -158,6 +148,5 @@ def test_one_member_call_equals_run_experiment(substrate):
         ground_truth_links=member.ground_truth_links,
         substrate=substrate,
     )
-    assert pickle.dumps(executed) == pickle.dumps(experiment)
     assert pickle.dumps(executed) == pickle.dumps(composed)
     assert executed.substrate == substrate

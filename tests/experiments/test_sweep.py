@@ -11,6 +11,7 @@ The load-bearing properties:
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ def _broken_batch(seeds, kwargs_list):
 
 def _short_batch(seeds, kwargs_list):
     return [_emulate_point(seed=seeds[0], **kwargs_list[0])]
+
+
+def _unbatched(points):
+    """The same points without batch hooks: the runner runs each
+    through its own ``func``."""
+    return [replace(p, batch_func=None, batch_group=None) for p in points]
 
 
 def _batched_points(values=(1.0, 2.0, 5.0), batch_func=_emulate_batch):
@@ -323,16 +330,19 @@ class TestBatching:
         assert runner.stats.batched_points == 3
         assert runner.stats.executed == 3
 
-    def test_batch_size_caps_groups(self):
-        runner = SweepRunner(base_seed=5, batch_size=2)
+    def test_batch_size_caps_groups(self, monkeypatch):
+        import repro.experiments.sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "DEFAULT_BATCH_SIZE", 2)
+        runner = SweepRunner(base_seed=5)
         runner.run(_batched_points((1.0, 2.0, 5.0, 7.0, 9.0)))
         # 5 points at cap 2 -> batches of 2+2, last point single.
         assert runner.stats.batches == 2
         assert runner.stats.batched_points == 4
 
-    def test_batch_size_one_disables(self):
-        runner = SweepRunner(base_seed=5, batch_size=1)
-        results = runner.run(_batched_points())
+    def test_points_without_hooks_run_singly(self):
+        runner = SweepRunner(base_seed=5)
+        results = runner.run(_unbatched(_batched_points()))
         assert runner.stats.batches == 0
         assert results == SweepRunner(base_seed=5).run(_points())
 
@@ -417,7 +427,7 @@ class TestBatching:
         with pytest.warns(RuntimeWarning, match="must share"):
             results = runner.run(points)
         assert runner.stats.batch_retries == 2
-        singles = SweepRunner(base_seed=5, batch_size=1).run(points)
+        singles = SweepRunner(base_seed=5).run(_unbatched(points))
         for key in results:
             assert (
                 results[key].path_congestion
@@ -430,9 +440,7 @@ class TestBatching:
         versa."""
         cache = str(tmp_path / "cache")
         SweepRunner(base_seed=5, cache_dir=cache).run(_batched_points())
-        unbatched = SweepRunner(
-            base_seed=5, cache_dir=cache, batch_size=1
-        )
+        unbatched = SweepRunner(base_seed=5, cache_dir=cache)
         results = unbatched.run(_points())
         assert unbatched.stats.cache_hits == 3
         assert unbatched.stats.executed == 0
@@ -446,10 +454,6 @@ class TestBatching:
         assert runner.stats.cache_hits == 1
         assert runner.stats.batches == 1
         assert runner.stats.batched_points == 2
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(batch_size=0)
 
 
 class TestTiming:
@@ -659,16 +663,15 @@ class TestTopologyAWiring:
             duration_seconds=20.0, warmup_seconds=2.0
         )
 
-        def sweep(sets, batch_size):
-            runner = SweepRunner.for_settings(quick, batch_size=batch_size)
-            results = runner.run(
-                sweep_points(sets, quick, derive_seeds=False)
-            )
+        def sweep(points):
+            runner = SweepRunner.for_settings(quick)
+            results = runner.run(points)
             return runner.stats.batched_points, results
 
         for sets, batched_points in (((6,), 4), ((2, 4, 7), 9)):
-            _, plain = sweep(sets, 1)
-            count, runner_checked = sweep(sets, None)
+            points = sweep_points(sets, quick, derive_seeds=False)
+            _, plain = sweep(_unbatched(points))
+            count, runner_checked = sweep(points)
             assert count == batched_points
             assert list(plain) == list(runner_checked)
             for key, a in plain.items():
@@ -694,10 +697,8 @@ class TestTopologyAWiring:
         )
         cache = str(tmp_path / "cache")
         run_full_set(6, quick, cache_dir=cache)  # batched fill
-        runner = SweepRunner.for_settings(
-            quick, cache_dir=cache, batch_size=1
-        )
-        runner.run(sweep_points([6], quick, derive_seeds=False))
+        runner = SweepRunner.for_settings(quick, cache_dir=cache)
+        runner.run(_unbatched(sweep_points([6], quick, derive_seeds=False)))
         assert runner.stats.cache_hits == 4
         assert runner.stats.executed == 0
 
@@ -818,9 +819,8 @@ class TestPoolLifetime:
 
 def test_for_settings_binds_seed_and_fingerprint():
     settings = QUICK.with_seed(11)
-    runner = SweepRunner.for_settings(settings, workers=1, batch_size=3)
+    runner = SweepRunner.for_settings(settings, workers=1)
     assert runner.base_seed == 11
     assert runner.cache_salt == settings.fingerprint()
-    assert runner.batch_size == 3
     other = SweepRunner.for_settings(settings.quick(20.0))
     assert other.cache_salt != runner.cache_salt

@@ -11,6 +11,9 @@ pipeline where that mistake shows:
   sent nothing, must give an empty verdict on every seed;
 * a short emulated neutral run must give an empty verdict, and the
   paired policed run must flag a σ containing the policer ``l5``.
+
+The two emulated runs share a batch key (only their link specs
+differ), so they run as one batch.
 """
 
 import numpy as np
@@ -18,33 +21,45 @@ import pytest
 
 from repro.core.classes import classes_from_mapping
 from repro.core.performance import neutral_performance
-from repro.experiments.runner import infer_from_measurements
+from repro.experiments.runner import (
+    batch_key,
+    infer_from_measurements,
+    run_scenarios,
+)
 from repro.experiments.topology_b import TOPOLOGY_B_SETTINGS
 from repro.measurement.records import MeasurementData, PathRecord
 from repro.measurement.synthetic import synthesize_records
 from repro.substrate.scenario import (
     DifferentiationPolicy,
     Scenario,
-    run_scenario,
+    compile_scenario,
 )
 
 SETTINGS = TOPOLOGY_B_SETTINGS.quick(120.0)
-
-
-def _run(policy):
-    return run_scenario(
-        Scenario(
-            name="topology-b",
-            topology="multi_isp",
-            policy=policy,
-            settings=SETTINGS,
-        )
-    )
+POLICED = DifferentiationPolicy(mechanism="policing", rate_fraction=0.15)
 
 
 @pytest.fixture(scope="module")
-def neutral_run():
-    return _run(None)
+def runs():
+    """``(neutral, policed)``, emulated as one batch."""
+    members = [
+        compile_scenario(
+            Scenario(
+                name="topology-b",
+                topology="multi_isp",
+                policy=policy,
+                settings=SETTINGS,
+            )
+        )
+        for policy in (None, POLICED)
+    ]
+    assert batch_key(members[0]) == batch_key(members[1])
+    return run_scenarios(members)
+
+
+@pytest.fixture(scope="module")
+def neutral_run(runs):
+    return runs[0]
 
 
 def _masked_synthetic(twin, seed):
@@ -100,8 +115,6 @@ def test_emulated_neutral_is_clean(neutral_run):
     assert neutral_run.algorithm.identified == ()
 
 
-def test_emulated_policed_flags_l5():
-    policed = _run(
-        DifferentiationPolicy(mechanism="policing", rate_fraction=0.15)
-    )
+def test_emulated_policed_flags_l5(runs):
+    _, policed = runs
     assert any("l5" in sigma for sigma in policed.algorithm.identified)

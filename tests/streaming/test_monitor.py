@@ -393,21 +393,22 @@ def test_array_cusum_matches_scalar_reference(case):
     assert change_points == ref_change_points
 
 
-def test_monitor_cusum_matches_scalar_reference():
-    """The monitor's timeline and change points, with custom CUSUM
-    knobs, equal the scalar loop run over its own score timeline."""
+@pytest.mark.parametrize(
+    "definite", [SETTINGS.decider_definite, 0.02], ids=["default", "0.02"]
+)
+def test_monitor_cusum_matches_scalar_reference(definite):
+    """The monitor's timeline and change points equal the scalar loop
+    run over its own score timeline, with the decider's ``definite``
+    bar as both CUSUM reference and threshold."""
     net, data = _onset_data()
+    settings = EmulationSettings(decider_definite=definite)
     monitor = NeutralityMonitor(
-        net,
-        SETTINGS,
-        window_intervals=100,
-        stride=25,
-        cusum_reference=0.02,
-        cusum_threshold=0.1,
+        net, settings, window_intervals=100, stride=25
     )
     report = monitor.run(ReplayStream(data, chunk_intervals=50))
+    bar = definite
     flagged, _, change_points = cusum_reference(
-        report.scores, report.window_ends, 0.02, 0.1
+        report.scores, report.window_ends, bar, bar
     )
     np.testing.assert_array_equal(report.flagged, flagged)
     assert change_points

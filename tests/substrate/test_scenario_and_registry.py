@@ -141,10 +141,6 @@ class TestScenarioCompile:
         with pytest.raises(ConfigurationError):
             Scenario(name="x", topology="fat-tree")
 
-    def test_with_substrate(self):
-        sc = Scenario(name="s").with_substrate("packet")
-        assert sc.substrate == "packet"
-
     def test_scenario_is_picklable(self):
         import pickle
 

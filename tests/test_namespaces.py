@@ -28,7 +28,8 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 # of ``repro.experiments``;
 # ``repro.fluid.uniform_workload``; ``repro.streaming.MonitorFleet``;
 # ``repro.core.remove_redundant`` and the mapping deciders
-# ``repro.measurement.classify_scores`` / ``cluster_decider``.
+# ``repro.measurement.classify_scores`` / ``cluster_decider``;
+# ``repro.experiments.run_experiment`` (a one-member ``run_scenarios``).
 FROZEN_ALL = {
     "repro": (
         "AlgorithmResult", "ClassAssignment", "Network", "NetworkPerformance",
@@ -79,8 +80,8 @@ FROZEN_ALL = {
         "build_experiment", "derive_seed", "experiment_values",
         "measured_subnetwork", "render_ground_truth",
         "render_path_congestion", "render_queue_traces", "render_sequences",
-        "render_sweep_summary", "render_verdict", "run_experiment",
-        "run_full_set", "run_topology_a", "run_topology_b",
+        "render_sweep_summary", "render_verdict", "run_full_set",
+        "run_topology_a", "run_topology_b",
         "run_topology_b_point", "sweep_points", "table3_workloads",
     ),
     "repro.fluid": (

@@ -145,7 +145,8 @@ class TestMultiIsp:
 
     def test_every_link_carries_traffic(self):
         topo = build_multi_isp()
-        assert not topo.network.unused_links()
+        net = topo.network
+        assert all(net.paths_through(lid) for lid in net.link_ids)
 
     def test_policer_sequences_are_candidates(self):
         """Each policer appears in at least one examinable sequence

@@ -164,7 +164,7 @@ def _update(h, name, array):
 
 
 def result_digest(result):
-    """SHA-256 over every array of one ``FluidResult``."""
+    """SHA-256 over every array of one emulation result."""
     h = hashlib.sha256()
     for pid in sorted(result.measurements.path_ids):
         rec = result.measurements.record(pid)

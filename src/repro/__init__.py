@@ -44,7 +44,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "performance_with_violations",
         "routing_matrix",
         "satisfies_lemma3",
-        "single_class",
         "two_classes",
     ),
     "exceptions": ("ReproError",),

@@ -286,13 +286,18 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.analysis.stats import format_table
-    from repro.streaming.monitor import monitor_scenario
+    from repro.streaming.monitor import check_positive_counts, monitor_scenario
     from repro.substrate.registry import get_substrate
     from repro.substrate.scenario import DifferentiationPolicy, Scenario
 
     # Validate free-form names up front so typos produce one clean
     # ReproError line instead of a traceback mid-emulation.
     get_substrate(args.substrate)
+    check_positive_counts(
+        chunk_intervals=args.chunk,
+        window_intervals=args.window,
+        stride=args.stride,
+    )
     settings = EmulationSettings(
         duration_seconds=args.duration,
         warmup_seconds=args.warmup,

@@ -19,7 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "ClassAssignment",
         "PerformanceClass",
         "classes_from_mapping",
-        "single_class",
         "two_classes",
     ),
     "equivalent": (
@@ -27,7 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "VirtualLink",
         "VirtualLinkKind",
         "build_equivalent",
-        "structural_equivalent",
     ),
     "identifiability": (
         "Lemma3Result",
@@ -63,7 +61,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "ObservabilityResult",
         "UnsolvableWitness",
         "check_observability",
-        "check_structural_observability",
         "find_unsolvable_family",
         "minimal_unsolvable_family",
     ),
@@ -96,6 +93,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "build_slice_system",
         "pairs_for_sequence",
         "shared_sequences",
-        "slice_pathsets",
     ),
 })

@@ -112,13 +112,6 @@ class ClassAssignment:
             ) from None
 
 
-def single_class(net: Network, name: str = "c1") -> ClassAssignment:
-    """The trivial assignment putting every path in one class."""
-    return ClassAssignment(
-        [PerformanceClass(name, frozenset(net.path_ids))], net
-    )
-
-
 def two_classes(
     net: Network,
     class2_paths: Iterable[str],

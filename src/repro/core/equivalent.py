@@ -21,8 +21,9 @@ observability condition is stated.
 
 Regulation links whose path set is empty or whose extra cost is zero
 contribute nothing to any observation; they are retained in the
-structure (flagged via :attr:`VirtualLink.is_effective`) because the
-*structural* observability check must still reason about them.
+structure and flagged via :attr:`VirtualLink.is_effective`, which the
+Theorem 1 check (:func:`repro.core.observability.check_observability`)
+reads.
 """
 
 from __future__ import annotations
@@ -307,75 +308,6 @@ def build_equivalent(
                     class_name=cls.name,
                     paths=paths_l & cls.paths,
                     cost=max(extra, 0.0),
-                )
-            )
-    return EquivalentNeutralNetwork(net, classes, virtual)
-
-
-def structural_equivalent(
-    net: Network,
-    classes: ClassAssignment,
-    non_neutral_links: Iterable[str],
-    top_class: Mapping[str, str] = None,
-) -> EquivalentNeutralNetwork:
-    """Neutral equivalent from topology alone (no magnitudes).
-
-    Used by the structural observability and identifiability checks:
-    the *location* of non-neutral links and the class structure
-    determine distinguishability; costs do not. Every hypothesized
-    non-neutral link gets unit regulation cost for every non-top
-    class.
-
-    Args:
-        net: The network.
-        classes: The class assignment.
-        non_neutral_links: Hypothesized non-neutral link ids.
-        top_class: Optional ``{link_id: class_name}`` giving each
-            non-neutral link's top-priority class; defaults to the
-            first class.
-    """
-    non_neutral = set(non_neutral_links)
-    for lid in non_neutral:
-        if lid not in net:
-            raise TheoryError(f"unknown non-neutral link {lid!r}")
-    tops = dict(top_class or {})
-    virtual: List[VirtualLink] = []
-    for lid in net.link_ids:
-        paths_l = net.paths_through(lid)
-        if lid not in non_neutral:
-            virtual.append(
-                VirtualLink(
-                    id=f"{lid}+",
-                    origin=lid,
-                    kind=VirtualLinkKind.NEUTRAL,
-                    class_name=None,
-                    paths=paths_l,
-                    cost=0.0,
-                )
-            )
-            continue
-        top = tops.get(lid, classes.names[0])
-        virtual.append(
-            VirtualLink(
-                id=f"{lid}+({top})",
-                origin=lid,
-                kind=VirtualLinkKind.COMMON,
-                class_name=top,
-                paths=paths_l,
-                cost=0.0,
-            )
-        )
-        for cls in classes:
-            if cls.name == top:
-                continue
-            virtual.append(
-                VirtualLink(
-                    id=f"{lid}+({cls.name})",
-                    origin=lid,
-                    kind=VirtualLinkKind.REGULATION,
-                    class_name=cls.name,
-                    paths=paths_l & cls.paths,
-                    cost=1.0,
                 )
             )
     return EquivalentNeutralNetwork(net, classes, virtual)

@@ -17,12 +17,12 @@ Definitions and results implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.classes import ClassAssignment
 from repro.core.network import LinkSeq, Network, make_linkseq
 from repro.core.performance import NetworkPerformance
-from repro.core.slices import SliceSystem, build_slice_system
+from repro.core.slices import build_slice_system
 
 
 @dataclass(frozen=True)

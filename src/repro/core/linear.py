@@ -21,7 +21,6 @@ layer prefers :func:`residual`-based scores plus clustering
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Sequence, Set
 
 from repro.core.algorithm import AlgorithmResult
 from repro.core.network import LinkSeq

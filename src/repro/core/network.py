@@ -21,7 +21,7 @@ constructions mirror the paper's figures verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -444,24 +444,6 @@ class Network:
             used_links.update(p.links)
         links = [self._links[lid] for lid in sorted(used_links)]
         return Network(links, paths)
-
-    def with_paths(self, paths: Iterable[Path]) -> "Network":
-        """A new network with additional measured paths.
-
-        The vantage-point operation (DESIGN.md S20): the link universe
-        is unchanged (every new path must traverse existing links).
-        The result is a fresh network whose :class:`PathIndex` and
-        pair groups are built cold on first use.
-
-        Raises:
-            UnknownLinkError: If a new path uses an unknown link.
-            ModelError: On a duplicate path id.
-        """
-        return Network(
-            self._links.values(),
-            list(self._paths.values()) + list(paths),
-            self._nodes.values(),
-        )
 
     def __getstate__(self) -> Dict[str, object]:
         """Drop derived caches when pickling (sweep results embed the

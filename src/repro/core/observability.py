@@ -11,8 +11,7 @@ Two entry points:
 
 * :func:`check_observability` — applies Theorem 1 to a concrete
   :class:`~repro.core.performance.NetworkPerformance` (only regulation
-  links with a real extra cost count) or to a structural hypothesis
-  ("these links are non-neutral").
+  links with a real extra cost count).
 * :func:`find_unsolvable_family` — a constructive oracle: searches for
   a pathset family whose System 3 is unsolvable, returning a witness.
   Exponential in |P|; intended for the small theory networks of the
@@ -23,19 +22,12 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.classes import ClassAssignment
-from repro.core.equivalent import (
-    EquivalentNeutralNetwork,
-    VirtualLink,
-    build_equivalent,
-    structural_equivalent,
-)
+from repro.core.equivalent import VirtualLink, build_equivalent
 from repro.core.linear import is_solvable
-from repro.core.network import Network
 from repro.core.pathsets import PathSetFamily, power_family
 from repro.core.performance import NetworkPerformance
 from repro.core.routing import routing_matrix
@@ -59,16 +51,24 @@ class ObservabilityResult:
     masked: Tuple[Tuple[VirtualLink, str], ...]
 
 
-def _distinguishing_witnesses(
-    equivalent: EquivalentNeutralNetwork,
-    require_effective: bool,
-) -> ObservabilityResult:
+def check_observability(perf: NetworkPerformance) -> ObservabilityResult:
+    """Theorem 1 on a concrete performance assignment.
+
+    Only *effective* regulation links count: a regulation link with
+    zero extra cost or no traversing path cannot influence any
+    observation, so it cannot witness a violation.
+
+    Returns:
+        :class:`ObservabilityResult`; ``observable`` is False for a
+        neutral network (there are no regulation links at all).
+    """
+    equivalent = build_equivalent(perf)
     net = equivalent.original
     real_path_sets = {lid: net.paths_through(lid) for lid in net.link_ids}
     witnesses: List[VirtualLink] = []
     masked: List[Tuple[VirtualLink, str]] = []
     for vl in equivalent.regulation_links():
-        if require_effective and not vl.is_effective:
+        if not vl.is_effective:
             continue
         mask = next(
             (
@@ -87,38 +87,6 @@ def _distinguishing_witnesses(
         witnesses=tuple(witnesses),
         masked=tuple(masked),
     )
-
-
-def check_observability(perf: NetworkPerformance) -> ObservabilityResult:
-    """Theorem 1 on a concrete performance assignment.
-
-    Only *effective* regulation links count: a regulation link with
-    zero extra cost or no traversing path cannot influence any
-    observation, so it cannot witness a violation.
-
-    Returns:
-        :class:`ObservabilityResult`; ``observable`` is False for a
-        neutral network (there are no regulation links at all).
-    """
-    return _distinguishing_witnesses(
-        build_equivalent(perf), require_effective=True
-    )
-
-
-def check_structural_observability(
-    net: Network,
-    classes: ClassAssignment,
-    non_neutral_links: Iterable[str],
-    top_class: Mapping[str, str] = None,
-) -> ObservabilityResult:
-    """Theorem 1 from topology alone.
-
-    Answers: *if* the given links differentiated against every
-    lower-priority class, would that be observable? Useful for
-    measurement-platform planning (where to place vantage points).
-    """
-    equivalent = structural_equivalent(net, classes, non_neutral_links, top_class)
-    return _distinguishing_witnesses(equivalent, require_effective=False)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ emulators provide the noisy, realistic counterpart.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 import numpy as np
 

@@ -922,13 +922,3 @@ def batch_unsolvability_arrays(
     # spread * 0.0 is 0 for a single-pair system, NaN for an
     # unexamined one.
     return np.where(np.diff(offsets) >= 2, spread, spread * 0.0)
-
-
-def slice_pathsets(net: Network, sigma: LinkSeq) -> PathSetFamily:
-    """Just the pathset family ``Φ_σ`` (singletons + pairs), or ``()``.
-
-    Convenience for the measurement layer, which needs to know which
-    pathsets to measure before any system is solved.
-    """
-    system = build_slice_system(net, sigma)
-    return system.family if system is not None else ()

@@ -17,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "DEFAULT_MAX_PACKETS",
         "PACKET_ENGINE_VERSION",
         "PacketNetwork",
-        "PacketResult",
         "greedy_admission",
     ),
 })

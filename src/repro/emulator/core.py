@@ -41,7 +41,6 @@ packets/second advantage over the reference loop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -56,13 +55,8 @@ from repro.fluid.params import (
     complete_link_specs,
     mb_to_packets,
 )
-from repro.measurement.records import (
-    MeasurementData,
-    PathRecord,
-    RecordChunk,
-    chunk_from_columns,
-    link_congestion_probability,
-)
+from repro.measurement.records import RecordChunk, chunk_from_columns
+from repro.substrate.base import SubstrateResult, measured_rows, package_result
 
 #: Engine implementation tag; part of the sweep result-cache key so
 #: cached packet-substrate outcomes are invalidated when this
@@ -98,36 +92,6 @@ def greedy_admission(caps: np.ndarray) -> np.ndarray:
         mask[0] = admitted_after[0] > 0
         np.greater(admitted_after[1:], admitted_after[:-1], out=mask[1:])
     return mask
-
-
-@dataclass(frozen=True)
-class PacketResult:
-    """Everything one packet emulation produced.
-
-    Structurally identical to :class:`repro.fluid.engine.FluidResult`
-    — the shared interval-record schema every substrate emits (see
-    :class:`repro.substrate.base.SubstrateResult`).
-    """
-
-    measurements: MeasurementData
-    link_class_arrivals: Dict[str, Dict[str, np.ndarray]]
-    link_class_drops: Dict[str, Dict[str, np.ndarray]]
-    queue_occupancy: Dict[str, np.ndarray]
-    interval_seconds: float
-    flows_completed: Dict[str, int]
-    path_rtt_seconds: Optional[Dict[str, np.ndarray]] = None
-
-    def link_congestion_probability(
-        self, link_id: str, class_name: str, loss_threshold: float = 0.01
-    ) -> float:
-        """Ground-truth congestion probability of a link for a class
-        (the shared definition in :func:`repro.measurement.records.
-        link_congestion_probability`)."""
-        return link_congestion_probability(
-            self.link_class_arrivals[link_id][class_name],
-            self.link_class_drops[link_id][class_name],
-            loss_threshold,
-        )
 
 
 class _LinkRuntime:
@@ -368,6 +332,9 @@ class PacketNetwork:
         )
         self._workloads = dict(workloads) if workloads is not None else None
         self._seed = seed
+        self._path_ids: List[str] = sorted(
+            flow_plan if flow_plan is not None else net.path_ids
+        )
 
     # ------------------------------------------------------------------
 
@@ -376,7 +343,7 @@ class PacketNetwork:
         duration_seconds: float,
         interval_seconds: float = 0.1,
         warmup_seconds: float = 0.0,
-    ) -> PacketResult:
+    ) -> SubstrateResult:
         """Run the emulation and return the interval-record result.
 
         Equivalent to opening a :meth:`session` and advancing it by
@@ -406,7 +373,7 @@ class PacketNetwork:
         The packet analogue of :meth:`repro.fluid.engine.
         FluidNetwork.session`: advance N intervals at a time, swap
         link specs at interval boundaries, collect the cumulative
-        :class:`PacketResult` at any point (unless
+        :class:`~repro.substrate.base.SubstrateResult` at any point (unless
         ``keep_ground_truth=False`` bounds memory by discarding
         emitted intervals). One session per :class:`PacketNetwork`
         instance.
@@ -433,11 +400,7 @@ class PacketNetwork:
         # telemetry is on (a pure pass-through: the bit stream, and
         # therefore every record, is unchanged).
         rng = session._wrap_rng(np.random.default_rng(self._seed))
-        path_ids: List[str] = sorted(
-            self._flow_plan
-            if self._flow_plan is not None
-            else net.path_ids
-        )
+        path_ids = self._path_ids
         link_ids: List[str] = list(net.link_ids)
         class_names = self._classes.names
         num_paths = len(path_ids)
@@ -480,7 +443,7 @@ class PacketNetwork:
         # --- flows ------------------------------------------------------
         (
             f_path, f_mean, f_alpha, f_gap, f_gap_fixed, f_rttf,
-            f_next_start, measured_paths,
+            f_next_start,
         ) = self._build_flows(path_ids, rng)
         nf = f_path.shape[0]
         f_class = path_class[f_path]
@@ -527,10 +490,7 @@ class PacketNetwork:
         lost_ivl = np.zeros(num_paths, dtype=np.int64)
         link_arr_ivl = np.zeros((num_links, num_classes), dtype=np.int64)
         link_drop_ivl = np.zeros((num_links, num_classes), dtype=np.int64)
-        session._bind(
-            path_ids, link_ids, class_names, f_path, f_completed,
-            measured_paths,
-        )
+        session._bind(f_path, f_completed)
 
         def _close_interval(occ: np.ndarray, rtt_col: np.ndarray):
             cols = (
@@ -817,11 +777,9 @@ class PacketNetwork:
         f_alpha: List[float] = []
         f_gap: List[float] = []
         f_gap_fixed: List[bool] = []
-        measured_paths = set()
         if self._flow_plan is not None:
             stagger = 0.1
             for p, pid in enumerate(path_ids):
-                measured_paths.add(pid)
                 for size in self._flow_plan[pid]:
                     f_path.append(p)
                     f_mean.append(float(size))
@@ -831,10 +789,7 @@ class PacketNetwork:
         else:
             stagger = 0.5
             for p, pid in enumerate(path_ids):
-                workload = self._workloads[pid]
-                if workload.measured:
-                    measured_paths.add(pid)
-                for spec in workload.slots:
+                for spec in self._workloads[pid].slots:
                     f_path.append(p)
                     f_mean.append(mb_to_packets(spec.mean_size_mb))
                     f_alpha.append(spec.pareto_shape)
@@ -859,7 +814,6 @@ class PacketNetwork:
             np.array(f_gap_fixed, dtype=bool),
             rttf,
             starts,
-            measured_paths,
         )
 
     def _serve_link(
@@ -1028,6 +982,15 @@ class PacketSession:
         keep_ground_truth: bool = True,
     ) -> None:
         self._sim = sim
+        self._path_ids = sim._path_ids
+        # A flow plan measures every path it names.
+        self._measured_rows, self._measured_ids = measured_rows(
+            self._path_ids,
+            [
+                sim._flow_plan is not None or sim._workloads[pid].measured
+                for pid in self._path_ids
+            ],
+        )
         self.interval_seconds = float(interval_seconds)
         self._keep_history = bool(keep_ground_truth)
         self._pending_specs: Optional[Dict[str, LinkSpec]] = None
@@ -1036,7 +999,10 @@ class PacketSession:
             float(interval_seconds),
             int(round(warmup_seconds / interval_seconds)),
         )
-        self._path_ids: Optional[List[str]] = None
+        # Flow → path row and completed-flow counters, bound by the
+        # loop at the first advance.
+        self._f_path = np.zeros(0, dtype=np.intp)
+        self._f_completed = np.zeros(0, dtype=np.int64)
         self._sent_cols: List[np.ndarray] = []
         self._lost_cols: List[np.ndarray] = []
         self._arr_cols: List[np.ndarray] = []
@@ -1068,27 +1034,10 @@ class PacketSession:
             return telemetry.CountingRNG(rng, self._tel_rng)
         return rng
 
-    def _bind(
-        self, path_ids, link_ids, class_names, f_path, f_completed,
-        measured_paths,
-    ) -> None:
+    def _bind(self, f_path, f_completed) -> None:
         """Called by the loop once its state exists (first advance)."""
-        self._path_ids = list(path_ids)
-        self._link_ids = list(link_ids)
-        self._class_names = class_names
         self._f_path = f_path
         self._f_completed = f_completed
-        self._measured_rows = np.array(
-            [
-                p
-                for p, pid in enumerate(self._path_ids)
-                if pid in measured_paths
-            ],
-            dtype=np.intp,
-        )
-        self._measured_ids = tuple(
-            self._path_ids[p] for p in self._measured_rows.tolist()
-        )
 
     def set_link_specs(
         self, link_specs: Mapping[str, LinkSpec] = None
@@ -1143,66 +1092,27 @@ class PacketSession:
             start,
         )
 
-    def result(self) -> PacketResult:
+    def result(self) -> SubstrateResult:
         """Package everything emulated so far as a
-        :class:`PacketResult` — identical to the one-shot run's."""
-        if self.intervals_done == 0:
-            raise EmulationError("no intervals emulated yet")
-        if not self._keep_history:
-            raise EmulationError(
-                "ground-truth history was discarded "
-                "(keep_ground_truth=False); no result to package"
-            )
-        path_ids = self._path_ids
-        link_ids = self._link_ids
-        class_names = self._class_names
-        num_paths = len(path_ids)
-        sent_out = np.stack(self._sent_cols, axis=1)
-        lost_out = np.stack(self._lost_cols, axis=1)
-        link_arr_out = np.stack(self._arr_cols, axis=2)
-        link_drop_out = np.stack(self._drop_cols, axis=2)
-        queue_occ_out = np.stack(self._occ_cols, axis=1)
-        rtt_out = np.stack(self._rtt_cols, axis=1)
-
-        records = []
-        for p in self._measured_rows.tolist():
-            records.append(
-                PathRecord(
-                    path_ids[p],
-                    sent_out[p],
-                    np.minimum(lost_out[p], sent_out[p]),
-                )
-            )
-        if not records:
-            raise EmulationError("no measured paths in the workload")
-        flows_by_path = np.bincount(
-            self._f_path, weights=self._f_completed, minlength=num_paths
-        )
-        return PacketResult(
-            measurements=MeasurementData(records, self.interval_seconds),
-            link_class_arrivals={
-                lid: {
-                    cn: link_arr_out[l, c].astype(float)
-                    for c, cn in enumerate(class_names)
-                }
-                for l, lid in enumerate(link_ids)
-            },
-            link_class_drops={
-                lid: {
-                    cn: link_drop_out[l, c].astype(float)
-                    for c, cn in enumerate(class_names)
-                }
-                for l, lid in enumerate(link_ids)
-            },
-            queue_occupancy={
-                lid: queue_occ_out[l] for l, lid in enumerate(link_ids)
-            },
+        :class:`~repro.substrate.base.SubstrateResult` — identical to
+        the one-shot run's."""
+        return package_result(
+            intervals_done=self.intervals_done,
+            keep_ground_truth=self._keep_history,
             interval_seconds=self.interval_seconds,
-            flows_completed={
-                pid: int(flows_by_path[p])
-                for p, pid in enumerate(path_ids)
-            },
-            path_rtt_seconds={
-                pid: rtt_out[p] for p, pid in enumerate(path_ids)
-            },
+            path_ids=self._path_ids,
+            measured=self._measured_rows,
+            link_ids=self._sim._net.link_ids,
+            class_names=self._sim._classes.names,
+            sent=self._sent_cols,
+            lost=self._lost_cols,
+            rtt=self._rtt_cols,
+            arrivals=self._arr_cols,
+            drops=self._drop_cols,
+            occupancy=self._occ_cols,
+            flows_by_path=np.bincount(
+                self._f_path,
+                weights=self._f_completed,
+                minlength=len(self._path_ids),
+            ),
         )

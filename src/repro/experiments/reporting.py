@@ -8,7 +8,7 @@ benches and the CLI print them: one function per paper artifact.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 from repro.analysis.stats import boxplot_summary, format_table, series_summary
 from repro.core.metrics import QualityReport

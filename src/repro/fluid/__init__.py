@@ -15,7 +15,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "DEFAULT_INTERVAL",
         "ENGINE_VERSION",
         "FluidNetwork",
-        "FluidResult",
     ),
     "params": (
         "MSS_BITS",

@@ -63,8 +63,6 @@ from repro.fluid.engine import (
     SRTT_TIME_CONSTANT,
     _JITTER_BLOCK_STEPS,
     FluidNetwork,
-    FluidResult,
-    package_result,
 )
 from repro.fluid.params import (
     LinkSpec,
@@ -75,6 +73,7 @@ from repro.fluid.params import (
 from repro.fluid.tcp import TcpArrayState
 from repro.fluid.traffic import SlotArrays
 from repro.measurement.records import RecordChunk, chunk_from_columns
+from repro.substrate.base import SubstrateResult, measured_rows, package_result
 
 
 def _allocate_bursts(
@@ -225,7 +224,7 @@ class FluidBatchNetwork:
         dt: float = DEFAULT_DT,
         interval_seconds: float = DEFAULT_INTERVAL,
         warmup_seconds: float = 0.0,
-    ) -> List[FluidResult]:
+    ) -> List[SubstrateResult]:
         """Run every scenario for ``duration_seconds`` in one lockstep
         program (the arguments of :meth:`FluidNetwork.run`)."""
         if np.ndim(duration_seconds) != 0:
@@ -870,6 +869,11 @@ class FluidBatchSession:
             dt, interval_seconds, warmup_seconds
         )
         self._sim = sim
+        self._path_ids = list(sim._net.path_ids)
+        self._measured_rows, self._measured_ids = measured_rows(
+            self._path_ids,
+            [sim._workloads[pid].measured for pid in self._path_ids],
+        )
         self.interval_seconds = float(interval_seconds)
         self._steps_per_interval = steps_per_interval
         self._keep_history = bool(keep_ground_truth)
@@ -877,23 +881,10 @@ class FluidBatchSession:
         self._gen = sim._interval_loop(
             self, dt, steps_per_interval, warmup_steps
         )
-        self._slots = None
-        self._spath = None
-        path_ids = list(sim._net.path_ids)
-        self._path_ids = path_ids
-        self._measured_rows = np.array(
-            [
-                p
-                for p, pid in enumerate(path_ids)
-                if sim._workloads[pid].measured
-            ],
-            dtype=np.intp,
-        )
-        self._measured_ids = tuple(
-            path_ids[p] for p in self._measured_rows.tolist()
-        )
-        if not self._measured_ids:
-            raise EmulationError("no measured paths in the workload")
+        # Slot → (scenario, path) row and completed-flow counters,
+        # bound by the loop at the first advance.
+        self._flow_rows = np.zeros(0, dtype=np.intp)
+        self._flows_done = np.zeros(0, dtype=np.int64)
         self._sent_cols: List[np.ndarray] = []
         self._lost_cols: List[np.ndarray] = []
         self._rtt_cols: List[np.ndarray] = []
@@ -937,8 +928,8 @@ class FluidBatchSession:
 
     def _bind(self, slots, spath) -> None:
         """Called by the loop once its state exists (first advance)."""
-        self._slots = slots
-        self._spath = spath
+        self._flow_rows = spath
+        self._flows_done = slots.flows_completed
 
     def set_link_specs(
         self, link_specs: Mapping[str, LinkSpec] = None
@@ -1004,39 +995,34 @@ class FluidBatchSession:
             for b in range(self.num_scenarios)
         ]
 
-    def result(self, scenario: int) -> FluidResult:
+    def result(self, scenario: int) -> SubstrateResult:
         """Package one scenario's emulated span as a
-        :class:`FluidResult` — identical to its single run's."""
-        if self.intervals_done == 0:
-            raise EmulationError("no intervals emulated yet")
-        if not self._keep_history:
-            raise EmulationError(
-                "ground-truth history was discarded "
-                "(keep_ground_truth=False); no result to package"
-            )
-        sim = self._sim
+        :class:`~repro.substrate.base.SubstrateResult` — identical to
+        its single run's."""
         b = scenario
         num_paths = len(self._path_ids)
         flows_by_path = np.bincount(
-            self._spath,
-            weights=self._slots.flows_completed,
-            minlength=sim.num_scenarios * num_paths,
-        ).reshape(sim.num_scenarios, num_paths)[b]
+            self._flow_rows,
+            weights=self._flows_done,
+            minlength=self.num_scenarios * num_paths,
+        ).reshape(self.num_scenarios, num_paths)[b]
         return package_result(
-            self._path_ids,
-            list(sim._net.link_ids),
-            sim._classes.names,
-            sim._workloads,
-            np.stack([col[b] for col in self._sent_cols], axis=1),
-            np.stack([col[b] for col in self._lost_cols], axis=1),
-            np.stack([col[b] for col in self._rtt_cols], axis=1),
-            np.stack([col[b] for col in self._arr_cols], axis=2),
-            np.stack([col[b] for col in self._drop_cols], axis=2),
-            np.stack([col[b] for col in self._occ_cols], axis=1),
-            flows_by_path,
-            self.interval_seconds,
+            intervals_done=self.intervals_done,
+            keep_ground_truth=self._keep_history,
+            interval_seconds=self.interval_seconds,
+            path_ids=self._path_ids,
+            measured=self._measured_rows,
+            link_ids=self._sim._net.link_ids,
+            class_names=self._sim._classes.names,
+            sent=[col[b] for col in self._sent_cols],
+            lost=[col[b] for col in self._lost_cols],
+            rtt=[col[b] for col in self._rtt_cols],
+            arrivals=[col[b] for col in self._arr_cols],
+            drops=[col[b] for col in self._drop_cols],
+            occupancy=[col[b] for col in self._occ_cols],
+            flows_by_path=flows_by_path,
         )
 
-    def results(self) -> List[FluidResult]:
-        """Every scenario's :class:`FluidResult`, in scenario order."""
+    def results(self) -> List[SubstrateResult]:
+        """Every scenario's result, in scenario order."""
         return [self.result(b) for b in range(self.num_scenarios)]

@@ -55,8 +55,7 @@ as arrival downstream (< dt smearing); queueing delay enters RTT as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -64,12 +63,8 @@ from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError, EmulationError
 from repro.fluid.params import LinkSpec, PathWorkload, complete_link_specs
-from repro.measurement.records import (
-    MeasurementData,
-    PathRecord,
-    RecordChunk,
-    link_congestion_probability,
-)
+from repro.measurement.records import RecordChunk
+from repro.substrate.base import SubstrateResult
 
 #: Engine implementation tag; part of the sweep result-cache key so
 #: cached outcomes are invalidated when the emulation model changes.
@@ -100,120 +95,6 @@ SRTT_TIME_CONSTANT = 0.2
 
 #: Steps of send jitter drawn per RNG call (amortizes call overhead).
 _JITTER_BLOCK_STEPS = 256
-
-
-@dataclass(frozen=True)
-class FluidResult:
-    """Everything one emulation run produced.
-
-    Attributes:
-        measurements: Per-interval (sent, lost) for *measured* paths —
-            the input to Algorithm 2.
-        link_class_arrivals: ``{link: {class: array[T]}}`` packets
-            arriving per interval (ground truth).
-        link_class_drops: Same shape, packets dropped.
-        queue_occupancy: ``{link: array[T]}`` total buffered packets
-            sampled at each interval end (Figure 11's y-axis, in
-            packets; multiply by MSS to get bits).
-        interval_seconds: Measurement interval length.
-        flows_completed: ``{path: completed flow count}`` sanity data.
-    """
-
-    measurements: MeasurementData
-    link_class_arrivals: Dict[str, Dict[str, np.ndarray]]
-    link_class_drops: Dict[str, Dict[str, np.ndarray]]
-    queue_occupancy: Dict[str, np.ndarray]
-    interval_seconds: float
-    flows_completed: Dict[str, int]
-    #: Mean effective RTT (base + queueing) per path per interval, in
-    #: seconds — the input to the §7 latency-threshold metric
-    #: (:mod:`repro.measurement.latency`).
-    path_rtt_seconds: Optional[Dict[str, np.ndarray]] = None
-
-    def link_congestion_probability(
-        self, link_id: str, class_name: str, loss_threshold: float = 0.01
-    ) -> float:
-        """Ground-truth congestion probability of a link for a class
-        (the shared definition in :func:`repro.measurement.records.
-        link_congestion_probability` — Figure 10(a)'s quantity)."""
-        return link_congestion_probability(
-            self.link_class_arrivals[link_id][class_name],
-            self.link_class_drops[link_id][class_name],
-            loss_threshold,
-        )
-
-
-def package_result(
-    path_ids,
-    link_ids,
-    class_names,
-    workloads,
-    sent_out: np.ndarray,
-    lost_out: np.ndarray,
-    rtt_out: np.ndarray,
-    link_arr_out: np.ndarray,
-    link_drop_out: np.ndarray,
-    queue_occ_out: np.ndarray,
-    flows_by_path: np.ndarray,
-    interval_seconds: float,
-) -> FluidResult:
-    """Package per-interval output arrays as a :class:`FluidResult`.
-
-    The one place measured-path integer rounding and the per-link /
-    per-path dict layouts are produced (every fluid session's
-    ``result``, at any batch width).
-
-    Args:
-        sent_out / lost_out / rtt_out: ``(|paths|, T)`` per-interval
-            columns.
-        link_arr_out / link_drop_out: ``(|links|, |classes|, T)``.
-        queue_occ_out: ``(|links|, T)``.
-        flows_by_path: ``(|paths|,)`` completed-flow counts.
-    """
-    flows_completed = {
-        pid: int(flows_by_path[p]) for p, pid in enumerate(path_ids)
-    }
-    measured_rows = np.array(
-        [p for p, pid in enumerate(path_ids) if workloads[pid].measured],
-        dtype=np.intp,
-    )
-    sent_i = np.rint(sent_out[measured_rows]).astype(np.int64)
-    lost_i = np.minimum(
-        np.rint(lost_out[measured_rows]).astype(np.int64), sent_i
-    )
-    records = [
-        PathRecord(path_ids[p], sent_i[k], lost_i[k])
-        for k, p in enumerate(measured_rows.tolist())
-    ]
-    link_arr = {
-        lid: {
-            cn: link_arr_out[l, c]
-            for c, cn in enumerate(class_names)
-        }
-        for l, lid in enumerate(link_ids)
-    }
-    link_drop = {
-        lid: {
-            cn: link_drop_out[l, c]
-            for c, cn in enumerate(class_names)
-        }
-        for l, lid in enumerate(link_ids)
-    }
-    queue_occ = {
-        lid: queue_occ_out[l] for l, lid in enumerate(link_ids)
-    }
-    rtt_by_path = {
-        pid: rtt_out[p] for p, pid in enumerate(path_ids)
-    }
-    return FluidResult(
-        measurements=MeasurementData(records, interval_seconds),
-        link_class_arrivals=link_arr,
-        link_class_drops=link_drop,
-        queue_occupancy=queue_occ,
-        interval_seconds=interval_seconds,
-        flows_completed=flows_completed,
-        path_rtt_seconds=rtt_by_path,
-    )
 
 
 class FluidNetwork:
@@ -258,7 +139,7 @@ class FluidNetwork:
         dt: float = DEFAULT_DT,
         interval_seconds: float = DEFAULT_INTERVAL,
         warmup_seconds: float = 0.0,
-    ) -> FluidResult:
+    ) -> SubstrateResult:
         """Run the emulation in one shot.
 
         Equivalent to opening a :meth:`session` and advancing it by
@@ -272,7 +153,7 @@ class FluidNetwork:
                 slow-start transients do not bias probabilities.
 
         Returns:
-            The :class:`FluidResult`.
+            The run's :class:`~repro.substrate.base.SubstrateResult`.
         """
         if not (np.isfinite(duration_seconds) and duration_seconds > 0):
             raise EmulationError("duration must be positive")
@@ -372,8 +253,9 @@ class FluidSession:
         """
         return self._batch.advance(num_intervals)[0]
 
-    def result(self) -> FluidResult:
-        """Package everything emulated so far as a :class:`FluidResult`.
+    def result(self) -> SubstrateResult:
+        """Package everything emulated so far as a
+        :class:`~repro.substrate.base.SubstrateResult`.
 
         Identical to what :meth:`FluidNetwork.run` would have
         returned for the same total number of intervals.

@@ -10,8 +10,8 @@ there because it matches observed Internet host-pair behaviour
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 

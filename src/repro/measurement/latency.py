@@ -11,7 +11,7 @@ Every downstream piece (System 4, unsolvability, clustering) then
 works unchanged.
 
 Inputs are per-interval delay series per path (the fluid emulator's
-``FluidResult.path_rtt_seconds``), so this module is array-in,
+``SubstrateResult.path_rtt_seconds``), so this module is array-in,
 observations-out.
 """
 

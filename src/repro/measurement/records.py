@@ -3,19 +3,22 @@
 The measurement platform divides time into intervals and records, for
 each monitored path ``p`` and interval ``t``, how many packets were
 sent (``M[t][p]``) and how many of those were lost (``L[t][p]``) —
-exactly the inputs of the paper's Algorithm 2. Both emulators emit
-:class:`MeasurementData`; the normalization layer consumes it. A
+exactly the inputs of the paper's Algorithm 2. A
+:class:`MeasurementData` holds them as two read-only ``(|paths|, T)``
+int64 matrices, rows in sorted path-id order; both emulators build it
+from their counter matrices, and the normalization layer consumes it.
+:class:`PathRecord` is one path's row. Every counter entering either
+passes the one check, :func:`checked_counter_rows`. A
 :class:`MeasurementData` has no method that grows or changes it once
-built (its stacked matrices are cached read-only); a stream grows as
-a sequence of :class:`RecordChunk` objects instead.
-"""
+built; a stream grows as a sequence of :class:`RecordChunk` objects
+instead."""
 
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,51 +41,65 @@ def _checked_interval(interval_seconds: object) -> float:
     return float(interval_seconds)
 
 
-def _checked_counters(path_id: str, name: str, values: object) -> np.ndarray:
-    """One path's counters as int64, rejecting non-numeric or non-finite
-    values before the cast (which would otherwise raise ``ValueError``
-    or turn NaN into ``INT64_MIN``)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        raise MeasurementError(
-            f"path {path_id!r}: {name} counters must be numeric, "
-            f"got dtype {arr.dtype}"
-        )
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        raise MeasurementError(
-            f"path {path_id!r}: {name} counters must be finite"
-        )
-    return arr.astype(np.int64, copy=False)
-
-
 def checked_counter_rows(
-    path_ids: Tuple[str, ...], sent: object, lost: object
+    path_ids: Sequence[str], sent: object, lost: object
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Aligned ``(|paths|, n)`` counter matrices as fresh int64 copies,
-    checked by :class:`PathRecord`'s rules: numeric, finite,
-    non-negative and ``lost ≤ sent``.
+    """Aligned ``(|paths|, n)`` counter matrices as int64, checked:
+    numeric, finite, ``lost ≤ sent`` and non-negative.
 
-    One array pass when every row holds; otherwise the rows are
-    checked as :class:`PathRecord`\\ s in order, so the error names
-    the first offending path.
+    The one counter check: :class:`PathRecord` (one row),
+    :meth:`MeasurementData.from_matrices` and the streaming window
+    all apply it. Non-int64 input is cast to fresh int64 arrays;
+    int64 input passes through uncopied.
 
     Raises:
-        MeasurementError: When some row breaks a rule.
+        MeasurementError: Naming the first offending path (row
+            order) and the first rule it breaks, in the order above.
     """
     sent_arr, lost_arr = np.asarray(sent), np.asarray(lost)
-    if all(
-        arr.dtype.kind in "biu"
-        or (arr.dtype.kind == "f" and np.isfinite(arr).all())
+    numeric = all(arr.dtype.kind in "biuf" for arr in (sent_arr, lost_arr))
+    finite = numeric and all(
+        arr.dtype.kind != "f" or np.isfinite(arr).all()
         for arr in (sent_arr, lost_arr)
-    ):
-        sent64 = sent_arr.astype(np.int64)
-        lost64 = lost_arr.astype(np.int64)
+    )
+    if finite:
+        sent64 = sent_arr.astype(np.int64, copy=False)
+        lost64 = lost_arr.astype(np.int64, copy=False)
         # 0 ≤ lost ≤ sent also makes sent non-negative.
         if (lost64 >= 0).all() and (lost64 <= sent64).all():
             return sent64, lost64
-    for pid, sent_row, lost_row in zip(path_ids, sent_arr, lost_arr):
-        PathRecord(pid, sent_row, lost_row)
-    raise AssertionError("unreachable: some row breaks a counter rule")
+    # Some row breaks a rule: flag each rule per row, then report the
+    # first row's first broken rule.
+    rows = sent_arr.shape[0]
+    rules = []
+    for name, arr in (("sent", sent_arr), ("lost", lost_arr)):
+        if arr.dtype.kind not in "biuf":
+            rules.append((
+                np.ones(rows, dtype=bool),
+                f"{name} counters must be numeric, got dtype {arr.dtype}",
+            ))
+        elif arr.dtype.kind == "f":
+            rules.append((
+                ~np.isfinite(arr).all(axis=1),
+                f"{name} counters must be finite",
+            ))
+    if numeric:
+        # Rows holding NaN or inf were flagged above; their cast
+        # values are never reported.
+        with np.errstate(invalid="ignore"):
+            sent64 = sent_arr.astype(np.int64)
+            lost64 = lost_arr.astype(np.int64)
+        rules.append((
+            (lost64 > sent64).any(axis=1),
+            "lost exceeds sent in some interval",
+        ))
+        rules.append((
+            (sent64 < 0).any(axis=1) | (lost64 < 0).any(axis=1),
+            "negative counters",
+        ))
+    row = min(int(np.argmax(bad)) for bad, _ in rules if bad.any())
+    message = next(msg for bad, msg in rules if bad[row])
+    raise MeasurementError(f"path {path_ids[row]!r}: {message}")
 
 
 @dataclass(frozen=True)
@@ -147,25 +164,20 @@ class PathRecord:
     lost: np.ndarray
 
     def __post_init__(self) -> None:
-        self.sent = _checked_counters(self.path_id, "sent", self.sent)
-        self.lost = _checked_counters(self.path_id, "lost", self.lost)
-        if self.sent.shape != self.lost.shape:
+        sent, lost = np.asarray(self.sent), np.asarray(self.lost)
+        if sent.shape != lost.shape:
             raise MeasurementError(
                 f"path {self.path_id!r}: sent and lost shapes differ "
-                f"({self.sent.shape} vs {self.lost.shape})"
+                f"({sent.shape} vs {lost.shape})"
             )
-        if self.sent.ndim != 1:
+        if sent.ndim != 1:
             raise MeasurementError(
                 f"path {self.path_id!r}: records must be 1-D per interval"
             )
-        if (self.lost > self.sent).any():
-            raise MeasurementError(
-                f"path {self.path_id!r}: lost exceeds sent in some interval"
-            )
-        if (self.sent < 0).any() or (self.lost < 0).any():
-            raise MeasurementError(
-                f"path {self.path_id!r}: negative counters"
-            )
+        sent, lost = checked_counter_rows(
+            (self.path_id,), sent[np.newaxis], lost[np.newaxis]
+        )
+        self.sent, self.lost = sent[0], lost[0]
 
     @property
     def num_intervals(self) -> int:
@@ -178,6 +190,20 @@ class PathRecord:
         return frac
 
 
+def rounded_counters(
+    sent: np.ndarray, lost: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer counters from an engine's per-interval values.
+
+    ``rint``, then int64, then ``lost`` clamped to ``sent``: the one
+    rounding both engines' chunks and results use, so the two cannot
+    drift apart. Integer input passes through unchanged.
+    """
+    sent_i = np.rint(sent).astype(np.int64)
+    lost_i = np.minimum(np.rint(lost).astype(np.int64), sent_i)
+    return sent_i, lost_i
+
+
 def chunk_from_columns(
     path_ids: Tuple[str, ...],
     sent_cols: "list[np.ndarray]",
@@ -188,15 +214,11 @@ def chunk_from_columns(
 ) -> RecordChunk:
     """Integer measured-path records from per-interval columns.
 
-    The one place both engine sessions derive their stream chunks, so
-    rounding (``rint``) and the ``lost ≤ sent`` clamp cannot drift
-    between substrates. ``rows`` selects the measured paths (aligned
-    with ``path_ids``); integer columns pass through unchanged.
+    The one place both engine sessions derive their stream chunks.
+    ``rows`` selects the measured paths (aligned with ``path_ids``).
     """
-    sent = np.rint(np.stack(sent_cols, axis=1)[rows]).astype(np.int64)
-    lost = np.minimum(
-        np.rint(np.stack(lost_cols, axis=1)[rows]).astype(np.int64),
-        sent,
+    sent, lost = rounded_counters(
+        np.stack(sent_cols, axis=1)[rows], np.stack(lost_cols, axis=1)[rows]
     )
     return RecordChunk(
         path_ids=path_ids,
@@ -210,6 +232,12 @@ def chunk_from_columns(
 class MeasurementData:
     """All path records of one experiment, aligned on intervals.
 
+    Holds one ``(|paths|, T)`` int64 ``sent`` and one ``lost``
+    matrix, rows in sorted path-id order, both read-only.
+    :meth:`from_matrices` builds it from counter matrices (the
+    engines, the streaming window, the synthesizer); this
+    constructor stacks :class:`PathRecord`\\ s once.
+
     Args:
         records: One :class:`PathRecord` per monitored path; all must
             have the same number of intervals.
@@ -221,72 +249,118 @@ class MeasurementData:
         records: Iterable[PathRecord],
         interval_seconds: float = 0.1,
     ) -> None:
-        self._records: Dict[str, PathRecord] = {}
-        lengths = set()
+        by_id: Dict[str, PathRecord] = {}
         for rec in records:
-            if rec.path_id in self._records:
+            if rec.path_id in by_id:
                 raise MeasurementError(
                     f"duplicate record for path {rec.path_id!r}"
                 )
-            self._records[rec.path_id] = rec
-            lengths.add(rec.num_intervals)
-        if not self._records:
+            by_id[rec.path_id] = rec
+        if not by_id:
             raise MeasurementError("no path records")
+        lengths = {rec.num_intervals for rec in by_id.values()}
         if len(lengths) != 1:
             raise MeasurementError(
                 f"records have differing interval counts: {sorted(lengths)}"
             )
-        self._num_intervals = lengths.pop()
-        self.interval_seconds = _checked_interval(interval_seconds)
-        # Lazy stacked matrices (sorted-path-id row order): built once
-        # and reused by every normalization family/slice instead of
-        # re-stacking per congestion_free_matrix call.
-        self._row_of: Optional[Dict[str, int]] = None
-        self._sent_matrix: Optional[np.ndarray] = None
-        self._lost_matrix: Optional[np.ndarray] = None
-        self._all_sent_positive: Optional[bool] = None
-
-    def _build_matrices(self) -> None:
-        ids = self.path_ids
-        self._row_of = {pid: i for i, pid in enumerate(ids)}
+        ids = tuple(sorted(by_id))
         # One concatenate + reshape per matrix: the same rows as
         # ``np.stack``, without its per-row expand_dims.
-        shape = (len(ids), self._num_intervals)
-        self._sent_matrix = np.concatenate(
-            [self._records[pid].sent for pid in ids]
-        ).reshape(shape)
-        self._lost_matrix = np.concatenate(
-            [self._records[pid].lost for pid in ids]
-        ).reshape(shape)
-        self._sent_matrix.setflags(write=False)
-        self._lost_matrix.setflags(write=False)
+        shape = (len(ids), lengths.pop())
+        self._set(
+            ids,
+            np.concatenate([by_id[pid].sent for pid in ids]).reshape(shape),
+            np.concatenate([by_id[pid].lost for pid in ids]).reshape(shape),
+            interval_seconds,
+        )
+
+    @classmethod
+    def from_matrices(
+        cls,
+        path_ids: Sequence[str],
+        sent: object,
+        lost: object,
+        interval_seconds: float = 0.1,
+    ) -> "MeasurementData":
+        """Records from ``(|paths|, T)`` counter matrices whose rows
+        align with ``path_ids``, in any id order.
+
+        The counters are checked by :func:`checked_counter_rows` and
+        copied into sorted-id row order.
+
+        Raises:
+            MeasurementError: On misaligned matrices, a repeated or
+                missing path, or a counter rule broken (the error
+                names the path).
+        """
+        path_ids = tuple(path_ids)
+        sent, lost = np.asarray(sent), np.asarray(lost)
+        if sent.shape != lost.shape or sent.ndim != 2:
+            raise MeasurementError(
+                f"counter matrices must be 2-D and aligned, got "
+                f"{sent.shape} vs {lost.shape}"
+            )
+        if sent.shape[0] != len(path_ids):
+            raise MeasurementError(
+                f"counter matrices have {sent.shape[0]} rows for "
+                f"{len(path_ids)} paths"
+            )
+        seen = set()
+        for pid in path_ids:
+            if pid in seen:
+                raise MeasurementError(f"duplicate record for path {pid!r}")
+            seen.add(pid)
+        if not path_ids:
+            raise MeasurementError("no path records")
+        sent, lost = checked_counter_rows(path_ids, sent, lost)
+        order = sorted(range(len(path_ids)), key=path_ids.__getitem__)
+        data = cls.__new__(cls)
+        data._set(
+            tuple(path_ids[i] for i in order),
+            sent[order],
+            lost[order],
+            interval_seconds,
+        )
+        return data
+
+    def _set(
+        self,
+        path_ids: Tuple[str, ...],
+        sent: np.ndarray,
+        lost: np.ndarray,
+        interval_seconds: float,
+    ) -> None:
+        """Adopt sorted-row int64 matrices this object alone holds."""
+        self.interval_seconds = _checked_interval(interval_seconds)
+        self._path_ids = path_ids
+        self._row_of = {pid: i for i, pid in enumerate(path_ids)}
+        sent.setflags(write=False)
+        lost.setflags(write=False)
+        self._sent = sent
+        self._lost = lost
+        self._all_sent_positive: Optional[bool] = None
 
     @property
     def sent_matrix(self) -> np.ndarray:
         """``(|paths|, T)`` sent counters, rows in sorted-id order."""
-        if self._sent_matrix is None:
-            self._build_matrices()
-        return self._sent_matrix
+        return self._sent
 
     @property
     def lost_matrix(self) -> np.ndarray:
         """``(|paths|, T)`` lost counters, rows aligned with
         :attr:`sent_matrix`."""
-        if self._lost_matrix is None:
-            self._build_matrices()
-        return self._lost_matrix
+        return self._lost
 
     @property
     def all_sent_positive(self) -> bool:
         """Whether every path sent traffic in every interval.
 
         The fast-path guard of :func:`repro.measurement.normalize.
-        batch_slice_observations` — cached alongside the stacked
-        matrices instead of re-scanning ``(|P|, T)`` on every inference
-        call.
+        batch_slice_observations` — cached instead of re-scanning
+        ``(|P|, T)`` on every inference call.
         """
         if self._all_sent_positive is None:
-            self._all_sent_positive = bool((self.sent_matrix > 0).all())
+            self._all_sent_positive = bool((self._sent > 0).all())
         return self._all_sent_positive
 
     def rows_of(self, path_ids: Iterable[str]) -> np.ndarray:
@@ -295,8 +369,6 @@ class MeasurementData:
         Raises:
             MeasurementError: For a path without a record.
         """
-        if self._row_of is None:
-            self._build_matrices()
         try:
             return np.array(
                 [self._row_of[pid] for pid in path_ids], dtype=np.intp
@@ -308,26 +380,23 @@ class MeasurementData:
 
     @property
     def path_ids(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._records))
+        return self._path_ids
 
     @property
     def num_intervals(self) -> int:
-        return self._num_intervals
+        return int(self._sent.shape[1])
 
     @property
     def duration_seconds(self) -> float:
-        return self._num_intervals * self.interval_seconds
+        return self.num_intervals * self.interval_seconds
 
     def record(self, path_id: str) -> PathRecord:
-        try:
-            return self._records[path_id]
-        except KeyError:
-            raise MeasurementError(
-                f"no record for path {path_id!r}"
-            ) from None
+        """One path's counters, as views of the matrix rows."""
+        row = self.rows_of((path_id,))[0]
+        return PathRecord(path_id, self._sent[row], self._lost[row])
 
     def __contains__(self, path_id: str) -> bool:
-        return path_id in self._records
+        return path_id in self._row_of
 
     def rebinned(self, factor: int) -> "MeasurementData":
         """Merge every ``factor`` consecutive intervals into one.
@@ -340,18 +409,19 @@ class MeasurementData:
             raise MeasurementError(f"factor must be >= 1, got {factor}")
         if factor == 1:
             return self
-        keep = (self._num_intervals // factor) * factor
+        keep = (self.num_intervals // factor) * factor
         if keep == 0:
             raise MeasurementError(
-                f"not enough intervals ({self._num_intervals}) to rebin "
+                f"not enough intervals ({self.num_intervals}) to rebin "
                 f"by {factor}"
             )
-        records = []
-        for pid, rec in self._records.items():
-            sent = rec.sent[:keep].reshape(-1, factor).sum(axis=1)
-            lost = rec.lost[:keep].reshape(-1, factor).sum(axis=1)
-            records.append(PathRecord(pid, sent, lost))
-        return MeasurementData(records, self.interval_seconds * factor)
+        shape = (len(self._path_ids), keep // factor, factor)
+        return MeasurementData.from_matrices(
+            self._path_ids,
+            self._sent[:, :keep].reshape(shape).sum(axis=2),
+            self._lost[:, :keep].reshape(shape).sum(axis=2),
+            self.interval_seconds * factor,
+        )
 
 
 def link_congestion_probability(

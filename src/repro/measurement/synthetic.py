@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.performance import NetworkPerformance
 from repro.exceptions import MeasurementError
-from repro.measurement.records import MeasurementData, PathRecord
+from repro.measurement.records import MeasurementData
 
 
 def synthesize_records(
@@ -94,15 +94,17 @@ def synthesize_records(
         cname: u < q[:, c][:, None] for c, cname in enumerate(class_names)
     }
 
-    records = []
-    for pid in path_ids:
+    lo = max(1, int(round(mean_rate * (1.0 - rate_jitter))))
+    hi = max(lo + 1, int(round(mean_rate * (1.0 + rate_jitter))) + 1)
+    sent = np.empty((len(path_ids), num_intervals), dtype=np.int64)
+    lost = np.empty_like(sent)
+    for i, pid in enumerate(path_ids):
         cname = classes.class_of(pid)
         rows = [link_row[lid] for lid in net.links_of(pid)]
         path_congested = congested_by_class[cname][rows].any(axis=0)
-        lo = max(1, int(round(mean_rate * (1.0 - rate_jitter))))
-        hi = max(lo + 1, int(round(mean_rate * (1.0 + rate_jitter))) + 1)
-        sent = rng.integers(lo, hi, size=num_intervals)
+        row = sent[i] = rng.integers(lo, hi, size=num_intervals)
         frac = np.where(path_congested, congested_loss, clean_loss)
-        lost = np.minimum(np.round(sent * frac).astype(np.int64), sent)
-        records.append(PathRecord(pid, sent, lost))
-    return MeasurementData(records, interval_seconds)
+        lost[i] = np.minimum(np.round(row * frac).astype(np.int64), row)
+    return MeasurementData.from_matrices(
+        path_ids, sent, lost, interval_seconds
+    )

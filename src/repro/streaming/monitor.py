@@ -237,6 +237,18 @@ def cusum_update(
     return fired, estimates
 
 
+def check_positive_counts(**counts: Optional[int]) -> None:
+    """Reject an interval count below 1 (``None`` leaves it unset).
+
+    Raises:
+        ConfigurationError: ``"<name> must be >= 1, got <value>"`` for
+            the first offending count, in argument order.
+    """
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+
 class NeutralityMonitor:
     """Online neutrality inference over a record stream.
 
@@ -269,10 +281,7 @@ class NeutralityMonitor:
                 "the streaming monitor requires expected-mode "
                 "normalization (sampled draws are not incremental)"
             )
-        if window_intervals is not None and window_intervals < 1:
-            raise ConfigurationError(
-                f"window_intervals must be >= 1, got {window_intervals}"
-            )
+        check_positive_counts(window_intervals=window_intervals, stride=stride)
         self.stats = SlidingWindowStats(
             net,
             min_pathsets=min_pathsets,
@@ -288,10 +297,6 @@ class NeutralityMonitor:
             if stride is not None
             else (window_intervals or DEFAULT_STRIDE)
         )
-        if self.stride < 1:
-            raise ConfigurationError(
-                f"stride must be >= 1, got {self.stride}"
-            )
         self.windows: List[WindowVerdict] = []
         self.change_points: List[ChangePoint] = []
         num_sigmas = self.stats.batch.num_systems

@@ -11,7 +11,8 @@ of that work is shared between consecutive windows.
 incrementally:
 
 * each appended chunk is kept as it came — its int64 ``sent`` and
-  ``lost`` counters, its boolean congestion-free status and its
+  ``lost`` counters (not copied when already int64: streams never
+  change a chunk they emitted), its boolean congestion-free status and its
   every-path-sent column flags, one O(new intervals) pass; a window
   reads the chunk slices that overlap it;
 * a window's counts come from
@@ -73,7 +74,6 @@ from repro.measurement.normalize import (
 )
 from repro.measurement.records import (
     MeasurementData,
-    PathRecord,
     RecordChunk,
     checked_counter_rows,
 )
@@ -184,8 +184,9 @@ class SlidingWindowStats:
         Raises:
             MeasurementError: On misaligned matrices, a path set or
                 order that differs from the stream's, or counters
-                that :class:`~repro.measurement.records.PathRecord`
-                would reject (the error names the path).
+                that :func:`~repro.measurement.records.
+                checked_counter_rows` rejects (the error names the
+                path).
         """
         sent, lost = np.asarray(sent), np.asarray(lost)
         if sent.shape != lost.shape or sent.ndim != 2:
@@ -254,12 +255,8 @@ class SlidingWindowStats:
         self._check_window(lo, hi)
         sent = self._columns(self._sent, lo, hi)
         lost = self._columns(self._lost, lo, hi)
-        return MeasurementData(
-            [
-                PathRecord(pid, sent[i], lost[i])
-                for i, pid in enumerate(self._path_ids)
-            ],
-            self.interval_seconds,
+        return MeasurementData.from_matrices(
+            self._path_ids, sent, lost, self.interval_seconds
         )
 
     def window_status(self, lo: int, hi: int) -> np.ndarray:

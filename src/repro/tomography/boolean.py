@@ -21,7 +21,7 @@ itself. The comparison bench (bench_baseline) demonstrates this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 import numpy as np
 

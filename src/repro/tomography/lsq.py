@@ -11,7 +11,7 @@ differentiates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict
 
 import numpy as np
 

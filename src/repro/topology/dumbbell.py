@@ -14,7 +14,7 @@ setting of §6.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.classes import ClassAssignment, two_classes
 from repro.core.network import Network, Path

@@ -8,7 +8,7 @@ and examples can reproduce the paper's worked examples verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping
 
 from repro.core.classes import ClassAssignment, PerformanceClass
 from repro.core.network import Network, Path

@@ -246,17 +246,13 @@ def build_federated_multi_isp(
     )
 
 
-def build_multi_isp(
-    policing_rate: float = 0.3,
-    policed: Tuple[str, ...] = POLICED_LINKS,
-) -> MultiIspTopology:
+def build_multi_isp(policing_rate: float = 0.3) -> MultiIspTopology:
     """Build topology B: backbone and ingress links at the paper's
     100 Mbps bottleneck capacity, host access links at 1000 Mbps.
 
     Args:
-        policing_rate: Rate fraction of the three policers.
-        policed: Which links police class c2 (default: the paper's
-            three; pass ``()`` for an all-neutral variant).
+        policing_rate: Rate fraction of the three policers
+            (:data:`POLICED_LINKS`).
 
     Returns:
         The :class:`MultiIspTopology`.
@@ -279,7 +275,7 @@ def build_multi_isp(
         capacity = 1000.0 if lid in access_links else 100.0
         policer = (
             PolicerSpec(target_class="c2", rate_fraction=policing_rate)
-            if lid in policed
+            if lid in POLICED_LINKS
             else None
         )
         specs[lid] = LinkSpec(capacity_mbps=capacity, policer=policer)

@@ -9,7 +9,6 @@ from repro.core.algorithm import (
     identify_non_neutral,
     identify_non_neutral_exact,
 )
-from repro.core.observability import check_structural_observability
 from repro.core.slices import build_slice_batch
 from repro.measurement.clustering import threshold_decider
 from repro.topology.figures import figure4
@@ -57,23 +56,6 @@ def test_scores_populated_for_all_examined():
     result = identify_non_neutral_exact(fig.performance)
     assert set(result.scores) == set(result.systems)
     assert all(v >= 0 for v in result.scores.values())
-
-
-def test_structural_observability_top_class_override():
-    fig = figure4()
-    default = check_structural_observability(
-        fig.network, fig.classes, ["l1"]
-    )
-    flipped = check_structural_observability(
-        fig.network, fig.classes, ["l1"], top_class={"l1": "c2"}
-    )
-    # With c2 as the top class, the regulation link targets c1 =
-    # {p1}; Paths(l1) ∩ {p1} = {p1} = Paths(l3) — masked by p1's
-    # private link, so a violation *favoring* the big class would be
-    # unobservable. Direction of differentiation matters.
-    assert default.observable
-    assert not flipped.observable
-    assert any(mask == "l3" for _, mask in flipped.masked)
 
 
 def test_observation_driven_missing_pathset_raises():

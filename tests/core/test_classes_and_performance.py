@@ -8,7 +8,6 @@ from repro.core.classes import (
     ClassAssignment,
     PerformanceClass,
     classes_from_mapping,
-    single_class,
     two_classes,
 )
 from repro.core.network import network_from_path_specs
@@ -84,10 +83,6 @@ class TestClassAssignment:
         classes = two_classes(net, ["p2"])
         assert classes.class_of("p2") == "c2"
         assert classes.class_of("p1") == "c1"
-
-    def test_single_class(self, net):
-        classes = single_class(net)
-        assert len(classes) == 1
 
     def test_two_classes_rejects_all_paths(self, net):
         with pytest.raises(ClassAssignmentError):

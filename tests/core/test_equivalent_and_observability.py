@@ -6,11 +6,9 @@ import pytest
 from repro.core.equivalent import (
     VirtualLinkKind,
     build_equivalent,
-    structural_equivalent,
 )
 from repro.core.observability import (
     check_observability,
-    check_structural_observability,
     find_unsolvable_family,
     minimal_unsolvable_family,
 )
@@ -73,15 +71,6 @@ class TestEquivalentConstruction:
         eq = build_equivalent(fig.performance)
         assert len(eq.cost_vector()) == len(eq.virtual_link_ids)
 
-    def test_structural_equivalent_unit_costs(self):
-        fig = figure1()
-        eq = structural_equivalent(
-            fig.network, fig.classes, ["l1"], {"l1": "c1"}
-        )
-        regs = eq.regulation_links()
-        assert len(regs) == 1
-        assert regs[0].cost == 1.0
-
 
 class TestTheorem1:
     def test_figure1_observable(self):
@@ -109,17 +98,6 @@ class TestTheorem1:
             fig.network, fig.classes, {"l1": 0.2}
         )
         assert not check_observability(perf).observable
-
-    def test_structural_matches_concrete(self):
-        for fig in (figure1(), figure2(), figure4(), figure5()):
-            structural = check_structural_observability(
-                fig.network,
-                fig.classes,
-                fig.non_neutral_links,
-                fig.top_class,
-            )
-            concrete = check_observability(fig.performance)
-            assert structural.observable == concrete.observable
 
 
 class TestBruteForceOracle:

@@ -1,14 +1,13 @@
-"""Path add/remove: the derived network ≡ a cold rebuild.
+"""Path removal: the derived network ≡ a cold rebuild.
 
-:meth:`Network.with_paths` returns a fresh network that keeps the link
-universe (DESIGN.md S20) and :meth:`Network.restricted_to_paths` one
-that keeps only the links its paths use; their :class:`PathIndex`,
-pair groups and slice batches are built on first use. This suite locks that contract: after any add/remove, starting
-from a network whose caches are warm, the index, pair-group arrays and
-slice batches must be *identical* — not just equivalent — to the ones
-a network built from scratch over the same links and paths yields,
-both on deterministic topologies and under hypothesis-generated
-add/remove sequences.
+:meth:`Network.restricted_to_paths` returns a fresh network that keeps
+only the links its paths use; its :class:`PathIndex`, pair groups and
+slice batches are built on first use. This suite locks that contract:
+after any removal, starting from a network whose caches are warm, the
+index, pair-group arrays and slice batches must be *identical* — not
+just equivalent — to the ones a network built from scratch over the
+same links and paths yields, both on deterministic topologies and
+under hypothesis-generated removal sequences.
 """
 
 import numpy as np
@@ -17,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.network import Network, Path
 from repro.core.slices import _pair_groups, build_slice_batch
-from repro.exceptions import UnknownLinkError, UnknownPathError
+from repro.exceptions import UnknownPathError
 from repro.topology.multi_isp import build_federated_multi_isp
 
 _SETTINGS = settings(
@@ -91,13 +90,6 @@ class TestDeterministic:
             ],
         )
 
-    def test_add_patches_index(self):
-        net = _warm(self._net())
-        grown = net.with_paths(
-            [Path("p1b", ("l1", "l3")), Path("p0b", ("l0",))]
-        )
-        _check_against_rebuild(grown)
-
     def test_remove_patches_index(self):
         net = _warm(self._net())
         shrunk = net.restricted_to_paths(["p0", "p2"])
@@ -107,20 +99,16 @@ class TestDeterministic:
 
     def test_add_then_remove_round_trip(self):
         net = _warm(self._net())
-        grown = net.with_paths([Path("p4", ("l2", "l3"))])
+        grown = _warm(
+            Network(
+                list(net.link_ids),
+                [net.path(pid) for pid in net.path_ids]
+                + [Path("p4", ("l2", "l3"))],
+            )
+        )
         back = grown.restricted_to_paths(net.path_ids)
         _check_against_rebuild(back)
         _assert_groups_equal(_pair_groups(back), _pair_groups(net))
-
-    def test_cold_network_skips_patching(self):
-        net = self._net()  # no caches built
-        grown = net.with_paths([Path("p4", ("l2", "l3"))])
-        assert grown._path_index is None  # nothing to patch
-        _check_against_rebuild(grown)
-
-    def test_add_unknown_link_rejected(self):
-        with pytest.raises(UnknownLinkError):
-            self._net().with_paths([Path("px", ("ghost",))])
 
     def test_remove_unknown_path_rejected(self):
         with pytest.raises(UnknownPathError):
@@ -128,17 +116,12 @@ class TestDeterministic:
 
     def test_federated_vantage_churn(self):
         """A realistic churn on the multi-ISP topology: one vantage
-        host's paths leave, two fresh paths join."""
+        host's paths leave."""
         fed = build_federated_multi_isp(2, 4)
         net = _warm(fed.network, min_pathsets=5)
         staying = sorted(net.path_ids)[4:]
         shrunk = net.restricted_to_paths(staying)
         _check_against_rebuild(shrunk, min_pathsets=5)
-        template = net.path(sorted(net.path_ids)[-1])
-        grown = shrunk.with_paths(
-            [Path("new0", template.links), Path("new1", template.links[:1])]
-        )
-        _check_against_rebuild(grown, min_pathsets=5)
 
 
 @st.composite
@@ -153,9 +136,6 @@ def churn_cases(draw):
         )
         return Path(name, chosen)
     paths = [draw_path(f"p{i}") for i in range(num_paths)]
-    added = [
-        draw_path(f"a{i}") for i in range(draw(st.integers(1, 3)))
-    ]
     removed = draw(
         st.sets(
             st.sampled_from([p.id for p in paths]),
@@ -163,22 +143,23 @@ def churn_cases(draw):
             max_size=num_paths - 1,
         )
     )
-    return links, paths, added, sorted(removed)
+    return links, paths, sorted(removed)
 
 
 @_SETTINGS
 @given(churn_cases())
 def test_random_churn_equals_rebuild(case):
-    """Any add/remove sequence on a warmed network leaves patched
-    caches identical to a cold rebuild at every step."""
-    links, paths, added, removed = case
+    """Any removal on a warmed network leaves the derived caches
+    identical to a cold rebuild, in the second generation too."""
+    links, paths, removed = case
     net = _warm(Network(links, paths))
-    grown = net.with_paths(added)
-    _check_against_rebuild(grown)
-    shrunk = grown.restricted_to_paths(
-        [pid for pid in grown.path_ids if pid not in removed]
+    shrunk = _warm(
+        net.restricted_to_paths(
+            [pid for pid in net.path_ids if pid not in removed]
+        )
     )
     _check_against_rebuild(shrunk)
-    # And patching a patched network (second generation) stays exact.
-    again = shrunk.with_paths([Path("z0", shrunk.link_ids[:1])])
+    again = shrunk.restricted_to_paths(
+        shrunk.path_ids[1:] or shrunk.path_ids
+    )
     _check_against_rebuild(again)

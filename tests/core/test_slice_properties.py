@@ -91,11 +91,13 @@ def test_slice_matrix_structure(net):
 def test_pair_estimates_exact_for_neutral(net):
     """On any random network with neutral ground truth, every pair
     estimate equals σ's true cost exactly."""
-    from repro.core.classes import single_class
+    from repro.core.classes import ClassAssignment, PerformanceClass
     from repro.core.performance import neutral_performance
 
     rng = np.random.default_rng(0)
-    classes = single_class(net)
+    classes = ClassAssignment(
+        [PerformanceClass("c1", frozenset(net.path_ids))], net
+    )
     values = {
         lid: float(rng.uniform(0, 0.5)) for lid in net.link_ids
     }

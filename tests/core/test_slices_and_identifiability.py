@@ -17,7 +17,6 @@ from repro.core.slices import (
     build_slice_system,
     pairs_for_sequence,
     shared_sequences,
-    slice_pathsets,
 )
 from repro.exceptions import SliceError
 from repro.topology.figures import figure1, figure4, figure6
@@ -60,7 +59,6 @@ class TestSliceConstruction:
         net = figure4().network
         assert build_slice_system(net, ("l2",)) is None
         assert pairs_for_sequence(net, ("l2",)) == []
-        assert slice_pathsets(net, ("l2",)) == ()
 
     def test_empty_sigma_rejected(self):
         with pytest.raises(SliceError):

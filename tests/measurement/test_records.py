@@ -1,10 +1,17 @@
 """Unit tests for measurement records."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from repro.exceptions import MeasurementError
-from repro.measurement.records import (
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "streaming"))
+
+from test_window import BAD_COUNTER_IDS, BAD_COUNTERS  # noqa: E402
+
+from repro.exceptions import MeasurementError  # noqa: E402
+from repro.measurement.records import (  # noqa: E402
     MeasurementData,
     PathRecord,
     RecordChunk,
@@ -117,6 +124,97 @@ class TestMeasurementData:
             from_arrays({"p1": np.array([1])}, {"p2": np.array([0])})
 
 
+class TestFromMatrices:
+    """Counter matrices and per-path records build the same data."""
+
+    IDS = ("p3", "p0", "p2", "p1")  # rows in unsorted id order
+
+    def _matrices(self):
+        rng = np.random.default_rng(4)
+        sent = rng.integers(1, 50, size=(4, 7))
+        return sent, rng.binomial(sent, 0.2)
+
+    def test_equals_records_bit_for_bit(self):
+        sent, lost = self._matrices()
+        from_rows = MeasurementData.from_matrices(self.IDS, sent, lost, 0.2)
+        from_records = MeasurementData(
+            [
+                PathRecord(pid, sent[i], lost[i])
+                for i, pid in enumerate(self.IDS)
+            ],
+            0.2,
+        )
+        assert from_rows.path_ids == from_records.path_ids
+        assert from_rows.path_ids == ("p0", "p1", "p2", "p3")
+        assert from_rows.interval_seconds == from_records.interval_seconds
+        for attr in ("sent_matrix", "lost_matrix"):
+            a, b = getattr(from_rows, attr), getattr(from_records, attr)
+            assert a.dtype == b.dtype == np.int64
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        for i, pid in enumerate(self.IDS):
+            a, b = from_rows.record(pid), from_records.record(pid)
+            for attr, source in (("sent", sent), ("lost", lost)):
+                assert getattr(a, attr).tobytes() == source[i].tobytes()
+                assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+
+    def test_record_is_a_view_of_the_matrix_rows(self):
+        sent, lost = self._matrices()
+        data = MeasurementData.from_matrices(self.IDS, sent, lost)
+        rec = data.record("p2")
+        assert np.shares_memory(rec.sent, data.sent_matrix)
+        assert np.shares_memory(rec.lost, data.lost_matrix)
+
+    def test_caller_matrices_are_copied(self):
+        sent, lost = self._matrices()
+        data = MeasurementData.from_matrices(self.IDS, sent, lost)
+        assert sent.flags.writeable
+        sent[:] = 0
+        assert (data.sent_matrix > 0).all()
+
+    @pytest.mark.parametrize(
+        "sent, lost, message", BAD_COUNTERS, ids=BAD_COUNTER_IDS
+    )
+    def test_bad_counters_get_the_path_record_message(
+        self, sent, lost, message
+    ):
+        ids = ("p0", "p1", "p2", "p3")
+        sent, lost = np.array(sent), np.array(lost)
+        with pytest.raises(MeasurementError, match=message) as matrix_err:
+            MeasurementData.from_matrices(ids, sent, lost)
+        row = ids.index(message.split("'")[1])
+        with pytest.raises(MeasurementError) as record_err:
+            PathRecord(ids[row], sent[row], lost[row])
+        assert str(matrix_err.value) == str(record_err.value)
+
+    @pytest.mark.parametrize(
+        "ids, sent, lost, match",
+        [
+            (("p0", "p0"), np.ones((2, 3)), np.zeros((2, 3)), "duplicate"),
+            ((), np.ones((0, 3)), np.zeros((0, 3)), "no path records"),
+            (("p0",), np.ones(3), np.zeros(3), "2-D"),
+            (("p0",), np.ones((1, 3)), np.zeros((1, 2)), "aligned"),
+            (("p0", "p1"), np.ones((1, 3)), np.zeros((1, 3)), "1 rows"),
+        ],
+    )
+    def test_malformed_shapes_rejected(self, ids, sent, lost, match):
+        with pytest.raises(MeasurementError, match=match):
+            MeasurementData.from_matrices(ids, sent, lost)
+
+    def test_rebinned_matches_per_record_sums(self):
+        sent, lost = self._matrices()
+        data = MeasurementData.from_matrices(self.IDS, sent, lost)
+        binned = data.rebinned(3)
+        assert binned.num_intervals == 2
+        for i, pid in enumerate(self.IDS):
+            np.testing.assert_array_equal(
+                binned.record(pid).sent, sent[i, :6].reshape(2, 3).sum(axis=1)
+            )
+            np.testing.assert_array_equal(
+                binned.record(pid).lost, lost[i, :6].reshape(2, 3).sum(axis=1)
+            )
+
+
 class TestAllSentPositive:
     def _data(self, p1_sent=(10, 20, 30)):
         return MeasurementData(
@@ -165,6 +263,12 @@ class TestCheckedCounterRows:
         np.testing.assert_array_equal(lost64, lost)
         assert not np.shares_memory(sent64, sent)
         assert not np.shares_memory(lost64, lost)
+
+    def test_int64_passes_through_uncopied(self):
+        sent = np.array([[3, 2], [4, 4]])
+        lost = np.array([[0, 1], [2, 0]])
+        sent64, lost64 = checked_counter_rows(("p1", "p2"), sent, lost)
+        assert sent64 is sent and lost64 is lost
 
 
 def _chunk(sent, lost, interval_seconds=0.1):

@@ -31,11 +31,11 @@ from repro.fluid.engine import (
     DEFAULT_INTERVAL,
     DEFAULT_SEND_JITTER_CV,
     SRTT_TIME_CONSTANT,
-    FluidResult,
 )
 from repro.fluid.params import LinkSpec, PathWorkload
 from repro.fluid.traffic import FlowSlot, build_slots
 from repro.measurement.records import MeasurementData, PathRecord
+from repro.substrate.base import SubstrateResult as FluidResult
 
 
 @dataclass

@@ -67,6 +67,22 @@ def _assert_results_equal(one, seg):
     assert one.flows_completed == seg.flows_completed
 
 
+def _assert_chunks_are_the_result(chunks, result):
+    """A session's chunks concatenate to exactly its result's
+    measured-path counters (one rounding serves both)."""
+    data = result.measurements
+    for chunk in chunks:
+        assert chunk.path_ids == data.path_ids
+    assert [c.start_interval for c in chunks[1:]] == [
+        c.end_interval for c in chunks[:-1]
+    ]
+    for attr in ("sent", "lost"):
+        matrix = getattr(data, f"{attr}_matrix")
+        joined = np.concatenate([getattr(c, attr) for c in chunks], axis=1)
+        assert joined.dtype == matrix.dtype == np.int64
+        np.testing.assert_array_equal(joined, matrix)
+
+
 class TestFluidSession:
     def test_segmented_equals_one_shot(self, dumbbell, workloads):
         def make():
@@ -82,13 +98,8 @@ class TestFluidSession:
         session = make().session(warmup_seconds=2.0)
         chunks = [session.advance(n) for n in (30, 1, 49, 20)]
         _assert_results_equal(one, session.result())
-        # Chunks concatenate to exactly the final records.
-        np.testing.assert_array_equal(
-            np.concatenate([c.sent for c in chunks], axis=1),
-            session.result().measurements.sent_matrix,
-        )
+        _assert_chunks_are_the_result(chunks, session.result())
         assert [c.start_interval for c in chunks] == [0, 30, 31, 80]
-        assert chunks[0].path_ids == one.measurements.path_ids
 
     def test_result_before_advance_rejected(self, dumbbell, workloads):
         session = FluidNetwork(
@@ -216,10 +227,7 @@ class TestPacketSession:
         session = make().session(warmup_seconds=2.0)
         chunks = [session.advance(n) for n in (13, 1, 50, 16)]
         _assert_results_equal(one, session.result())
-        np.testing.assert_array_equal(
-            np.concatenate([c.lost for c in chunks], axis=1),
-            session.result().measurements.lost_matrix,
-        )
+        _assert_chunks_are_the_result(chunks, session.result())
 
     def test_swap_validation(self, dumbbell, workloads):
         specs = normalize_specs(dumbbell.link_specs)

@@ -143,6 +143,24 @@ def test_window_results_stable_under_append(case):
     np.testing.assert_array_equal(before_pair, after_pair)
 
 
+#: ``(4, 2)`` counter matrices over paths ``p0``–``p3`` that break a
+#: counter rule, with the error the first offending path gets.
+BAD_COUNTERS = [
+    ([[5, 5], [5, 5], [5, 5], [5, 5]],
+     [[0, 0], [0, 6], [0, 0], [0, 0]], "'p1': lost exceeds sent"),
+    ([[5, 5], [5, 5], [5, 5], [5, 5]],
+     [[0, 0], [0, 0], [-1, 0], [0, 0]], "'p2': negative"),
+    ([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, np.nan]],
+     [[0, 0], [0, 0], [0, 0], [0, 0]], "'p3': sent counters "
+     "must be finite"),
+    ([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, np.nan]],
+     [[0, 0], [0, 6], [0, 0], [0, 0]], "'p1': lost exceeds sent"),
+]
+BAD_COUNTER_IDS = [
+    "lost-exceeds-sent", "negative", "nan-sent", "first-of-two-bad-paths",
+]
+
+
 class TestValidation:
     def test_non_contiguous_chunk_rejected(self):
         net = _star_network(4)
@@ -246,17 +264,7 @@ class TestValidation:
         np.testing.assert_array_equal(inc_pair, ref_pair)
 
     @pytest.mark.parametrize(
-        "sent, lost, message",
-        [
-            ([[5, 5], [5, 5], [5, 5], [5, 5]],
-             [[0, 0], [0, 6], [0, 0], [0, 0]], "'p1': lost exceeds sent"),
-            ([[5, 5], [5, 5], [5, 5], [5, 5]],
-             [[0, 0], [0, 0], [-1, 0], [0, 0]], "'p2': negative"),
-            ([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, np.nan]],
-             [[0, 0], [0, 0], [0, 0], [0, 0]], "'p3': sent counters "
-             "must be finite"),
-        ],
-        ids=["lost-exceeds-sent", "negative", "nan-sent"],
+        "sent, lost, message", BAD_COUNTERS, ids=BAD_COUNTER_IDS
     )
     def test_bad_counters_rejected_naming_the_path(
         self, sent, lost, message

@@ -29,7 +29,12 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 # ``repro.fluid.uniform_workload``; ``repro.streaming.MonitorFleet``;
 # ``repro.core.remove_redundant`` and the mapping deciders
 # ``repro.measurement.classify_scores`` / ``cluster_decider``;
-# ``repro.experiments.run_experiment`` (a one-member ``run_scenarios``).
+# ``repro.experiments.run_experiment`` (a one-member ``run_scenarios``);
+# ``repro.fluid.FluidResult`` and ``repro.emulator.PacketResult`` (both
+# engines return ``repro.substrate.SubstrateResult``); the test-only
+# ``single_class`` (of ``repro`` and ``repro.core``),
+# ``repro.core.check_structural_observability``,
+# ``structural_equivalent`` and ``slice_pathsets``.
 FROZEN_ALL = {
     "repro": (
         "AlgorithmResult", "ClassAssignment", "Network", "NetworkPerformance",
@@ -38,7 +43,7 @@ FROZEN_ALL = {
         "evaluate", "identify_non_neutral", "identify_non_neutral_exact",
         "is_identifiable_exact", "network_from_path_specs",
         "neutral_performance", "performance_with_violations",
-        "routing_matrix", "satisfies_lemma3", "single_class", "two_classes",
+        "routing_matrix", "satisfies_lemma3", "two_classes",
     ),
     "repro.analysis": (
         "BoxplotSummary", "boxplot_summary", "format_table", "series_summary",
@@ -54,7 +59,7 @@ FROZEN_ALL = {
         "batch_pair_estimates_arrays", "batch_unsolvability_arrays",
         "build_equivalent",
         "build_slice_batch", "build_slice_system", "check_observability",
-        "check_structural_observability", "classes_from_mapping", "evaluate",
+        "classes_from_mapping", "evaluate",
         "false_negative_rate", "false_positive_rate", "family",
         "find_unsolvable_family", "granularity",
         "identifiable_sequences_exact", "identify_non_neutral",
@@ -65,13 +70,12 @@ FROZEN_ALL = {
         "performance_with_violations", "power_family",
         "probability_from_perf", "required_pathsets",
         "residual", "routing_matrix", "satisfies_lemma3", "shared_sequences",
-        "single_class", "singletons", "singletons_and_pairs",
-        "slice_pathsets", "solve_least_squares", "structural_equivalent",
+        "singletons", "singletons_and_pairs", "solve_least_squares",
         "two_classes",
     ),
     "repro.emulator": (
         "DEFAULT_MAX_PACKETS", "PACKET_ENGINE_VERSION", "PacketNetwork",
-        "PacketResult", "greedy_admission",
+        "greedy_admission",
     ),
     "repro.experiments": (
         "EmulationSettings", "ExperimentOutcome", "SequenceEstimates",
@@ -87,7 +91,7 @@ FROZEN_ALL = {
     "repro.fluid": (
         "AqmSpec", "DEFAULT_DT", "DEFAULT_INTERVAL", "ENGINE_VERSION",
         "FlowSlot", "FlowSlotSpec", "FluidBatchNetwork", "FluidBatchSession",
-        "FluidNetwork", "FluidResult", "LinkSpec", "MSS_BITS", "PathWorkload",
+        "FluidNetwork", "LinkSpec", "MSS_BITS", "PathWorkload",
         "PolicerSpec", "ShaperSpec", "TcpState", "WeightedShaperSpec",
         "build_slots", "mb_to_packets", "mbps_to_pps",
         "sample_flow_size_packets", "sample_gap_seconds",

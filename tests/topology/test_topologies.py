@@ -122,12 +122,6 @@ class TestMultiIsp:
             assert policer.target_class == "c2"
         assert topo.link_specs[NEUTRAL_BUSY_LINK].policer is None
 
-    def test_neutral_variant(self):
-        topo = build_multi_isp(policed=())
-        assert all(
-            spec.policer is None for spec in topo.link_specs.values()
-        )
-
     def test_classes(self):
         topo = build_multi_isp()
         for pid in topo.light_paths:

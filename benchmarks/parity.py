@@ -5,7 +5,8 @@ SHA-256 digest per run, taken over every array the run produced: each
 measured path's ``sent`` / ``lost`` counters, the per-link per-class
 arrivals and drops, the queue-occupancy and per-path RTT traces, and
 the completed-flow counts (or, for ``keep_ground_truth=False``
-sessions, every emitted chunk). Two checkouts whose digests agree
+sessions on either engine and for ``batch-b3-chunks``' per-world
+chunks across a swap, every emitted chunk). Two checkouts whose digests agree
 produce bit-identical outputs on these runs, so a refactor of either
 engine can be checked against its parent commit with::
 
@@ -317,6 +318,28 @@ def run_batch_mixed():
     return ":".join(result_digest(r) for r in session.results())
 
 
+def run_batch_chunks():
+    """A B=3 batch's per-world chunks, advanced in uneven segments
+    around a swap of every world to AQM."""
+    topo, wl = _dumbbell(None)
+    spec_sets = [
+        _shared_link_specs(policer=PolicerSpec("c2", 0.25)),
+        _shared_link_specs(shaper=ShaperSpec("c2", 0.3)),
+        _shared_link_specs(),
+    ]
+    sim = FluidBatchNetwork(
+        topo.network, topo.classes, spec_sets, wl, [SEED, 21, 22]
+    )
+    session = sim.session(warmup_seconds=1.0)
+    per_world = [[] for _ in spec_sets]
+    for n in (17, 40, 3):
+        for chunks, chunk in zip(per_world, session.advance(n)):
+            chunks.append(chunk)
+        if n == 17:
+            session.set_link_specs(_shared_link_specs(aqm=AqmSpec("c2")))
+    return ":".join(chunks_digest(chunks) for chunks in per_world)
+
+
 #: Packet runs: a 2000 packets/second bottleneck (24 Mbps) behind
 #: 240 Mbps access and egress links.
 PACKET_SETTINGS = EmulationSettings(
@@ -361,6 +384,18 @@ def run_packet_segmented_swap():
         session.set_link_specs(_packet_specs(**mechanism))
     chunks.append(session.advance(40))
     return chunks_digest(chunks) + ":" + result_digest(session.result())
+
+
+def run_packet_streaming_chunks():
+    """``keep_ground_truth=False`` on the packet engine: only the
+    emitted chunks remain."""
+    topo, wl = _dumbbell(None)
+    session = get_substrate("packet").start(
+        topo.network, topo.classes, _packet_specs(aqm=AqmSpec("c2")), wl,
+        PACKET_SETTINGS, keep_ground_truth=False,
+    )
+    chunks = [session.advance(n) for n in (10, 25, 1, 64)]
+    return chunks_digest(chunks)
 
 
 def _onset_records(net, half):
@@ -657,6 +692,7 @@ RUNS = {
     "segmented-swap": run_segmented_swap,
     "streaming-chunks": run_streaming_chunks,
     "batch-b4-mixed": run_batch_mixed,
+    "batch-b3-chunks": run_batch_chunks,
     "packet-dumbbell-neutral": lambda: _packet_one_shot(),
     "packet-dumbbell-policing": lambda: _packet_one_shot(
         policer=PolicerSpec("c2", 0.3)
@@ -666,6 +702,7 @@ RUNS = {
         weighted=WeightedShaperSpec("c2", 0.3)
     ),
     "packet-segmented-swap": run_packet_segmented_swap,
+    "packet-streaming-chunks": run_packet_streaming_chunks,
     "infer-dumbbell-policing": lambda: infer_digest(
         _policing_run()[0], _policing_run()[1].measurements
     ),

@@ -286,7 +286,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.analysis.stats import format_table
-    from repro.streaming.monitor import check_positive_counts, monitor_scenario
+    from repro.streaming.monitor import (
+        check_onset,
+        check_positive_counts,
+        monitor_scenario,
+    )
     from repro.substrate.registry import get_substrate
     from repro.substrate.scenario import DifferentiationPolicy, Scenario
 
@@ -323,6 +327,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         policy=policy,
         settings=settings,
     )
+    check_onset(scenario, onset)
     print(
         f"Monitoring {args.topology}/{args.mechanism} on "
         f"{args.substrate} ({args.duration:.0f} s, window "

@@ -34,6 +34,12 @@ extra latency), and a link's departure-count estimate assumes the
 server stays busy through a batch (exact whenever drops are
 possible; a queue that empties mid-quantum drops nothing anyway).
 
+Runs and streams go through the one
+:class:`~repro.substrate.base.EngineSession` of both engines: the
+interval loop here yields one world's ``(1, …)`` columns per
+interval, and the session owns the rest (timing check, spec swaps,
+kept columns, telemetry, chunks and results).
+
 Scale: ≥ 10⁶ packets per emulated run in well under wall-parity
 (see ``benchmarks/bench_packet_engine.py``, which gates a ≥ 10×
 packets/second advantage over the reference loop).
@@ -45,7 +51,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro import telemetry
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError, EmulationError
@@ -55,8 +60,7 @@ from repro.fluid.params import (
     complete_link_specs,
     mb_to_packets,
 )
-from repro.measurement.records import RecordChunk, chunk_from_columns
-from repro.substrate.base import SubstrateResult, measured_rows, package_result
+from repro.substrate.base import EngineSession, SubstrateResult, run_session
 
 #: Engine implementation tag; part of the sweep result-cache key so
 #: cached packet-substrate outcomes are invalidated when this
@@ -257,19 +261,6 @@ def _serve_fifo(
     return admit, dep, float(dep[-1])
 
 
-def _check_timing(interval_seconds: float, warmup_seconds: float) -> None:
-    """Reject a session's timing with the fluid engine's rules: a
-    finite positive interval and a finite non-negative warmup."""
-    if not (np.isfinite(interval_seconds) and interval_seconds > 0):
-        raise EmulationError(
-            f"interval must be finite and positive, got {interval_seconds}"
-        )
-    if not (np.isfinite(warmup_seconds) and warmup_seconds >= 0):
-        raise EmulationError(
-            f"warmup_seconds must be finite and >= 0, got {warmup_seconds}"
-        )
-
-
 class PacketNetwork:
     """A runnable packet-level emulation.
 
@@ -344,62 +335,58 @@ class PacketNetwork:
         interval_seconds: float = 0.1,
         warmup_seconds: float = 0.0,
     ) -> SubstrateResult:
-        """Run the emulation and return the interval-record result.
-
-        Equivalent to opening a :meth:`session` and advancing it by
-        every interval at once — same arithmetic, same RNG stream.
-        """
-        if not (np.isfinite(duration_seconds) and duration_seconds > 0):
-            raise EmulationError("duration must be positive")
-        _check_timing(interval_seconds, warmup_seconds)
-        num_intervals = int(round(duration_seconds / interval_seconds))
-        if num_intervals < 1:
-            raise EmulationError("duration shorter than one interval")
-        session = self.session(
-            interval_seconds=interval_seconds,
-            warmup_seconds=warmup_seconds,
+        """Run the emulation in one shot: a :meth:`session` advanced by
+        every interval at once (same arithmetic, same RNG stream)."""
+        return run_session(
+            self.session(interval_seconds, warmup_seconds), duration_seconds
         )
-        session.advance(num_intervals)
-        return session.result()
 
     def session(
         self,
         interval_seconds: float = 0.1,
         warmup_seconds: float = 0.0,
         keep_ground_truth: bool = True,
-    ) -> "PacketSession":
-        """Open a resumable emulation session (streaming mode).
+    ) -> EngineSession:
+        """Open a resumable single-world session (streaming mode).
 
-        The packet analogue of :meth:`repro.fluid.engine.
-        FluidNetwork.session`: advance N intervals at a time, swap
-        link specs at interval boundaries, collect the cumulative
-        :class:`~repro.substrate.base.SubstrateResult` at any point (unless
-        ``keep_ground_truth=False`` bounds memory by discarding
-        emitted intervals). One session per :class:`PacketNetwork`
-        instance.
+        The same :class:`~repro.substrate.base.EngineSession` as
+        :meth:`repro.fluid.engine.FluidNetwork.session`: advance N
+        intervals at a time, swap link specs at interval boundaries
+        (with deterministic state carry-over, see
+        :func:`_swap_link_runtimes`), collect the cumulative result at
+        any point. One session per :class:`PacketNetwork` instance.
         """
-        _check_timing(interval_seconds, warmup_seconds)
-        return PacketSession(
-            self, interval_seconds, warmup_seconds, keep_ground_truth
+        # A flow plan measures every path it names.
+        return EngineSession(
+            self,
+            "packet",
+            self._path_ids,
+            [
+                self._flow_plan is not None or self._workloads[pid].measured
+                for pid in self._path_ids
+            ],
+            interval_seconds=interval_seconds,
+            warmup_seconds=warmup_seconds,
+            keep_ground_truth=keep_ground_truth,
         )
 
-    def _interval_loop(
-        self,
-        session: "PacketSession",
-        interval_seconds: float,
-        warm_intervals: int,
-    ):
-        """The emulation loop, yielding once per closed interval.
+    def _interval_loop(self, session: EngineSession):
+        """The emulation loop, yielding once per closed interval the
+        session's ``(1, …)`` columns.
 
         Open-ended like the fluid loop: the session stops pulling
         when its segment is complete, and pending link-spec swaps are
         applied at interval boundaries without consuming randomness.
+        The session's step is a whole interval: the loop picks its
+        own quantum.
         """
         net = self._net
+        interval_seconds = session.interval_seconds
+        warm_intervals = session.warmup_steps
         # The session wraps the generator in a counting proxy when
         # telemetry is on (a pure pass-through: the bit stream, and
         # therefore every record, is unchanged).
-        rng = session._wrap_rng(np.random.default_rng(self._seed))
+        rng = session.count_rng(np.random.default_rng(self._seed))
         path_ids = self._path_ids
         link_ids: List[str] = list(net.link_ids)
         class_names = self._classes.names
@@ -490,16 +477,17 @@ class PacketNetwork:
         lost_ivl = np.zeros(num_paths, dtype=np.int64)
         link_arr_ivl = np.zeros((num_links, num_classes), dtype=np.int64)
         link_drop_ivl = np.zeros((num_links, num_classes), dtype=np.int64)
-        session._bind(f_path, f_completed)
+        session.bind_flows(f_path, f_completed)
 
         def _close_interval(occ: np.ndarray, rtt_col: np.ndarray):
+            # One world: each column gains a leading axis of 1 (a view).
             cols = (
-                sent_ivl.copy(),
-                lost_ivl.copy(),
-                link_arr_ivl.copy(),
-                link_drop_ivl.copy(),
-                occ,
-                rtt_col,
+                sent_ivl.copy()[None],
+                lost_ivl.copy()[None],
+                rtt_col[None],
+                link_arr_ivl.copy()[None],
+                link_drop_ivl.copy()[None],
+                occ[None],
             )
             sent_ivl[:] = 0
             lost_ivl[:] = 0
@@ -515,12 +503,12 @@ class PacketNetwork:
 
         q = 0
         while True:
-            if session._pending_specs is not None and q % qpi == 0:
+            if session.pending_specs is not None and q % qpi == 0:
                 links = _swap_link_runtimes(
-                    links, session._pending_specs, link_ids, cindex
+                    links, session.pending_specs, link_ids, cindex
                 )
-                self._specs = session._pending_specs
-                session._pending_specs = None
+                self._specs = session.pending_specs
+                session.pending_specs = None
             now = q * dt
             q_end = now + dt
             measuring = q >= warm_quanta
@@ -961,158 +949,3 @@ class PacketNetwork:
         if admit.all():
             return None, dep_full
         return admit, dep_full[admit]
-
-
-class PacketSession:
-    """A resumable packet emulation, advanced N intervals at a time.
-
-    Created by :meth:`PacketNetwork.session`. Advancing a session in
-    any segmentation produces bit-identical records to a one-shot
-    :meth:`PacketNetwork.run` of the same total length; between
-    segments the session accepts link-spec swaps, applied at the next
-    interval boundary with deterministic state carry-over (see
-    :func:`_swap_link_runtimes`).
-    """
-
-    def __init__(
-        self,
-        sim: PacketNetwork,
-        interval_seconds: float,
-        warmup_seconds: float,
-        keep_ground_truth: bool = True,
-    ) -> None:
-        self._sim = sim
-        self._path_ids = sim._path_ids
-        # A flow plan measures every path it names.
-        self._measured_rows, self._measured_ids = measured_rows(
-            self._path_ids,
-            [
-                sim._flow_plan is not None or sim._workloads[pid].measured
-                for pid in self._path_ids
-            ],
-        )
-        self.interval_seconds = float(interval_seconds)
-        self._keep_history = bool(keep_ground_truth)
-        self._pending_specs: Optional[Dict[str, LinkSpec]] = None
-        self._gen = sim._interval_loop(
-            self,
-            float(interval_seconds),
-            int(round(warmup_seconds / interval_seconds)),
-        )
-        # Flow → path row and completed-flow counters, bound by the
-        # loop at the first advance.
-        self._f_path = np.zeros(0, dtype=np.intp)
-        self._f_completed = np.zeros(0, dtype=np.int64)
-        self._sent_cols: List[np.ndarray] = []
-        self._lost_cols: List[np.ndarray] = []
-        self._arr_cols: List[np.ndarray] = []
-        self._drop_cols: List[np.ndarray] = []
-        self._occ_cols: List[np.ndarray] = []
-        self._rtt_cols: List[np.ndarray] = []
-        self.intervals_done = 0
-        # Sampled once per session: disabled telemetry costs one
-        # boolean here and a branch per advance/swap.
-        self._tel = telemetry.enabled()
-        if self._tel:
-            reg = telemetry.get_registry()
-            self._tel_intervals = reg.counter(
-                "repro_engine_intervals_total",
-                "measurement intervals emulated", substrate="packet",
-            )
-            self._tel_swaps = reg.counter(
-                "repro_engine_spec_swaps_total",
-                "mid-run link-spec swaps applied", substrate="packet",
-            )
-            self._tel_rng = reg.counter(
-                "repro_engine_rng_draws_total",
-                "RNG method calls made by the engine", substrate="packet",
-            )
-
-    def _wrap_rng(self, rng):
-        """Hook for the interval loop: count draws when telemetry is on."""
-        if self._tel:
-            return telemetry.CountingRNG(rng, self._tel_rng)
-        return rng
-
-    def _bind(self, f_path, f_completed) -> None:
-        """Called by the loop once its state exists (first advance)."""
-        self._f_path = f_path
-        self._f_completed = f_completed
-
-    def set_link_specs(
-        self, link_specs: Mapping[str, LinkSpec] = None
-    ) -> None:
-        """Swap the per-link specs at the next interval boundary.
-
-        The mapping is validated and completed exactly like the
-        constructor's (unspecified links revert to ``LinkSpec()``).
-        """
-        self._pending_specs = complete_link_specs(
-            self._sim._net, self._sim._classes, link_specs
-        )
-        if self._tel:
-            self._tel_swaps.inc()
-
-    def advance(self, num_intervals: int) -> RecordChunk:
-        """Emulate ``num_intervals`` more measurement intervals."""
-        if num_intervals < 1:
-            raise EmulationError("must advance by at least one interval")
-        start = self.intervals_done
-        span = (
-            telemetry.span(
-                "engine.advance", substrate="packet",
-                intervals=int(num_intervals), start=start,
-            )
-            if self._tel
-            else telemetry.NOOP_SPAN
-        )
-        new_sent: List[np.ndarray] = []
-        new_lost: List[np.ndarray] = []
-        with span:
-            for _ in range(int(num_intervals)):
-                sent, lost, arr, drop, occ, rtt = next(self._gen)
-                new_sent.append(sent)
-                new_lost.append(lost)
-                if self._keep_history:
-                    self._sent_cols.append(sent)
-                    self._lost_cols.append(lost)
-                    self._arr_cols.append(arr)
-                    self._drop_cols.append(drop)
-                    self._occ_cols.append(occ)
-                    self._rtt_cols.append(rtt)
-        self.intervals_done = start + int(num_intervals)
-        if self._tel:
-            self._tel_intervals.inc(int(num_intervals))
-        return chunk_from_columns(
-            self._measured_ids,
-            new_sent,
-            new_lost,
-            self._measured_rows,
-            self.interval_seconds,
-            start,
-        )
-
-    def result(self) -> SubstrateResult:
-        """Package everything emulated so far as a
-        :class:`~repro.substrate.base.SubstrateResult` — identical to
-        the one-shot run's."""
-        return package_result(
-            intervals_done=self.intervals_done,
-            keep_ground_truth=self._keep_history,
-            interval_seconds=self.interval_seconds,
-            path_ids=self._path_ids,
-            measured=self._measured_rows,
-            link_ids=self._sim._net.link_ids,
-            class_names=self._sim._classes.names,
-            sent=self._sent_cols,
-            lost=self._lost_cols,
-            rtt=self._rtt_cols,
-            arrivals=self._arr_cols,
-            drops=self._drop_cols,
-            occupancy=self._occ_cols,
-            flows_by_path=np.bincount(
-                self._f_path,
-                weights=self._f_completed,
-                minlength=len(self._path_ids),
-            ),
-        )

@@ -9,7 +9,7 @@ structure the inference pipeline depends on. See
 from repro._namespace import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "batch": ("FluidBatchNetwork", "FluidBatchSession"),
+    "batch": ("FluidBatchNetwork",),
     "engine": (
         "DEFAULT_DT",
         "DEFAULT_INTERVAL",
@@ -27,12 +27,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "WeightedShaperSpec",
         "mb_to_packets",
         "mbps_to_pps",
-    ),
-    "tcp": ("TcpState",),
-    "traffic": (
-        "FlowSlot",
-        "build_slots",
-        "sample_flow_size_packets",
-        "sample_gap_seconds",
     ),
 })

@@ -10,10 +10,10 @@ plus per-link ground truth and queue-occupancy traces for Figures 10a
 and 11.
 
 This module is the single-scenario front end: :class:`FluidNetwork`
-validates one scenario and owns its specs and RNG, and its run and
-session advance the one fluid step program
-(:mod:`repro.fluid.batch`) at ``B = 1``; a session's spec swap is the
-batch session's swap of its one world. The program is batched numpy
+validates one scenario and owns its specs and RNG, and its session —
+the one :class:`~repro.substrate.base.EngineSession` of both engines,
+opened with one world — advances the one fluid step program
+(:mod:`repro.fluid.batch`) at ``B = 1``. The program is batched numpy
 over flow/link/path arrays: per-slot offers, per-link service, drop
 attribution, and TCP window updates all advance every object at once
 (see :class:`~repro.fluid.tcp.TcpArrayState` and
@@ -61,10 +61,9 @@ import numpy as np
 
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
-from repro.exceptions import ConfigurationError, EmulationError
+from repro.exceptions import ConfigurationError
 from repro.fluid.params import LinkSpec, PathWorkload, complete_link_specs
-from repro.measurement.records import RecordChunk
-from repro.substrate.base import SubstrateResult
+from repro.substrate.base import EngineSession, SubstrateResult, run_session
 
 #: Engine implementation tag; part of the sweep result-cache key so
 #: cached outcomes are invalidated when the emulation model changes.
@@ -140,10 +139,8 @@ class FluidNetwork:
         interval_seconds: float = DEFAULT_INTERVAL,
         warmup_seconds: float = 0.0,
     ) -> SubstrateResult:
-        """Run the emulation in one shot.
-
-        Equivalent to opening a :meth:`session` and advancing it by
-        every interval at once — same arithmetic, same RNG stream.
+        """Run the emulation in one shot: a :meth:`session` advanced by
+        every interval at once (same arithmetic, same RNG stream).
 
         Args:
             duration_seconds: Measured time span (after warmup).
@@ -151,22 +148,11 @@ class FluidNetwork:
             interval_seconds: Measurement interval (Table 1).
             warmup_seconds: Initial span excluded from all records so
                 slow-start transients do not bias probabilities.
-
-        Returns:
-            The run's :class:`~repro.substrate.base.SubstrateResult`.
         """
-        if not (np.isfinite(duration_seconds) and duration_seconds > 0):
-            raise EmulationError("duration must be positive")
-        session = self.session(
-            dt=dt,
-            interval_seconds=interval_seconds,
-            warmup_seconds=warmup_seconds,
+        return run_session(
+            self.session(dt, interval_seconds, warmup_seconds),
+            duration_seconds,
         )
-        num_intervals = int(round(duration_seconds / interval_seconds))
-        if num_intervals < 1:
-            raise EmulationError("duration shorter than one interval")
-        session.advance(num_intervals)
-        return session.result()
 
     def session(
         self,
@@ -174,90 +160,31 @@ class FluidNetwork:
         interval_seconds: float = DEFAULT_INTERVAL,
         warmup_seconds: float = 0.0,
         keep_ground_truth: bool = True,
-    ) -> "FluidSession":
-        """Open a resumable emulation session (streaming mode).
+    ) -> EngineSession:
+        """Open a resumable single-world session (streaming mode).
 
-        The session advances the emulation a chosen number of
-        measurement intervals at a time, carrying all flow/queue/RNG
-        state in between, and accepts link-spec swaps at interval
-        boundaries (mid-run differentiation onset/offset). Only one
-        session may be driven per :class:`FluidNetwork` instance —
-        sessions consume the instance's RNG.
-
-        ``keep_ground_truth=False`` discards every interval's columns
-        once its chunk is emitted, bounding a long monitoring run's
-        memory; :meth:`FluidSession.result` is then unavailable.
+        The :class:`~repro.substrate.base.EngineSession` advances the
+        emulation a chosen number of measurement intervals at a time,
+        carrying all flow/queue/RNG state in between, and accepts
+        link-spec swaps at interval boundaries (mid-run
+        differentiation onset/offset). Only one session may be driven
+        per :class:`FluidNetwork` instance — sessions consume the
+        instance's RNG.
         """
-        return FluidSession(
-            self, dt, interval_seconds, warmup_seconds, keep_ground_truth
-        )
-
-
-class FluidSession:
-    """A resumable fluid emulation, advanced N intervals at a time.
-
-    Created by :meth:`FluidNetwork.session`: the ``B = 1`` face of a
-    :class:`~repro.fluid.batch.FluidBatchSession` over this one
-    network, which runs the fluid step program. Advancing a session in
-    any segmentation produces *bit-identical* records to a one-shot
-    :meth:`FluidNetwork.run` of the same total length (the loop and
-    its RNG stream are shared; segmentation only changes where the
-    generator pauses). Between segments the session accepts link-spec
-    swaps, which take effect at the next interval boundary — the
-    substrate hook behind the streaming monitor's mid-run
-    differentiation onset/offset scenarios.
-    """
-
-    def __init__(
-        self,
-        sim: FluidNetwork,
-        dt: float,
-        interval_seconds: float,
-        warmup_seconds: float,
-        keep_ground_truth: bool = True,
-    ) -> None:
-        from repro.fluid.batch import FluidBatchNetwork
-
-        self._batch = FluidBatchNetwork._of_worlds([sim]).session(
-            dt=dt,
+        path_ids = self._net.path_ids
+        return EngineSession(
+            self,
+            "fluid",
+            path_ids,
+            [self._workloads[pid].measured for pid in path_ids],
             interval_seconds=interval_seconds,
             warmup_seconds=warmup_seconds,
+            dt=dt,
             keep_ground_truth=keep_ground_truth,
         )
-        self.interval_seconds = self._batch.interval_seconds
 
-    @property
-    def intervals_done(self) -> int:
-        return self._batch.intervals_done
+    def _interval_loop(self, session: EngineSession):
+        """The fluid step program over this one world."""
+        from repro.fluid.batch import interval_loop
 
-    def set_link_specs(
-        self, link_specs: Mapping[str, LinkSpec] = None
-    ) -> None:
-        """Swap the per-link specs at the next interval boundary.
-
-        The mapping is validated and completed exactly like the
-        constructor's (unspecified links revert to defaults). Queues
-        and in-flight flow state carry over; token buckets persist
-        for links that stay policed and start full for newly policed
-        links.
-        """
-        self._batch.set_link_specs(link_specs)
-
-    def advance(self, num_intervals: int) -> RecordChunk:
-        """Emulate ``num_intervals`` more measurement intervals.
-
-        Returns:
-            The new intervals' measured-path records (the same
-            integer counters the final :meth:`result` will contain
-            for this span).
-        """
-        return self._batch.advance(num_intervals)[0]
-
-    def result(self) -> SubstrateResult:
-        """Package everything emulated so far as a
-        :class:`~repro.substrate.base.SubstrateResult`.
-
-        Identical to what :meth:`FluidNetwork.run` would have
-        returned for the same total number of intervals.
-        """
-        return self._batch.result(0)
+        return interval_loop([self], session)

@@ -27,13 +27,7 @@ Model summary:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
-
-from repro.exceptions import ConfigurationError
 
 #: Initial congestion window (packets) — RFC 6928's IW10 rounded down.
 INITIAL_WINDOW = 4.0
@@ -55,141 +49,6 @@ CUBIC_BETA = 0.7
 SEVERE_LOSS_FRACTION = 0.5
 
 
-@dataclass
-class TcpState:
-    """Mutable congestion-control state of one fluid flow."""
-
-    algorithm: str
-    cwnd: float = INITIAL_WINDOW
-    ssthresh: float = INITIAL_SSTHRESH
-    last_loss_time: float = -math.inf
-    # CUBIC epoch state
-    w_max: float = 0.0
-    epoch_start: Optional[float] = None
-    # Delayed loss detection: losses observed now are reacted to one
-    # RTT later (duplicate ACKs / SACK take a round trip to arrive).
-    # Until then the flow keeps sending at its current window — which
-    # is what keeps a real droptail queue full, and drop epochs long,
-    # for about an RTT after the first drop.
-    pending_due: Optional[float] = None
-    pending_lost: float = 0.0
-    pending_sent: float = 0.0
-
-    def note_loss(self, now: float, lost: float, sent: float, rtt: float) -> None:
-        """Record loss for reaction one RTT from the *first* loss."""
-        if self.pending_due is None:
-            self.pending_due = now + rtt
-        self.pending_lost += lost
-        self.pending_sent += sent
-
-    def pending_ready(self, now: float) -> bool:
-        return self.pending_due is not None and now >= self.pending_due
-
-    def apply_pending(self, now: float, rtt: float) -> bool:
-        """React to the accumulated loss; returns True if a cut happened."""
-        lost, sent = self.pending_lost, self.pending_sent
-        self.pending_due = None
-        self.pending_lost = 0.0
-        self.pending_sent = 0.0
-        return self.on_loss(now, lost, sent, rtt)
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ("newreno", "cubic"):
-            raise ConfigurationError(
-                f"unknown TCP algorithm {self.algorithm!r}"
-            )
-
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
-
-    # ------------------------------------------------------------------
-    # Window evolution
-    # ------------------------------------------------------------------
-
-    def on_delivered(self, now: float, delivered_packets: float, rtt: float) -> None:
-        """Grow the window after ``delivered_packets`` were ACKed."""
-        if delivered_packets <= 0:
-            return
-        if self.in_slow_start:
-            self.cwnd = min(self.cwnd + delivered_packets, MAX_WINDOW)
-            if self.cwnd >= self.ssthresh and self.algorithm == "cubic":
-                # Exiting slow start: open a CUBIC epoch anchored here.
-                self._open_epoch(now)
-            return
-        if self.algorithm == "newreno":
-            self.cwnd = min(
-                self.cwnd + delivered_packets / max(self.cwnd, 1.0),
-                MAX_WINDOW,
-            )
-        else:
-            self._cubic_update(now, rtt)
-
-    def on_loss(self, now: float, lost_packets: float, sent_packets: float, rtt: float) -> bool:
-        """React to packet loss observed during one step.
-
-        Loss events are collapsed to at most one per RTT. Returns True
-        when a congestion event was registered (window was reduced).
-        """
-        if lost_packets <= 0:
-            return False
-        if now - self.last_loss_time < rtt:
-            return False  # same congestion event as the previous cut
-        self.last_loss_time = now
-        severe = (
-            sent_packets > 0
-            and lost_packets / sent_packets >= SEVERE_LOSS_FRACTION
-        )
-        if severe:
-            # Timeout-like collapse: back to slow start.
-            self.ssthresh = max(self.cwnd / 2.0, 2.0)
-            self.cwnd = MIN_WINDOW
-            self.epoch_start = None
-            return True
-        if self.algorithm == "newreno":
-            self.ssthresh = max(self.cwnd / 2.0, 2.0)
-            self.cwnd = self.ssthresh
-        else:
-            self.w_max = self.cwnd
-            self.cwnd = max(self.cwnd * CUBIC_BETA, MIN_WINDOW)
-            self.ssthresh = max(self.cwnd, 2.0)
-            self._open_epoch(now)
-        return True
-
-    # ------------------------------------------------------------------
-    # CUBIC internals
-    # ------------------------------------------------------------------
-
-    def _open_epoch(self, now: float) -> None:
-        self.epoch_start = now
-        if self.w_max <= 0:
-            self.w_max = max(self.cwnd, INITIAL_WINDOW)
-
-    def _cubic_update(self, now: float, rtt: float) -> None:
-        if self.epoch_start is None:
-            self._open_epoch(now)
-        t = now - self.epoch_start
-        k = ((self.w_max * (1.0 - CUBIC_BETA)) / CUBIC_C) ** (1.0 / 3.0)
-        target = CUBIC_C * (t - k) ** 3 + self.w_max
-        # TCP-friendly region (RFC 8312 §4.2): never slower than Reno.
-        reno_est = self.w_max * CUBIC_BETA + 3.0 * (1.0 - CUBIC_BETA) / (
-            1.0 + CUBIC_BETA
-        ) * (t / max(rtt, 1e-3))
-        target = max(target, reno_est)
-        self.cwnd = float(min(max(target, MIN_WINDOW), MAX_WINDOW))
-
-    def reset_for_new_flow(self) -> None:
-        """Fresh connection state for the slot's next flow."""
-        self.cwnd = INITIAL_WINDOW
-        self.ssthresh = INITIAL_SSTHRESH
-        self.last_loss_time = -math.inf
-        self.w_max = 0.0
-        self.epoch_start = None
-        self.pending_due = None
-        self.pending_lost = 0.0
-        self.pending_sent = 0.0
-
-
 #: RFC 8312 §4.2 TCP-friendly region slope: 3(1−β)/(1+β).
 _RENO_SLOPE = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
 
@@ -197,13 +56,14 @@ _RENO_SLOPE = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
 class TcpArrayState:
     """Vectorized congestion-control state for N parallel flow slots.
 
-    The batched counterpart of :class:`TcpState`: one numpy array per
-    field, advanced for every slot at once by the vectorized fluid
-    engine. The window-evolution rules are the same (slow start,
+    The batched counterpart of the scalar per-flow model the seed
+    engine used (frozen as ``tests/oracles/flow_scalar.py::TcpState``):
+    one numpy array per field, advanced for every slot at once by the
+    fluid engine. The window-evolution rules are the same (slow start,
     NewReno AIMD, CUBIC with the TCP-friendly region, one loss event
     per RTT, severe-loss collapse); only the arithmetic layout
-    differs. ``pending_due == +inf`` encodes "no pending loss"
-    (:class:`TcpState` uses ``None``) so due-ness is one comparison.
+    differs. ``pending_due == +inf`` encodes "no pending loss" (the
+    scalar model uses ``None``) so due-ness is one comparison.
 
     CUBIC's epoch constants (``K`` and the friendly-region intercept)
     are precomputed when an epoch opens instead of per step — they
@@ -276,7 +136,7 @@ class TcpArrayState:
         self.pending_sent[idx] = 0.0
         self._num_pending -= len(idx)
         # At most one congestion event per RTT (same rule as
-        # TcpState.on_loss); a quiet repeat is the same event.
+        # the scalar on_loss); a quiet repeat is the same event.
         do = (plost > 0.0) & (now - self.last_loss_time[idx] >= rtt[idx])
         severe = do & (psent > 0.0) & (plost >= SEVERE_LOSS_FRACTION * psent)
         normal = do & ~severe

@@ -10,90 +10,22 @@ there because it matches observed Internet host-pair behaviour
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from repro.fluid.params import FlowSlotSpec, PathWorkload, mb_to_packets
-from repro.fluid.tcp import TcpState
-
-
-def sample_flow_size_packets(
-    spec: FlowSlotSpec, rng: np.random.Generator
-) -> float:
-    """Draw one transfer size, in packets.
-
-    Pareto with tail index α and mean ``mean_size_mb``: the scale is
-    ``x_m = mean·(α−1)/α`` so the distribution's mean matches the
-    configured mean. ``pareto_shape == 0`` returns the fixed size.
-    """
-    mean_packets = mb_to_packets(spec.mean_size_mb)
-    if spec.pareto_shape == 0:
-        return max(mean_packets, 1.0)
-    alpha = spec.pareto_shape
-    x_m = mean_packets * (alpha - 1.0) / alpha
-    size = x_m * (1.0 + rng.pareto(alpha))
-    return max(size, 1.0)
-
-
-def sample_gap_seconds(spec: FlowSlotSpec, rng: np.random.Generator) -> float:
-    """Draw one exponential inter-flow idle gap."""
-    if spec.mean_gap_seconds == 0:
-        return 0.0
-    return float(rng.exponential(spec.mean_gap_seconds))
-
-
-@dataclass
-class FlowSlot:
-    """Runtime state of one parallel flow slot.
-
-    Attributes:
-        path_id: The path the slot sends on.
-        spec: The slot's static configuration.
-        tcp: TCP congestion state (reset per flow).
-        remaining_packets: Packets left in the current flow (0 = idle).
-        next_start: Simulation time at which the next flow begins.
-        flows_completed: Completed-transfer counter (sanity metric).
-        rtt_factor: Per-slot multiplicative RTT perturbation (end-host
-            stacks and routes differ slightly); desynchronizes the
-            sawtooths of flows sharing a path.
-    """
-
-    path_id: str
-    spec: FlowSlotSpec
-    tcp: TcpState
-    remaining_packets: float = 0.0
-    next_start: float = 0.0
-    flows_completed: int = 0
-    rtt_factor: float = 1.0
-
-    @property
-    def active(self) -> bool:
-        return self.remaining_packets > 0.0
-
-    def maybe_start(self, now: float, rng: np.random.Generator) -> None:
-        """Start the next flow if its scheduled time has arrived."""
-        if self.active or now < self.next_start:
-            return
-        self.remaining_packets = sample_flow_size_packets(self.spec, rng)
-        self.tcp.reset_for_new_flow()
-
-    def complete(self, now: float, rng: np.random.Generator) -> None:
-        """Finish the current flow and schedule the next one."""
-        self.remaining_packets = 0.0
-        self.flows_completed += 1
-        self.next_start = now + sample_gap_seconds(self.spec, rng)
+from repro.fluid.params import PathWorkload, mb_to_packets
 
 
 class SlotArrays:
-    """Array-of-slots counterpart of a ``List[FlowSlot]``.
+    """Every flow slot of every path, one numpy array per attribute.
 
-    One numpy array per slot attribute, in the same slot order that
-    :func:`build_slots` produces (paths sorted by id, a path's slots
-    in workload order), so the vectorized engine touches every slot
-    with whole-array operations. Flow starts and completions are the
-    only per-event work, applied to index subsets.
+    Slots are ordered by path id, a path's slots in workload order, so
+    the vectorized engine touches every slot with whole-array
+    operations. Flow starts and completions are the only per-event
+    work, applied to index subsets. (The seed engine's per-slot
+    objects are frozen in ``tests/oracles/flow_scalar.py``; this class
+    consumes the same RNG stream.)
 
     Attributes:
         path_index: Per-slot index into the engine's path order.
@@ -114,25 +46,33 @@ class SlotArrays:
         rng: np.random.Generator,
         stagger_seconds: float = 0.5,
     ) -> None:
-        # Built *from* build_slots output, so slot order and the
-        # initial-condition RNG draws are the scalar reference
-        # engine's by construction, not by parallel implementation.
-        slots = build_slots(workloads, rng, stagger_seconds)
+        # Slots in sorted-path order, a path's slots in workload
+        # order; each slot draws its start stagger, then its RTT
+        # factor, as two scalar draws in slot order (the seed engine's
+        # stream — a vectorized draw would change it). Initial starts
+        # are staggered so parallel flows do not begin in lockstep.
         pindex = {pid: i for i, pid in enumerate(path_order)}
-        self.path_index = np.array(
-            [pindex[s.path_id] for s in slots], dtype=np.intp
+        path_index, specs, is_cubic, next_start, rtt_factor = (
+            [], [], [], [], []
         )
+        for path_id in sorted(workloads):
+            workload = workloads[path_id]
+            for spec in workload.slots:
+                path_index.append(pindex[path_id])
+                specs.append(spec)
+                is_cubic.append(workload.congestion_control == "cubic")
+                next_start.append(rng.uniform(0.0, stagger_seconds))
+                rtt_factor.append(rng.uniform(0.9, 1.1))
+        self.path_index = np.array(path_index, dtype=np.intp)
         self.mean_packets = np.array(
-            [mb_to_packets(s.spec.mean_size_mb) for s in slots]
+            [mb_to_packets(s.mean_size_mb) for s in specs]
         )
-        self.alpha = np.array([s.spec.pareto_shape for s in slots])
-        self.gap_mean = np.array([s.spec.mean_gap_seconds for s in slots])
-        self.is_cubic = np.array(
-            [s.tcp.algorithm == "cubic" for s in slots], dtype=bool
-        )
-        self.rtt_factor = np.array([s.rtt_factor for s in slots])
-        self.next_start = np.array([s.next_start for s in slots])
-        n = len(slots)
+        self.alpha = np.array([s.pareto_shape for s in specs])
+        self.gap_mean = np.array([s.mean_gap_seconds for s in specs])
+        self.is_cubic = np.array(is_cubic, dtype=bool)
+        self.rtt_factor = np.array(rtt_factor)
+        self.next_start = np.array(next_start)
+        n = len(specs)
         self.remaining = np.zeros(n)
         self.flows_completed = np.zeros(n, dtype=np.int64)
 
@@ -185,9 +125,10 @@ class SlotArrays:
     def start_flows(self, idx: np.ndarray, rng: np.random.Generator) -> None:
         """Begin the next flow on each slot in ``idx``.
 
-        Sizes follow :func:`sample_flow_size_packets`: Pareto with the
-        slot's tail index (one draw per starting Pareto slot, in slot
-        order), or the fixed mean for ``alpha == 0``.
+        Sizes are Pareto with the slot's tail index α and mean (scale
+        ``x_m = mean·(α−1)/α``; one draw per starting Pareto slot, in
+        slot order), or the fixed mean for ``alpha == 0``; at least
+        one packet either way.
         """
         sizes = self.mean_packets[idx]  # fancy indexing copies
         alphas = self.alpha[idx]
@@ -211,30 +152,3 @@ class SlotArrays:
         if drawn.any():
             gaps[drawn] = rng.exponential(means[drawn])
         self.next_start[idx] = now + gaps
-
-
-def build_slots(
-    workloads: "dict[str, PathWorkload]",
-    rng: np.random.Generator,
-    stagger_seconds: float = 0.5,
-) -> List[FlowSlot]:
-    """Instantiate every slot of every path.
-
-    Initial starts are staggered uniformly over ``stagger_seconds`` so
-    parallel flows do not begin in lockstep (which would synchronize
-    slow-start overshoots unrealistically).
-    """
-    slots: List[FlowSlot] = []
-    for path_id in sorted(workloads):
-        workload = workloads[path_id]
-        for spec in workload.slots:
-            slots.append(
-                FlowSlot(
-                    path_id=path_id,
-                    spec=spec,
-                    tcp=TcpState(algorithm=workload.congestion_control),
-                    next_start=float(rng.uniform(0.0, stagger_seconds)),
-                    rtt_factor=float(rng.uniform(0.9, 1.1)),
-                )
-            )
-    return slots

@@ -505,6 +505,29 @@ class NeutralityMonitor:
         )
 
 
+def check_onset(
+    scenario: Scenario, onset_interval: Optional[int]
+) -> None:
+    """Reject a stream :func:`monitor_scenario` cannot run, before any
+    emulation: one shorter than an interval, or a policy onset on a
+    scenario without a policy or outside the stream (``repro
+    monitor`` checks this before it prints).
+
+    Raises:
+        ConfigurationError: For each of those.
+    """
+    from repro.streaming.stream import stream_intervals
+
+    if onset_interval is not None and scenario.policy is None:
+        raise ConfigurationError(
+            f"scenario {scenario.name!r} schedules a policy onset but "
+            "has no differentiation policy"
+        )
+    stream_intervals(
+        scenario.settings, () if onset_interval is None else (onset_interval,)
+    )
+
+
 def monitor_scenario(
     scenario: Scenario,
     *,
@@ -538,11 +561,7 @@ def monitor_scenario(
     from repro.streaming.stream import EmulationStream
     from repro.substrate.scenario import compile_scenario
 
-    if onset_interval is not None and scenario.policy is None:
-        raise ConfigurationError(
-            f"scenario {scenario.name!r} schedules a policy onset but "
-            "has no differentiation policy"
-        )
+    check_onset(scenario, onset_interval)
     with telemetry.span(
         "monitor.task", name=scenario.name,
         substrate=scenario.substrate, seed=scenario.settings.seed,

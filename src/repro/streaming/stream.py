@@ -17,7 +17,7 @@ contiguous intervals ``0, 1, 2, …`` for a fixed path set, plus an
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterable, Iterator, Mapping, Optional
 
 from repro.core.classes import ClassAssignment
 from repro.core.network import Network
@@ -25,9 +25,30 @@ from repro.exceptions import ConfigurationError, MeasurementError
 from repro.experiments.config import EmulationSettings
 from repro.fluid.params import PathWorkload
 from repro.measurement.records import MeasurementData, RecordChunk
-from repro.substrate.base import SubstrateResult, SubstrateSession
+from repro.substrate.base import EngineSession, SubstrateResult
 from repro.substrate.registry import get_substrate
 from repro.substrate.spec import LinkSpec
+
+
+def stream_intervals(
+    settings: EmulationSettings, switch_intervals: Iterable[int] = ()
+) -> int:
+    """The intervals an emulated stream of ``settings`` covers,
+    checking that every scheduled switch falls inside it.
+
+    Raises:
+        ConfigurationError: For a stream shorter than one interval
+            or a switch outside ``[0, intervals)``.
+    """
+    total = int(round(settings.duration_seconds / settings.interval_seconds))
+    if total < 1:
+        raise ConfigurationError("stream shorter than one interval")
+    for at in switch_intervals:
+        if not 0 <= at < total:
+            raise ConfigurationError(
+                f"switch interval {at} outside the stream [0, {total})"
+            )
+    return total
 
 
 class ReplayStream:
@@ -108,25 +129,14 @@ class EmulationStream:
             raise ConfigurationError(
                 f"chunk_intervals must be >= 1, got {chunk_intervals}"
             )
-        total_intervals = int(
-            round(settings.duration_seconds / settings.interval_seconds)
-        )
-        if total_intervals < 1:
-            raise ConfigurationError("stream shorter than one interval")
-        self._chunk = int(chunk_intervals)
-        self.total_intervals = total_intervals
-        self.interval_seconds = settings.interval_seconds
         self._switches: Dict[int, Mapping[str, LinkSpec]] = dict(
             switches or {}
         )
-        for at in self._switches:
-            if not 0 <= at < self.total_intervals:
-                raise ConfigurationError(
-                    f"switch interval {at} outside the stream "
-                    f"[0, {self.total_intervals})"
-                )
+        self.total_intervals = stream_intervals(settings, self._switches)
+        self._chunk = int(chunk_intervals)
+        self.interval_seconds = settings.interval_seconds
         backend = get_substrate(substrate)
-        self.session: SubstrateSession = backend.start(
+        self.session: EngineSession = backend.start(
             net,
             classes,
             link_specs,

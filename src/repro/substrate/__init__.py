@@ -14,7 +14,7 @@ converts it to packet units internally.
 from repro._namespace import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "base": ("EmulationSubstrate", "SubstrateResult"),
+    "base": ("EmulationSubstrate", "EngineSession", "SubstrateResult"),
     "batch": (
         "ScenarioBatch",
         "run_scenario_batch",

@@ -3,8 +3,10 @@
 Each entry is an :class:`~repro.substrate.base.EmulationSubstrate`
 adapter binding one engine to the shared spec/result contracts. Both
 engines take :class:`~repro.substrate.spec.LinkSpec` mappings as they
-are, so an adapter only maps settings to engine arguments and returns
-the engine's own sessions. Look backends up by name
+are and open the one :class:`~repro.substrate.base.EngineSession`, so
+an adapter's ``start`` only maps settings to engine arguments, and
+its ``run`` is that session advanced once
+(:func:`~repro.substrate.base.run_session`). Look backends up by name
 (``get_substrate``) and fingerprint them for sweep caching
 (``substrate_cache_tag``).
 """
@@ -17,15 +19,33 @@ from repro.core.classes import ClassAssignment
 from repro.core.network import Network
 from repro.exceptions import ConfigurationError
 from repro.fluid.params import PathWorkload
+from repro.substrate.base import EngineSession, SubstrateResult, run_session
 from repro.substrate.spec import LinkSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (see base.py)
-    from repro.emulator.core import PacketSession
     from repro.experiments.config import EmulationSettings
-    from repro.fluid.engine import FluidSession
 
 
-class FluidSubstrate:
+class _SessionSubstrate:
+    """What both adapters share: a one-shot :meth:`run` is a
+    :meth:`start`-ed session advanced once
+    (:func:`~repro.substrate.base.run_session`)."""
+
+    def run(
+        self,
+        net: Network,
+        classes: ClassAssignment,
+        link_specs: Mapping[str, LinkSpec],
+        workloads: Mapping[str, PathWorkload],
+        settings: "EmulationSettings",
+    ) -> SubstrateResult:
+        return run_session(
+            self.start(net, classes, link_specs, workloads, settings),
+            settings.duration_seconds,
+        )
+
+
+class FluidSubstrate(_SessionSubstrate):
     """The time-stepped fluid engine (primary sweep substrate).
 
     Also the one substrate with the *batch capability*
@@ -42,30 +62,6 @@ class FluidSubstrate:
 
         return ENGINE_VERSION
 
-    def run(
-        self,
-        net: Network,
-        classes: ClassAssignment,
-        link_specs: Mapping[str, LinkSpec],
-        workloads: Mapping[str, PathWorkload],
-        settings: "EmulationSettings",
-    ):
-        from repro.fluid.engine import FluidNetwork
-
-        sim = FluidNetwork(
-            net,
-            classes,
-            link_specs,
-            workloads,
-            seed=settings.seed,
-        )
-        return sim.run(
-            duration_seconds=settings.duration_seconds,
-            dt=settings.dt,
-            interval_seconds=settings.interval_seconds,
-            warmup_seconds=settings.warmup_seconds,
-        )
-
     def start(
         self,
         net: Network,
@@ -74,7 +70,7 @@ class FluidSubstrate:
         workloads: Mapping[str, PathWorkload],
         settings: "EmulationSettings",
         keep_ground_truth: bool = True,
-    ) -> "FluidSession":
+    ) -> EngineSession:
         from repro.fluid.engine import FluidNetwork
 
         sim = FluidNetwork(
@@ -123,7 +119,7 @@ class FluidSubstrate:
         )
 
 
-class PacketSubstrate:
+class PacketSubstrate(_SessionSubstrate):
     """The batched per-packet DES (validation / cross-check
     substrate; ``settings.dt`` does not apply — the engine picks its
     own batching quantum from the workload RTTs)."""
@@ -136,29 +132,6 @@ class PacketSubstrate:
 
         return PACKET_ENGINE_VERSION
 
-    def run(
-        self,
-        net: Network,
-        classes: ClassAssignment,
-        link_specs: Mapping[str, LinkSpec],
-        workloads: Mapping[str, PathWorkload],
-        settings: "EmulationSettings",
-    ):
-        from repro.emulator.core import PacketNetwork
-
-        sim = PacketNetwork(
-            net,
-            classes,
-            link_specs,
-            workloads=workloads,
-            seed=settings.seed,
-        )
-        return sim.run(
-            duration_seconds=settings.duration_seconds,
-            interval_seconds=settings.interval_seconds,
-            warmup_seconds=settings.warmup_seconds,
-        )
-
     def start(
         self,
         net: Network,
@@ -167,7 +140,7 @@ class PacketSubstrate:
         workloads: Mapping[str, PathWorkload],
         settings: "EmulationSettings",
         keep_ground_truth: bool = True,
-    ) -> "PacketSession":
+    ) -> EngineSession:
         from repro.emulator.core import PacketNetwork
 
         sim = PacketNetwork(

@@ -298,6 +298,38 @@ class TestCli:
         assert captured.err == f"error: {field} must be >= 1, got 0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["monitor", "--mechanism", "none", "--onset", "8"],
+                "error: scenario 'monitor-dumbbell' schedules a policy "
+                "onset but has no differentiation policy",
+                id="onset-without-policy",
+            ),
+            pytest.param(
+                ["monitor", "--onset", "50", "--duration", "10"],
+                "error: switch interval 500 outside the stream [0, 100)",
+                id="onset-outside-stream",
+            ),
+        ],
+    )
+    def test_monitor_bad_onset_exits_2_before_printing(
+        self, capsys, monkeypatch, argv, message
+    ):
+        """An onset the stream cannot schedule is refused before the
+        banner, with nothing emulated."""
+        from repro.substrate.registry import FluidSubstrate
+
+        def emulated(*args, **kwargs):
+            raise AssertionError("emulated")
+
+        monkeypatch.setattr(FluidSubstrate, "start", emulated)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
     def test_fig8_whole_set_prints_each_value_as_alone(self, capsys):
         """``fig8`` without ``--value`` runs the set as one batch and
         prints, byte for byte, what ``--value`` prints per value."""
@@ -682,7 +714,9 @@ class TestUndefinedValuesRenderAsDash:
     """Negative delays, uninformative windows and an undefined
     granularity never print as a negative count or ``nan``."""
 
-    MONITOR_ARGV = ["monitor", "--duration", "30", "--onset", "40"]
+    # The onset lies inside the stream: an onset outside it is
+    # refused before monitor_scenario runs.
+    MONITOR_ARGV = ["monitor", "--duration", "60", "--onset", "40"]
 
     @pytest.mark.parametrize(
         "delay, line",

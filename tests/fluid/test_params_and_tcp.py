@@ -22,9 +22,10 @@ from repro.fluid.tcp import (
     MAX_WINDOW,
     MIN_WINDOW,
     TcpArrayState,
-    TcpState,
 )
 from repro.workloads.profiles import class_workload
+
+from oracles.flow_scalar import TcpState
 
 
 class TestUnits:

@@ -1,10 +1,13 @@
-"""Unit tests for fluid traffic generation."""
+"""Unit tests for fluid traffic generation: the scalar reference
+slot model and the engine's slot arrays, which draw its stream."""
 
 import numpy as np
 import pytest
 
 from repro.fluid.params import FlowSlotSpec, PathWorkload
-from repro.fluid.traffic import (
+from repro.fluid.traffic import SlotArrays
+
+from oracles.flow_scalar import (
     build_slots,
     sample_flow_size_packets,
     sample_gap_seconds,
@@ -66,3 +69,37 @@ def test_slot_lifecycle():
     assert not slot.active
     assert slot.flows_completed == 1
     assert slot.next_start > 1.0
+
+
+def test_slot_arrays_draw_the_scalar_slots_stream():
+    """SlotArrays' initial draws, slot order and per-slot parameters
+    equal the scalar reference's, and both leave the generator in the
+    same state."""
+    wl = {
+        "b": PathWorkload(
+            slots=(FlowSlotSpec(mean_size_mb=3.0, pareto_shape=0.0),) * 2,
+            congestion_control="newreno",
+        ),
+        "a": PathWorkload(
+            slots=(FlowSlotSpec(mean_gap_seconds=0.5),) * 3,
+            congestion_control="cubic",
+        ),
+    }
+    order = ["b", "a"]
+    rng_arrays = np.random.default_rng(9)
+    rng_scalar = np.random.default_rng(9)
+    arrays = SlotArrays(wl, order, rng_arrays)
+    slots = build_slots(wl, rng_scalar)
+    assert arrays.path_index.tolist() == [
+        order.index(s.path_id) for s in slots
+    ]
+    assert arrays.next_start.tolist() == [s.next_start for s in slots]
+    assert arrays.rtt_factor.tolist() == [s.rtt_factor for s in slots]
+    assert arrays.is_cubic.tolist() == [
+        s.tcp.algorithm == "cubic" for s in slots
+    ]
+    assert arrays.alpha.tolist() == [s.spec.pareto_shape for s in slots]
+    assert arrays.gap_mean.tolist() == [
+        s.spec.mean_gap_seconds for s in slots
+    ]
+    assert rng_arrays.random() == rng_scalar.random()

@@ -33,9 +33,10 @@ from repro.fluid.engine import (
     SRTT_TIME_CONSTANT,
 )
 from repro.fluid.params import LinkSpec, PathWorkload
-from repro.fluid.traffic import FlowSlot, build_slots
 from repro.measurement.records import MeasurementData, PathRecord
 from repro.substrate.base import SubstrateResult as FluidResult
+
+from oracles.flow_scalar import FlowSlot, build_slots
 
 
 @dataclass

@@ -13,7 +13,6 @@ import pytest
 
 from repro.emulator.core import PacketNetwork
 from repro.exceptions import EmulationError
-from repro.fluid.batch import FluidBatchNetwork
 from repro.fluid.engine import FluidNetwork
 from repro.substrate.base import SubstrateResult
 from repro.substrate.spec import normalize_specs
@@ -92,7 +91,7 @@ class TestUnmeasuredWorkload:
         def reached(*args, **kwargs):
             raise AssertionError("the interval loop was reached")
 
-        monkeypatch.setattr(FluidBatchNetwork, "_interval_loop", reached)
+        monkeypatch.setattr(FluidNetwork, "_interval_loop", reached)
         monkeypatch.setattr(PacketNetwork, "_interval_loop", reached)
         topo, _ = dumbbell
         return {

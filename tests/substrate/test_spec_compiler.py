@@ -248,12 +248,12 @@ class TestBothEnginesReject:
 
     @pytest.mark.parametrize("substrate", ["fluid", "packet"])
     def test_sessions_are_the_engines_own(self, dumbbell, substrate):
-        from repro.emulator.core import PacketSession
-        from repro.fluid.engine import FluidSession
+        """Both adapters return the one session class, unwrapped."""
+        from repro.substrate.base import EngineSession
 
         topo, specs, wl = dumbbell
         session = get_substrate(substrate).start(
             topo.network, topo.classes, specs, wl, SETTINGS
         )
-        expected = {"fluid": FluidSession, "packet": PacketSession}
-        assert type(session) is expected[substrate]
+        assert type(session) is EngineSession
+        assert session.substrate == substrate

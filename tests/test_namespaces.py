@@ -90,11 +90,9 @@ FROZEN_ALL = {
     ),
     "repro.fluid": (
         "AqmSpec", "DEFAULT_DT", "DEFAULT_INTERVAL", "ENGINE_VERSION",
-        "FlowSlot", "FlowSlotSpec", "FluidBatchNetwork", "FluidBatchSession",
-        "FluidNetwork", "LinkSpec", "MSS_BITS", "PathWorkload",
-        "PolicerSpec", "ShaperSpec", "TcpState", "WeightedShaperSpec",
-        "build_slots", "mb_to_packets", "mbps_to_pps",
-        "sample_flow_size_packets", "sample_gap_seconds",
+        "FlowSlotSpec", "FluidBatchNetwork", "FluidNetwork", "LinkSpec",
+        "MSS_BITS", "PathWorkload", "PolicerSpec", "ShaperSpec",
+        "WeightedShaperSpec", "mb_to_packets", "mbps_to_pps",
     ),
     "repro.measurement": (
         "ClusterSplit", "DEFAULT_DEFINITE", "DEFAULT_LOSS_THRESHOLD",
@@ -114,7 +112,8 @@ FROZEN_ALL = {
     ),
     "repro.substrate": (
         "CompiledScenario", "DEFAULT_DELAY_SECONDS", "DifferentiationPolicy",
-        "EmulationSubstrate", "FluidSubstrate", "LinkSpec", "MECHANISMS",
+        "EmulationSubstrate", "EngineSession", "FluidSubstrate", "LinkSpec",
+        "MECHANISMS",
         "PacketSubstrate", "Scenario", "ScenarioBatch", "SubstrateResult",
         "available_substrates", "compile_scenario", "get_substrate",
         "normalize_specs", "run_scenario", "run_scenario_batch",

@@ -8,9 +8,10 @@ verdict sequence:
 
 * **incremental** — :class:`~repro.streaming.window.
   SlidingWindowStats` consuming the stream in chunks: each chunk's
-  counters and congestion status kept as appended, in O(new
-  intervals), each window's unsolvability scores from sliding-delta
-  singleton and pair counts and the memoized slice batch;
+  congestion status and ``sent > 0`` matrices kept as appended, in
+  O(new intervals), each window's unsolvability scores from
+  sliding-delta member, pair and valid-interval counts and the
+  memoized slice batch;
 * **recompute** — the offline route per window: build a fresh
   window :class:`MeasurementData`, run
   :func:`~repro.measurement.normalize.batch_slice_observations` and
@@ -24,7 +25,9 @@ fp-equal window by window; a full
 covered by the streaming test suite).
 
 Gates: ≥ 5× amortized speedup of the incremental window updates over
-the per-window full recompute.
+the per-window full recompute, on the stream as synthesized (every
+path sends in every interval) and on the same stream with a few paths
+dark in about 30% of intervals, as emulated records are.
 
 A second section monitors a mid-run policing onset on the dumbbell
 (fluid substrate, segment mode, one ``monitor_scenario`` run per
@@ -37,6 +40,7 @@ import gc
 import time
 
 import numpy as np
+import pytest
 from conftest import BENCH_QUICK, heading, run_once
 from _emit import emit
 
@@ -76,7 +80,17 @@ STRIDE = 25
 SETTINGS = EmulationSettings()
 
 
-def _mesh_stream(seed=42):
+#: Dark paths of the second gate stream, and the share of intervals
+#: in which each sends nothing (topology B's dark paths send in
+#: 40–86% of intervals).
+DARK_PATHS = 4
+DARK_SHARE = 0.3
+
+
+def _mesh_stream(seed=42, dark=False):
+    """The gate's record stream; with ``dark``, a seeded few paths are
+    silent in about 30% of intervals, so σ groups have their own valid
+    intervals."""
     rng = np.random.default_rng(seed)
     net = random_mesh_network(rng, num_stubs=GATE_STUBS, extra_edges=6)
     perf, _ = random_two_class_performance(
@@ -87,6 +101,16 @@ def _mesh_stream(seed=42):
         np.random.default_rng(seed + 100),
         num_intervals=NUM_INTERVALS,
     )
+    if dark:
+        holes = np.random.default_rng(seed + 200)
+        sent, lost = data.sent_matrix.copy(), data.lost_matrix.copy()
+        rows = holes.choice(sent.shape[0], DARK_PATHS, replace=False)
+        silent = holes.random((DARK_PATHS, NUM_INTERVALS)) < DARK_SHARE
+        sent[rows] = np.where(silent, 0, sent[rows])
+        lost[rows] = np.where(silent, 0, lost[rows])
+        data = MeasurementData.from_matrices(
+            data.path_ids, sent, lost, data.interval_seconds
+        )
     return net, data
 
 
@@ -139,9 +163,13 @@ def _run_recompute(net, data):
     return scores
 
 
-def test_streaming_speedup_gate(benchmark):
-    net, data = _mesh_stream()
+@pytest.mark.parametrize(
+    "dark", [False, True], ids=["all-traffic", "dark-paths"]
+)
+def test_streaming_speedup_gate(benchmark, dark):
+    net, data = _mesh_stream(dark=dark)
     assert len(net.paths) >= 200
+    assert (data.sent_matrix == 0).any() == dark
     # Warm both routes end to end (BLAS init, the memoized slice
     # batch, allocator steady state) so the timings compare the
     # algorithms, not first-call effects.
@@ -162,7 +190,8 @@ def test_streaming_speedup_gate(benchmark):
     assert len(incremental) == num_windows == len(recomputed)
     speedup = t_full / t_inc
     heading(
-        f"windowed scores on |P|={len(net.paths)} mesh: "
+        f"windowed scores on |P|={len(net.paths)} mesh"
+        f"{' with dark paths' if dark else ''}: "
         f"{num_windows} windows of {WINDOW} intervals (stride "
         f"{STRIDE}) — recompute {t_full:.2f} s, incremental "
         f"{t_inc:.3f} s → {speedup:.1f}x"
@@ -177,8 +206,8 @@ def test_streaming_speedup_gate(benchmark):
         f"incremental window updates {speedup:.1f}x below the "
         f"{MIN_SPEEDUP:.0f}x gate"
     )
-    emit(benchmark, "streaming/speedup", measured=speedup,
-         gate=MIN_SPEEDUP)
+    emit(benchmark, "streaming/speedup" + ("-dark" if dark else ""),
+         measured=speedup, gate=MIN_SPEEDUP)
 
 
 def test_onset_detection_latency_table(benchmark):

@@ -21,24 +21,29 @@ sampled loss count hypergeometric(M, L, m); we either draw it
 (``mode="sampled"``) or use its expectation ``m·L/M``
 (``mode="expected"``, the default — deterministic and unbiased).
 
-Since the indexed rewrite (DESIGN.md S17) everything here is batched:
-the stacked counters are cached on :class:`MeasurementData`, the
-expected-mode congestion status is one array expression (``m·L/M``
-divided by ``m`` is just ``L/M``, so the indicator does not depend on
-the family's minimum rate), and sampled mode draws all of a family's
-hypergeometric counts in one array-shaped call. Only intervals in
-which every path of the family sent are *valid*; a pathset
-congestion-free in ``k`` of ``T`` valid intervals costs
-``cost_table(T)[k]``, with singleton counts from status row sums and
-pair counts from :func:`pair_joint_counts`.
-:func:`batch_slice_observations` runs a whole slice batch: one joint
-pass when every path sent in every interval (expected mode), else one
-loop over the σ groups, each over its own valid intervals. Either way
-a singleton has one cost per σ group it belongs to, so the costs
-leave here as per-member arrays. The pre-rewrite per-pathset loops
-are frozen with the tests, in ``tests/oracles/algorithm_reference.py``
-(its merged mapping keeps one value per singleton); the per-family
-semantics are pinned by ``tests/oracles/family_reference.py``.
+Everything here is batched (DESIGN.md S17): the stacked counters live
+on :class:`MeasurementData`, the expected-mode congestion status is
+one array expression (``m·L/M`` divided by ``m`` is just ``L/M``, so
+the indicator does not depend on the family's minimum rate), and
+sampled mode draws all of a family's hypergeometric counts in one
+array-shaped call. Only intervals in which every path of the family
+sent are *valid*; a pathset congestion-free in ``k`` of ``T`` valid
+intervals costs ``cost_table(T)[k]``.
+
+:func:`batch_slice_observations` prices a whole slice batch through
+one count route, which the streaming window shares. The members'
+status and ``sent > 0`` rows are packed into 64-interval words
+(:func:`interval_words`). :func:`slice_counts` ANDs each σ group's
+traffic words into its valid mask, masks its members' status words
+with it, and pops singleton and pair counts and each group's ``T_g``.
+:func:`slice_costs` prices every count by its group's
+``cost_table(T_g)``. A singleton has one cost per σ group it belongs
+to, so the costs leave here as per-member arrays. Sampled mode differs
+only in how the status rows are made: drawn group by group. The
+per-pathset loops are frozen with the tests, in
+``tests/oracles/algorithm_reference.py`` (its merged mapping keeps one
+value per singleton); the per-family semantics are pinned by
+``tests/oracles/family_reference.py``.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ else:  # pragma: no cover - NumPy < 2.0 has no bitwise_count
         return _BYTE_POPCOUNT[words.view(np.uint8)].reshape(-1, 8).sum(1)
 
 
-#: Pairs per block in :func:`pair_joint_counts`: bounds the gathered
+#: Pairs per block in :func:`_joint_counts`: bounds the gathered
 #: ``(block,)`` word temporaries to a few hundred KB however many
 #: sharing pairs a topology has.
 PAIR_BLOCK = 1 << 15
@@ -82,33 +87,34 @@ def pair_joint_counts(
     rows_b: np.ndarray,
     block_pairs: int = PAIR_BLOCK,
 ) -> np.ndarray:
-    """``(status[rows_a] & status[rows_b]).sum(axis=1)``, exactly.
-
-    The one pair-count primitive of Algorithm 2: how many intervals
-    each pair of paths was congestion-free together. The boolean
-    ``(n, T)`` matrix is packed into 64-interval words
-    (:func:`_interval_words`), and each block of pairs is counted by
-    :func:`_joint_counts`. Blocking over pairs keeps the temporaries
-    bounded at millions of sharing pairs.
-    """
-    words = _interval_words(status)
-    num_pairs = int(rows_a.size)
-    out = np.zeros(num_pairs, dtype=np.int64)
-    for lo in range(0, num_pairs, block_pairs):
-        hi = lo + block_pairs
-        _joint_counts(words, rows_a[lo:hi], rows_b[lo:hi], out[lo:hi])
+    """``(status[rows_a] & status[rows_b]).sum(axis=1)``, exactly: how
+    many intervals each pair of rows was congestion-free together.
+    The boolean ``(n, T)`` matrix is packed by :func:`interval_words`
+    and counted by :func:`_joint_counts`."""
+    out = np.zeros(rows_a.size, dtype=np.int64)
+    _joint_counts(interval_words(status), rows_a, rows_b, out, block_pairs)
     return out
 
 
-def _interval_words(status: np.ndarray) -> np.ndarray:
+def interval_words(
+    matrix: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
     """A boolean ``(n, T)`` matrix packed into 64-interval words,
     stored column-major: one contiguous ``(n,)`` uint64 array per
-    word."""
-    num_rows, total = status.shape
+    word. With ``rows``, the words of those rows, in that order
+    (gathered after packing, so a row that several members share is
+    packed once)."""
+    num_rows, total = matrix.shape
     num_words = (total + 63) >> 6
-    packed = np.zeros((num_rows, num_words * 8), dtype=np.uint8)
-    packed[:, : (total + 7) >> 3] = np.packbits(status, axis=1)
-    return np.ascontiguousarray(packed.view(np.uint64).T)
+    # Rows padded to whole words and packed as one flat run: much
+    # faster than a per-row packbits when rows are short.
+    padded = np.zeros((num_rows, num_words * 64), dtype=bool)
+    padded[:, :total] = matrix
+    words = np.packbits(padded.reshape(-1)).view(np.uint64)
+    words = words.reshape(num_rows, num_words).T
+    if rows is not None:
+        return words.take(rows, axis=1)
+    return np.ascontiguousarray(words)
 
 
 def _joint_counts(
@@ -116,12 +122,18 @@ def _joint_counts(
     rows_a: np.ndarray,
     rows_b: np.ndarray,
     acc: np.ndarray,
+    block_pairs: int,
 ) -> None:
-    """Add the joint counts of one block of pairs over
-    :func:`_interval_words` into the int64 ``acc``: two ``take``
-    gathers, an AND and a popcount per word."""
-    for col in words:
-        acc += _popcount(col.take(rows_a) & col.take(rows_b))
+    """Add the joint counts of pairs of :func:`interval_words` rows
+    into the int64 ``acc``: the one pair-count primitive of
+    Algorithm 2. Per block of pairs and per word, two ``take``
+    gathers, an AND and a popcount; blocking keeps the temporaries
+    bounded at millions of sharing pairs."""
+    for lo in range(0, rows_a.size, block_pairs):
+        hi = lo + block_pairs
+        a, b, out = rows_a[lo:hi], rows_b[lo:hi], acc[lo:hi]
+        for col in words:
+            out += _popcount(col.take(a) & col.take(b))
 
 
 def cost_table(total: int) -> np.ndarray:
@@ -428,19 +440,10 @@ def batch_slice_observations(
     :class:`~repro.core.slices.SliceSystemBatch` at once.
 
     Algorithm 2 normalizes each σ group over its valid intervals, the
-    ones in which every member path sent. Two branches compute those
-    costs, selected by a property of the input:
-
-    * **All traffic** (expected mode and ``data.all_sent_positive``:
-      every path sent in every interval, as in synthetic and replayed
-      records). Every group's valid set is every interval, so a
-      pathset's cost does not depend on its group: singleton costs
-      are row counts of one joint status matrix and pair costs come
-      from :func:`pair_joint_counts` over the batch's flat pair
-      arrays.
-    * **Per group** (some path silent in some interval, as in
-      emulated records, or sampled mode): :func:`_group_costs`, one
-      loop over the σ groups in batch order.
+    ones in which every member path sent: the members' congestion-free
+    rows (data-row order in expected mode, drawn group by group in
+    sampled mode) and ``sent > 0`` rows are counted by
+    :func:`slice_counts` and priced by :func:`slice_costs`.
 
     Args:
         materialize: When False the mapping is returned empty; the
@@ -461,101 +464,125 @@ def batch_slice_observations(
         MeasurementError: On records with zero intervals.
     """
     _check_args(loss_threshold, mode, rng)
-    index = batch.index
-    num_paths = index.num_paths
-
     if batch.num_systems == 0:
         return {}, np.zeros(0, dtype=float), np.zeros(0, dtype=float)
     if data.num_intervals == 0:
         raise MeasurementError("no interval in the records; cannot normalize")
 
-    if mode == "sampled" or not data.all_sent_positive:
-        y_member, y_pair_flat = _group_costs(
-            data, batch, loss_threshold, mode, rng
-        )
-    else:
-        used = sorted_unique(batch.member_rows)
-        status = (data.lost_matrix / data.sent_matrix) < loss_threshold
-        table = cost_table(status.shape[1])
-        path_ids = index.path_ids
-        data_rows = data.rows_of(path_ids[r] for r in used)
-        # Indexed by path row (all-False for paths in no system), so
-        # the batch's pair rows gather it directly, with no per-pair
-        # remap.
-        joint = np.zeros((num_paths, status.shape[1]), dtype=bool)
-        joint[used] = status[data_rows]
-        y_single = np.full(num_paths, np.nan)
-        y_single[used] = table[joint[used].sum(axis=1)]
-        y_member = y_single[batch.member_rows]
-        # Costs block by block: no (n_pairs,) count array next to them.
-        words = _interval_words(joint)
-        y_pair_flat = np.empty(batch.num_pairs)
-        for lo in range(0, batch.num_pairs, PAIR_BLOCK):
-            hi = min(lo + PAIR_BLOCK, batch.num_pairs)
-            counts = np.zeros(hi - lo, dtype=np.int64)
-            _joint_counts(
-                words, batch.pair_a[lo:hi], batch.pair_b[lo:hi], counts
-            )
-            y_pair_flat[lo:hi] = table[counts]
+    # Each member's data row, mapped once from the used path rows.
+    used = sorted_unique(batch.member_rows)
+    path_ids = batch.index.path_ids
+    data_row = np.zeros(batch.index.num_paths, dtype=np.intp)
+    data_row[used] = data.rows_of(path_ids[r] for r in used.tolist())
+    member_data = data_row[batch.member_rows]
 
+    sent = data.sent_matrix
+    traffic = interval_words(sent > 0, member_data)
+    if mode == "expected":
+        # L/M is NaN where nothing was sent; such cells are not valid.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            status = data.lost_matrix / sent < loss_threshold
+        status = interval_words(status, member_data)
+    else:
+        status = interval_words(
+            _sampled_member_status(data, batch, loss_threshold, rng)
+        )
+    y_member, y_pair_flat = slice_costs(
+        batch, slice_counts(batch, status, traffic)
+    )
     if not materialize:
         return {}, y_member, y_pair_flat
     view = PathsetObservations(batch, y_member, y_pair_flat)
     return view, y_member, y_pair_flat
 
 
-def _group_costs(
+def slice_counts(
+    batch, status: np.ndarray, traffic: np.ndarray
+) -> np.ndarray:
+    """Algorithm 2's integer counts for a slice batch over one span of
+    intervals.
+
+    ``status`` and ``traffic`` are the :func:`interval_words` of each
+    member's congestion-free and ``sent > 0`` rows, aligned with
+    ``batch.member_rows``. A σ group's valid mask is the AND of its
+    members' traffic words; a member's words are masked by its group's.
+    Returns one int64 vector: each member's congestion-free count,
+    then each pair's joint count (aligned with ``batch.pair_a``), then
+    each group's valid count ``T_g``. Every entry adds over disjoint
+    spans.
+    """
+    sizes = np.diff(batch.member_offsets)
+    valid = np.bitwise_and.reduceat(
+        traffic, batch.member_offsets[:-1], axis=1
+    )
+    masked = status & np.repeat(valid, sizes, axis=1)
+    num_members, num_pairs = batch.member_rows.size, batch.num_pairs
+    counts = np.zeros(num_members + num_pairs + valid.shape[1], np.int64)
+    counts[:num_members] = _popcount(masked).sum(axis=0)
+    _joint_counts(
+        masked, batch.member_a, batch.member_b,
+        counts[num_members:num_members + num_pairs], PAIR_BLOCK,
+    )
+    counts[num_members + num_pairs:] = _popcount(valid).sum(axis=0)
+    return counts
+
+
+def slice_costs(batch, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(y_member, y_pair_flat)`` from :func:`slice_counts`' vector.
+
+    Each count is priced by its group's ``cost_table(T_g)``: the
+    tables of the distinct ``T_g`` are concatenated, so a count plus
+    its group's table offset is one flat index (no offset to add when
+    every group has the same ``T_g``). A group with ``T_g = 0`` prices
+    to NaN.
+    """
+    num_members = batch.member_rows.size
+    num_pairs = batch.num_pairs
+    totals, group_table = np.unique(
+        counts[num_members + num_pairs:], return_inverse=True
+    )
+    tables = [
+        cost_table(total) if total else np.full(1, np.nan)
+        for total in totals.tolist()
+    ]
+    flat = np.concatenate(tables)
+    member_counts = counts[:num_members]
+    pair_counts = counts[num_members:num_members + num_pairs]
+    if len(tables) > 1:
+        starts = np.cumsum([0] + [table.size for table in tables[:-1]])
+        base = starts[group_table]
+        member_counts = member_counts + np.repeat(
+            base, np.diff(batch.member_offsets)
+        )
+        pair_counts = pair_counts + np.repeat(base, np.diff(batch.offsets))
+    return flat[member_counts], flat[pair_counts]
+
+
+def _sampled_member_status(
     data: MeasurementData,
     batch,
     loss_threshold: float,
-    mode: str,
-    rng: Optional[np.random.Generator],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(y_member, y_pair_flat)`` σ group by σ group, each group over
-    its own valid intervals.
-
-    Each group prices its own member singletons: a path in several
-    groups gets one cost per group, as Algorithm 2 normalizes each
-    slice on its own. A group without a valid interval keeps NaN
-    costs. Expected-mode status is computed once; sampled mode draws
-    through :func:`congestion_free_matrix` one group at a time in
-    batch order, with the paths in sorted-id order.
-    """
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Each member's congestion-free row, aligned with
+    ``batch.member_rows``: drawn through :func:`congestion_free_matrix`
+    one σ group at a time in batch order, with the paths in sorted-id
+    order."""
     path_ids = batch.index.path_ids
-    y_member = np.full(batch.member_rows.size, np.nan)
-    y_pair_flat = np.full(batch.num_pairs, np.nan)
-    if mode == "expected":
-        has_traffic = data.sent_matrix > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = data.lost_matrix / data.sent_matrix
-        status_all = (frac < loss_threshold) & has_traffic
+    status = np.empty(
+        (batch.member_rows.size, data.num_intervals), dtype=bool
+    )
     for g in range(batch.num_systems):
         mlo, mhi = batch.member_offsets[g], batch.member_offsets[g + 1]
-        members = batch.member_rows[mlo:mhi]
-        ids = [path_ids[r] for r in members.tolist()]
-        rows = data.rows_of(ids)
+        ids = [path_ids[r] for r in batch.member_rows[mlo:mhi].tolist()]
         # Data rows are in sorted-id order, so this sorts the members.
-        order = np.argsort(rows)
-        sorted_ids = tuple(ids[i] for i in order.tolist())
-        if mode == "expected":
-            status = status_all[rows]
-            valid = has_traffic[rows].all(axis=0)
-        else:
-            drawn, valid = congestion_free_matrix(
-                data, sorted_ids, loss_threshold, mode, rng
-            )
-            status = np.empty(drawn.shape, dtype=bool)
-            status[order] = drawn
-        if not valid.any():
-            continue
-        status = status[:, valid]
-        table = cost_table(status.shape[1])
-        y_member[mlo:mhi] = table[status.sum(axis=1)]
-        lo, hi = batch.offsets[g], batch.offsets[g + 1]
-        la = batch.member_a[lo:hi] - mlo
-        lb = batch.member_b[lo:hi] - mlo
-        y_pair_flat[lo:hi] = table[pair_joint_counts(status, la, lb)]
-    return y_member, y_pair_flat
+        order = np.argsort(data.rows_of(ids))
+        drawn, _ = congestion_free_matrix(
+            data, tuple(ids[i] for i in order.tolist()), loss_threshold,
+            "sampled", rng,
+        )
+        status[mlo + order] = drawn
+    return status
 
 
 def path_congestion_probability(

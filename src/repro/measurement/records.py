@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -338,7 +338,6 @@ class MeasurementData:
         lost.setflags(write=False)
         self._sent = sent
         self._lost = lost
-        self._all_sent_positive: Optional[bool] = None
 
     @property
     def sent_matrix(self) -> np.ndarray:
@@ -350,18 +349,6 @@ class MeasurementData:
         """``(|paths|, T)`` lost counters, rows aligned with
         :attr:`sent_matrix`."""
         return self._lost
-
-    @property
-    def all_sent_positive(self) -> bool:
-        """Whether every path sent traffic in every interval.
-
-        The fast-path guard of :func:`repro.measurement.normalize.
-        batch_slice_observations` — cached instead of re-scanning
-        ``(|P|, T)`` on every inference call.
-        """
-        if self._all_sent_positive is None:
-            self._all_sent_positive = bool((self._sent > 0).all())
-        return self._all_sent_positive
 
     def rows_of(self, path_ids: Iterable[str]) -> np.ndarray:
         """Row indices of the given paths into the stacked matrices.

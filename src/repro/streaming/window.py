@@ -1,27 +1,25 @@
 """Incremental Algorithm 2 statistics over sliding/tumbling windows.
 
-The offline pipeline recomputes everything per record matrix:
-stack counters, derive the congestion-status matrix, count every
-pair's joint congestion-free intervals (see
-:func:`repro.measurement.normalize.batch_slice_observations`). For a
-monitor that re-evaluates a window every few intervals, almost all
-of that work is shared between consecutive windows.
+Algorithm 2's costs over a window are integer counts priced by
+:func:`~repro.measurement.normalize.slice_costs`: each batch member's
+and pair's congestion-free count over its σ group's valid intervals,
+and each group's valid count ``T_g``
+(:func:`~repro.measurement.normalize.slice_counts`, the route
+:func:`~repro.measurement.normalize.batch_slice_observations` runs
+offline). Every count adds over disjoint spans of intervals, so a
+monitor that re-evaluates a window every few intervals need not
+recount the whole window.
 
-:class:`SlidingWindowStats` maintains the sufficient statistics
-incrementally:
+:class:`SlidingWindowStats` maintains those counts incrementally:
 
-* each appended chunk is kept as it came — its int64 ``sent`` and
-  ``lost`` counters (not copied when already int64: streams never
-  change a chunk they emitted), its boolean congestion-free status and its
-  every-path-sent column flags, one O(new intervals) pass; a window
+* each appended chunk keeps only its boolean congestion-free status
+  and ``sent > 0`` matrices, one O(new intervals) pass; a window
   reads the chunk slices that overlap it;
-* a window's counts come from
-  :func:`~repro.measurement.normalize.pair_joint_counts`, with a
-  singleton ``{a}`` counted as the pair ``(a, a)`` — and when one
-  window slides to the next, only the *delta spans* are counted
-  (``count(new) = count(old) − count(dropped) + count(gained)``), so
-  a stride-S advance costs O(|pairs| · ⌈S/64⌉) regardless of the
-  window length — reusing the network's memoized
+* when one window slides to the next, only the *delta spans* are
+  counted (``count(new) = count(old) − count(dropped) +
+  count(gained)``), so a stride-S advance costs O(|pairs| · ⌈S/64⌉)
+  regardless of the window length, whether or not some path was
+  silent — reusing the network's memoized
   :class:`~repro.core.slices.SliceSystemBatch` /
   :class:`~repro.core.network.PathIndex` across every window advance
   (the batch depends on the topology only, so no window ever
@@ -29,10 +27,8 @@ incrementally:
 * results are **fp-identical** to a from-scratch
   :func:`~repro.measurement.normalize.batch_slice_observations` on
   the window's records (the hypothesis suite in
-  ``tests/streaming/test_window.py`` asserts exact equality);
-* a window in which some path sent nothing in some interval gives
-  each σ group its own valid intervals, so it is computed from the
-  window's records by ``batch_slice_observations``' per-group branch.
+  ``tests/streaming/test_window.py`` asserts exact equality); a σ
+  group with no valid interval in the window has NaN costs.
 
 State rules: besides the chunks, the state is two delta anchors and
 a few spans. The first anchor is the last window's counts. The second
@@ -64,19 +60,15 @@ import numpy as np
 
 from repro.core.algorithm import DEFAULT_MIN_PATHSETS
 from repro.core.network import Network
-from repro.core.slices import build_slice_batch, sorted_unique
+from repro.core.slices import build_slice_batch
 from repro.exceptions import MeasurementError
 from repro.measurement.normalize import (
     DEFAULT_LOSS_THRESHOLD,
-    batch_slice_observations,
-    cost_table,
-    pair_joint_counts,
+    interval_words,
+    slice_costs,
+    slice_counts,
 )
-from repro.measurement.records import (
-    MeasurementData,
-    RecordChunk,
-    checked_counter_rows,
-)
+from repro.measurement.records import RecordChunk, checked_counter_rows
 
 
 class SlidingWindowStats:
@@ -108,11 +100,9 @@ class SlidingWindowStats:
         self.interval_seconds = float(interval_seconds)
         self._path_ids: Optional[Tuple[str, ...]] = None
         # The appended chunks, one entry each: chunk k covers
-        # [_ends[k-1], _ends[k]) with (|paths|, n) counters and status
-        # and an (n,) every-path-sent flag.
+        # [_ends[k-1], _ends[k]) with (|paths|, n) boolean status and
+        # sent > 0 matrices.
         self._ends: List[int] = []
-        self._sent: List[np.ndarray] = []
-        self._lost: List[np.ndarray] = []
         self._status: List[np.ndarray] = []
         self._traffic: List[np.ndarray] = []
         # Sliding-delta anchors: the last window's counts, and the
@@ -123,9 +113,7 @@ class SlidingWindowStats:
         self._prefix: Optional[Tuple[int, int, np.ndarray]] = None
         # Gained spans a later slide may drop, keyed by (lo, hi).
         self._span_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._used: Optional[np.ndarray] = None
-        self._rows_a: Optional[np.ndarray] = None
-        self._rows_b: Optional[np.ndarray] = None
+        self._member_rows: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Appending
@@ -148,15 +136,11 @@ class SlidingWindowStats:
                 f"stream lacks records for indexed paths {missing}"
             )
 
-        # Index row → stream row, gathered once per row array. The
-        # used singletons lead as pairs (a, a), then the batch pairs.
+        # Each batch member's stream row, mapped once.
         perm = np.array(
             [row_of[pid] for pid in index.path_ids], dtype=np.intp
         )
-        self._used = sorted_unique(self.batch.member_rows)
-        singles = perm[self._used]
-        self._rows_a = np.concatenate([singles, perm[self.batch.pair_a]])
-        self._rows_b = np.concatenate([singles, perm[self.batch.pair_b]])
+        self._member_rows = perm[self.batch.member_rows]
 
     def append(self, chunk: RecordChunk) -> None:
         """Append a stream chunk (must be the next contiguous one, at
@@ -210,17 +194,12 @@ class SlidingWindowStats:
             return
         sent, lost = checked_counter_rows(self._path_ids, sent, lost)
 
-        # Expected-mode congestion-free indicator, matching
-        # batch_slice_observations cell-for-cell where traffic is
-        # present (windows with sent == 0 cells are computed by
-        # batch_slice_observations itself).
-        has_traffic = sent > 0
+        # Expected-mode congestion-free indicator, cell for cell as
+        # batch_slice_observations derives it (NaN, so False, where
+        # nothing was sent).
         with np.errstate(divide="ignore", invalid="ignore"):
-            status = (lost / sent < self.loss_threshold) & has_traffic
-        self._sent.append(sent)
-        self._lost.append(lost)
-        self._status.append(status)
-        self._traffic.append(has_traffic.all(axis=0))
+            self._status.append(lost / sent < self.loss_threshold)
+        self._traffic.append(sent > 0)
         self._ends.append(self.num_intervals + n)
 
     # ------------------------------------------------------------------
@@ -250,15 +229,6 @@ class SlidingWindowStats:
             start, k = end, k + 1
         return np.concatenate(pieces, axis=-1)
 
-    def window_data(self, lo: int, hi: int) -> MeasurementData:
-        """The window's raw records as a :class:`MeasurementData`."""
-        self._check_window(lo, hi)
-        sent = self._columns(self._sent, lo, hi)
-        lost = self._columns(self._lost, lo, hi)
-        return MeasurementData.from_matrices(
-            self._path_ids, sent, lost, self.interval_seconds
-        )
-
     def window_status(self, lo: int, hi: int) -> np.ndarray:
         """The window's boolean congestion-free matrix (stream row
         order), for inspection and the exactness tests."""
@@ -266,18 +236,24 @@ class SlidingWindowStats:
         return self._columns(self._status, lo, hi)
 
     def _span_counts(self, lo: int, hi: int) -> np.ndarray:
-        """Joint congestion-free counts over ``[lo, hi)`` of every
-        singleton ``(a, a)`` and batch pair, exactly."""
+        """:func:`~repro.measurement.normalize.slice_counts` over
+        ``[lo, hi)``: every member's and batch pair's congestion-free
+        count and every σ group's valid count, exactly."""
         cached = self._span_cache.get((lo, hi))
         if cached is not None:
             return cached
-        return pair_joint_counts(
-            self._columns(self._status, lo, hi), self._rows_a, self._rows_b
+        return slice_counts(
+            self.batch,
+            interval_words(
+                self._columns(self._status, lo, hi), self._member_rows
+            ),
+            interval_words(
+                self._columns(self._traffic, lo, hi), self._member_rows
+            ),
         )
 
     def _counts(self, lo: int, hi: int) -> np.ndarray:
-        """Joint congestion-free counts for every singleton and batch
-        pair over the window, sliding-delta style.
+        """:meth:`_span_counts` over the window, sliding-delta style.
 
         Two anchors serve a window: the previous window's counts and
         the running count of the stream prefix ``[0, hi_max)``. When
@@ -354,28 +330,12 @@ class SlidingWindowStats:
         ``(y_member, y_pair_flat)`` exactly as
         :func:`~repro.measurement.normalize.batch_slice_observations`
         would return for the window's records — fp-identically, but
-        from the incremental state — gatherable by
+        from the incremental counts — gatherable by
         :func:`~repro.core.slices.batch_unsolvability_arrays`: the
-        monitor's hot path. A window containing an interval where
-        some path sent nothing is computed by the batch routine
-        itself, whose per-group branch gives each σ group its own
-        valid intervals.
+        monitor's hot path. A σ group with no valid interval in the
+        window has NaN costs.
         """
         self._check_window(lo, hi)
-        batch = self.batch
-        if batch.num_systems == 0:
+        if self.batch.num_systems == 0:
             return np.zeros(0, dtype=float), np.zeros(0, dtype=float)
-        if not self._columns(self._traffic, lo, hi).all():
-            _, y_member, y_pair_flat = batch_slice_observations(
-                self.window_data(lo, hi),
-                batch,
-                loss_threshold=self.loss_threshold,
-                materialize=False,
-            )
-            return y_member, y_pair_flat
-        table = cost_table(hi - lo)
-        counts = self._counts(lo, hi)
-        num_used = self._used.size
-        y_single = np.full(batch.index.num_paths, np.nan)
-        y_single[self._used] = table[counts[:num_used]]
-        return y_single[batch.member_rows], table[counts[num_used:]]
+        return slice_costs(self.batch, self._counts(lo, hi))

@@ -463,7 +463,7 @@ def emulated_records():
 @pytest.mark.parametrize("name", ["set6", "topo-b"])
 def test_emulated_records_match_frozen_oracle(emulated_records, name, mode):
     net, data = emulated_records[name]
-    assert not data.all_sent_positive
+    assert (data.sent_matrix == 0).any()
     batch, _ = build_slice_batch(net, DEFAULT_MIN_PATHSETS)
     assert batch.num_systems > 0
     obs, y_member, y_pair_flat = batch_slice_observations(

@@ -215,27 +215,6 @@ class TestFromMatrices:
             )
 
 
-class TestAllSentPositive:
-    def _data(self, p1_sent=(10, 20, 30)):
-        return MeasurementData(
-            [
-                _record("p1", sent=p1_sent, lost=(0, 0, 0)),
-                _record("p2", sent=(5, 5, 5), lost=(1, 0, 0)),
-            ],
-            interval_seconds=0.1,
-        )
-
-    def test_true_and_cached(self):
-        data = self._data()
-        assert data.all_sent_positive is True
-        # Cached: the second read must not rescan (poke the slot).
-        assert data._all_sent_positive is True
-
-    def test_false_on_silent_interval(self):
-        data = self._data(p1_sent=(10, 0, 30))
-        assert data.all_sent_positive is False
-
-
 #: Stacked ``(paths, intervals)`` counters that break a record check,
 #: with the path the error must name.
 _BAD_STACKED_COUNTERS = [

@@ -1,12 +1,11 @@
 """Exactness of the incremental windowed Algorithm 2 statistics.
 
-The central property (ISSUE 4's test satellite): for *any* random
-record stream, chunk segmentation, and window, the incremental
-:class:`SlidingWindowStats` produces **fp-identical** costs (and
-identical congestion statuses) to a from-scratch batch recompute —
-:func:`batch_slice_observations` on a freshly built
-:class:`MeasurementData` of the same window. Both the all-traffic
-fast path and the zero-sent fallback are exercised.
+The central property: for *any* random record stream, chunk
+segmentation, and window, the incremental :class:`SlidingWindowStats`
+produces **fp-identical** costs (and identical congestion statuses)
+to a from-scratch batch recompute — :func:`batch_slice_observations`
+on a freshly built :class:`MeasurementData` of the same window —
+with every path sending and with silent cells alike.
 """
 
 import numpy as np
@@ -43,8 +42,8 @@ def stream_case(draw):
     total = draw(st.integers(12, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     sent = rng.integers(1, 60, size=(spokes, total))
-    # Sprinkle zero-sent cells in ~1/3 of cases to force the
-    # fallback (per-family valid sets).
+    # Sprinkle zero-sent cells in ~1/3 of cases (per-group valid
+    # sets).
     if draw(st.integers(0, 2)) == 0:
         holes = rng.random(sent.shape) < 0.05
         sent[holes] = 0
@@ -108,15 +107,13 @@ def test_incremental_equals_batch_recompute(case):
     np.testing.assert_array_equal(inc_single, ref_single)
     np.testing.assert_array_equal(inc_pair, ref_pair)
 
-    # Identical statuses on the fast path (the indicator the batch
-    # route derives from the stacked matrices).
-    if bool((window.sent_matrix > 0).all()):
+    # Identical statuses: the indicator the batch route derives from
+    # the stacked matrices (False where nothing was sent).
+    with np.errstate(divide="ignore", invalid="ignore"):
         expected = (
             window.lost_matrix / window.sent_matrix
         ) < stats.loss_threshold
-        np.testing.assert_array_equal(
-            stats.window_status(lo, hi), expected
-        )
+    np.testing.assert_array_equal(stats.window_status(lo, hi), expected)
 
 
 @_SETTINGS
@@ -314,8 +311,9 @@ def test_sliding_spans_across_word_boundaries():
 
 
 def test_stream_rows_follow_the_stream_order():
-    """Index rows map to stream rows through one permutation: the
-    gathered arrays equal a per-element lookup by path id."""
+    """Index rows map to stream rows through one permutation: each
+    batch member's stream row equals a per-element lookup by path
+    id."""
     net = _star_network(5)
     ids = ("p3", "p0", "p4", "p1", "p2")
     stats = SlidingWindowStats(net)
@@ -326,23 +324,9 @@ def test_stream_rows_follow_the_stream_order():
     )
     index, batch = stats.batch.index, stats.batch
     row_of = {pid: i for i, pid in enumerate(ids)}
-
-    def lookup(rows):
-        return np.array(
-            [row_of[index.path_ids[r]] for r in rows.tolist()],
-            dtype=np.intp,
-        )
-
-    # Singletons {a} lead as pairs (a, a), then the batch pairs.
-    used = np.unique(batch.member_rows)
-    np.testing.assert_array_equal(stats._used, used)
     np.testing.assert_array_equal(
-        stats._rows_a,
-        np.concatenate([lookup(used), lookup(batch.pair_a)]),
-    )
-    np.testing.assert_array_equal(
-        stats._rows_b,
-        np.concatenate([lookup(used), lookup(batch.pair_b)]),
+        stats._member_rows,
+        [row_of[index.path_ids[r]] for r in batch.member_rows.tolist()],
     )
 
 
@@ -419,3 +403,80 @@ def test_final_window_counts_only_past_the_prefix():
         stats._span_counts = recording
         stats.window_costs(0, 310)
         assert counted == expected, (width, stride)
+
+
+def _two_hub_network():
+    """Paths ``p0``–``p2`` through hub ``h1`` and ``p3``–``p6`` through
+    ``h2``, all through ``core``: σ groups ``(core,)`` (every path),
+    ``(core, h1)`` and ``(core, h2)``."""
+    links = ["core", "h1", "h2"] + [f"a{i}" for i in range(7)]
+    paths = [
+        Path(f"p{i}", (f"a{i}", "h1" if i < 3 else "h2", "core"))
+        for i in range(7)
+    ]
+    return Network(links, paths)
+
+
+def test_group_without_valid_interval_slides_in_and_out():
+    """A σ group with no valid interval in a window has NaN costs on
+    exactly its members and pairs; sliding windows gain and drop its
+    valid intervals, and every window and the final whole-stream
+    window (served by the prefix) equal the batch routine bit for
+    bit."""
+    net = _two_hub_network()
+    ids = tuple(f"p{i}" for i in range(7))
+    total, width, stride = 130, 40, 20
+    rng = np.random.default_rng(7)
+    sent = rng.integers(1, 40, size=(7, total))
+    # Outside [40, 60), p0 is silent in even intervals and p3 in odd
+    # ones: every interval lacks some path, so (core,) has no valid
+    # interval, while (core, h1) and (core, h2) each keep half.
+    silent = np.ones(total, dtype=bool)
+    silent[40:60] = False
+    sent[0, silent & (np.arange(total) % 2 == 0)] = 0
+    sent[3, silent & (np.arange(total) % 2 == 1)] = 0
+    lost = rng.binomial(sent, 0.05)
+    stats = SlidingWindowStats(net)
+    stats.append_arrays(sent, lost, ids)
+    batch = stats.batch
+    core = batch.system_of[("core",)]
+    in_core = np.zeros(batch.member_rows.size, dtype=bool)
+    in_core[batch.member_offsets[core]:batch.member_offsets[core + 1]] = True
+    pair_in_core = np.zeros(batch.num_pairs, dtype=bool)
+    pair_in_core[batch.offsets[core]:batch.offsets[core + 1]] = True
+
+    def check(lo, hi):
+        window = MeasurementData.from_matrices(
+            ids, sent[:, lo:hi], lost[:, lo:hi]
+        )
+        _, ref_member, ref_pair = batch_slice_observations(window, batch)
+        y_member, y_pair = stats.window_costs(lo, hi)
+        np.testing.assert_array_equal(y_member, ref_member)
+        np.testing.assert_array_equal(y_pair, ref_pair)
+        return np.isnan(y_member), np.isnan(y_pair)
+
+    nan_windows = []
+    for end in range(width, 121, stride):
+        nan_member, nan_pair = check(end - width, end)
+        core_nan = bool(nan_member[in_core].all())
+        if core_nan:
+            np.testing.assert_array_equal(nan_member, in_core)
+            np.testing.assert_array_equal(nan_pair, pair_in_core)
+        else:
+            assert not nan_member.any() and not nan_pair.any()
+        nan_windows.append(core_nan)
+    # [0,40) none valid; [20,60) and [40,80) gain [40,60); the next
+    # slides drop it.
+    assert nan_windows == [True, False, False, True, True]
+
+    counted = []
+    span_counts = stats._span_counts
+
+    def recording(lo, hi):
+        counted.append((lo, hi))
+        return span_counts(lo, hi)
+
+    stats._span_counts = recording
+    nan_member, nan_pair = check(0, total)
+    assert counted == [(120, total)]
+    assert not nan_member.any() and not nan_pair.any()

@@ -64,15 +64,21 @@ from repro.measurement.records import MeasurementData
 #: bold default of Table 1.
 DEFAULT_LOSS_THRESHOLD = 0.01
 
-if hasattr(np, "bitwise_count"):
-    _popcount = np.bitwise_count
-else:  # pragma: no cover - NumPy < 2.0 has no bitwise_count
-    _BYTE_POPCOUNT = np.array(
-        [bin(byte).count("1") for byte in range(256)], dtype=np.int64
-    )
+_BYTE_POPCOUNT = np.array(
+    [bin(byte).count("1") for byte in range(256)], dtype=np.int64
+)
 
-    def _popcount(words: np.ndarray) -> np.ndarray:
-        return _BYTE_POPCOUNT[words.view(np.uint8)].reshape(-1, 8).sum(1)
+
+def _byte_popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, in ``words``' shape, through a
+    byte table: the popcount for NumPy < 2.0, which has no
+    ``bitwise_count``."""
+    words = np.ascontiguousarray(words)
+    table = _BYTE_POPCOUNT[words.view(np.uint8)]
+    return table.reshape(words.shape + (8,)).sum(axis=-1)
+
+
+_popcount = getattr(np, "bitwise_count", _byte_popcount)
 
 
 #: Pairs per block in :func:`_joint_counts`: bounds the gathered
@@ -548,6 +554,9 @@ def slice_costs(batch, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     flat = np.concatenate(tables)
     member_counts = counts[:num_members]
     pair_counts = counts[num_members:num_members + num_pairs]
+    # One table is indexed by the counts as they are. Offsetting them
+    # builds fresh per-pair index arrays: a fifth of the routine's time
+    # on all-traffic records with 900k pairs.
     if len(tables) > 1:
         starts = np.cumsum([0] + [table.size for table in tables[:-1]])
         base = starts[group_table]

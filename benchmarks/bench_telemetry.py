@@ -42,7 +42,9 @@ SETTINGS = EmulationSettings(
 OVERHEAD_CEILING = 0.15 if BENCH_QUICK else 0.10
 
 #: Reps per mode; each mode's wall time is the best of these, which
-#: strips one-sided scheduler blips a single sample would swallow.
+#: strips one-sided scheduler blips a single sample would swallow. The
+#: modes' reps are interleaved, so a drift in the host's speed over
+#: the run (caches, frequency, neighbours) hits both modes alike.
 REPS = 3
 
 SAMPLE_DIR = os.environ.get("REPRO_TELEMETRY_SAMPLE", "telemetry_sample")
@@ -57,11 +59,19 @@ def _sweep_once():
     return results, time.perf_counter() - t0
 
 
-def _best_of(reps):
-    results, best = None, float("inf")
-    for _ in range(reps):
-        results, seconds = _sweep_once()
-        best = min(best, seconds)
+def _interleaved(reps, tracer):
+    """``reps`` disabled and ``reps`` enabled sweeps, alternating, with
+    the first mode of each pair alternating too; returns each mode's
+    last results and best wall time. One tracer, switched off for the
+    disabled sweeps, records every enabled one, so the sample holds
+    one run with unique span ids."""
+    results, best = {}, {False: float("inf"), True: float("inf")}
+    for rep in range(reps):
+        for enabled in (False, True) if rep % 2 == 0 else (True, False):
+            tracer.enabled = enabled
+            results[enabled], seconds = _sweep_once()
+            best[enabled] = min(best[enabled], seconds)
+    tracer.enabled = True
     return results, best
 
 
@@ -69,17 +79,16 @@ def test_telemetry_overhead_gate(benchmark):
     telemetry.reset_registry()
     _sweep_once()  # warm caches/BLAS so neither timed run pays them
 
-    telemetry.configure(enabled=False)
     try:
-        base_results, t_off = _best_of(REPS)
-
         trace_path = os.path.join(SAMPLE_DIR, telemetry.TRACE_FILENAME)
         if os.path.exists(trace_path):
             os.remove(trace_path)  # fresh sample, not an append pile
-        telemetry.configure(enabled=True, trace_path=trace_path)
-        traced_results, t_on = run_once(benchmark, _best_of, REPS)
+        tracer = telemetry.configure(enabled=True, trace_path=trace_path)
+        results, best = run_once(benchmark, _interleaved, REPS, tracer)
+        base_results, traced_results = results[False], results[True]
+        t_off, t_on = best[False], best[True]
 
-        spans = telemetry.get_tracer().finished
+        spans = tracer.finished
 
         # Provenance + registry export beside the trace: the sample
         # artifact CI uploads is exactly what a REPRO_TELEMETRY=<dir>

@@ -2,12 +2,25 @@
 
 One time-stepped numpy program advances ``B`` *scenarios* — link-spec
 variants of a shared topology/workload — simultaneously. It is the
-only fluid step loop, :func:`interval_loop`:
+only fluid step program, :func:`interval_loop`:
 :class:`~repro.fluid.engine.FluidNetwork` runs it at ``B = 1`` (see
 :mod:`repro.fluid.engine` for the model and its loss-attribution
 rationale) and :class:`FluidBatchNetwork` at any ``B``, both through
 the one :class:`~repro.substrate.base.EngineSession` of both
 engines.
+
+**Phases over one state.** :class:`FluidState` holds every array the
+program keeps: geometry, mechanism constants, queues and token
+buckets, slot and TCP state, per-path loss, accumulators, the jitter
+position and the current step's offers and arrivals. A step is a
+fixed sequence of module-level phases over it, each reading what the
+one before left: :func:`apply_specs` (the spec swap, at an interval
+boundary), :func:`draw_jitter`, :func:`start_flows`, :func:`offer`
+(RTTs and offers), :func:`arrive`, the mechanism dispatch per family
+(:func:`police`, :func:`early_drop`, :func:`serve_dual`),
+:func:`droptail`, :func:`allocate_bursts`, :func:`react` (TCP
+reaction and accounting), and :func:`close_interval` at an interval's
+last step. :func:`run_steps` is the sequence.
 
 **Flat rows.** The scenario axis is folded into the leading axis of
 every state array, so each operation has the shape a lone scenario
@@ -21,9 +34,9 @@ would give it and ``B = 1`` runs exactly the single-scenario ops:
   arrays whose row ``b·L + l`` is scenario ``b``'s link ``l``.
 
 Differentiation mechanisms compile to one entry per flat link row, in
-(family, scenario, link) order — policers, then AQMs, then shapers,
-then weighted service — so every scenario applies its mechanisms in
-the same order at any ``B``.
+(family, scenario, link) order — policers, then AQMs, then dual
+queues (shapers before weighted service) — so every scenario applies
+its mechanisms in the same order at any ``B``.
 
 **The contract is floating-point identity**: scenario ``b``'s output
 is bit-for-bit the output of a ``B = 1`` run with ``spec_sets[b]``
@@ -51,6 +64,7 @@ their worlds for one span and switch one policy for all of them).
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -217,579 +231,587 @@ class FluidBatchNetwork:
         return interval_loop(self._worlds, session)
 
 
+class FluidState:
+    """Everything the fluid step program keeps, for ``B`` worlds.
+
+    Built at a session's first advance (the slot tables are each
+    world's first RNG draws); the phases read and write it in place.
+    Link rows are ``b·L + l``, path rows ``b·P + p`` and slots
+    ``b·S + i`` (module docstring). The slots below are the whole
+    state: a phase cannot keep anything else between steps.
+    """
+
+    __slots__ = (
+        # Geometry, fixed when the state is built; class_masks[c] is
+        # class c's 0/1 path mask (a contiguous row of class_onehot.T).
+        "worlds", "rngs", "link_ids", "num_worlds", "num_paths",
+        "num_links", "slots_per_world", "dt", "steps_per_interval",
+        "inc_lp", "inc_pl", "walk", "walk_pos", "arr_rows", "arr_cols",
+        "up_rows", "up_cols", "up_walk", "class_index", "class_onehot",
+        "class_masks", "base_rtt", "srtt_gain", "jitter_shape",
+        # Mechanism constants, rebuilt by apply_specs.
+        "inv_capacity", "cap_dt", "buffers", "tokens", "policers",
+        "aqms", "duals", "dual_shares", "dual_rows",
+        # Link and path state: the common droptail queues, the dual
+        # rows' targeted and other virtual queues, this step's smooth
+        # loss fraction and burst volume per path (and (B, P) views),
+        # the smoothed RTTs, arrivals, and last step's drop fractions.
+        "queue", "shaper_tq", "shaper_oq", "path_smooth", "path_burst",
+        "smooth_bp", "burst_bp", "smooth_dirty", "burst_dirty", "srtt",
+        "scaled", "scaled_3d", "qdelay", "qdelay_3d", "arrivals",
+        "arrivals_3d", "drop_frac", "dirty_frac_rows",
+        # Slot and TCP state; spath maps a slot to its b·P + p row.
+        "slots", "tcp", "spath", "slots_of_path", "slot_burst",
+        "next_start_min", "jitter_block", "jitter_pos",
+        # Interval accumulators.
+        "slot_sent_acc", "slot_lost_acc", "rtt_acc", "link_arr_acc",
+        "link_drop_acc",
+        # The current step, each value left by one phase for the next.
+        "now", "measuring", "jit_dt", "rtt_slot", "send", "sending",
+        "path_send", "queue_in", "drop_rows",
+    )
+
+    def __init__(self, worlds: Sequence[FluidNetwork], session) -> None:
+        first = worlds[0]
+        classes = first._classes
+        workloads = first._workloads
+        net = first._net
+        path_ids: List[str] = list(net.path_ids)
+        self.worlds = list(worlds)
+        self.rngs = [session.count_rng(w._rng) for w in worlds]
+        self.link_ids = link_ids = list(net.link_ids)
+        self.num_worlds = B = len(worlds)
+        self.num_paths = P = len(path_ids)
+        self.num_links = L = len(link_ids)
+        self.dt = dt = session.dt
+        self.steps_per_interval = session.steps_per_interval
+        lindex = {lid: i for i, lid in enumerate(link_ids)}
+        self.inc_lp = inc_lp = np.zeros((L, P))
+        path_links: List[List[int]] = []
+        for p, pid in enumerate(path_ids):
+            path_links.append([lindex[lid] for lid in net.path(pid).links])
+            inc_lp[path_links[p], p] = 1.0
+        self.inc_pl = np.ascontiguousarray(inc_lp.T)
+        self._open_walk(path_links)
+        self.class_index = {cn: i for i, cn in enumerate(classes.names)}
+        self.class_onehot = np.zeros((P, len(classes.names)))
+        for p, pid in enumerate(path_ids):
+            self.class_onehot[p, self.class_index[classes.class_of(pid)]] = 1.0
+        self.class_masks = np.ascontiguousarray(self.class_onehot.T)
+        self.base_rtt = np.tile(
+            [workloads[pid].rtt_seconds for pid in path_ids], B
+        )
+        self.srtt_gain = min(dt / SRTT_TIME_CONSTANT, 1.0)
+        self.jitter_shape = 1.0 / (
+            DEFAULT_SEND_JITTER_CV * DEFAULT_SEND_JITTER_CV
+        )
+
+        # The queues persist across spec swaps (a policy switch does
+        # not empty standing buffers); apply_specs rebuilds the rest.
+        self.queue = np.zeros(B * L)
+        self.shaper_tq = np.zeros(B * L)
+        self.shaper_oq = np.zeros(B * L)
+        self.path_smooth = np.zeros(B * P)
+        self.path_burst = np.zeros(B * P)
+        self.smooth_bp = self.path_smooth.reshape(B, P)
+        self.burst_bp = self.path_burst.reshape(B, P)
+        self.tokens, self.policers, self.dual_shares = [], [], {}
+        apply_specs(self)
+
+        # Each world's slots are built from its own RNG (its first
+        # draws), then flattened to B·S.
+        parts = [SlotArrays(workloads, path_ids, rng) for rng in self.rngs]
+        self.slots_per_world = len(parts[0])
+        self.slots = slots = SlotArrays.concat(parts, P)
+        self.spath = slots.path_index
+        self.tcp = TcpArrayState(slots.is_cubic)
+        self.slots_of_path = [
+            np.nonzero(self.spath == fp)[0] for fp in range(B * P)
+        ]
+        session.bind_flows(self.spath, slots.flows_completed)
+        self.slot_burst = np.zeros(len(slots))
+        self.next_start_min = float(slots.next_start.min())
+        self.jitter_block = np.empty((_JITTER_BLOCK_STEPS, len(slots)))
+        self.jitter_pos = _JITTER_BLOCK_STEPS
+
+        self.slot_sent_acc = np.zeros(len(slots))
+        self.slot_lost_acc = np.zeros(len(slots))
+        self.rtt_acc = np.zeros(B * P)
+        self.link_arr_acc = np.zeros((B * L, P))
+        self.link_drop_acc = np.zeros((B * L, P))
+
+        self.arrivals = np.zeros((B * L, P))
+        self.arrivals_3d = self.arrivals.reshape(B, L, P)
+        self.drop_frac = np.zeros((B * L, P))
+        self.dirty_frac_rows = []
+        self.smooth_dirty = self.burst_dirty = False
+        # Column stacks for the RTT matvec: a stacked matmul issues one
+        # (P, L) @ (L,) GEMV per world.
+        self.scaled_3d = np.empty((B, L, 1))
+        self.scaled = self.scaled_3d.reshape(-1)
+        self.qdelay_3d = np.empty((B, P, 1))
+        self.qdelay = self.qdelay_3d.reshape(-1)
+        self.srtt = None
+
+    def _open_walk(self, path_links: List[List[int]]) -> None:
+        """Hop table for the attenuated-arrival walk: hop d of flat path
+        b·P + p crosses flat link row ``hop_rows[d, b·P + p]`` (padded
+        with the path's last hop past its end). ``walk[d]`` holds the
+        volume entering hop d: the path's send, times (1 − drop
+        fraction) of each earlier hop, multiplied in hop order."""
+        B, P, L = self.num_worlds, self.num_paths, self.num_links
+        max_hops = max(len(links) for links in path_links)
+        hop_rows = np.empty((max_hops, B * P), np.intp)
+        hop_cols = np.empty_like(hop_rows)
+        on_path = np.zeros(hop_rows.shape, dtype=bool)
+        for b in range(B):
+            for p, links in enumerate(path_links):
+                padded = links + links[-1:] * (max_hops - len(links))
+                hop_rows[:, b * P + p] = b * L + np.array(padded)
+                hop_cols[:, b * P + p] = p
+                on_path[: len(links), b * P + p] = True
+        self.walk = np.empty(hop_rows.shape)
+        self.walk_pos = np.flatnonzero(on_path)
+        self.arr_rows = hop_rows.ravel()[self.walk_pos]
+        self.arr_cols = hop_cols.ravel()[self.walk_pos]
+        # Hops whose drop fraction attenuates a later hop's arrivals.
+        self.up_rows, self.up_cols = hop_rows[:-1], hop_cols[:-1]
+        self.up_walk = self.walk[1:]
+
+
 def interval_loop(worlds: Sequence[FluidNetwork], session: EngineSession):
     """The fluid step program over ``worlds``, yielding once per
     closed interval.
 
     The worlds share the first one's network, classes and workloads;
-    each keeps its own specs and RNG, which the program consumes. Each
-    yield hands the session the interval's ``(B, …)`` per-path sent /
-    lost / RTT columns and per-link ground-truth columns. The loop is
-    open-ended: the consumer stops pulling when its run (or stream
+    each keeps its own specs and RNG, which the program consumes. The
+    state is built at the first advance; :func:`run_steps` then
+    yields the session each interval's ``(B, …)`` columns.
+    """
+    yield from run_steps(FluidState(worlds, session), session)
+
+
+def run_steps(st: FluidState, session: EngineSession):
+    """Advance ``st`` step by step, yielding at every closed interval.
+
+    Open-ended: the consumer stops pulling when its run (or stream
     segment) is complete. A pending link-spec swap
     (``session.pending_specs``) is applied exactly at an interval
     boundary and consumes no randomness, so a segmented run with no
     swaps is bit-identical to a one-shot run.
     """
-    first = worlds[0]
-    classes = first._classes
-    workloads = first._workloads
-    dt = session.dt
-    steps_per_interval = session.steps_per_interval
-    warmup_steps = session.warmup_steps
-    rngs = [session.count_rng(w._rng) for w in worlds]
-    num_scenarios = len(worlds)
-    net = first._net
-    path_ids: List[str] = list(net.path_ids)
-    link_ids: List[str] = list(net.link_ids)
-    class_names = classes.names
-    num_paths = len(path_ids)
-    num_links = len(link_ids)
-    num_rows = num_scenarios * num_links
-    lindex = {lid: i for i, lid in enumerate(link_ids)}
-    cindex = {cn: i for i, cn in enumerate(class_names)}
+    spi, warm = session.steps_per_interval, session.warmup_steps
+    for step in count():
+        if session.pending_specs is not None and (
+            step == 0 or (step >= warm and (step - warm) % spi == 0)
+        ):
+            for world in st.worlds:
+                world._link_specs = session.pending_specs
+            session.pending_specs = None
+            apply_specs(st)
+        st.now = step * st.dt
+        st.measuring = step >= warm
+        draw_jitter(st)
+        start_flows(st)
+        offer(st)
+        arrive(st)
+        police(st)
+        early_drop(st)
+        serve_dual(st)
+        droptail(st)
+        allocate_bursts(st)
+        react(st)
+        if st.measuring and (step - warm + 1) % spi == 0:
+            yield close_interval(st)
 
-    # --- static geometry -------------------------------------------
-    # Incidence (links × paths) for arrival scatter and its
-    # transpose for the per-scenario RTT matvec.
-    inc_lp = np.zeros((num_links, num_paths))
-    path_links: List[List[int]] = []
-    for p, pid in enumerate(path_ids):
-        path_links.append([lindex[lid] for lid in net.path(pid).links])
-        inc_lp[path_links[p], p] = 1.0
-    inc_pl = np.ascontiguousarray(inc_lp.T)
-    # Hop table for the attenuated-arrival walk: hop d of flat path
-    # b·P + p crosses flat link row hop_rows[d, b·P + p] (padded
-    # with the path's last hop past its end). walk[d] holds the
-    # volume entering hop d: the path's send, times (1 − drop
-    # fraction) of each earlier hop, multiplied in hop order.
-    max_hops = max(len(links) for links in path_links)
-    hop_rows = np.empty((max_hops, num_scenarios * num_paths), np.intp)
-    hop_cols = np.empty_like(hop_rows)
-    on_path = np.zeros(hop_rows.shape, dtype=bool)
-    for b in range(num_scenarios):
-        for p, links in enumerate(path_links):
-            padded = links + links[-1:] * (max_hops - len(links))
-            hop_rows[:, b * num_paths + p] = b * num_links + np.array(
-                padded
+
+def apply_specs(st: FluidState) -> None:
+    """Spec swap: lower every world's link specs to per-row constants.
+
+    Pure (no RNG): the state's first compile and every swap at an
+    interval boundary. Token buckets carry over for rows that stay
+    policed (clipped to the new bucket depth); newly policed rows
+    start with a full bucket, exactly like a fresh run. Standing
+    backlog follows the row's queueing discipline: a row that stops
+    running a dual mechanism folds its virtual queues back into the
+    common droptail queue (the next overfull check clamps any
+    excess), and a row that starts one hands its droptail backlog to
+    the virtual queues split by their service shares — no buffered
+    traffic is stranded or double-served.
+    """
+    L, dt = st.num_links, st.dt
+    per_world = [
+        build_link_arrays(st.link_ids, w._link_specs) for w in st.worlds
+    ]
+    capacity = np.concatenate([la.capacity_pps for la in per_world])
+    buffers = np.concatenate([la.buffer_packets for la in per_world])
+    prev_policed = {r for r, *_ in st.policers}
+    prev_tokens = st.tokens
+    # Per-row token buckets as Python floats: the policer step is
+    # scalar arithmetic, cheaper on floats than on numpy scalars
+    # (same IEEE results).
+    tokens = [0.0] * len(capacity)
+    policers, aqms, shapers, weighted = [], [], [], []
+    # Per-dual-queue service shares (of capacity).
+    dual_shares = {}
+    for b, la in enumerate(per_world):
+        base = b * L
+        smooth, burst = st.smooth_bp[b], st.burst_bp[b]
+        for l, pol in la.policers:
+            r = base + l
+            rate = float(pol.rate_fraction * capacity[r])
+            bucket = pol.burst_seconds * rate
+            mask = st.class_masks[st.class_index[pol.target_class]]
+            policers.append((r, rate * dt, bucket, mask, smooth))
+            if r in prev_policed:
+                tokens[r] = min(prev_tokens[r], bucket)
+            else:
+                tokens[r] = bucket
+        for l, aq in la.aqms:
+            r = base + l
+            ramp = (
+                aq.max_threshold_fraction - aq.min_threshold_fraction
+            ) * buffers[r]
+            mask = st.class_masks[st.class_index[aq.target_class]]
+            aqms.append(
+                (r, aq.min_threshold_fraction * buffers[r], ramp,
+                 aq.max_drop_probability, mask, smooth)
             )
-            hop_cols[:, b * num_paths + p] = p
-            on_path[: len(links), b * num_paths + p] = True
-    walk = np.empty(hop_rows.shape)
-    walk_pos = np.flatnonzero(on_path)
-    arr_rows = hop_rows.ravel()[walk_pos]
-    arr_cols = hop_cols.ravel()[walk_pos]
-    # Hops whose drop fraction attenuates a later hop's arrivals.
-    up_rows, up_cols, up_walk = hop_rows[:-1], hop_cols[:-1], walk[1:]
-    class_onehot = np.zeros((num_paths, len(class_names)))
-    for p, pid in enumerate(path_ids):
-        class_onehot[p, cindex[classes.class_of(pid)]] = 1.0
-    base_rtt = np.tile(
-        [workloads[pid].rtt_seconds for pid in path_ids],
-        num_scenarios,
+        # A shaper row is a weighted-service row with no spare
+        # capacity to lend (its lendable service per step is 0).
+        for rows, family, lends in (
+            (la.shapers, shapers, False), (la.weighted, weighted, True)
+        ):
+            for l, dual in rows:
+                r = base + l
+                share = dual.weight if lends else dual.rate_fraction
+                t_rate = share * capacity[r]
+                o_rate = (1.0 - share) * capacity[r]
+                family.append(
+                    (r, t_rate * dt, o_rate * dt,
+                     capacity[r] * dt if lends else 0.0,
+                     dual.buffer_seconds * t_rate,
+                     dual.buffer_seconds * o_rate,
+                     st.class_masks[st.class_index[dual.target_class]],
+                     burst)
+                )
+                dual_shares[r] = (share, 1.0 - share)
+    queue, tq, oq = st.queue, st.shaper_tq, st.shaper_oq
+    for r in st.dual_shares:
+        if r not in dual_shares:
+            queue[r] += tq[r] + oq[r]
+            tq[r] = 0.0
+            oq[r] = 0.0
+    for r, (t_share, o_share) in dual_shares.items():
+        if r not in st.dual_shares and queue[r] > 0.0:
+            tq[r] += queue[r] * t_share
+            oq[r] += queue[r] * o_share
+            queue[r] = 0.0
+    st.inv_capacity = 1.0 / capacity
+    st.cap_dt = capacity * dt
+    st.buffers = buffers
+    st.tokens = tokens
+    st.policers, st.aqms = policers, aqms
+    st.duals = shapers + weighted
+    st.dual_shares = dual_shares
+    # Rows whose traffic bypasses the common droptail queue.
+    st.dual_rows = np.array(sorted(dual_shares), dtype=np.intp)
+
+
+def draw_jitter(st: FluidState) -> None:
+    """Per-flow send jitter, drawn in per-world blocks, pre-scaled by
+    ``dt``; leaves this step's row in ``st.jit_dt``."""
+    if st.jitter_pos == _JITTER_BLOCK_STEPS:
+        width = st.slots_per_world
+        for b, rng in enumerate(st.rngs):
+            blk = rng.gamma(
+                st.jitter_shape,
+                1.0 / st.jitter_shape,
+                size=(_JITTER_BLOCK_STEPS, width),
+            )
+            blk *= st.dt
+            st.jitter_block[:, b * width : (b + 1) * width] = blk
+        st.jitter_pos = 0
+    st.jit_dt = st.jitter_block[st.jitter_pos]
+    st.jitter_pos += 1
+
+
+def start_flows(st: FluidState) -> None:
+    """Start pending flows (per-world RNG). Quiet steps skip the scan
+    with one comparison against the earliest pending start."""
+    if st.now < st.next_start_min:
+        return
+    slots = st.slots
+    startable = (slots.remaining <= 0.0) & (slots.next_start <= st.now)
+    idx = startable.nonzero()[0]
+    for b, sub in _by_scenario(idx, st.slots_per_world):
+        slots.start_flows(sub, st.rngs[b])
+    st.tcp.reset(idx)
+    idle = slots.remaining <= 0.0
+    st.next_start_min = (
+        float(slots.next_start[idle].min())
+        if np.count_nonzero(idle)
+        else np.inf
     )
 
-    # --- link / path state (flat rows) -----------------------------
-    # The queues persist across mid-run spec swaps (a policy
-    # switch does not empty standing buffers); everything derived
-    # from the specs is rebuilt by ``compile_mechanisms``.
-    queue = np.zeros(num_rows)
-    shaper_tq = np.zeros(num_rows)
-    shaper_oq = np.zeros(num_rows)
-    path_smooth = np.zeros(num_scenarios * num_paths)
-    path_burst = np.zeros(num_scenarios * num_paths)
-    smooth_of = [
-        path_smooth[b * num_paths : (b + 1) * num_paths]
-        for b in range(num_scenarios)
-    ]
-    burst_of = [
-        path_burst[b * num_paths : (b + 1) * num_paths]
-        for b in range(num_scenarios)
-    ]
-    burst_of_row = [burst_of[r // num_links] for r in range(num_rows)]
 
-    target_masks: Dict[str, np.ndarray] = {}
+def offer(st: FluidState) -> None:
+    """Effective RTTs and per-slot offers.
 
-    def target_mask(target_class: str) -> np.ndarray:
-        if target_class not in target_masks:
-            target_masks[target_class] = np.array(
-                [
-                    classes.class_of(pid) == target_class
-                    for pid in path_ids
-                ]
-            )
-        return target_masks[target_class]
+    The queueing delay along each path sits on top of its base RTT,
+    smoothed per path (EWMA, time constant ``SRTT_TIME_CONSTANT``);
+    each slot offers ``cwnd · jitter · dt / RTT``, capped at what its
+    flow has left.
+    """
+    if st.dual_shares:
+        occupancy = st.queue + st.shaper_tq + st.shaper_oq
+    else:
+        occupancy = st.queue
+    np.multiply(occupancy, st.inv_capacity, out=st.scaled)
+    np.matmul(st.inc_pl, st.scaled_3d, out=st.qdelay_3d)
+    instant = st.base_rtt + st.qdelay
+    if st.srtt is None:
+        st.srtt = instant.copy()
+    else:
+        st.srtt += st.srtt_gain * (instant - st.srtt)
+    if st.measuring:
+        st.rtt_acc += instant
+    rtt_slot = st.srtt[st.spath]
+    rtt_slot *= st.slots.rtt_factor
+    np.maximum(rtt_slot, 1e-3, out=rtt_slot)
+    send = st.tcp.cwnd * st.jit_dt / rtt_slot
+    np.minimum(send, st.slots.remaining, out=send)
+    st.rtt_slot = rtt_slot
+    st.send = send
+    st.sending = send > 0.0
+    st.path_send = np.bincount(
+        st.spath, weights=send, minlength=st.num_worlds * st.num_paths
+    )
 
-    def compile_mechanisms(spec_sets, prev_tokens=None, prev_policers=()):
-        """Lower every scenario's link specs to per-row constants.
 
-        Pure (no RNG): called once at start and again whenever a
-        session swaps specs at an interval boundary. Token
-        buckets carry over for rows that stay policed (clipped to
-        the new bucket depth); newly policed rows start with a
-        full bucket, exactly like a fresh run.
-        """
-        per_scenario = [
-            build_link_arrays(link_ids, specs) for specs in spec_sets
-        ]
-        capacity = np.concatenate(
-            [la.capacity_pps for la in per_scenario]
+def arrive(st: FluidState) -> None:
+    """Per-link, per-path arrivals, attenuated by upstream drops (the
+    previous step's per-row drop fractions stand in for this
+    step's)."""
+    if st.dirty_frac_rows:
+        walk = st.walk
+        walk[0] = st.path_send
+        np.subtract(1.0, st.drop_frac[st.up_rows, st.up_cols], out=st.up_walk)
+        np.multiply.accumulate(walk, axis=0, out=walk)
+        st.arrivals[st.arr_rows, st.arr_cols] = walk.take(st.walk_pos)
+        st.drop_frac[st.dirty_frac_rows] = 0.0
+        st.dirty_frac_rows = []
+    else:
+        np.multiply(
+            st.inc_lp,
+            st.path_send.reshape(st.num_worlds, 1, st.num_paths),
+            out=st.arrivals_3d,
         )
-        buffers = np.concatenate(
-            [la.buffer_packets for la in per_scenario]
-        )
-        prev_policed = {r for r, *_ in prev_policers}
-        # Per-row token buckets as Python floats: the policer step
-        # is scalar arithmetic, cheaper on floats than on numpy
-        # scalars (same IEEE results).
-        tokens = [0.0] * num_rows
-        policers, aqms, shapers, weighted = [], [], [], []
-        # Per-dual-queue service shares (of capacity), for moving
-        # standing backlog between the common droptail queue and
-        # the virtual queues when a swap changes a row's
-        # mechanism family.
-        dual_shares = {}
-        for b, la in enumerate(per_scenario):
-            base = b * num_links
-            for l, pol in la.policers:
-                r = base + l
-                rate = float(pol.rate_fraction * capacity[r])
-                bucket = pol.burst_seconds * rate
-                tmask = target_mask(pol.target_class)
-                policers.append(
-                    (r, rate * dt, bucket, tmask, tmask.astype(float),
-                     smooth_of[b])
-                )
-                if r in prev_policed:
-                    tokens[r] = min(prev_tokens[r], bucket)
-                else:
-                    tokens[r] = bucket
-            for l, aq in la.aqms:
-                r = base + l
-                ramp = (
-                    aq.max_threshold_fraction - aq.min_threshold_fraction
-                ) * buffers[r]
-                tmask = target_mask(aq.target_class)
-                aqms.append(
-                    (r, aq.min_threshold_fraction * buffers[r], ramp,
-                     aq.max_drop_probability, tmask, tmask.astype(float),
-                     smooth_of[b])
-                )
-            for l, sh in la.shapers:
-                r = base + l
-                t_rate = sh.rate_fraction * capacity[r]
-                o_rate = (1.0 - sh.rate_fraction) * capacity[r]
-                shapers.append(
-                    (r, t_rate * dt, o_rate * dt,
-                     sh.buffer_seconds * t_rate,
-                     sh.buffer_seconds * o_rate,
-                     target_mask(sh.target_class).astype(float),
-                     burst_of[b])
-                )
-                dual_shares[r] = (sh.rate_fraction, 1.0 - sh.rate_fraction)
-            for l, ws in la.weighted:
-                r = base + l
-                t_rate = ws.weight * capacity[r]
-                o_rate = (1.0 - ws.weight) * capacity[r]
-                weighted.append(
-                    (r, t_rate * dt, o_rate * dt, capacity[r] * dt,
-                     ws.buffer_seconds * t_rate,
-                     ws.buffer_seconds * o_rate,
-                     target_mask(ws.target_class).astype(float),
-                     burst_of[b])
-                )
-                dual_shares[r] = (ws.weight, 1.0 - ws.weight)
-        # Rows whose traffic bypasses the common droptail queue:
-        # dual shapers and weighted-service links keep their own
-        # pair of virtual queues.
-        dual_rows = np.array(sorted(dual_shares), dtype=np.intp)
-        return (
-            1.0 / capacity, capacity * dt, buffers, tokens,
-            policers, aqms, shapers, weighted, dual_shares, dual_rows,
-        )
+    # Each row's volume bound for its droptail queue; the mechanisms
+    # take out what they drop or divert.
+    st.queue_in = st.arrivals.sum(axis=1)
+    st.drop_rows = {}
 
-    (
-        inv_capacity, cap_dt, buffers, tokens,
-        policers, aqms, shapers, weighted, dual_shares, dual_rows,
-    ) = compile_mechanisms([w._link_specs for w in worlds])
 
-    # --- slot / TCP state ------------------------------------------
-    # Each scenario's slots are built from its own RNG (its first
-    # draws), then flattened to B·S.
-    parts = [
-        SlotArrays(workloads, path_ids, rng) for rng in rngs
-    ]
-    slots_per_scenario = len(parts[0])
-    slots = SlotArrays.concat(parts, num_paths)
-    num_slots = len(slots)
-    spath = slots.path_index  # slot -> b·P + p
-    tcp = TcpArrayState(slots.is_cubic)
-    slots_of_path: List[np.ndarray] = [
-        np.nonzero(spath == fp)[0]
-        for fp in range(num_scenarios * num_paths)
-    ]
-    session.bind_flows(spath, slots.flows_completed)
-
-    # --- accumulators ----------------------------------------------
-    shape_blp = (num_scenarios, num_links, num_paths)
-    slot_sent_acc = np.zeros(num_slots)
-    slot_lost_acc = np.zeros(num_slots)
-    rtt_acc = np.zeros(num_scenarios * num_paths)
-    link_arr_acc = np.zeros((num_rows, num_paths))
-    link_drop_acc = np.zeros((num_rows, num_paths))
-    link_arr_acc_3d = link_arr_acc.reshape(shape_blp)
-    link_drop_acc_3d = link_drop_acc.reshape(shape_blp)
-
-    # --- per-step scratch ------------------------------------------
-    arrivals = np.zeros((num_rows, num_paths))
-    arrivals_3d = arrivals.reshape(shape_blp)
-    drop_frac = np.zeros((num_rows, num_paths))
-    dirty_frac_rows: List[int] = []
-    slot_burst = np.zeros(num_slots)
-    smooth_dirty = False
-    burst_dirty = False
-    # Column stacks for the RTT matvec: a stacked matmul issues one
-    # (P, L) @ (L,) GEMV per scenario.
-    scaled_3d = np.empty((num_scenarios, num_links, 1))
-    scaled = scaled_3d.reshape(-1)
-    qdelay_3d = np.empty((num_scenarios, num_paths, 1))
-    qdelay = qdelay_3d.reshape(-1)
-    srtt = None
-    srtt_gain = min(dt / SRTT_TIME_CONSTANT, 1.0)
-    jitter_block = np.empty((_JITTER_BLOCK_STEPS, num_slots))
-    jitter_pos = _JITTER_BLOCK_STEPS
-    jitter_shape = 1.0 / (DEFAULT_SEND_JITTER_CV * DEFAULT_SEND_JITTER_CV)
-    # Earliest pending flow start among idle slots, so quiet steps
-    # skip the start scan with one float comparison.
-    next_start_min = float(slots.next_start.min())
-
-    def shed_overflow(r, q, buf, inflow, drop_rows, burst):
-        """Clamp a virtual queue to its buffer, shedding the
-        overflow pro rata over this step's inflow as a burst
-        drop. Returns the clamped queue."""
-        nonlocal burst_dirty
-        if q <= buf:
-            return q
-        overflow = q - buf
-        total = float(inflow.sum())
-        if total > 0.0:
-            f = min(overflow / total, 1.0)
-            burst_row = inflow * f
-            drop_rows[r] = drop_rows.get(r, 0.0) + burst_row
-            burst += burst_row
-            burst_dirty = True
-        return buf
-
-    step = 0
-    while True:
-        if session.pending_specs is not None and (
-            step == 0
-            or (
-                step >= warmup_steps
-                and (step - warmup_steps) % steps_per_interval == 0
-            )
-        ):
-            for world in worlds:
-                world._link_specs = session.pending_specs
-            old_dual = dual_shares
-            (
-                inv_capacity, cap_dt, buffers, tokens,
-                policers, aqms, shapers, weighted, dual_shares, dual_rows,
-            ) = compile_mechanisms(
-                [w._link_specs for w in worlds], tokens, policers
-            )
-            # Standing backlog follows the row's queueing
-            # discipline across the swap: a row that stops
-            # running a dual mechanism folds its virtual queues
-            # back into the common droptail queue (the next
-            # overfull check clamps any excess), and a row that
-            # starts one hands its droptail backlog to the
-            # virtual queues split by their service shares — no
-            # buffered traffic is stranded or double-served.
-            for r in old_dual:
-                if r not in dual_shares:
-                    queue[r] += shaper_tq[r] + shaper_oq[r]
-                    shaper_tq[r] = 0.0
-                    shaper_oq[r] = 0.0
-            for r, (t_share, o_share) in dual_shares.items():
-                if r not in old_dual and queue[r] > 0.0:
-                    shaper_tq[r] += queue[r] * t_share
-                    shaper_oq[r] += queue[r] * o_share
-                    queue[r] = 0.0
-            session.pending_specs = None
-        now = step * dt
-        measuring = step >= warmup_steps
-
-        # 0. Per-flow send jitter, drawn in per-scenario blocks,
-        #    pre-scaled by dt.
-        if jitter_pos == _JITTER_BLOCK_STEPS:
-            for b, rng in enumerate(rngs):
-                seg = slice(
-                    b * slots_per_scenario, (b + 1) * slots_per_scenario
-                )
-                blk = rng.gamma(
-                    jitter_shape,
-                    1.0 / jitter_shape,
-                    size=(_JITTER_BLOCK_STEPS, slots_per_scenario),
-                )
-                blk *= dt
-                jitter_block[:, seg] = blk
-            jitter_pos = 0
-        jit_dt = jitter_block[jitter_pos]
-        jitter_pos += 1
-
-        # 2. Start pending flows (per-scenario RNG; hoisted above
-        #    the RTT update, which consumes no RNG and shares no
-        #    state with the scan).
-        if now >= next_start_min:
-            startable = (slots.remaining <= 0.0) & (
-                slots.next_start <= now
-            )
-            idx = startable.nonzero()[0]
-            for b, sub in _by_scenario(idx, slots_per_scenario):
-                slots.start_flows(sub, rngs[b])
-            tcp.reset(idx)
-            idle = slots.remaining <= 0.0
-            next_start_min = (
-                float(slots.next_start[idle].min())
-                if np.count_nonzero(idle)
-                else np.inf
-            )
-
-        # Clear the previous step's loss attribution.
-        if smooth_dirty:
-            path_smooth[:] = 0.0
-            smooth_dirty = False
-        if burst_dirty:
-            path_burst[:] = 0.0
-            slot_burst[:] = 0.0
-            burst_dirty = False
-
-        # 1. Effective RTTs: queueing delay along the path on top
-        #    of the base, smoothed per path (EWMA, time constant
-        #    SRTT_TIME_CONSTANT).
-        if dual_shares:
-            occupancy = queue + shaper_tq + shaper_oq
-        else:
-            occupancy = queue
-        np.multiply(occupancy, inv_capacity, out=scaled)
-        np.matmul(inc_pl, scaled_3d, out=qdelay_3d)
-        instant = base_rtt + qdelay
-        if srtt is None:
-            srtt = instant.copy()
-        else:
-            srtt += srtt_gain * (instant - srtt)
-        if measuring:
-            rtt_acc += instant
-
-        # 2b. Per-slot offers.
-        rtt_slot = srtt[spath]
-        rtt_slot *= slots.rtt_factor
-        np.maximum(rtt_slot, 1e-3, out=rtt_slot)
-        send = tcp.cwnd * jit_dt / rtt_slot
-        np.minimum(send, slots.remaining, out=send)
-        sending = send > 0.0
-        path_send = np.bincount(
-            spath, weights=send, minlength=num_scenarios * num_paths
-        )
-
-        # 3. Per-link, per-path arrivals, attenuated by upstream
-        #    drops (the previous step's per-row drop fractions
-        #    stand in for this step's).
-        if dirty_frac_rows:
-            walk[0] = path_send
-            np.subtract(1.0, drop_frac[up_rows, up_cols], out=up_walk)
-            np.multiply.accumulate(walk, axis=0, out=walk)
-            arrivals[arr_rows, arr_cols] = walk.take(walk_pos)
-            drop_frac[dirty_frac_rows] = 0.0
-            dirty_frac_rows = []
-        else:
-            np.multiply(
-                inc_lp,
-                path_send.reshape(num_scenarios, 1, num_paths),
-                out=arrivals_3d,
-            )
-        total_in = arrivals.sum(axis=1)
-
-        # 4. Serve links. "Smooth" drops (policer shedding, AQM)
-        #    hit every flow of a path proportionally; "burst"
-        #    drops (queue overflow) land on single flows.
-        drop_rows: Dict[int, np.ndarray] = {}
-        queue_in = total_in  # adjusted in place below
-        for r, rate_dt, bucket, tmask, tmask_f, smooth in policers:
-            refilled = min(bucket, tokens[r] + rate_dt)
-            row = arrivals[r]
-            demand = float(row @ tmask_f)
-            allowed = demand if demand <= refilled else refilled
-            tokens[r] = refilled - allowed
-            excess = demand - allowed
-            if excess > 0.0:
-                # Continuous shedding: proportional over policed
-                # paths, i.e. the same fraction for each.
-                f = excess / demand
-                shed = row * tmask_f
-                shed *= f
-                drop_rows[r] = shed
-                queue_in[r] -= excess
-                present = tmask & (row > 0.0)
-                smooth[present] = 1.0 - (1.0 - smooth[present]) * (
-                    1.0 - f
-                )
-                smooth_dirty = True
-        for r, minth, ramp, pmax, tmask, tmask_f, smooth in aqms:
-            # RED-style early drop of the targeted class: the
-            # expected shed fraction ramps with the droptail
-            # queue's fill level, applied deterministically.
-            f = pmax * min(max((queue[r] - minth) / ramp, 0.0), 1.0)
-            if f <= 0.0:
-                continue
-            row = arrivals[r]
-            shed = row * tmask_f
-            demand = float(shed.sum())
-            if demand <= 0.0:
-                continue
+def police(st: FluidState) -> None:
+    """Token-bucket policers: continuous shedding of the targeted
+    class's excess, the same fraction for each policed path (a
+    "smooth" drop that hits every flow of a path proportionally)."""
+    arrivals, tokens, queue_in = st.arrivals, st.tokens, st.queue_in
+    for r, rate_dt, bucket, mask, smooth in st.policers:
+        refilled = min(bucket, tokens[r] + rate_dt)
+        row = arrivals[r]
+        demand = float(row @ mask)
+        allowed = demand if demand <= refilled else refilled
+        tokens[r] = refilled - allowed
+        excess = demand - allowed
+        if excess > 0.0:
+            f = excess / demand
+            shed = row * mask
+            present = shed > 0.0
             shed *= f
-            drop_rows[r] = drop_rows.get(r, 0.0) + shed
-            queue_in[r] -= f * demand
-            present = tmask & (row > 0.0)
+            st.drop_rows[r] = shed
+            queue_in[r] -= excess
             smooth[present] = 1.0 - (1.0 - smooth[present]) * (1.0 - f)
-            smooth_dirty = True
-        for r, t_rate_dt, o_rate_dt, t_buf, o_buf, tmask_f, burst \
-                in shapers:
-            row = arrivals[r]
-            t_in = row * tmask_f
-            o_in = row - t_in
-            for q_arr, inflow, served, buf in (
-                (shaper_tq, t_in, t_rate_dt, t_buf),
-                (shaper_oq, o_in, o_rate_dt, o_buf),
-            ):
-                q = q_arr[r] + float(inflow.sum())
-                q -= min(q, served)
-                q_arr[r] = shed_overflow(
-                    r, q, buf, inflow, drop_rows, burst
-                )
-        for r, t_rate_dt, o_rate_dt, cap_r_dt, t_buf, o_buf, \
-                tmask_f, burst in weighted:
-            row = arrivals[r]
-            t_in = row * tmask_f
-            o_in = row - t_in
-            t_total = shaper_tq[r] + float(t_in.sum())
-            o_total = shaper_oq[r] + float(o_in.sum())
-            # Work-conserving weighted service: each virtual
-            # queue is guaranteed its share; whatever one queue
-            # cannot use, the other absorbs (capped at total
-            # capacity).
-            t_served = min(t_total, t_rate_dt)
-            o_served = min(o_total, o_rate_dt)
-            spare = cap_r_dt - t_served - o_served
-            if spare > 0.0:
-                extra_o = min(spare, o_total - o_served)
-                o_served += extra_o
-                spare -= extra_o
-                t_served += min(spare, t_total - t_served)
-            for q_val, inflow, buf, q_arr in (
-                (t_total - t_served, t_in, t_buf, shaper_tq),
-                (o_total - o_served, o_in, o_buf, shaper_oq),
-            ):
-                q_arr[r] = shed_overflow(
-                    r, q_val, buf, inflow, drop_rows, burst
-                )
-        if dual_shares:
-            queue_in[dual_rows] = 0.0
-        # Droptail FIFO on the common queues: serve at capacity,
-        # spill the overflow pro rata over this step's arrivals.
-        queue += queue_in
-        queue -= np.minimum(queue, cap_dt)
-        overfull = queue > buffers
-        if np.count_nonzero(overfull):
-            for r in overfull.nonzero()[0]:
-                overflow = queue[r] - buffers[r]
-                queue[r] = buffers[r]
-                total = queue_in[r]
-                if total <= 0.0:
-                    continue
-                f = min(overflow / total, 1.0)
-                if r in drop_rows:
-                    burst_row = (arrivals[r] - drop_rows[r]) * f
-                    drop_rows[r] = drop_rows[r] + burst_row
-                else:
-                    burst_row = arrivals[r] * f
-                    drop_rows[r] = burst_row
-                burst_of_row[r] += burst_row
-                burst_dirty = True
-        if drop_rows:
-            for r, drow in drop_rows.items():
-                # Zero arrivals imply zero drops, so the guarded
-                # denominator never manufactures a fraction.
-                drop_frac[r] = np.minimum(
-                    drow / np.maximum(arrivals[r], 1e-300), 1.0
-                )
-                dirty_frac_rows.append(r)
-                if measuring:
-                    link_drop_acc[r] += drow
+            st.smooth_dirty = True
 
-        # 5. Allocate each path's burst volume to its flows.
-        if burst_dirty:
-            _allocate_bursts(
-                rngs, num_paths, path_burst, path_send, slots_of_path,
-                send, slot_burst,
-            )
 
-        # 6. TCP reactions, flow completion, path accounting (every
-        #    op is per-slot, so scenarios cannot mix).
-        if smooth_dirty or burst_dirty:
-            lost = send * path_smooth[spath]
-            if burst_dirty:
-                lost += slot_burst
-            np.minimum(lost, send, out=lost)
-            delivered = send - lost
-        else:
-            lost = None
-            delivered = send
-        tcp.advance(now, send, sending, lost, delivered, rtt_slot)
-        slots.remaining -= delivered
-        completed = sending & (slots.remaining <= 1e-9)
-        if np.count_nonzero(completed):
-            idx = completed.nonzero()[0]
-            for b, sub in _by_scenario(idx, slots_per_scenario):
-                slots.complete_flows(sub, now, rngs[b])
-            next_start_min = min(
-                next_start_min, float(slots.next_start[idx].min())
-            )
-        if measuring:
-            slot_sent_acc += send
-            if lost is not None:
-                slot_lost_acc += lost
-            link_arr_acc += arrivals
+def early_drop(st: FluidState) -> None:
+    """RED-style early drop of the targeted class: the expected shed
+    fraction ramps with the droptail queue's fill level, applied
+    deterministically (a smooth drop)."""
+    arrivals, queue, queue_in = st.arrivals, st.queue, st.queue_in
+    drop_rows = st.drop_rows
+    for r, minth, ramp, pmax, mask, smooth in st.aqms:
+        f = pmax * min(max((queue[r] - minth) / ramp, 0.0), 1.0)
+        if f <= 0.0:
+            continue
+        shed = arrivals[r] * mask
+        demand = float(shed.sum())
+        if demand <= 0.0:
+            continue
+        present = shed > 0.0
+        shed *= f
+        drop_rows[r] = drop_rows.get(r, 0.0) + shed
+        queue_in[r] -= f * demand
+        smooth[present] = 1.0 - (1.0 - smooth[present]) * (1.0 - f)
+        st.smooth_dirty = True
 
-            # 7. Close the interval: hand the session this
-            #    interval's columns and reset the accumulators.
-            if (step - warmup_steps + 1) % steps_per_interval == 0:
-                yield (
-                    np.bincount(
-                        spath,
-                        weights=slot_sent_acc,
-                        minlength=num_scenarios * num_paths,
-                    ).reshape(num_scenarios, num_paths),
-                    np.bincount(
-                        spath,
-                        weights=slot_lost_acc,
-                        minlength=num_scenarios * num_paths,
-                    ).reshape(num_scenarios, num_paths),
-                    (rtt_acc / steps_per_interval).reshape(
-                        num_scenarios, num_paths
-                    ),
-                    # A stacked matmul issues one (L, P) @ (P, C)
-                    # GEMM per scenario, whatever B is.
-                    link_arr_acc_3d @ class_onehot,
-                    link_drop_acc_3d @ class_onehot,
-                    (queue + shaper_tq + shaper_oq).reshape(
-                        num_scenarios, num_links
-                    ),
-                )
-                slot_sent_acc[:] = 0.0
-                slot_lost_acc[:] = 0.0
-                rtt_acc[:] = 0.0
-                link_arr_acc[:] = 0.0
-                link_drop_acc[:] = 0.0
-        step += 1
+
+def _shed_overflow(st, r, q, buf, inflow, burst):
+    """Clamp a virtual queue to its buffer, shedding the overflow pro
+    rata over this step's inflow as a burst drop. Returns the clamped
+    queue."""
+    if q <= buf:
+        return q
+    overflow = q - buf
+    total = float(inflow.sum())
+    if total > 0.0:
+        f = min(overflow / total, 1.0)
+        burst_row = inflow * f
+        st.drop_rows[r] = st.drop_rows.get(r, 0.0) + burst_row
+        burst += burst_row
+        st.burst_dirty = True
+    return buf
+
+
+def serve_dual(st: FluidState) -> None:
+    """Dual virtual queues (shapers, then weighted service).
+
+    Each queue is guaranteed its share of capacity; a weighted row is
+    work-conserving (whatever one queue cannot use, the other absorbs,
+    capped at total capacity), a shaper row lends nothing. Dual rows
+    bypass the common droptail queue.
+    """
+    arrivals, tq, oq = st.arrivals, st.shaper_tq, st.shaper_oq
+    for r, t_rate_dt, o_rate_dt, lend_dt, t_buf, o_buf, mask, burst \
+            in st.duals:
+        row = arrivals[r]
+        t_in = row * mask
+        o_in = row - t_in
+        t_total = tq[r] + float(t_in.sum())
+        o_total = oq[r] + float(o_in.sum())
+        t_served = min(t_total, t_rate_dt)
+        o_served = min(o_total, o_rate_dt)
+        spare = lend_dt - t_served - o_served
+        if spare > 0.0:
+            extra_o = min(spare, o_total - o_served)
+            o_served += extra_o
+            spare -= extra_o
+            t_served += min(spare, t_total - t_served)
+        tq[r] = _shed_overflow(st, r, t_total - t_served, t_buf, t_in, burst)
+        oq[r] = _shed_overflow(st, r, o_total - o_served, o_buf, o_in, burst)
+    if st.dual_shares:
+        st.queue_in[st.dual_rows] = 0.0
+
+
+def droptail(st: FluidState) -> None:
+    """Droptail FIFO on the common queues: serve at capacity, spill
+    the overflow pro rata over this step's arrivals (a "burst" drop,
+    which lands on single flows); then record every row's drop
+    fraction for the next step's attenuation."""
+    queue, queue_in, buffers = st.queue, st.queue_in, st.buffers
+    arrivals, drop_rows = st.arrivals, st.drop_rows
+    queue += queue_in
+    queue -= np.minimum(queue, st.cap_dt)
+    overfull = queue > buffers
+    if np.count_nonzero(overfull):
+        for r in overfull.nonzero()[0]:
+            overflow = queue[r] - buffers[r]
+            queue[r] = buffers[r]
+            total = queue_in[r]
+            if total <= 0.0:
+                continue
+            f = min(overflow / total, 1.0)
+            if r in drop_rows:
+                burst_row = (arrivals[r] - drop_rows[r]) * f
+                drop_rows[r] = drop_rows[r] + burst_row
+            else:
+                burst_row = arrivals[r] * f
+                drop_rows[r] = burst_row
+            st.burst_bp[r // st.num_links] += burst_row
+            st.burst_dirty = True
+    for r, drow in drop_rows.items():
+        # Zero arrivals imply zero drops, so the guarded denominator
+        # never manufactures a fraction.
+        st.drop_frac[r] = np.minimum(
+            drow / np.maximum(arrivals[r], 1e-300), 1.0
+        )
+        st.dirty_frac_rows.append(r)
+        if st.measuring:
+            st.link_drop_acc[r] += drow
+
+
+def allocate_bursts(st: FluidState) -> None:
+    """Allocate each path's burst volume to its flows
+    (:func:`_allocate_bursts`)."""
+    if st.burst_dirty:
+        _allocate_bursts(
+            st.rngs, st.num_paths, st.path_burst, st.path_send,
+            st.slots_of_path, st.send, st.slot_burst,
+        )
+
+
+def react(st: FluidState) -> None:
+    """TCP reaction, flow completion and path accounting (every op is
+    per-slot, so worlds cannot mix); then clear this step's loss
+    attribution."""
+    send = st.send
+    if st.smooth_dirty or st.burst_dirty:
+        lost = send * st.path_smooth[st.spath]
+        if st.burst_dirty:
+            lost += st.slot_burst
+        np.minimum(lost, send, out=lost)
+        delivered = send - lost
+    else:
+        lost = None
+        delivered = send
+    st.tcp.advance(st.now, send, st.sending, lost, delivered, st.rtt_slot)
+    slots = st.slots
+    slots.remaining -= delivered
+    completed = st.sending & (slots.remaining <= 1e-9)
+    if np.count_nonzero(completed):
+        idx = completed.nonzero()[0]
+        for b, sub in _by_scenario(idx, st.slots_per_world):
+            slots.complete_flows(sub, st.now, st.rngs[b])
+        st.next_start_min = min(
+            st.next_start_min, float(slots.next_start[idx].min())
+        )
+    if st.measuring:
+        st.slot_sent_acc += send
+        if lost is not None:
+            st.slot_lost_acc += lost
+        st.link_arr_acc += st.arrivals
+    if st.smooth_dirty:
+        st.path_smooth[:] = 0.0
+        st.smooth_dirty = False
+    if st.burst_dirty:
+        st.path_burst[:] = 0.0
+        st.slot_burst[:] = 0.0
+        st.burst_dirty = False
+
+
+def close_interval(st: FluidState) -> tuple:
+    """The interval's ``(B, …)`` columns for the session; resets the
+    accumulators."""
+    B, P, L = st.num_worlds, st.num_paths, st.num_links
+    cols = (
+        np.bincount(
+            st.spath, weights=st.slot_sent_acc, minlength=B * P
+        ).reshape(B, P),
+        np.bincount(
+            st.spath, weights=st.slot_lost_acc, minlength=B * P
+        ).reshape(B, P),
+        (st.rtt_acc / st.steps_per_interval).reshape(B, P),
+        # A stacked matmul issues one (L, P) @ (P, C) GEMM per world,
+        # whatever B is.
+        st.link_arr_acc.reshape(B, L, P) @ st.class_onehot,
+        st.link_drop_acc.reshape(B, L, P) @ st.class_onehot,
+        (st.queue + st.shaper_tq + st.shaper_oq).reshape(B, L),
+    )
+    st.slot_sent_acc[:] = 0.0
+    st.slot_lost_acc[:] = 0.0
+    st.rtt_acc[:] = 0.0
+    st.link_arr_acc[:] = 0.0
+    st.link_drop_acc[:] = 0.0
+    return cols

@@ -156,3 +156,41 @@ class TestFluidRttTrace:
         for series in res.path_rtt_seconds.values():
             assert series.shape == (100,)
             assert (series >= 0.049).all()  # at least the base RTT
+
+
+class TestPacketRttTrace:
+    def test_idle_intervals_record_at_least_the_base_rtt(self):
+        """An interval that closes on a quantum with no packets in
+        flight samples its queues like a busy one: every RTT is at
+        least the path's base RTT (three 5 ms hops each way plus
+        2 ms, here), never 0 s. The flows of this short plan finish
+        and idle for a second, so some intervals close idle."""
+        from repro.core.classes import two_classes
+        from repro.core.network import Network, Path
+        from repro.emulator import PacketNetwork
+        from repro.fluid.params import LinkSpec
+
+        net = Network(
+            ["a1", "a2", "shared", "e1", "e2"],
+            [
+                Path("p1", ("a1", "shared", "e1")),
+                Path("p2", ("a2", "shared", "e2")),
+            ],
+        )
+        fast = LinkSpec(
+            capacity_mbps=60.0, buffer_seconds=0.1, delay_seconds=0.005
+        )
+        shared = LinkSpec(
+            capacity_mbps=6.0, buffer_seconds=0.1, delay_seconds=0.005
+        )
+        specs = {lid: fast for lid in ("a1", "a2", "e1", "e2")}
+        specs["shared"] = shared
+        sim = PacketNetwork(
+            net, two_classes(net, ["p2"]), specs,
+            {"p1": [500], "p2": [500]}, seed=3,
+        )
+        res = sim.run(duration_seconds=5.0)
+        assert set(res.path_rtt_seconds) == {"p1", "p2"}
+        for series in res.path_rtt_seconds.values():
+            assert series.shape == (50,)
+            assert (series >= 0.032 - 1e-12).all()

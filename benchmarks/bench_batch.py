@@ -13,9 +13,9 @@ grid (32 rates × 4 burst depths on the dumbbell's shared link):
 
 * **Throughput gate** — batched emulation must produce the grid's
   records at ≥ 5× the one-at-a-time single-run path (≥ 3.5× in quick
-  mode, the CI noise margin every gate bench uses), with every
-  variant's :class:`SubstrateResult` asserted identical to its
-  single run.
+  mode, the CI noise margin every gate bench uses), each path timed
+  as its best of ``ROUNDS`` alternating rounds, with every variant's
+  :class:`SubstrateResult` asserted identical to its single run.
 * **Sweep semantics** — driving the grid through
   :class:`~repro.experiments.sweep.SweepRunner` batched fills
   exactly the per-point cache entries an unbatched sweep hits
@@ -61,6 +61,12 @@ DURATION = 10.0 if BENCH_QUICK else 20.0
 SETTINGS = EmulationSettings(
     duration_seconds=DURATION, warmup_seconds=2.0, seed=3
 )
+
+
+#: Rounds per mode in the throughput gate; each mode's wall time is
+#: the best of these. The modes alternate within a round and the
+#: first mode alternates between rounds.
+ROUNDS = 3
 
 
 def _workloads(net, mean_size_mb=25.0, mean_gap_seconds=10.0):
@@ -190,6 +196,22 @@ def _assert_records_identical(single, batched, label):
             )
 
 
+def _interleaved(rounds, modes):
+    """``rounds`` runs of each mode in ``modes`` (``{name: fn}``),
+    alternating, with the first mode of each round alternating too;
+    returns each mode's last results and best wall time. A drift in
+    the host's speed over the run (caches, frequency, neighbours)
+    hits both modes alike, and best-of strips one-sided blips."""
+    names = list(modes)
+    results, best = {}, dict.fromkeys(names, float("inf"))
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            t0 = time.perf_counter()
+            results[name] = modes[name]()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return results, best
+
+
 def test_batch_throughput_gate(benchmark):
     """≥ 5× records-producing throughput on the 128-variant grid,
     every variant fp-identical to its single run."""
@@ -199,19 +221,6 @@ def test_batch_throughput_gate(benchmark):
     seeds = list(range(100, 100 + len(grid)))
 
     backend = get_substrate("fluid")
-    t0 = time.perf_counter()
-    singles = [
-        backend.run(
-            topo.network,
-            topo.classes,
-            normalize_specs(_variant_specs(topo, rate, burst)),
-            workloads,
-            SETTINGS.with_seed(seed),
-        )
-        for (rate, burst), seed in zip(grid, seeds)
-    ]
-    t_seq = time.perf_counter() - t0
-
     batch = ScenarioBatch.compile(
         topo.network,
         topo.classes,
@@ -219,16 +228,28 @@ def test_batch_throughput_gate(benchmark):
         [_variant_specs(topo, rate, burst) for rate, burst in grid],
         seeds,
     )
-    times = {}
+
+    def emulate_sequential():
+        return [
+            backend.run(
+                topo.network,
+                topo.classes,
+                normalize_specs(_variant_specs(topo, rate, burst)),
+                workloads,
+                SETTINGS.with_seed(seed),
+            )
+            for (rate, burst), seed in zip(grid, seeds)
+        ]
 
     def emulate_batched():
-        t0 = time.perf_counter()
-        results = run_scenario_batch(batch, SETTINGS, "fluid")
-        times["batch"] = time.perf_counter() - t0
-        return results
+        return run_scenario_batch(batch, SETTINGS, "fluid")
 
-    batched = run_once(benchmark, emulate_batched)
-    t_batch = times["batch"]
+    results, best = run_once(
+        benchmark, _interleaved, ROUNDS,
+        {"sequential": emulate_sequential, "batch": emulate_batched},
+    )
+    singles, batched = results["sequential"], results["batch"]
+    t_seq, t_batch = best["sequential"], best["batch"]
     speedup = t_seq / t_batch
 
     # Floating-point identity, every variant.

@@ -7,7 +7,7 @@ links, ~1k candidate σ systems) must go records→verdict
 * **cold** — on a fresh network, pair pass and slice layout included
   — within a **hard tracemalloc budget**: :data:`SHARDED_BUDGET`,
   the budget the sharded pipeline was once held to. The blocked cold
-  pass (DESIGN.md S24) keeps the monolith under it; the dense pair
+  pass (DESIGN.md S13) keeps the monolith under it; the dense pair
   pass alone would allocate a 5356² triu intermediate, and a P×P
   float64 Gram is ~229 MB — both must stay dead;
 * **warm** — on the memoized network — with the same verdict.

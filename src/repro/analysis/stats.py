@@ -1,4 +1,4 @@
-"""Analysis helpers: boxplot summaries and report formatting (S17).
+"""Analysis helpers: boxplot summaries and report formatting.
 
 The paper's Figure 10 presents per-link / per-sequence performance as
 boxplots; the benches render the same data as five-number summaries.

@@ -17,7 +17,7 @@ The pipeline, exactly as in the paper:
      unsolvable systems.
 
    Both modes end in one decide + prune tail,
-   :func:`identify_from_score_array`.
+   :func:`identify_from_score_array` (DESIGN.md S26).
 
 4. Prune redundant sequences from the identified set Σn̄: σ is
    redundant when it is the union of other examined sequences, at

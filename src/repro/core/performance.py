@@ -181,9 +181,6 @@ class NetworkPerformance:
     def link_performance(self, link_id: str) -> LinkPerformance:
         return self._link_perf[link_id]
 
-    def is_link_neutral(self, link_id: str) -> bool:
-        return self._link_perf[link_id].is_neutral
-
     @property
     def neutral_links(self) -> FrozenSet[str]:
         """``L_n``: ids of all neutral links."""

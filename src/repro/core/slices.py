@@ -18,22 +18,22 @@ cancel. If different pairs disagree, System 4 is unsolvable and σ is
 non-neutral (Lemma 2). The spread of the per-pair estimates is the
 *unsolvability score* the practical algorithm clusters on (§6.2).
 
-Since the indexed rewrite (DESIGN.md S17) the hot path is batched
-numpy over the :class:`~repro.core.network.PathIndex` registry; since
-the sparse rewrite (DESIGN.md S20) the candidate pairs are enumerated
-per incidence *column* (``Paths(l)`` CSR) instead of over the dense
-``P²`` triangle, and signatures are the bit-packed uint64 row ANDs.
-The cold pass groups the pairs one column at a time, each column
-emitting its σ groups already in final order, and lays the systems
-out in bounded blocks of σ groups (:data:`COLD_BLOCK`); the dense
-``P²`` pass survives only as a test oracle. All candidate systems
-are scored at once with one flat ``y_a + y_b − y_ab`` gather
-(:func:`batch_unsolvability_arrays`) over per-member costs: each σ's
-singletons are priced by its own family, as Algorithm 2 normalizes
-each slice on its own, so a path in several slices has one cost per
-slice. :class:`SliceSystemBatch` materializes its per-σ
-:class:`SliceSystem` objects lazily so the ≥5k-path runs never build
-them. The pre-rewrite per-pair/per-dict implementation is frozen with
+The code is batched numpy over the
+:class:`~repro.core.network.PathIndex` registry (DESIGN.md S13): the
+candidate pairs are enumerated per incidence *column* (``Paths(l)``
+CSR), not over the dense ``P²`` triangle, and signatures are the
+bit-packed uint64 row ANDs. The cold pass groups the pairs one column
+at a time, each column emitting its σ groups already in final order,
+and lays the systems out in bounded blocks of σ groups
+(:data:`COLD_BLOCK`); the dense ``P²`` pass is a test oracle. All
+candidate systems are scored at once with one flat
+``y_a + y_b − y_ab`` gather (:func:`batch_unsolvability_arrays`,
+DESIGN.md S26) over per-member costs: each σ's singletons are priced
+by its own family, as Algorithm 2 normalizes each slice on its own,
+so a path in several slices has one cost per slice.
+:class:`SliceSystemBatch` materializes its per-σ :class:`SliceSystem`
+objects lazily so the ≥5k-path runs never build them. The seed's
+per-pair/per-dict implementation is frozen with
 the tests, in ``tests/oracles/algorithm_reference.py``.
 """
 

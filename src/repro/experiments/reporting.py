@@ -1,4 +1,4 @@
-"""Textual reports for experiment outcomes (S15/S17 glue).
+"""Textual reports for experiment outcomes.
 
 Renders :class:`~repro.experiments.runner.ExperimentOutcome` and
 :class:`~repro.experiments.topology_b.TopologyBReport` the way the

@@ -229,12 +229,6 @@ class SlidingWindowStats:
             start, k = end, k + 1
         return np.concatenate(pieces, axis=-1)
 
-    def window_status(self, lo: int, hi: int) -> np.ndarray:
-        """The window's boolean congestion-free matrix (stream row
-        order), for inspection and the exactness tests."""
-        self._check_window(lo, hi)
-        return self._columns(self._status, lo, hi)
-
     def _span_counts(self, lo: int, hi: int) -> np.ndarray:
         """:func:`~repro.measurement.normalize.slice_counts` over
         ``[lo, hi)``: every member's and batch pair's congestion-free

@@ -1,5 +1,5 @@
 """The emulation-substrate protocol, the one session and the one
-result of every run.
+result of every run (DESIGN.md S14 and S15).
 
 Every substrate — the fluid engine, the packet DES, and any future
 backend — plugs into the experiment pipeline through:

@@ -136,7 +136,7 @@ class FederatedTopology:
     """A federated observatory topology of ``S`` measured subnets.
 
     The Internet-scale generalization of topology B used by the
-    multi-ISP scaling work (DESIGN.md S20): ``S`` ISPs with ``H``
+    multi-ISP scaling work (DESIGN.md S13): ``S`` ISPs with ``H``
     vantage hosts each, a full backbone mesh between them, and one
     measured path per host pair — intra-subnet pairs through the
     subnet core, cross-subnet pairs through per-destination egress

@@ -1,10 +1,10 @@
 """Memory regression: ≥5k-path records→verdict under a hard budget.
 
-The scaling contract (DESIGN.md S20): on the 8×13 federated
+The scaling contract (DESIGN.md S13): on the 8×13 federated
 multi-ISP topology (5356 paths, 196 links) the sparse/bit-packed
 pipeline must complete records→verdict within a fixed tracemalloc
 peak. The call builds no per-pathset or per-σ object, and its cold
-pass runs in bounded blocks (DESIGN.md S24), so a cold verdict on a
+pass runs in bounded blocks (DESIGN.md S13), so a cold verdict on a
 fresh network stays within :data:`SHARDED_BUDGET` — the budget the
 sharded pipeline was once held to. Measured cold peak at the time of
 writing: ~47 MB. The budgets leave headroom so the test fails on a
